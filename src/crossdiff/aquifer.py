@@ -25,6 +25,13 @@ traces, 'closed' makes the box impermeable (the relaxation benchmark needs a
 closed box to conserve freshwater mass).  The confined-reservoir variant
 replaces the water-table equation by an elliptic solve for the hydraulic
 head and always takes Dirichlet data for the head.
+
+Every variant runs through the solver's Picard and time loops.  The plain
+and penalized paths assemble the thickness system with the generic assembly
+on an internal spec (ell = inf, closed species for a closed box); the
+penalized path then rewrites each sweep in the unknowns (u1, s) and adds the
+drain rows.  The confined variant plugs its own (w, phi) assembly into the
+same loops.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from . import fv
+from . import fv, solver
 from .conditions import check_aquifer_admissibility
 from .fv import SolverFailure, SystemBuilder, face_table
 from .model import (CrossTensor, Field, Grid, InvalidParameterError, ModelSpec)
@@ -100,9 +107,6 @@ class AquiferSpec:
             raise InvalidParameterError(f"density contrast must lie in (0, 1], got {self.alpha}")
         if self.boundary == "dirichlet" and (self.dirichlet_h is None or self.dirichlet_h1 is None):
             raise InvalidParameterError("dirichlet boundaries need traces for h and h1")
-
-    def h2_max(self) -> float:
-        return float(np.max(self.h2))
 
     def h2_cells(self, grid: Grid) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.h2, dtype=float), (grid.n_cells,)).copy()
@@ -171,46 +175,56 @@ def map_species(u1, u2, h2):
     return h, h - np.asarray(u1, dtype=float)
 
 
-def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
-    """Equivalent generic two-species spec (Dirichlet scenarios, ell = h2)."""
-    if aspec.boundary != "dirichlet":
-        raise InvalidParameterError("the generic formalism carries Dirichlet data only")
-    if np.ndim(aspec.h2) != 0:
-        raise InvalidParameterError("the generic mapping needs a constant reservoir depth")
+def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
+    """Generic two-species spec of the thickness system (u1, u2).
+
+    Head data map with the reservoir depth of each cell, traces with that of
+    each boundary face's cell (a constant depth maps data at any points); a
+    closed box gives closed species.
+    """
     one_a = 1.0 - aspec.alpha
     ndim = len(aspec.domain)
     k = [[CrossTensor.isotropic(one_a, ndim), CrossTensor.isotropic(one_a, ndim)],
          [CrossTensor.isotropic(one_a, ndim), CrossTensor.isotropic(1.0, ndim)]]
-    h2 = float(aspec.h2)
+    if np.ndim(aspec.h2) == 0:
+        h2_cells = h2_faces = float(aspec.h2)
+    else:
+        h2_cells = aspec.h2_cells(grid)
+        h2_faces = h2_cells[face_table(grid).bnd_cell]
 
     def initial_u(which):
         if callable(aspec.initial_h) or callable(aspec.initial_h1):
             def f(points):
                 h0 = aspec._eval(aspec.initial_h, points)
                 h10 = aspec._eval(aspec.initial_h1, points)
-                u1, u2 = map_heads(h0, h10, h2)
-                return u1 if which == 0 else u2
+                return map_heads(h0, h10, h2_cells)[which]
             return f
-        h0, h10 = aspec.initial_values(grid)
-        u1, u2 = map_heads(h0, h10, h2)
-        return u1 if which == 0 else u2
+        return map_heads(*aspec.initial_values(grid), h2_cells)[which]
 
     def dirichlet_u(which):
         def g(t, points):
             h_d = aspec._eval(aspec.dirichlet_h, points, t)
             h1_d = aspec._eval(aspec.dirichlet_h1, points, t)
-            u1, u2 = map_heads(h_d, h1_d, h2)
-            return u1 if which == 0 else u2
+            return map_heads(h_d, h1_d, h2_faces)[which]
         return g
 
     def salt_sink(t, points, u):
         return -aspec.pumping_values(t, points)
 
-    return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=h2,
-                     domain=aspec.domain,
-                     initial=[initial_u(0), initial_u(1)],
-                     dirichlet=[dirichlet_u(0), dirichlet_u(1)],
+    closed = aspec.boundary == "closed"
+    return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=ell,
+                     domain=aspec.domain, initial=[initial_u(0), initial_u(1)],
+                     dirichlet=[None, None] if closed else [dirichlet_u(0), dirichlet_u(1)],
                      sources=[None, salt_sink])
+
+
+def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
+    """Equivalent generic two-species spec (Dirichlet scenarios, ell = h2)."""
+    if aspec.boundary != "dirichlet":
+        raise InvalidParameterError("the generic formalism carries Dirichlet data only")
+    if np.ndim(aspec.h2) != 0:
+        raise InvalidParameterError("the generic mapping needs a constant reservoir depth")
+    return _thickness_spec(aspec, grid, float(aspec.h2))
 
 
 # ---------------------------------------------------------------------------
@@ -226,64 +240,6 @@ def _u_traces(aspec: AquiferSpec, grid: Grid, t: float):
     h2_b = aspec.h2_cells(grid)[ft.bnd_cell]
     u1_d, u2_d = map_heads(h_d, h1_d, h2_b)
     return u1_d, u2_d
-
-
-def _assemble_uu(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.ndarray,
-                 t_prev: float, t_new: float, cfg: StepperConfig):
-    """Thickness-variable system (u1, u2) with clipped, upwinded coefficients."""
-    builder = SystemBuilder(grid, 2)
-    ft = builder.ft
-    vol = grid.cell_volume
-    dt = cfg.dt
-    alpha = aspec.alpha
-    one_a = 1.0 - alpha
-    points = grid.cell_centers()
-
-    tr1, tr2 = _u_traces(aspec, grid, t_new)
-    traces = [tr1, tr2]
-    w = [_u0(u_lag[0]), _u0(u_lag[1])]
-    w_tr = [None if tr1 is None else _u0(tr1), None if tr2 is None else _u0(tr2)]
-    pump = aspec.pumping_values(t_prev, points)
-    weight = fv.upwind_face_value if cfg.cross_weighting == "upwind" else fv.centered_face_value
-
-    coeffs = [[one_a, one_a], [one_a, 1.0]]
-    flux_pairs: list[list[tuple]] = [[], []]
-    flux_sources = (np.zeros(grid.n_cells), -pump)
-
-    for i in range(2):
-        builder.add_mass(i, 1.0 / dt)
-        builder.add_rhs(i, vol * (u_prev[i] / dt + flux_sources[i]))
-        g_delta = {d: np.full(len(ft.int_left[d]), aspec.delta) for d in range(grid.ndim)}
-        g_delta_b = np.full(ft.n_boundary, aspec.delta)
-        builder.add_tpfa(i, i, g_delta, g_delta_b, traces[i])
-        flux_pairs[i].append((i, g_delta_b))
-        for j in range(2):
-            c = coeffs[i][j]
-            g_int = {}
-            for d in range(grid.ndim):
-                grad_j = fv.interior_gradient(ft, u_lag[j], d)
-                w_face = weight(w[i][ft.int_left[d]], w[i][ft.int_right[d]], grad_j)
-                g_int[d] = c * w_face
-            g_bnd = None
-            if traces[j] is not None:
-                grad_b = fv.boundary_gradient(ft, u_lag[j], traces[j])
-                w_face_b = weight(w[i][ft.bnd_cell], w_tr[i], grad_b)
-                g_bnd = c * w_face_b
-            builder.add_tpfa(i, j, g_int, g_bnd, traces[j])
-            if g_bnd is not None:
-                flux_pairs[i].append((j, g_bnd))
-
-    a = builder.matrix()
-    b = builder.rhs
-
-    def flux_eval(u_new: np.ndarray) -> np.ndarray:
-        out = np.zeros(2)
-        for i in range(2):
-            out[i] = sum(fv.boundary_flux_integral(ft, g, u_new[j], traces[j])
-                         for j, g in flux_pairs[i])
-        return out
-
-    return a, b, flux_eval
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +272,8 @@ def _penalty_entries(aspec: AquiferSpec, grid: Grid, u1_lag: np.ndarray,
 
     for d in range(grid.ndim):
         L, R = ft.int_left[d], ft.int_right[d]
-        h = grid.spacing[d]
-        area = ft.face_area(d)
+        h = ft.spacing[d]
+        area = ft.area[d]
         driver = (excess[R] - excess[L]) / h
         w_face = fv.upwind_face_value(w[L], w[R], driver)
         kappa = inv_eps * w_face * area / h
@@ -333,12 +289,10 @@ def _penalty_entries(aspec: AquiferSpec, grid: Grid, u1_lag: np.ndarray,
         s_d = tr[0] + tr[1]
         cells = ft.bnd_cell
         h2_b = h2c[cells]
-        half = np.array([grid.spacing[a] / 2.0 for a in ft.bnd_axis])
-        area = np.array([ft.face_area(a) for a in ft.bnd_axis])
         excess_d = _u0(s_d - h2_b)
-        driver_b = (excess_d - excess[cells]) / half
+        driver_b = (excess_d - excess[cells]) / ft.bnd_half
         w_face = fv.upwind_face_value(w[cells], _u0(s_d - tr[0]), driver_b)
-        kappa = inv_eps * w_face * area / half
+        kappa = inv_eps * w_face * ft.bnd_area / ft.bnd_half
         rows += [s_block + cells]
         cols += [s_block + cells]
         vals += [kappa * active[cells]]
@@ -362,7 +316,7 @@ def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
     out = {}
     for d in range(grid.ndim):
         L, R = ft.int_left[d], ft.int_right[d]
-        grad = (excess[R] - excess[L]) / grid.spacing[d]
+        grad = (excess[R] - excess[L]) / ft.spacing[d]
         w_face = fv.upwind_face_value(w[L], w[R], grad)
         out[d] = w_face * grad / aspec.epsilon
     return out
@@ -393,59 +347,41 @@ def _effective_lin_tol(aspec: AquiferSpec, cfg: StepperConfig, penalized: bool) 
     return cfg.lin_tol
 
 
-def _advance_aquifer(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
-                     cfg: StepperConfig, penalized: bool):
-    """One backward-Euler step in (u1, u2); the penalized path solves (u1, s)."""
+def _penalized_unknowns(aspec: AquiferSpec, grid: Grid):
+    """Sweep system in (u1, s), s = u1 + u2, plus the drain rows on the s block."""
     n = grid.n_cells
-    t_new = t_prev + cfg.dt
-    lin_tol = _effective_lin_tol(aspec, cfg, penalized)
-    q_op, p_op = _transform_ops(n) if penalized else (None, None)
+    q_op, p_op = _transform_ops(n)
 
-    u_lag = u_prev
-    stats = {"picard_sweeps": 0, "picard_converged": True, "lin_residual": 0.0, "b_norm": 0.0}
-    u_new = u_prev
-    flux = np.zeros(2)
-    for sweep in range(max(1, cfg.picard_max)):
-        a_uu, b_uu, flux_eval = _assemble_uu(aspec, grid, u_prev, u_lag, t_prev, t_new, cfg)
-        if penalized:
-            a = (q_op @ a_uu @ p_op).tocsr()
-            b = q_op @ b_uu
-            a_pen, b_pen = _penalty_entries(aspec, grid, u_lag[0], u_lag[0] + u_lag[1], t_new)
-            a = (a + a_pen).tocsr()
-            b = b + b_pen
-        else:
-            a, b = a_uu, b_uu
-        x0 = (np.concatenate([u_lag[0], u_lag[0] + u_lag[1]]) if penalized
-              else u_lag.ravel().copy())
-        x = fv.solve_sparse(a, b, lin_tol, cfg.lin_max, time=t_new, x0=x0)
-        bnorm = float(np.linalg.norm(b))
-        stats["lin_residual"] = float(np.linalg.norm(b - a @ x)) / max(bnorm, 1e-300)
-        stats["b_norm"] = bnorm
-        if penalized:
-            u1 = x[:n]
-            s = x[n:]
-            u_new = np.stack([u1, s - u1])
-        else:
-            u_new = x.reshape(2, n)
-        stats["picard_sweeps"] = sweep + 1
-        change = float(np.max(np.abs(u_new - u_lag)))
-        scale = max(float(np.max(np.abs(u_new))), 1e-300)
-        flux = flux_eval(u_new)
-        u_lag = u_new
-        if change / scale < cfg.picard_tol:
-            break
-    else:
-        stats["picard_converged"] = False
-    return u_new, flux, stats
+    def unknowns(a, b, u_lag, t_new):
+        s_lag = u_lag[0] + u_lag[1]
+        a_pen, b_pen = _penalty_entries(aspec, grid, u_lag[0], s_lag, t_new)
+        a = ((q_op @ a @ p_op).tocsr() + a_pen).tocsr()
+        return (a, q_op @ b + b_pen, np.concatenate([u_lag[0], s_lag]),
+                lambda x: np.stack([x[:n], x[n:] - x[:n]]))
+    return unknowns
+
+
+def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penalized: bool):
+    """Validated generic spec, stepper config and step controls of the (u1, u2) system.
+
+    The spec clips at zero only (ell = inf), and the thickness coefficients
+    clip whatever the configured coefficient mode.
+    """
+    aspec.validate(grid)
+    spec = _thickness_spec(aspec, grid, math.inf)
+    controls = {"lin_tol": _effective_lin_tol(aspec, cfg, penalized)}
+    if penalized:
+        controls["unknowns"] = _penalized_unknowns(aspec, grid)
+    return spec, replace(cfg, coefficient_mode="truncated"), controls
 
 
 def step_aquifer(state: Field, aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
                  penalized: bool = False) -> Field:
     """Advance the (h, h1) state by one step (validates the spec first)."""
-    aspec.validate(grid)
+    spec, cfg_u, controls = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
-    u1, u2 = map_heads(state.values[0], state.values[1], h2c)
-    u_new, _, _ = _advance_aquifer(aspec, grid, np.stack([u1, u2]), state.time, cfg, penalized)
+    u = np.stack(map_heads(state.values[0], state.values[1], h2c))
+    u_new = solver._advance(spec, grid, u, state.time, cfg_u, **controls)[0]
     h, h1 = map_species(u_new[0], u_new[1], h2c)
     return Field(np.stack([h, h1]), state.time + cfg.dt)
 
@@ -474,58 +410,18 @@ class ConfinementReport:
         return float(self.residual[-1])
 
 
-def _run_u_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
-                  penalized: bool) -> SimulationResult:
-    aspec.validate(grid)
+def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
+                   penalized: bool) -> SimulationResult:
+    """Time loop of the (u1, u2) system through the solver, recording (h, h1)."""
+    spec, cfg_u, controls = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
-    h0, h10 = aspec.initial_values(grid)
-    u1, u2 = map_heads(h0, h10, h2c)
-    u = np.stack([u1, u2])
-    vol = grid.cell_volume
     points = grid.cell_centers()
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
+    u0 = np.stack([spec.initial_values(i, points) for i in range(2)])
 
-    times = np.arange(n_steps + 1) * cfg.dt
-    minmax = np.zeros((2, n_steps + 1, 3))
-    mass = np.zeros((2, n_steps + 1))
-    src = np.zeros((2, n_steps))
-    bflux = np.zeros((2, n_steps))
-    stats: list[dict] = []
-
-    def heads(u_now: np.ndarray) -> np.ndarray:
-        h, h1 = map_species(u_now[0], u_now[1], h2c)
-        return np.stack([h, h1])
-
-    def record(k: int, hh: np.ndarray) -> None:
-        minmax[:, k, 0] = times[k]
-        minmax[:, k, 1] = hh.min(axis=1)
-        minmax[:, k, 2] = hh.max(axis=1)
-        mass[:, k] = hh.sum(axis=1) * vol
-
-    snapshots = [Field(heads(u), 0.0)]
-    record(0, snapshots[0].values)
-    for k in range(n_steps):
-        pump = aspec.pumping_values(times[k], points)
-        try:
-            u, flux_k, st = _advance_aquifer(aspec, grid, u, times[k], cfg, penalized)
-        except SolverFailure as exc:
-            exc.time = times[k + 1]
-            exc.partial = SimulationResult(
-                snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
-                src[:, :k], bflux[:, :k], stats, cfg.dt)
-            raise
-        src[:, k] = [0.0, float(np.sum(-pump) * vol)]
-        bflux[:, k] = flux_k
-        stats.append(st)
-        hh = heads(u)
-        record(k + 1, hh)
-        if (k + 1) % max(1, cfg.snapshot_every) == 0 or k + 1 == n_steps:
-            if not snapshots or snapshots[-1].time < times[k + 1]:
-                snapshots.append(Field(hh, float(times[k + 1])))
-
-    result = SimulationResult(snapshots, times, minmax, mass, src, bflux, stats, cfg.dt)
-    result.validate()
-    return result
+    def step(u, t_prev, t_new):
+        return solver._advance(spec, grid, u, t_prev, cfg_u, **controls)
+    return solver._integrate(grid, cfg_u, u0, step,
+                             lambda u: np.stack(map_species(u[0], u[1], h2c)))
 
 
 def confinement_report(aspec: AquiferSpec, grid: Grid,
@@ -549,13 +445,13 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
 def run_penalized(aspec: AquiferSpec, grid: Grid,
                   cfg: StepperConfig) -> tuple[SimulationResult, ConfinementReport]:
     """Penalized time loop over (h, h1) plus the confinement accounting."""
-    result = _run_u_system(aspec, grid, cfg, penalized=True)
+    result = _run_thickness(aspec, grid, cfg, penalized=True)
     return result, confinement_report(aspec, grid, result)
 
 
 def run_unpenalized(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> SimulationResult:
     """Plain (no drain term) interface evolution over (h, h1)."""
-    return _run_u_system(aspec, grid, cfg, penalized=False)
+    return _run_thickness(aspec, grid, cfg, penalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +470,7 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, w_prev: np.ndarray,
     points = grid.cell_centers()
     pump = aspec.pumping_values(t_prev, points)
 
-    tr = aspec.trace_values(t_new, ft.bnd_points)
-    if tr is None:
-        w_trace = None
-    else:
-        w_trace = h2c[ft.bnd_cell] - tr[0]
+    w_trace = _u_traces(aspec, grid, t_new)[1]
     phi_trace = aspec._eval(aspec.dirichlet_phi, ft.bnd_points, t_new)
     w = _u0(w_lag)
     w_tr = None if w_trace is None else _u0(w_trace)
@@ -609,8 +501,7 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, w_prev: np.ndarray,
         builder.add_tpfa(0, 0, {}, alpha * w_face_wb, w_trace)
         builder.add_tpfa(0, 1, {}, -one_a * w_face_pb, phi_trace)
         builder.add_tpfa(1, 0, {}, alpha * w_face_wb, w_trace)
-    h2_b = h2c[ft.bnd_cell]
-    builder.add_tpfa(1, 1, {}, one_a * h2_b, phi_trace)
+    builder.add_tpfa(1, 1, {}, one_a * h2c[ft.bnd_cell], phi_trace)
     builder.add_rhs(1, -vol * pump)
     return builder.matrix(), builder.rhs
 
@@ -632,9 +523,8 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
         w_face = fv.upwind_face_value(w[L], w[R], grad_w)
         builder.add_explicit_flux(0, {d: alpha * w_face * grad_w}, None)
     builder.add_tpfa(0, 0, {}, one_a * h2c[ft.bnd_cell], phi_trace)
-    tr = aspec.trace_values(0.0, ft.bnd_points)
-    if tr is not None:
-        w_trace = h2c[ft.bnd_cell] - tr[0]
+    w_trace = _u_traces(aspec, grid, 0.0)[1]
+    if w_trace is not None:
         grad_w_b = fv.boundary_gradient(ft, w0, w_trace)
         w_face_b = fv.upwind_face_value(w[ft.bnd_cell], _u0(w_trace), grad_w_b)
         builder.add_explicit_flux(0, {}, alpha * w_face_b * grad_w_b)
@@ -652,68 +542,24 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     Snapshots hold (h, phi).  The fully saturated reservoir fixes the water
     table at the top (h1 = 0); pumping acts as a sink of the total-flow
     balance.  The head always takes Dirichlet data from ``dirichlet_phi``.
+    The state (w, phi) = (h2 - h, phi) runs through the solver's Picard and
+    time loops; its budget series are zero.
     """
     aspec.validate(grid)
     h2c = aspec.h2_cells(grid)
     h0, _ = aspec.initial_values(grid)
     w = h2c - h0
-    n = grid.n_cells
-    vol = grid.cell_volume
     phi = _initial_head(aspec, grid, w, cfg)
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
 
-    times = np.arange(n_steps + 1) * cfg.dt
-    minmax = np.zeros((2, n_steps + 1, 3))
-    mass = np.zeros((2, n_steps + 1))
-    stats: list[dict] = []
+    def step(u, t_prev, t_new):
+        def assemble(u_lag):
+            a, b = _assemble_confined(aspec, grid, u[0], u_lag[0], u_lag[1], t_prev, t_new, cfg)
+            return (*solver._same_unknowns(a, b, u_lag, t_new), lambda _: np.zeros(2))
+        u_next, flux, stats = solver._picard(assemble, u, t_new, cfg, cfg.lin_tol)
+        return u_next, np.zeros(2), flux, stats
 
-    def pack(w_now, phi_now):
-        return np.stack([h2c - w_now, phi_now])
-
-    def record(k, vals):
-        minmax[:, k, 0] = times[k]
-        minmax[:, k, 1] = vals.min(axis=1)
-        minmax[:, k, 2] = vals.max(axis=1)
-        mass[:, k] = vals.sum(axis=1) * vol
-
-    snapshots = [Field(pack(w, phi), 0.0)]
-    record(0, snapshots[0].values)
-    for k in range(n_steps):
-        w_lag, phi_lag = w, phi
-        st = {"picard_sweeps": 0, "picard_converged": True, "lin_residual": 0.0, "b_norm": 0.0}
-        for sweep in range(max(1, cfg.picard_max)):
-            a, b = _assemble_confined(aspec, grid, w, w_lag, phi_lag, times[k], times[k + 1], cfg)
-            try:
-                x = fv.solve_sparse(a, b, cfg.lin_tol, cfg.lin_max, time=times[k + 1],
-                                    x0=np.concatenate([w_lag, phi_lag]))
-            except SolverFailure as exc:
-                exc.time = times[k + 1]
-                raise
-            bnorm = float(np.linalg.norm(b))
-            st["lin_residual"] = float(np.linalg.norm(b - a @ x)) / max(bnorm, 1e-300)
-            st["b_norm"] = bnorm
-            st["picard_sweeps"] = sweep + 1
-            w_new, phi_new = x[:n], x[n:]
-            change = max(float(np.max(np.abs(w_new - w_lag))),
-                         float(np.max(np.abs(phi_new - phi_lag))))
-            scale = max(float(np.max(np.abs(w_new))), float(np.max(np.abs(phi_new))), 1e-300)
-            w_lag, phi_lag = w_new, phi_new
-            if change / scale < cfg.picard_tol:
-                break
-        else:
-            st["picard_converged"] = False
-        stats.append(st)
-        w, phi = w_lag, phi_lag
-        vals = pack(w, phi)
-        record(k + 1, vals)
-        if (k + 1) % max(1, cfg.snapshot_every) == 0 or k + 1 == n_steps:
-            if not snapshots or snapshots[-1].time < times[k + 1]:
-                snapshots.append(Field(vals, float(times[k + 1])))
-
-    result = SimulationResult(snapshots, times, minmax, mass,
-                              np.zeros((2, n_steps)), np.zeros((2, n_steps)), stats, cfg.dt)
-    result.validate()
-    return result
+    return solver._integrate(grid, cfg, np.stack([w, phi]), step,
+                             lambda u: np.stack([h2c - u[0], u[1]]))
 
 
 # ---------------------------------------------------------------------------

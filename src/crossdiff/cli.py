@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -94,8 +93,6 @@ class RunManifest:
     command: str
     artifacts: list[str]
     exit_status: int
-    wall_time: float
-    seed: int | None = None
 
 
 def _profile_block(raw, where: str) -> dict:
@@ -319,11 +316,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(path: Path, text: str, artifacts: list[str]) -> None:
-    path.write_text(text)
-    artifacts.append(path.name)
-
-
 def snapshots_csv(result: SimulationResult, grid: Grid) -> str:
     coords = grid.cell_centers()
     head = ("x,species,value,t" if grid.ndim == 1 else "x,y,species,value,t")
@@ -390,7 +382,6 @@ def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
         f"schema={SCHEMA_VERSION}",
         f"config_hash={manifest.config_hash}",
         f"exit_status={manifest.exit_status}",
-        f"seed={'' if manifest.seed is None else manifest.seed}",
         f"config={cfg_json}",
         "artifacts=" + ";".join(sorted(manifest.artifacts)),
     ]
@@ -398,8 +389,7 @@ def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
 
 
 def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
-                  artifacts: dict[str, str], exit_status: int,
-                  wall_time: float, seed: int | None = None) -> RunManifest:
+                  artifacts: dict[str, str], exit_status: int) -> RunManifest:
     """Write the artifact texts plus a deterministic manifest.
 
     ``artifacts`` maps file names to fully rendered text; the manifest
@@ -413,12 +403,12 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
-    names: list[str] = []
-    for name in sorted(artifacts):
-        _write(out / name, artifacts[name], names)
+    names = sorted(artifacts)
+    for name in names:
+        (out / name).write_text(artifacts[name])
     cfg_hash = hashlib.sha256(
         json.dumps(config.effective, sort_keys=True).encode()).hexdigest()[:16]
-    manifest = RunManifest(cfg_hash, command, names, exit_status, wall_time, seed)
+    manifest = RunManifest(cfg_hash, command, names, exit_status)
     (out / "manifest.txt").write_text(_manifest_text(manifest, config))
     manifest.artifacts = names + ["manifest.txt"]
     return manifest
@@ -496,13 +486,13 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
 
 def execute(config: ScenarioConfig, command: str = "simulate", *,
             out_dir: str | None = None, require_feasible: bool = False,
-            epsilon_list: list[float] | None = None,
-            seed: int | None = None) -> RunManifest:
+            epsilon_list: list[float] | None = None) -> RunManifest:
     """Dispatch one command; always writes a manifest (partial on failure)."""
     t0 = time.perf_counter()
     out = out_dir or config.out_dir
     artifacts: dict[str, str] = {}
     exit_status = 0
+    partial_series = "series.csv"  # where a failed run's partial series goes
 
     compat = {"check": ("generic", "aquifer", "keulegan"),
               "simulate": ("generic",), "probe": ("generic",),
@@ -575,6 +565,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                     lines.append(f"{_fmt(t)},{_fmt(conf.violation[k])},{_fmt(conf.residual[k])}")
                 artifacts["confinement.csv"] = "\n".join(lines) + "\n"
             if variant in ("confined", "both"):
+                partial_series = "confined_series.csv"
                 result_c = aq.run_confined_aquifer(aspec, config.grid, config.stepper)
                 artifacts["confined_series.csv"] = series_csv(result_c)
                 artifacts["confined_snapshots.csv"] = snapshots_csv(result_c, config.grid)
@@ -594,14 +585,13 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             artifacts["convergence.csv"] = convergence_csv(_run_convergence(config))
 
     except SolverFailure as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            artifacts["series.csv"] = series_csv(partial)
+        if exc.partial is not None:
+            artifacts[partial_series] = series_csv(exc.partial)
         artifacts["error.txt"] = f"solver failure at t={exc.time}: {exc}\n"
         exit_status = 1
 
     wall = time.perf_counter() - t0
-    manifest = write_outputs(out, config, command, artifacts, exit_status, wall, seed)
+    manifest = write_outputs(out, config, command, artifacts, exit_status)
     print(f"{command}: exit {exit_status} ({wall:.2f} s)", file=sys.stderr)
     return manifest
 
@@ -653,11 +643,6 @@ def _run_convergence(config: ScenarioConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("CROSSDIFF_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="crossdiff",
         description="Cross-diffusion laboratory: checks, simulations, diagnostics")
@@ -670,16 +655,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="exit 3 when a condition check fails")
         p.add_argument("--epsilon-list", nargs="+", type=float, default=None,
                        help="penalization parameters for 'sweep'")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded for randomized searches (all current "
-                            "searches are deterministic)")
     args = parser.parse_args(argv)
 
     try:
         config = parse_scenario(args.config)
         manifest = execute(config, args.command, out_dir=args.out,
                            require_feasible=args.require_feasible,
-                           epsilon_list=args.epsilon_list, seed=args.seed)
+                           epsilon_list=args.epsilon_list)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -133,8 +133,7 @@ def meyers_constants(alpha: float, beta: float, symmetric: bool,
         consts = MeyersConstants(alpha, beta, 0.0, alpha / beta, 0.0, True)
     else:
         c = (beta ** 2 - alpha ** 2) / (2.0 * alpha) + 0.1 * alpha
-        mu = (alpha + c) / (beta + c)
-        nu = math.sqrt(beta ** 2 + c ** 2) / (beta + c)
+        mu, nu = _raw_mu_nu(alpha, beta, c)
         consts = MeyersConstants(alpha, beta, c, mu, nu, False)
     k_r = g_r * (1.0 - consts.mu + consts.nu)
     return consts, k_r

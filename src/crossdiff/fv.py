@@ -1,4 +1,4 @@
-"""Structured finite-volume machinery shared by the generic and aquifer solvers.
+"""Structured finite-volume machinery shared by every assembly in the package.
 
 Cell-centered two-point flux approximation on uniform 1D/2D grids.  For a
 face between cells L and R along axis d the discrete flux (oriented so that
@@ -9,8 +9,10 @@ a positive value feeds cell L)
 carries a per-face scalar coefficient ``g`` that already bundles diffusivity,
 truncated coupling coefficient and tensor entry.  Dirichlet boundaries are
 eliminated through ghost values at half-cell distance; ``closed`` boundaries
-simply carry no flux.  Off-diagonal tensor entries contribute tangential
-face gradients that are treated explicitly by the callers.
+(traces None) simply carry no flux.  Off-diagonal tensor entries contribute
+tangential face gradients that are treated explicitly by the callers.
+:func:`face_table` enumerates the boundary faces of a grid once, with their
+half-widths and areas; every other module reads that table.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class FaceTable:
 
     Interior faces are stored per axis as flat cell indices (left, right);
     boundary faces as (cell, axis, side, face-center coordinates) where
-    side 0 is the low end of the axis.
+    side 0 is the low end of the axis.  ``spacing`` and ``area`` hold the
+    per-axis cell width and face area, ``bnd_half`` and ``bnd_area`` the
+    half-width and area of every boundary face.
     """
 
     grid: Grid
@@ -55,13 +59,10 @@ class FaceTable:
     bnd_axis: np.ndarray
     bnd_side: np.ndarray
     bnd_points: np.ndarray
-
-    def face_area(self, axis: int) -> float:
-        return self.grid.cell_volume / self.grid.spacing[axis]
-
-    @property
-    def n_interior(self) -> int:
-        return sum(len(a) for a in self.int_left)
+    spacing: tuple[float, ...]
+    area: tuple[float, ...]
+    bnd_half: np.ndarray
+    bnd_area: np.ndarray
 
     @property
     def n_boundary(self) -> int:
@@ -96,10 +97,15 @@ def face_table(grid: Grid) -> FaceTable:
             axes.append(np.full(len(sel), axis, dtype=int))
             sides.append(np.full(len(sel), side, dtype=int))
             pts.append(p)
+    spacing = grid.spacing
+    area = tuple(grid.cell_volume / h for h in spacing)
+    bnd_axis = np.concatenate(axes)
     return FaceTable(grid,
                      tuple(int_left), tuple(int_right),
-                     np.concatenate(cells), np.concatenate(axes),
-                     np.concatenate(sides), np.concatenate(pts, axis=0))
+                     np.concatenate(cells), bnd_axis,
+                     np.concatenate(sides), np.concatenate(pts, axis=0),
+                     spacing, area,
+                     np.array(spacing)[bnd_axis] / 2.0, np.array(area)[bnd_axis])
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +114,7 @@ def face_table(grid: Grid) -> FaceTable:
 
 def interior_gradient(ft: FaceTable, u: np.ndarray, axis: int) -> np.ndarray:
     """(u_R - u_L) / h on the interior faces of one axis."""
-    h = ft.grid.spacing[axis]
-    return (u[ft.int_right[axis]] - u[ft.int_left[axis]]) / h
+    return (u[ft.int_right[axis]] - u[ft.int_left[axis]]) / ft.spacing[axis]
 
 
 def boundary_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
@@ -120,8 +125,7 @@ def boundary_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -
     """
     if traces is None:
         return np.zeros(ft.n_boundary)
-    half = np.array([ft.grid.spacing[a] / 2.0 for a in ft.bnd_axis])
-    return (traces - u[ft.bnd_cell]) / half
+    return (traces - u[ft.bnd_cell]) / ft.bnd_half
 
 
 def upwind_face_value(w_left, w_right, driver) -> np.ndarray:
@@ -161,7 +165,7 @@ def cell_gradient(ft: FaceTable, u: np.ndarray, axis: int,
         sel = ft.bnd_axis == axis
         cells = ft.bnd_cell[sel]
         sides = ft.bnd_side[sel]
-        half = grid.spacing[axis] / 2.0
+        half = ft.spacing[axis] / 2.0
         # oriented along +axis: low side has the ghost on the left
         g_b = np.where(sides == 0,
                        (u[cells] - traces[sel]) / half,
@@ -217,7 +221,7 @@ class SystemBuilder:
         """
         ft = self.ft
         for axis, g in g_int.items():
-            t = g * ft.face_area(axis) / self.grid.spacing[axis]
+            t = g * ft.area[axis] / ft.spacing[axis]
             L, R = ft.int_left[axis], ft.int_right[axis]
             rL, rR = self._block(row_sp, L), self._block(row_sp, R)
             cL, cR = self._block(col_sp, L), self._block(col_sp, R)
@@ -226,9 +230,7 @@ class SystemBuilder:
             self._push(rR, cR, t)
             self._push(rR, cL, -t)
         if traces is not None and g_bnd is not None:
-            half = np.array([self.grid.spacing[a] / 2.0 for a in ft.bnd_axis])
-            area = np.array([ft.face_area(a) for a in ft.bnd_axis])
-            t = g_bnd * area / half
+            t = g_bnd * ft.bnd_area / ft.bnd_half
             rC = self._block(row_sp, ft.bnd_cell)
             cC = self._block(col_sp, ft.bnd_cell)
             self._push(rC, cC, t)
@@ -240,12 +242,11 @@ class SystemBuilder:
         """Add a fully evaluated face flux (per unit area) to the RHS."""
         ft = self.ft
         for axis, f in f_int.items():
-            fa = f * ft.face_area(axis)
+            fa = f * ft.area[axis]
             np.add.at(self.rhs, self._block(row_sp, ft.int_left[axis]), fa)
             np.add.at(self.rhs, self._block(row_sp, ft.int_right[axis]), -fa)
         if f_bnd is not None:
-            area = np.array([ft.face_area(a) for a in ft.bnd_axis])
-            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), f_bnd * area)
+            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), f_bnd * ft.bnd_area)
 
     def matrix(self) -> sparse.csr_matrix:
         n = self.m * self.n
@@ -261,9 +262,7 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
     """Total boundary inflow sum_f g * (trace - u_cell)/(h/2) * area (closed: 0)."""
     if traces is None:
         return 0.0
-    half = np.array([ft.grid.spacing[a] / 2.0 for a in ft.bnd_axis])
-    area = np.array([ft.face_area(a) for a in ft.bnd_axis])
-    return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / half * area))
+    return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / ft.bnd_half * ft.bnd_area))
 
 
 # ---------------------------------------------------------------------------

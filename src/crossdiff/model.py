@@ -7,8 +7,9 @@ Defines the coupled two-species (or m-species) parabolic system in flux form,
 where clamp is the pointwise truncation of the coupling coefficient to
 [0, ell].  The module owns the immutable problem-data containers (tensors,
 grid, fields, full spec), the truncation operator, ellipticity bounds of the
-coupling tensors and pointwise flux evaluation.  Everything here is pure and
-side-effect free; discretization lives in :mod:`crossdiff.solver`.
+coupling tensors and pointwise flux evaluation.  A species without Dirichlet
+data is closed (impermeable).  Everything here is pure and side-effect free;
+discretization lives in :mod:`crossdiff.fv` and :mod:`crossdiff.solver`.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class Field:
 # ---------------------------------------------------------------------------
 
 InitialData = Callable[[np.ndarray], np.ndarray] | np.ndarray | float
-BoundaryData = Callable[[float, np.ndarray], np.ndarray] | float
+BoundaryData = Callable[[float, np.ndarray], np.ndarray] | float | None
 SourceData = Callable[[float, np.ndarray, np.ndarray], np.ndarray] | float | None
 
 
@@ -204,8 +205,9 @@ class ModelSpec:
     ``ell`` is the truncation level of the coupling coefficient; ``ell = 0``
     decouples the system and ``ell = inf`` clips at zero only.  Sources are
     callables ``Q_i(t, points, u)`` evaluated cell-wise at the previous time
-    level, Dirichlet traces are ``g_i(t, points)`` and initial data either
-    callables ``f_i(points)``, plain per-cell arrays or scalars.
+    level, Dirichlet traces are ``g_i(t, points)`` (or None for a closed,
+    impermeable species) and initial data either callables ``f_i(points)``,
+    plain per-cell arrays or scalars.
     """
 
     m: int
@@ -256,8 +258,10 @@ class ModelSpec:
                 f"initial array for species {i} has length {a.shape}, expected {points.shape[0]}")
         return a.copy()
 
-    def dirichlet_values(self, i: int, t: float, points: np.ndarray) -> np.ndarray:
+    def dirichlet_values(self, i: int, t: float, points: np.ndarray) -> np.ndarray | None:
         g = self.dirichlet[i]
+        if g is None:
+            return None
         if callable(g):
             return np.broadcast_to(np.asarray(g(t, points), dtype=float), (points.shape[0],)).copy()
         return np.full(points.shape[0], float(g))
@@ -311,30 +315,6 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
-def _boundary_face_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary face centers and the flat index of the adjacent cell."""
-    idx = grid.flat_index()
-    pts, cells = [], []
-    centers = [grid.axis_centers(d) for d in range(grid.ndim)]
-    for axis in range(grid.ndim):
-        for side in (0, 1):
-            coord = 0.0 if side == 0 else grid.extents[axis]
-            if grid.ndim == 1:
-                cell_sel = idx[0 if side == 0 else -1]
-                pts.append(np.array([[coord]]))
-                cells.append(np.array([cell_sel]))
-            else:
-                other = 1 - axis
-                sel = (idx[0, :] if side == 0 else idx[-1, :]) if axis == 0 else \
-                      (idx[:, 0] if side == 0 else idx[:, -1])
-                p = np.empty((grid.dims[other], 2))
-                p[:, axis] = coord
-                p[:, other] = centers[other]
-                pts.append(p)
-                cells.append(np.asarray(sel))
-    return np.concatenate(pts, axis=0), np.concatenate(cells)
-
-
 def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -> ValidationReport:
     """Collect every spec violation; never raises.
 
@@ -342,7 +322,8 @@ def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -
     nonnegative boundary and initial data, domain/grid agreement, and the
     initial/boundary compatibility at t = 0 on boundary faces (for callable
     initial data the trace is evaluated at the face center, for array data
-    the adjacent boundary-cell value stands in).
+    the adjacent boundary-cell value stands in).  Closed species carry no
+    boundary data to check.
     """
     report = ValidationReport()
     for i, d in enumerate(spec.delta):
@@ -360,24 +341,28 @@ def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -
                    f"spec domain {spec.domain} does not match grid extents {grid.extents}")
         return report
 
+    from .fv import face_table  # fv imports this module
+
     points = grid.cell_centers()
-    face_pts, face_cells = _boundary_face_points(grid)
+    ft = face_table(grid)
     for i in range(spec.m):
         u0 = spec.initial_values(i, points)
         if np.any(u0 < -tol):
             report.add("negative-initial",
                        f"initial data of species {i + 1} dips to {float(u0.min())}")
-        gb = spec.dirichlet_values(i, 0.0, face_pts)
+        gb = spec.dirichlet_values(i, 0.0, ft.bnd_points)
+        if gb is None:
+            continue
         if np.any(gb < -tol):
             report.add("negative-dirichlet",
                        f"boundary data of species {i + 1} dips to {float(gb.min())}")
         if callable(spec.initial[i]):
-            u0_trace = spec.initial_values(i, face_pts)
+            u0_trace = spec.initial_values(i, ft.bnd_points)
         else:
-            u0_trace = u0[face_cells]
+            u0_trace = u0[ft.bnd_cell]
         gap = np.abs(u0_trace - gb)
         if np.any(gap > tol):
             k = int(np.argmax(gap))
             report.add("compatibility",
-                       f"species {i + 1}: initial/boundary mismatch {float(gap[k])} at {face_pts[k]}")
+                       f"species {i + 1}: initial/boundary mismatch {float(gap[k])} at {ft.bnd_points[k]}")
     return report

@@ -16,9 +16,14 @@ accuracy for smooth convergence studies at the price of the positivity
 mechanism.  Off-diagonal tensor entries contribute tangential face gradients
 treated explicitly at the lagged iterate.
 
-Dirichlet data enter through ghost values at half-cell distance; sources are
-evaluated explicitly at the previous time level.  The linear block system is
-solved by restarted GMRES with diagonal preconditioning.
+Dirichlet data enter through ghost values at half-cell distance, closed
+species carry no boundary flux; sources are evaluated explicitly at the
+previous time level.  The linear block system is solved by restarted GMRES
+with diagonal preconditioning.
+
+This module owns the package's only Picard sweep loop and only time loop;
+the aquifer variants plug their assemblies and changes of unknowns into
+them.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
 
     traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
     w_cell = [_coefficient(u_lag[i], spec, cfg) for i in range(m)]
-    w_trace = [_coefficient(traces[i], spec, cfg) for i in range(m)]
+    w_trace = [None if tr is None else _coefficient(tr, spec, cfg) for tr in traces]
     weight = fv.upwind_face_value if cfg.cross_weighting == "upwind" else fv.centered_face_value
 
     # lagged cell gradients, used by tangential terms (2D, full tensors only)
@@ -177,30 +182,31 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
                 if tang is not None:
                     f_int[d] = w_face * tang
 
-            grad_b = fv.boundary_gradient(ft, u_lag[j], traces[j])
-            kdd_b = np.array([kmat[a, a] for a in ft.bnd_axis])
-            driver_b = kdd_b * grad_b
-            tang_b = None
-            if need_tangential:
-                koff_b = np.array([kmat[a, 1 - a] for a in ft.bnd_axis])
-                tang_b = koff_b * np.where(ft.bnd_axis == 0,
-                                           cgrad[j][1][ft.bnd_cell],
-                                           cgrad[j][0][ft.bnd_cell])
-                driver_b = driver_b + bnd_sign * tang_b
-            w_face_b = weight(w_cell[i][ft.bnd_cell], w_trace[i], driver_b)
-            g_bnd = w_face_b * kdd_b
+            # a closed species i has no boundary flux at all
+            g_bnd = f_bnd = None
+            if traces[i] is not None:
+                grad_b = fv.boundary_gradient(ft, u_lag[j], traces[j])
+                kdd_b = np.array([kmat[a, a] for a in ft.bnd_axis])
+                driver_b = kdd_b * grad_b
+                tang_b = None
+                if need_tangential:
+                    koff_b = np.array([kmat[a, 1 - a] for a in ft.bnd_axis])
+                    tang_b = koff_b * np.where(ft.bnd_axis == 0,
+                                               cgrad[j][1][ft.bnd_cell],
+                                               cgrad[j][0][ft.bnd_cell])
+                    driver_b = driver_b + bnd_sign * tang_b
+                w_face_b = weight(w_cell[i][ft.bnd_cell], w_trace[i], driver_b)
+                g_bnd = w_face_b * kdd_b
+                flux_pairs[i].append((j, g_bnd))
+                if tang_b is not None:
+                    f_bnd = bnd_sign * w_face_b * tang_b
+                    flux_expl[i] += f_bnd
             builder.add_tpfa(i, j, g_int, g_bnd, traces[j])
-            flux_pairs[i].append((j, g_bnd))
-            f_bnd = None
-            if tang_b is not None:
-                f_bnd = bnd_sign * w_face_b * tang_b
-                flux_expl[i] += f_bnd
             if f_int or f_bnd is not None:
                 builder.add_explicit_flux(i, f_int, f_bnd)
 
     a = builder.matrix()
     b = builder.rhs
-    area_b = np.array([ft.face_area(ax) for ax in ft.bnd_axis])
 
     def flux_eval(u_new: np.ndarray) -> np.ndarray:
         out = np.zeros(m)
@@ -208,35 +214,39 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             total = 0.0
             for j, g_bnd in flux_pairs[i]:
                 total += fv.boundary_flux_integral(ft, g_bnd, u_new[j], traces[j])
-            total += float(np.sum(flux_expl[i] * area_b))
+            total += float(np.sum(flux_expl[i] * ft.bnd_area))
             out[i] = total
         return out
 
     return a, b, flux_eval
 
 
-def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
-             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One backward-Euler step with Picard-lagged coefficients."""
-    m, n = spec.m, grid.n_cells
-    t_new = t_prev + cfg.dt
-    # coefficient-free systems (fully truncated away) need a single sweep
-    static = cfg.coefficient_mode == "truncated" and spec.ell == 0.0
-    sweeps = 1 if static else max(1, cfg.picard_max)
+def _same_unknowns(a, b, u_lag: np.ndarray, t_new: float):
+    """Solve for the stacked state itself, starting from the lagged iterate."""
+    return a, b, u_lag.ravel().copy(), lambda x: x.reshape(u_lag.shape)
 
+
+def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
+            lin_tol: float, static: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Picard sweeps of one backward-Euler step; the package's only sweep loop.
+
+    ``assemble(u_lag)`` returns (A, b, x0, to_state, flux_eval): the sweep's
+    linear system in its own unknowns, the initial guess, the map from the
+    solution vector back to the stacked state and the boundary-inflow
+    evaluation.  The change test runs on the state.  ``static`` systems have
+    no lagged coefficient and take a single sweep.
+    """
+    sweeps = 1 if static else max(1, cfg.picard_max)
     u_lag = u_prev
     stats = {"picard_sweeps": 0, "picard_converged": True,
              "lin_residual": 0.0, "b_norm": 0.0}
-    u_new = u_prev
-    flux_eval = None
     for sweep in range(sweeps):
-        a, b, flux_eval = _assemble_step(spec, grid, u_prev, u_lag, t_prev, t_new, cfg)
-        x = fv.solve_sparse(a, b, cfg.lin_tol, cfg.lin_max, time=t_new,
-                            x0=u_lag.ravel().copy())
+        a, b, x0, to_state, flux_eval = assemble(u_lag)
+        x = fv.solve_sparse(a, b, lin_tol, cfg.lin_max, time=t_new, x0=x0)
         bnorm = float(np.linalg.norm(b))
         stats["lin_residual"] = float(np.linalg.norm(b - a @ x)) / max(bnorm, 1e-300)
         stats["b_norm"] = bnorm
-        u_new = x.reshape(m, n)
+        u_new = to_state(x)
         stats["picard_sweeps"] = sweep + 1
         change = float(np.max(np.abs(u_new - u_lag)))
         scale = max(float(np.max(np.abs(u_new))), 1e-300)
@@ -244,11 +254,81 @@ def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
         if change / scale < cfg.picard_tol:
             break
     else:
-        if not static:
-            stats["picard_converged"] = False
+        stats["picard_converged"] = static
+    return u_new, flux_eval(u_new), stats
 
-    bflux = flux_eval(u_new)
-    return u_new, bflux, stats
+
+def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
+             cfg: StepperConfig, lin_tol: float | None = None, unknowns=_same_unknowns):
+    """One backward-Euler step of the generic assembly.
+
+    Returns (u_new, source integral, boundary inflow, stats).
+    ``unknowns(A, b, u_lag, t_new)`` may rewrite each sweep's system in other
+    unknowns; it returns (A, b, x0, to_state).
+    """
+    t_new = t_prev + cfg.dt
+    points = grid.cell_centers()
+    q = np.stack([spec.source_values(i, t_prev, points, u_prev) for i in range(spec.m)])
+
+    def assemble(u_lag):
+        a, b, flux_eval = _assemble_step(spec, grid, u_prev, u_lag, t_prev, t_new, cfg)
+        return (*unknowns(a, b, u_lag, t_new), flux_eval)
+
+    # coefficient-free systems (fully truncated away) need a single sweep
+    static = cfg.coefficient_mode == "truncated" and spec.ell == 0.0
+    u_new, flux, stats = _picard(assemble, u_prev, t_new, cfg,
+                                 cfg.lin_tol if lin_tol is None else lin_tol, static)
+    return u_new, q.sum(axis=1) * grid.cell_volume, flux, stats
+
+
+def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
+               to_record=np.copy) -> SimulationResult:
+    """The package's only time loop.
+
+    ``step(u, t_prev, t_new)`` returns (u_next, source integral, boundary
+    inflow, solver stats); ``to_record`` maps a state to the recorded
+    per-species values.  A :class:`SolverFailure` leaves with the trajectory
+    completed so far attached as ``partial``.
+    """
+    vol = grid.cell_volume
+    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
+    vals = to_record(u0)
+    m = vals.shape[0]
+
+    times = np.arange(n_steps + 1) * cfg.dt
+    minmax = np.zeros((m, n_steps + 1, 3))
+    mass = np.zeros((m, n_steps + 1))
+    src = np.zeros((m, n_steps))
+    bflux = np.zeros((m, n_steps))
+    stats: list[dict] = []
+    snapshots = [Field(vals, 0.0)]
+
+    def record(k: int, vals_k: np.ndarray) -> None:
+        minmax[:, k, 0] = times[k]
+        minmax[:, k, 1] = vals_k.min(axis=1)
+        minmax[:, k, 2] = vals_k.max(axis=1)
+        mass[:, k] = vals_k.sum(axis=1) * vol
+
+    record(0, vals)
+    u = u0
+    for k in range(n_steps):
+        try:
+            u, src[:, k], bflux[:, k], st = step(u, times[k], times[k + 1])
+        except SolverFailure as exc:
+            exc.time = times[k + 1]
+            exc.partial = SimulationResult(
+                snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
+                src[:, :k], bflux[:, :k], stats, cfg.dt)
+            raise
+        stats.append(st)
+        vals = to_record(u)
+        record(k + 1, vals)
+        if (k + 1) % max(1, cfg.snapshot_every) == 0 or k + 1 == n_steps:
+            snapshots.append(Field(vals, float(times[k + 1])))
+
+    result = SimulationResult(snapshots, times, minmax, mass, src, bflux, stats, cfg.dt)
+    result.validate()
+    return result
 
 
 def advance_step(state: Field, spec: ModelSpec, grid: Grid, cfg: StepperConfig) -> Field:
@@ -256,7 +336,7 @@ def advance_step(state: Field, spec: ModelSpec, grid: Grid, cfg: StepperConfig) 
     report = validate_spec(spec, grid)
     if not report.ok:
         raise InvalidParameterError(f"spec validation failed: {report.codes()}")
-    u_new, _, _ = _advance(spec, grid, state.values, state.time, cfg)
+    u_new = _advance(spec, grid, state.values, state.time, cfg)[0]
     return Field(u_new, state.time + cfg.dt)
 
 
@@ -272,50 +352,10 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
         report = validate_spec(spec, grid)
         if not report.ok:
             raise InvalidParameterError(f"spec validation failed: {report.codes()}")
-    m, n = spec.m, grid.n_cells
-    vol = grid.cell_volume
     points = grid.cell_centers()
-    u = np.stack([spec.initial_values(i, points) for i in range(m)])
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-
-    times = np.arange(n_steps + 1) * cfg.dt
-    minmax = np.zeros((m, n_steps + 1, 3))
-    mass = np.zeros((m, n_steps + 1))
-    src = np.zeros((m, n_steps))
-    bflux = np.zeros((m, n_steps))
-    stats: list[dict] = []
-    snapshots = [Field(u.copy(), 0.0)]
-
-    def record(k: int, u_k: np.ndarray) -> None:
-        minmax[:, k, 0] = times[k]
-        minmax[:, k, 1] = u_k.min(axis=1)
-        minmax[:, k, 2] = u_k.max(axis=1)
-        mass[:, k] = u_k.sum(axis=1) * vol
-
-    record(0, u)
-    for k in range(n_steps):
-        t_prev = times[k]
-        q = np.stack([spec.source_values(i, t_prev, points, u) for i in range(m)])
-        try:
-            u_next, flux_k, st = _advance(spec, grid, u, t_prev, cfg)
-        except SolverFailure as exc:
-            exc.time = times[k + 1]
-            exc.partial = SimulationResult(
-                snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
-                src[:, :k], bflux[:, :k], stats, cfg.dt)
-            raise
-        src[:, k] = q.sum(axis=1) * vol
-        bflux[:, k] = flux_k
-        stats.append(st)
-        u = u_next
-        record(k + 1, u)
-        if (k + 1) % max(1, cfg.snapshot_every) == 0 or k + 1 == n_steps:
-            if not snapshots or snapshots[-1].time < times[k + 1]:
-                snapshots.append(Field(u.copy(), float(times[k + 1])))
-
-    result = SimulationResult(snapshots, times, minmax, mass, src, bflux, stats, cfg.dt)
-    result.validate()
-    return result
+    u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
+    return _integrate(grid, cfg, u0,
+                      lambda u, t_prev, t_new: _advance(spec, grid, u, t_prev, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +426,7 @@ def manufactured_forcing(exact: Callable[[float, np.ndarray], np.ndarray],
                 q = pts.copy()
                 q[:, _d] += s
                 return exact(t, q)[j]
-            out[:, d] = (-shift(2 * sigma) + 8.0 * shift(sigma)
-                         - 8.0 * shift(-sigma) + shift(-2 * sigma)) / (12.0 * sigma)
+            out[:, d] = _fd4(shift, 0.0, sigma)
         return out
 
     def flux_component(t: float, pts: np.ndarray, d: int) -> np.ndarray:
@@ -410,8 +449,7 @@ def manufactured_forcing(exact: Callable[[float, np.ndarray], np.ndarray],
                 q = pts.copy()
                 q[:, _d] += s
                 return flux_component(t, q, _d)
-            div += (-shifted(2 * sigma) + 8.0 * shifted(sigma)
-                    - 8.0 * shifted(-sigma) + shifted(-2 * sigma)) / (12.0 * sigma)
+            div += _fd4(shifted, 0.0, sigma)
         return du_dt - div
 
     return forcing

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from crossdiff import aquifer as aq
-from crossdiff.model import Grid, InvalidParameterError, validate_spec
-from crossdiff.solver import StepperConfig, _assemble_step
+from crossdiff import solver
+from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec, validate_spec
+from crossdiff.solver import SolverFailure, StepperConfig
 
 
 def dirichlet_spec(grid, pumping=None, h=0.5, h1=0.1, epsilon=1e-2):
@@ -70,24 +71,40 @@ def test_spec_rejects_hierarchy_violation(grid_48):
 # equivalence with the generic formalism
 # ---------------------------------------------------------------------------
 
-def test_uu_assembly_matches_generic_solver():
-    # the thickness-variable system assembled here must be the generic
-    # coupled system with tensors built from the density contrast, ell = h2
+def test_thickness_run_matches_generic_solver():
+    # the plain aquifer run must be the generic coupled system with tensors
+    # built from the density contrast, run through solver.run (ell = h2)
     grid = Grid((6, 6), (1.0, 1.0))
     spec = dirichlet_spec(grid, pumping=0.05)
     spec.validate(grid)
     mspec = aq.to_cross_spec(spec, grid)
     assert validate_spec(mspec, grid).ok
 
-    rng = np.random.default_rng(0)
-    u_prev = np.stack([0.35 + 0.1 * rng.random(grid.n_cells),
-                       0.45 + 0.1 * rng.random(grid.n_cells)])
-    u_lag = u_prev + 0.01 * rng.random((2, grid.n_cells))
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    a1, b1, _ = aq._assemble_uu(spec, grid, u_prev, u_lag, 0.0, 1e-3, cfg)
-    a2, b2, _ = _assemble_step(mspec, grid, u_prev, u_lag, 0.0, 1e-3, cfg)
-    assert abs(a1 - a2).max() <= 1e-12
-    assert np.max(np.abs(b1 - b2)) <= 1e-12
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
+    plain = aq.run_unpenalized(spec, grid, cfg)
+    generic = solver.run(mspec, grid, cfg)
+    assert len(plain.snapshots) == len(generic.snapshots)
+    for a, g in zip(plain.snapshots, generic.snapshots):
+        assert a.time == g.time
+        h, h1 = aq.map_species(g.values[0], g.values[1], spec.h2)
+        assert np.max(np.abs(a.values - np.stack([h, h1]))) <= 1e-12
+    assert plain.solver_stats == generic.solver_stats
+
+
+def test_generic_closed_box_conserves_mass():
+    # closed species (no Dirichlet data) exchange nothing with the outside
+    grid = Grid((8, 6), (1.0, 0.75))
+    iso = CrossTensor.isotropic
+    mspec = ModelSpec(m=2, delta=(1.0, 0.5), K=[[iso(1.0, 2), iso(0.5, 2)],
+                                                  [iso(0.5, 2), iso(1.0, 2)]],
+                      ell=2.0, domain=grid.extents,
+                      initial=[lambda p: 1.0 + np.sin(3.0 * p[:, 0]), 0.7],
+                      dirichlet=[None, None])
+    assert validate_spec(mspec, grid).ok
+    result = solver.run(mspec, grid, StepperConfig(dt=2e-3, t_end=2e-2, lin_tol=1e-12))
+    assert np.all(result.boundary_flux == 0.0)
+    assert np.max(np.abs(result.mass - result.mass[:, :1]) / result.mass[:, :1]) <= 1e-12
+    assert solver.mass_balance_residual(result, mspec, grid).ok
 
 
 def test_penalty_inactive_entries_vanish(grid_48):
@@ -235,6 +252,17 @@ def test_confined_differs_from_penalized_under_pumping(grid_48):
     conf = aq.run_confined_aquifer(spec, grid_48, cfg)
     gap = np.max(np.abs(pen.snapshots[-1].values[0] - conf.snapshots[-1].values[0]))
     assert gap > 1e-4  # structurally different models, far above solver noise
+
+
+def test_confined_failure_keeps_partial(grid_48):
+    # the head solve at t = 0 succeeds; the first coupled step stalls
+    spec = aq.keulegan_scenario(grid_48, pump_rate=0.05, tilt=0.4)
+    cfg = StepperConfig(dt=3e-3, t_end=9e-3, lin_tol=1e-12, lin_max=1)
+    with pytest.raises(SolverFailure) as info:
+        aq.run_confined_aquifer(spec, grid_48, cfg)
+    assert info.value.time == pytest.approx(3e-3)
+    assert info.value.partial is not None
+    assert list(info.value.partial.times) == [0.0]
 
 
 # ---------------------------------------------------------------------------

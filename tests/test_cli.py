@@ -141,6 +141,26 @@ def test_solver_failure_exit_one_with_partial(tmp_path):
     assert "exit_status=1" in manifest
 
 
+def test_confined_failure_keeps_penalized_series(tmp_path):
+    # the penalized run succeeds, the confined one stalls at its first step
+    def run_variant(variant):
+        payload = {"schema": 1, "kind": "keulegan", "grid": {"dims": [48]},
+                   "stepper": {"dt": 3e-3, "t_end": 9e-3, "lin_tol": 1e-12, "lin_max": 1},
+                   "model": {"tilt": 0.4, "pump_rate": 0.05, "variant": variant}}
+        path = write_config(tmp_path, payload, f"{variant}.json")
+        out = tmp_path / variant
+        return main(["keulegan", "--config", str(path), "--out", str(out)]), out
+
+    code_pen, out_pen = run_variant("penalized")
+    code_both, out_both = run_variant("both")
+    assert code_pen == 0
+    assert code_both == 1
+    assert (out_both / "error.txt").exists()
+    assert (out_both / "series.csv").read_bytes() == (out_pen / "series.csv").read_bytes()
+    confined_rows = (out_both / "confined_series.csv").read_text().splitlines()
+    assert len(confined_rows) == 2  # header and the t = 0 row
+
+
 def test_probe_command_matches_library(tmp_path):
     cfg = json.loads(json.dumps(GENERIC))
     cfg["diagnostics"] = {"probe": {"amplitude": 1e-3, "radius": 0.2}}
