@@ -531,7 +531,7 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     pump = aspec.pumping_values(0.0, grid.cell_centers())
     builder.add_rhs(0, -grid.cell_volume * pump)
     try:
-        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)
+        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
     except SolverFailure as exc:
         raise EllipticSolveError(str(exc), residual=exc.residual, time=0.0) from exc
 

@@ -30,3 +30,15 @@ def grid_12() -> Grid:
 @pytest.fixture(scope="session")
 def grid_1d() -> Grid:
     return Grid((64,), (1.0,))
+
+
+@pytest.fixture
+def singular_confined_step(monkeypatch):
+    """Zero the matrix of every coupled step of the confined aquifer variant."""
+    from crossdiff import aquifer
+    assemble = aquifer._assemble_confined
+
+    def singular(*args):
+        a, b = assemble(*args)
+        return 0.0 * a, b
+    monkeypatch.setattr(aquifer, "_assemble_confined", singular)

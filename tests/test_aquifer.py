@@ -254,10 +254,10 @@ def test_confined_differs_from_penalized_under_pumping(grid_48):
     assert gap > 1e-4  # structurally different models, far above solver noise
 
 
-def test_confined_failure_keeps_partial(grid_48):
-    # the head solve at t = 0 succeeds; the first coupled step stalls
+def test_confined_failure_keeps_partial(grid_48, singular_confined_step):
+    # the head solve at t = 0 succeeds; the first coupled step is singular
     spec = aq.keulegan_scenario(grid_48, pump_rate=0.05, tilt=0.4)
-    cfg = StepperConfig(dt=3e-3, t_end=9e-3, lin_tol=1e-12, lin_max=1)
+    cfg = StepperConfig(dt=3e-3, t_end=9e-3, lin_tol=1e-12)
     with pytest.raises(SolverFailure) as info:
         aq.run_confined_aquifer(spec, grid_48, cfg)
     assert info.value.time == pytest.approx(3e-3)

@@ -141,11 +141,11 @@ def test_solver_failure_exit_one_with_partial(tmp_path):
     assert "exit_status=1" in manifest
 
 
-def test_confined_failure_keeps_penalized_series(tmp_path):
-    # the penalized run succeeds, the confined one stalls at its first step
+def test_confined_failure_keeps_penalized_series(tmp_path, singular_confined_step):
+    # the penalized run succeeds, the confined one fails at its first step
     def run_variant(variant):
         payload = {"schema": 1, "kind": "keulegan", "grid": {"dims": [48]},
-                   "stepper": {"dt": 3e-3, "t_end": 9e-3, "lin_tol": 1e-12, "lin_max": 1},
+                   "stepper": {"dt": 3e-3, "t_end": 9e-3, "lin_tol": 1e-12},
                    "model": {"tilt": 0.4, "pump_rate": 0.05, "variant": variant}}
         path = write_config(tmp_path, payload, f"{variant}.json")
         out = tmp_path / variant

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from crossdiff import fv
 from crossdiff.fv import SolverFailure
 from crossdiff.model import CrossTensor, Field, Grid, InvalidParameterError, ModelSpec
 from crossdiff.solver import (StepperConfig, _assemble_step, advance_step,
@@ -328,3 +330,50 @@ def test_snapshot_times_strictly_increasing(grid_12):
     times = [s.time for s in result.snapshots]
     assert times == sorted(set(times))
     assert times[-1] == pytest.approx(1e-2)
+
+
+# ---------------------------------------------------------------------------
+# linear solve
+# ---------------------------------------------------------------------------
+
+def _sweep_system(n: int, dt: float = 1e-3):
+    """First-sweep block matrix and RHS of the coupled 2D spec on an n x n grid."""
+    grid = Grid((n, n), (1.0, 1.0))
+    spec = coupled_spec_2d()
+    u0 = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
+    a, b, _ = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
+    return a, b
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_singular_or_nonfinite_system_raises_solver_failure(bad):
+    a = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, bad]]))
+    with pytest.raises(SolverFailure) as exc_info:
+        fv.solve_sparse(a, np.ones(3), 1e-10, 100, time=0.5)
+    assert exc_info.value.time == 0.5
+
+
+def test_unreachable_tolerance_raises_with_finite_residual():
+    a, b = _sweep_system(6)
+    with pytest.raises(SolverFailure) as exc_info:
+        fv.solve_sparse(a, b, 1e-20, 100)
+    assert math.isfinite(exc_info.value.residual)
+
+
+def test_direct_and_gmres_paths_agree(monkeypatch):
+    a, b = _sweep_system(20)
+    lin_tol = 1e-10
+    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, 6000)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, 6000)
+    assert max(r_direct, r_gmres) <= lin_tol
+    rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
+    assert rel <= 10 * lin_tol
+
+
+def test_lin_max_caps_gmres_iterations():
+    grid = Grid((48, 48), (1.0, 1.0))
+    assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, lin_max=1)
+    with pytest.raises(SolverFailure):
+        run(coupled_spec_2d(), grid, cfg)
