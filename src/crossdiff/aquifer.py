@@ -381,7 +381,8 @@ def step_aquifer(state: Field, aspec: AquiferSpec, grid: Grid, cfg: StepperConfi
     spec, cfg_u, controls = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
     u = np.stack(map_heads(state.values[0], state.values[1], h2c))
-    u_new = solver._advance(spec, grid, u, state.time, cfg_u, **controls)[0]
+    u_new = solver._advance(spec, grid, u, state.time, cfg_u, fv.BlockFactors(2),
+                            **controls)[0]
     h, h1 = map_species(u_new[0], u_new[1], h2c)
     return Field(np.stack([h, h1]), state.time + cfg.dt)
 
@@ -417,9 +418,10 @@ def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
     h2c = aspec.h2_cells(grid)
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(2)])
+    factors = fv.BlockFactors(2)
 
     def step(u, t_prev, t_new):
-        return solver._advance(spec, grid, u, t_prev, cfg_u, **controls)
+        return solver._advance(spec, grid, u, t_prev, cfg_u, factors, **controls)
     return solver._integrate(grid, cfg_u, u0, step,
                              lambda u: np.stack(map_species(u[0], u[1], h2c)))
 
@@ -550,12 +552,13 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     h0, _ = aspec.initial_values(grid)
     w = h2c - h0
     phi = _initial_head(aspec, grid, w, cfg)
+    factors = fv.BlockFactors(2)
 
     def step(u, t_prev, t_new):
         def assemble(u_lag):
             a, b = _assemble_confined(aspec, grid, u[0], u_lag[0], u_lag[1], t_prev, t_new, cfg)
             return (*solver._same_unknowns(a, b, u_lag, t_new), lambda _: np.zeros(2))
-        u_next, flux, stats = solver._picard(assemble, u, t_new, cfg, cfg.lin_tol)
+        u_next, flux, stats = solver._picard(assemble, u, t_new, cfg, cfg.lin_tol, factors)
         return u_next, np.zeros(2), flux, stats
 
     return solver._integrate(grid, cfg, np.stack([w, phi]), step,

@@ -14,8 +14,10 @@ tangential face gradients that are treated explicitly by the callers.
 :func:`face_table` enumerates the boundary faces of a grid once, with their
 half-widths and areas; every other module reads that table.
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
-factorization for small block systems, Jacobi-preconditioned restarted GMRES
-for large ones, with the same true-residual contract on both.
+factorization for small block systems, restarted GMRES for large ones,
+block-Jacobi preconditioned by the SuperLU factors of the species diagonal
+blocks that a run keeps in its :class:`BlockFactors`; the same true-residual
+contract holds on both paths.
 """
 
 from __future__ import annotations
@@ -272,39 +274,94 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # linear solve
 # ---------------------------------------------------------------------------
 
-# Systems up to this size are factored: at 2048 unknowns a SuperLU factor
-# plus solve costs about what one Jacobi-GMRES solve does, while at 32768 the
-# factor holds ~5 M nonzeros (~58 MB) and costs more than the GMRES solve.
+# Systems up to this size are factored whole: at 2048 unknowns a SuperLU
+# factor plus solve costs about what one GMRES solve does, while at 32768 the
+# whole factor holds ~5 M nonzeros (~58 MB).  Larger systems take GMRES,
+# preconditioned by factors of their species diagonal blocks.
 DIRECT_MAX_UNKNOWNS = 4096
+
+# A solve that needed more preconditioner applications than this makes the
+# next solve refactor the species blocks from its own matrix.
+REFACTOR_AFTER = 30
+
+# Column ordering of every SuperLU factor: the two-point blocks are
+# structurally symmetric, and minimum degree on A^T + A fills them less than
+# the default COLAMD.
+ORDERING = "MMD_AT_PLUS_A"
+
+
+def _factor(a: sparse.spmatrix, time: float | None):
+    try:
+        return spla.splu(a.tocsc(), permc_spec=ORDERING)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverFailure(f"sparse factorization failed: {exc}", time=time) from exc
+
+
+class BlockFactors:
+    """Block-Jacobi preconditioner of one run: SuperLU factors of the m species blocks.
+
+    A run makes one holder and passes it to every :func:`solve_sparse` call,
+    so no factor outlives its run.  The factors of the diagonal blocks
+    ``A_ii`` are kept across Picard sweeps and steps; a solve refactors them
+    from its own matrix only when the previous solve needed more than
+    :data:`REFACTOR_AFTER` preconditioner applications.  ``iters`` counts the
+    applications of the latest solve (its GMRES inner iterations plus one per
+    restart cycle and one for the start; 0 after a direct solve) and
+    ``refactored`` says whether that solve factored afresh.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.blocks: list | None = None
+        self.iters = 0
+        self.refactored = False
+
+    def preconditioner(self, a: sparse.csr_matrix, time: float | None) -> spla.LinearOperator:
+        self.refactored = self.blocks is None or self.iters > REFACTOR_AFTER
+        if self.refactored:
+            n = a.shape[0] // self.m
+            self.blocks = None  # free the old factors before building new ones
+            self.blocks = [_factor(a[k * n:(k + 1) * n, k * n:(k + 1) * n], time)
+                           for k in range(self.m)]
+        self.iters = 0
+        return spla.LinearOperator(a.shape, matvec=self._apply, dtype=float)
+
+    def _apply(self, r: np.ndarray) -> np.ndarray:
+        self.iters += 1
+        n = len(r) // self.m
+        return np.concatenate([lu.solve(r[k * n:(k + 1) * n])
+                               for k, lu in enumerate(self.blocks)])
+
 
 def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
                  restart: int = 60, time: float | None = None,
-                 x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                 x0: np.ndarray | None = None,
+                 factors: BlockFactors | None = None) -> tuple[np.ndarray, float]:
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
 
     Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns take a SuperLU
-    solve.  Larger ones take restarted GMRES with diagonal preconditioning,
-    at most ``maxiter`` inner iterations per call: the preconditioned
-    stopping test can be optimistic, so the true residual is verified and
-    the iteration continued once at a tighter tolerance.  Either way a
-    residual above ``tol``, a singular or a non-finite system raises
-    :class:`SolverFailure`, which carries the final relative residual.
+    solve.  Larger ones take restarted GMRES, at most ``maxiter`` inner
+    iterations per call, preconditioned by the species-block factors held
+    in ``factors`` (without a holder, the whole system is one block).  The
+    preconditioned stopping test can be optimistic, so the true residual is
+    verified and the iteration continued once at a tighter tolerance.
+    Either way a residual above ``tol``, a singular or a non-finite system
+    raises :class:`SolverFailure`, which carries the final relative residual.
     """
+    if factors is None:
+        factors = BlockFactors(1)
     bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0 or a.shape[0] <= DIRECT_MAX_UNKNOWNS:
+        factors.iters, factors.refactored = 0, False
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
     if a.shape[0] <= DIRECT_MAX_UNKNOWNS:
-        try:
-            x = spla.splu(a.tocsc()).solve(b)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverFailure(f"sparse factorization failed: {exc}", time=time) from exc
+        x = _factor(a, time).solve(b)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol:
             return x, residual
     else:
-        diag = a.diagonal()
-        diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
-        precond = sparse.diags(1.0 / diag).tocsr()
+        precond = factors.preconditioner(a, time)
         restart = max(1, min(restart, maxiter))
         outer = max(1, int(np.ceil(maxiter / restart)))
         x = x0

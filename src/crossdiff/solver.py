@@ -20,7 +20,9 @@ Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
 previous time level.  The linear block system is solved by
 :func:`fv.solve_sparse`: a SuperLU factorization for small systems, restarted
-GMRES with diagonal preconditioning for large ones.
+GMRES for large ones, preconditioned by SuperLU factors of the species
+diagonal blocks that each run keeps in one :class:`fv.BlockFactors` and
+refactors only when GMRES starts to need many iterations.
 
 This module owns the package's only Picard sweep loop and only time loop;
 the aquifer variants plug their assemblies and changes of unknowns into
@@ -53,7 +55,8 @@ class StepperConfig:
 
     ``lin_tol`` bounds the relative true residual of every linear solve;
     ``lin_max`` caps the inner GMRES iterations per call and so applies only
-    to systems above ``fv.DIRECT_MAX_UNKNOWNS``, which are solved iteratively.
+    to systems above ``fv.DIRECT_MAX_UNKNOWNS``, which are solved by GMRES
+    preconditioned with the run's species-block factors.
     """
 
     dt: float
@@ -233,23 +236,28 @@ def _same_unknowns(a, b, u_lag: np.ndarray, t_new: float):
 
 
 def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
-            lin_tol: float, static: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+            lin_tol: float, factors: fv.BlockFactors,
+            static: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
     """Picard sweeps of one backward-Euler step; the package's only sweep loop.
 
     ``assemble(u_lag)`` returns (A, b, x0, to_state, flux_eval): the sweep's
     linear system in its own unknowns, the initial guess, the map from the
     solution vector back to the stacked state and the boundary-inflow
     evaluation.  The change test runs on the state.  ``static`` systems have
-    no lagged coefficient and take a single sweep.
+    no lagged coefficient and take a single sweep.  ``factors`` is the run's
+    preconditioner holder; the step's GMRES iterations (``lin_iters``, 0 on
+    the direct path) and whether a sweep refactored go into the stats.
     """
     sweeps = 1 if static else max(1, cfg.picard_max)
     u_lag = u_prev
     stats = {"picard_sweeps": 0, "picard_converged": True,
-             "lin_residual": 0.0, "b_norm": 0.0}
+             "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
     for sweep in range(sweeps):
         a, b, x0, to_state, flux_eval = assemble(u_lag)
         x, stats["lin_residual"] = fv.solve_sparse(a, b, lin_tol, cfg.lin_max,
-                                                   time=t_new, x0=x0)
+                                                   time=t_new, x0=x0, factors=factors)
+        stats["lin_iters"] += factors.iters
+        stats["refactored"] = stats["refactored"] or factors.refactored
         stats["b_norm"] = float(np.linalg.norm(b))
         u_new = to_state(x)
         stats["picard_sweeps"] = sweep + 1
@@ -264,10 +272,12 @@ def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
 
 
 def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
-             cfg: StepperConfig, lin_tol: float | None = None, unknowns=_same_unknowns):
+             cfg: StepperConfig, factors: fv.BlockFactors, lin_tol: float | None = None,
+             unknowns=_same_unknowns):
     """One backward-Euler step of the generic assembly.
 
-    Returns (u_new, source integral, boundary inflow, stats).
+    Returns (u_new, source integral, boundary inflow, stats); ``factors`` is
+    the run's preconditioner holder.
     ``unknowns(A, b, u_lag, t_new)`` may rewrite each sweep's system in other
     unknowns; it returns (A, b, x0, to_state).
     """
@@ -282,7 +292,7 @@ def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
     # coefficient-free systems (fully truncated away) need a single sweep
     static = cfg.coefficient_mode == "truncated" and spec.ell == 0.0
     u_new, flux, stats = _picard(assemble, u_prev, t_new, cfg,
-                                 cfg.lin_tol if lin_tol is None else lin_tol, static)
+                                 cfg.lin_tol if lin_tol is None else lin_tol, factors, static)
     return u_new, q.sum(axis=1) * grid.cell_volume, flux, stats
 
 
@@ -341,7 +351,7 @@ def advance_step(state: Field, spec: ModelSpec, grid: Grid, cfg: StepperConfig) 
     report = validate_spec(spec, grid)
     if not report.ok:
         raise InvalidParameterError(f"spec validation failed: {report.codes()}")
-    u_new = _advance(spec, grid, state.values, state.time, cfg)[0]
+    u_new = _advance(spec, grid, state.values, state.time, cfg, fv.BlockFactors(spec.m))[0]
     return Field(u_new, state.time + cfg.dt)
 
 
@@ -359,8 +369,9 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
             raise InvalidParameterError(f"spec validation failed: {report.codes()}")
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
+    factors = fv.BlockFactors(spec.m)
     return _integrate(grid, cfg, u0,
-                      lambda u, t_prev, t_new: _advance(spec, grid, u, t_prev, cfg))
+                      lambda u, t_prev, t_new: _advance(spec, grid, u, t_prev, cfg, factors))
 
 
 # ---------------------------------------------------------------------------

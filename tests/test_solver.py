@@ -377,3 +377,74 @@ def test_lin_max_caps_gmres_iterations():
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, lin_max=1)
     with pytest.raises(SolverFailure):
         run(coupled_spec_2d(), grid, cfg)
+
+
+# ---------------------------------------------------------------------------
+# block-Jacobi preconditioned GMRES (systems above DIRECT_MAX_UNKNOWNS)
+# ---------------------------------------------------------------------------
+
+GRID_48 = Grid((48, 48), (1.0, 1.0))   # m = 2: 4608 unknowns, the GMRES path
+
+
+def _count_splu(monkeypatch) -> list:
+    calls = []
+    splu = fv.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(fv.spla, "splu", counting)
+    return calls
+
+
+def test_block_gmres_run_agrees_with_direct_run(monkeypatch):
+    assert 2 * GRID_48.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    lin_tol = 1e-10
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=lin_tol)
+    gmres = run(coupled_spec_2d(), GRID_48, cfg)
+    assert all(st["lin_iters"] > 0 for st in gmres.solver_stats)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 2 * GRID_48.n_cells)
+    direct = run(coupled_spec_2d(), GRID_48, cfg)
+    assert all(st["lin_iters"] == 0 and not st["refactored"] for st in direct.solver_stats)
+    for sg, sd in zip(gmres.snapshots, direct.snapshots):
+        rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
+        assert rel <= 10 * lin_tol
+
+
+def test_species_blocks_factored_once_per_run(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    result = run(coupled_spec_2d(), GRID_48, StepperConfig(dt=1e-3, t_end=20e-3))
+    assert calls == [(GRID_48.n_cells, GRID_48.n_cells)] * 2
+    assert [st["refactored"] for st in result.solver_stats] == [True] + [False] * 19
+
+
+def test_refactor_after_every_solve_at_zero_threshold(monkeypatch):
+    monkeypatch.setattr(fv, "REFACTOR_AFTER", 0)
+    calls = _count_splu(monkeypatch)
+    result = run(coupled_spec_2d(), GRID_48, StepperConfig(dt=1e-3, t_end=20e-3))
+    solves = sum(st["picard_sweeps"] for st in result.solver_stats)
+    assert len(calls) == 2 * solves
+
+
+def test_run_does_not_depend_on_earlier_runs():
+    cfg = StepperConfig(dt=1e-3, t_end=4e-3)
+    spec_b = coupled_spec_2d()
+
+    def snapshots(spec):
+        return [s.values.tobytes() for s in run(spec, GRID_48, cfg).snapshots]
+    alone = snapshots(spec_b)
+    spec_a = coupled_spec_2d()
+    spec_a.initial = (product_sine(0.3), product_sine(1.0))
+    snapshots(spec_a)
+    assert snapshots(spec_b) == alone
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_singular_species_block_raises_solver_failure(monkeypatch, bad):
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+    eye = sparse.identity(4)
+    a = sparse.bmat([[eye, eye], [eye, bad * eye]]).tocsr()
+    with pytest.raises(SolverFailure) as exc_info:
+        fv.solve_sparse(a, np.ones(8), 1e-10, 100, time=0.5, factors=fv.BlockFactors(2))
+    assert exc_info.value.time == 0.5
+    assert "factorization" in str(exc_info.value)
