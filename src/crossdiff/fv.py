@@ -13,6 +13,10 @@ eliminated through ghost values at half-cell distance; ``closed`` boundaries
 tangential face gradients that are treated explicitly by the callers.
 :func:`face_table` enumerates the boundary faces of a grid once, with their
 half-widths and areas; every other module reads that table.
+:class:`SystemBuilder` assembles the block systems: it records each matrix
+contribution as a structural term plus its values, and sums the values into
+a CSR pattern that :func:`_pattern` derives once per grid, species count and
+term sequence.
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
 factorization for small block systems, restarted GMRES for large ones,
 block-Jacobi preconditioned by the SuperLU factors of the species diagonal
@@ -185,32 +189,79 @@ def cell_gradient(ft: FaceTable, u: np.ndarray, axis: int,
 # sparse system assembly
 # ---------------------------------------------------------------------------
 
+# Patterns kept at once; one run assembles with a single term sequence, so a
+# few entries cover a run plus the short runs of a study around it.
+PATTERN_CACHE_SIZE = 4
+
+
+def _term_index(ft: FaceTable, n: int, term: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of one structural term, in its value order."""
+    if term[0] == "mass":
+        idx = term[1] * n + np.arange(n)
+        return idx, idx
+    r0, c0 = term[1] * n, term[2] * n
+    if term[0] == "bnd":
+        return r0 + ft.bnd_cell, c0 + ft.bnd_cell
+    L, R = ft.int_left[term[3]], ft.int_right[term[3]]
+    return (np.concatenate((r0 + L, r0 + L, r0 + R, r0 + R)),
+            np.concatenate((c0 + L, c0 + R, c0 + R, c0 + L)))
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR structure of the block matrix assembled from ``terms``.
+
+    Returns (indptr, indices, slot), where ``slot[k]`` is the CSR position of
+    the k-th entry of the concatenated term values.  The structure is that
+    of summing the terms' triplets: every (row, col) pair a term touches is
+    stored, explicit zeros included, with sorted column indices.  The arrays
+    are read-only because every matrix built on the pattern shares them.
+    """
+    ft = face_table(grid)
+    n = grid.n_cells
+    size = m * n
+    pairs = [_term_index(ft, n, term) for term in terms]
+    keys = np.concatenate([r.astype(np.int64) * size + c for r, c in pairs])
+    unique, slot = np.unique(keys, return_inverse=True)
+    index_dtype = np.int32 if max(size, len(unique)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(unique // size, minlength=size), out=indptr[1:])
+    indices = (unique % size).astype(index_dtype)
+    for a in (indptr, indices, slot):
+        a.flags.writeable = False
+    return indptr, indices, slot
+
+
 class SystemBuilder:
-    """COO accumulator for the block system over m species on one grid."""
+    """Block system over m species on one grid, assembled term by term.
+
+    Each matrix contribution is recorded as a structural term (``("mass",
+    i)``, ``("face", row_sp, col_sp, axis)`` or ``("bnd", row_sp, col_sp)``)
+    plus its value array; the right-hand side is accumulated directly.
+    :meth:`matrix` looks up the CSR pattern of the term sequence, computed
+    once per (grid, m, terms) by :func:`_pattern`, and sums the values into
+    it.
+    """
 
     def __init__(self, grid: Grid, m: int):
         self.grid = grid
         self.ft = face_table(grid)
         self.m = m
         self.n = grid.n_cells
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
+        self.terms: list[tuple] = []
         self.vals: list[np.ndarray] = []
         self.rhs = np.zeros(m * self.n)
 
     def _block(self, species: int, idx: np.ndarray) -> np.ndarray:
         return species * self.n + idx
 
-    def _push(self, r: np.ndarray, c: np.ndarray, v: np.ndarray) -> None:
-        self.rows.append(np.asarray(r))
-        self.cols.append(np.asarray(c))
+    def _term(self, term: tuple, v: np.ndarray) -> None:
+        self.terms.append(term)
         self.vals.append(np.asarray(v, dtype=float))
 
     def add_mass(self, species: int, coeff: float) -> None:
         """coeff * u on the diagonal of one species block (volume-scaled)."""
-        idx = np.arange(self.n)
-        self._push(self._block(species, idx), self._block(species, idx),
-                   np.full(self.n, coeff * self.grid.cell_volume))
+        self._term(("mass", species), np.full(self.n, coeff * self.grid.cell_volume))
 
     def add_rhs(self, species: int, values: np.ndarray) -> None:
         self.rhs[species * self.n:(species + 1) * self.n] += values
@@ -227,19 +278,11 @@ class SystemBuilder:
         ft = self.ft
         for axis, g in g_int.items():
             t = g * ft.area[axis] / ft.spacing[axis]
-            L, R = ft.int_left[axis], ft.int_right[axis]
-            rL, rR = self._block(row_sp, L), self._block(row_sp, R)
-            cL, cR = self._block(col_sp, L), self._block(col_sp, R)
-            self._push(rL, cL, t)
-            self._push(rL, cR, -t)
-            self._push(rR, cR, t)
-            self._push(rR, cL, -t)
+            self._term(("face", row_sp, col_sp, axis), np.concatenate((t, -t, t, -t)))
         if traces is not None and g_bnd is not None:
             t = g_bnd * ft.bnd_area / ft.bnd_half
-            rC = self._block(row_sp, ft.bnd_cell)
-            cC = self._block(col_sp, ft.bnd_cell)
-            self._push(rC, cC, t)
-            np.add.at(self.rhs, rC, t * traces)
+            self._term(("bnd", row_sp, col_sp), t)
+            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), t * traces)
 
     def add_explicit_flux(self, row_sp: int,
                           f_int: dict[int, np.ndarray],
@@ -254,12 +297,12 @@ class SystemBuilder:
             np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), f_bnd * ft.bnd_area)
 
     def matrix(self) -> sparse.csr_matrix:
+        indptr, indices, slot = _pattern(self.grid, self.m, tuple(self.terms))
+        data = np.bincount(slot, weights=np.concatenate(self.vals), minlength=len(indices))
         n = self.m * self.n
-        a = sparse.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n))
-        return a.tocsr()
+        a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        a.has_canonical_format = True
+        return a
 
 
 def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
@@ -306,8 +349,9 @@ class BlockFactors:
     from its own matrix only when the previous solve needed more than
     :data:`REFACTOR_AFTER` preconditioner applications.  ``iters`` counts the
     applications of the latest solve (its GMRES inner iterations plus one per
-    restart cycle and one for the start; 0 after a direct solve) and
-    ``refactored`` says whether that solve factored afresh.
+    restart cycle and one for the start; 0 after a direct solve),
+    ``refactored`` says whether that solve factored afresh and ``b_norm``
+    holds the 2-norm of its right-hand side.
     """
 
     def __init__(self, m: int):
@@ -315,6 +359,7 @@ class BlockFactors:
         self.blocks: list | None = None
         self.iters = 0
         self.refactored = False
+        self.b_norm = 0.0
 
     def preconditioner(self, a: sparse.csr_matrix, time: float | None) -> spla.LinearOperator:
         self.refactored = self.blocks is None or self.iters > REFACTOR_AFTER
@@ -350,7 +395,7 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
     """
     if factors is None:
         factors = BlockFactors(1)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = factors.b_norm = float(np.linalg.norm(b))
     if bnorm == 0.0 or a.shape[0] <= DIRECT_MAX_UNKNOWNS:
         factors.iters, factors.refactored = 0, False
     if bnorm == 0.0:

@@ -258,7 +258,7 @@ def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
                                                    time=t_new, x0=x0, factors=factors)
         stats["lin_iters"] += factors.iters
         stats["refactored"] = stats["refactored"] or factors.refactored
-        stats["b_norm"] = float(np.linalg.norm(b))
+        stats["b_norm"] = factors.b_norm
         u_new = to_state(x)
         stats["picard_sweeps"] = sweep + 1
         change = float(np.max(np.abs(u_new - u_lag)))

@@ -448,3 +448,160 @@ def test_singular_species_block_raises_solver_failure(monkeypatch, bad):
         fv.solve_sparse(a, np.ones(8), 1e-10, 100, time=0.5, factors=fv.BlockFactors(2))
     assert exc_info.value.time == 0.5
     assert "factorization" in str(exc_info.value)
+
+
+# ---------------------------------------------------------------------------
+# CSR pattern of the assembled block system
+# ---------------------------------------------------------------------------
+
+def test_builder_keeps_traced_methods():
+    # the benchmark tracer wraps these by name on the class itself
+    for name in ("add_mass", "add_rhs", "add_tpfa", "add_explicit_flux", "matrix"):
+        assert callable(fv.SystemBuilder.__dict__[name])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every matrix a builder makes, with the add_mass/add_tpfa calls behind it."""
+    builds = []
+    cls = fv.SystemBuilder
+    add_mass, add_tpfa, matrix = cls.add_mass, cls.add_tpfa, cls.matrix
+
+    def log(self, call):
+        self.__dict__.setdefault("calls", []).append(call)
+
+    def spy_mass(self, *args):
+        log(self, ("mass", args))
+        return add_mass(self, *args)
+
+    def spy_tpfa(self, *args):
+        log(self, ("tpfa", args))
+        return add_tpfa(self, *args)
+
+    def spy_matrix(self):
+        a = matrix(self)
+        builds.append((self.grid, self.m, self.__dict__.get("calls", []), list(self.terms), a))
+        return a
+    monkeypatch.setattr(cls, "add_mass", spy_mass)
+    monkeypatch.setattr(cls, "add_tpfa", spy_tpfa)
+    monkeypatch.setattr(cls, "matrix", spy_matrix)
+    return builds
+
+
+def coo_reference(grid, m, calls) -> sparse.csr_matrix:
+    """coo -> csr of the two-point triplets of the recorded builder calls."""
+    ft = fv.face_table(grid)
+    n = grid.n_cells
+    rows, cols, vals = [], [], []
+    for kind, args in calls:
+        if kind == "mass":
+            species, coeff = args
+            cells = species * n + np.arange(n)
+            rows.append(cells)
+            cols.append(cells)
+            vals.append(np.full(n, coeff * grid.cell_volume))
+            continue
+        row_sp, col_sp, g_int, g_bnd, traces = args
+        for axis, g in g_int.items():
+            t = g * ft.area[axis] / ft.spacing[axis]
+            left, right = ft.int_left[axis], ft.int_right[axis]
+            for r, c, sign in ((left, left, 1.0), (left, right, -1.0),
+                               (right, right, 1.0), (right, left, -1.0)):
+                rows.append(row_sp * n + r)
+                cols.append(col_sp * n + c)
+                vals.append(sign * t)
+        if traces is not None and g_bnd is not None:
+            rows.append(row_sp * n + ft.bnd_cell)
+            cols.append(col_sp * n + ft.bnd_cell)
+            vals.append(g_bnd * ft.bnd_area / ft.bnd_half)
+    return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(m * n, m * n)).tocsr()
+
+
+def assert_matches_coo(build) -> None:
+    grid, m, calls, _terms, a = build
+    ref = coo_reference(grid, m, calls)
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+
+def full_tensor_spec(dirichlet=(0.0, None), cross=1.0):
+    """Full 2x2 tensors; ``cross`` scales the couplings K_12 and K_21."""
+    full = CrossTensor(((1.0, 0.3), (0.2, 0.8)))
+    k = [[full, CrossTensor(((0.5 * cross, 0.1 * cross), (0.1 * cross, 0.5 * cross)))],
+         [CrossTensor(((0.5 * cross, -0.1 * cross), (0.0, 0.5 * cross))), full]]
+    return ModelSpec(m=2, delta=[1.0, 0.7], K=k, ell=1.0, domain=(1.0, 0.6),
+                     initial=[product_sine(1.0), product_sine(0.7)], dirichlet=list(dirichlet))
+
+
+GRID_75 = Grid((7, 5), (1.0, 0.6))
+
+
+def assemble_generic(spec, grid=GRID_75, cfg=None):
+    u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(spec.m)])
+    return _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3, cfg or StepperConfig(dt=1e-3, t_end=1e-3))
+
+
+def test_pattern_matches_coo_full_tensor_closed_species(built):
+    assemble_generic(full_tensor_spec())
+    (build,) = built
+    assert any(term[0] == "bnd" for term in build[3])
+    assert_matches_coo(build)
+
+
+def test_pattern_matches_coo_aquifer_closed_box(built):
+    from crossdiff import aquifer as aq
+    grid = Grid((16,), (1.0,))
+    spec = aq._thickness_spec(aq.keulegan_scenario(grid, pump_rate=0.05), grid, math.inf)
+    assemble_generic(spec, grid, StepperConfig(dt=3e-3, t_end=3e-3))
+    (build,) = built
+    assert all(term[0] != "bnd" for term in build[3])
+    assert_matches_coo(build)
+
+
+def confined_case():
+    from crossdiff import aquifer as aq
+    grid = Grid((6, 5), (1.0, 0.8))
+    aspec = aq.AquiferSpec(h2=1.0, delta=0.3, alpha=0.025, epsilon=1e-2,
+                           initial_h=lambda p: 0.5 + 0.1 * p[:, 0], initial_h1=0.1,
+                           domain=grid.extents, dirichlet_h=0.5, dirichlet_h1=0.1,
+                           pumping=0.05)
+    w = aspec.h2_cells(grid) - aspec.initial_values(grid)[0]
+    return aq, aspec, grid, w
+
+
+def test_pattern_matches_coo_confined_step(built):
+    aq, aspec, grid, w = confined_case()
+    phi = 0.1 * product_sine(1.0)(grid.cell_centers())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    aq._assemble_confined(aspec, grid, w, 0.95 * w, phi, 0.0, 1e-3, cfg)
+    (build,) = built
+    assert build[1] == 2
+    assert_matches_coo(build)
+
+
+def test_pattern_matches_coo_initial_head(built):
+    aq, aspec, grid, w = confined_case()
+    aq._initial_head(aspec, grid, w, StepperConfig(dt=1e-3, t_end=1e-3))
+    (build,) = built
+    assert build[1] == 1
+    assert_matches_coo(build)
+
+
+def test_term_sequences_on_one_grid_keep_their_own_patterns(built):
+    dirichlet = full_tensor_spec(dirichlet=(0.0, 0.0))
+    closed = full_tensor_spec(dirichlet=(0.0, None))
+    diagonal = full_tensor_spec(dirichlet=(0.0, 0.0), cross=0.0)
+    for spec in (dirichlet, closed, diagonal, dirichlet):
+        assemble_generic(spec)
+    for build in built:
+        assert_matches_coo(build)
+    (_, _, _, t_dir, a_dir), (_, _, _, t_closed, _), (_, _, _, t_diag, a_diag), _ = built
+    assert t_dir != t_closed and t_dir != t_diag
+    # boundary entries sit on diagonals the faces already store, so a closed
+    # species keeps the CSR structure and changes only the slot map
+    assert fv._pattern(GRID_75, 2, tuple(t_dir))[2].size != \
+        fv._pattern(GRID_75, 2, tuple(t_closed))[2].size
+    # without the species couplings the off-diagonal blocks are empty
+    assert a_diag.nnz < a_dir.nnz
