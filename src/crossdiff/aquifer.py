@@ -26,23 +26,22 @@ closed box to conserve freshwater mass).  The confined-reservoir variant
 replaces the water-table equation by an elliptic solve for the hydraulic
 head and always takes Dirichlet data for the head.
 
-Every variant runs through the solver's Picard and time loops.  The plain
-and penalized paths assemble the thickness system with the generic assembly
-on an internal spec (ell = inf, closed species for a closed box); the
-penalized path then rewrites each sweep in the unknowns (u1, s) and adds the
-drain rows.  The confined variant plugs its own (w, phi) assembly into the
-same loops.
+Every variant runs through the solver's Picard and time loops, and every
+matrix comes from :class:`fv.SystemBuilder`.  The plain and penalized paths
+assemble the thickness system with the generic assembly on an internal spec
+(ell = inf, closed species for a closed box); the penalized path then has
+the builder rewrite each sweep's recorded terms in the unknowns (u1, s) and
+records the drain terms on the s block before the matrix is built.  The
+confined variant plugs its own (w, phi) assembly into the same loops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import fv, solver
 from .conditions import check_aquifer_admissibility
@@ -242,47 +241,40 @@ def _u_traces(aspec: AquiferSpec, grid: Grid, t: float):
     return u1_d, u2_d
 
 
-@lru_cache(maxsize=None)
-def _transform_ops(n: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    eye = sparse.identity(n, format="csr")
-    q = sparse.bmat([[eye, None], [eye, eye]], format="csr")
-    p = sparse.bmat([[eye, None], [-eye, eye]], format="csr")
-    return q, p
+# Change of unknowns (u1, u2) -> (u1, s) of the penalized sweeps, as 2 x 2
+# block maps: the s row is the u1 row plus the u2 row (Q), and the u2 column
+# becomes s - u1 (P).
+_TO_TOTAL = ((1.0, 0.0), (1.0, 1.0))
+_FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
 
 
-def _penalty_entries(aspec: AquiferSpec, grid: Grid, u1_lag: np.ndarray,
-                     s_lag: np.ndarray, t_new: float):
-    """Active-set linearized drain term on the total-thickness row.
+def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
+               s_lag: np.ndarray, t_new: float) -> None:
+    """Active-set linearized drain term on the total-thickness (s) block.
 
     Coefficient eps^-1 U0(s - u1) is lagged and face-upwinded by the face
     gradient of the excess U0(s - h2); the excess itself is linearized as
     active * (s - h2) at the lagged active set.
     """
-    ft = face_table(grid)
-    n = grid.n_cells
+    grid, ft = builder.grid, builder.ft
     h2c = aspec.h2_cells(grid)
     w = _u0(s_lag - u1_lag)
     excess = _u0(s_lag - h2c)
     active = (s_lag > h2c).astype(float)
     inv_eps = 1.0 / aspec.epsilon
-
-    rows, cols, vals = [], [], []
-    b_pen = np.zeros(2 * n)
-    s_block = n
+    b_pen = np.zeros(grid.n_cells)
 
     for d in range(grid.ndim):
         L, R = ft.int_left[d], ft.int_right[d]
         h = ft.spacing[d]
-        area = ft.area[d]
         driver = (excess[R] - excess[L]) / h
         w_face = fv.upwind_face_value(w[L], w[R], driver)
-        kappa = inv_eps * w_face * area / h
+        kappa = inv_eps * w_face * ft.area[d] / h
         aL, aR = active[L], active[R]
-        rows += [s_block + L, s_block + L, s_block + R, s_block + R]
-        cols += [s_block + L, s_block + R, s_block + R, s_block + L]
-        vals += [kappa * aL, -kappa * aR, kappa * aR, -kappa * aL]
-        np.add.at(b_pen, s_block + L, -kappa * (aR * h2c[R] - aL * h2c[L]))
-        np.add.at(b_pen, s_block + R, kappa * (aR * h2c[R] - aL * h2c[L]))
+        builder.add_term(("face", 1, 1, d),
+                         np.concatenate((kappa * aL, -kappa * aR, kappa * aR, -kappa * aL)))
+        np.add.at(b_pen, L, -kappa * (aR * h2c[R] - aL * h2c[L]))
+        np.add.at(b_pen, R, kappa * (aR * h2c[R] - aL * h2c[L]))
 
     tr = _u_traces(aspec, grid, t_new)
     if tr[0] is not None:
@@ -293,15 +285,9 @@ def _penalty_entries(aspec: AquiferSpec, grid: Grid, u1_lag: np.ndarray,
         driver_b = (excess_d - excess[cells]) / ft.bnd_half
         w_face = fv.upwind_face_value(w[cells], _u0(s_d - tr[0]), driver_b)
         kappa = inv_eps * w_face * ft.bnd_area / ft.bnd_half
-        rows += [s_block + cells]
-        cols += [s_block + cells]
-        vals += [kappa * active[cells]]
-        np.add.at(b_pen, s_block + cells, kappa * (excess_d + active[cells] * h2_b))
-
-    a_pen = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * n, 2 * n)).tocsr()
-    return a_pen, b_pen
+        builder.add_term(("bnd", 1, 1), kappa * active[cells])
+        np.add.at(b_pen, cells, kappa * (excess_d + active[cells] * h2_b))
+    builder.add_rhs(1, b_pen)
 
 
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
@@ -348,16 +334,14 @@ def _effective_lin_tol(aspec: AquiferSpec, cfg: StepperConfig, penalized: bool) 
 
 
 def _penalized_unknowns(aspec: AquiferSpec, grid: Grid):
-    """Sweep system in (u1, s), s = u1 + u2, plus the drain rows on the s block."""
+    """Sweep system in (u1, s), s = u1 + u2, plus the drain terms on the s block."""
     n = grid.n_cells
-    q_op, p_op = _transform_ops(n)
 
-    def unknowns(a, b, u_lag, t_new):
+    def unknowns(builder, u_lag, t_new):
         s_lag = u_lag[0] + u_lag[1]
-        a_pen, b_pen = _penalty_entries(aspec, grid, u_lag[0], s_lag, t_new)
-        a = ((q_op @ a @ p_op).tocsr() + a_pen).tocsr()
-        return (a, q_op @ b + b_pen, np.concatenate([u_lag[0], s_lag]),
-                lambda x: np.stack([x[:n], x[n:] - x[:n]]))
+        builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
+        _add_drain(builder, aspec, u_lag[0], s_lag, t_new)
+        return np.concatenate([u_lag[0], s_lag]), lambda x: np.stack([x[:n], x[n:] - x[:n]])
     return unknowns
 
 
@@ -557,7 +541,7 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     def step(u, t_prev, t_new):
         def assemble(u_lag):
             a, b = _assemble_confined(aspec, grid, u[0], u_lag[0], u_lag[1], t_prev, t_new, cfg)
-            return (*solver._same_unknowns(a, b, u_lag, t_new), lambda _: np.zeros(2))
+            return (a, b, *solver._same_unknowns(None, u_lag, t_new), lambda _: np.zeros(2))
         u_next, flux, stats = solver._picard(assemble, u, t_new, cfg, cfg.lin_tol, factors)
         return u_next, np.zeros(2), flux, stats
 

@@ -13,10 +13,11 @@ eliminated through ghost values at half-cell distance; ``closed`` boundaries
 tangential face gradients that are treated explicitly by the callers.
 :func:`face_table` enumerates the boundary faces of a grid once, with their
 half-widths and areas; every other module reads that table.
-:class:`SystemBuilder` assembles the block systems: it records each matrix
-contribution as a structural term plus its values, and sums the values into
-a CSR pattern that :func:`_pattern` derives once per grid, species count and
-term sequence.
+:class:`SystemBuilder` assembles every block system of the package: it
+records each matrix contribution as a structural term plus its values, can
+rewrite the recorded system in other unknowns by fixed block maps, and sums
+the values into a CSR pattern that :func:`_pattern` derives once per grid,
+species count and term sequence.
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
 factorization for small block systems, restarted GMRES for large ones,
 block-Jacobi preconditioned by the SuperLU factors of the species diagonal
@@ -58,7 +59,9 @@ class FaceTable:
     boundary faces as (cell, axis, side, face-center coordinates) where
     side 0 is the low end of the axis.  ``spacing`` and ``area`` hold the
     per-axis cell width and face area, ``bnd_half`` and ``bnd_area`` the
-    half-width and area of every boundary face.
+    half-width and area of every boundary face.  The table is cached per
+    grid and its arrays reach user callables (``bnd_points``), so every
+    array is read-only.
     """
 
     grid: Grid
@@ -109,12 +112,16 @@ def face_table(grid: Grid) -> FaceTable:
     spacing = grid.spacing
     area = tuple(grid.cell_volume / h for h in spacing)
     bnd_axis = np.concatenate(axes)
-    return FaceTable(grid,
-                     tuple(int_left), tuple(int_right),
-                     np.concatenate(cells), bnd_axis,
-                     np.concatenate(sides), np.concatenate(pts, axis=0),
-                     spacing, area,
-                     np.array(spacing)[bnd_axis] / 2.0, np.array(area)[bnd_axis])
+    ft = FaceTable(grid,
+                   tuple(int_left), tuple(int_right),
+                   np.concatenate(cells), bnd_axis,
+                   np.concatenate(sides), np.concatenate(pts, axis=0),
+                   spacing, area,
+                   np.array(spacing)[bnd_axis] / 2.0, np.array(area)[bnd_axis])
+    for a in (*ft.int_left, *ft.int_right, ft.bnd_cell, ft.bnd_axis, ft.bnd_side,
+              ft.bnd_points, ft.bnd_half, ft.bnd_area):
+        a.flags.writeable = False
+    return ft
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +203,10 @@ PATTERN_CACHE_SIZE = 4
 
 def _term_index(ft: FaceTable, n: int, term: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of one structural term, in its value order."""
-    if term[0] == "mass":
-        idx = term[1] * n + np.arange(n)
-        return idx, idx
     r0, c0 = term[1] * n, term[2] * n
+    if term[0] == "mass":
+        idx = np.arange(n)
+        return r0 + idx, c0 + idx
     if term[0] == "bnd":
         return r0 + ft.bnd_cell, c0 + ft.bnd_cell
     L, R = ft.int_left[term[3]], ft.int_right[term[3]]
@@ -235,9 +242,13 @@ def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, 
 class SystemBuilder:
     """Block system over m species on one grid, assembled term by term.
 
-    Each matrix contribution is recorded as a structural term (``("mass",
-    i)``, ``("face", row_sp, col_sp, axis)`` or ``("bnd", row_sp, col_sp)``)
-    plus its value array; the right-hand side is accumulated directly.
+    Each matrix contribution is recorded as a structural term on the block
+    (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
+    on the block diagonal, ``("face", row_sp, col_sp, axis)`` on the two
+    cells of every interior face of one axis, with values in the order
+    (LL, LR, RR, RL), and ``("bnd", row_sp, col_sp)`` on the cell of every
+    boundary face.  The right-hand side is accumulated directly.
+    :meth:`change_unknowns` rewrites the recorded system in other unknowns.
     :meth:`matrix` looks up the CSR pattern of the term sequence, computed
     once per (grid, m, terms) by :func:`_pattern`, and sums the values into
     it.
@@ -255,13 +266,34 @@ class SystemBuilder:
     def _block(self, species: int, idx: np.ndarray) -> np.ndarray:
         return species * self.n + idx
 
-    def _term(self, term: tuple, v: np.ndarray) -> None:
+    def add_term(self, term: tuple, v: np.ndarray) -> None:
+        """Record one structural term with its per-entry values."""
         self.terms.append(term)
         self.vals.append(np.asarray(v, dtype=float))
 
     def add_mass(self, species: int, coeff: float) -> None:
         """coeff * u on the diagonal of one species block (volume-scaled)."""
-        self._term(("mass", species), np.full(self.n, coeff * self.grid.cell_volume))
+        self.add_term(("mass", species, species), np.full(self.n, coeff * self.grid.cell_volume))
+
+    def change_unknowns(self, q, p) -> None:
+        """Rewrite the recorded system A x = b in place as (Q A P) y = Q b, x = P y.
+
+        ``q`` and ``p`` are m x m block maps whose entry (i, j) scales the
+        identity block (i, j), so each term of the block (r, c) becomes one
+        copy on every block (i, j) with q[i][r] and p[c][j] nonzero.
+        """
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        terms, vals = [], []
+        for term, v in zip(self.terms, self.vals):
+            r, c = term[1], term[2]
+            for i in np.flatnonzero(q[:, r]):
+                for j in np.flatnonzero(p[c]):
+                    terms.append((term[0], int(i), int(j), *term[3:]))
+                    vals.append(q[i, r] * p[c, j] * v)
+        self.terms, self.vals = terms, vals
+        blocks = self.rhs.reshape(self.m, self.n)
+        self.rhs = np.concatenate([sum(q[i, r] * blocks[r] for r in np.flatnonzero(q[i]))
+                                   for i in range(self.m)])
 
     def add_rhs(self, species: int, values: np.ndarray) -> None:
         self.rhs[species * self.n:(species + 1) * self.n] += values
@@ -278,10 +310,10 @@ class SystemBuilder:
         ft = self.ft
         for axis, g in g_int.items():
             t = g * ft.area[axis] / ft.spacing[axis]
-            self._term(("face", row_sp, col_sp, axis), np.concatenate((t, -t, t, -t)))
+            self.add_term(("face", row_sp, col_sp, axis), np.concatenate((t, -t, t, -t)))
         if traces is not None and g_bnd is not None:
             t = g_bnd * ft.bnd_area / ft.bnd_half
-            self._term(("bnd", row_sp, col_sp), t)
+            self.add_term(("bnd", row_sp, col_sp), t)
             np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), t * traces)
 
     def add_explicit_flux(self, row_sp: int,

@@ -128,8 +128,9 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
                    t_prev: float, t_new: float, cfg: StepperConfig):
     """Assemble one sweep's block system.
 
-    Returns (A, b, flux_eval) where ``flux_eval(u_new)`` gives the
-    per-species discrete boundary inflow of the solved step.
+    Returns (builder, flux_eval): the :class:`fv.SystemBuilder` holding the
+    recorded system, and ``flux_eval(u_new)``, which gives the per-species
+    discrete boundary inflow of the solved step.
     """
     m, n = spec.m, grid.n_cells
     builder = SystemBuilder(grid, m)
@@ -214,9 +215,6 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             if f_int or f_bnd is not None:
                 builder.add_explicit_flux(i, f_int, f_bnd)
 
-    a = builder.matrix()
-    b = builder.rhs
-
     def flux_eval(u_new: np.ndarray) -> np.ndarray:
         out = np.zeros(m)
         for i in range(m):
@@ -227,12 +225,12 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             out[i] = total
         return out
 
-    return a, b, flux_eval
+    return builder, flux_eval
 
 
-def _same_unknowns(a, b, u_lag: np.ndarray, t_new: float):
+def _same_unknowns(builder: SystemBuilder, u_lag: np.ndarray, t_new: float):
     """Solve for the stacked state itself, starting from the lagged iterate."""
-    return a, b, u_lag.ravel().copy(), lambda x: x.reshape(u_lag.shape)
+    return u_lag.ravel().copy(), lambda x: x.reshape(u_lag.shape)
 
 
 def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
@@ -278,16 +276,19 @@ def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
 
     Returns (u_new, source integral, boundary inflow, stats); ``factors`` is
     the run's preconditioner holder.
-    ``unknowns(A, b, u_lag, t_new)`` may rewrite each sweep's system in other
-    unknowns; it returns (A, b, x0, to_state).
+    ``unknowns(builder, u_lag, t_new)`` sees each sweep's builder before its
+    matrix is built and may rewrite the recorded system in other unknowns or
+    add terms to it; it returns (x0, to_state), the initial guess and the map
+    from the solution vector back to the stacked state.
     """
     t_new = t_prev + cfg.dt
     points = grid.cell_centers()
     q = np.stack([spec.source_values(i, t_prev, points, u_prev) for i in range(spec.m)])
 
     def assemble(u_lag):
-        a, b, flux_eval = _assemble_step(spec, grid, u_prev, u_lag, t_prev, t_new, cfg)
-        return (*unknowns(a, b, u_lag, t_new), flux_eval)
+        builder, flux_eval = _assemble_step(spec, grid, u_prev, u_lag, t_prev, t_new, cfg)
+        x0, to_state = unknowns(builder, u_lag, t_new)
+        return builder.matrix(), builder.rhs, x0, to_state, flux_eval
 
     # coefficient-free systems (fully truncated away) need a single sweep
     static = cfg.coefficient_mode == "truncated" and spec.ell == 0.0

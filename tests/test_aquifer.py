@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crossdiff import aquifer as aq
-from crossdiff import solver
+from crossdiff import fv, solver
+from crossdiff.fv import SystemBuilder
 from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec, validate_spec
 from crossdiff.solver import SolverFailure, StepperConfig
 
@@ -111,9 +112,11 @@ def test_penalty_inactive_entries_vanish(grid_48):
     spec = dirichlet_spec(grid_48)
     u1 = np.full(grid_48.n_cells, 0.4)
     s = np.full(grid_48.n_cells, 0.9)  # below h2 everywhere
-    a_pen, b_pen = aq._penalty_entries(spec, grid_48, u1, s, 1e-3)
-    assert abs(a_pen).max() == 0.0
-    assert np.max(np.abs(b_pen)) == 0.0
+    builder = SystemBuilder(grid_48, 2)
+    aq._add_drain(builder, spec, u1, s, 1e-3)
+    assert {term[0] for term in builder.terms} == {"face", "bnd"}
+    assert all(np.max(np.abs(v)) == 0.0 for v in builder.vals)
+    assert np.max(np.abs(builder.rhs)) == 0.0
 
 
 def test_penalized_and_plain_coincide_when_inactive(grid_48):
@@ -275,6 +278,23 @@ def constraint_active_spec(grid):
     return aq.AquiferSpec(h2=1.0, delta=0.3, alpha=0.025, epsilon=1e-1,
                           initial_h=0.5, initial_h1=0.05, domain=grid.extents,
                           dirichlet_h=0.5, dirichlet_h1=0.05, pumping=inj)
+
+
+def test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch):
+    # the (u1, s) system on the iterative path, with the drain active
+    spec = constraint_active_spec(grid_48)
+    lin_tol = 1e-10
+    cfg = StepperConfig(dt=2e-3, t_end=0.2, lin_tol=lin_tol, snapshot_every=25)
+    direct, conf = aq.run_penalized(spec, grid_48, cfg)
+    assert conf.final_violation > 0.0
+    assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+    gmres, _ = aq.run_penalized(spec, grid_48, cfg)
+    assert all(st["lin_iters"] > 0 for st in gmres.solver_stats)
+    assert len(gmres.snapshots) == len(direct.snapshots)
+    for sg, sd in zip(gmres.snapshots, direct.snapshots):
+        rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
+        assert rel <= 10 * lin_tol
 
 
 def test_sweep_requires_decreasing_epsilons(grid_48):

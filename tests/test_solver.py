@@ -212,7 +212,8 @@ def test_species_diffusion_blocks_spd(grid_12):
     pts = grid_12.cell_centers()
     u = np.stack([spec.initial_values(i, pts) for i in range(2)])
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    a, _, _ = _assemble_step(spec, grid_12, u, u, 0.0, 1e-3, cfg)
+    builder, _ = _assemble_step(spec, grid_12, u, u, 0.0, 1e-3, cfg)
+    a = builder.matrix()
     n = grid_12.n_cells
     vol = grid_12.cell_volume
     rng = np.random.default_rng(11)
@@ -341,8 +342,8 @@ def _sweep_system(n: int, dt: float = 1e-3):
     grid = Grid((n, n), (1.0, 1.0))
     spec = coupled_spec_2d()
     u0 = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    a, b, _ = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
-    return a, b
+    builder, _ = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
+    return builder.matrix(), builder.rhs
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan])
@@ -540,7 +541,9 @@ GRID_75 = Grid((7, 5), (1.0, 0.6))
 
 def assemble_generic(spec, grid=GRID_75, cfg=None):
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(spec.m)])
-    return _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3, cfg or StepperConfig(dt=1e-3, t_end=1e-3))
+    builder, _ = _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3,
+                                cfg or StepperConfig(dt=1e-3, t_end=1e-3))
+    return builder.matrix()
 
 
 def test_pattern_matches_coo_full_tensor_closed_species(built):
@@ -605,3 +608,117 @@ def test_term_sequences_on_one_grid_keep_their_own_patterns(built):
         fv._pattern(GRID_75, 2, tuple(t_closed))[2].size
     # without the species couplings the off-diagonal blocks are empty
     assert a_diag.nnz < a_dir.nnz
+
+
+def drain_reference(grid, m, terms, vals) -> sparse.csr_matrix:
+    """coo -> csr of recorded face and boundary terms, indexed from face_table."""
+    ft = fv.face_table(grid)
+    n = grid.n_cells
+    rows, cols = [], []
+    for kind, row_sp, col_sp, *axis in terms:
+        if kind == "face":
+            left, right = ft.int_left[axis[0]], ft.int_right[axis[0]]
+            r, c = (left, left, right, right), (left, right, right, left)
+        else:
+            assert kind == "bnd"
+            r, c = (ft.bnd_cell,), (ft.bnd_cell,)
+        rows.append(row_sp * n + np.concatenate(r))
+        cols.append(col_sp * n + np.concatenate(c))
+    return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(m * n, m * n)).tocsr()
+
+
+def penalized_case(kind):
+    """Aquifer spec, grid and a lagged state whose total thickness exceeds h2 in places."""
+    from crossdiff import aquifer as aq
+    if kind == "closed-1d":
+        grid = Grid((16,), (1.0,))
+        aspec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4)
+    else:
+        grid = Grid((6, 5), (1.0, 0.8))
+        aspec = aq.AquiferSpec(h2=1.0, delta=0.3, alpha=0.025, epsilon=1e-2,
+                               initial_h=lambda p: 0.5 + 0.1 * p[:, 0], initial_h1=0.1,
+                               domain=grid.extents, dirichlet_h=lambda t, p: 0.5 + 0.1 * p[:, 0],
+                               dirichlet_h1=0.1, pumping=0.05)
+    spec = aq._thickness_spec(aspec, grid, math.inf)
+    u_prev = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
+    x = grid.cell_centers()[:, 0]
+    u_lag = u_prev + np.stack([0.05 * x, np.where(x < 0.5, 0.3, 0.0)])
+    return aq, aspec, spec, grid, u_prev, u_lag
+
+
+@pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
+def test_pattern_matches_products_penalized_sweep(built, kind):
+    aq, aspec, spec, grid, u_prev, u_lag = penalized_case(kind)
+    n = grid.n_cells
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    builder, _ = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
+    a_plain = coo_reference(grid, 2, builder.calls)
+    b_plain = builder.rhs.copy()
+
+    s_lag = u_lag[0] + u_lag[1]
+    assert np.any(s_lag > aspec.h2_cells(grid))
+    drain = fv.SystemBuilder(grid, 2)
+    aq._add_drain(drain, aspec, u_lag[0], s_lag, cfg.dt)
+    assert all(np.any(v != 0.0) for v in drain.vals)
+    assert any(term[0] == "bnd" for term in drain.terms) == (kind == "dirichlet-2d")
+    eye = sparse.identity(n, format="csr")
+    q_op = sparse.bmat([[eye, None], [eye, eye]], format="csr")
+    p_op = sparse.bmat([[eye, None], [-eye, eye]], format="csr")
+    ref = (q_op @ a_plain @ p_op + drain_reference(grid, 2, drain.terms, drain.vals)).tocsr()
+    ref.sort_indices()
+
+    x0, to_state = aq._penalized_unknowns(aspec, grid)(builder, u_lag, cfg.dt)
+    a = builder.matrix()
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    assert np.array_equal(builder.rhs, q_op @ b_plain + drain.rhs)
+    assert np.array_equal(x0, np.concatenate([u_lag[0], s_lag]))
+    assert np.allclose(to_state(x0), u_lag, rtol=0.0, atol=1e-15)
+
+
+def test_every_solve_gets_a_pattern_matrix(monkeypatch):
+    # every block matrix comes from SystemBuilder.matrix: read-only cached
+    # structure, sorted column indices
+    from crossdiff import aquifer as aq
+    seen = []
+    solve = fv.solve_sparse
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return solve(a, *args, **kwargs)
+    monkeypatch.setattr(fv, "solve_sparse", spy)
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3)
+    _, closed, _, grid, *_ = penalized_case("closed-1d")
+    _, dirichlet, _, grid_2d, *_ = penalized_case("dirichlet-2d")
+    counts = []
+    for call in (lambda: run(coupled_spec_2d(k_offdiag=0.5), Grid((8, 8), (1.0, 1.0)), cfg),
+                 lambda: aq.run_penalized(closed, grid, cfg),
+                 lambda: aq.run_penalized(dirichlet, grid_2d, cfg),
+                 lambda: aq.run_confined_aquifer(closed, grid, cfg)):
+        call()
+        counts.append(len(seen))
+    assert all(b > a for a, b in zip([0] + counts, counts))
+    for a in seen:
+        assert not a.indptr.flags.writeable and not a.indices.flags.writeable
+        for start, stop in zip(a.indptr[:-1], a.indptr[1:]):
+            assert np.all(np.diff(a.indices[start:stop]) > 0)
+
+
+def test_face_table_is_read_only_to_user_callables():
+    import dataclasses
+    grid = Grid((8,), (1.0,))
+    ft = fv.face_table(grid)
+    for f in dataclasses.fields(ft):
+        value = getattr(ft, f.name)
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(a, np.ndarray) or not a.flags.writeable, f.name
+    before = ft.bnd_points.copy()
+
+    def doubling(t, p):
+        p *= 2.0
+        return 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        run(heat_spec_1d(dirichlet=doubling), grid, StepperConfig(dt=1e-3, t_end=3e-3))
+    assert np.array_equal(fv.face_table(grid).bnd_points, before)
