@@ -30,6 +30,7 @@ from .conditions import DEFAULT_G_CAVEAT, ConditionReport, reports_to_csv
 from .fv import SolverFailure
 from .model import CrossTensor, Grid, InvalidParameterError, ModelSpec, validate_spec
 from .solver import (SimulationResult, StepperConfig, convergence_study, run)
+from .table import cells, csv_table
 
 SCHEMA_VERSION = 1
 
@@ -54,7 +55,12 @@ _AQUIFER_MODEL_KEYS = {"h2", "delta", "alpha", "epsilon", "initial_h", "initial_
                        "pumping", "variant"}
 _KEULEGAN_MODEL_KEYS = {"tilt", "pump_rate", "h2", "delta", "alpha", "epsilon",
                         "h_mid", "h1_level", "well_position", "variant"}
-_DIAG_KEYS = {"conditions", "degiorgi", "bounds", "levels", "probe", "grad_norm"}
+_DIAG_KEYS = {"conditions": {"g_s", "g_r"},
+              "degiorgi": {"species", "s", "m", "m_prime", "n_max", "ell0", "M_s",
+                           "sobolev_beta"},
+              "bounds": {"lo", "hi"},
+              "levels": {"count", "lo", "hi"},
+              "probe": {"amplitude", "radius", "center"}}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "width", "rate", "position"}
 _CONV_KEYS = {"case", "levels", "nx0", "dt0", "t_end"}
 _SWEEP_KEYS = {"epsilon_list"}
@@ -64,12 +70,14 @@ _STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, "picard_tol": 1e-8, "picard_max":
                      "cross_weighting": "upwind", "coefficient_mode": "truncated"}
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+def _check_keys(block: dict, allowed: set[str], where: str) -> dict:
+    """A copy of ``block`` once it is known to be an object with allowed keys only."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    return dict(block)
 
 
 @dataclass
@@ -123,8 +131,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     if kind not in ("generic", "aquifer", "keulegan"):
         raise ConfigError(f"unknown kind {kind!r}")
 
-    grid_block = dict(raw.get("grid") or {})
-    _check_keys(grid_block, _GRID_KEYS, "grid")
+    grid_block = _check_keys(raw.get("grid") or {}, _GRID_KEYS, "grid")
     dims = grid_block.get("dims", [32])
     extents = grid_block.get("extents", [1.0] * len(dims))
     try:
@@ -132,32 +139,35 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    stepper_block = dict(raw.get("stepper") or {})
-    _check_keys(stepper_block, _STEPPER_KEYS, "stepper")
+    stepper_block = _check_keys(raw.get("stepper") or {}, _STEPPER_KEYS, "stepper")
     eff_stepper = {**_STEPPER_DEFAULTS, **stepper_block}
     try:
         stepper = StepperConfig(**eff_stepper)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_block = dict(raw.get("outputs") or {})
-    _check_keys(out_block, _OUTPUT_KEYS, "outputs")
+    out_block = _check_keys(raw.get("outputs") or {}, _OUTPUT_KEYS, "outputs")
     out_dir = out_block.get("directory", "out")
     formats = out_block.get("formats", ["csv"])
     if formats != ["csv"]:
         raise ConfigError(f"unsupported output formats {formats}")
 
-    model_block = dict(raw.get("model") or {})
     model_keys = {"generic": _GENERIC_MODEL_KEYS, "aquifer": _AQUIFER_MODEL_KEYS,
                   "keulegan": _KEULEGAN_MODEL_KEYS}[kind]
-    _check_keys(model_block, model_keys, "model")
+    model_block = _check_keys(raw.get("model") or {}, model_keys, "model")
 
-    diag_block = dict(raw.get("diagnostics") or {})
-    _check_keys(diag_block, _DIAG_KEYS, "diagnostics")
-    conv_block = dict(raw.get("convergence") or {})
-    _check_keys(conv_block, _CONV_KEYS, "convergence")
-    sweep_block = dict(raw.get("sweep") or {})
-    _check_keys(sweep_block, _SWEEP_KEYS, "sweep")
+    diag_block = _check_keys(raw.get("diagnostics") or {}, set(_DIAG_KEYS), "diagnostics")
+    for name, block in diag_block.items():
+        _check_keys(block or {}, _DIAG_KEYS[name], f"diagnostics.{name}")
+    degiorgi = diag_block.get("degiorgi")
+    if degiorgi and kind == "generic":  # the level iteration pairs species i with 1 - i
+        if model_block.get("m", 2) != 2:
+            raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
+        if degiorgi.get("species", 1) not in (1, 2):
+            raise ConfigError("diagnostics.degiorgi species must be 1 or 2, "
+                              f"got {degiorgi['species']!r}")
+    conv_block = _check_keys(raw.get("convergence") or {}, _CONV_KEYS, "convergence")
+    sweep_block = _check_keys(raw.get("sweep") or {}, _SWEEP_KEYS, "sweep")
 
     effective = {
         "schema": SCHEMA_VERSION,
@@ -312,67 +322,46 @@ def _source_as_density(block, grid: Grid):
 # CSV writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def snapshots_csv(result: SimulationResult, grid: Grid) -> str:
-    coords = grid.cell_centers()
-    head = ("x,species,value,t" if grid.ndim == 1 else "x,y,species,value,t")
-    lines = [head]
-    for snap in result.snapshots:
-        for i in range(snap.m):
-            vals = snap.values[i]
-            for c in range(grid.n_cells):
-                xy = ",".join(_fmt(coords[c, d]) for d in range(grid.ndim))
-                lines.append(f"{xy},{i + 1},{_fmt(vals[c])},{_fmt(snap.time)}")
-    return "\n".join(lines) + "\n"
+    """One row per (snapshot, species, cell); coordinates and times rendered once."""
+    snaps, m, n = result.snapshots, result.m, grid.n_cells
+    times = cells([snap.time for snap in snaps])
+    return csv_table(["x", "y"][:grid.ndim] + ["species", "value", "t"], [
+        *(cells(xs) * (len(snaps) * m) for xs in grid.cell_centers().T),
+        np.tile(np.repeat(np.arange(1, m + 1), n), len(snaps)),
+        np.concatenate([snap.values.ravel() for snap in snaps]),
+        [t for t in times for _ in range(m * n)],
+    ])
 
 
 def series_csv(result: SimulationResult) -> str:
-    m = result.m
-    head = "t," + ",".join(f"min_{i + 1},max_{i + 1},mass_{i + 1}" for i in range(m))
-    lines = [head]
-    for k, t in enumerate(result.times):
-        cells = [_fmt(t)]
-        for i in range(m):
-            cells += [_fmt(result.minmax[i, k, 1]), _fmt(result.minmax[i, k, 2]),
-                      _fmt(result.mass[i, k])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    head, columns = ["t"], [result.times]
+    for i in range(result.m):
+        head += [f"min_{i + 1}", f"max_{i + 1}", f"mass_{i + 1}"]
+        columns += [result.minmax[i, :, 1], result.minmax[i, :, 2], result.mass[i]]
+    return csv_table(head, columns)
 
 
 def interface_csv(result: SimulationResult, grid: Grid, aspec: aq.AquiferSpec,
                   snapshot_index: int) -> str:
-    snap = result.snapshots[snapshot_index]
-    coords = grid.cell_centers()
-    h2c = aspec.h2_cells(grid)
-    h, h1 = snap.values[0], snap.values[1]
-    s = (h - h1) + (h2c - h)
-    head = "x,h,h1,s" if grid.ndim == 1 else "x,y,h,h1,s"
-    lines = [head]
-    for c in range(grid.n_cells):
-        xy = ",".join(_fmt(coords[c, d]) for d in range(grid.ndim))
-        lines.append(f"{xy},{_fmt(h[c])},{_fmt(h1[c])},{_fmt(s[c])}")
-    return "\n".join(lines) + "\n"
+    h, h1 = result.snapshots[snapshot_index].values[:2]
+    s = (h - h1) + (aspec.h2_cells(grid) - h)
+    return csv_table(["x", "y"][:grid.ndim] + ["h", "h1", "s"],
+                     [*grid.cell_centers().T, h, h1, s])
 
 
 def sweep_csv(report: aq.SweepReport) -> str:
-    lines = ["epsilon,violation,residual,error"]
-    for e in report.entries:
-        err = "" if e["error"] is None else str(e["error"]).replace(",", ";")
-        lines.append(f"{_fmt(e['epsilon'])},{_fmt(e['violation'])},{_fmt(e['residual'])},{err}")
-    lines.append("")
-    lines.append(f"fit_exponent,{_fmt(report.fit_exponent)}")
-    return "\n".join(lines) + "\n"
+    table = csv_table(["epsilon", "violation", "residual", "error"], [
+        *([e[k] for e in report.entries] for k in ("epsilon", "violation", "residual")),
+        ["" if e["error"] is None else str(e["error"]).replace(",", ";")
+         for e in report.entries],
+    ])
+    return f"{table}\nfit_exponent,{cells([report.fit_exponent])[0]}\n"
 
 
 def convergence_csv(rows: list[dict]) -> str:
-    lines = ["h,dt,err_inf,err_l2,order_inf,order_l2"]
-    for r in rows:
-        lines.append(",".join(_fmt(r[k]) for k in
-                              ("h", "dt", "err_inf", "err_l2", "order_inf", "order_l2")))
-    return "\n".join(lines) + "\n"
+    keys = ["h", "dt", "err_inf", "err_l2", "order_inf", "order_l2"]
+    return csv_table(keys, [[r[k] for r in rows] for k in keys])
 
 
 def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
@@ -527,12 +516,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 rep = diagnostics.bound_check(result,
                                               float(bounds.get("lo", 0.0)),
                                               float(bounds.get("hi", math.inf)))
-                lines = ["species,lo_margin,hi_margin,min_value,min_time,max_value,max_time"]
-                for sb in rep.species:
-                    lines.append(f"{sb.species + 1},{_fmt(sb.lo_margin)},{_fmt(sb.hi_margin)},"
-                                 f"{_fmt(sb.min_value)},{_fmt(sb.min_time)},"
-                                 f"{_fmt(sb.max_value)},{_fmt(sb.max_time)}")
-                artifacts["bounds.csv"] = "\n".join(lines) + "\n"
+                artifacts["bounds.csv"] = rep.to_csv()
 
         elif command == "probe":
             spec = build_generic_spec(config)
@@ -560,10 +544,8 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 for idx in range(len(result.snapshots)):
                     artifacts[f"interface_{idx:04d}.csv"] = interface_csv(
                         result, config.grid, aspec, idx)
-                lines = ["t,violation,residual"]
-                for k, t in enumerate(conf.times):
-                    lines.append(f"{_fmt(t)},{_fmt(conf.violation[k])},{_fmt(conf.residual[k])}")
-                artifacts["confinement.csv"] = "\n".join(lines) + "\n"
+                artifacts["confinement.csv"] = csv_table(
+                    ["t", "violation", "residual"], [conf.times, conf.violation, conf.residual])
             if variant in ("confined", "both"):
                 partial_series = "confined_series.csv"
                 result_c = aq.run_confined_aquifer(aspec, config.grid, config.stepper)

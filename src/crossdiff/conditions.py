@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .model import InvalidParameterError, ModelSpec, ellipticity_bounds
+from .table import csv_table
 
 #: Norm of the inverse heat operator at the target exponent.  No computable
 #: closed form is available; callers supply it (default 1.0, exact at
@@ -46,15 +47,14 @@ class ConditionReport:
     def passed(self) -> bool:
         return self.margin > 0.0
 
-    def row(self) -> str:
-        return (f"{self.name},{float(self.lhs)!r},{float(self.rhs)!r},"
-                f"{float(self.margin)!r},{self.passed}")
 
 
 def reports_to_csv(reports: list[ConditionReport]) -> str:
-    lines = ["name,lhs,rhs,margin,pass"]
-    lines.extend(r.row() for r in reports)
-    return "\n".join(lines) + "\n"
+    return csv_table(["name", "lhs", "rhs", "margin", "pass"], [
+        [r.name for r in reports],
+        *([float(getattr(r, f)) for r in reports] for f in ("lhs", "rhs", "margin")),
+        [r.passed for r in reports],
+    ])
 
 
 # ---------------------------------------------------------------------------

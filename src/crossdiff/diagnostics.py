@@ -22,6 +22,7 @@ from . import fv, solver
 from .conditions import DeGiorgiBudget
 from .model import Field, Grid, InvalidParameterError, ModelSpec, clamp
 from .solver import SimulationResult, StepperConfig
+from .table import csv_table
 
 __all__ = [
     "LevelSetProfile", "DeGiorgiTrace", "BoundCheckReport", "UniquenessProbeReport",
@@ -62,10 +63,8 @@ class LevelSetProfile:
     measures: np.ndarray  # (m, n_levels)
 
     def to_csv(self) -> str:
-        lines = ["level," + ",".join(f"mu_{i + 1}" for i in range(self.measures.shape[0]))]
-        for j, k in enumerate(self.levels):
-            lines.append(",".join([repr(float(k))] + [repr(float(v)) for v in self.measures[:, j]]))
-        return "\n".join(lines) + "\n"
+        return csv_table(["level"] + [f"mu_{i + 1}" for i in range(self.measures.shape[0])],
+                         [self.levels, *self.measures])
 
 
 def level_set_profile(result: SimulationResult, grid: Grid, levels) -> LevelSetProfile:
@@ -99,12 +98,10 @@ class DeGiorgiTrace:
     n0: int
 
     def to_csv(self) -> str:
-        lines = ["n,k_n,v_n,rhs_n,holds"]
-        for n in range(len(self.k_n)):
-            rhs = repr(float(self.recursion_rhs[n])) if n < len(self.recursion_rhs) else ""
-            hold = str(bool(self.holds[n])) if n < len(self.holds) else ""
-            lines.append(f"{n},{float(self.k_n[n])!r},{float(self.v_n[n])!r},{rhs},{hold}")
-        return "\n".join(lines) + "\n"
+        """One row per level; the last row's ``rhs_n`` and ``holds`` cells are empty."""
+        return csv_table(["n", "k_n", "v_n", "rhs_n", "holds"],
+                         [range(len(self.k_n)), self.k_n, self.v_n,
+                          self.recursion_rhs, self.holds])
 
 
 def degiorgi_trace(result: SimulationResult, grid: Grid, species: int,
@@ -158,6 +155,12 @@ class BoundCheckReport:
     @property
     def worst_hi_margin(self) -> float:
         return min(s.hi_margin for s in self.species)
+
+    def to_csv(self) -> str:
+        fields = ["lo_margin", "hi_margin", "min_value", "min_time", "max_value", "max_time"]
+        return csv_table(["species"] + fields, [
+            [sb.species + 1 for sb in self.species],
+            *([getattr(sb, f) for sb in self.species] for f in fields)])
 
 
 def bound_check(result: SimulationResult, lo: float = 0.0,
@@ -316,22 +319,16 @@ class UniquenessProbeReport:
     amplification: float
 
     def to_csv(self) -> str:
+        """The v-norm series, an empty line, then a ``quantity,value`` section."""
         m = self.v_norms.shape[0]
-        lines = ["t," + ",".join(f"v_norm_{i + 1}" for i in range(m))]
-        for j, t in enumerate(self.times):
-            lines.append(",".join([repr(float(t))] + [repr(float(self.v_norms[i, j]))
-                                                      for i in range(m)]))
-        lines.append("")
-        lines.append("quantity,value")
-        for i in range(m):
-            lines.append(f"grad_energy_{i + 1},{float(self.grad_energies[i])!r}")
-            lines.append(f"cross_energy_{i + 1},{float(self.cross_energies[i])!r}")
-        for idx, e in enumerate(self.epsilons):
-            lines.append(f"epsilon_{idx + 1},{float(e)!r}")
-        for idx, mg in enumerate(self.margins):
-            lines.append(f"margin_{idx + 1},{float(mg)!r}")
-        lines.append(f"amplification,{float(self.amplification)!r}")
-        return "\n".join(lines) + "\n"
+        series = csv_table(["t"] + [f"v_norm_{i + 1}" for i in range(m)],
+                           [self.times, *self.v_norms])
+        names = ([f"{q}_{i + 1}" for i in range(m) for q in ("grad_energy", "cross_energy")]
+                 + [f"epsilon_{k + 1}" for k in range(len(self.epsilons))]
+                 + [f"margin_{k + 1}" for k in range(len(self.margins))] + ["amplification"])
+        energies = np.column_stack([self.grad_energies, self.cross_energies]).ravel()
+        values = np.concatenate([energies, self.epsilons, self.margins, [self.amplification]])
+        return series + "\n" + csv_table(["quantity", "value"], [names, values])
 
 
 _EPS_GRID = (1e-3, 1e-2, 0.1, 0.25, 0.5, 0.75, 1.0)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,6 +79,10 @@ class StepperConfig:
             raise InvalidParameterError(f"unknown cross weighting {self.cross_weighting!r}")
         if self.coefficient_mode not in ("truncated", "raw"):
             raise InvalidParameterError(f"unknown coefficient mode {self.coefficient_mode!r}")
+        for name in ("picard_max", "lin_max", "snapshot_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -246,7 +251,7 @@ def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
     preconditioner holder; the step's GMRES iterations (``lin_iters``, 0 on
     the direct path) and whether a sweep refactored go into the stats.
     """
-    sweeps = 1 if static else max(1, cfg.picard_max)
+    sweeps = 1 if static else cfg.picard_max
     u_lag = u_prev
     stats = {"picard_sweeps": 0, "picard_converged": True,
              "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
@@ -339,7 +344,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
         stats.append(st)
         vals = to_record(u)
         record(k + 1, vals)
-        if (k + 1) % max(1, cfg.snapshot_every) == 0 or k + 1 == n_steps:
+        if (k + 1) % cfg.snapshot_every == 0 or k + 1 == n_steps:
             snapshots.append(Field(vals, float(times[k + 1])))
 
     result = SimulationResult(snapshots, times, minmax, mass, src, bflux, stats, cfg.dt)

@@ -53,6 +53,34 @@ def test_unknown_nested_key_rejected(tmp_path):
     assert main(["check", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("update, named", [
+    ({"diagnostics": {"degiorgi": {"specie": 2}}}, "'specie'"),
+    ({"diagnostics": {"degiorgi": {"species": 0}}}, "species"),
+    ({"diagnostics": {"degiorgi": {"species": 3}}}, "species"),
+    ({"model": {"m": 1}, "diagnostics": {"degiorgi": {"species": 1}}}, "m = 1"),
+    ({"diagnostics": {"levels": {"counts": 5}}}, "'counts'"),
+    ({"diagnostics": {"bounds": {"low": 0.0}}}, "'low'"),
+    ({"diagnostics": {"probe": {"radius": 0.2, "centre": [0.5, 0.5]}}}, "'centre'"),
+    ({"diagnostics": {"conditions": {"gs": 1.0}}}, "'gs'"),
+    ({"diagnostics": {"degiorgi": 1}}, "diagnostics.degiorgi"),
+    ({"stepper": {"picard_max": 0}}, "picard_max"),
+    ({"stepper": {"lin_max": -1}}, "lin_max"),
+    ({"stepper": {"snapshot_every": 0}}, "snapshot_every"),
+    ({"stepper": {"snapshot_every": 2.5}}, "snapshot_every"),
+    ({"grid": [32]}, "grid must be an object"),
+    ({"stepper": "fast"}, "stepper must be an object"),
+])
+def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
+    cfg = json.loads(json.dumps(GENERIC))
+    for block, entries in update.items():
+        cfg[block] = {**cfg.get(block, {}), **entries} if isinstance(entries, dict) else entries
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

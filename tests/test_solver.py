@@ -333,6 +333,18 @@ def test_snapshot_times_strictly_increasing(grid_12):
     assert times[-1] == pytest.approx(1e-2)
 
 
+@pytest.mark.parametrize("field", ["picard_max", "lin_max", "snapshot_every"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, True, "2"])
+def test_integer_controls_must_be_positive_integers(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        StepperConfig(dt=1e-3, t_end=1e-3, **{field: value})
+
+
+def test_integer_controls_accept_numpy_integers():
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, picard_max=np.int64(3), snapshot_every=np.int32(1))
+    assert cfg.picard_max == 3
+
+
 # ---------------------------------------------------------------------------
 # linear solve
 # ---------------------------------------------------------------------------

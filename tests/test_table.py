@@ -1,0 +1,211 @@
+"""CSV artifacts against references rendered cell by cell with ``repr(float(x))``.
+
+Every artifact promises Python's shortest round-trip float text; these tests
+rebuild each table line by line, the slow obvious way, and require the
+package's output to match it byte for byte.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossdiff import aquifer as aq
+from crossdiff import cli
+from crossdiff import diagnostics as diag
+from crossdiff.conditions import ConditionReport, check_existence, degiorgi_budget, reports_to_csv
+from crossdiff.model import Grid
+from crossdiff.solver import StepperConfig, run
+from crossdiff.table import _BLOCK_ROWS, csv_table
+
+from conftest import coupled_spec_2d
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308,
+           1e-300, 0.1 + 0.2, 1.0, -3.0, 2.0 ** 53, 1e16, 1e-5, 123456.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def fmt(x) -> str:
+    return repr(float(x))
+
+
+def reference(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the shared writer
+# ---------------------------------------------------------------------------
+
+@st.composite
+def float_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=n_cols, max_size=n_cols), max_size=25))
+    return n_cols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_tables())
+def test_float_table_matches_repr_reference(table):
+    n_cols, rows = table
+    header = [f"c{j}" for j in range(n_cols)]
+    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(n_cols)]
+    expected = reference(",".join(header), (",".join(fmt(x) for x in row) for row in rows))
+    assert csv_table(header, columns) == expected
+
+
+def test_special_floats_spelled_by_repr():
+    text = csv_table(["v"], [np.array(SPECIAL)])
+    assert text.splitlines()[1:] == [repr(x) for x in SPECIAL]
+    assert text.splitlines()[1:8] == ["-0.0", "0.0", "5e-324", "-5e-324", "inf", "-inf", "nan"]
+
+
+def test_mixed_columns_and_short_columns_across_blocks():
+    n = 2 * _BLOCK_ROWS + 7
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    ints = rng.integers(-5, 5, n)
+    flags = values > 0.0
+    names = [f"r{k}" for k in range(n)]
+    short = values[:_BLOCK_ROWS + 1]  # ends inside the second block
+    text = csv_table(["name", "i", "flag", "v", "short"], [names, ints, flags, values, short])
+    rows = [f"{names[k]},{ints[k]},{bool(flags[k])},{fmt(values[k])},"
+            + (fmt(short[k]) if k < len(short) else "") for k in range(n)]
+    assert text == reference("name,i,flag,v,short", rows)
+
+
+def test_empty_table_is_header_line():
+    assert csv_table(["a", "b"], [np.array([]), []]) == "a,b\n"
+
+
+# ---------------------------------------------------------------------------
+# artifact writers on tiny runs
+# ---------------------------------------------------------------------------
+
+def _generic_run():
+    grid = Grid((4, 3), (1.0, 1.0))
+    return grid, run(coupled_spec_2d(), grid,
+                     StepperConfig(dt=1e-3, t_end=3e-3, snapshot_every=2))
+
+
+def _snapshot_rows(result, grid):
+    coords = grid.cell_centers()
+    return [",".join([*(fmt(v) for v in coords[c]), str(i + 1), fmt(snap.values[i, c]),
+                      fmt(snap.time)])
+            for snap in result.snapshots for i in range(snap.m) for c in range(grid.n_cells)]
+
+
+def _series_rows(result):
+    return [",".join([fmt(t)] + [fmt(v) for i in range(result.m) for v in
+                                 (result.minmax[i, k, 1], result.minmax[i, k, 2],
+                                  result.mass[i, k])])
+            for k, t in enumerate(result.times)]
+
+
+def test_generic_run_writers_match_reference():
+    grid, result = _generic_run()
+    assert cli.snapshots_csv(result, grid) == reference(
+        "x,y,species,value,t", _snapshot_rows(result, grid))
+    assert cli.series_csv(result) == reference(
+        "t,min_1,max_1,mass_1,min_2,max_2,mass_2", _series_rows(result))
+
+    for lo, hi in ((0.0, math.inf), (0.1, 0.5)):
+        rep = diag.bound_check(result, lo, hi)
+        rows = [f"{sb.species + 1}," + ",".join(fmt(v) for v in (
+            sb.lo_margin, sb.hi_margin, sb.min_value, sb.min_time, sb.max_value, sb.max_time))
+            for sb in rep.species]
+        assert rep.to_csv() == reference(
+            "species,lo_margin,hi_margin,min_value,min_time,max_value,max_time", rows)
+
+    profile = diag.level_set_profile(result, grid, np.linspace(0.0, 1.0, 5))
+    rows = [",".join([fmt(k)] + [fmt(v) for v in profile.measures[:, j]])
+            for j, k in enumerate(profile.levels)]
+    assert profile.to_csv() == reference("level,mu_1,mu_2", rows)
+
+    budget = degiorgi_budget(N=2, s=6.0, ell0=1.0, m_factor=2.0, M_s=1.0,
+                             K_offdiag_plus=0.5, K_diag_minus=1.0, delta_i=1.0,
+                             ell=1.0, sobolev_beta=1.0)
+    trace = diag.degiorgi_trace(result, grid, 0, 0.5, 2.0, 0.5, budget, n_max=6)
+    rows = [f"{n},{fmt(trace.k_n[n])},{fmt(trace.v_n[n])},"
+            + (f"{fmt(trace.recursion_rhs[n])},{bool(trace.holds[n])}"
+               if n < len(trace.recursion_rhs) else ",")
+            for n in range(len(trace.k_n))]
+    assert trace.to_csv() == reference("n,k_n,v_n,rhs_n,holds", rows)
+
+
+def test_probe_writer_matches_reference():
+    grid = Grid((8, 8), (1.0, 1.0))
+    spec = coupled_spec_2d()
+    pert, cells = diag.disc_perturbation(grid, 2, (0.5, 0.5), 0.3, 1e-3)
+    report = diag.uniqueness_probe(spec, grid, StepperConfig(dt=1e-3, t_end=2e-3), pert, cells)
+    rows = [",".join([fmt(t)] + [fmt(report.v_norms[i, j]) for i in range(2)])
+            for j, t in enumerate(report.times)]
+    rows += ["", "quantity,value"]
+    for i in range(2):
+        rows += [f"grad_energy_{i + 1},{fmt(report.grad_energies[i])}",
+                 f"cross_energy_{i + 1},{fmt(report.cross_energies[i])}"]
+    rows += [f"epsilon_{k + 1},{fmt(e)}" for k, e in enumerate(report.epsilons)]
+    rows += [f"margin_{k + 1},{fmt(mg)}" for k, mg in enumerate(report.margins)]
+    rows += [f"amplification,{fmt(report.amplification)}"]
+    assert report.to_csv() == reference("t,v_norm_1,v_norm_2", rows)
+
+
+def test_keulegan_artifacts_match_reference(tmp_path):
+    payload = {"schema": 1, "kind": "keulegan", "grid": {"dims": [8]},
+               "stepper": {"dt": 3e-3, "t_end": 1.2e-2, "snapshot_every": 2},
+               "model": {"tilt": 0.45, "pump_rate": 0.05, "variant": "both"}}
+    path = tmp_path / "keulegan.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main(["keulegan", "--config", str(path), "--out", str(out)]) == 0
+
+    config = cli.parse_scenario(path)
+    grid = config.grid
+    aspec = cli.build_aquifer_spec(config)
+    result, conf = aq.run_penalized(aspec, grid, config.stepper)
+    confined = aq.run_confined_aquifer(aspec, grid, config.stepper)
+    assert (out / "series.csv").read_text() == reference(
+        "t,min_1,max_1,mass_1,min_2,max_2,mass_2", _series_rows(result))
+    rows = [f"{fmt(t)},{fmt(conf.violation[k])},{fmt(conf.residual[k])}"
+            for k, t in enumerate(conf.times)]
+    assert (out / "confinement.csv").read_text() == reference("t,violation,residual", rows)
+    h2c = aspec.h2_cells(grid)
+    x = grid.cell_centers()[:, 0]
+    for idx, snap in enumerate(result.snapshots):
+        h, h1 = snap.values[0], snap.values[1]
+        s = (h - h1) + (h2c - h)
+        rows = [f"{fmt(x[c])},{fmt(h[c])},{fmt(h1[c])},{fmt(s[c])}" for c in range(grid.n_cells)]
+        assert (out / f"interface_{idx:04d}.csv").read_text() == reference("x,h,h1,s", rows)
+    assert (out / "confined_series.csv").read_text() == reference(
+        "t,min_1,max_1,mass_1,min_2,max_2,mass_2", _series_rows(confined))
+    assert (out / "confined_snapshots.csv").read_text() == reference(
+        "x,species,value,t", _snapshot_rows(confined, grid))
+
+
+def test_sweep_and_convergence_writers_match_reference():
+    entries = [{"epsilon": 0.1, "violation": 0.1 + 0.2, "residual": 5e-324, "error": None},
+               {"epsilon": 1e-300, "violation": math.nan, "residual": math.nan,
+                "error": "linear solver stalled, twice"},
+               {"epsilon": -0.0, "violation": math.inf, "residual": 1e308, "error": None}]
+    report = aq.SweepReport(entries, fit_exponent=-1.5)
+    rows = [f"{fmt(e['epsilon'])},{fmt(e['violation'])},{fmt(e['residual'])},"
+            + ("" if e["error"] is None else e["error"].replace(",", ";")) for e in entries]
+    rows += ["", f"fit_exponent,{fmt(report.fit_exponent)}"]
+    assert cli.sweep_csv(report) == reference("epsilon,violation,residual,error", rows)
+
+    keys = ("h", "dt", "err_inf", "err_l2", "order_inf", "order_l2")
+    table = [dict(zip(keys, vals)) for vals in
+             ((0.125, 2e-3, 1e-300, 0.1 + 0.2, 0.0, -0.0),
+              (0.0625, 5e-4, math.inf, math.nan, 1.9590726040055466, 2.0))]
+    rows = [",".join(fmt(r[k]) for k in keys) for r in table]
+    assert cli.convergence_csv(table) == reference(",".join(keys), rows)
+
+
+def test_condition_reports_match_reference():
+    reports = check_existence(coupled_spec_2d()) + [
+        ConditionReport("integers", 1, 2), ConditionReport("unbounded", 1.0, math.inf),
+        ConditionReport("tiny", 0.0, 5e-324)]
+    rows = [f"{r.name},{fmt(r.lhs)},{fmt(r.rhs)},{fmt(r.margin)},{r.passed}" for r in reports]
+    assert reports_to_csv(reports) == reference("name,lhs,rhs,margin,pass", rows)
