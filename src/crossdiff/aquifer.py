@@ -26,19 +26,21 @@ closed box to conserve freshwater mass).  The confined-reservoir variant
 replaces the water-table equation by an elliptic solve for the hydraulic
 head and always takes Dirichlet data for the head.
 
-Every variant runs through the solver's Picard and time loops, and every
-matrix comes from :class:`fv.SystemBuilder`.  The plain and penalized paths
-assemble the thickness system with the generic assembly on an internal spec
-(ell = inf, closed species for a closed box); the penalized path then has
-the builder rewrite each sweep's recorded terms in the unknowns (u1, s) and
-records the drain terms on the s block before the matrix is built.  The
-confined variant plugs its own (w, phi) assembly into the same loops.
+Every variant runs through the solver's Picard and time loops by handing
+them one sweep callback, and every matrix comes from
+:class:`fv.SystemBuilder`.  The plain and penalized sweeps assemble the
+thickness system with the generic assembly on an internal spec (ell = inf,
+closed species for a closed box); the penalized sweep then has the builder
+rewrite its recorded terms in the unknowns (u1, s), which the builder maps
+back to (u1, u2), and records the drain terms on the s block.  The confined
+sweep is its own (w, phi) assembly, with zero budget series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -327,46 +329,38 @@ def _cell_flux_magnitude(grid: Grid, face_flux: dict[int, np.ndarray]) -> np.nda
 # stepping
 # ---------------------------------------------------------------------------
 
-def _effective_lin_tol(aspec: AquiferSpec, cfg: StepperConfig, penalized: bool) -> float:
-    if penalized and aspec.epsilon < 1e-3:
-        return max(cfg.lin_tol * aspec.epsilon, 1e-14)
-    return cfg.lin_tol
-
-
-def _penalized_unknowns(aspec: AquiferSpec, grid: Grid):
-    """Sweep system in (u1, s), s = u1 + u2, plus the drain terms on the s block."""
-    n = grid.n_cells
-
-    def unknowns(builder, u_lag, t_new):
-        s_lag = u_lag[0] + u_lag[1]
-        builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
-        _add_drain(builder, aspec, u_lag[0], s_lag, t_new)
-        return np.concatenate([u_lag[0], s_lag]), lambda x: np.stack([x[:n], x[n:] - x[:n]])
-    return unknowns
-
-
 def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penalized: bool):
-    """Validated generic spec, stepper config and step controls of the (u1, u2) system.
+    """Validated generic spec, stepper config and sweep of the (u1, u2) system.
 
     The spec clips at zero only (ell = inf), and the thickness coefficients
-    clip whatever the configured coefficient mode.
+    clip whatever the configured coefficient mode.  A penalized sweep is in
+    (u1, s), s = u1 + u2, with the drain terms on the s block, and solves
+    to a tolerance scaled by a small epsilon.
     """
     aspec.validate(grid)
     spec = _thickness_spec(aspec, grid, math.inf)
-    controls = {"lin_tol": _effective_lin_tol(aspec, cfg, penalized)}
-    if penalized:
-        controls["unknowns"] = _penalized_unknowns(aspec, grid)
-    return spec, replace(cfg, coefficient_mode="truncated"), controls
+    lin_tol = (max(cfg.lin_tol * aspec.epsilon, 1e-14) if penalized and aspec.epsilon < 1e-3
+               else cfg.lin_tol)
+    cfg_u = replace(cfg, coefficient_mode="truncated", lin_tol=lin_tol)
+    generic, _ = solver._generic_sweep(spec, grid, cfg_u)
+    if not penalized:
+        return spec, cfg_u, generic
+
+    def sweep(u_prev, u_lag, t_prev, t_new):
+        builder, budget = generic(u_prev, u_lag, t_prev, t_new)
+        builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
+        _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], t_new)
+        return builder, budget
+    return spec, cfg_u, sweep
 
 
 def step_aquifer(state: Field, aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
                  penalized: bool = False) -> Field:
     """Advance the (h, h1) state by one step (validates the spec first)."""
-    spec, cfg_u, controls = _thickness_system(aspec, grid, cfg, penalized)
+    _, cfg_u, sweep = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
     u = np.stack(map_heads(state.values[0], state.values[1], h2c))
-    u_new = solver._advance(spec, grid, u, state.time, cfg_u, fv.BlockFactors(2),
-                            **controls)[0]
+    u_new = solver._picard(sweep, u, state.time, state.time + cfg.dt, cfg_u)[0]
     h, h1 = map_species(u_new[0], u_new[1], h2c)
     return Field(np.stack([h, h1]), state.time + cfg.dt)
 
@@ -398,15 +392,11 @@ class ConfinementReport:
 def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
                    penalized: bool) -> SimulationResult:
     """Time loop of the (u1, u2) system through the solver, recording (h, h1)."""
-    spec, cfg_u, controls = _thickness_system(aspec, grid, cfg, penalized)
+    spec, cfg_u, sweep = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(2)])
-    factors = fv.BlockFactors(2)
-
-    def step(u, t_prev, t_new):
-        return solver._advance(spec, grid, u, t_prev, cfg_u, factors, **controls)
-    return solver._integrate(grid, cfg_u, u0, step,
+    return solver._integrate(grid, cfg_u, u0, sweep,
                              lambda u: np.stack(map_species(u[0], u[1], h2c)))
 
 
@@ -444,10 +434,14 @@ def run_unpenalized(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> Simul
 # confined-reservoir variant
 # ---------------------------------------------------------------------------
 
-def _assemble_confined(aspec: AquiferSpec, grid: Grid, w_prev: np.ndarray,
-                       w_lag: np.ndarray, phi_lag: np.ndarray,
+def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.ndarray,
                        t_prev: float, t_new: float, cfg: StepperConfig):
-    """Block system for (w, phi): parabolic salt thickness, elliptic head."""
+    """One sweep of the (w, phi) system: parabolic salt thickness, elliptic head.
+
+    Returns the sweep's builder and the step's budget evaluator, whose
+    series are zero.
+    """
+    (w_prev, _), (w_lag, phi_lag) = u_prev, u_lag
     builder = SystemBuilder(grid, 2)
     ft = builder.ft
     vol = grid.cell_volume
@@ -489,7 +483,11 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, w_prev: np.ndarray,
         builder.add_tpfa(1, 0, {}, alpha * w_face_wb, w_trace)
     builder.add_tpfa(1, 1, {}, one_a * h2c[ft.bnd_cell], phi_trace)
     builder.add_rhs(1, -vol * pump)
-    return builder.matrix(), builder.rhs
+    return builder, _zero_budget
+
+
+def _zero_budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(2), np.zeros(2)
 
 
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
@@ -536,16 +534,8 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     h0, _ = aspec.initial_values(grid)
     w = h2c - h0
     phi = _initial_head(aspec, grid, w, cfg)
-    factors = fv.BlockFactors(2)
-
-    def step(u, t_prev, t_new):
-        def assemble(u_lag):
-            a, b = _assemble_confined(aspec, grid, u[0], u_lag[0], u_lag[1], t_prev, t_new, cfg)
-            return (a, b, *solver._same_unknowns(None, u_lag, t_new), lambda _: np.zeros(2))
-        u_next, flux, stats = solver._picard(assemble, u, t_new, cfg, cfg.lin_tol, factors)
-        return u_next, np.zeros(2), flux, stats
-
-    return solver._integrate(grid, cfg, np.stack([w, phi]), step,
+    return solver._integrate(grid, cfg, np.stack([w, phi]),
+                             partial(_assemble_confined, aspec, grid, cfg=cfg),
                              lambda u: np.stack([h2c - u[0], u[1]]))
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,7 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"schema", "kind", "grid", "stepper", "model", "outputs",
              "diagnostics", "convergence", "sweep"}
 _GRID_KEYS = {"dims", "extents"}
-_STEPPER_KEYS = {"dt", "t_end", "picard_tol", "picard_max", "lin_tol", "lin_max",
-                 "snapshot_every", "cross_weighting", "coefficient_mode"}
+_STEPPER_KEYS = {f.name for f in fields(StepperConfig)}
 _OUTPUT_KEYS = {"directory", "formats"}
 _GENERIC_MODEL_KEYS = {"m", "delta", "K", "ell", "initial", "dirichlet", "sources"}
 _AQUIFER_MODEL_KEYS = {"h2", "delta", "alpha", "epsilon", "initial_h", "initial_h1",
@@ -65,9 +64,8 @@ _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "width", "rate", "po
 _CONV_KEYS = {"case", "levels", "nx0", "dt0", "t_end"}
 _SWEEP_KEYS = {"epsilon_list"}
 
-_STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, "picard_tol": 1e-8, "picard_max": 2,
-                     "lin_tol": 1e-10, "lin_max": 6000, "snapshot_every": 1,
-                     "cross_weighting": "upwind", "coefficient_mode": "truncated"}
+_STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, **{
+    f.name: f.default for f in fields(StepperConfig) if f.default is not MISSING}}
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> dict:
@@ -279,17 +277,11 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
     grid = config.grid
     try:
         if config.kind == "keulegan":
-            return aq.keulegan_scenario(
-                grid,
-                pump_rate=float(mb.get("pump_rate", 0.0)),
-                tilt=float(mb.get("tilt", 0.5)),
-                h2=float(mb.get("h2", 1.0)),
-                delta=float(mb.get("delta", 0.3)),
-                alpha=float(mb.get("alpha", 0.025)),
-                epsilon=float(mb.get("epsilon", 1e-2)),
-                h_mid=float(mb.get("h_mid", 0.5)),
-                h1_level=float(mb.get("h1_level", 0.1)),
-                well_position=mb.get("well_position"))
+            return aq.keulegan_scenario(grid, **{
+                key: value if key == "well_position" else float(value)
+                for key, value in mb.items() if key != "variant"})
+        boundary = mb.get("boundary", "dirichlet")
+        dirichlet = boundary == "dirichlet"
         return aq.AquiferSpec(
             h2=float(mb.get("h2", 1.0)),
             delta=float(mb.get("delta", 0.3)),
@@ -299,12 +291,10 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
             initial_h1=_initial_profile(mb.get("initial_h1", 0.1), config.grid),
             domain=grid.extents,
             pumping=_source_as_density(mb.get("pumping"), grid),
-            dirichlet_h=_dirichlet_profile(mb.get("dirichlet_h", 0.5))
-            if mb.get("boundary", "dirichlet") == "dirichlet" else None,
-            dirichlet_h1=_dirichlet_profile(mb.get("dirichlet_h1", 0.1))
-            if mb.get("boundary", "dirichlet") == "dirichlet" else None,
+            dirichlet_h=_dirichlet_profile(mb.get("dirichlet_h", 0.5)) if dirichlet else None,
+            dirichlet_h1=_dirichlet_profile(mb.get("dirichlet_h1", 0.1)) if dirichlet else None,
             dirichlet_phi=_dirichlet_profile(mb.get("dirichlet_phi", 0.0)),
-            boundary=mb.get("boundary", "dirichlet"))
+            boundary=boundary)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -476,7 +466,13 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
 def execute(config: ScenarioConfig, command: str = "simulate", *,
             out_dir: str | None = None, require_feasible: bool = False,
             epsilon_list: list[float] | None = None) -> RunManifest:
-    """Dispatch one command; always writes a manifest (partial on failure)."""
+    """Dispatch one command and write its artifacts plus a manifest.
+
+    A solver failure still writes the manifest, the partial series and
+    ``error.txt`` (exit 1).  A rejected config or spec raises
+    :class:`ConfigError` or :class:`InvalidParameterError` before anything
+    is written, so ``main`` exits 2 and leaves no output directory.
+    """
     t0 = time.perf_counter()
     out = out_dir or config.out_dir
     artifacts: dict[str, str] = {}

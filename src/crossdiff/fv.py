@@ -28,7 +28,7 @@ contract holds on both paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -239,6 +239,12 @@ def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, 
     return indptr, indices, slot
 
 
+def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Stacked rows sum_j mat[i, j] * blocks[j], over nonzero entries only (exact for +-1)."""
+    return np.concatenate([reduce(np.add, [c * b for c, b in zip(row, blocks) if c])
+                           for row in mat])
+
+
 class SystemBuilder:
     """Block system over m species on one grid, assembled term by term.
 
@@ -248,7 +254,8 @@ class SystemBuilder:
     cells of every interior face of one axis, with values in the order
     (LL, LR, RR, RL), and ``("bnd", row_sp, col_sp)`` on the cell of every
     boundary face.  The right-hand side is accumulated directly.
-    :meth:`change_unknowns` rewrites the recorded system in other unknowns.
+    :meth:`change_unknowns` rewrites the recorded system in other unknowns,
+    to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR pattern of the term sequence, computed
     once per (grid, m, terms) by :func:`_pattern`, and sums the values into
     it.
@@ -262,6 +269,7 @@ class SystemBuilder:
         self.terms: list[tuple] = []
         self.vals: list[np.ndarray] = []
         self.rhs = np.zeros(m * self.n)
+        self.p = None  # block map from the solved unknowns to the state; None: the state
 
     def _block(self, species: int, idx: np.ndarray) -> np.ndarray:
         return species * self.n + idx
@@ -283,6 +291,7 @@ class SystemBuilder:
         copy on every block (i, j) with q[i][r] and p[c][j] nonzero.
         """
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        self.p = p if self.p is None else self.p @ p
         terms, vals = [], []
         for term, v in zip(self.terms, self.vals):
             r, c = term[1], term[2]
@@ -291,9 +300,16 @@ class SystemBuilder:
                     terms.append((term[0], int(i), int(j), *term[3:]))
                     vals.append(q[i, r] * p[c, j] * v)
         self.terms, self.vals = terms, vals
-        blocks = self.rhs.reshape(self.m, self.n)
-        self.rhs = np.concatenate([sum(q[i, r] * blocks[r] for r in np.flatnonzero(q[i]))
-                                   for i in range(self.m)])
+        self.rhs = _map_blocks(q, self.rhs.reshape(self.m, self.n))
+
+    def to_unknowns(self, u: np.ndarray) -> np.ndarray:
+        """The stacked state ``u`` (m, n) in the solved unknowns, y = P^-1 u."""
+        return u.flatten() if self.p is None else _map_blocks(np.linalg.inv(self.p), u)
+
+    def to_state(self, x: np.ndarray) -> np.ndarray:
+        """The stacked state (m, n) of a solution ``x``, u = P x."""
+        x = x.reshape(self.m, self.n)
+        return x if self.p is None else _map_blocks(self.p, x).reshape(self.m, self.n)
 
     def add_rhs(self, species: int, values: np.ndarray) -> None:
         self.rhs[species * self.n:(species + 1) * self.n] += values

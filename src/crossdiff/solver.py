@@ -24,15 +24,16 @@ GMRES for large ones, preconditioned by SuperLU factors of the species
 diagonal blocks that each run keeps in one :class:`fv.BlockFactors` and
 refactors only when GMRES starts to need many iterations.
 
-This module owns the package's only Picard sweep loop and only time loop;
-the aquifer variants plug their assemblies and changes of unknowns into
-them.
+This module owns the package's only Picard sweep loop (:func:`_picard`) and
+only time loop (:func:`_integrate`); every variant reaches both through one
+callback ``sweep(u_prev, u_lag, t_prev, t_new) -> (builder, budget)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 from typing import Callable, Sequence
 
@@ -52,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping, nonlinear-lag and linear-solver controls.
+    """Time-stepping, nonlinear-lag and linear-solver settings.
 
     ``lin_tol`` bounds the relative true residual of every linear solve;
     ``lin_max`` caps the inner GMRES iterations per call and so applies only
@@ -133,9 +134,9 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
                    t_prev: float, t_new: float, cfg: StepperConfig):
     """Assemble one sweep's block system.
 
-    Returns (builder, flux_eval): the :class:`fv.SystemBuilder` holding the
-    recorded system, and ``flux_eval(u_new)``, which gives the per-species
-    discrete boundary inflow of the solved step.
+    Returns (builder, budget): the :class:`fv.SystemBuilder` holding the
+    recorded system, and ``budget(u_new)``, which gives the per-species
+    source integral and discrete boundary inflow of the solved step.
     """
     m, n = spec.m, grid.n_cells
     builder = SystemBuilder(grid, m)
@@ -163,11 +164,11 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
     # per-species boundary coefficient bundles for the post-solve flux evaluation
     flux_pairs: list[list[tuple]] = [[] for _ in range(m)]
     flux_expl = [np.zeros(ft.n_boundary) for _ in range(m)]
+    q = np.stack([spec.source_values(i, t_prev, points, u_prev) for i in range(m)])
 
     for i in range(m):
         builder.add_mass(i, 1.0 / dt)
-        q = spec.source_values(i, t_prev, points, u_prev)
-        builder.add_rhs(i, vol * (u_prev[i] / dt + q))
+        builder.add_rhs(i, vol * (u_prev[i] / dt + q[i]))
         ones_b = np.full(ft.n_boundary, spec.delta[i])
         builder.add_tpfa(i, i, {d: np.full(len(ft.int_left[d]), spec.delta[i])
                                 for d in range(grid.ndim)},
@@ -201,11 +202,11 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             g_bnd = f_bnd = None
             if traces[i] is not None:
                 grad_b = fv.boundary_gradient(ft, u_lag[j], traces[j])
-                kdd_b = np.array([kmat[a, a] for a in ft.bnd_axis])
+                kdd_b = kmat[ft.bnd_axis, ft.bnd_axis]
                 driver_b = kdd_b * grad_b
                 tang_b = None
                 if need_tangential:
-                    koff_b = np.array([kmat[a, 1 - a] for a in ft.bnd_axis])
+                    koff_b = kmat[ft.bnd_axis, 1 - ft.bnd_axis]
                     tang_b = koff_b * np.where(ft.bnd_axis == 0,
                                                cgrad[j][1][ft.bnd_cell],
                                                cgrad[j][0][ft.bnd_cell])
@@ -220,50 +221,50 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             if f_int or f_bnd is not None:
                 builder.add_explicit_flux(i, f_int, f_bnd)
 
-    def flux_eval(u_new: np.ndarray) -> np.ndarray:
-        out = np.zeros(m)
+    def budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flux = np.zeros(m)
         for i in range(m):
             total = 0.0
             for j, g_bnd in flux_pairs[i]:
                 total += fv.boundary_flux_integral(ft, g_bnd, u_new[j], traces[j])
             total += float(np.sum(flux_expl[i] * ft.bnd_area))
-            out[i] = total
-        return out
+            flux[i] = total
+        return q.sum(axis=1) * vol, flux
 
-    return builder, flux_eval
-
-
-def _same_unknowns(builder: SystemBuilder, u_lag: np.ndarray, t_new: float):
-    """Solve for the stacked state itself, starting from the lagged iterate."""
-    return u_lag.ravel().copy(), lambda x: x.reshape(u_lag.shape)
+    return builder, budget
 
 
-def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
-            lin_tol: float, factors: fv.BlockFactors,
-            static: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: StepperConfig,
+            factors: fv.BlockFactors | None = None,
+            static: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Picard sweeps of one backward-Euler step; the package's only sweep loop.
 
-    ``assemble(u_lag)`` returns (A, b, x0, to_state, flux_eval): the sweep's
-    linear system in its own unknowns, the initial guess, the map from the
-    solution vector back to the stacked state and the boundary-inflow
-    evaluation.  The change test runs on the state.  ``static`` systems have
-    no lagged coefficient and take a single sweep.  ``factors`` is the run's
-    preconditioner holder; the step's GMRES iterations (``lin_iters``, 0 on
-    the direct path) and whether a sweep refactored go into the stats.
+    ``sweep(u_prev, u_lag, t_prev, t_new)`` returns the sweep's
+    :class:`fv.SystemBuilder`, which maps the lagged state to the initial
+    guess and the solution back to the state, and ``budget(u_new)`` ->
+    (source integral, boundary inflow).  ``static`` systems have no lagged
+    coefficient and take a single sweep.  ``factors`` is the run's
+    preconditioner holder (a single step makes its own); the step's GMRES
+    iterations (``lin_iters``, 0 on the direct path) and whether a sweep
+    refactored go into the stats.
     """
+    if factors is None:
+        factors = fv.BlockFactors(len(u_prev))
     sweeps = 1 if static else cfg.picard_max
     u_lag = u_prev
     stats = {"picard_sweeps": 0, "picard_converged": True,
              "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
-    for sweep in range(sweeps):
-        a, b, x0, to_state, flux_eval = assemble(u_lag)
-        x, stats["lin_residual"] = fv.solve_sparse(a, b, lin_tol, cfg.lin_max,
-                                                   time=t_new, x0=x0, factors=factors)
+    for k in range(sweeps):
+        builder, budget = sweep(u_prev, u_lag, t_prev, t_new)
+        x, stats["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
+                                                   cfg.lin_max, time=t_new,
+                                                   x0=builder.to_unknowns(u_lag),
+                                                   factors=factors)
         stats["lin_iters"] += factors.iters
         stats["refactored"] = stats["refactored"] or factors.refactored
         stats["b_norm"] = factors.b_norm
-        u_new = to_state(x)
-        stats["picard_sweeps"] = sweep + 1
+        u_new = builder.to_state(x)
+        stats["picard_sweeps"] = k + 1
         change = float(np.max(np.abs(u_new - u_lag)))
         scale = max(float(np.max(np.abs(u_new))), 1e-300)
         u_lag = u_new
@@ -271,45 +272,23 @@ def _picard(assemble, u_prev: np.ndarray, t_new: float, cfg: StepperConfig,
             break
     else:
         stats["picard_converged"] = static
-    return u_new, flux_eval(u_new), stats
+    return (u_new, *budget(u_new), stats)
 
 
-def _advance(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
-             cfg: StepperConfig, factors: fv.BlockFactors, lin_tol: float | None = None,
-             unknowns=_same_unknowns):
-    """One backward-Euler step of the generic assembly.
-
-    Returns (u_new, source integral, boundary inflow, stats); ``factors`` is
-    the run's preconditioner holder.
-    ``unknowns(builder, u_lag, t_new)`` sees each sweep's builder before its
-    matrix is built and may rewrite the recorded system in other unknowns or
-    add terms to it; it returns (x0, to_state), the initial guess and the map
-    from the solution vector back to the stacked state.
-    """
-    t_new = t_prev + cfg.dt
-    points = grid.cell_centers()
-    q = np.stack([spec.source_values(i, t_prev, points, u_prev) for i in range(spec.m)])
-
-    def assemble(u_lag):
-        builder, flux_eval = _assemble_step(spec, grid, u_prev, u_lag, t_prev, t_new, cfg)
-        x0, to_state = unknowns(builder, u_lag, t_new)
-        return builder.matrix(), builder.rhs, x0, to_state, flux_eval
-
-    # coefficient-free systems (fully truncated away) need a single sweep
-    static = cfg.coefficient_mode == "truncated" and spec.ell == 0.0
-    u_new, flux, stats = _picard(assemble, u_prev, t_new, cfg,
-                                 cfg.lin_tol if lin_tol is None else lin_tol, factors, static)
-    return u_new, q.sum(axis=1) * grid.cell_volume, flux, stats
+def _generic_sweep(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
+    """Sweep of the generic assembly; static (one sweep) when truncated away."""
+    return (partial(_assemble_step, spec, grid, cfg=cfg),
+            cfg.coefficient_mode == "truncated" and spec.ell == 0.0)
 
 
-def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
-               to_record=np.copy) -> SimulationResult:
+def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
+               to_record=np.copy, static: bool = False) -> SimulationResult:
     """The package's only time loop.
 
-    ``step(u, t_prev, t_new)`` returns (u_next, source integral, boundary
-    inflow, solver stats); ``to_record`` maps a state to the recorded
-    per-species values.  A :class:`SolverFailure` leaves with the trajectory
-    completed so far attached as ``partial``.
+    Each step runs :func:`_picard` on ``sweep`` from t_prev to t_prev + dt,
+    with the run's one :class:`fv.BlockFactors`; ``to_record`` maps a state
+    to the recorded per-species values.  A :class:`SolverFailure` leaves
+    with the trajectory completed so far attached as ``partial``.
     """
     vol = grid.cell_volume
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
@@ -332,9 +311,11 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
 
     record(0, vals)
     u = u0
+    factors = fv.BlockFactors(m)
     for k in range(n_steps):
         try:
-            u, src[:, k], bflux[:, k], st = step(u, times[k], times[k + 1])
+            u, src[:, k], bflux[:, k], st = _picard(sweep, u, times[k], times[k] + cfg.dt,
+                                                    cfg, factors, static)
         except SolverFailure as exc:
             exc.time = times[k + 1]
             exc.partial = SimulationResult(
@@ -357,7 +338,9 @@ def advance_step(state: Field, spec: ModelSpec, grid: Grid, cfg: StepperConfig) 
     report = validate_spec(spec, grid)
     if not report.ok:
         raise InvalidParameterError(f"spec validation failed: {report.codes()}")
-    u_new = _advance(spec, grid, state.values, state.time, cfg, fv.BlockFactors(spec.m))[0]
+    sweep, static = _generic_sweep(spec, grid, cfg)
+    u_new = _picard(sweep, state.values, state.time, state.time + cfg.dt, cfg,
+                    static=static)[0]
     return Field(u_new, state.time + cfg.dt)
 
 
@@ -375,9 +358,8 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
             raise InvalidParameterError(f"spec validation failed: {report.codes()}")
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
-    factors = fv.BlockFactors(spec.m)
-    return _integrate(grid, cfg, u0,
-                      lambda u, t_prev, t_new: _advance(spec, grid, u, t_prev, cfg, factors))
+    sweep, static = _generic_sweep(spec, grid, cfg)
+    return _integrate(grid, cfg, u0, sweep, static=static)
 
 
 # ---------------------------------------------------------------------------

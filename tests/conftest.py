@@ -38,7 +38,8 @@ def singular_confined_step(monkeypatch):
     from crossdiff import aquifer
     assemble = aquifer._assemble_confined
 
-    def singular(*args):
-        a, b = assemble(*args)
-        return 0.0 * a, b
+    def singular(*args, **kwargs):
+        builder, budget = assemble(*args, **kwargs)
+        builder.vals = [0.0 * v for v in builder.vals]
+        return builder, budget
     monkeypatch.setattr(aquifer, "_assemble_confined", singular)

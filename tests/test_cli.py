@@ -81,6 +81,18 @@ def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, n
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["probe", "simulate"])
+def test_incompatible_spec_rejected_without_output(tmp_path, capsys, command):
+    # sine initial data cannot meet the boundary value 1.0 of species 1
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"]["dirichlet"] = [1.0, 0.0]
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "compatibility" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -303,6 +304,23 @@ def test_advance_step_moves_time(grid_12):
     assert new.values.shape == state.values.shape
 
 
+def test_source_evaluated_once_per_sweep(grid_12):
+    # the budget's source integral reuses the values of the sweep's assembly
+    calls = []
+
+    def source(t, points, u):
+        calls.append(t)
+        return 0.5 + 0.0 * points[:, 0]
+    spec = coupled_spec_2d()
+    spec.sources = [source, None]
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=3, picard_tol=1e-300)
+    result = run(spec, grid_12, cfg)
+    assert [st["picard_sweeps"] for st in result.solver_stats] == [3] * 5
+    assert len(calls) == 15
+    assert np.array_equal(result.source_integral[0], np.full(5, 0.5 * grid_12.n_cells
+                                                             * grid_12.cell_volume))
+
+
 def test_solver_failure_carries_partialresult():
     grid = Grid((32, 32), (1.0, 1.0))
     spec = coupled_spec_2d()
@@ -590,7 +608,9 @@ def test_pattern_matches_coo_confined_step(built):
     aq, aspec, grid, w = confined_case()
     phi = 0.1 * product_sine(1.0)(grid.cell_centers())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    aq._assemble_confined(aspec, grid, w, 0.95 * w, phi, 0.0, 1e-3, cfg)
+    builder, _ = aq._assemble_confined(aspec, grid, np.stack([w, phi]),
+                                       np.stack([0.95 * w, phi]), 0.0, 1e-3, cfg)
+    builder.matrix()
     (build,) = built
     assert build[1] == 2
     assert_matches_coo(build)
@@ -664,9 +684,9 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     aq, aspec, spec, grid, u_prev, u_lag = penalized_case(kind)
     n = grid.n_cells
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder, _ = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
-    a_plain = coo_reference(grid, 2, builder.calls)
-    b_plain = builder.rhs.copy()
+    plain, _ = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
+    a_plain = coo_reference(grid, 2, plain.calls)
+    b_plain = plain.rhs
 
     s_lag = u_lag[0] + u_lag[1]
     assert np.any(s_lag > aspec.h2_cells(grid))
@@ -680,14 +700,39 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     ref = (q_op @ a_plain @ p_op + drain_reference(grid, 2, drain.terms, drain.vals)).tocsr()
     ref.sort_indices()
 
-    x0, to_state = aq._penalized_unknowns(aspec, grid)(builder, u_lag, cfg.dt)
+    _, _, sweep = aq._thickness_system(aspec, grid, cfg, penalized=True)
+    builder, _ = sweep(u_prev, u_lag, 0.0, cfg.dt)
+    x0 = builder.to_unknowns(u_lag)
     a = builder.matrix()
     assert np.array_equal(a.indptr, ref.indptr)
     assert np.array_equal(a.indices, ref.indices)
     assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
     assert np.array_equal(builder.rhs, q_op @ b_plain + drain.rhs)
     assert np.array_equal(x0, np.concatenate([u_lag[0], s_lag]))
-    assert np.allclose(to_state(x0), u_lag, rtol=0.0, atol=1e-15)
+    assert np.allclose(builder.to_state(x0), u_lag, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ell", [1.0, 0.0])
+def test_advance_step_is_first_step_of_run(grid_12, ell):
+    spec = coupled_spec_2d(ell=ell)
+    cfg = StepperConfig(dt=2e-3, t_end=6e-3, picard_max=3)
+    result = run(spec, grid_12, cfg)
+    first = advance_step(result.snapshots[0], spec, grid_12, cfg)
+    assert first.time == result.snapshots[1].time
+    assert np.array_equal(first.values, result.snapshots[1].values)
+
+
+@pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
+@pytest.mark.parametrize("penalized", [False, True])
+def test_step_aquifer_is_first_step_of_run(kind, penalized):
+    aq, aspec, _, grid, _, _ = penalized_case(kind)
+    aspec = dataclasses.replace(aspec, epsilon=1e-4)  # a tightened penalized lin_tol
+    cfg = StepperConfig(dt=2e-3, t_end=6e-3, lin_tol=1e-11)
+    result = (aq.run_penalized(aspec, grid, cfg)[0] if penalized
+              else aq.run_unpenalized(aspec, grid, cfg))
+    first = aq.step_aquifer(result.snapshots[0], aspec, grid, cfg, penalized=penalized)
+    assert first.time == result.snapshots[1].time
+    assert np.array_equal(first.values, result.snapshots[1].values)
 
 
 def test_every_solve_gets_a_pattern_matrix(monkeypatch):
