@@ -256,73 +256,46 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
 
     Coefficient eps^-1 U0(s - u1) is lagged and face-upwinded by the face
     gradient of the excess U0(s - h2); the excess itself is linearized as
-    active * (s - h2) at the lagged active set.
+    active * (s - h2) at the lagged active set.  The ghost slots hold the
+    coefficient and the excess of the traces.
     """
     grid, ft = builder.grid, builder.ft
+    ni = ft.n_interior
     h2c = aspec.h2_cells(grid)
-    w = _u0(s_lag - u1_lag)
-    excess = _u0(s_lag - h2c)
     active = (s_lag > h2c).astype(float)
-    inv_eps = 1.0 / aspec.epsilon
-    b_pen = np.zeros(grid.n_cells)
+    u1_d, u2_d = _u_traces(aspec, grid, t_new)
+    w_d = excess_d = None
+    if u1_d is not None:
+        s_d = u1_d + u2_d
+        w_d, excess_d = _u0(s_d - u1_d), _u0(s_d - h2c[ft.bnd_cell])
+    n_faces = ni if u1_d is None else ft.n_faces
+    w = fv.slot_values(ft, _u0(s_lag - u1_lag), w_d)
+    driver = fv.face_gradient(ft, _u0(s_lag - h2c), excess_d)
+    w_face = fv.upwind_face_value(w[ft.left], w[ft.right], driver)
+    kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
-    for d in range(grid.ndim):
-        L, R = ft.int_left[d], ft.int_right[d]
-        h = ft.spacing[d]
-        driver = (excess[R] - excess[L]) / h
-        w_face = fv.upwind_face_value(w[L], w[R], driver)
-        kappa = inv_eps * w_face * ft.area[d] / h
-        aL, aR = active[L], active[R]
-        builder.add_term(("face", 1, 1, d),
-                         np.concatenate((kappa * aL, -kappa * aR, kappa * aR, -kappa * aL)))
-        np.add.at(b_pen, L, -kappa * (aR * h2c[R] - aL * h2c[L]))
-        np.add.at(b_pen, R, kappa * (aR * h2c[R] - aL * h2c[L]))
-
-    tr = _u_traces(aspec, grid, t_new)
-    if tr[0] is not None:
-        s_d = tr[0] + tr[1]
-        cells = ft.bnd_cell
-        h2_b = h2c[cells]
-        excess_d = _u0(s_d - h2_b)
-        driver_b = (excess_d - excess[cells]) / ft.bnd_half
-        w_face = fv.upwind_face_value(w[cells], _u0(s_d - tr[0]), driver_b)
-        kappa = inv_eps * w_face * ft.bnd_area / ft.bnd_half
-        builder.add_term(("bnd", 1, 1), kappa * active[cells])
-        np.add.at(b_pen, cells, kappa * (excess_d + active[cells] * h2_b))
-    builder.add_rhs(1, b_pen)
+    e = ft.ends(n_faces)
+    off, L, R = -kappa[:ni], ft.left[:ni], ft.right[:ni]
+    builder.add_term(("face", 1, 1, n_faces),
+                     np.concatenate((kappa[ft.end_face[e]] * active[ft.end_cell[e]],
+                                     off * active[R], off * active[L])))
+    # the known part -active * h2 of the excess, with the trace excess in the ghosts
+    y = fv.slot_values(ft, -active * h2c, excess_d)
+    fa = kappa * (y[ft.right[:n_faces]] - y[ft.left[:n_faces]])
+    builder.add_rhs(1, np.bincount(ft.end_cell[e], weights=ft.end_sign[e] * fa[ft.end_face[e]],
+                                   minlength=grid.n_cells))
 
 
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
-                      h1: np.ndarray) -> dict[int, np.ndarray]:
-    """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) per interior face."""
+                      h1: np.ndarray) -> np.ndarray:
+    """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) on the interior faces."""
     ft = face_table(grid)
     h2c = aspec.h2_cells(grid)
     u1, u2 = map_heads(h, h1, h2c)
-    s = u1 + u2
     w = _u0(u2)
-    excess = _u0(s - h2c)
-    out = {}
-    for d in range(grid.ndim):
-        L, R = ft.int_left[d], ft.int_right[d]
-        grad = (excess[R] - excess[L]) / ft.spacing[d]
-        w_face = fv.upwind_face_value(w[L], w[R], grad)
-        out[d] = w_face * grad / aspec.epsilon
-    return out
-
-
-def _cell_flux_magnitude(grid: Grid, face_flux: dict[int, np.ndarray]) -> np.ndarray:
-    ft = face_table(grid)
-    mag2 = np.zeros(grid.n_cells)
-    for d, f in face_flux.items():
-        acc = np.zeros(grid.n_cells)
-        cnt = np.zeros(grid.n_cells)
-        np.add.at(acc, ft.int_left[d], np.abs(f))
-        np.add.at(acc, ft.int_right[d], np.abs(f))
-        np.add.at(cnt, ft.int_left[d], 1.0)
-        np.add.at(cnt, ft.int_right[d], 1.0)
-        cnt[cnt == 0.0] = 1.0
-        mag2 += (acc / cnt) ** 2
-    return np.sqrt(mag2)
+    L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
+    grad = fv.face_gradient(ft, _u0(u1 + u2 - h2c), None)[:ft.n_interior]
+    return fv.upwind_face_value(w[L], w[R], grad) * grad / aspec.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +344,14 @@ class ConfinementReport:
 
     ``violation[k]`` is the integral of (s - h2)^+ at snapshot k, ``residual``
     the integral of |h1| |Q| (the orthogonality h1 Q = 0 of the confined
-    limit), and ``q_field`` the reconstructed per-face drain flux at the
-    final snapshot.
+    limit), and ``q_field`` the reconstructed drain flux on the interior
+    faces at the final snapshot.
     """
 
     times: np.ndarray
     violation: np.ndarray
     residual: np.ndarray
-    q_field: dict[int, np.ndarray]
+    q_field: np.ndarray
 
     @property
     def final_violation(self) -> float:
@@ -402,18 +375,19 @@ def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
 
 def confinement_report(aspec: AquiferSpec, grid: Grid,
                        result: SimulationResult) -> ConfinementReport:
+    ft = face_table(grid)
     h2c = aspec.h2_cells(grid)
     vol = grid.cell_volume
     times = np.array([f.time for f in result.snapshots])
     violation = np.zeros(len(times))
     residual = np.zeros(len(times))
-    q_field: dict[int, np.ndarray] = {}
+    q_field = np.zeros(0)
     for k, snap in enumerate(result.snapshots):
         h, h1 = snap.values[0], snap.values[1]
         s = (h - h1) + (h2c - h)
         violation[k] = float(np.sum(_u0(s - h2c)) * vol)
         q_field = penalty_face_flux(aspec, grid, h, h1)
-        q_mag = _cell_flux_magnitude(grid, q_field)
+        q_mag = np.sqrt(np.sum(fv.cell_average(ft, np.abs(q_field)) ** 2, axis=0))
         residual[k] = float(np.sum(np.abs(h1) * q_mag) * vol)
     return ConfinementReport(times, violation, residual, q_field)
 
@@ -446,42 +420,28 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag
     ft = builder.ft
     vol = grid.cell_volume
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
-    h2c = aspec.h2_cells(grid)
-    points = grid.cell_centers()
-    pump = aspec.pumping_values(t_prev, points)
+    pump = aspec.pumping_values(t_prev, ft.centers)
 
     w_trace = _u_traces(aspec, grid, t_new)[1]
     phi_trace = aspec._eval(aspec.dirichlet_phi, ft.bnd_points, t_new)
-    w = _u0(w_lag)
-    w_tr = None if w_trace is None else _u0(w_trace)
+    # a closed box carries no salt flux through the boundary faces
+    n_faces = ft.n_interior if w_trace is None else ft.n_faces
+    w = fv.slot_values(ft, _u0(w_lag), None if w_trace is None else _u0(w_trace))
+    w_left, w_right = w[ft.left][:n_faces], w[ft.right][:n_faces]
+    w_face_w = fv.upwind_face_value(w_left, w_right,
+                                    fv.face_gradient(ft, w_lag, w_trace)[:n_faces])
+    w_face_phi = fv.upwind_face_value(w_left, w_right,
+                                      -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
 
     # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
     builder.add_mass(0, 1.0 / cfg.dt)
     builder.add_rhs(0, vol * w_prev / cfg.dt)
-    builder.add_tpfa(0, 0, {d: np.full(len(ft.int_left[d]), aspec.delta)
-                            for d in range(grid.ndim)},
-                     np.full(ft.n_boundary, aspec.delta), w_trace)
-    for d in range(grid.ndim):
-        L, R = ft.int_left[d], ft.int_right[d]
-        grad_w = fv.interior_gradient(ft, w_lag, d)
-        grad_phi = fv.interior_gradient(ft, phi_lag, d)
-        w_face_w = fv.upwind_face_value(w[L], w[R], grad_w)
-        w_face_phi = fv.upwind_face_value(w[L], w[R], -grad_phi)
-        builder.add_tpfa(0, 0, {d: alpha * w_face_w}, None, None)
-        builder.add_tpfa(0, 1, {d: -one_a * w_face_phi}, None, None)
-        # head row couplings
-        builder.add_tpfa(1, 0, {d: alpha * w_face_w}, None, None)
-        h2_face = 0.5 * (h2c[L] + h2c[R])
-        builder.add_tpfa(1, 1, {d: one_a * h2_face}, None, None)
-    if w_trace is not None:
-        grad_w_b = fv.boundary_gradient(ft, w_lag, w_trace)
-        grad_phi_b = fv.boundary_gradient(ft, phi_lag, phi_trace)
-        w_face_wb = fv.upwind_face_value(w[ft.bnd_cell], w_tr, grad_w_b)
-        w_face_pb = fv.upwind_face_value(w[ft.bnd_cell], w_tr, -grad_phi_b)
-        builder.add_tpfa(0, 0, {}, alpha * w_face_wb, w_trace)
-        builder.add_tpfa(0, 1, {}, -one_a * w_face_pb, phi_trace)
-        builder.add_tpfa(1, 0, {}, alpha * w_face_wb, w_trace)
-    builder.add_tpfa(1, 1, {}, one_a * h2c[ft.bnd_cell], phi_trace)
+    builder.add_tpfa(0, 0, np.full(n_faces, aspec.delta), w_trace)
+    builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
+    builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
+    # head row couplings
+    builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
+    builder.add_tpfa(1, 1, one_a * _face_h2(aspec, ft), phi_trace)
     builder.add_rhs(1, -vol * pump)
     return builder, _zero_budget
 
@@ -490,29 +450,27 @@ def _zero_budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(2), np.zeros(2)
 
 
+def _face_h2(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
+    """Reservoir depth on every face: the mean of its two cells, the cell's at the boundary."""
+    h2 = fv.slot_values(ft, aspec.h2_cells(ft.grid), None)
+    return 0.5 * (h2[ft.left] + h2[ft.right])
+
+
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
     """Elliptic solve for the head consistent with the initial interface."""
     builder = SystemBuilder(grid, 1)
     ft = builder.ft
     one_a = 1.0 - aspec.alpha
     alpha = aspec.alpha
-    h2c = aspec.h2_cells(grid)
     phi_trace = aspec._eval(aspec.dirichlet_phi, ft.bnd_points, 0.0)
-    w = _u0(w0)
-    for d in range(grid.ndim):
-        L, R = ft.int_left[d], ft.int_right[d]
-        h2_face = 0.5 * (h2c[L] + h2c[R])
-        builder.add_tpfa(0, 0, {d: one_a * h2_face}, None, None)
-        grad_w = fv.interior_gradient(ft, w0, d)
-        w_face = fv.upwind_face_value(w[L], w[R], grad_w)
-        builder.add_explicit_flux(0, {d: alpha * w_face * grad_w}, None)
-    builder.add_tpfa(0, 0, {}, one_a * h2c[ft.bnd_cell], phi_trace)
     w_trace = _u_traces(aspec, grid, 0.0)[1]
-    if w_trace is not None:
-        grad_w_b = fv.boundary_gradient(ft, w0, w_trace)
-        w_face_b = fv.upwind_face_value(w[ft.bnd_cell], _u0(w_trace), grad_w_b)
-        builder.add_explicit_flux(0, {}, alpha * w_face_b * grad_w_b)
-    pump = aspec.pumping_values(0.0, grid.cell_centers())
+    n_faces = ft.n_interior if w_trace is None else ft.n_faces
+    w = fv.slot_values(ft, _u0(w0), None if w_trace is None else _u0(w_trace))
+    grad_w = fv.face_gradient(ft, w0, w_trace)
+    w_face = fv.upwind_face_value(w[ft.left], w[ft.right], grad_w)
+    builder.add_explicit_flux(0, (alpha * w_face * grad_w)[:n_faces])
+    builder.add_tpfa(0, 0, one_a * _face_h2(aspec, ft), phi_trace)
+    pump = aspec.pumping_values(0.0, ft.centers)
     builder.add_rhs(0, -grid.cell_volume * pump)
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
@@ -588,29 +546,19 @@ def keulegan_scenario(grid: Grid, pump_rate: float = 0.0, tilt: float = 0.5, *,
 def interface_slope(values: np.ndarray, grid: Grid) -> float:
     """Largest face-difference slope |u_R - u_L| / h over interior faces."""
     ft = face_table(grid)
-    worst = 0.0
-    for d in range(grid.ndim):
-        g = np.abs(fv.interior_gradient(ft, values, d))
-        if g.size:
-            worst = max(worst, float(g.max()))
-    return worst
+    g = fv.face_gradient(ft, values, None)[:ft.n_interior]
+    return float(np.max(np.abs(g), initial=0.0))
 
 
 def interior_local_maxima(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Flat indices of strict interior local maxima (all-neighbor dominance)."""
-    arr = values.reshape(grid.dims)
-    interior = [slice(1, -1)] * grid.ndim
-    mask = np.zeros_like(arr, dtype=bool)
-    core = np.ones(arr[tuple(interior)].shape, dtype=bool)
-    for axis in range(grid.ndim):
-        lo = [slice(1, -1)] * grid.ndim
-        hi = [slice(1, -1)] * grid.ndim
-        lo[axis] = slice(None, -2)
-        hi[axis] = slice(2, None)
-        core &= arr[tuple(interior)] > arr[tuple(lo)]
-        core &= arr[tuple(interior)] > arr[tuple(hi)]
-    mask[tuple(interior)] = core
-    return np.flatnonzero(mask.ravel())
+    ft = face_table(grid)
+    L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
+    beaten = np.zeros(grid.n_cells, dtype=bool)
+    beaten[ft.bnd_cell] = True  # not interior
+    beaten[L[~(values[L] > values[R])]] = True
+    beaten[R[~(values[R] > values[L])]] = True
+    return np.flatnonzero(~beaten)
 
 
 @dataclass

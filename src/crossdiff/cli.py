@@ -28,7 +28,8 @@ from . import aquifer as aq
 from . import conditions, diagnostics
 from .conditions import DEFAULT_G_CAVEAT, ConditionReport, reports_to_csv
 from .fv import SolverFailure
-from .model import CrossTensor, Grid, InvalidParameterError, ModelSpec, validate_spec
+from .model import (CrossTensor, Grid, InvalidParameterError, ModelSpec, ellipticity_bounds,
+                    validate_spec)
 from .solver import (SimulationResult, StepperConfig, convergence_study, run)
 from .table import cells, csv_table
 
@@ -417,7 +418,6 @@ def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
     block = config.diagnostics.get("degiorgi")
     if not block:
         return {}
-    from .model import ellipticity_bounds
     species = int(block.get("species", 1)) - 1
     s_exp = float(block.get("s", 6.0))
     m_factor = float(block.get("m", 2.0))
@@ -523,10 +523,10 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             amplitude = float(block.get("amplitude", 1e-3))
             radius = float(block.get("radius", 0.2))
             center = block.get("center", [e / 2.0 for e in config.grid.extents])
-            pert, cells = diagnostics.disc_perturbation(config.grid, spec.m,
-                                                        center, radius, amplitude)
+            pert, disc = diagnostics.disc_perturbation(config.grid, spec.m,
+                                                       center, radius, amplitude)
             report = diagnostics.uniqueness_probe(spec, config.grid, config.stepper,
-                                                  pert, cells)
+                                                  pert, disc)
             artifacts["probe.csv"] = report.to_csv()
 
         elif command in ("aquifer", "keulegan"):

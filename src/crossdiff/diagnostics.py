@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fv, solver
 from .conditions import DeGiorgiBudget
-from .model import Field, Grid, InvalidParameterError, ModelSpec, clamp
+from .model import Field, Grid, InvalidParameterError, ModelSpec, clamp, ellipticity_bounds
 from .solver import SimulationResult, StepperConfig
 from .table import csv_table
 
@@ -195,9 +195,7 @@ def bound_check(result: SimulationResult, lo: float = 0.0,
 # ---------------------------------------------------------------------------
 
 def _cell_grad_mag(grid: Grid, u: np.ndarray) -> np.ndarray:
-    ft = fv.face_table(grid)
-    comps = [fv.cell_gradient(ft, u, d, None) for d in range(grid.ndim)]
-    return np.sqrt(sum(c ** 2 for c in comps))
+    return np.sqrt(sum(c ** 2 for c in fv.cell_gradient(fv.face_table(grid), u, None)))
 
 
 def discrete_grad_norm(result: SimulationResult, grid: Grid, s: float) -> np.ndarray:
@@ -259,26 +257,13 @@ def disc_cells(grid: Grid, center, radius: float) -> np.ndarray:
 
 def _set_boundary_cells(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Cells of the set with a neighbor outside it or on the domain boundary."""
-    inside = np.zeros(grid.n_cells, dtype=bool)
+    ft = fv.face_table(grid)
+    inside = np.zeros(grid.n_cells + ft.n_boundary, dtype=bool)  # ghost slots lie outside
     inside[cells] = True
-    mask = inside.reshape(grid.dims)
-    boundary = np.zeros_like(mask)
-    for axis in range(grid.ndim):
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        # neighbor outside the set
-        edge = mask[tuple(lo)] & ~mask[tuple(hi)]
-        boundary[tuple(lo)] |= edge
-        edge = mask[tuple(hi)] & ~mask[tuple(lo)]
-        boundary[tuple(hi)] |= edge
-        # domain boundary counts as outside
-        first = [slice(None)] * grid.ndim
-        last = [slice(None)] * grid.ndim
-        first[axis], last[axis] = 0, -1
-        boundary[tuple(first)] |= mask[tuple(first)]
-        boundary[tuple(last)] |= mask[tuple(last)]
-    return np.flatnonzero(boundary.ravel())
+    cut = inside[ft.left] != inside[ft.right]
+    on_cut = np.zeros_like(inside)
+    on_cut[ft.left[cut]] = on_cut[ft.right[cut]] = True
+    return np.flatnonzero(on_cut[:grid.n_cells] & inside[:grid.n_cells])
 
 
 def disc_perturbation(grid: Grid, m: int, center, radius: float,
@@ -336,7 +321,6 @@ _EPS_GRID = (1e-3, 1e-2, 0.1, 0.25, 0.5, 0.75, 1.0)
 
 def _search_epsilons(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the minimum prefactor over a coarse grid of epsilon scales."""
-    from .model import ellipticity_bounds
     d1, d2 = spec.delta
     k12p = ellipticity_bounds(spec.K[0][1])[1]
     k21p = ellipticity_bounds(spec.K[1][0])[1]
@@ -407,8 +391,7 @@ def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
         if idx < n_snap - 1:
             slab = snaps_a[idx + 1].time - snaps_a[idx].time
             for i in range(spec.m):
-                comps = [fv.cell_gradient(ft, v[i], d, zero_trace) for d in range(grid.ndim)]
-                mag2 = sum(c ** 2 for c in comps)
+                mag2 = sum(c ** 2 for c in fv.cell_gradient(ft, v[i], zero_trace))
                 w = 0.5 * (clamp(ua[i], spec.ell) + clamp(ub[i], spec.ell))
                 grad_e[i] += slab * vol * float(np.sum(mag2))
                 cross_e[i] += slab * vol * float(np.sum(w * mag2))

@@ -1,18 +1,19 @@
 """Structured finite-volume machinery shared by every assembly in the package.
 
 Cell-centered two-point flux approximation on uniform 1D/2D grids.  For a
-face between cells L and R along axis d the discrete flux (oriented so that
-a positive value feeds cell L)
+face between cell L and slot R the discrete flux (oriented so that a
+positive value feeds cell L)
 
-    F = g * (u_R - u_L) / h_d
+    F = g * (u_R - u_L) / dist
 
 carries a per-face scalar coefficient ``g`` that already bundles diffusivity,
-truncated coupling coefficient and tensor entry.  Dirichlet boundaries are
-eliminated through ghost values at half-cell distance; ``closed`` boundaries
-(traces None) simply carry no flux.  Off-diagonal tensor entries contribute
-tangential face gradients that are treated explicitly by the callers.
-:func:`face_table` enumerates the boundary faces of a grid once, with their
-half-widths and areas; every other module reads that table.
+truncated coupling coefficient and tensor entry.  A Dirichlet boundary face
+is a face whose slot R is a ghost holding the trace at half-cell distance;
+``closed`` boundaries (traces None) carry no flux.  Off-diagonal tensor
+entries contribute tangential face gradients that are treated explicitly by
+the callers.  :func:`face_table` lists every face of a grid once, interior
+faces first, with the cells each face feeds; every assembly in the package
+is one vectorized pass over that table.
 :class:`SystemBuilder` assembles every block system of the package: it
 records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
@@ -27,8 +28,9 @@ contract holds on both paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sparse
@@ -53,74 +55,102 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FaceTable:
-    """Interior and boundary face connectivity of a grid.
+    """Every face of a grid in one flat list, interior faces first.
 
-    Interior faces are stored per axis as flat cell indices (left, right);
-    boundary faces as (cell, axis, side, face-center coordinates) where
-    side 0 is the low end of the axis.  ``spacing`` and ``area`` hold the
-    per-axis cell width and face area, ``bnd_half`` and ``bnd_area`` the
-    half-width and area of every boundary face.  The table is cached per
-    grid and its arrays reach user callables (``bnd_points``), so every
-    array is read-only.
+    Face f joins the cell ``left[f]`` to the slot ``right[f]``.  The first
+    ``n_interior`` faces are interior, axis by axis; their right slot is a
+    cell.  The k-th boundary face has the ghost slot ``n_cells + k``, which
+    holds its Dirichlet trace (:func:`slot_values`).  ``dist`` is the
+    distance from the left cell center to the right slot (h, or h/2 at the
+    boundary), ``area`` the face area and ``axis`` the axis normal to the
+    face.  ``sign`` orients the left-to-right direction along that axis: +1,
+    but -1 for boundary faces at the low end of an axis, whose ghost lies
+    below the cell.
+    ``end_face``, ``end_cell`` and ``end_sign`` list the face ends: an
+    interior face has two, its left cell (+1) and its right cell (-1); a
+    boundary face has one, its cell (+1).  Axis by axis, the left ends of the
+    interior faces come before their right ends; the boundary ends come last,
+    so the ends of the interior faces, or of all faces, are a prefix
+    (:meth:`ends`).  Every sum over faces walks the ends in this order.
+    ``bnd_points`` holds the face centers of the boundary faces and
+    ``centers`` the cell centers.  The table is cached per grid and its
+    arrays reach user callables, so every array is read-only.
     """
 
     grid: Grid
-    int_left: tuple[np.ndarray, ...]
-    int_right: tuple[np.ndarray, ...]
-    bnd_cell: np.ndarray
-    bnd_axis: np.ndarray
-    bnd_side: np.ndarray
+    n_interior: int
+    left: np.ndarray
+    right: np.ndarray
+    dist: np.ndarray
+    area: np.ndarray
+    axis: np.ndarray
+    sign: np.ndarray
+    end_face: np.ndarray
+    end_cell: np.ndarray
+    end_sign: np.ndarray
     bnd_points: np.ndarray
-    spacing: tuple[float, ...]
-    area: tuple[float, ...]
-    bnd_half: np.ndarray
-    bnd_area: np.ndarray
+    centers: np.ndarray
+
+    @property
+    def n_faces(self) -> int:
+        return len(self.left)
 
     @property
     def n_boundary(self) -> int:
-        return len(self.bnd_cell)
+        return self.n_faces - self.n_interior
+
+    @property
+    def bnd_cell(self) -> np.ndarray:
+        return self.left[self.n_interior:]
+
+    def ends(self, n_faces: int) -> slice:
+        """The ends of the first ``n_faces`` faces: all interior faces, or all faces."""
+        return slice(self.n_interior + n_faces)
 
 
 @lru_cache(maxsize=None)
 def face_table(grid: Grid) -> FaceTable:
+    nd = grid.ndim
     idx = grid.flat_index()
-    int_left, int_right = [], []
-    for axis in range(grid.ndim):
-        sl_l = [slice(None)] * grid.ndim
-        sl_r = [slice(None)] * grid.ndim
-        sl_l[axis] = slice(None, -1)
-        sl_r[axis] = slice(1, None)
-        int_left.append(idx[tuple(sl_l)].ravel())
-        int_right.append(idx[tuple(sl_r)].ravel())
-
-    cells, axes, sides, pts = [], [], [], []
-    centers = [grid.axis_centers(d) for d in range(grid.ndim)]
-    for axis in range(grid.ndim):
-        for side in (0, 1):
-            sl = [slice(None)] * grid.ndim
-            sl[axis] = 0 if side == 0 else -1
-            sel = np.atleast_1d(idx[tuple(sl)]).ravel()
-            coord = 0.0 if side == 0 else grid.extents[axis]
-            p = np.empty((len(sel), grid.ndim))
-            p[:, axis] = coord
-            if grid.ndim == 2:
-                p[:, 1 - axis] = centers[1 - axis]
-            cells.append(sel)
-            axes.append(np.full(len(sel), axis, dtype=int))
-            sides.append(np.full(len(sel), side, dtype=int))
-            pts.append(p)
-    spacing = grid.spacing
-    area = tuple(grid.cell_volume / h for h in spacing)
-    bnd_axis = np.concatenate(axes)
-    ft = FaceTable(grid,
-                   tuple(int_left), tuple(int_right),
-                   np.concatenate(cells), bnd_axis,
-                   np.concatenate(sides), np.concatenate(pts, axis=0),
-                   spacing, area,
-                   np.array(spacing)[bnd_axis] / 2.0, np.array(area)[bnd_axis])
-    for a in (*ft.int_left, *ft.int_right, ft.bnd_cell, ft.bnd_axis, ft.bnd_side,
-              ft.bnd_points, ft.bnd_half, ft.bnd_area):
-        a.flags.writeable = False
+    centers = grid.cell_centers()
+    left, right, axis, sign, points = [], [], [], [], []
+    for d in range(nd):
+        lo, hi = [slice(None)] * nd, [slice(None)] * nd
+        lo[d], hi[d] = slice(None, -1), slice(1, None)
+        left.append(idx[tuple(lo)].ravel())
+        right.append(idx[tuple(hi)].ravel())
+        axis.append(np.full(len(left[-1]), d))
+        sign.append(np.ones(len(left[-1]), dtype=np.int8))
+    n_interior = sum(map(len, left))
+    for d, side in product(range(nd), (0, 1)):
+        sl = [slice(None)] * nd
+        sl[d] = -side
+        cells = np.atleast_1d(idx[tuple(sl)]).ravel()
+        points.append(centers[cells])
+        points[-1][:, d] = side * grid.extents[d]
+        left.append(cells)
+        axis.append(np.full(len(cells), d))
+        sign.append(np.full(len(cells), 2 * side - 1, dtype=np.int8))
+    left, axis = np.concatenate(left), np.concatenate(axis)
+    n_faces = len(left)
+    right = np.concatenate(right + [grid.n_cells + np.arange(n_faces - n_interior)])
+    spacing = np.array(grid.spacing)
+    dist = spacing[axis]
+    dist[n_interior:] /= 2.0
+    # ends: the left end of every face, then the right end of every interior face,
+    # stably sorted by the axis of interior faces, with the boundary ends last
+    end_face = np.concatenate((np.arange(n_faces), np.arange(n_interior)))
+    end_sign = np.concatenate((np.ones(n_faces, np.int8), np.full(n_interior, -1, np.int8)))
+    order = np.argsort(np.where(end_face < n_interior, axis[end_face], nd), kind="stable")
+    end_face, end_sign = end_face[order], end_sign[order]
+    ft = FaceTable(grid, n_interior, left, right, dist, (grid.cell_volume / spacing)[axis], axis,
+                   np.concatenate(sign), end_face,
+                   np.where(end_sign > 0, left[end_face], right[end_face]), end_sign,
+                   np.concatenate(points), centers)
+    for f in fields(ft):
+        value = getattr(ft, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return ft
 
 
@@ -128,20 +158,24 @@ def face_table(grid: Grid) -> FaceTable:
 # face values and gradients
 # ---------------------------------------------------------------------------
 
-def interior_gradient(ft: FaceTable, u: np.ndarray, axis: int) -> np.ndarray:
-    """(u_R - u_L) / h on the interior faces of one axis."""
-    return (u[ft.int_right[axis]] - u[ft.int_left[axis]]) / ft.spacing[axis]
+def slot_values(ft: FaceTable, v: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
+    """``v`` on every slot: the cells, then the ghosts of the boundary faces.
 
-
-def boundary_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
-    """Outward-oriented gradient (trace - u_cell) / (h/2) on boundary faces.
-
-    Positive values mean the trace exceeds the adjacent cell value; closed
-    boundaries (traces None) have zero gradient.
+    Ghosts hold ``traces``; without traces (a closed boundary) they repeat
+    the adjacent cell value.  ``v`` may stack fields along leading axes.
     """
-    if traces is None:
-        return np.zeros(ft.n_boundary)
-    return (traces - u[ft.bnd_cell]) / ft.bnd_half
+    ghost = v[..., ft.bnd_cell] if traces is None else traces
+    return np.concatenate((v, ghost), axis=-1)
+
+
+def face_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
+    """(u_right - u_left) / dist on every face; zero on closed boundary faces.
+
+    On a boundary face this is the outward (trace - u_cell) / (h/2): positive
+    values mean the trace exceeds the adjacent cell value.
+    """
+    s = slot_values(ft, u, traces)
+    return (s[ft.right] - s[ft.left]) / ft.dist
 
 
 def upwind_face_value(w_left, w_right, driver) -> np.ndarray:
@@ -161,35 +195,29 @@ def centered_face_value(w_left, w_right, driver=None) -> np.ndarray:
     return 0.5 * (np.asarray(w_left, dtype=float) + np.asarray(w_right, dtype=float))
 
 
-def cell_gradient(ft: FaceTable, u: np.ndarray, axis: int,
-                  traces: np.ndarray | None) -> np.ndarray:
-    """Cell-centered gradient along one axis, averaged from face differences.
+def cell_average(ft: FaceTable, v: np.ndarray) -> np.ndarray:
+    """Per axis, the mean of the face values ``v`` over the faces of each cell.
+
+    ``v`` covers the interior faces or all faces; a cell without a covered
+    face on an axis gets 0.  Returns shape (ndim, n_cells).
+    """
+    n = ft.grid.n_cells
+    e = ft.ends(len(v))
+    faces = ft.end_face[e]
+    bins = ft.axis[faces] * n + ft.end_cell[e]
+    acc = np.bincount(bins, weights=v[faces], minlength=ft.grid.ndim * n)
+    cnt = np.bincount(bins, minlength=ft.grid.ndim * n)
+    return (acc / np.maximum(cnt, 1)).reshape(ft.grid.ndim, n)
+
+
+def cell_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
+    """Cell-centered gradient, shape (ndim, n_cells), averaged from face gradients.
 
     Boundary faces use the Dirichlet trace at half-cell distance when
     available and are skipped for closed boundaries (one-sided average).
     """
-    grid = ft.grid
-    n = grid.n_cells
-    acc = np.zeros(n)
-    cnt = np.zeros(n)
-    g_int = interior_gradient(ft, u, axis)
-    np.add.at(acc, ft.int_left[axis], g_int)
-    np.add.at(acc, ft.int_right[axis], g_int)
-    np.add.at(cnt, ft.int_left[axis], 1.0)
-    np.add.at(cnt, ft.int_right[axis], 1.0)
-    if traces is not None:
-        sel = ft.bnd_axis == axis
-        cells = ft.bnd_cell[sel]
-        sides = ft.bnd_side[sel]
-        half = ft.spacing[axis] / 2.0
-        # oriented along +axis: low side has the ghost on the left
-        g_b = np.where(sides == 0,
-                       (u[cells] - traces[sel]) / half,
-                       (traces[sel] - u[cells]) / half)
-        np.add.at(acc, cells, g_b)
-        np.add.at(cnt, cells, 1.0)
-    cnt[cnt == 0.0] = 1.0
-    return acc / cnt
+    n_faces = ft.n_interior if traces is None else ft.n_faces
+    return cell_average(ft, (ft.sign * face_gradient(ft, u, traces))[:n_faces])
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +235,9 @@ def _term_index(ft: FaceTable, n: int, term: tuple) -> tuple[np.ndarray, np.ndar
     if term[0] == "mass":
         idx = np.arange(n)
         return r0 + idx, c0 + idx
-    if term[0] == "bnd":
-        return r0 + ft.bnd_cell, c0 + ft.bnd_cell
-    L, R = ft.int_left[term[3]], ft.int_right[term[3]]
-    return (np.concatenate((r0 + L, r0 + L, r0 + R, r0 + R)),
-            np.concatenate((c0 + L, c0 + R, c0 + R, c0 + L)))
+    ends = ft.end_cell[ft.ends(term[3])]
+    L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
+    return r0 + np.concatenate((ends, L, R)), c0 + np.concatenate((ends, R, L))
 
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
@@ -250,10 +276,12 @@ class SystemBuilder:
 
     Each matrix contribution is recorded as a structural term on the block
     (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
-    on the block diagonal, ``("face", row_sp, col_sp, axis)`` on the two
-    cells of every interior face of one axis, with values in the order
-    (LL, LR, RR, RL), and ``("bnd", row_sp, col_sp)`` on the cell of every
-    boundary face.  The right-hand side is accumulated directly.
+    on the block diagonal, and ``("face", row_sp, col_sp, n_faces)`` on the
+    first ``n_faces`` faces of the face table, the interior faces or all
+    faces.  A face term's values are the diagonal entries of the face ends
+    covered, in table order, then the (left, right) and the (right, left)
+    entries of the interior faces.  The right-hand side is accumulated
+    directly.
     :meth:`change_unknowns` rewrites the recorded system in other unknowns,
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR pattern of the term sequence, computed
@@ -314,35 +342,31 @@ class SystemBuilder:
     def add_rhs(self, species: int, values: np.ndarray) -> None:
         self.rhs[species * self.n:(species + 1) * self.n] += values
 
-    def add_tpfa(self, row_sp: int, col_sp: int,
-                 g_int: dict[int, np.ndarray],
-                 g_bnd: np.ndarray | None,
+    def add_tpfa(self, row_sp: int, col_sp: int, g: np.ndarray,
                  traces: np.ndarray | None) -> None:
         """Two-point term -div(g grad u_colsp) added to the row-species residual.
 
-        ``g_int[axis]`` holds per-interior-face coefficients; ``g_bnd`` the
-        per-boundary-face ones (ignored for closed boundaries, traces None).
+        ``g`` holds per-face coefficients of the interior faces or of all
+        faces.  Boundary faces take part only when ``g`` covers them and the
+        column species has Dirichlet ``traces``, which enter the right-hand
+        side through the ghost slots.
         """
         ft = self.ft
-        for axis, g in g_int.items():
-            t = g * ft.area[axis] / ft.spacing[axis]
-            self.add_term(("face", row_sp, col_sp, axis), np.concatenate((t, -t, t, -t)))
-        if traces is not None and g_bnd is not None:
-            t = g_bnd * ft.bnd_area / ft.bnd_half
-            self.add_term(("bnd", row_sp, col_sp), t)
-            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), t * traces)
+        n_faces = len(g) if traces is not None else ft.n_interior
+        t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
+        off = -t[:ft.n_interior]
+        self.add_term(("face", row_sp, col_sp, n_faces),
+                      np.concatenate((t[ft.end_face[ft.ends(n_faces)]], off, off)))
+        if n_faces > ft.n_interior:
+            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), t[ft.n_interior:] * traces)
 
-    def add_explicit_flux(self, row_sp: int,
-                          f_int: dict[int, np.ndarray],
-                          f_bnd: np.ndarray | None) -> None:
-        """Add a fully evaluated face flux (per unit area) to the RHS."""
+    def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:
+        """Add a fully evaluated face flux (per unit area, on the faces ``f`` covers) to the RHS."""
         ft = self.ft
-        for axis, f in f_int.items():
-            fa = f * ft.area[axis]
-            np.add.at(self.rhs, self._block(row_sp, ft.int_left[axis]), fa)
-            np.add.at(self.rhs, self._block(row_sp, ft.int_right[axis]), -fa)
-        if f_bnd is not None:
-            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), f_bnd * ft.bnd_area)
+        e = ft.ends(len(f))
+        fa = f * ft.area[:len(f)]
+        np.add.at(self.rhs, self._block(row_sp, ft.end_cell[e]),
+                  ft.end_sign[e] * fa[ft.end_face[e]])
 
     def matrix(self) -> sparse.csr_matrix:
         indptr, indices, slot = _pattern(self.grid, self.m, tuple(self.terms))
@@ -358,7 +382,8 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
     """Total boundary inflow sum_f g * (trace - u_cell)/(h/2) * area (closed: 0)."""
     if traces is None:
         return 0.0
-    return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / ft.bnd_half * ft.bnd_area))
+    b = slice(ft.n_interior, None)
+    return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / ft.dist[b] * ft.area[b]))
 
 
 # ---------------------------------------------------------------------------

@@ -138,96 +138,79 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
     recorded system, and ``budget(u_new)``, which gives the per-species
     source integral and discrete boundary inflow of the solved step.
     """
-    m, n = spec.m, grid.n_cells
+    m = spec.m
     builder = SystemBuilder(grid, m)
     ft = builder.ft
+    ni = ft.n_interior
     vol = grid.cell_volume
-    points = grid.cell_centers()
     dt = cfg.dt
 
     traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
-    w_cell = [_coefficient(u_lag[i], spec, cfg) for i in range(m)]
-    w_trace = [None if tr is None else _coefficient(tr, spec, cfg) for tr in traces]
+    # the lagged coefficient of each species at both sides of every face
+    w_sides = []
+    for i, tr in enumerate(traces):
+        w = fv.slot_values(ft, _coefficient(u_lag[i], spec, cfg),
+                           None if tr is None else _coefficient(tr, spec, cfg))
+        w_sides.append((w[ft.left], w[ft.right]))
     weight = fv.upwind_face_value if cfg.cross_weighting == "upwind" else fv.centered_face_value
+    grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
 
-    # lagged cell gradients, used by tangential terms (2D, full tensors only)
+    # lagged tangential face gradients: the mean of the cell gradients at the
+    # two ends of a face (2D, full tensors only)
     need_tangential = grid.ndim == 2 and any(
         spec.K[i][j].matrix[0, 1] != 0.0 or spec.K[i][j].matrix[1, 0] != 0.0
         for i in range(m) for j in range(m))
-    cgrad = None
     if need_tangential:
-        cgrad = [[fv.cell_gradient(ft, u_lag[j], l, traces[j]) for l in range(grid.ndim)]
-                 for j in range(m)]
+        tang_axis = 1 - ft.axis
+        tgrad = []
+        for j in range(m):
+            cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
+            tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
 
-    bnd_sign = 2.0 * ft.bnd_side - 1.0  # -1 at the low side, +1 at the high side
-
-    # per-species boundary coefficient bundles for the post-solve flux evaluation
-    flux_pairs: list[list[tuple]] = [[] for _ in range(m)]
-    flux_expl = [np.zeros(ft.n_boundary) for _ in range(m)]
-    q = np.stack([spec.source_values(i, t_prev, points, u_prev) for i in range(m)])
+    # per species: the column species and boundary coefficients of its
+    # two-point terms, and its explicit boundary flux, for the post-solve flux
+    # evaluation (copies, so the interior coefficients are freed)
+    flux_terms = []
+    q = np.stack([spec.source_values(i, t_prev, ft.centers, u_prev) for i in range(m)])
 
     for i in range(m):
+        # a closed species carries no flux through the boundary faces
+        n_faces = ft.n_faces if traces[i] is not None else ni
         builder.add_mass(i, 1.0 / dt)
         builder.add_rhs(i, vol * (u_prev[i] / dt + q[i]))
-        ones_b = np.full(ft.n_boundary, spec.delta[i])
-        builder.add_tpfa(i, i, {d: np.full(len(ft.int_left[d]), spec.delta[i])
-                                for d in range(grid.ndim)},
-                         ones_b, traces[i])
-        flux_pairs[i].append((i, ones_b))
+        ones = np.full(n_faces, spec.delta[i])
+        builder.add_tpfa(i, i, ones, traces[i])
+        pairs = [(i, ones[ni:].copy())]
+        expl = np.zeros(n_faces - ni)
 
         for j in range(m):
             kmat = spec.K[i][j].matrix
             if not kmat.any():
                 continue
-            g_int: dict[int, np.ndarray] = {}
-            f_int: dict[int, np.ndarray] = {}
-            for d in range(grid.ndim):
-                L, R = ft.int_left[d], ft.int_right[d]
-                grad_n = fv.interior_gradient(ft, u_lag[j], d)
-                driver = kmat[d, d] * grad_n
-                tang = None
-                if need_tangential:
-                    for l in range(grid.ndim):
-                        if l == d or kmat[d, l] == 0.0:
-                            continue
-                        tg = 0.5 * (cgrad[j][l][L] + cgrad[j][l][R])
-                        driver = driver + kmat[d, l] * tg
-                        tang = kmat[d, l] * tg if tang is None else tang + kmat[d, l] * tg
-                w_face = weight(w_cell[i][L], w_cell[i][R], driver)
-                g_int[d] = w_face * kmat[d, d]
-                if tang is not None:
-                    f_int[d] = w_face * tang
-
-            # a closed species i has no boundary flux at all
-            g_bnd = f_bnd = None
-            if traces[i] is not None:
-                grad_b = fv.boundary_gradient(ft, u_lag[j], traces[j])
-                kdd_b = kmat[ft.bnd_axis, ft.bnd_axis]
-                driver_b = kdd_b * grad_b
-                tang_b = None
-                if need_tangential:
-                    koff_b = kmat[ft.bnd_axis, 1 - ft.bnd_axis]
-                    tang_b = koff_b * np.where(ft.bnd_axis == 0,
-                                               cgrad[j][1][ft.bnd_cell],
-                                               cgrad[j][0][ft.bnd_cell])
-                    driver_b = driver_b + bnd_sign * tang_b
-                w_face_b = weight(w_cell[i][ft.bnd_cell], w_trace[i], driver_b)
-                g_bnd = w_face_b * kdd_b
-                flux_pairs[i].append((j, g_bnd))
-                if tang_b is not None:
-                    f_bnd = bnd_sign * w_face_b * tang_b
-                    flux_expl[i] += f_bnd
-            builder.add_tpfa(i, j, g_int, g_bnd, traces[j])
-            if f_int or f_bnd is not None:
-                builder.add_explicit_flux(i, f_int, f_bnd)
+            kdd = kmat.diagonal()[ft.axis]
+            driver = kdd * grad[j]
+            if need_tangential:
+                tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
+                driver = driver + ft.sign * tang
+            w_face = weight(*w_sides[i], driver)[:n_faces]
+            g = w_face * kdd[:n_faces]
+            builder.add_tpfa(i, j, g, traces[j])
+            pairs.append((j, g[ni:].copy()))
+            if need_tangential:
+                f = ft.sign[:n_faces] * w_face * tang[:n_faces]
+                builder.add_explicit_flux(i, f)
+                expl += f[ni:]
+        flux_terms.append((pairs, expl))
 
     def budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flux = np.zeros(m)
-        for i in range(m):
+        for i, (pairs, expl) in enumerate(flux_terms):
+            if traces[i] is None:  # a closed species has no boundary inflow
+                continue
             total = 0.0
-            for j, g_bnd in flux_pairs[i]:
-                total += fv.boundary_flux_integral(ft, g_bnd, u_new[j], traces[j])
-            total += float(np.sum(flux_expl[i] * ft.bnd_area))
+            for j, g in pairs:
+                total += fv.boundary_flux_integral(ft, g, u_new[j], traces[j])
+            total += float(np.sum(expl * ft.area[ni:]))
             flux[i] = total
         return q.sum(axis=1) * vol, flux
 

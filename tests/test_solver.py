@@ -501,13 +501,13 @@ def built(monkeypatch):
     def log(self, call):
         self.__dict__.setdefault("calls", []).append(call)
 
-    def spy_mass(self, *args):
-        log(self, ("mass", args))
-        return add_mass(self, *args)
+    def spy_mass(self, species, coeff):
+        log(self, ("mass", (species, coeff)))
+        return add_mass(self, species, coeff)
 
-    def spy_tpfa(self, *args):
-        log(self, ("tpfa", args))
-        return add_tpfa(self, *args)
+    def spy_tpfa(self, row_sp, col_sp, g, traces):
+        log(self, ("tpfa", (row_sp, col_sp, g, traces)))
+        return add_tpfa(self, row_sp, col_sp, g, traces)
 
     def spy_matrix(self):
         a = matrix(self)
@@ -532,19 +532,19 @@ def coo_reference(grid, m, calls) -> sparse.csr_matrix:
             cols.append(cells)
             vals.append(np.full(n, coeff * grid.cell_volume))
             continue
-        row_sp, col_sp, g_int, g_bnd, traces = args
-        for axis, g in g_int.items():
-            t = g * ft.area[axis] / ft.spacing[axis]
-            left, right = ft.int_left[axis], ft.int_right[axis]
-            for r, c, sign in ((left, left, 1.0), (left, right, -1.0),
-                               (right, right, 1.0), (right, left, -1.0)):
-                rows.append(row_sp * n + r)
-                cols.append(col_sp * n + c)
-                vals.append(sign * t)
-        if traces is not None and g_bnd is not None:
-            rows.append(row_sp * n + ft.bnd_cell)
-            cols.append(col_sp * n + ft.bnd_cell)
-            vals.append(g_bnd * ft.bnd_area / ft.bnd_half)
+        row_sp, col_sp, g, traces = args
+        ni = ft.n_interior
+        nf = len(g) if traces is not None else ni  # boundary faces need traces
+        t = g[:nf] * ft.area[:nf] / ft.dist[:nf]
+        left, right = ft.left[:ni], ft.right[:ni]
+        for r, c, sign in ((left, left, 1.0), (left, right, -1.0),
+                           (right, right, 1.0), (right, left, -1.0)):
+            rows.append(row_sp * n + r)
+            cols.append(col_sp * n + c)
+            vals.append(sign * t[:ni])
+        rows.append(row_sp * n + ft.left[ni:nf])
+        cols.append(col_sp * n + ft.left[ni:nf])
+        vals.append(t[ni:])
     return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(m * n, m * n)).tocsr()
 
@@ -555,6 +555,11 @@ def assert_matches_coo(build) -> None:
     assert np.array_equal(a.indptr, ref.indptr)
     assert np.array_equal(a.indices, ref.indices)
     assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+
+def covers_boundary(grid, term) -> bool:
+    """Whether a recorded face term reaches past the interior faces."""
+    return term[0] == "face" and term[3] > fv.face_table(grid).n_interior
 
 
 def full_tensor_spec(dirichlet=(0.0, None), cross=1.0):
@@ -579,7 +584,7 @@ def assemble_generic(spec, grid=GRID_75, cfg=None):
 def test_pattern_matches_coo_full_tensor_closed_species(built):
     assemble_generic(full_tensor_spec())
     (build,) = built
-    assert any(term[0] == "bnd" for term in build[3])
+    assert any(covers_boundary(GRID_75, term) for term in build[3])
     assert_matches_coo(build)
 
 
@@ -589,7 +594,7 @@ def test_pattern_matches_coo_aquifer_closed_box(built):
     spec = aq._thickness_spec(aq.keulegan_scenario(grid, pump_rate=0.05), grid, math.inf)
     assemble_generic(spec, grid, StepperConfig(dt=3e-3, t_end=3e-3))
     (build,) = built
-    assert all(term[0] != "bnd" for term in build[3])
+    assert not any(covers_boundary(grid, term) for term in build[3])
     assert_matches_coo(build)
 
 
@@ -643,17 +648,19 @@ def test_term_sequences_on_one_grid_keep_their_own_patterns(built):
 
 
 def drain_reference(grid, m, terms, vals) -> sparse.csr_matrix:
-    """coo -> csr of recorded face and boundary terms, indexed from face_table."""
+    """coo -> csr of recorded face terms, indexed from face_table.
+
+    A face term's values are the diagonal entries of the face ends covered,
+    then the (left, right) and the (right, left) entries of the interior faces.
+    """
     ft = fv.face_table(grid)
     n = grid.n_cells
     rows, cols = [], []
-    for kind, row_sp, col_sp, *axis in terms:
-        if kind == "face":
-            left, right = ft.int_left[axis[0]], ft.int_right[axis[0]]
-            r, c = (left, left, right, right), (left, right, right, left)
-        else:
-            assert kind == "bnd"
-            r, c = (ft.bnd_cell,), (ft.bnd_cell,)
+    for kind, row_sp, col_sp, n_faces in terms:
+        assert kind == "face"
+        ends = ft.end_cell[ft.ends(n_faces)]
+        left, right = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
+        r, c = (ends, left, right), (ends, right, left)
         rows.append(row_sp * n + np.concatenate(r))
         cols.append(col_sp * n + np.concatenate(c))
     return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -693,7 +700,13 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     drain = fv.SystemBuilder(grid, 2)
     aq._add_drain(drain, aspec, u_lag[0], s_lag, cfg.dt)
     assert all(np.any(v != 0.0) for v in drain.vals)
-    assert any(term[0] == "bnd" for term in drain.terms) == (kind == "dirichlet-2d")
+    # nonzero on the faces of every axis and, where covered, on the boundary faces
+    ft = fv.face_table(grid)
+    for (_, _, _, n_faces), v in zip(drain.terms, drain.vals):
+        faces = ft.end_face[ft.ends(n_faces)]
+        group = np.where(faces < ft.n_interior, ft.axis[faces], grid.ndim)
+        assert all(np.any(v[:len(faces)][group == k] != 0.0) for k in np.unique(group))
+    assert any(covers_boundary(grid, term) for term in drain.terms) == (kind == "dirichlet-2d")
     eye = sparse.identity(n, format="csr")
     q_op = sparse.bmat([[eye, None], [eye, eye]], format="csr")
     p_op = sparse.bmat([[eye, None], [-eye, eye]], format="csr")
