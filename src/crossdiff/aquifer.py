@@ -33,7 +33,8 @@ thickness system with the generic assembly on an internal spec (ell = inf,
 closed species for a closed box); the penalized sweep then has the builder
 rewrite its recorded terms in the unknowns (u1, s), which the builder maps
 back to (u1, u2), and records the drain terms on the s block.  The confined
-sweep is its own (w, phi) assembly, with zero budget series.
+sweep is its own (w, phi) assembly.  The budget series are those of the
+solved state's species: (u1, u2), without the drain, and (w, phi).
 """
 
 from __future__ import annotations
@@ -245,7 +246,13 @@ def _u_traces(aspec: AquiferSpec, grid: Grid, t: float):
 
 # Change of unknowns (u1, u2) -> (u1, s) of the penalized sweeps, as 2 x 2
 # block maps: the s row is the u1 row plus the u2 row (Q), and the u2 column
-# becomes s - u1 (P).
+# becomes s - u1 (P).  The drain could sit on the u2 row in the unknowns
+# (u1, u2) instead, which is algebraically the same system and would need no
+# change of unknowns.  But the drain acts on s = u1 + u2, so in (u1, u2) half
+# of its eps^-1 entries fall on the off-diagonal block that block-Jacobi
+# leaves out: GMRES then needed about twice the preconditioner applications
+# per step (15.0 -> 29.0 on a 48-cell drain-active case at epsilon = 0.1,
+# 22.9 -> 42.5 at 1e-4, 13.1 -> 27.2 on a 64^2 Dirichlet case).
 _TO_TOTAL = ((1.0, 0.0), (1.0, 1.0))
 _FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
 
@@ -320,10 +327,10 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
         return spec, cfg_u, generic
 
     def sweep(u_prev, u_lag, t_prev, t_new):
-        builder, budget = generic(u_prev, u_lag, t_prev, t_new)
+        builder = generic(u_prev, u_lag, t_prev, t_new)
         builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
         _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], t_new)
-        return builder, budget
+        return builder
     return spec, cfg_u, sweep
 
 
@@ -412,8 +419,8 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag
                        t_prev: float, t_new: float, cfg: StepperConfig):
     """One sweep of the (w, phi) system: parabolic salt thickness, elliptic head.
 
-    Returns the sweep's builder and the step's budget evaluator, whose
-    series are zero.
+    The builder's budget is that of (w, phi): the head row has no mass term
+    and the pumping as its source.
     """
     (w_prev, _), (w_lag, phi_lag) = u_prev, u_lag
     builder = SystemBuilder(grid, 2)
@@ -443,11 +450,8 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag
     builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
     builder.add_tpfa(1, 1, one_a * _face_h2(aspec, ft), phi_trace)
     builder.add_rhs(1, -vol * pump)
-    return builder, _zero_budget
-
-
-def _zero_budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(2), np.zeros(2)
+    builder.source[1] = -vol * pump.sum()
+    return builder
 
 
 def _face_h2(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
@@ -485,7 +489,7 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     table at the top (h1 = 0); pumping acts as a sink of the total-flow
     balance.  The head always takes Dirichlet data from ``dirichlet_phi``.
     The state (w, phi) = (h2 - h, phi) runs through the solver's Picard and
-    time loops; its budget series are zero.
+    time loops; the budget series are those of (w, phi).
     """
     aspec.validate(grid)
     h2c = aspec.h2_cells(grid)

@@ -1,11 +1,12 @@
 """Batch front-end: JSON scenario configs in, plot-ready CSV artifacts out.
 
 Verbs: ``check``, ``simulate``, ``aquifer``, ``keulegan``, ``probe``,
-``sweep``, ``convergence``.  Configs are strict (unknown keys rejected,
-defaults echoed through the manifest) and runs are deterministic: two
-invocations on the same config produce byte-identical artifact sets.  The
-manifest records the config hash, the effective config and the artifact
-list; wall time is reported on stderr only so artifacts stay reproducible.
+``sweep``, ``convergence``.  Configs are strict (unknown keys and ill-typed
+values rejected) and runs are deterministic: two invocations on the same
+config produce byte-identical artifact sets.  The manifest records the config
+hash, the effective config (grid, stepper and output defaults filled in, the
+other blocks as written) and the artifact list; wall time is reported on
+stderr only so artifacts stay reproducible.
 
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
@@ -55,33 +56,46 @@ _AQUIFER_MODEL_KEYS = {"h2", "delta", "alpha", "epsilon", "initial_h", "initial_
                        "pumping", "variant"}
 _KEULEGAN_MODEL_KEYS = {"tilt", "pump_rate", "h2", "delta", "alpha", "epsilon",
                         "h_mid", "h1_level", "well_position", "variant"}
-_DIAG_KEYS = {"conditions": {"g_s", "g_r"},
-              "degiorgi": {"species", "s", "m", "m_prime", "n_max", "ell0", "M_s",
-                           "sobolev_beta"},
-              "bounds": {"lo", "hi"},
-              "levels": {"count", "lo", "hi"},
-              "probe": {"amplitude", "radius", "center"}}
+# (test, description) of the type a config value is converted to; a bool is no number
+_INTEGER = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
+_NUMBERS = (lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+            "a list of numbers")
+_ELL0 = (lambda v: v == "max_initial" or type(v) in (int, float), 'a number or "max_initial"')
+_STRING = (lambda v: type(v) is str, "a string")
+_DIAG_KEYS = {"conditions": {"g_s": _NUMBER, "g_r": _NUMBER},
+              "degiorgi": {"species": (lambda v: type(v) is int and v in (1, 2), "1 or 2"),
+                           "s": _NUMBER, "m": _NUMBER, "m_prime": _NUMBER, "n_max": _INTEGER,
+                           "ell0": _ELL0, "M_s": _NUMBER_OR_NULL, "sobolev_beta": _NUMBER_OR_NULL},
+              "bounds": {"lo": _NUMBER, "hi": _NUMBER},
+              "levels": {"count": _INTEGER, "lo": _NUMBER, "hi": _NUMBER_OR_NULL},
+              "probe": {"amplitude": _NUMBER, "radius": _NUMBER, "center": _NUMBERS}}
 _PROFILE_KEYS = {"profile", "value", "amplitude", "center", "width", "rate", "position"}
-_CONV_KEYS = {"case", "levels", "nx0", "dt0", "t_end"}
-_SWEEP_KEYS = {"epsilon_list"}
+_CONV_KEYS = {"case": _STRING, "levels": _INTEGER, "nx0": _INTEGER, "dt0": _NUMBER,
+              "t_end": _NUMBER}
+_SWEEP_KEYS = {"epsilon_list": _NUMBERS}
 
 _STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, **{
     f.name: f.default for f in fields(StepperConfig) if f.default is not MISSING}}
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> dict:
-    """A copy of ``block`` once it is known to be an object with allowed keys only."""
+def _check_keys(block: dict, allowed, where: str) -> dict:
+    """A copy of ``block`` once it is an object with allowed keys, of the types a dict gives."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(block) - allowed
+    unknown = set(block).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    for key, (test, description) in (allowed.items() if isinstance(allowed, dict) else ()):
+        if key in block and not test(block[key]):
+            raise ConfigError(f"{where}.{key} must be {description}, got {block[key]!r}")
     return dict(block)
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario with defaults applied; ``effective`` echoes them."""
+    """Parsed scenario; ``effective`` is the config the manifest echoes."""
 
     kind: str
     grid: Grid
@@ -114,7 +128,7 @@ def _profile_block(raw, where: str) -> dict:
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
-    """Strictly parse a JSON scenario file, applying and echoing defaults."""
+    """Strictly parse a JSON scenario file, filling in the grid, stepper and output defaults."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -158,13 +172,12 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     diag_block = _check_keys(raw.get("diagnostics") or {}, set(_DIAG_KEYS), "diagnostics")
     for name, block in diag_block.items():
         _check_keys(block or {}, _DIAG_KEYS[name], f"diagnostics.{name}")
-    degiorgi = diag_block.get("degiorgi")
-    if degiorgi and kind == "generic":  # the level iteration pairs species i with 1 - i
-        if model_block.get("m", 2) != 2:
-            raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
-        if degiorgi.get("species", 1) not in (1, 2):
-            raise ConfigError("diagnostics.degiorgi species must be 1 or 2, "
-                              f"got {degiorgi['species']!r}")
+    center = (diag_block.get("probe") or {}).get("center")
+    if center is not None and len(center) != grid.ndim:
+        raise ConfigError(f"diagnostics.probe.center needs {grid.ndim} numbers, got {center!r}")
+    # the level iteration pairs species i with 1 - i
+    if diag_block.get("degiorgi") and kind == "generic" and model_block.get("m", 2) != 2:
+        raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
     conv_block = _check_keys(raw.get("convergence") or {}, _CONV_KEYS, "convergence")
     sweep_block = _check_keys(raw.get("sweep") or {}, _SWEEP_KEYS, "sweep")
 
@@ -260,7 +273,7 @@ def build_generic_spec(config: ScenarioConfig) -> ModelSpec:
     grid = config.grid
     m = int(mb.get("m", 2))
     delta = [float(d) for d in mb.get("delta", [1.0] * m)]
-    k_raw = mb.get("K", [[1.0 if i == j else 1.0 for j in range(m)] for i in range(m)])
+    k_raw = mb.get("K", [[1.0] * m] * m)
     k = [[_tensor_from(k_raw[i][j], grid.ndim) for j in range(m)] for i in range(m)]
     ell = float(mb.get("ell", 1.0))
     initial = [_initial_profile(b, grid) for b in mb.get("initial", [0.0] * m)]
@@ -453,14 +466,11 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
     block = config.diagnostics.get("levels")
     if not block:
         return {}
-    count = int(block.get("count", 20))
-    lo = float(block.get("lo", 0.0))
     hi = block.get("hi")
     if hi is None:
         hi = max(float(s.values.max()) for s in result.snapshots) + 1e-9
-    profile = diagnostics.level_set_profile(result, grid,
-                                            np.linspace(lo, float(hi), count))
-    return {"levels.csv": profile.to_csv()}
+    levels = np.linspace(block.get("lo", 0.0), hi, block.get("count", 20))
+    return {"levels.csv": diagnostics.level_set_profile(result, grid, levels).to_csv()}
 
 
 def execute(config: ScenarioConfig, command: str = "simulate", *,
@@ -553,8 +563,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             eps = epsilon_list or config.sweep.get("epsilon_list")
             if not eps:
                 raise ConfigError("sweep needs an epsilon list (config or --epsilon-list)")
-            report = aq.epsilon_sweep(aspec, config.grid, config.stepper,
-                                      [float(e) for e in eps])
+            report = aq.epsilon_sweep(aspec, config.grid, config.stepper, eps)
             artifacts["sweep.csv"] = sweep_csv(report)
             if any(e["error"] is not None for e in report.entries):
                 exit_status = 1

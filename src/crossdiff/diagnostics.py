@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -368,10 +368,7 @@ def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
 
     points = grid.cell_centers()
     base_u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
-    spec_b = ModelSpec(m=spec.m, delta=spec.delta, K=spec.K, ell=spec.ell,
-                       domain=spec.domain,
-                       initial=[base_u0[i] + pv[i] for i in range(spec.m)],
-                       dirichlet=spec.dirichlet, sources=spec.sources)
+    spec_b = replace(spec, initial=[base_u0[i] + pv[i] for i in range(spec.m)])
     res_a = solver.run(spec, grid, cfg, validate=False)
     res_b = solver.run(spec_b, grid, cfg, validate=False)
 

@@ -18,7 +18,8 @@ is one vectorized pass over that table.
 records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
 the values into a CSR pattern that :func:`_pattern` derives once per grid,
-species count and term sequence.
+species count and term sequence.  It is also the one record of a step's
+budget, kept in the state's species (:meth:`SystemBuilder.budget`).
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
 factorization for small block systems, restarted GMRES for large ones,
 block-Jacobi preconditioned by the SuperLU factors of the species diagonal
@@ -287,6 +288,8 @@ class SystemBuilder:
     :meth:`matrix` looks up the CSR pattern of the term sequence, computed
     once per (grid, m, terms) by :func:`_pattern`, and sums the values into
     it.
+    The budget record (boundary terms, explicit boundary flux and the
+    ``source`` the assembly sets) stays in the state's species.
     """
 
     def __init__(self, grid: Grid, m: int):
@@ -298,9 +301,9 @@ class SystemBuilder:
         self.vals: list[np.ndarray] = []
         self.rhs = np.zeros(m * self.n)
         self.p = None  # block map from the solved unknowns to the state; None: the state
-
-    def _block(self, species: int, idx: np.ndarray) -> np.ndarray:
-        return species * self.n + idx
+        self.bnd_terms: list[tuple] = []
+        self.bnd_expl: dict[int, np.ndarray] = {}
+        self.source = np.zeros(m)
 
     def add_term(self, term: tuple, v: np.ndarray) -> None:
         """Record one structural term with its per-entry values."""
@@ -349,7 +352,7 @@ class SystemBuilder:
         ``g`` holds per-face coefficients of the interior faces or of all
         faces.  Boundary faces take part only when ``g`` covers them and the
         column species has Dirichlet ``traces``, which enter the right-hand
-        side through the ghost slots.
+        side through the ghost slots and their coefficients into the budget.
         """
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
@@ -358,15 +361,18 @@ class SystemBuilder:
         self.add_term(("face", row_sp, col_sp, n_faces),
                       np.concatenate((t[ft.end_face[ft.ends(n_faces)]], off, off)))
         if n_faces > ft.n_interior:
-            np.add.at(self.rhs, self._block(row_sp, ft.bnd_cell), t[ft.n_interior:] * traces)
+            np.add.at(self.rhs, row_sp * self.n + ft.bnd_cell, t[ft.n_interior:] * traces)
+            self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
 
     def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:
         """Add a fully evaluated face flux (per unit area, on the faces ``f`` covers) to the RHS."""
         ft = self.ft
         e = ft.ends(len(f))
         fa = f * ft.area[:len(f)]
-        np.add.at(self.rhs, self._block(row_sp, ft.end_cell[e]),
+        np.add.at(self.rhs, row_sp * self.n + ft.end_cell[e],
                   ft.end_sign[e] * fa[ft.end_face[e]])
+        if len(f) > ft.n_interior:
+            self.bnd_expl[row_sp] = self.bnd_expl.get(row_sp, 0.0) + f[ft.n_interior:]
 
     def matrix(self) -> sparse.csr_matrix:
         indptr, indices, slot = _pattern(self.grid, self.m, tuple(self.terms))
@@ -376,12 +382,19 @@ class SystemBuilder:
         a.has_canonical_format = True
         return a
 
+    def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(source integral, boundary inflow) of each state species at the state ``u``."""
+        flux = np.zeros(self.m)
+        for row_sp, col_sp, g, traces in self.bnd_terms:
+            flux[row_sp] += boundary_flux_integral(self.ft, g, u[col_sp], traces)
+        for row_sp, f in self.bnd_expl.items():
+            flux[row_sp] += float(np.sum(f * self.ft.area[self.ft.n_interior:]))
+        return self.source, flux
+
 
 def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
-                           u: np.ndarray, traces: np.ndarray | None) -> float:
-    """Total boundary inflow sum_f g * (trace - u_cell)/(h/2) * area (closed: 0)."""
-    if traces is None:
-        return 0.0
+                           u: np.ndarray, traces: np.ndarray) -> float:
+    """Total boundary inflow sum_f g * (trace - u_cell)/(h/2) * area."""
     b = slice(ft.n_interior, None)
     return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / ft.dist[b] * ft.area[b]))
 
@@ -399,6 +412,9 @@ DIRECT_MAX_UNKNOWNS = 4096
 # A solve that needed more preconditioner applications than this makes the
 # next solve refactor the species blocks from its own matrix.
 REFACTOR_AFTER = 30
+
+# Inner GMRES iterations per restart cycle (capped by the call's ``maxiter``).
+GMRES_RESTART = 60
 
 # Column ordering of every SuperLU factor: the two-point blocks are
 # structurally symmetric, and minimum degree on A^T + A fills them less than
@@ -452,7 +468,7 @@ class BlockFactors:
 
 
 def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
-                 restart: int = 60, time: float | None = None,
+                 time: float | None = None,
                  x0: np.ndarray | None = None,
                  factors: BlockFactors | None = None) -> tuple[np.ndarray, float]:
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
@@ -480,7 +496,7 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
             return x, residual
     else:
         precond = factors.preconditioner(a, time)
-        restart = max(1, min(restart, maxiter))
+        restart = max(1, min(GMRES_RESTART, maxiter))
         outer = max(1, int(np.ceil(maxiter / restart)))
         x = x0
         rtol = tol

@@ -26,13 +26,14 @@ refactors only when GMRES starts to need many iterations.
 
 This module owns the package's only Picard sweep loop (:func:`_picard`) and
 only time loop (:func:`_integrate`); every variant reaches both through one
-callback ``sweep(u_prev, u_lag, t_prev, t_new) -> (builder, budget)``.
+callback ``sweep(u_prev, u_lag, t_prev, t_new)`` that returns the sweep's
+:class:`fv.SystemBuilder`, whose budget is in the solved state's species.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Integral
 from typing import Callable, Sequence
@@ -92,7 +93,8 @@ class SimulationResult:
 
     ``minmax[i]`` rows are (t, min u_i, max u_i); ``mass[i]`` rows are
     (t, integral of u_i); ``source_integral`` and ``boundary_flux`` hold the
-    discrete per-step budget terms entering the mass balance.
+    discrete per-step budget terms of the solved state's species (the
+    confined aquifer records h but solves w).
     """
 
     snapshots: list[Field]
@@ -132,16 +134,10 @@ def _coefficient(values: np.ndarray, spec: ModelSpec, cfg: StepperConfig) -> np.
 
 def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.ndarray,
                    t_prev: float, t_new: float, cfg: StepperConfig):
-    """Assemble one sweep's block system.
-
-    Returns (builder, budget): the :class:`fv.SystemBuilder` holding the
-    recorded system, and ``budget(u_new)``, which gives the per-species
-    source integral and discrete boundary inflow of the solved step.
-    """
+    """Assemble one sweep's block system and budget into a :class:`fv.SystemBuilder`."""
     m = spec.m
     builder = SystemBuilder(grid, m)
     ft = builder.ft
-    ni = ft.n_interior
     vol = grid.cell_volume
     dt = cfg.dt
 
@@ -167,21 +163,15 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
             cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
             tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
 
-    # per species: the column species and boundary coefficients of its
-    # two-point terms, and its explicit boundary flux, for the post-solve flux
-    # evaluation (copies, so the interior coefficients are freed)
-    flux_terms = []
     q = np.stack([spec.source_values(i, t_prev, ft.centers, u_prev) for i in range(m)])
+    builder.source = q.sum(axis=1) * vol
 
     for i in range(m):
         # a closed species carries no flux through the boundary faces
-        n_faces = ft.n_faces if traces[i] is not None else ni
+        n_faces = ft.n_faces if traces[i] is not None else ft.n_interior
         builder.add_mass(i, 1.0 / dt)
         builder.add_rhs(i, vol * (u_prev[i] / dt + q[i]))
-        ones = np.full(n_faces, spec.delta[i])
-        builder.add_tpfa(i, i, ones, traces[i])
-        pairs = [(i, ones[ni:].copy())]
-        expl = np.zeros(n_faces - ni)
+        builder.add_tpfa(i, i, np.full(n_faces, spec.delta[i]), traces[i])
 
         for j in range(m):
             kmat = spec.K[i][j].matrix
@@ -193,28 +183,10 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
                 tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
                 driver = driver + ft.sign * tang
             w_face = weight(*w_sides[i], driver)[:n_faces]
-            g = w_face * kdd[:n_faces]
-            builder.add_tpfa(i, j, g, traces[j])
-            pairs.append((j, g[ni:].copy()))
+            builder.add_tpfa(i, j, w_face * kdd[:n_faces], traces[j])
             if need_tangential:
-                f = ft.sign[:n_faces] * w_face * tang[:n_faces]
-                builder.add_explicit_flux(i, f)
-                expl += f[ni:]
-        flux_terms.append((pairs, expl))
-
-    def budget(u_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        flux = np.zeros(m)
-        for i, (pairs, expl) in enumerate(flux_terms):
-            if traces[i] is None:  # a closed species has no boundary inflow
-                continue
-            total = 0.0
-            for j, g in pairs:
-                total += fv.boundary_flux_integral(ft, g, u_new[j], traces[j])
-            total += float(np.sum(expl * ft.area[ni:]))
-            flux[i] = total
-        return q.sum(axis=1) * vol, flux
-
-    return builder, budget
+                builder.add_explicit_flux(i, ft.sign[:n_faces] * w_face * tang[:n_faces])
+    return builder
 
 
 def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: StepperConfig,
@@ -224,8 +196,8 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
 
     ``sweep(u_prev, u_lag, t_prev, t_new)`` returns the sweep's
     :class:`fv.SystemBuilder`, which maps the lagged state to the initial
-    guess and the solution back to the state, and ``budget(u_new)`` ->
-    (source integral, boundary inflow).  ``static`` systems have no lagged
+    guess and the solution back to the state, and whose ``budget(u_new)``
+    gives (source integral, boundary inflow).  ``static`` systems have no lagged
     coefficient and take a single sweep.  ``factors`` is the run's
     preconditioner holder (a single step makes its own); the step's GMRES
     iterations (``lin_iters``, 0 on the direct path) and whether a sweep
@@ -238,7 +210,7 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
     stats = {"picard_sweeps": 0, "picard_converged": True,
              "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
     for k in range(sweeps):
-        builder, budget = sweep(u_prev, u_lag, t_prev, t_new)
+        builder = sweep(u_prev, u_lag, t_prev, t_new)
         x, stats["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
                                                    cfg.lin_max, time=t_new,
                                                    x0=builder.to_unknowns(u_lag),
@@ -255,7 +227,7 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
             break
     else:
         stats["picard_converged"] = static
-    return (u_new, *budget(u_new), stats)
+    return (u_new, *builder.budget(u_new), stats)
 
 
 def _generic_sweep(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
@@ -473,11 +445,8 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
 
         sources = ([manufactured_forcing(exact_solution, spec, i) for i in range(m)]
                    if manufacture else spec.sources)
-        spec = ModelSpec(m=m, delta=spec.delta, K=spec.K, ell=spec.ell,
-                         domain=spec.domain,
-                         initial=[initial(i) for i in range(m)],
-                         dirichlet=[dirichlet(i) for i in range(m)],
-                         sources=sources)
+        spec = replace(spec, initial=[initial(i) for i in range(m)],
+                       dirichlet=[dirichlet(i) for i in range(m)], sources=sources)
         cfg = StepperConfig(dt=dt, t_end=t_end, lin_tol=lin_tol,
                             picard_max=picard_max, picard_tol=1e-12,
                             snapshot_every=10 ** 9,

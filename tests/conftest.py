@@ -39,7 +39,7 @@ def singular_confined_step(monkeypatch):
     assemble = aquifer._assemble_confined
 
     def singular(*args, **kwargs):
-        builder, budget = assemble(*args, **kwargs)
+        builder = assemble(*args, **kwargs)
         builder.vals = [0.0 * v for v in builder.vals]
-        return builder, budget
+        return builder
     monkeypatch.setattr(aquifer, "_assemble_confined", singular)

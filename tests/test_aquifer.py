@@ -257,6 +257,32 @@ def test_confined_differs_from_penalized_under_pumping(grid_48):
     assert gap > 1e-4  # structurally different models, far above solver noise
 
 
+def test_confined_budget_is_that_of_w_and_phi():
+    # the series are the (w, phi) budget: the w-row inflow accounts for the
+    # change of the integral of w = h2 - h, and the head row, which has no
+    # mass term, balances its pumping source with its boundary inflow
+    from types import SimpleNamespace
+    grid = Grid((8, 6), (1.0, 0.8))
+    spec = aq.AquiferSpec(h2=1.0, delta=0.3, alpha=0.025, epsilon=1e-2,
+                          initial_h=lambda p: 0.5 + 0.1 * p[:, 0], initial_h1=0.1,
+                          domain=grid.extents, dirichlet_h=lambda t, p: 0.5 + 0.1 * p[:, 0],
+                          dirichlet_h1=0.1, pumping=0.05)
+    cfg = StepperConfig(dt=2e-3, t_end=2e-2, lin_tol=1e-11)
+    result = aq.run_confined_aquifer(spec, grid, cfg)
+    vol = grid.cell_volume
+    mass_w = np.sum(spec.h2_cells(grid)) * vol - result.mass[0]
+    # mass_balance_residual reads only the species count of the spec
+    report = solver.mass_balance_residual(result, SimpleNamespace(m=2), grid)
+    dw = np.diff(mass_w)
+    assert np.max(np.abs(dw)) > 1e3 * np.max(report.thresholds)  # the interface moves
+    assert np.all(np.abs(dw - cfg.dt * (result.source_integral[0] + result.boundary_flux[0]))
+                  <= report.thresholds)
+    assert np.all(result.source_integral[0] == 0.0)
+    assert np.allclose(result.source_integral[1], -0.05 * grid.n_cells * vol, rtol=1e-14)
+    assert np.all(cfg.dt * np.abs(result.source_integral[1] + result.boundary_flux[1])
+                  <= report.thresholds)
+
+
 def test_confined_failure_keeps_partial(grid_48, singular_confined_step):
     # the head solve at t = 0 succeeds; the first coupled step is singular
     spec = aq.keulegan_scenario(grid_48, pump_rate=0.05, tilt=0.4)

@@ -69,6 +69,18 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"snapshot_every": 2.5}}, "snapshot_every"),
     ({"grid": [32]}, "grid must be an object"),
     ({"stepper": "fast"}, "stepper must be an object"),
+    ({"diagnostics": {"levels": {"count": "many"}}}, "count"),
+    ({"diagnostics": {"levels": {"count": -1}}}, "count"),
+    ({"diagnostics": {"degiorgi": {"ell0": "max"}}}, "ell0"),
+    ({"diagnostics": {"degiorgi": {"n_max": 2.5}}}, "n_max"),
+    ({"diagnostics": {"degiorgi": {"species": True}}}, "species"),
+    ({"diagnostics": {"probe": {"amplitude": "big"}}}, "amplitude"),
+    ({"diagnostics": {"probe": {"center": [0.5, "mid"]}}}, "center"),
+    ({"diagnostics": {"probe": {"center": [0.5]}}}, "center"),
+    ({"diagnostics": {"bounds": {"hi": None}}}, "hi"),
+    ({"convergence": {"levels": 2.5}}, "levels"),
+    ({"convergence": {"dt0": "small"}}, "dt0"),
+    ({"sweep": {"epsilon_list": [0.1, "tiny"]}}, "epsilon_list"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

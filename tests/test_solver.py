@@ -213,7 +213,7 @@ def test_species_diffusion_blocks_spd(grid_12):
     pts = grid_12.cell_centers()
     u = np.stack([spec.initial_values(i, pts) for i in range(2)])
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder, _ = _assemble_step(spec, grid_12, u, u, 0.0, 1e-3, cfg)
+    builder = _assemble_step(spec, grid_12, u, u, 0.0, 1e-3, cfg)
     a = builder.matrix()
     n = grid_12.n_cells
     vol = grid_12.cell_volume
@@ -372,7 +372,7 @@ def _sweep_system(n: int, dt: float = 1e-3):
     grid = Grid((n, n), (1.0, 1.0))
     spec = coupled_spec_2d()
     u0 = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    builder, _ = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
+    builder = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
     return builder.matrix(), builder.rhs
 
 
@@ -576,8 +576,8 @@ GRID_75 = Grid((7, 5), (1.0, 0.6))
 
 def assemble_generic(spec, grid=GRID_75, cfg=None):
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(spec.m)])
-    builder, _ = _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3,
-                                cfg or StepperConfig(dt=1e-3, t_end=1e-3))
+    builder = _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3,
+                             cfg or StepperConfig(dt=1e-3, t_end=1e-3))
     return builder.matrix()
 
 
@@ -613,8 +613,8 @@ def test_pattern_matches_coo_confined_step(built):
     aq, aspec, grid, w = confined_case()
     phi = 0.1 * product_sine(1.0)(grid.cell_centers())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder, _ = aq._assemble_confined(aspec, grid, np.stack([w, phi]),
-                                       np.stack([0.95 * w, phi]), 0.0, 1e-3, cfg)
+    builder = aq._assemble_confined(aspec, grid, np.stack([w, phi]),
+                                    np.stack([0.95 * w, phi]), 0.0, 1e-3, cfg)
     builder.matrix()
     (build,) = built
     assert build[1] == 2
@@ -691,7 +691,7 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     aq, aspec, spec, grid, u_prev, u_lag = penalized_case(kind)
     n = grid.n_cells
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    plain, _ = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
+    plain = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
     a_plain = coo_reference(grid, 2, plain.calls)
     b_plain = plain.rhs
 
@@ -714,7 +714,7 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     ref.sort_indices()
 
     _, _, sweep = aq._thickness_system(aspec, grid, cfg, penalized=True)
-    builder, _ = sweep(u_prev, u_lag, 0.0, cfg.dt)
+    builder = sweep(u_prev, u_lag, 0.0, cfg.dt)
     x0 = builder.to_unknowns(u_lag)
     a = builder.matrix()
     assert np.array_equal(a.indptr, ref.indptr)
@@ -723,6 +723,42 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     assert np.array_equal(builder.rhs, q_op @ b_plain + drain.rhs)
     assert np.array_equal(x0, np.concatenate([u_lag[0], s_lag]))
     assert np.allclose(builder.to_state(x0), u_lag, rtol=0.0, atol=1e-15)
+
+
+def budget_sweeps():
+    """(builder, u_prev, dt, mass rows) of a generic and two confined sweeps."""
+    from crossdiff import aquifer as aq
+    dt = 1e-3
+    cfg = StepperConfig(dt=dt, t_end=dt)
+    spec = full_tensor_spec()
+    spec.sources = [lambda t, p, u: 0.3 + p[:, 0] * u[0], lambda t, p, u: 0.2 * u[1]]
+    u = np.stack([spec.initial_values(i, GRID_75.cell_centers()) for i in range(2)])
+    yield _assemble_step(spec, GRID_75, u, 0.9 * u, 0.0, dt, cfg), u, dt, [True, True]
+    _, aspec, grid, w = confined_case()
+    closed = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.2)
+    for a in (aspec, closed):
+        phi = 0.1 * product_sine(1.0)(grid.cell_centers())
+        u = np.stack([w, phi])
+        builder = aq._assemble_confined(a, grid, u, np.stack([0.95 * w, phi]), 0.0, dt, cfg)
+        yield builder, u, dt, [True, False]  # the head row has no mass term
+
+
+def test_builder_budget_is_the_row_sum_of_the_system():
+    # for any x, the rows of species i of b - A x sum to its mass change
+    # plus the source integral and boundary inflow the builder records
+    rng = np.random.default_rng(5)
+    for builder, u_prev, dt, has_mass in budget_sweeps():
+        a, b = builder.matrix(), builder.rhs
+        vol = builder.grid.cell_volume
+        assert builder.bnd_terms and np.any(builder.source != 0.0)
+        for _ in range(3):
+            x = u_prev + rng.normal(size=u_prev.shape)
+            ax = (a @ x.ravel()).reshape(x.shape)
+            rows = (b.reshape(x.shape) - ax).sum(axis=1)
+            source, inflow = builder.budget(x)
+            mass = np.where(has_mass, -vol * (x - u_prev).sum(axis=1) / dt, 0.0)
+            scale = np.abs(b.reshape(x.shape)).sum(axis=1) + np.abs(ax).sum(axis=1)
+            assert np.all(np.abs(rows - (mass + source + inflow)) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("ell", [1.0, 0.0])
