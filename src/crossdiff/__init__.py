@@ -15,8 +15,8 @@ from .fv import SolverFailure
 from .model import (CrossTensor, EllipticityError, Field, Grid,
                     InvalidParameterError, ModelSpec, ellipticity_bounds,
                     species_flux, truncate, validate_spec)
-from .solver import (SimulationResult, StepperConfig, advance_step,
-                     convergence_study, mass_balance_residual, run)
+from .solver import (SimulationResult, StepperConfig, convergence_study,
+                     mass_balance_residual, run)
 
 __all__ = [
     "CrossTensor", "Field", "Grid", "ModelSpec", "truncate", "ellipticity_bounds",
@@ -24,7 +24,7 @@ __all__ = [
     "ConditionReport", "MeyersConstants", "DeGiorgiBudget", "check_existence",
     "meyers_constants", "check_regularity", "degiorgi_budget",
     "check_aquifer_admissibility",
-    "StepperConfig", "SimulationResult", "SolverFailure", "advance_step", "run",
+    "StepperConfig", "SimulationResult", "SolverFailure", "run",
     "mass_balance_residual", "convergence_study",
 ]
 

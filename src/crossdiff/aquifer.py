@@ -35,6 +35,8 @@ rewrite its recorded terms in the unknowns (u1, s), which the builder maps
 back to (u1, u2), and records the drain terms on the s block.  The confined
 sweep is its own (w, phi) assembly.  The budget series are those of the
 solved state's species: (u1, u2), without the drain, and (w, phi).
+:func:`run_penalized` and :func:`run_confined_aquifer` are the entry points;
+a single step is a run with ``t_end = dt``.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ import numpy as np
 from . import fv, solver
 from .conditions import check_aquifer_admissibility
 from .fv import SolverFailure, SystemBuilder, face_table
-from .model import (CrossTensor, Field, Grid, InvalidParameterError, ModelSpec)
+from .model import CrossTensor, Grid, InvalidParameterError, ModelSpec
 from .solver import SimulationResult, StepperConfig
 
 __all__ = [
     "AquiferSpec", "ConfinementReport", "EllipticSolveError", "SweepReport",
-    "map_heads", "map_species", "to_cross_spec", "step_aquifer",
-    "run_penalized", "run_confined_aquifer", "keulegan_scenario",
+    "map_heads", "map_species", "to_cross_spec", "run_penalized",
+    "run_confined_aquifer", "keulegan_scenario",
     "epsilon_sweep", "interface_slope", "interior_local_maxima",
 ]
 
@@ -322,7 +324,7 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
     lin_tol = (max(cfg.lin_tol * aspec.epsilon, 1e-14) if penalized and aspec.epsilon < 1e-3
                else cfg.lin_tol)
     cfg_u = replace(cfg, coefficient_mode="truncated", lin_tol=lin_tol)
-    generic, _ = solver._generic_sweep(spec, grid, cfg_u)
+    generic = partial(solver._assemble_step, spec, grid, cfg=cfg_u)
     if not penalized:
         return spec, cfg_u, generic
 
@@ -332,17 +334,6 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
         _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], t_new)
         return builder
     return spec, cfg_u, sweep
-
-
-def step_aquifer(state: Field, aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
-                 penalized: bool = False) -> Field:
-    """Advance the (h, h1) state by one step (validates the spec first)."""
-    _, cfg_u, sweep = _thickness_system(aspec, grid, cfg, penalized)
-    h2c = aspec.h2_cells(grid)
-    u = np.stack(map_heads(state.values[0], state.values[1], h2c))
-    u_new = solver._picard(sweep, u, state.time, state.time + cfg.dt, cfg_u)[0]
-    h, h1 = map_species(u_new[0], u_new[1], h2c)
-    return Field(np.stack([h, h1]), state.time + cfg.dt)
 
 
 @dataclass
@@ -371,7 +362,10 @@ class ConfinementReport:
 
 def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
                    penalized: bool) -> SimulationResult:
-    """Time loop of the (u1, u2) system through the solver, recording (h, h1)."""
+    """Time loop of the (u1, u2) system through the solver, recording (h, h1).
+
+    ``penalized=False`` is the plain run, without the drain term.
+    """
     spec, cfg_u, sweep = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
     points = grid.cell_centers()
@@ -404,11 +398,6 @@ def run_penalized(aspec: AquiferSpec, grid: Grid,
     """Penalized time loop over (h, h1) plus the confinement accounting."""
     result = _run_thickness(aspec, grid, cfg, penalized=True)
     return result, confinement_report(aspec, grid, result)
-
-
-def run_unpenalized(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> SimulationResult:
-    """Plain (no drain term) interface evolution over (h, h1)."""
-    return _run_thickness(aspec, grid, cfg, penalized=False)
 
 
 # ---------------------------------------------------------------------------

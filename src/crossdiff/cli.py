@@ -175,9 +175,16 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     center = (diag_block.get("probe") or {}).get("center")
     if center is not None and len(center) != grid.ndim:
         raise ConfigError(f"diagnostics.probe.center needs {grid.ndim} numbers, got {center!r}")
+    degiorgi = diag_block.get("degiorgi") or {}
     # the level iteration pairs species i with 1 - i
-    if diag_block.get("degiorgi") and kind == "generic" and model_block.get("m", 2) != 2:
+    if degiorgi and kind == "generic" and model_block.get("m", 2) != 2:
         raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
+    # its levels k_n reach m * ell0 from n = ceil(-log2(m_prime)) on
+    m_prime, n_max = degiorgi.get("m_prime", 0.5), degiorgi.get("n_max", 20)
+    n0 = math.ceil(-math.log2(m_prime)) if 0 < m_prime < 1 else 0
+    if n_max < n0:
+        raise ConfigError(f"diagnostics.degiorgi.n_max must be >= ceil(-log2(m_prime)) = {n0}, "
+                          f"got {n_max!r}")
     conv_block = _check_keys(raw.get("convergence") or {}, _CONV_KEYS, "convergence")
     sweep_block = _check_keys(raw.get("sweep") or {}, _SWEEP_KEYS, "sweep")
 

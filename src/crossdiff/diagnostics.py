@@ -114,7 +114,9 @@ def degiorgi_trace(result: SimulationResult, grid: Grid, species: int,
         raise InvalidParameterError("need ell0 > 0, m_factor > 1, m_prime > 0")
     n = np.arange(n_max + 1)
     k_n = m_factor * ell0 * (1.0 + m_prime - 2.0 ** (-n.astype(float)))
-    n0 = next(i for i in range(n_max + 1) if k_n[i] >= m_factor * ell0)
+    n0 = next((i for i in range(n_max + 1) if k_n[i] >= m_factor * ell0), None)
+    if n0 is None:
+        raise InvalidParameterError(f"n_max = {n_max}: no level k_n reaches m_factor * ell0")
     v_n = np.array([level_set_measure(result, grid, species, float(k)) for k in k_n])
     s = budget.s
     r = budget.r
@@ -151,10 +153,6 @@ class BoundCheckReport:
     @property
     def worst_lo_margin(self) -> float:
         return min(s.lo_margin for s in self.species)
-
-    @property
-    def worst_hi_margin(self) -> float:
-        return min(s.hi_margin for s in self.species)
 
     def to_csv(self) -> str:
         fields = ["lo_margin", "hi_margin", "min_value", "min_time", "max_value", "max_time"]

@@ -181,12 +181,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.time)
 
-    def species_min(self) -> np.ndarray:
-        return self.values.min(axis=1)
-
-    def species_max(self) -> np.ndarray:
-        return self.values.max(axis=1)
-
 
 # ---------------------------------------------------------------------------
 # full problem specification

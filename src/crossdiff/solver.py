@@ -28,6 +28,7 @@ This module owns the package's only Picard sweep loop (:func:`_picard`) and
 only time loop (:func:`_integrate`); every variant reaches both through one
 callback ``sweep(u_prev, u_lag, t_prev, t_new)`` that returns the sweep's
 :class:`fv.SystemBuilder`, whose budget is in the solved state's species.
+:func:`run` is the generic variant's one entry point.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .model import (Field, Grid, InvalidParameterError, ModelSpec, clamp,
 
 __all__ = [
     "StepperConfig", "SimulationResult", "MassBalanceReport", "SolverFailure",
-    "advance_step", "run", "mass_balance_residual", "convergence_study",
-    "manufactured_forcing",
+    "run", "mass_balance_residual", "convergence_study", "manufactured_forcing",
 ]
 
 
@@ -190,8 +190,8 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
 
 
 def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: StepperConfig,
-            factors: fv.BlockFactors | None = None,
-            static: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+            factors: fv.BlockFactors,
+            static: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Picard sweeps of one backward-Euler step; the package's only sweep loop.
 
     ``sweep(u_prev, u_lag, t_prev, t_new)`` returns the sweep's
@@ -199,12 +199,9 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
     guess and the solution back to the state, and whose ``budget(u_new)``
     gives (source integral, boundary inflow).  ``static`` systems have no lagged
     coefficient and take a single sweep.  ``factors`` is the run's
-    preconditioner holder (a single step makes its own); the step's GMRES
-    iterations (``lin_iters``, 0 on the direct path) and whether a sweep
-    refactored go into the stats.
+    preconditioner holder; the step's GMRES iterations (``lin_iters``, 0 on
+    the direct path) and whether a sweep refactored go into the stats.
     """
-    if factors is None:
-        factors = fv.BlockFactors(len(u_prev))
     sweeps = 1 if static else cfg.picard_max
     u_lag = u_prev
     stats = {"picard_sweeps": 0, "picard_converged": True,
@@ -228,12 +225,6 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
     else:
         stats["picard_converged"] = static
     return (u_new, *builder.budget(u_new), stats)
-
-
-def _generic_sweep(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
-    """Sweep of the generic assembly; static (one sweep) when truncated away."""
-    return (partial(_assemble_step, spec, grid, cfg=cfg),
-            cfg.coefficient_mode == "truncated" and spec.ell == 0.0)
 
 
 def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
@@ -288,24 +279,14 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
     return result
 
 
-def advance_step(state: Field, spec: ModelSpec, grid: Grid, cfg: StepperConfig) -> Field:
-    """Advance one time step from ``state`` (validates the spec first)."""
-    report = validate_spec(spec, grid)
-    if not report.ok:
-        raise InvalidParameterError(f"spec validation failed: {report.codes()}")
-    sweep, static = _generic_sweep(spec, grid, cfg)
-    u_new = _picard(sweep, state.values, state.time, state.time + cfg.dt, cfg,
-                    static=static)[0]
-    return Field(u_new, state.time + cfg.dt)
-
-
 def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
         validate: bool = True) -> SimulationResult:
     """Integrate to t_end recording snapshots, extrema, mass and budget series.
 
     The horizon is rounded to a whole number of steps of size dt; extrema and
     mass are recorded every step, full snapshots at the configured cadence
-    (plus the initial and final states).
+    (plus the initial and final states).  A single step is a run with
+    ``t_end = dt``; a coefficient truncated away (ell = 0) takes one sweep.
     """
     if validate:
         report = validate_spec(spec, grid)
@@ -313,8 +294,8 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
             raise InvalidParameterError(f"spec validation failed: {report.codes()}")
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
-    sweep, static = _generic_sweep(spec, grid, cfg)
-    return _integrate(grid, cfg, u0, sweep, static=static)
+    return _integrate(grid, cfg, u0, partial(_assemble_step, spec, grid, cfg=cfg),
+                      static=cfg.coefficient_mode == "truncated" and spec.ell == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +325,9 @@ def mass_balance_residual(result: SimulationResult, spec: ModelSpec,
     Conservative assembly makes interior fluxes telescope exactly, so the
     defect is bounded by the linear-solve residual: the threshold per step is
     10 * vol * sqrt(m n) * ||r||_2 with ||r|| the recorded true residual.
+    Sound only when the recorded species are the solved ones (generic runs):
+    penalized and confined runs record (h, h1) or (h, phi) but keep their
+    budget in (u1, u2) or (w, phi).
     """
     if result.n_steps == 0:
         return MassBalanceReport(np.zeros((result.m, 0)), np.zeros(0))

@@ -82,7 +82,7 @@ def test_thickness_run_matches_generic_solver():
     assert validate_spec(mspec, grid).ok
 
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
-    plain = aq.run_unpenalized(spec, grid, cfg)
+    plain = aq._run_thickness(spec, grid, cfg, penalized=False)
     generic = solver.run(mspec, grid, cfg)
     assert len(plain.snapshots) == len(generic.snapshots)
     for a, g in zip(plain.snapshots, generic.snapshots):
@@ -122,7 +122,7 @@ def test_penalty_inactive_entries_vanish(grid_48):
 def test_penalized_and_plain_coincide_when_inactive(grid_48):
     spec = dirichlet_spec(grid_48)
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
-    plain = aq.run_unpenalized(spec, grid_48, cfg)
+    plain = aq._run_thickness(spec, grid_48, cfg, penalized=False)
     pen, conf = aq.run_penalized(spec, grid_48, cfg)
     diff = np.max(np.abs(plain.snapshots[-1].values - pen.snapshots[-1].values))
     assert diff <= 10 * cfg.lin_tol * 100
@@ -176,13 +176,15 @@ def test_pumping_budget_closed_box(grid_48):
 
 
 def test_step_aquifer_moves_state(grid_48):
+    # a single step is a run with t_end = dt, plain and penalized
     spec = dirichlet_spec(grid_48)
-    from crossdiff.model import Field
-    h0, h10 = spec.initial_values(grid_48)
-    state = Field(np.stack([h0, h10]), 0.0)
-    new = aq.step_aquifer(state, spec, grid_48, StepperConfig(dt=1e-3, t_end=1e-3))
-    assert new.time == pytest.approx(1e-3)
-    assert np.max(np.abs(new.values - state.values)) < 1e-9  # steady data stay put
+    state = np.stack(spec.initial_values(grid_48))
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    for result in (aq._run_thickness(spec, grid_48, cfg, penalized=False),
+                   aq.run_penalized(spec, grid_48, cfg)[0]):
+        new = result.snapshots[-1]
+        assert len(result.snapshots) == 2 and new.time == pytest.approx(1e-3)
+        assert np.max(np.abs(new.values - state)) < 1e-9  # steady data stay put
 
 
 # ---------------------------------------------------------------------------

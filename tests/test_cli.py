@@ -81,6 +81,8 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"convergence": {"levels": 2.5}}, "levels"),
     ({"convergence": {"dt0": "small"}}, "dt0"),
     ({"sweep": {"epsilon_list": [0.1, "tiny"]}}, "epsilon_list"),
+    ({"diagnostics": {"degiorgi": {"n_max": 0}}}, "diagnostics.degiorgi.n_max"),
+    ({"diagnostics": {"degiorgi": {"m_prime": 1e-9}}}, "diagnostics.degiorgi.n_max"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

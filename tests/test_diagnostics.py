@@ -20,8 +20,8 @@ def fake_result(fields: list[Field]) -> SimulationResult:
     mass = np.zeros((m, len(times)))
     for k, f in enumerate(fields):
         minmax[:, k, 0] = times[k]
-        minmax[:, k, 1] = f.species_min()
-        minmax[:, k, 2] = f.species_max()
+        minmax[:, k, 1] = f.values.min(axis=1)
+        minmax[:, k, 2] = f.values.max(axis=1)
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
     return SimulationResult(fields, times, minmax, mass,
                             np.zeros((m, max(len(times) - 1, 0))),
@@ -138,6 +138,18 @@ def test_trace_rejects_infeasible_budget(grid_12, stored_run):
     with pytest.raises(InvalidParameterError):
         diag.degiorgi_trace(result, grid_12, 0, ell0=1.0, m_factor=2.0,
                             m_prime=0.5, budget=_budget(s=4.0))
+
+
+@pytest.mark.parametrize("m_prime, n_max", [(0.5, 0), (0.3, 1), (0.01, 6)])
+def test_trace_rejects_levels_short_of_m_ell0(grid_12, stored_run, m_prime, n_max):
+    # k_n reaches m_factor * ell0 from n = ceil(-log2(m_prime)) on; one level more traces
+    _, result = stored_run
+    with pytest.raises(InvalidParameterError, match="n_max"):
+        diag.degiorgi_trace(result, grid_12, 0, ell0=1.0, m_factor=2.0,
+                            m_prime=m_prime, budget=_budget(), n_max=n_max)
+    trace = diag.degiorgi_trace(result, grid_12, 0, ell0=1.0, m_factor=2.0,
+                                m_prime=m_prime, budget=_budget(), n_max=n_max + 1)
+    assert trace.n0 == n_max + 1 == math.ceil(-math.log2(m_prime))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import scipy.sparse as sparse
 
 from crossdiff import fv
 from crossdiff.fv import SolverFailure
-from crossdiff.model import CrossTensor, Field, Grid, InvalidParameterError, ModelSpec
-from crossdiff.solver import (StepperConfig, _assemble_step, advance_step,
-                              convergence_study, manufactured_forcing,
-                              mass_balance_residual, run)
+from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
+from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
+                              manufactured_forcing, mass_balance_residual, run)
 
 from conftest import coupled_spec_2d, product_sine
 
@@ -287,19 +286,18 @@ def test_zero_horizon_returns_initial_only(grid_12):
     assert result.snapshots[0].time == 0.0
 
 
+# a single step is a run with t_end = dt
+
 def test_advance_step_validates(grid_12):
     spec = coupled_spec_2d()
     spec.delta = (0.0, 1.0)
-    state = Field(np.zeros((2, grid_12.n_cells)), 0.0)
     with pytest.raises(InvalidParameterError):
-        advance_step(state, spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3))
+        run(spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3))
 
 
 def test_advance_step_moves_time(grid_12):
     spec = coupled_spec_2d()
-    pts = grid_12.cell_centers()
-    state = Field(np.stack([spec.initial_values(i, pts) for i in range(2)]), 0.0)
-    new = advance_step(state, spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3))
+    state, new = run(spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3)).snapshots
     assert new.time == pytest.approx(1e-3)
     assert new.values.shape == state.values.shape
 
@@ -766,7 +764,7 @@ def test_advance_step_is_first_step_of_run(grid_12, ell):
     spec = coupled_spec_2d(ell=ell)
     cfg = StepperConfig(dt=2e-3, t_end=6e-3, picard_max=3)
     result = run(spec, grid_12, cfg)
-    first = advance_step(result.snapshots[0], spec, grid_12, cfg)
+    first = run(spec, grid_12, dataclasses.replace(cfg, t_end=cfg.dt)).snapshots[-1]
     assert first.time == result.snapshots[1].time
     assert np.array_equal(first.values, result.snapshots[1].values)
 
@@ -776,10 +774,12 @@ def test_advance_step_is_first_step_of_run(grid_12, ell):
 def test_step_aquifer_is_first_step_of_run(kind, penalized):
     aq, aspec, _, grid, _, _ = penalized_case(kind)
     aspec = dataclasses.replace(aspec, epsilon=1e-4)  # a tightened penalized lin_tol
-    cfg = StepperConfig(dt=2e-3, t_end=6e-3, lin_tol=1e-11)
-    result = (aq.run_penalized(aspec, grid, cfg)[0] if penalized
-              else aq.run_unpenalized(aspec, grid, cfg))
-    first = aq.step_aquifer(result.snapshots[0], aspec, grid, cfg, penalized=penalized)
+
+    def run_to(t_end):
+        cfg = StepperConfig(dt=2e-3, t_end=t_end, lin_tol=1e-11)
+        return (aq.run_penalized(aspec, grid, cfg)[0] if penalized
+                else aq._run_thickness(aspec, grid, cfg, penalized=False))
+    result, first = run_to(6e-3), run_to(2e-3).snapshots[-1]
     assert first.time == result.snapshots[1].time
     assert np.array_equal(first.values, result.snapshots[1].values)
 
