@@ -179,9 +179,14 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     # the level iteration pairs species i with 1 - i
     if degiorgi and kind == "generic" and model_block.get("m", 2) != 2:
         raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
+    # its bound factor m exceeds 1, its ratio m_prime and its level ell0 are positive
+    for key, low in (("m", 1), ("m_prime", 0), ("ell0", 0)):
+        value = degiorgi.get(key)
+        if type(value) in (int, float) and not value > low:
+            raise ConfigError(f"diagnostics.degiorgi.{key} must be > {low}, got {value!r}")
     # its levels k_n reach m * ell0 from n = ceil(-log2(m_prime)) on
     m_prime, n_max = degiorgi.get("m_prime", 0.5), degiorgi.get("n_max", 20)
-    n0 = math.ceil(-math.log2(m_prime)) if 0 < m_prime < 1 else 0
+    n0 = math.ceil(-math.log2(m_prime)) if m_prime < 1 else 0
     if n_max < n0:
         raise ConfigError(f"diagnostics.degiorgi.n_max must be >= ceil(-log2(m_prime)) = {n0}, "
                           f"got {n_max!r}")

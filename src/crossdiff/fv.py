@@ -21,10 +21,12 @@ the values into a CSR pattern that :func:`_pattern` derives once per grid,
 species count and term sequence.  It is also the one record of a step's
 budget, kept in the state's species (:meth:`SystemBuilder.budget`).
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
-factorization for small block systems, restarted GMRES for large ones,
-block-Jacobi preconditioned by the SuperLU factors of the species diagonal
-blocks that a run keeps in its :class:`BlockFactors`; the same true-residual
-contract holds on both paths.
+factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
+(1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2), restarted
+GMRES for larger ones, block-Jacobi preconditioned by the SuperLU factors of
+the species diagonal blocks that a run keeps in its :class:`BlockFactors`;
+the cutoff is the measured crossover of the two paths, and the same
+true-residual contract holds on both.
 """
 
 from __future__ import annotations
@@ -403,11 +405,27 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # linear solve
 # ---------------------------------------------------------------------------
 
-# Systems up to this size are factored whole: at 2048 unknowns a SuperLU
-# factor plus solve costs about what one GMRES solve does, while at 32768 the
-# whole factor holds ~5 M nonzeros (~58 MB).  Larger systems take GMRES,
-# preconditioned by factors of their species diagonal blocks.
-DIRECT_MAX_UNKNOWNS = 4096
+# Systems up to this size are factored whole on every solve; larger ones take
+# GMRES, preconditioned by the run's kept factors of their species diagonal
+# blocks.  Time of a 20-step run on the block path over the same run on the
+# direct path (m = 2, one BLAS thread; upwind and centered weighting,
+# isotropic and full K tensors; generic, penalized and confined systems):
+#
+#   grid            unknowns     block / direct
+#   1D 8-384        16-768       0.99-2.31
+#   1D 512-2048     1024-4096    0.69-1.28
+#   2D 8x8          128          1.07-1.36
+#   2D 12x12        288          0.97-1.07
+#   2D 16x16-22x22  512-968      0.65-0.88
+#   2D 24x24-32x32  1152-2048    0.39-0.75
+#   2D 48x48-64x64  4608-8192    0.27-0.51
+#
+# The crossover lies at about 300-500 unknowns in 2D and 1000-2000 in 1D.
+# With this cutoff every 2D grid of 23x23 or more takes the block path and
+# every 1D grid of up to 512 cells stays direct.  The cost of one cutoff for
+# both: 2D grids of about 13x13 to 22x22 stay direct, where the block path
+# would take 0.65-1.0 of the time.
+DIRECT_MAX_UNKNOWNS = 1024
 
 # A solve that needed more preconditioner applications than this makes the
 # next solve refactor the species blocks from its own matrix.

@@ -178,9 +178,6 @@ class Field:
     def m(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.time)
-
 
 # ---------------------------------------------------------------------------
 # full problem specification

@@ -19,10 +19,12 @@ treated explicitly at the lagged iterate.
 Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
 previous time level.  The linear block system is solved by
-:func:`fv.solve_sparse`: a SuperLU factorization for small systems, restarted
-GMRES for large ones, preconditioned by SuperLU factors of the species
-diagonal blocks that each run keeps in one :class:`fv.BlockFactors` and
-refactors only when GMRES starts to need many iterations.
+:func:`fv.solve_sparse`: a SuperLU factorization of the whole system up to
+:data:`fv.DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells),
+restarted GMRES above it (every 2D grid of 23x23 or more at m = 2),
+preconditioned by SuperLU factors of the species diagonal blocks that each
+run keeps in one :class:`fv.BlockFactors` and refactors only when GMRES
+starts to need many iterations.
 
 This module owns the package's only Picard sweep loop (:func:`_picard`) and
 only time loop (:func:`_integrate`); every variant reaches both through one
@@ -57,9 +59,10 @@ class StepperConfig:
     """Time-stepping, nonlinear-lag and linear-solver settings.
 
     ``lin_tol`` bounds the relative true residual of every linear solve;
-    ``lin_max`` caps the inner GMRES iterations per call and so applies only
-    to systems above ``fv.DIRECT_MAX_UNKNOWNS``, which are solved by GMRES
-    preconditioned with the run's species-block factors.
+    ``lin_max`` caps the inner GMRES iterations per call and so applies to
+    systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
+    more at m = 2), which are solved by GMRES preconditioned with the run's
+    species-block factors.
     """
 
     dt: float

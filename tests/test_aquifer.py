@@ -325,6 +325,15 @@ def test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch):
         assert rel <= 10 * lin_tol
 
 
+@pytest.mark.parametrize("variant", ["penalized", "confined"])
+def test_1d_runs_take_direct_path(grid_1d, variant):
+    spec = aq.keulegan_scenario(grid_1d, pump_rate=0.05, tilt=0.45)
+    cfg = StepperConfig(dt=3e-3, t_end=15e-3)
+    result = (aq.run_penalized(spec, grid_1d, cfg)[0] if variant == "penalized"
+              else aq.run_confined_aquifer(spec, grid_1d, cfg))
+    assert all(st["lin_iters"] == 0 for st in result.solver_stats)
+
+
 def test_sweep_requires_decreasing_epsilons(grid_48):
     spec = constraint_active_spec(grid_48)
     cfg = StepperConfig(dt=2e-3, t_end=1e-2)

@@ -83,6 +83,9 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"sweep": {"epsilon_list": [0.1, "tiny"]}}, "epsilon_list"),
     ({"diagnostics": {"degiorgi": {"n_max": 0}}}, "diagnostics.degiorgi.n_max"),
     ({"diagnostics": {"degiorgi": {"m_prime": 1e-9}}}, "diagnostics.degiorgi.n_max"),
+    ({"diagnostics": {"degiorgi": {"m": 1.0}}}, "diagnostics.degiorgi.m"),
+    ({"diagnostics": {"degiorgi": {"m_prime": 0.0}}}, "diagnostics.degiorgi.m_prime"),
+    ({"diagnostics": {"degiorgi": {"ell0": -1.0}}}, "diagnostics.degiorgi.ell0"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

@@ -258,7 +258,7 @@ def test_probe_zero_perturbation(grid_12):
 
 def test_probe_rejects_misplaced_support(grid_12):
     spec, pert, cells, cfg = _probe_setup(grid_12)
-    bad = pert.copy()
+    bad = Field(pert.values.copy(), pert.time)
     bad.values[:, 0] = 1.0  # corner cell is far outside the disc
     with pytest.raises(InvalidParameterError):
         diag.uniqueness_probe(spec, grid_12, cfg, bad, cells)

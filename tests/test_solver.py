@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from crossdiff import aquifer as aq
 from crossdiff import fv
 from crossdiff.fv import SolverFailure
 from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
@@ -437,6 +438,33 @@ def test_block_gmres_run_agrees_with_direct_run(monkeypatch):
     assert all(st["lin_iters"] == 0 and not st["refactored"] for st in direct.solver_stats)
     for sg, sd in zip(gmres.snapshots, direct.snapshots):
         rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
+        assert rel <= 10 * lin_tol
+
+
+GRID_32 = Grid((32, 32), (1.0, 1.0))   # m = 2: 2048 unknowns, a 2D desk grid
+
+
+def _desk_run(system: str, cfg: StepperConfig):
+    if system == "generic":
+        return run(coupled_spec_2d(), GRID_32, cfg)
+    spec = aq.keulegan_scenario(GRID_32, pump_rate=0.05, tilt=0.4)
+    if system == "penalized":
+        return aq.run_penalized(spec, GRID_32, cfg)[0]
+    return aq.run_confined_aquifer(spec, GRID_32, cfg)
+
+
+@pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
+def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
+    lin_tol = 1e-10
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=lin_tol)
+    block = _desk_run(system, cfg)
+    assert all(st["lin_iters"] > 0 for st in block.solver_stats)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 2 * GRID_32.n_cells)
+    direct = _desk_run(system, cfg)
+    assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
+    assert len(block.snapshots) == len(direct.snapshots)
+    for sb, sd in zip(block.snapshots, direct.snapshots):
+        rel = np.max(np.abs(sb.values - sd.values)) / np.max(np.abs(sd.values))
         assert rel <= 10 * lin_tol
 
 
