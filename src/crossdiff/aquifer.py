@@ -283,16 +283,13 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
     w_face = fv.upwind_face_value(w[ft.left], w[ft.right], driver)
     kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
-    e = ft.ends(n_faces)
-    off, L, R = -kappa[:ni], ft.left[:ni], ft.right[:ni]
+    k_left, k_right = kappa * active[ft.left[:n_faces]], kappa[:ni] * active[ft.right[:ni]]
     builder.add_term(("face", 1, 1, n_faces),
-                     np.concatenate((kappa[ft.end_face[e]] * active[ft.end_cell[e]],
-                                     off * active[R], off * active[L])))
+                     np.concatenate((k_left, k_right, -k_right, -k_left[:ni])))
     # the known part -active * h2 of the excess, with the trace excess in the ghosts
     y = fv.slot_values(ft, -active * h2c, excess_d)
     fa = kappa * (y[ft.right[:n_faces]] - y[ft.left[:n_faces]])
-    builder.add_rhs(1, np.bincount(ft.end_cell[e], weights=ft.end_sign[e] * fa[ft.end_face[e]],
-                                   minlength=grid.n_cells))
+    builder.add_rhs(1, fv.face_divergence(ft, fa))
 
 
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,

@@ -661,10 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest = execute(config, args.command, out_dir=args.out,
                            require_feasible=args.require_feasible,
                            epsilon_list=args.epsilon_list)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParameterError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return manifest.exit_status

@@ -12,8 +12,10 @@ is a face whose slot R is a ghost holding the trace at half-cell distance;
 ``closed`` boundaries (traces None) carry no flux.  Off-diagonal tensor
 entries contribute tangential face gradients that are treated explicitly by
 the callers.  :func:`face_table` lists every face of a grid once, interior
-faces first, with the cells each face feeds; every assembly in the package
-is one vectorized pass over that table.
+faces first; a face flux adds to its left cell and subtracts from its right
+cell, so every per-cell sum over faces is one bincount over the left cells
+and one over the right cells (:func:`face_divergence`), and every assembly
+in the package is one vectorized pass over that table.
 :class:`SystemBuilder` assembles every block system of the package: it
 records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
@@ -22,8 +24,9 @@ species count and term sequence.  It is also the one record of a step's
 budget, kept in the state's species (:meth:`SystemBuilder.budget`).
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
 factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
-(1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2), restarted
-GMRES for larger ones, block-Jacobi preconditioned by the SuperLU factors of
+(1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2) and for a
+system solved without a holder of kept factors, restarted GMRES for larger
+ones, block-Jacobi preconditioned by the SuperLU factors of
 the species diagonal blocks that a run keeps in its :class:`BlockFactors`;
 the cutoff is the measured crossover of the two paths, and the same
 true-residual contract holds on both.
@@ -69,12 +72,6 @@ class FaceTable:
     face.  ``sign`` orients the left-to-right direction along that axis: +1,
     but -1 for boundary faces at the low end of an axis, whose ghost lies
     below the cell.
-    ``end_face``, ``end_cell`` and ``end_sign`` list the face ends: an
-    interior face has two, its left cell (+1) and its right cell (-1); a
-    boundary face has one, its cell (+1).  Axis by axis, the left ends of the
-    interior faces come before their right ends; the boundary ends come last,
-    so the ends of the interior faces, or of all faces, are a prefix
-    (:meth:`ends`).  Every sum over faces walks the ends in this order.
     ``bnd_points`` holds the face centers of the boundary faces and
     ``centers`` the cell centers.  The table is cached per grid and its
     arrays reach user callables, so every array is read-only.
@@ -88,9 +85,6 @@ class FaceTable:
     area: np.ndarray
     axis: np.ndarray
     sign: np.ndarray
-    end_face: np.ndarray
-    end_cell: np.ndarray
-    end_sign: np.ndarray
     bnd_points: np.ndarray
     centers: np.ndarray
 
@@ -105,10 +99,6 @@ class FaceTable:
     @property
     def bnd_cell(self) -> np.ndarray:
         return self.left[self.n_interior:]
-
-    def ends(self, n_faces: int) -> slice:
-        """The ends of the first ``n_faces`` faces: all interior faces, or all faces."""
-        return slice(self.n_interior + n_faces)
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +130,8 @@ def face_table(grid: Grid) -> FaceTable:
     spacing = np.array(grid.spacing)
     dist = spacing[axis]
     dist[n_interior:] /= 2.0
-    # ends: the left end of every face, then the right end of every interior face,
-    # stably sorted by the axis of interior faces, with the boundary ends last
-    end_face = np.concatenate((np.arange(n_faces), np.arange(n_interior)))
-    end_sign = np.concatenate((np.ones(n_faces, np.int8), np.full(n_interior, -1, np.int8)))
-    order = np.argsort(np.where(end_face < n_interior, axis[end_face], nd), kind="stable")
-    end_face, end_sign = end_face[order], end_sign[order]
     ft = FaceTable(grid, n_interior, left, right, dist, (grid.cell_volume / spacing)[axis], axis,
-                   np.concatenate(sign), end_face,
-                   np.where(end_sign > 0, left[end_face], right[end_face]), end_sign,
-                   np.concatenate(points), centers)
+                   np.concatenate(sign), np.concatenate(points), centers)
     for f in fields(ft):
         value = getattr(ft, f.name)
         if isinstance(value, np.ndarray):
@@ -198,17 +180,26 @@ def centered_face_value(w_left, w_right, driver=None) -> np.ndarray:
     return 0.5 * (np.asarray(w_left, dtype=float) + np.asarray(w_right, dtype=float))
 
 
+def face_divergence(ft: FaceTable, fa: np.ndarray) -> np.ndarray:
+    """Per cell, the face values ``fa`` that feed it: + on its left faces, - on its right faces.
+
+    ``fa`` covers the interior faces or all faces; a boundary face feeds only
+    its cell.
+    """
+    n, ni = ft.grid.n_cells, ft.n_interior
+    return (np.bincount(ft.left[:len(fa)], weights=fa, minlength=n)
+            - np.bincount(ft.right[:ni], weights=fa[:ni], minlength=n))
+
+
 def cell_average(ft: FaceTable, v: np.ndarray) -> np.ndarray:
     """Per axis, the mean of the face values ``v`` over the faces of each cell.
 
     ``v`` covers the interior faces or all faces; a cell without a covered
     face on an axis gets 0.  Returns shape (ndim, n_cells).
     """
-    n = ft.grid.n_cells
-    e = ft.ends(len(v))
-    faces = ft.end_face[e]
-    bins = ft.axis[faces] * n + ft.end_cell[e]
-    acc = np.bincount(bins, weights=v[faces], minlength=ft.grid.ndim * n)
+    n, ni, nf = ft.grid.n_cells, ft.n_interior, len(v)
+    bins = np.concatenate((ft.axis[:nf] * n + ft.left[:nf], ft.axis[:ni] * n + ft.right[:ni]))
+    acc = np.bincount(bins, weights=np.concatenate((v, v[:ni])), minlength=ft.grid.ndim * n)
     cnt = np.bincount(bins, minlength=ft.grid.ndim * n)
     return (acc / np.maximum(cnt, 1)).reshape(ft.grid.ndim, n)
 
@@ -238,9 +229,9 @@ def _term_index(ft: FaceTable, n: int, term: tuple) -> tuple[np.ndarray, np.ndar
     if term[0] == "mass":
         idx = np.arange(n)
         return r0 + idx, c0 + idx
-    ends = ft.end_cell[ft.ends(term[3])]
     L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
-    return r0 + np.concatenate((ends, L, R)), c0 + np.concatenate((ends, R, L))
+    diag = np.concatenate((ft.left[:term[3]], R))
+    return r0 + np.concatenate((diag, L, R)), c0 + np.concatenate((diag, R, L))
 
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
@@ -281,10 +272,10 @@ class SystemBuilder:
     (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
     on the block diagonal, and ``("face", row_sp, col_sp, n_faces)`` on the
     first ``n_faces`` faces of the face table, the interior faces or all
-    faces.  A face term's values are the diagonal entries of the face ends
-    covered, in table order, then the (left, right) and the (right, left)
-    entries of the interior faces.  The right-hand side is accumulated
-    directly.
+    faces.  A face term's values are the diagonal entries of the left cells
+    of the covered faces, then those of the right cells of the interior
+    faces, then the (left, right) and the (right, left) entries of the
+    interior faces.  The right-hand side is accumulated directly.
     :meth:`change_unknowns` rewrites the recorded system in other unknowns,
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR pattern of the term sequence, computed
@@ -359,9 +350,8 @@ class SystemBuilder:
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
         t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
-        off = -t[:ft.n_interior]
-        self.add_term(("face", row_sp, col_sp, n_faces),
-                      np.concatenate((t[ft.end_face[ft.ends(n_faces)]], off, off)))
+        ti = t[:ft.n_interior]
+        self.add_term(("face", row_sp, col_sp, n_faces), np.concatenate((t, ti, -ti, -ti)))
         if n_faces > ft.n_interior:
             np.add.at(self.rhs, row_sp * self.n + ft.bnd_cell, t[ft.n_interior:] * traces)
             self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
@@ -369,10 +359,7 @@ class SystemBuilder:
     def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:
         """Add a fully evaluated face flux (per unit area, on the faces ``f`` covers) to the RHS."""
         ft = self.ft
-        e = ft.ends(len(f))
-        fa = f * ft.area[:len(f)]
-        np.add.at(self.rhs, row_sp * self.n + ft.end_cell[e],
-                  ft.end_sign[e] * fa[ft.end_face[e]])
+        self.add_rhs(row_sp, face_divergence(ft, f * ft.area[:len(f)]))
         if len(f) > ft.n_interior:
             self.bnd_expl[row_sp] = self.bnd_expl.get(row_sp, 0.0) + f[ft.n_interior:]
 
@@ -491,23 +478,24 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
                  factors: BlockFactors | None = None) -> tuple[np.ndarray, float]:
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
 
-    Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns take a SuperLU
-    solve.  Larger ones take restarted GMRES, at most ``maxiter`` inner
-    iterations per call, preconditioned by the species-block factors held
-    in ``factors`` (without a holder, the whole system is one block).  The
+    Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns, and every
+    system solved without a ``factors`` holder, take a SuperLU solve.  Larger
+    ones take restarted GMRES, at most ``maxiter`` inner iterations per call,
+    preconditioned by the species-block factors held in ``factors``.  The
     preconditioned stopping test can be optimistic, so the true residual is
     verified and the iteration continued once at a tighter tolerance.
     Either way a residual above ``tol``, a singular or a non-finite system
     raises :class:`SolverFailure`, which carries the final relative residual.
     """
-    if factors is None:
-        factors = BlockFactors(1)
-    bnorm = factors.b_norm = float(np.linalg.norm(b))
-    if bnorm == 0.0 or a.shape[0] <= DIRECT_MAX_UNKNOWNS:
-        factors.iters, factors.refactored = 0, False
+    bnorm = float(np.linalg.norm(b))
+    direct = factors is None or a.shape[0] <= DIRECT_MAX_UNKNOWNS
+    if factors is not None:
+        factors.b_norm = bnorm
+        if bnorm == 0.0 or direct:
+            factors.iters, factors.refactored = 0, False
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    if a.shape[0] <= DIRECT_MAX_UNKNOWNS:
+    if direct:
         x = _factor(a, time).solve(b)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol:

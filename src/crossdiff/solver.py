@@ -58,6 +58,7 @@ __all__ = [
 class StepperConfig:
     """Time-stepping, nonlinear-lag and linear-solver settings.
 
+    ``dt`` must be finite and positive, ``t_end`` finite and nonnegative.
     ``lin_tol`` bounds the relative true residual of every linear solve;
     ``lin_max`` caps the inner GMRES iterations per call and so applies to
     systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
@@ -76,6 +77,10 @@ class StepperConfig:
     coefficient_mode: str = "truncated"   # "truncated" | "raw"
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0.0 or self.t_end < 0.0:
             raise InvalidParameterError("dt must be positive and t_end nonnegative")
         if not (self.picard_tol > 0.0 and self.lin_tol > 0.0):

@@ -296,6 +296,25 @@ def test_confined_failure_keeps_partial(grid_48, singular_confined_step):
     assert list(info.value.partial.times) == [0.0]
 
 
+def test_initial_head_above_cutoff_makes_no_gmres_call(monkeypatch):
+    # the one elliptic solve keeps no factors, so it factors and solves directly
+    grid = Grid((40, 40), (1.0, 1.0))
+    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    spec = dirichlet_spec(grid, pumping=0.05)
+    calls = []
+    gmres = fv.spla.gmres
+
+    def counting_gmres(*args, **kwargs):
+        calls.append(1)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(fv.spla, "gmres", counting_gmres)
+    w0 = spec.h2_cells(grid) - spec.initial_values(grid)[0]
+    phi = aq._initial_head(spec, grid, w0, StepperConfig(dt=1e-3, t_end=1e-3))
+    assert calls == []
+    assert np.all(np.isfinite(phi)) and np.any(phi != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # penalization sweep
 # ---------------------------------------------------------------------------

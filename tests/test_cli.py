@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,9 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"diagnostics": {"degiorgi": {"m": 1.0}}}, "diagnostics.degiorgi.m"),
     ({"diagnostics": {"degiorgi": {"m_prime": 0.0}}}, "diagnostics.degiorgi.m_prime"),
     ({"diagnostics": {"degiorgi": {"ell0": -1.0}}}, "diagnostics.degiorgi.ell0"),
+    ({"stepper": {"t_end": math.nan}}, "t_end"),
+    ({"stepper": {"dt": math.inf}}, "dt"),
+    ({"stepper": {"t_end": math.inf}}, "t_end"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

@@ -50,3 +50,40 @@ def test_cell_gradient_of_linear_field_is_its_slope(grid_data, seed):
     grad = fv.cell_gradient(ft, u, traces)
     assert grad.shape == (grid.ndim, grid.n_cells)
     assert np.allclose(grad, slope[:, None], rtol=0.0, atol=1e-12)
+
+
+def per_face_loop(ft, fa):
+    """Per-cell divergence and per-axis mean of the face values ``fa``, one face at a time."""
+    n, nd = ft.grid.n_cells, ft.grid.ndim
+    div, acc, cnt = np.zeros(n), np.zeros((nd, n)), np.zeros((nd, n))
+    for f, value in enumerate(fa):
+        ends = [(ft.left[f], 1.0)] + ([(ft.right[f], -1.0)] if f < ft.n_interior else [])
+        for cell, sign in ends:
+            div[cell] += sign * value
+            acc[ft.axis[f], cell] += value
+            cnt[ft.axis[f], cell] += 1
+    return div, acc / np.maximum(cnt, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRIDS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_face_sums_match_per_face_loop(grid_data, boundary, seed):
+    grid = Grid(*grid_data)
+    ft = fv.face_table(grid)
+    fa = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                             ft.n_faces if boundary else ft.n_interior)
+    div, mean = per_face_loop(ft, fa)
+    assert np.allclose(fv.face_divergence(ft, fa), div, rtol=0.0, atol=1e-14)
+    assert np.allclose(fv.cell_average(ft, fa), mean, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRIDS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_face_divergence_telescopes_to_boundary_values(grid_data, boundary, seed):
+    grid = Grid(*grid_data)
+    ft = fv.face_table(grid)
+    fa = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                             ft.n_faces if boundary else ft.n_interior)
+    total = fv.face_divergence(ft, fa).sum()
+    boundary_sum = fa[ft.n_interior:].sum()  # 0.0 for interior-only input
+    assert abs(total - boundary_sum) <= 1e-13 * np.abs(fa).sum()

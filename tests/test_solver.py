@@ -395,7 +395,9 @@ def test_direct_and_gmres_paths_agree(monkeypatch):
     lin_tol = 1e-10
     x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, 6000)
     monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
-    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, 6000)
+    factors = fv.BlockFactors(2)
+    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, 6000, factors=factors)
+    assert factors.iters > 0
     assert max(r_direct, r_gmres) <= lin_tol
     rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
     assert rel <= 10 * lin_tol
@@ -676,17 +678,18 @@ def test_term_sequences_on_one_grid_keep_their_own_patterns(built):
 def drain_reference(grid, m, terms, vals) -> sparse.csr_matrix:
     """coo -> csr of recorded face terms, indexed from face_table.
 
-    A face term's values are the diagonal entries of the face ends covered,
-    then the (left, right) and the (right, left) entries of the interior faces.
+    A face term's values are the diagonal entries of the left cells of the
+    covered faces, then of the right cells of the interior faces, then the
+    (left, right) and the (right, left) entries of the interior faces.
     """
     ft = fv.face_table(grid)
     n = grid.n_cells
     rows, cols = [], []
     for kind, row_sp, col_sp, n_faces in terms:
         assert kind == "face"
-        ends = ft.end_cell[ft.ends(n_faces)]
         left, right = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
-        r, c = (ends, left, right), (ends, right, left)
+        r = (ft.left[:n_faces], right, left, right)
+        c = (ft.left[:n_faces], right, right, left)
         rows.append(row_sp * n + np.concatenate(r))
         cols.append(col_sp * n + np.concatenate(c))
     return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -729,7 +732,7 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     # nonzero on the faces of every axis and, where covered, on the boundary faces
     ft = fv.face_table(grid)
     for (_, _, _, n_faces), v in zip(drain.terms, drain.vals):
-        faces = ft.end_face[ft.ends(n_faces)]
+        faces = np.concatenate((np.arange(n_faces), np.arange(ft.n_interior)))
         group = np.where(faces < ft.n_interior, ft.axis[faces], grid.ndim)
         assert all(np.any(v[:len(faces)][group == k] != 0.0) for k in np.unique(group))
     assert any(covers_boundary(grid, term) for term in drain.terms) == (kind == "dirichlet-2d")
