@@ -18,7 +18,7 @@ s = u1 + u2 <= h2) by adding the drain flux eps^-1 U0(s - u1) grad U0(s - h2)
 to the total-thickness equation; the recovered drain flux vanishes wherever
 h1 > 0 in the limit eps -> 0.  Pumping is a signed extraction density applied
 to the saltwater balance (a positive rate deepens the interface locally, the
-dome of the pumping benchmark).
+dome of the pumping benchmark); a well is a :func:`model.point_density`.
 
 Boundary handling: 'dirichlet' pins interface depths through boundary
 traces, 'closed' makes the box impermeable (the relaxation benchmark needs a
@@ -51,7 +51,7 @@ import numpy as np
 from . import fv, solver
 from .conditions import check_aquifer_admissibility
 from .fv import SolverFailure, SystemBuilder, face_table
-from .model import CrossTensor, Grid, InvalidParameterError, ModelSpec
+from .model import CrossTensor, Grid, InvalidParameterError, ModelSpec, evaluate, point_density
 from .solver import SimulationResult, StepperConfig
 
 __all__ = [
@@ -80,13 +80,15 @@ def _u0(x):
 class AquiferSpec:
     """Data of one intrusion scenario.
 
-    ``h2`` is the reservoir depth (scalar or per-cell; per-cell values enter
-    the hierarchy, the variable mapping and the penalty threshold, while the
-    interface dynamics stays the thickness-variable system above).
-    ``pumping`` is a signed extraction density (rate per area; scalar, array
-    or callable of (t, points)).  ``boundary`` selects 'dirichlet' traces or
-    a 'closed' impermeable box; the head trace ``dirichlet_phi`` only serves
-    the confined variant.
+    Every datum is turned into values by :func:`model.evaluate`: a scalar,
+    a per-point array or a callable of the points (initial data) or of
+    (t, points) (traces and pumping).  ``h2`` is the reservoir depth (scalar
+    or per-cell; per-cell values enter the hierarchy, the variable mapping
+    and the penalty threshold, while the interface dynamics stays the
+    thickness-variable system above).  ``pumping`` is a signed extraction
+    density (rate per area; None is no pumping).  ``boundary`` selects
+    'dirichlet' traces or a 'closed' impermeable box; the head trace
+    ``dirichlet_phi`` only serves the confined variant.
     """
 
     h2: float | np.ndarray
@@ -113,27 +115,21 @@ class AquiferSpec:
             raise InvalidParameterError("dirichlet boundaries need traces for h and h1")
 
     def h2_cells(self, grid: Grid) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.h2, dtype=float), (grid.n_cells,)).copy()
-
-    def _eval(self, data, points: np.ndarray, t: float | None = None) -> np.ndarray:
-        if callable(data):
-            out = data(points) if t is None else data(t, points)
-            return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
-        return np.broadcast_to(np.asarray(data, dtype=float), (points.shape[0],)).copy()
+        return evaluate(self.h2, grid.n_cells)
 
     def initial_values(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         pts = grid.cell_centers()
-        return self._eval(self.initial_h, pts), self._eval(self.initial_h1, pts)
+        return evaluate(self.initial_h, len(pts), pts), evaluate(self.initial_h1, len(pts), pts)
 
     def trace_values(self, t: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if self.boundary == "closed":
             return None
-        return self._eval(self.dirichlet_h, points, t), self._eval(self.dirichlet_h1, points, t)
+        n = points.shape[0]
+        return evaluate(self.dirichlet_h, n, t, points), evaluate(self.dirichlet_h1, n, t, points)
 
     def pumping_values(self, t: float, points: np.ndarray) -> np.ndarray:
-        if self.pumping is None:
-            return np.zeros(points.shape[0])
-        return self._eval(self.pumping, points, t)
+        pumping = 0.0 if self.pumping is None else self.pumping
+        return evaluate(pumping, points.shape[0], t, points)
 
     def validate(self, grid: Grid) -> None:
         """Hierarchy of the data, admissibility window, trace compatibility."""
@@ -155,8 +151,8 @@ class AquiferSpec:
                     or np.any(h2_b - h_d < -HIERARCHY_TOL):
                 raise InvalidParameterError("boundary traces violate 0 <= h1 <= h <= h2")
             if callable(self.initial_h):
-                h0_tr = self._eval(self.initial_h, ft.bnd_points)
-                h10_tr = self._eval(self.initial_h1, ft.bnd_points)
+                h0_tr = evaluate(self.initial_h, ft.n_boundary, ft.bnd_points)
+                h10_tr = evaluate(self.initial_h1, ft.n_boundary, ft.bnd_points)
             else:
                 h0_tr, h10_tr = h0[ft.bnd_cell], h10[ft.bnd_cell]
             if np.max(np.abs(h0_tr - h_d)) > 1e-8 or np.max(np.abs(h10_tr - h1_d)) > 1e-8:
@@ -199,27 +195,20 @@ def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
     def initial_u(which):
         if callable(aspec.initial_h) or callable(aspec.initial_h1):
             def f(points):
-                h0 = aspec._eval(aspec.initial_h, points)
-                h10 = aspec._eval(aspec.initial_h1, points)
-                return map_heads(h0, h10, h2_cells)[which]
+                n = points.shape[0]
+                h0 = evaluate(aspec.initial_h, n, points)
+                return map_heads(h0, evaluate(aspec.initial_h1, n, points), h2_cells)[which]
             return f
         return map_heads(*aspec.initial_values(grid), h2_cells)[which]
 
     def dirichlet_u(which):
-        def g(t, points):
-            h_d = aspec._eval(aspec.dirichlet_h, points, t)
-            h1_d = aspec._eval(aspec.dirichlet_h1, points, t)
-            return map_heads(h_d, h1_d, h2_faces)[which]
-        return g
-
-    def salt_sink(t, points, u):
-        return -aspec.pumping_values(t, points)
+        return lambda t, points: map_heads(*aspec.trace_values(t, points), h2_faces)[which]
 
     closed = aspec.boundary == "closed"
     return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=ell,
                      domain=aspec.domain, initial=[initial_u(0), initial_u(1)],
                      dirichlet=[None, None] if closed else [dirichlet_u(0), dirichlet_u(1)],
-                     sources=[None, salt_sink])
+                     sources=[None, lambda t, points, u: -aspec.pumping_values(t, points)])
 
 
 def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
@@ -416,7 +405,7 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag
     pump = aspec.pumping_values(t_prev, ft.centers)
 
     w_trace = _u_traces(aspec, grid, t_new)[1]
-    phi_trace = aspec._eval(aspec.dirichlet_phi, ft.bnd_points, t_new)
+    phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_new, ft.bnd_points)
     # a closed box carries no salt flux through the boundary faces
     n_faces = ft.n_interior if w_trace is None else ft.n_faces
     w = fv.slot_values(ft, _u0(w_lag), None if w_trace is None else _u0(w_trace))
@@ -452,7 +441,7 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     ft = builder.ft
     one_a = 1.0 - aspec.alpha
     alpha = aspec.alpha
-    phi_trace = aspec._eval(aspec.dirichlet_phi, ft.bnd_points, 0.0)
+    phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, 0.0, ft.bnd_points)
     w_trace = _u_traces(aspec, grid, 0.0)[1]
     n_faces = ft.n_interior if w_trace is None else ft.n_faces
     w = fv.slot_values(ft, _u0(w0), None if w_trace is None else _u0(w_trace))
@@ -518,15 +507,7 @@ def keulegan_scenario(grid: Grid, pump_rate: float = 0.0, tilt: float = 0.5, *,
     def initial_h(points: np.ndarray) -> np.ndarray:
         return h_mid + tilt * (points[:, 0] - length / 2.0)
 
-    pumping = None
-    if pump_rate != 0.0:
-        center = (np.asarray(well_position, dtype=float) if well_position is not None
-                  else np.array([e / 2.0 for e in grid.extents]))
-        pts = grid.cell_centers()
-        well_cell = int(np.argmin(np.linalg.norm(pts - center[None, :], axis=1)))
-        density = np.zeros(grid.n_cells)
-        density[well_cell] = pump_rate / grid.cell_volume
-        pumping = density
+    pumping = None if pump_rate == 0.0 else point_density(grid, well_position, pump_rate)
 
     return AquiferSpec(h2=h2, delta=delta, alpha=alpha, epsilon=epsilon,
                        initial_h=initial_h, initial_h1=float(h1_level),

@@ -8,6 +8,14 @@ hash, the effective config (grid, stepper and output defaults filled in, the
 other blocks as written) and the artifact list; wall time is reported on
 stderr only so artifacts stay reproducible.
 
+Each datum of a model block is a profile block (or a number, a constant)
+that :func:`_profile` turns into a scalar, a callable of the points or,
+for a ``point`` source or well, a per-cell density; each kind of datum
+accepts its own profile names.  A diagnostics sub-block that is present,
+even empty, turns its diagnostic on with its defaults; ``null`` or no key
+leaves it off.  :data:`_COMMANDS` is the one table of the commands and the
+config kinds each accepts.
+
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
 """
@@ -30,7 +38,7 @@ from . import conditions, diagnostics
 from .conditions import DEFAULT_G_CAVEAT, ConditionReport, reports_to_csv
 from .fv import SolverFailure
 from .model import (CrossTensor, Grid, InvalidParameterError, ModelSpec, ellipticity_bounds,
-                    validate_spec)
+                    point_density, validate_spec)
 from .solver import (SimulationResult, StepperConfig, convergence_study, run)
 from .table import cells, csv_table
 
@@ -76,6 +84,11 @@ _CONV_KEYS = {"case": _STRING, "levels": _INTEGER, "nx0": _INTEGER, "dt0": _NUMB
               "t_end": _NUMBER}
 _SWEEP_KEYS = {"epsilon_list": _NUMBERS}
 
+# the commands and the config kinds each accepts
+_COMMANDS = {"check": ("generic", "aquifer", "keulegan"), "simulate": ("generic",),
+             "aquifer": ("aquifer", "keulegan"), "keulegan": ("keulegan",),
+             "probe": ("generic",), "sweep": ("aquifer", "keulegan"),
+             "convergence": ("generic",)}
 _STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, **{
     f.name: f.default for f in fields(StepperConfig) if f.default is not MISSING}}
 
@@ -114,17 +127,6 @@ class RunManifest:
     command: str
     artifacts: list[str]
     exit_status: int
-
-
-def _profile_block(raw, where: str) -> dict:
-    if isinstance(raw, (int, float)):
-        return {"profile": "constant", "value": float(raw)}
-    if raw is None:
-        return {"profile": "zero"}
-    _check_keys(raw, _PROFILE_KEYS, where)
-    if "profile" not in raw:
-        raise ConfigError(f"{where} needs a 'profile' name")
-    return raw
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
@@ -175,10 +177,11 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     center = (diag_block.get("probe") or {}).get("center")
     if center is not None and len(center) != grid.ndim:
         raise ConfigError(f"diagnostics.probe.center needs {grid.ndim} numbers, got {center!r}")
-    degiorgi = diag_block.get("degiorgi") or {}
+    degiorgi = diag_block.get("degiorgi")
     # the level iteration pairs species i with 1 - i
-    if degiorgi and kind == "generic" and model_block.get("m", 2) != 2:
+    if degiorgi is not None and kind == "generic" and model_block.get("m", 2) != 2:
         raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
+    degiorgi = degiorgi or {}
     # its bound factor m exceeds 1, its ratio m_prime and its level ell0 are positive
     for key, low in (("m", 1), ("m_prime", 0), ("ell0", 0)):
         value = degiorgi.get(key)
@@ -214,15 +217,29 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 # model construction from profile blocks
 # ---------------------------------------------------------------------------
 
-def _initial_profile(block, grid: Grid):
-    p = _profile_block(block, "initial profile")
+def _profile(block, grid: Grid, kind: str):
+    """Datum of one profile block: a scalar, a callable of the points or a per-cell density.
+
+    A number is a constant profile and null the zero profile.
+    """
+    if block is None or isinstance(block, (int, float)):
+        return float(block or 0.0)
+    p = _check_keys(block, _PROFILE_KEYS, f"{kind} profile")
+    if "profile" not in p:
+        raise ConfigError(f"{kind} profile needs a 'profile' name")
     name = p["profile"]
+    allowed = {"initial": ("zero", "constant", "sine", "bump"),
+               "dirichlet": ("zero", "constant"), "source": ("zero", "constant", "point")}
+    if name not in allowed[kind]:
+        raise ConfigError(f"unknown {kind} profile {name!r}")
     if name == "zero":
         return 0.0
     if name == "constant":
         return float(p.get("value", 0.0))
+    if name == "point":
+        return point_density(grid, p.get("position"), float(p.get("rate", 1.0)))
+    amp = float(p.get("amplitude", 1.0))
     if name == "sine":
-        amp = float(p.get("amplitude", 1.0))
         ext = grid.extents
 
         def f(points: np.ndarray) -> np.ndarray:
@@ -231,47 +248,13 @@ def _initial_profile(block, grid: Grid):
                 out = out * np.sin(np.pi * points[:, d] / ext[d])
             return out
         return f
-    if name == "bump":
-        amp = float(p.get("amplitude", 1.0))
-        width = float(p.get("width", 0.1))
-        center = np.asarray(p.get("center", [e / 2.0 for e in grid.extents]), dtype=float)
+    width = float(p.get("width", 0.1))
+    center = np.asarray(p.get("center", [e / 2.0 for e in grid.extents]), dtype=float)
 
-        def f(points: np.ndarray) -> np.ndarray:
-            r2 = np.sum((points - center[None, :]) ** 2, axis=1)
-            return amp * np.exp(-r2 / (2.0 * width ** 2))
-        return f
-    raise ConfigError(f"unknown initial profile {name!r}")
-
-
-def _dirichlet_profile(block):
-    p = _profile_block(block, "dirichlet profile")
-    name = p["profile"]
-    if name == "zero":
-        return 0.0
-    if name == "constant":
-        return float(p.get("value", 0.0))
-    raise ConfigError(f"unknown dirichlet profile {name!r}")
-
-
-def _source_profile(block, grid: Grid):
-    p = _profile_block(block, "source profile")
-    name = p["profile"]
-    if name == "zero":
-        return None
-    if name == "constant":
-        return float(p.get("value", 0.0))
-    if name == "point":
-        rate = float(p.get("rate", 1.0))
-        position = np.asarray(p.get("position", [e / 2.0 for e in grid.extents]), dtype=float)
-        pts = grid.cell_centers()
-        cell = int(np.argmin(np.linalg.norm(pts - position[None, :], axis=1)))
-        density = np.zeros(grid.n_cells)
-        density[cell] = rate / grid.cell_volume
-
-        def q(t, points, u):
-            return density
-        return q
-    raise ConfigError(f"unknown source profile {name!r}")
+    def bump(points: np.ndarray) -> np.ndarray:
+        r2 = np.sum((points - center[None, :]) ** 2, axis=1)
+        return amp * np.exp(-r2 / (2.0 * width ** 2))
+    return bump
 
 
 def _tensor_from(entry, ndim: int) -> CrossTensor:
@@ -288,9 +271,9 @@ def build_generic_spec(config: ScenarioConfig) -> ModelSpec:
     k_raw = mb.get("K", [[1.0] * m] * m)
     k = [[_tensor_from(k_raw[i][j], grid.ndim) for j in range(m)] for i in range(m)]
     ell = float(mb.get("ell", 1.0))
-    initial = [_initial_profile(b, grid) for b in mb.get("initial", [0.0] * m)]
-    dirichlet = [_dirichlet_profile(b) for b in mb.get("dirichlet", [0.0] * m)]
-    sources = [_source_profile(b, grid) for b in mb.get("sources", [None] * m)]
+    initial = [_profile(b, grid, "initial") for b in mb.get("initial", [0.0] * m)]
+    dirichlet = [_profile(b, grid, "dirichlet") for b in mb.get("dirichlet", [0.0] * m)]
+    sources = [_profile(b, grid, "source") for b in mb.get("sources", [None] * m)]
     try:
         return ModelSpec(m=m, delta=delta, K=k, ell=ell, domain=grid.extents,
                          initial=initial, dirichlet=dirichlet, sources=sources)
@@ -307,31 +290,24 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
                 key: value if key == "well_position" else float(value)
                 for key, value in mb.items() if key != "variant"})
         boundary = mb.get("boundary", "dirichlet")
-        dirichlet = boundary == "dirichlet"
+        traces = boundary == "dirichlet"
         return aq.AquiferSpec(
             h2=float(mb.get("h2", 1.0)),
             delta=float(mb.get("delta", 0.3)),
             alpha=float(mb.get("alpha", 0.025)),
             epsilon=float(mb.get("epsilon", 1e-2)),
-            initial_h=_initial_profile(mb.get("initial_h", 0.5), config.grid),
-            initial_h1=_initial_profile(mb.get("initial_h1", 0.1), config.grid),
+            initial_h=_profile(mb.get("initial_h", 0.5), grid, "initial"),
+            initial_h1=_profile(mb.get("initial_h1", 0.1), grid, "initial"),
             domain=grid.extents,
-            pumping=_source_as_density(mb.get("pumping"), grid),
-            dirichlet_h=_dirichlet_profile(mb.get("dirichlet_h", 0.5)) if dirichlet else None,
-            dirichlet_h1=_dirichlet_profile(mb.get("dirichlet_h1", 0.1)) if dirichlet else None,
-            dirichlet_phi=_dirichlet_profile(mb.get("dirichlet_phi", 0.0)),
+            pumping=_profile(mb.get("pumping"), grid, "source"),
+            dirichlet_h=(_profile(mb.get("dirichlet_h", 0.5), grid, "dirichlet")
+                         if traces else None),
+            dirichlet_h1=(_profile(mb.get("dirichlet_h1", 0.1), grid, "dirichlet")
+                          if traces else None),
+            dirichlet_phi=_profile(mb.get("dirichlet_phi", 0.0), grid, "dirichlet"),
             boundary=boundary)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _source_as_density(block, grid: Grid):
-    if block is None:
-        return None
-    q = _source_profile(block, grid)
-    if callable(q):
-        return lambda t, points: q(t, points, None)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +417,7 @@ def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
 def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
                         result: SimulationResult) -> dict[str, str]:
     block = config.diagnostics.get("degiorgi")
-    if not block:
+    if block is None:
         return {}
     species = int(block.get("species", 1)) - 1
     s_exp = float(block.get("s", 6.0))
@@ -476,7 +452,7 @@ def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
 def _levels_artifacts(config: ScenarioConfig, grid: Grid,
                       result: SimulationResult) -> dict[str, str]:
     block = config.diagnostics.get("levels")
-    if not block:
+    if block is None:
         return {}
     hi = block.get("hi")
     if hi is None:
@@ -501,14 +477,9 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     exit_status = 0
     partial_series = "series.csv"  # where a failed run's partial series goes
 
-    compat = {"check": ("generic", "aquifer", "keulegan"),
-              "simulate": ("generic",), "probe": ("generic",),
-              "convergence": ("generic",),
-              "aquifer": ("aquifer", "keulegan"), "keulegan": ("keulegan",),
-              "sweep": ("aquifer", "keulegan")}
-    if command not in compat:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    if config.kind not in compat[command]:
+    if config.kind not in _COMMANDS[command]:
         raise ConfigError(f"command {command!r} does not accept kind {config.kind!r}")
 
     try:
@@ -530,7 +501,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             artifacts.update(_degiorgi_artifacts(config, spec, config.grid, result))
             artifacts.update(_levels_artifacts(config, config.grid, result))
             bounds = config.diagnostics.get("bounds")
-            if bounds:
+            if bounds is not None:
                 rep = diagnostics.bound_check(result,
                                               float(bounds.get("lo", 0.0)),
                                               float(bounds.get("hi", math.inf)))
@@ -646,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="crossdiff",
         description="Cross-diffusion laboratory: checks, simulations, diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb in ("check", "simulate", "aquifer", "keulegan", "probe", "sweep", "convergence"):
+    for verb in _COMMANDS:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory")

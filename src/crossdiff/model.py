@@ -8,8 +8,11 @@ where clamp is the pointwise truncation of the coupling coefficient to
 [0, ell].  The module owns the immutable problem-data containers (tensors,
 grid, fields, full spec), the truncation operator, ellipticity bounds of the
 coupling tensors and pointwise flux evaluation.  A species without Dirichlet
-data is closed (impermeable).  Everything here is pure and side-effect free;
-discretization lives in :mod:`crossdiff.fv` and :mod:`crossdiff.solver`.
+data is closed (impermeable).  :func:`evaluate` is the package's one rule
+that turns a datum (a callable, a scalar or a per-point array) into values,
+and :func:`point_density` its one point source.  Everything here is pure and
+side-effect free; discretization lives in :mod:`crossdiff.fv` and
+:mod:`crossdiff.solver`.
 """
 
 from __future__ import annotations
@@ -184,8 +187,38 @@ class Field:
 # ---------------------------------------------------------------------------
 
 InitialData = Callable[[np.ndarray], np.ndarray] | np.ndarray | float
-BoundaryData = Callable[[float, np.ndarray], np.ndarray] | float | None
-SourceData = Callable[[float, np.ndarray, np.ndarray], np.ndarray] | float | None
+BoundaryData = Callable[[float, np.ndarray], np.ndarray] | np.ndarray | float | None
+SourceData = Callable[[float, np.ndarray, np.ndarray], np.ndarray] | np.ndarray | float | None
+
+
+def evaluate(data, n: int, *args) -> np.ndarray:
+    """Fresh float array of the n values of one datum.
+
+    A callable is called with ``args`` and its result broadcast to n values,
+    a scalar fills n values, and an array must have shape (n,).
+    """
+    if callable(data):
+        return np.broadcast_to(np.asarray(data(*args), dtype=float), (n,)).copy()
+    a = np.asarray(data, dtype=float)
+    if a.ndim == 0:
+        return np.full(n, float(a))
+    if a.shape != (n,):
+        raise InvalidParameterError(f"data array has shape {a.shape}, expected ({n},)")
+    return a.copy()
+
+
+def point_density(grid: Grid, position: Sequence[float] | None, rate: float) -> np.ndarray:
+    """Per-cell density of a point source: ``rate`` over the volume of its nearest cell.
+
+    The source sits at ``position``, at the center of the box if that is None.
+    """
+    if position is None:
+        position = [e / 2.0 for e in grid.extents]
+    pts = grid.cell_centers()
+    cell = int(np.argmin(np.linalg.norm(pts - np.asarray(position, dtype=float)[None, :], axis=1)))
+    density = np.zeros(grid.n_cells)
+    density[cell] = rate / grid.cell_volume
+    return density
 
 
 @dataclass
@@ -194,11 +227,12 @@ class ModelSpec:
 
     ``K[i][j]`` is the tensor multiplying grad u_j in the species-i flux.
     ``ell`` is the truncation level of the coupling coefficient; ``ell = 0``
-    decouples the system and ``ell = inf`` clips at zero only.  Sources are
-    callables ``Q_i(t, points, u)`` evaluated cell-wise at the previous time
-    level, Dirichlet traces are ``g_i(t, points)`` (or None for a closed,
-    impermeable species) and initial data either callables ``f_i(points)``,
-    plain per-cell arrays or scalars.
+    decouples the system and ``ell = inf`` clips at zero only.  Every datum
+    is a callable, a scalar or a per-point array, turned into values by
+    :func:`evaluate`: sources ``Q_i(t, points, u)`` are evaluated cell-wise at
+    the previous time level (None is no source), Dirichlet traces
+    ``g_i(t, points)`` on the boundary faces (None for a closed, impermeable
+    species) and initial data ``f_i(points)`` at the cell centers.
     """
 
     m: int
@@ -238,32 +272,15 @@ class ModelSpec:
         return len(self.domain)
 
     def initial_values(self, i: int, points: np.ndarray) -> np.ndarray:
-        f = self.initial[i]
-        if callable(f):
-            return np.broadcast_to(np.asarray(f(points), dtype=float), (points.shape[0],)).copy()
-        a = np.asarray(f, dtype=float)
-        if a.ndim == 0:
-            return np.full(points.shape[0], float(a))
-        if a.shape != (points.shape[0],):
-            raise InvalidParameterError(
-                f"initial array for species {i} has length {a.shape}, expected {points.shape[0]}")
-        return a.copy()
+        return evaluate(self.initial[i], points.shape[0], points)
 
     def dirichlet_values(self, i: int, t: float, points: np.ndarray) -> np.ndarray | None:
         g = self.dirichlet[i]
-        if g is None:
-            return None
-        if callable(g):
-            return np.broadcast_to(np.asarray(g(t, points), dtype=float), (points.shape[0],)).copy()
-        return np.full(points.shape[0], float(g))
+        return None if g is None else evaluate(g, points.shape[0], t, points)
 
     def source_values(self, i: int, t: float, points: np.ndarray, u: np.ndarray) -> np.ndarray:
         q = self.sources[i]
-        if q is None:
-            return np.zeros(points.shape[0])
-        if callable(q):
-            return np.broadcast_to(np.asarray(q(t, points, u), dtype=float), (points.shape[0],)).copy()
-        return np.full(points.shape[0], float(q))
+        return evaluate(0.0 if q is None else q, points.shape[0], t, points, u)
 
 
 def species_flux(i: int, grads: np.ndarray, u_i: float, spec: ModelSpec) -> np.ndarray:

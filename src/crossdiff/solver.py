@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
 class StepperConfig:
     """Time-stepping, nonlinear-lag and linear-solver settings.
 
+    ``dt``, ``t_end`` and the tolerances are numbers, not bools or strings;
     ``dt`` must be finite and positive, ``t_end`` finite and nonnegative.
     ``lin_tol`` bounds the relative true residual of every linear solve;
     ``lin_max`` caps the inner GMRES iterations per call and so applies to
@@ -77,9 +78,11 @@ class StepperConfig:
     coefficient_mode: str = "truncated"   # "truncated" | "raw"
 
     def __post_init__(self):
-        for name in ("dt", "t_end"):
+        for name in ("dt", "t_end", "picard_tol", "lin_tol"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+            if name in ("dt", "t_end") and not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0.0 or self.t_end < 0.0:
             raise InvalidParameterError("dt must be positive and t_end nonnegative")

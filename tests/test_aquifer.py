@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from crossdiff import aquifer as aq
 from crossdiff import fv, solver
 from crossdiff.fv import SystemBuilder
-from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec, validate_spec
+from crossdiff.model import (CrossTensor, Grid, InvalidParameterError, ModelSpec,
+                             point_density, validate_spec)
 from crossdiff.solver import SolverFailure, StepperConfig
 
 
@@ -185,6 +188,58 @@ def test_step_aquifer_moves_state(grid_48):
         new = result.snapshots[-1]
         assert len(result.snapshots) == 2 and new.time == pytest.approx(1e-3)
         assert np.max(np.abs(new.values - state)) < 1e-9  # steady data stay put
+
+
+# ---------------------------------------------------------------------------
+# data evaluation
+# ---------------------------------------------------------------------------
+
+DATA_GRID = Grid((4, 3), (1.0, 0.75))
+VALUE = 0.1 + 1.0 / 3.0
+
+
+def _aquifer_datum_values(datum: str, data) -> np.ndarray:
+    """Values of one datum of a Dirichlet aquifer spec on DATA_GRID."""
+    spec = dataclasses.replace(dirichlet_spec(DATA_GRID), **{datum: data})
+    pts, bnd = DATA_GRID.cell_centers(), fv.face_table(DATA_GRID).bnd_points
+    return {"initial_h": lambda: spec.initial_values(DATA_GRID)[0],
+            "dirichlet_h": lambda: spec.trace_values(0.5, bnd)[0],
+            "pumping": lambda: spec.pumping_values(0.5, pts),
+            "h2": lambda: spec.h2_cells(DATA_GRID)}[datum]()
+
+
+def _aquifer_datum_length(datum: str) -> int:
+    return (fv.face_table(DATA_GRID).n_boundary if datum == "dirichlet_h"
+            else DATA_GRID.n_cells)
+
+
+@pytest.mark.parametrize("datum", ["initial_h", "dirichlet_h", "pumping", "h2"])
+def test_aquifer_scalar_array_and_callable_data_agree(datum):
+    array = np.full(_aquifer_datum_length(datum), VALUE)
+    forms = [VALUE, array]
+    # the reservoir depth is a scalar or per-cell array; it has no callable form
+    if datum != "h2":
+        forms.append((lambda p: array) if datum == "initial_h" else (lambda t, p: array))
+    values = [_aquifer_datum_values(datum, d) for d in forms]
+    for v in values:
+        assert v.dtype == float and v.tobytes() == values[0].tobytes()
+    assert values[1] is not array
+
+
+@pytest.mark.parametrize("datum", ["initial_h", "dirichlet_h", "pumping", "h2"])
+def test_aquifer_wrong_length_data_array_rejected(datum):
+    n = _aquifer_datum_length(datum)
+    with pytest.raises(InvalidParameterError, match=rf"expected \({n},\)"):
+        _aquifer_datum_values(datum, np.full(n + 1, VALUE))
+
+
+def test_keulegan_well_is_the_point_density():
+    grid = Grid((16, 6), (1.0, 0.4))
+    spec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4, well_position=[0.3, 0.1])
+    assert spec.pumping.tobytes() == point_density(grid, [0.3, 0.1], 0.05).tobytes()
+    centered = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4)
+    assert centered.pumping.tobytes() == point_density(grid, [0.5, 0.2], 0.05).tobytes()
+    assert aq.keulegan_scenario(grid, pump_rate=0.0).pumping is None
 
 
 # ---------------------------------------------------------------------------

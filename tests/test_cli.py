@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from crossdiff import diagnostics as diag
-from crossdiff.cli import ConfigError, build_generic_spec, main, parse_scenario
+from crossdiff.cli import (ConfigError, build_aquifer_spec, build_generic_spec, main,
+                           parse_scenario)
+from crossdiff.model import Grid, point_density
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "scenario.json") -> Path:
@@ -90,6 +92,9 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"t_end": math.nan}}, "t_end"),
     ({"stepper": {"dt": math.inf}}, "dt"),
     ({"stepper": {"t_end": math.inf}}, "t_end"),
+    ({"stepper": {"dt": "0.001"}}, "dt"),
+    ({"stepper": {"lin_tol": "1e-10"}}, "lin_tol"),
+    ({"stepper": {"dt": True}}, "dt"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -99,6 +104,64 @@ def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, n
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_diagnostics_blocks_run_with_defaults(tmp_path):
+    names = ("levels.csv", "bounds.csv", "degiorgi.csv")
+    written = {}
+    for tag, diagnostics in [
+            ("empty", {"levels": {}, "bounds": {}, "degiorgi": {}}),
+            ("explicit", {"levels": {"count": 20}, "bounds": {"lo": 0.0},
+                          "degiorgi": {"species": 1}}),
+            ("null", {"levels": None, "bounds": None, "degiorgi": None})]:
+        cfg = {**json.loads(json.dumps(GENERIC)), "diagnostics": diagnostics}
+        path = write_config(tmp_path, cfg, f"{tag}.json")
+        out = tmp_path / tag
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        written[tag] = {name: (out / name).read_text() for name in names
+                        if (out / name).exists()}
+    assert sorted(written["empty"]) == sorted(names)
+    assert written["empty"] == written["explicit"]
+    assert written["null"] == {}
+
+
+def test_empty_degiorgi_block_needs_two_species(tmp_path, capsys):
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"]["m"] = 1
+    cfg["diagnostics"] = {"degiorgi": {}}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "m = 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_point_profiles_are_point_densities(tmp_path):
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"]["sources"] = [{"profile": "point", "rate": 0.5, "position": [0.3, 0.6]},
+                               {"profile": "point"}]
+    spec = build_generic_spec(parse_scenario(write_config(tmp_path, cfg)))
+    grid = Grid((10, 10), (1.0, 1.0))
+    assert spec.sources[0].tobytes() == point_density(grid, [0.3, 0.6], 0.5).tobytes()
+    assert spec.sources[1].tobytes() == point_density(grid, [0.5, 0.5], 1.0).tobytes()
+    aquifer = {"schema": 1, "kind": "aquifer", "grid": {"dims": [8, 6]},
+               "model": {"pumping": {"profile": "point", "rate": -0.3}}}
+    aspec = build_aquifer_spec(parse_scenario(write_config(tmp_path, aquifer, "aq.json")))
+    assert aspec.pumping.tobytes() == point_density(Grid((8, 6), (1.0, 1.0)), [0.5, 0.5],
+                                                    -0.3).tobytes()
+
+
+@pytest.mark.parametrize("block, datum, name", [
+    ("sources", "source", "sine"), ("sources", "source", "bump"),
+    ("dirichlet", "dirichlet", "sine"), ("dirichlet", "dirichlet", "point"),
+    ("initial", "initial", "point"), ("initial", "initial", "wave"),
+])
+def test_profile_names_checked_per_datum(tmp_path, capsys, block, datum, name):
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"][block] = [{"profile": name}, 0.0]
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown {datum} profile {name!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -133,7 +196,6 @@ def test_keulegan_defaults_alpha(tmp_path):
     payload = {"schema": 1, "kind": "keulegan", "grid": {"dims": [16]},
                "model": {"tilt": 0.2, "pump_rate": 0.0}}
     config = parse_scenario(write_config(tmp_path, payload))
-    from crossdiff.cli import build_aquifer_spec
     spec = build_aquifer_spec(config)
     assert spec.alpha == 0.025
 

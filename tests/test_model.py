@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from crossdiff.fv import face_table
 from crossdiff.model import (COMPATIBILITY_TOL, CrossTensor, EllipticityError, Field,
                              Grid, InvalidParameterError, ModelSpec, clamp,
-                             ellipticity_bounds, species_flux, truncate,
-                             validate_spec)
+                             ellipticity_bounds, evaluate, point_density, species_flux,
+                             truncate, validate_spec)
 
 from conftest import coupled_spec_2d, product_sine
 
@@ -188,6 +189,75 @@ def test_validate_array_initial_boundary_cells(grid_12):
 def test_validate_domain_mismatch():
     spec = coupled_spec_2d()
     assert "domain-mismatch" in validate_spec(spec, Grid((8, 8), (2.0, 1.0))).codes()
+
+
+# ---------------------------------------------------------------------------
+# data evaluation
+# ---------------------------------------------------------------------------
+
+DATA_GRID = Grid((4, 3), (1.0, 0.75))
+VALUE = 0.1 + 1.0 / 3.0
+
+
+def _datum_values(datum: str, data) -> np.ndarray:
+    """Values of one datum of a one-species spec, every other datum zero."""
+    data_of = {"initial": 0.0, "dirichlet": 0.0, "source": None, datum: data}
+    spec = ModelSpec(m=1, delta=[1.0], K=[[CrossTensor.isotropic(1.0, 2)]], ell=1.0,
+                     domain=DATA_GRID.extents, initial=[data_of["initial"]],
+                     dirichlet=[data_of["dirichlet"]], sources=[data_of["source"]])
+    pts, bnd = DATA_GRID.cell_centers(), face_table(DATA_GRID).bnd_points
+    u = np.zeros((1, DATA_GRID.n_cells))
+    return {"initial": lambda: spec.initial_values(0, pts),
+            "dirichlet": lambda: spec.dirichlet_values(0, 0.5, bnd),
+            "source": lambda: spec.source_values(0, 0.5, pts, u)}[datum]()
+
+
+def _datum_length(datum: str) -> int:
+    return face_table(DATA_GRID).n_boundary if datum == "dirichlet" else DATA_GRID.n_cells
+
+
+@pytest.mark.parametrize("datum", ["initial", "dirichlet", "source"])
+def test_scalar_array_and_callable_data_agree(datum):
+    array = np.full(_datum_length(datum), VALUE)
+    call = {"initial": lambda p: array, "dirichlet": lambda t, p: array,
+            "source": lambda t, p, u: array}[datum]
+    values = [_datum_values(datum, d) for d in (VALUE, array, call)]
+    for v in values:
+        assert v.dtype == float and v.tobytes() == values[0].tobytes()
+    assert values[1] is not array
+
+
+@pytest.mark.parametrize("datum", ["initial", "dirichlet", "source"])
+def test_wrong_length_data_array_rejected(datum):
+    n = _datum_length(datum)
+    with pytest.raises(InvalidParameterError, match=rf"expected \({n},\)"):
+        _datum_values(datum, np.full(n + 1, VALUE))
+
+
+def test_evaluate_broadcasts_callables_and_copies_arrays():
+    array = np.arange(3.0)
+    out = evaluate(array, 3)
+    out[0] = 7.0
+    assert array[0] == 0.0
+    assert evaluate(lambda t, p: t * p, 3, 2.0, 1.5).tolist() == [3.0, 3.0, 3.0]
+    assert evaluate(2, 2).tolist() == [2.0, 2.0]
+    with pytest.raises(InvalidParameterError, match=r"expected \(3,\)"):
+        evaluate(np.zeros((3, 1)), 3)
+
+
+@pytest.mark.parametrize("grid, position", [
+    (Grid((10,), (2.0,)), [0.73]),
+    (Grid((4, 5), (1.0, 1.5)), [0.6, 1.0]),
+])
+def test_point_density_is_rate_over_nearest_cell_volume(grid, position):
+    density = point_density(grid, position, 0.3)
+    pts = grid.cell_centers()
+    nearest = int(np.argmin(np.linalg.norm(pts - np.asarray(position)[None, :], axis=1)))
+    expected = np.zeros(grid.n_cells)
+    expected[nearest] = 0.3 / grid.cell_volume
+    assert density.tobytes() == expected.tobytes()
+    assert nearest == (3 if grid.ndim == 1 else 2 * 5 + 3)
+    assert np.sum(density) * grid.cell_volume == pytest.approx(0.3, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,18 @@ def test_integer_controls_accept_numpy_integers():
     assert cfg.picard_max == 3
 
 
+@pytest.mark.parametrize("field", ["dt", "t_end", "picard_tol", "lin_tol"])
+@pytest.mark.parametrize("value", [True, "0.001", None, [1e-3]])
+def test_float_controls_must_be_real_numbers(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        StepperConfig(**{"dt": 1e-3, "t_end": 1e-3, field: value})
+
+
+def test_float_controls_accept_numpy_floats_and_integers():
+    cfg = StepperConfig(dt=np.float64(1e-3), t_end=0, picard_tol=np.float32(1e-6), lin_tol=1)
+    assert (cfg.dt, cfg.t_end, cfg.lin_tol) == (1e-3, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # linear solve
 # ---------------------------------------------------------------------------
