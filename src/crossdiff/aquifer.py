@@ -117,9 +117,18 @@ class AquiferSpec:
     def h2_cells(self, grid: Grid) -> np.ndarray:
         return evaluate(self.h2, grid.n_cells)
 
-    def initial_values(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        pts = grid.cell_centers()
-        return evaluate(self.initial_h, len(pts), pts), evaluate(self.initial_h1, len(pts), pts)
+    def initial_values(self, grid: Grid, points: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Initial (h, h1) at ``points``, the cell centers by default.
+
+        Each datum keeps its own form: a callable is evaluated at the points, an
+        array or scalar is read at the cell holding each point (on a boundary
+        face, its boundary cell).
+        """
+        pts = grid.cell_centers() if points is None else points
+        cell = grid.cell_of(pts)
+        return tuple(evaluate(d, len(pts), pts) if callable(d) else evaluate(d, grid.n_cells)[cell]
+                     for d in (self.initial_h, self.initial_h1))
 
     def trace_values(self, t: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if self.boundary == "closed":
@@ -150,11 +159,7 @@ class AquiferSpec:
             if np.any(h1_d < -HIERARCHY_TOL) or np.any(h_d - h1_d < -HIERARCHY_TOL) \
                     or np.any(h2_b - h_d < -HIERARCHY_TOL):
                 raise InvalidParameterError("boundary traces violate 0 <= h1 <= h <= h2")
-            if callable(self.initial_h):
-                h0_tr = evaluate(self.initial_h, ft.n_boundary, ft.bnd_points)
-                h10_tr = evaluate(self.initial_h1, ft.n_boundary, ft.bnd_points)
-            else:
-                h0_tr, h10_tr = h0[ft.bnd_cell], h10[ft.bnd_cell]
+            h0_tr, h10_tr = self.initial_values(grid, ft.bnd_points)
             if np.max(np.abs(h0_tr - h_d)) > 1e-8 or np.max(np.abs(h10_tr - h1_d)) > 1e-8:
                 raise InvalidParameterError("initial data incompatible with boundary traces")
 
@@ -178,31 +183,23 @@ def map_species(u1, u2, h2):
 def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
     """Generic two-species spec of the thickness system (u1, u2).
 
-    Head data map with the reservoir depth of each cell, traces with that of
-    each boundary face's cell (a constant depth maps data at any points); a
+    Head data at any points of the grid map with the reservoir depth of the
+    cell holding each point (on a boundary face, its boundary cell); a
     closed box gives closed species.
     """
     one_a = 1.0 - aspec.alpha
     ndim = len(aspec.domain)
     k = [[CrossTensor.isotropic(one_a, ndim), CrossTensor.isotropic(one_a, ndim)],
          [CrossTensor.isotropic(one_a, ndim), CrossTensor.isotropic(1.0, ndim)]]
-    if np.ndim(aspec.h2) == 0:
-        h2_cells = h2_faces = float(aspec.h2)
-    else:
-        h2_cells = aspec.h2_cells(grid)
-        h2_faces = h2_cells[face_table(grid).bnd_cell]
+    h2c = aspec.h2_cells(grid)
 
     def initial_u(which):
-        if callable(aspec.initial_h) or callable(aspec.initial_h1):
-            def f(points):
-                n = points.shape[0]
-                h0 = evaluate(aspec.initial_h, n, points)
-                return map_heads(h0, evaluate(aspec.initial_h1, n, points), h2_cells)[which]
-            return f
-        return map_heads(*aspec.initial_values(grid), h2_cells)[which]
+        return lambda points: map_heads(*aspec.initial_values(grid, points),
+                                        h2c[grid.cell_of(points)])[which]
 
     def dirichlet_u(which):
-        return lambda t, points: map_heads(*aspec.trace_values(t, points), h2_faces)[which]
+        return lambda t, points: map_heads(*aspec.trace_values(t, points),
+                                           h2c[grid.cell_of(points)])[which]
 
     closed = aspec.boundary == "closed"
     return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=ell,

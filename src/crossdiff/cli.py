@@ -315,14 +315,19 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
 # ---------------------------------------------------------------------------
 
 def snapshots_csv(result: SimulationResult, grid: Grid) -> str:
-    """One row per (snapshot, species, cell); coordinates and times rendered once."""
+    """One row per (snapshot, species, cell).
+
+    Coordinates, species labels and times are rendered once and repeated as
+    lists of the same strings, so the value column is the only one formatted
+    row by row.
+    """
     snaps, m, n = result.snapshots, result.m, grid.n_cells
-    times = cells([snap.time for snap in snaps])
+    species = [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]
     return csv_table(["x", "y"][:grid.ndim] + ["species", "value", "t"], [
         *(cells(xs) * (len(snaps) * m) for xs in grid.cell_centers().T),
-        np.tile(np.repeat(np.arange(1, m + 1), n), len(snaps)),
+        species * len(snaps),
         np.concatenate([snap.values.ravel() for snap in snaps]),
-        [t for t in times for _ in range(m * n)],
+        [t for t in cells([snap.time for snap in snaps]) for _ in range(m * n)],
     ])
 
 
@@ -339,7 +344,7 @@ def interface_csv(result: SimulationResult, grid: Grid, aspec: aq.AquiferSpec,
     h, h1 = result.snapshots[snapshot_index].values[:2]
     s = (h - h1) + (aspec.h2_cells(grid) - h)
     return csv_table(["x", "y"][:grid.ndim] + ["h", "h1", "s"],
-                     [*grid.cell_centers().T, h, h1, s])
+                     [*map(cells, grid.cell_centers().T), h, h1, s])
 
 
 def sweep_csv(report: aq.SweepReport) -> str:

@@ -166,6 +166,12 @@ class Grid:
     def flat_index(self) -> np.ndarray:
         return np.arange(self.n_cells).reshape(self.dims)
 
+    def cell_of(self, points: np.ndarray) -> np.ndarray:
+        """Flat index of the cell holding each point; a boundary face center gives its cell."""
+        return np.ravel_multi_index(
+            [np.clip(np.floor(points[:, d] * n / e).astype(int), 0, n - 1)
+             for d, (e, n) in enumerate(zip(self.extents, self.dims))], self.dims)
+
 
 @dataclass
 class Field:

@@ -2,6 +2,7 @@
 
 Floats are written as Python's shortest round-trip ``repr`` (``nan``, ``inf``,
 ``-inf`` and ``-0.0`` spelled that way); integers, booleans and strings by ``str``.
+A column given as a list of ``str`` is taken as rendered cells and passes through.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ _BLOCK_ROWS = 4096
 
 
 def cells(column) -> list[str]:
-    """The rendered cells of one column."""
+    """The rendered cells of one column; a list of ``str`` (told by its first cell) as it is."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     values = np.asarray(column)
     return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
@@ -26,7 +29,8 @@ def cells(column) -> list[str]:
 def csv_table(header: Sequence[str], columns: Sequence) -> str:
     """Header line, then one line per row of the 1-D ``columns``, each ending in a newline.
 
-    A column shorter than the longest one ends in empty cells.
+    Each block of a column goes through :func:`cells`, so a list of ``str`` is
+    joined as it is.  A column shorter than the longest one ends in empty cells.
     """
     parts = [",".join(header)]
     for lo in range(0, max(map(len, columns), default=0), _BLOCK_ROWS):

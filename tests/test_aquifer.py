@@ -242,6 +242,45 @@ def test_keulegan_well_is_the_point_density():
     assert aq.keulegan_scenario(grid, pump_rate=0.0).pumping is None
 
 
+MIXED_GRID = Grid((16,), (1.0,))
+MIXED_CFG = StepperConfig(dt=1e-3, t_end=3e-3)
+
+
+@pytest.mark.parametrize("callable_datum", ["initial_h", "initial_h1"])
+def test_mixed_form_initial_data_run_like_scalar_data(callable_datum):
+    # a callable head with a per-cell array for the other one: each takes its own trace
+    plain = dirichlet_spec(MIXED_GRID)
+    value = getattr(plain, callable_datum)
+    other = "initial_h1" if callable_datum == "initial_h" else "initial_h"
+    mixed = dataclasses.replace(plain, **{callable_datum: lambda p: value + 0.0 * p[:, 0],
+                                          other: np.full(16, getattr(plain, other))})
+    for runner in (lambda s: aq.run_penalized(s, MIXED_GRID, MIXED_CFG)[0],
+                   lambda s: aq.run_confined_aquifer(s, MIXED_GRID, MIXED_CFG)):
+        expected, got = runner(plain), runner(mixed)
+        assert [f.values.tobytes() for f in got.snapshots] == \
+            [f.values.tobytes() for f in expected.snapshots]
+
+
+def test_mixed_form_traces_checked_in_their_own_form():
+    # a sloped callable head matches its sloped trace at the face centers, not at the
+    # boundary cells; the per-cell h1 is read at the boundary cells
+    slope = lambda x: 0.5 + 0.1 * (x - 0.5)
+    spec = dataclasses.replace(dirichlet_spec(MIXED_GRID), initial_h=lambda p: slope(p[:, 0]),
+                               initial_h1=np.full(16, 0.1),
+                               dirichlet_h=lambda t, p: slope(p[:, 0]))
+    spec.validate(MIXED_GRID)
+    assert validate_spec(aq.to_cross_spec(spec, MIXED_GRID), MIXED_GRID).ok
+    aq.run_penalized(spec, MIXED_GRID, MIXED_CFG)
+
+    h1 = np.full(16, 0.1)
+    h1[-1] = 0.2  # the right boundary cell misses the trace 0.1
+    bad = dataclasses.replace(spec, initial_h1=h1)
+    with pytest.raises(InvalidParameterError, match="initial data incompatible with boundary traces"):
+        bad.validate(MIXED_GRID)
+    report = validate_spec(aq.to_cross_spec(bad, MIXED_GRID), MIXED_GRID)
+    assert "compatibility" in report.codes()
+
+
 # ---------------------------------------------------------------------------
 # scenario construction
 # ---------------------------------------------------------------------------

@@ -87,3 +87,12 @@ def test_face_divergence_telescopes_to_boundary_values(grid_data, boundary, seed
     total = fv.face_divergence(ft, fa).sum()
     boundary_sum = fa[ft.n_interior:].sum()  # 0.0 for interior-only input
     assert abs(total - boundary_sum) <= 1e-13 * np.abs(fa).sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRIDS)
+def test_cell_of_centers_and_boundary_faces(grid_data):
+    grid = Grid(*grid_data)
+    ft = fv.face_table(grid)
+    assert np.array_equal(grid.cell_of(ft.centers), np.arange(grid.n_cells))
+    assert np.array_equal(grid.cell_of(ft.bnd_points), ft.bnd_cell)

@@ -7,6 +7,7 @@ package's output to match it byte for byte.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,12 +16,13 @@ from hypothesis import strategies as st
 from crossdiff import aquifer as aq
 from crossdiff import cli
 from crossdiff import diagnostics as diag
+from crossdiff import table
 from crossdiff.conditions import ConditionReport, check_existence, degiorgi_budget, reports_to_csv
-from crossdiff.model import Grid
+from crossdiff.model import CrossTensor, Grid, ModelSpec
 from crossdiff.solver import StepperConfig, run
-from crossdiff.table import _BLOCK_ROWS, csv_table
+from crossdiff.table import _BLOCK_ROWS, cells, csv_table
 
-from conftest import coupled_spec_2d
+from conftest import coupled_spec_2d, product_sine
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308,
            1e-300, 0.1 + 0.2, 1.0, -3.0, 2.0 ** 53, 1e16, 1e-5, 123456.0]
@@ -81,6 +83,79 @@ def test_empty_table_is_header_line():
 
 
 # ---------------------------------------------------------------------------
+# rendered columns pass through
+# ---------------------------------------------------------------------------
+
+# cells a float or int rendering would never produce, so a re-render would show
+TEXTS = ["1.50", "0.10000", "-0", "1e+05", "+3", "", " 7", "x"]
+
+
+def test_rendered_column_passes_through_across_blocks():
+    n = 2 * _BLOCK_ROWS + 5
+    rendered = [TEXTS[k % len(TEXTS)] + str(k // len(TEXTS)) for k in range(n)]
+    assert cells(rendered) is rendered
+    text = csv_table(["s", "i"], [rendered, np.arange(n)])
+    assert text == reference("s,i", (f"{rendered[k]},{k}" for k in range(n)))
+
+
+def test_short_rendered_column_ends_in_empty_cells():
+    n = _BLOCK_ROWS + 3
+    values = np.linspace(0.0, 1.0, n) / 3.0
+    short = TEXTS * 2  # ends inside the first block
+    text = csv_table(["v", "s"], [values, short])
+    assert text == reference("v,s", (fmt(values[k]) + "," + (short[k] if k < len(short) else "")
+                                     for k in range(n)))
+
+
+def test_raw_lists_and_int_arrays_are_rendered():
+    floats = [0.1 + 0.2, 1e16, -0.0, 5e-324, math.nan, 2.0]  # Python floats, as in convergence rows
+    ints = np.array([-7, 0, 3, 2 ** 40, 12, 1], dtype=np.int64)
+    assert cells(floats) == [repr(x) for x in floats]
+    assert cells(ints) == [str(int(x)) for x in ints]
+    assert cells([3, -1]) == ["3", "-1"]
+    assert csv_table(["f", "i"], [floats, ints]) == reference(
+        "f,i", (f"{repr(x)},{int(i)}" for x, i in zip(floats, ints)))
+
+
+RENDERED_TEXT = st.text(st.characters(exclude_characters=",\n\r"), max_size=6)
+
+
+@st.composite
+def mixed_columns(draw):
+    """Columns of unequal length: rendered text, float lists or arrays, int lists or arrays."""
+    columns, expected = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["text", "float-list", "float-array", "int-list", "int-array"]))
+        size = draw(st.integers(0, 12))
+        if kind == "text":
+            # a rendered column is a non-empty list of str; an empty one is any empty column
+            col = draw(st.lists(RENDERED_TEXT, min_size=max(size, 1), max_size=max(size, 1)))
+            columns.append(col)
+            expected.append(list(col))
+        elif kind.startswith("float"):
+            col = draw(st.lists(FLOATS, min_size=size, max_size=size))
+            columns.append(col if kind == "float-list" else np.array(col, dtype=float))
+            expected.append([repr(float(x)) for x in col])
+        else:
+            col = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=size, max_size=size))
+            columns.append(col if kind == "int-list" else np.array(col, dtype=np.int64))
+            expected.append([str(x) for x in col])
+    return columns, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_columns(), st.integers(1, 5))
+def test_mixed_rendered_and_raw_columns_match_naive_reference(drawn, block_rows):
+    columns, expected = drawn
+    header = [f"c{j}" for j in range(len(columns))]
+    n_rows = max(map(len, expected))
+    rows = (",".join(col[k] if k < len(col) else "" for col in expected) for k in range(n_rows))
+    with mock.patch.object(table, "_BLOCK_ROWS", block_rows):  # small blocks, many boundaries
+        text = csv_table(header, columns)
+    assert text == reference(",".join(header), rows)
+
+
+# ---------------------------------------------------------------------------
 # artifact writers on tiny runs
 # ---------------------------------------------------------------------------
 
@@ -133,6 +208,24 @@ def test_generic_run_writers_match_reference():
                if n < len(trace.recursion_rhs) else ",")
             for n in range(len(trace.k_n))]
     assert trace.to_csv() == reference("n,k_n,v_n,rhs_n,holds", rows)
+
+
+def _iso_spec(ndim):
+    iso = CrossTensor.isotropic
+    k = [[iso(1.0, ndim), iso(0.5, ndim)], [iso(0.5, ndim), iso(1.0, ndim)]]
+    return ModelSpec(m=2, delta=[1.0, 1.0], K=k, ell=1.0, domain=(1.0,) * ndim,
+                     initial=[product_sine(1.0), product_sine(0.8)], dirichlet=[0.0, 0.0])
+
+
+def test_snapshots_csv_matches_per_row_reference_across_blocks():
+    dt = 1e-3 / 3.0  # snapshot times with long reprs
+    for grid in (Grid((24, 24), (1.0, 1.0)), Grid((40,), (1.0,))):
+        result = run(_iso_spec(grid.ndim), grid, StepperConfig(dt=dt, t_end=4 * dt))
+        rows = _snapshot_rows(result, grid)
+        assert len(result.snapshots) == 5
+        assert len(rows) > _BLOCK_ROWS or grid.ndim == 1
+        head = "x,y" if grid.ndim == 2 else "x"
+        assert cli.snapshots_csv(result, grid) == reference(f"{head},species,value,t", rows)
 
 
 def test_probe_writer_matches_reference():
