@@ -5,8 +5,9 @@ Verbs: ``check``, ``simulate``, ``aquifer``, ``keulegan``, ``probe``,
 values rejected) and runs are deterministic: two invocations on the same
 config produce byte-identical artifact sets.  The manifest records the config
 hash, the effective config (grid, stepper and output defaults filled in, the
-other blocks as written) and the artifact list; wall time is reported on
-stderr only so artifacts stay reproducible.
+other blocks as written), the count of Picard-converged steps of each time
+run and the artifact list; wall time is reported on stderr only so artifacts
+stay reproducible.
 
 Each datum of a model block is a profile block (or a number, a constant)
 that :func:`_profile` turns into a scalar, a callable of the points or,
@@ -123,10 +124,17 @@ class ScenarioConfig:
 
 @dataclass
 class RunManifest:
+    """What ``manifest.txt`` records.
+
+    ``picard_converged`` holds one ``converged/steps`` count per time run,
+    in run order.
+    """
+
     config_hash: str
     command: str
     artifacts: list[str]
     exit_status: int
+    picard_converged: list[str]
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
@@ -368,18 +376,22 @@ def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
         f"schema={SCHEMA_VERSION}",
         f"config_hash={manifest.config_hash}",
         f"exit_status={manifest.exit_status}",
-        f"config={cfg_json}",
-        "artifacts=" + ";".join(sorted(manifest.artifacts)),
     ]
+    if manifest.picard_converged:
+        lines.append("picard_converged=" + ";".join(manifest.picard_converged))
+    lines += [f"config={cfg_json}", "artifacts=" + ";".join(sorted(manifest.artifacts))]
     return "\n".join(lines) + "\n"
 
 
 def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
-                  artifacts: dict[str, str], exit_status: int) -> RunManifest:
+                  artifacts: dict[str, str], exit_status: int,
+                  picard_converged: list[str]) -> RunManifest:
     """Write the artifact texts plus a deterministic manifest.
 
     ``artifacts`` maps file names to fully rendered text; the manifest
     excludes wall time so identical configs give byte-identical trees.
+    ``picard_converged`` holds the ``converged/steps`` count of each time
+    run, which the manifest lists ``;``-separated.
     """
     out = Path(out_dir)
     try:
@@ -394,7 +406,7 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
         (out / name).write_text(artifacts[name])
     cfg_hash = hashlib.sha256(
         json.dumps(config.effective, sort_keys=True).encode()).hexdigest()[:16]
-    manifest = RunManifest(cfg_hash, command, names, exit_status)
+    manifest = RunManifest(cfg_hash, command, names, exit_status, picard_converged)
     (out / "manifest.txt").write_text(_manifest_text(manifest, config))
     manifest.artifacts = names + ["manifest.txt"]
     return manifest
@@ -403,6 +415,12 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
+
+def _picard_count(result: SimulationResult) -> str:
+    """``converged/steps``: the steps whose Picard sweeps met their stopping rule."""
+    stats = result.solver_stats
+    return f"{sum(st['picard_converged'] for st in stats)}/{len(stats)}"
+
 
 def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
     diag = config.diagnostics.get("conditions", {}) or {}
@@ -471,7 +489,9 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             epsilon_list: list[float] | None = None) -> RunManifest:
     """Dispatch one command and write its artifacts plus a manifest.
 
-    A solver failure still writes the manifest, the partial series and
+    The manifest of a time run counts its Picard-converged steps (both
+    counts, penalized first, for ``variant: both``).  A solver failure still
+    writes the manifest, the partial series and its count, and
     ``error.txt`` (exit 1).  A rejected config or spec raises
     :class:`ConfigError` or :class:`InvalidParameterError` before anything
     is written, so ``main`` exits 2 and leaves no output directory.
@@ -480,6 +500,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     out = out_dir or config.out_dir
     artifacts: dict[str, str] = {}
     exit_status = 0
+    picard: list[str] = []
     partial_series = "series.csv"  # where a failed run's partial series goes
 
     if command not in _COMMANDS:
@@ -501,6 +522,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
         elif command == "simulate":
             spec = build_generic_spec(config)
             result = run(spec, config.grid, config.stepper)
+            picard.append(_picard_count(result))
             artifacts["snapshots.csv"] = snapshots_csv(result, config.grid)
             artifacts["series.csv"] = series_csv(result)
             artifacts.update(_degiorgi_artifacts(config, spec, config.grid, result))
@@ -534,6 +556,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 raise ConfigError(f"unknown aquifer variant {variant!r}")
             if variant in ("penalized", "both"):
                 result, conf = aq.run_penalized(aspec, config.grid, config.stepper)
+                picard.append(_picard_count(result))
                 artifacts["series.csv"] = series_csv(result)
                 for idx in range(len(result.snapshots)):
                     artifacts[f"interface_{idx:04d}.csv"] = interface_csv(
@@ -543,6 +566,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             if variant in ("confined", "both"):
                 partial_series = "confined_series.csv"
                 result_c = aq.run_confined_aquifer(aspec, config.grid, config.stepper)
+                picard.append(_picard_count(result_c))
                 artifacts["confined_series.csv"] = series_csv(result_c)
                 artifacts["confined_snapshots.csv"] = snapshots_csv(result_c, config.grid)
 
@@ -562,11 +586,13 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     except SolverFailure as exc:
         if exc.partial is not None:
             artifacts[partial_series] = series_csv(exc.partial)
+            if command in ("simulate", "aquifer", "keulegan"):
+                picard.append(_picard_count(exc.partial))
         artifacts["error.txt"] = f"solver failure at t={exc.time}: {exc}\n"
         exit_status = 1
 
     wall = time.perf_counter() - t0
-    manifest = write_outputs(out, config, command, artifacts, exit_status)
+    manifest = write_outputs(out, config, command, artifacts, exit_status, picard)
     print(f"{command}: exit {exit_status} ({wall:.2f} s)", file=sys.stderr)
     return manifest
 

@@ -26,6 +26,10 @@ preconditioned by SuperLU factors of the species diagonal blocks that each
 run keeps in one :class:`fv.BlockFactors` and refactors only when GMRES
 starts to need many iterations.
 
+Each step's first lag is the linear predictor 2 u^n - u^(n-1) (u^0 at the
+first step), and the sweeps stop once their change is a small fraction,
+``picard_tol``, of the step itself, or below what a linear solve resolves.
+
 This module owns the package's only Picard sweep loop (:func:`_picard`) and
 only time loop (:func:`_integrate`); every variant reaches both through one
 callback ``sweep(u_prev, u_lag, t_prev, t_new)`` that returns the sweep's
@@ -60,7 +64,12 @@ class StepperConfig:
 
     ``dt``, ``t_end`` and the tolerances are numbers, not bools or strings;
     ``dt`` must be finite and positive, ``t_end`` finite and nonnegative.
-    ``lin_tol`` bounds the relative true residual of every linear solve;
+    ``picard_tol`` is relative to the step: a step's Picard sweeps stop once
+    a sweep changes the state by at most ``picard_tol`` times the change over
+    the whole step (or by at most ``lin_tol`` times the state), so it lies in
+    (0, 1); a step still moving after ``picard_max`` sweeps is recorded as
+    not converged.  ``lin_tol`` bounds the relative true residual of every
+    linear solve, the same on every sweep;
     ``lin_max`` caps the inner GMRES iterations per call and so applies to
     systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
     more at m = 2), which are solved by GMRES preconditioned with the run's
@@ -69,8 +78,8 @@ class StepperConfig:
 
     dt: float
     t_end: float
-    picard_tol: float = 1e-8
-    picard_max: int = 2
+    picard_tol: float = 1e-2
+    picard_max: int = 10
     lin_tol: float = 1e-10
     lin_max: int = 6000
     snapshot_every: int = 1
@@ -86,8 +95,11 @@ class StepperConfig:
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0.0 or self.t_end < 0.0:
             raise InvalidParameterError("dt must be positive and t_end nonnegative")
-        if not (self.picard_tol > 0.0 and self.lin_tol > 0.0):
-            raise InvalidParameterError("tolerances must be positive")
+        if not 0.0 < self.picard_tol < 1.0:
+            raise InvalidParameterError(
+                f"picard_tol must lie in (0, 1), a fraction of the step, got {self.picard_tol!r}")
+        if not self.lin_tol > 0.0:
+            raise InvalidParameterError(f"lin_tol must be positive, got {self.lin_tol!r}")
         if self.cross_weighting not in ("upwind", "centered"):
             raise InvalidParameterError(f"unknown cross weighting {self.cross_weighting!r}")
         if self.coefficient_mode not in ("truncated", "raw"):
@@ -200,21 +212,27 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.nd
     return builder
 
 
-def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: StepperConfig,
-            factors: fv.BlockFactors,
+def _picard(sweep, u_prev: np.ndarray, u_pred: np.ndarray, t_prev: float, t_new: float,
+            cfg: StepperConfig, factors: fv.BlockFactors,
             static: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Picard sweeps of one backward-Euler step; the package's only sweep loop.
 
     ``sweep(u_prev, u_lag, t_prev, t_new)`` returns the sweep's
     :class:`fv.SystemBuilder`, which maps the lagged state to the initial
     guess and the solution back to the state, and whose ``budget(u_new)``
-    gives (source integral, boundary inflow).  ``static`` systems have no lagged
-    coefficient and take a single sweep.  ``factors`` is the run's
-    preconditioner holder; the step's GMRES iterations (``lin_iters``, 0 on
-    the direct path) and whether a sweep refactored go into the stats.
+    gives (source integral, boundary inflow).  The first lag, and so the
+    first GMRES start, is the predictor ``u_pred``.  The sweeps stop once
+    the change |u^(k) - u^(k-1)|_inf is at most ``picard_tol`` times the
+    step |u^(k) - u_prev|_inf, or at most ``lin_tol`` |u^(k)|_inf, the most
+    a linear solve resolves (so a steady state stops after one sweep); a
+    step that has not stopped after ``picard_max`` sweeps is recorded as not
+    converged.  ``static`` systems have no lagged coefficient and take a
+    single sweep.  ``factors`` is the run's preconditioner holder; the
+    step's GMRES iterations (``lin_iters``, 0 on the direct path) and
+    whether a sweep refactored go into the stats.
     """
     sweeps = 1 if static else cfg.picard_max
-    u_lag = u_prev
+    u_lag = u_pred
     stats = {"picard_sweeps": 0, "picard_converged": True,
              "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
     for k in range(sweeps):
@@ -229,9 +247,9 @@ def _picard(sweep, u_prev: np.ndarray, t_prev: float, t_new: float, cfg: Stepper
         u_new = builder.to_state(x)
         stats["picard_sweeps"] = k + 1
         change = float(np.max(np.abs(u_new - u_lag)))
-        scale = max(float(np.max(np.abs(u_new))), 1e-300)
         u_lag = u_new
-        if change / scale < cfg.picard_tol:
+        if change <= max(cfg.picard_tol * float(np.max(np.abs(u_new - u_prev))),
+                         cfg.lin_tol * float(np.max(np.abs(u_new)))):
             break
     else:
         stats["picard_converged"] = static
@@ -243,9 +261,11 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
     """The package's only time loop.
 
     Each step runs :func:`_picard` on ``sweep`` from t_prev to t_prev + dt,
-    with the run's one :class:`fv.BlockFactors`; ``to_record`` maps a state
-    to the recorded per-species values.  A :class:`SolverFailure` leaves
-    with the trajectory completed so far attached as ``partial``.
+    with the run's one :class:`fv.BlockFactors`, starting the lag from the
+    linear predictor 2 u^n - u^(n-1) (u^0 at the first step), which a fast
+    decay may make negative; ``to_record`` maps a state to the recorded
+    per-species values.  A :class:`SolverFailure` leaves with the trajectory
+    completed so far attached as ``partial``.
     """
     vol = grid.cell_volume
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
@@ -267,18 +287,19 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
         mass[:, k] = vals_k.sum(axis=1) * vol
 
     record(0, vals)
-    u = u0
+    u = u_old = u0
     factors = fv.BlockFactors(m)
     for k in range(n_steps):
         try:
-            u, src[:, k], bflux[:, k], st = _picard(sweep, u, times[k], times[k] + cfg.dt,
-                                                    cfg, factors, static)
+            u_new, src[:, k], bflux[:, k], st = _picard(sweep, u, 2.0 * u - u_old, times[k],
+                                                        times[k] + cfg.dt, cfg, factors, static)
         except SolverFailure as exc:
             exc.time = times[k + 1]
             exc.partial = SimulationResult(
                 snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
                 src[:, :k], bflux[:, :k], stats, cfg.dt)
             raise
+        u_old, u = u, u_new
         stats.append(st)
         vals = to_record(u)
         record(k + 1, vals)
@@ -421,6 +442,9 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
 
     Initial and Dirichlet data are taken from ``exact_solution``; when
     ``manufacture`` is set, forcing comes from :func:`manufactured_forcing`.
+    Each step sweeps until its change is 1e-12 of the step (``picard_tol``,
+    relative to the step) or below what ``lin_tol`` resolves, within
+    ``picard_max`` sweeps.
     Observed orders are computed between consecutive rows against the mesh
     width when it changes, against dt when only dt changes, and report 0 for
     degenerate refinements.

@@ -38,7 +38,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     config = parse_scenario(path)
     assert config.stepper.dt == 1e-3
     assert config.stepper.lin_tol == 1e-10
-    assert config.effective["stepper"]["picard_max"] == 2
+    assert config.effective["stepper"]["picard_max"] == 10
     assert config.grid.dims == (32,)
 
 
@@ -95,6 +95,8 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"dt": "0.001"}}, "dt"),
     ({"stepper": {"lin_tol": "1e-10"}}, "lin_tol"),
     ({"stepper": {"dt": True}}, "dt"),
+    ({"stepper": {"picard_tol": 1.0}}, "picard_tol"),
+    ({"stepper": {"picard_tol": 0.0}}, "picard_tol"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -282,6 +284,33 @@ def test_confined_failure_keeps_penalized_series(tmp_path, singular_confined_ste
     assert (out_both / "series.csv").read_bytes() == (out_pen / "series.csv").read_bytes()
     confined_rows = (out_both / "confined_series.csv").read_text().splitlines()
     assert len(confined_rows) == 2  # header and the t = 0 row
+
+
+KEULEGAN_BOTH = {"schema": 1, "kind": "keulegan", "grid": {"dims": [48]},
+                 "stepper": {"dt": 3e-3, "t_end": 9e-3},
+                 "model": {"tilt": 0.4, "pump_rate": 0.05, "variant": "both"}}
+
+
+@pytest.mark.parametrize("command, payload, stepper, counts", [
+    ("simulate", GENERIC, {}, "5/5"),
+    ("simulate", GENERIC, {"picard_tol": 1e-14, "picard_max": 2}, "0/5"),
+    ("keulegan", KEULEGAN_BOTH, {}, "3/3;3/3"),
+])
+def test_manifest_counts_converged_steps(tmp_path, command, payload, stepper, counts):
+    cfg = json.loads(json.dumps(payload))
+    cfg["stepper"].update(stepper)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert f"\nexit_status=0\npicard_converged={counts}\n" in (out / "manifest.txt").read_text()
+
+
+def test_manifest_counts_partial_run(tmp_path, singular_confined_step):
+    # the confined run fails at its first step, after the penalized run
+    path = write_config(tmp_path, KEULEGAN_BOTH)
+    out = tmp_path / "out"
+    assert main(["keulegan", "--config", str(path), "--out", str(out)]) == 1
+    assert "\npicard_converged=3/3;0/0\n" in (out / "manifest.txt").read_text()
 
 
 def test_probe_command_matches_library(tmp_path):

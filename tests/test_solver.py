@@ -482,6 +482,58 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
         assert rel <= 10 * lin_tol
 
 
+# ---------------------------------------------------------------------------
+# Picard stopping rule and predictor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
+def test_default_desk_run_converges_every_step(system):
+    result = _desk_run(system, StepperConfig(dt=1e-3, t_end=2e-2))
+    stats = result.solver_stats
+    assert all(st["lin_iters"] > 0 for st in stats)
+    assert all(st["picard_converged"] for st in stats)
+    assert max(st["picard_sweeps"] for st in stats) <= 3
+
+
+@pytest.mark.parametrize("grid", [Grid((12, 12), (1.0, 1.0)), GRID_32])
+def test_steady_state_stops_after_one_sweep(grid):
+    # the sweep changes nothing a linear solve can resolve, so the lin_tol
+    # floor stops it: the step itself is zero up to rounding
+    spec = coupled_spec_2d()
+    spec.initial = (0.4, 0.4)
+    spec.dirichlet = (0.4, 0.4)
+    result = run(spec, grid, StepperConfig(dt=1e-2, t_end=5e-2))
+    assert [st["picard_sweeps"] for st in result.solver_stats] == [1] * 5
+    assert all(st["picard_converged"] for st in result.solver_stats)
+
+
+def test_default_run_is_near_converged_trajectory(grid_12):
+    # largest relative distance over all snapshots from a run converged to
+    # picard_tol 1e-12: 6.6e-5 with the step-relative rule and the predictor,
+    # 1.2e-3 with two sweeps from u^n and picard_tol 1e-8 relative to |u|
+    spec = coupled_spec_2d()
+    cfg = StepperConfig(dt=5e-3, t_end=5e-2)
+    default = run(spec, grid_12, cfg)
+    converged = run(spec, grid_12, dataclasses.replace(cfg, picard_tol=1e-12, picard_max=50))
+    assert all(st["picard_converged"] for st in converged.solver_stats)
+    err = max(np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+              for a, b in zip(default.snapshots, converged.snapshots))
+    assert err < 2e-4
+
+
+@pytest.mark.parametrize("grid", [Grid((12, 12), (1.0, 1.0)), GRID_32])
+def test_negative_predictor_keeps_positivity_floor(grid):
+    # species 1 decays tenfold per step, so its predictor 2 u^n - u^(n-1) is
+    # negative; it enters only through clipped coefficients and the GMRES start
+    spec = coupled_spec_2d()
+    spec.delta = [50.0, 1.0]
+    result = run(spec, grid, StepperConfig(dt=1e-2, t_end=5e-2))
+    u = np.stack([s.values for s in result.snapshots])
+    assert (2.0 * u[1:-1, 0] - u[:-2, 0] < 0.0).any()
+    assert all(st["picard_converged"] for st in result.solver_stats)
+    assert result.minmax[:, :, 1].min() >= -1e-10
+
+
 def test_species_blocks_factored_once_per_run(monkeypatch):
     calls = _count_splu(monkeypatch)
     result = run(coupled_spec_2d(), GRID_48, StepperConfig(dt=1e-3, t_end=20e-3))
