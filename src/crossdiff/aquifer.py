@@ -88,7 +88,8 @@ class AquiferSpec:
     thickness-variable system above).  ``pumping`` is a signed extraction
     density (rate per area; None is no pumping).  ``boundary`` selects
     'dirichlet' traces or a 'closed' impermeable box; the head trace
-    ``dirichlet_phi`` only serves the confined variant.
+    ``dirichlet_phi`` only serves the confined variant.  ``delta``, ``alpha``
+    and ``epsilon`` are stored as floats.
     """
 
     h2: float | np.ndarray
@@ -105,6 +106,7 @@ class AquiferSpec:
     boundary: str = "dirichlet"
 
     def __post_init__(self):
+        self.delta, self.alpha, self.epsilon = map(float, (self.delta, self.alpha, self.epsilon))
         if self.boundary not in ("dirichlet", "closed"):
             raise InvalidParameterError(f"unknown boundary mode {self.boundary!r}")
         if not self.delta > 0.0 or not self.epsilon > 0.0:
@@ -504,11 +506,10 @@ def keulegan_scenario(grid: Grid, pump_rate: float = 0.0, tilt: float = 0.5, *,
     def initial_h(points: np.ndarray) -> np.ndarray:
         return h_mid + tilt * (points[:, 0] - length / 2.0)
 
-    pumping = None if pump_rate == 0.0 else point_density(grid, well_position, pump_rate)
-
+    well = point_density(grid, well_position, pump_rate)  # checks the position at any rate
     return AquiferSpec(h2=h2, delta=delta, alpha=alpha, epsilon=epsilon,
-                       initial_h=initial_h, initial_h1=float(h1_level),
-                       domain=grid.extents, pumping=pumping, boundary="closed")
+                       initial_h=initial_h, initial_h1=float(h1_level), domain=grid.extents,
+                       pumping=None if pump_rate == 0.0 else well, boundary="closed")
 
 
 def interface_slope(values: np.ndarray, grid: Grid) -> float:

@@ -1,21 +1,22 @@
 """Batch front-end: JSON scenario configs in, plot-ready CSV artifacts out.
 
 Verbs: ``check``, ``simulate``, ``aquifer``, ``keulegan``, ``probe``,
-``sweep``, ``convergence``.  Configs are strict (unknown keys and ill-typed
-values rejected) and runs are deterministic: two invocations on the same
-config produce byte-identical artifact sets.  The manifest records the config
-hash, the effective config (grid, stepper and output defaults filled in, the
-other blocks as written), the count of Picard-converged steps of each time
-run and the artifact list; wall time is reported on stderr only so artifacts
-stay reproducible.
+``sweep``, ``convergence``.  :data:`_SCHEMA` is the one table of every
+config key and its default; a key's type follows from its default unless
+:data:`_TYPED` lists it.  :func:`_checked` rejects an unknown or ill-typed
+key by name and fills in the defaults, so every helper indexes plain
+values.  Runs are deterministic: two invocations on the same config give
+byte-identical artifact sets.  The manifest records the config hash, the
+effective config (every block with its defaults, each present diagnostics
+sub-block too), the count of Picard-converged steps of each time run or
+refinement level and the artifact list; wall time goes to stderr only.
 
-Each datum of a model block is a profile block (or a number, a constant)
-that :func:`_profile` turns into a scalar, a callable of the points or,
-for a ``point`` source or well, a per-cell density; each kind of datum
-accepts its own profile names.  A diagnostics sub-block that is present,
-even empty, turns its diagnostic on with its defaults; ``null`` or no key
-leaves it off.  :data:`_COMMANDS` is the one table of the commands and the
-config kinds each accepts.
+Each model datum is a number (a constant), null or a profile block, which
+:func:`_profile` turns into a scalar, a callable of the points or, for a
+``point`` source or well, a per-cell density; each kind of datum accepts
+its own profiles.  The ``degiorgi``, ``bounds`` and ``levels`` diagnostics
+are on when their block is present, even empty.  :data:`_COMMANDS` is the
+one table of the commands and the config kinds each accepts.
 
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,75 +53,179 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# strict parsing
+# the config schema
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"schema", "kind", "grid", "stepper", "model", "outputs",
-             "diagnostics", "convergence", "sweep"}
-_GRID_KEYS = {"dims", "extents"}
-_STEPPER_KEYS = {f.name for f in fields(StepperConfig)}
-_OUTPUT_KEYS = {"directory", "formats"}
-_GENERIC_MODEL_KEYS = {"m", "delta", "K", "ell", "initial", "dirichlet", "sources"}
-_AQUIFER_MODEL_KEYS = {"h2", "delta", "alpha", "epsilon", "initial_h", "initial_h1",
-                       "dirichlet_h", "dirichlet_h1", "dirichlet_phi", "boundary",
-                       "pumping", "variant"}
-_KEULEGAN_MODEL_KEYS = {"tilt", "pump_rate", "h2", "delta", "alpha", "epsilon",
-                        "h_mid", "h1_level", "well_position", "variant"}
-# (test, description) of the type a config value is converted to; a bool is no number
-_INTEGER = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
-_NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
-_NUMBERS = (lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
-            "a list of numbers")
-_ELL0 = (lambda v: v == "max_initial" or type(v) in (int, float), 'a number or "max_initial"')
-_STRING = (lambda v: type(v) is str, "a string")
-_DIAG_KEYS = {"conditions": {"g_s": _NUMBER, "g_r": _NUMBER},
-              "degiorgi": {"species": (lambda v: type(v) is int and v in (1, 2), "1 or 2"),
-                           "s": _NUMBER, "m": _NUMBER, "m_prime": _NUMBER, "n_max": _INTEGER,
-                           "ell0": _ELL0, "M_s": _NUMBER_OR_NULL, "sobolev_beta": _NUMBER_OR_NULL},
-              "bounds": {"lo": _NUMBER, "hi": _NUMBER},
-              "levels": {"count": _INTEGER, "lo": _NUMBER, "hi": _NUMBER_OR_NULL},
-              "probe": {"amplitude": _NUMBER, "radius": _NUMBER, "center": _NUMBERS}}
-_PROFILE_KEYS = {"profile", "value", "amplitude", "center", "width", "rate", "position"}
-_CONV_KEYS = {"case": _STRING, "levels": _INTEGER, "nx0": _INTEGER, "dt0": _NUMBER,
-              "t_end": _NUMBER}
-_SWEEP_KEYS = {"epsilon_list": _NUMBERS}
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # a bool is no number
+
+
+def _rows(v, item) -> bool:
+    return type(v) is list and all(type(row) is list and all(map(item, row)) for row in v)
+
+
+# the type that a default's Python type gives its key: (test, description, plural)
+_TYPES = {int: (lambda v: type(v) is int and v >= 0, "an integer >= 0", "integers >= 0"),
+          float: (_is_number, "a number", "numbers"),
+          str: (lambda v: type(v) is str, "a string", "strings"),
+          dict: (lambda v: v is None or type(v) is dict, "an object or null", None),
+          type(None): (lambda v: v is None or _is_number(v), "a number or null", None)}
+_POSITION = (lambda v: v is None or (type(v) is list and all(map(_is_number, v))),
+             "a list of numbers or null")
+# the keyword defaults of aquifer.keulegan_scenario, and the variant to run
+_KEULEGAN = {**{name: p.default for name, p in inspect.signature(aq.keulegan_scenario)
+                .parameters.items() if p.default is not p.empty}, "variant": "penalized"}
+_CASES = {"heat": {"dt0": 2e-3, "t_end": 0.01}, "coupled": {"dt0": 4e-3, "t_end": 0.04}}
+
+
+def _centre(block: dict, grid: Grid) -> list[float]:
+    return [e / 2.0 for e in grid.extents]
+
+
+def _per_species(value):
+    return lambda block, grid: [value] * block["m"]
+
+
+# block -> key -> default.  A callable default is resolved from the block's earlier keys
+# and the grid; a key without a default (MISSING) is left out when absent.
+_SCHEMA = {
+    "top": {"schema": SCHEMA_VERSION, "kind": "generic", "grid": {}, "stepper": {},
+            "outputs": {}, "model": {}, "diagnostics": {}, "convergence": {}, "sweep": {}},
+    "grid": {"dims": [32], "extents": lambda b, g: [1.0] * len(b["dims"])},
+    "stepper": {"dt": 1e-3, "t_end": 0.1, **{f.name: f.default for f in fields(StepperConfig)
+                                               if f.default is not MISSING}},
+    "outputs": {"directory": "out", "formats": ["csv"]},
+    "generic": {"m": 2, "delta": _per_species(1.0), "K": lambda b, g: [[1.0] * b["m"]] * b["m"],
+                "ell": 1.0, "initial": _per_species(0.0), "dirichlet": _per_species(0.0),
+                "sources": _per_species(None)},
+    "aquifer": {**{key: _KEULEGAN[key] for key in ("h2", "delta", "alpha", "epsilon", "variant")},
+                "initial_h": 0.5, "initial_h1": 0.1, "dirichlet_h": 0.5, "dirichlet_h1": 0.1,
+                "dirichlet_phi": 0.0, "boundary": "dirichlet", "pumping": None},
+    "keulegan": _KEULEGAN,
+    # a diagnostic without a default is off unless its block is present
+    "diagnostics": {"conditions": {}, "degiorgi": MISSING, "bounds": MISSING,
+                    "levels": MISSING, "probe": {}},
+    "conditions": {"g_s": MISSING, "g_r": MISSING},
+    "degiorgi": {"species": 1, "s": 6.0, "m": 2.0, "m_prime": 0.5, "n_max": 20,
+                 "ell0": "max_initial", "M_s": None, "sobolev_beta": None},
+    "bounds": {"lo": 0.0, "hi": math.inf},
+    "levels": {"count": 20, "lo": 0.0, "hi": None},
+    "probe": {"amplitude": 1e-3, "radius": 0.2, "center": _centre},
+    "convergence": {"case": "heat", "levels": 3, "nx0": 8,
+                    "dt0": lambda b, g: _CASES[b["case"]]["dt0"],
+                    "t_end": lambda b, g: _CASES[b["case"]]["t_end"]},
+    "sweep": {"epsilon_list": []},
+    "profile": {"value": 0.0, "amplitude": 1.0, "width": 0.1, "center": _centre, "rate": 1.0,
+                "position": None},
+}
+# keys whose type does not follow from their default, or that take only some values of it;
+# a model datum names the kind of datum whose profiles it takes (a generic one is a list of
+# one datum per species)
+_TYPED = {
+    "top.schema": (lambda v: v == SCHEMA_VERSION and type(v) is int, str(SCHEMA_VERSION)),
+    "top.kind": (lambda v: v in ("generic", "aquifer", "keulegan"),
+                 '"generic", "aquifer" or "keulegan"'),
+    "outputs.formats": (lambda v: v == ["csv"], '["csv"]'),
+    **dict.fromkeys(("aquifer.variant", "keulegan.variant"), (
+        lambda v: v in ("penalized", "confined", "both"), '"penalized", "confined" or "both"')),
+    "convergence.case": (lambda v: v in _CASES, '"heat" or "coupled"'),
+    # the level iteration: bound factor m > 1, ratio m_prime > 0, level ell0 > 0
+    "degiorgi.species": (lambda v: type(v) is int and v in (1, 2), "1 or 2"),
+    "degiorgi.m": (lambda v: _is_number(v) and v > 1, "a number > 1"),
+    "degiorgi.m_prime": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "degiorgi.ell0": (lambda v: v == "max_initial" or _is_number(v) and v > 0,
+                      'a number > 0 or "max_initial"'),
+    "generic.K": (lambda v: _rows(v, lambda e: _is_number(e) or _rows(e, _is_number)),
+                  "a list of rows of numbers or 2x2 tensors"),
+    "keulegan.well_position": _POSITION, "profile.position": _POSITION,
+    **dict.fromkeys(("conditions.g_s", "conditions.g_r"), _TYPES[float][:2]),
+    **dict.fromkeys(("diagnostics.degiorgi", "diagnostics.bounds", "diagnostics.levels"),
+                    _TYPES[dict][:2]),
+    **dict.fromkeys(("generic.initial", "aquifer.initial_h", "aquifer.initial_h1"), "initial"),
+    **dict.fromkeys(("generic.dirichlet", "aquifer.dirichlet_h", "aquifer.dirichlet_h1",
+                     "aquifer.dirichlet_phi"), "dirichlet"),
+    **dict.fromkeys(("generic.sources", "aquifer.pumping"), "source"),
+}
+# the profiles each kind of datum takes, and the keys each profile reads
+_DATUM_PROFILES = {"initial": ("zero", "constant", "sine", "bump"),
+                   "dirichlet": ("zero", "constant"), "source": ("zero", "constant", "point")}
+_PROFILES = {"zero": (), "constant": ("value",), "sine": ("amplitude",),
+             "bump": ("amplitude", "width", "center"), "point": ("rate", "position")}
 
 # the commands and the config kinds each accepts
 _COMMANDS = {"check": ("generic", "aquifer", "keulegan"), "simulate": ("generic",),
              "aquifer": ("aquifer", "keulegan"), "keulegan": ("keulegan",),
              "probe": ("generic",), "sweep": ("aquifer", "keulegan"),
              "convergence": ("generic",)}
-_STEPPER_DEFAULTS = {"dt": 1e-3, "t_end": 0.1, **{
-    f.name: f.default for f in fields(StepperConfig) if f.default is not MISSING}}
 
 
-def _check_keys(block: dict, allowed, where: str) -> dict:
-    """A copy of ``block`` once it is an object with allowed keys, of the types a dict gives."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(block).difference(allowed)
+def _type_of(default) -> tuple:
+    """(test, description) of the values of a key with this default."""
+    if type(default) is not list:
+        return _TYPES[type(default)][:2]
+    test, _, plural = _TYPES[type(default[0]) if default else float]
+    return (lambda v: type(v) is list and all(map(test, v))), f"a list of {plural}"
+
+
+def _checked(block, table: str, where: str, grid: Grid | None = None) -> dict:
+    """``block`` with the defaults of ``_SCHEMA[table]`` filled in; null is an empty block.
+
+    An unknown or ill-typed key raises :class:`ConfigError` naming it, and so
+    does a centre without one coordinate per grid axis.
+    """
+    block = {} if block is None else block
+    if type(block) is not dict:
+        raise ConfigError(f"{where or 'top level'} must be an object")
+    unknown = set(block).difference(_SCHEMA[table])
     if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    for key, (test, description) in (allowed.items() if isinstance(allowed, dict) else ()):
-        if key in block and not test(block[key]):
-            raise ConfigError(f"{where}.{key} must be {description}, got {block[key]!r}")
-    return dict(block)
+        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where or 'top level'}")
+    out = {}
+    for key, entry in _SCHEMA[table].items():
+        default = entry(out, grid) if callable(entry) else entry
+        if key not in block:
+            if default is not MISSING:
+                out[key] = default
+            continue
+        path, value = f"{where}.{key}".lstrip("."), block[key]
+        typed = _TYPED.get(f"{table}.{key}") or _type_of(default)
+        if isinstance(typed, str):
+            if type(default) is list and type(value) is not list:
+                raise ConfigError(f"{path} must be a list of one datum per species, got {value!r}")
+            value = ([_datum(v, typed, path, grid) for v in value] if type(default) is list
+                     else _datum(value, typed, path, grid))
+        elif not typed[0](value):
+            raise ConfigError(f"{path} must be {typed[1]}, got {value!r}")
+        if entry is _centre and len(value) != grid.ndim:
+            raise ConfigError(f"{path} needs {grid.ndim} numbers, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _datum(value, kind: str, where: str, grid: Grid):
+    """A model datum: a number, null or a profile block with its profile's defaults filled in."""
+    if value is None or _is_number(value):
+        return value
+    if type(value) is not dict:
+        raise ConfigError(f"{where} must be a number, null or a profile object, got {value!r}")
+    name = value.get("profile")
+    if name is None:
+        raise ConfigError(f"{kind} profile needs a 'profile' name")
+    if name not in _DATUM_PROFILES[kind]:
+        raise ConfigError(f"unknown {kind} profile {name!r}")
+    block = _checked({k: v for k, v in value.items() if k != "profile"}, "profile", where, grid)
+    return {"profile": name,
+            **{k: v for k, v in block.items() if k in value or k in _PROFILES[name]}}
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario; ``effective`` is the config the manifest echoes."""
+    """Parsed scenario: its grid and stepper, and ``effective``, every block with its
+    defaults filled in, which the manifest echoes."""
 
     kind: str
     grid: Grid
     stepper: StepperConfig
-    out_dir: str
     effective: dict
-    model_block: dict
-    diagnostics: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -127,7 +233,7 @@ class RunManifest:
     """What ``manifest.txt`` records.
 
     ``picard_converged`` holds one ``converged/steps`` count per time run,
-    in run order.
+    in run order (per refinement level for ``convergence``).
     """
 
     config_hash: str
@@ -138,7 +244,7 @@ class RunManifest:
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
-    """Strictly parse a JSON scenario file, filling in the grid, stepper and output defaults."""
+    """Strictly parse a JSON scenario file, filling in the defaults of every block."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -146,118 +252,64 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    _check_keys(raw, _TOP_KEYS, "top level")
-    schema = raw.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {schema}")
-    kind = raw.get("kind", "generic")
-    if kind not in ("generic", "aquifer", "keulegan"):
-        raise ConfigError(f"unknown kind {kind!r}")
-
-    grid_block = _check_keys(raw.get("grid") or {}, _GRID_KEYS, "grid")
-    dims = grid_block.get("dims", [32])
-    extents = grid_block.get("extents", [1.0] * len(dims))
+    top = _checked(raw, "top", "")
+    kind = top["kind"]
+    grid_block = _checked(top["grid"], "grid", "grid")
+    stepper_block = _checked(top["stepper"], "stepper", "stepper")
     try:
-        grid = Grid(tuple(int(n) for n in dims), tuple(float(e) for e in extents))
+        grid = Grid(tuple(grid_block["dims"]), tuple(grid_block["extents"]))
+        stepper = StepperConfig(**stepper_block)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-    stepper_block = _check_keys(raw.get("stepper") or {}, _STEPPER_KEYS, "stepper")
-    eff_stepper = {**_STEPPER_DEFAULTS, **stepper_block}
-    try:
-        stepper = StepperConfig(**eff_stepper)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out_block = _check_keys(raw.get("outputs") or {}, _OUTPUT_KEYS, "outputs")
-    out_dir = out_block.get("directory", "out")
-    formats = out_block.get("formats", ["csv"])
-    if formats != ["csv"]:
-        raise ConfigError(f"unsupported output formats {formats}")
-
-    model_keys = {"generic": _GENERIC_MODEL_KEYS, "aquifer": _AQUIFER_MODEL_KEYS,
-                  "keulegan": _KEULEGAN_MODEL_KEYS}[kind]
-    model_block = _check_keys(raw.get("model") or {}, model_keys, "model")
-
-    diag_block = _check_keys(raw.get("diagnostics") or {}, set(_DIAG_KEYS), "diagnostics")
-    for name, block in diag_block.items():
-        _check_keys(block or {}, _DIAG_KEYS[name], f"diagnostics.{name}")
-    center = (diag_block.get("probe") or {}).get("center")
-    if center is not None and len(center) != grid.ndim:
-        raise ConfigError(f"diagnostics.probe.center needs {grid.ndim} numbers, got {center!r}")
-    degiorgi = diag_block.get("degiorgi")
-    # the level iteration pairs species i with 1 - i
-    if degiorgi is not None and kind == "generic" and model_block.get("m", 2) != 2:
-        raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model_block['m']!r}")
-    degiorgi = degiorgi or {}
-    # its bound factor m exceeds 1, its ratio m_prime and its level ell0 are positive
-    for key, low in (("m", 1), ("m_prime", 0), ("ell0", 0)):
-        value = degiorgi.get(key)
-        if type(value) in (int, float) and not value > low:
-            raise ConfigError(f"diagnostics.degiorgi.{key} must be > {low}, got {value!r}")
-    # its levels k_n reach m * ell0 from n = ceil(-log2(m_prime)) on
-    m_prime, n_max = degiorgi.get("m_prime", 0.5), degiorgi.get("n_max", 20)
-    n0 = math.ceil(-math.log2(m_prime)) if m_prime < 1 else 0
-    if n_max < n0:
-        raise ConfigError(f"diagnostics.degiorgi.n_max must be >= ceil(-log2(m_prime)) = {n0}, "
-                          f"got {n_max!r}")
-    conv_block = _check_keys(raw.get("convergence") or {}, _CONV_KEYS, "convergence")
-    sweep_block = _check_keys(raw.get("sweep") or {}, _SWEEP_KEYS, "sweep")
-
-    effective = {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "grid": {"dims": list(grid.dims), "extents": list(grid.extents)},
-        "stepper": eff_stepper,
-        "outputs": {"directory": out_dir, "formats": formats},
-        "model": model_block,
-        "diagnostics": diag_block,
-        "convergence": conv_block,
-        "sweep": sweep_block,
-    }
-    return ScenarioConfig(kind=kind, grid=grid, stepper=stepper, out_dir=out_dir,
-                          effective=effective, model_block=model_block,
-                          diagnostics=diag_block, convergence=conv_block,
-                          sweep=sweep_block)
+    model = _checked(top["model"], kind, "model", grid)
+    diag = _checked(top["diagnostics"], "diagnostics", "diagnostics")
+    for name, block in diag.items():
+        if block is not None or _SCHEMA["diagnostics"][name] is not MISSING:
+            diag[name] = _checked(block, name, f"diagnostics.{name}", grid)
+    degiorgi = diag.get("degiorgi")
+    if degiorgi is not None:
+        # the level iteration pairs species i with 1 - i
+        if kind == "generic" and model["m"] != 2:
+            raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model['m']!r}")
+        # its levels k_n reach m * ell0 from n = ceil(-log2(m_prime)) on
+        m_prime = degiorgi["m_prime"]
+        n0 = math.ceil(-math.log2(m_prime)) if m_prime < 1 else 0
+        if degiorgi["n_max"] < n0:
+            raise ConfigError(f"diagnostics.degiorgi.n_max must be >= ceil(-log2(m_prime)) = "
+                              f"{n0}, got {degiorgi['n_max']!r}")
+    return ScenarioConfig(kind, grid, stepper, {
+        **top, "grid": {"dims": list(grid.dims), "extents": list(grid.extents)},
+        "stepper": stepper_block, "model": model, "diagnostics": diag,
+        **{name: _checked(top[name], name, name) for name in ("outputs", "convergence", "sweep")}})
 
 
 # ---------------------------------------------------------------------------
-# model construction from profile blocks
+# model construction from checked model blocks
 # ---------------------------------------------------------------------------
 
-def _profile(block, grid: Grid, kind: str):
-    """Datum of one profile block: a scalar, a callable of the points or a per-cell density.
+def _profile(datum, grid: Grid):
+    """Value of one checked datum: a scalar, a callable of the points or a per-cell density.
 
     A number is a constant profile and null the zero profile.
     """
-    if block is None or isinstance(block, (int, float)):
-        return float(block or 0.0)
-    p = _check_keys(block, _PROFILE_KEYS, f"{kind} profile")
-    if "profile" not in p:
-        raise ConfigError(f"{kind} profile needs a 'profile' name")
-    name = p["profile"]
-    allowed = {"initial": ("zero", "constant", "sine", "bump"),
-               "dirichlet": ("zero", "constant"), "source": ("zero", "constant", "point")}
-    if name not in allowed[kind]:
-        raise ConfigError(f"unknown {kind} profile {name!r}")
+    if type(datum) is not dict:
+        return 0.0 if datum is None else datum
+    name = datum["profile"]
     if name == "zero":
         return 0.0
     if name == "constant":
-        return float(p.get("value", 0.0))
+        return datum["value"]
     if name == "point":
-        return point_density(grid, p.get("position"), float(p.get("rate", 1.0)))
-    amp = float(p.get("amplitude", 1.0))
+        return point_density(grid, datum["position"], datum["rate"])
+    amp = datum["amplitude"]
     if name == "sine":
-        ext = grid.extents
-
         def f(points: np.ndarray) -> np.ndarray:
             out = np.full(points.shape[0], amp)
             for d in range(points.shape[1]):
-                out = out * np.sin(np.pi * points[:, d] / ext[d])
+                out = out * np.sin(np.pi * points[:, d] / grid.extents[d])
             return out
         return f
-    width = float(p.get("width", 0.1))
-    center = np.asarray(p.get("center", [e / 2.0 for e in grid.extents]), dtype=float)
+    width, center = datum["width"], np.asarray(datum["center"], dtype=float)
 
     def bump(points: np.ndarray) -> np.ndarray:
         r2 = np.sum((points - center[None, :]) ** 2, axis=1)
@@ -265,55 +317,34 @@ def _profile(block, grid: Grid, kind: str):
     return bump
 
 
-def _tensor_from(entry, ndim: int) -> CrossTensor:
-    if isinstance(entry, (int, float)):
-        return CrossTensor.isotropic(float(entry), ndim)
-    return CrossTensor(tuple(tuple(float(x) for x in row) for row in entry))
-
-
 def build_generic_spec(config: ScenarioConfig) -> ModelSpec:
-    mb = config.model_block
-    grid = config.grid
-    m = int(mb.get("m", 2))
-    delta = [float(d) for d in mb.get("delta", [1.0] * m)]
-    k_raw = mb.get("K", [[1.0] * m] * m)
-    k = [[_tensor_from(k_raw[i][j], grid.ndim) for j in range(m)] for i in range(m)]
-    ell = float(mb.get("ell", 1.0))
-    initial = [_profile(b, grid, "initial") for b in mb.get("initial", [0.0] * m)]
-    dirichlet = [_profile(b, grid, "dirichlet") for b in mb.get("dirichlet", [0.0] * m)]
-    sources = [_profile(b, grid, "source") for b in mb.get("sources", [None] * m)]
+    mb, grid = config.effective["model"], config.grid
     try:
-        return ModelSpec(m=m, delta=delta, K=k, ell=ell, domain=grid.extents,
-                         initial=initial, dirichlet=dirichlet, sources=sources)
+        return ModelSpec(m=mb["m"], delta=mb["delta"], ell=mb["ell"], domain=grid.extents,
+                         K=[[CrossTensor.isotropic(e, grid.ndim) if _is_number(e)
+                             else CrossTensor(e) for e in row] for row in mb["K"]],
+                         initial=[_profile(d, grid) for d in mb["initial"]],
+                         dirichlet=[_profile(d, grid) for d in mb["dirichlet"]],
+                         sources=[_profile(d, grid) for d in mb["sources"]])
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
-    mb = config.model_block
-    grid = config.grid
+    mb, grid = config.effective["model"], config.grid
     try:
         if config.kind == "keulegan":
-            return aq.keulegan_scenario(grid, **{
-                key: value if key == "well_position" else float(value)
-                for key, value in mb.items() if key != "variant"})
-        boundary = mb.get("boundary", "dirichlet")
-        traces = boundary == "dirichlet"
+            return aq.keulegan_scenario(grid, **{key: value for key, value in mb.items()
+                                                 if key != "variant"})
+        traces = mb["boundary"] == "dirichlet"
         return aq.AquiferSpec(
-            h2=float(mb.get("h2", 1.0)),
-            delta=float(mb.get("delta", 0.3)),
-            alpha=float(mb.get("alpha", 0.025)),
-            epsilon=float(mb.get("epsilon", 1e-2)),
-            initial_h=_profile(mb.get("initial_h", 0.5), grid, "initial"),
-            initial_h1=_profile(mb.get("initial_h1", 0.1), grid, "initial"),
-            domain=grid.extents,
-            pumping=_profile(mb.get("pumping"), grid, "source"),
-            dirichlet_h=(_profile(mb.get("dirichlet_h", 0.5), grid, "dirichlet")
-                         if traces else None),
-            dirichlet_h1=(_profile(mb.get("dirichlet_h1", 0.1), grid, "dirichlet")
-                          if traces else None),
-            dirichlet_phi=_profile(mb.get("dirichlet_phi", 0.0), grid, "dirichlet"),
-            boundary=boundary)
+            h2=mb["h2"], delta=mb["delta"], alpha=mb["alpha"], epsilon=mb["epsilon"],
+            initial_h=_profile(mb["initial_h"], grid),
+            initial_h1=_profile(mb["initial_h1"], grid), domain=grid.extents,
+            pumping=_profile(mb["pumping"], grid),
+            dirichlet_h=_profile(mb["dirichlet_h"], grid) if traces else None,
+            dirichlet_h1=_profile(mb["dirichlet_h1"], grid) if traces else None,
+            dirichlet_phi=_profile(mb["dirichlet_phi"], grid), boundary=mb["boundary"])
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -416,19 +447,13 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
 # execution
 # ---------------------------------------------------------------------------
 
-def _picard_count(result: SimulationResult) -> str:
-    """``converged/steps``: the steps whose Picard sweeps met their stopping rule."""
-    stats = result.solver_stats
-    return f"{sum(st['picard_converged'] for st in stats)}/{len(stats)}"
-
-
 def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
-    diag = config.diagnostics.get("conditions", {}) or {}
+    diag = config.effective["diagnostics"]["conditions"]
     if config.kind == "generic":
         spec = build_generic_spec(config)
         reports = conditions.check_existence(spec)
         if "g_s" in diag and spec.ell > 0.0:
-            reports += conditions.check_regularity(spec, float(diag["g_s"]))
+            reports += conditions.check_regularity(spec, diag["g_s"])
         if "g_r" not in diag:
             print(DEFAULT_G_CAVEAT, file=sys.stderr)
         return reports
@@ -439,48 +464,42 @@ def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
 
 def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
                         result: SimulationResult) -> dict[str, str]:
-    block = config.diagnostics.get("degiorgi")
+    block = config.effective["diagnostics"].get("degiorgi")
     if block is None:
         return {}
-    species = int(block.get("species", 1)) - 1
-    s_exp = float(block.get("s", 6.0))
-    m_factor = float(block.get("m", 2.0))
-    m_prime = float(block.get("m_prime", 0.5))
-    n_max = int(block.get("n_max", 20))
-    ell0 = block.get("ell0", "max_initial")
+    species, s_exp, ell0, ms, beta = (
+        block[key] for key in ("species", "s", "ell0", "M_s", "sobolev_beta"))
+    species -= 1
     if ell0 == "max_initial":
         ell0 = float(result.snapshots[0].values[species].max())
-    ell0 = float(ell0)
-    ms = block.get("M_s")
-    ms = float(ms) if ms is not None else float(
-        diagnostics.discrete_grad_norm(result, grid, s_exp)[species])
-    beta = block.get("sobolev_beta")
-    r_exp = grid.ndim + 2.0
-    beta = float(beta) if beta is not None else max(
-        diagnostics.empirical_interpolation_constant(result, grid, species, r_exp, r_exp),
-        1e-12)
+    if ms is None:
+        ms = float(diagnostics.discrete_grad_norm(result, grid, s_exp)[species])
+    if beta is None:
+        r_exp = grid.ndim + 2.0
+        beta = max(diagnostics.empirical_interpolation_constant(
+            result, grid, species, r_exp, r_exp), 1e-12)
     j = 1 - species
     budget = conditions.degiorgi_budget(
-        N=grid.ndim, s=s_exp, ell0=ell0, m_factor=m_factor, M_s=max(ms, 1e-12),
+        N=grid.ndim, s=s_exp, ell0=ell0, m_factor=block["m"], M_s=max(ms, 1e-12),
         K_offdiag_plus=ellipticity_bounds(spec.K[species][j])[1],
         K_diag_minus=ellipticity_bounds(spec.K[species][species])[0],
         delta_i=spec.delta[species], ell=max(spec.ell, 1e-12), sobolev_beta=beta)
     if not budget.feasible:
         return {"degiorgi.csv": "n,k_n,v_n,rhs_n,holds\n# infeasible budget (zeta <= 0)\n"}
-    trace = diagnostics.degiorgi_trace(result, grid, species, ell0, m_factor,
-                                       m_prime, budget, n_max)
+    trace = diagnostics.degiorgi_trace(result, grid, species, ell0, block["m"],
+                                       block["m_prime"], budget, block["n_max"])
     return {"degiorgi.csv": trace.to_csv()}
 
 
 def _levels_artifacts(config: ScenarioConfig, grid: Grid,
                       result: SimulationResult) -> dict[str, str]:
-    block = config.diagnostics.get("levels")
+    block = config.effective["diagnostics"].get("levels")
     if block is None:
         return {}
-    hi = block.get("hi")
+    hi = block["hi"]
     if hi is None:
         hi = max(float(s.values.max()) for s in result.snapshots) + 1e-9
-    levels = np.linspace(block.get("lo", 0.0), hi, block.get("count", 20))
+    levels = np.linspace(block["lo"], hi, block["count"])
     return {"levels.csv": diagnostics.level_set_profile(result, grid, levels).to_csv()}
 
 
@@ -490,14 +509,15 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     """Dispatch one command and write its artifacts plus a manifest.
 
     The manifest of a time run counts its Picard-converged steps (both
-    counts, penalized first, for ``variant: both``).  A solver failure still
+    counts, penalized first, for ``variant: both``; one per refinement level
+    for ``convergence``).  A solver failure still
     writes the manifest, the partial series and its count, and
     ``error.txt`` (exit 1).  A rejected config or spec raises
     :class:`ConfigError` or :class:`InvalidParameterError` before anything
     is written, so ``main`` exits 2 and leaves no output directory.
     """
     t0 = time.perf_counter()
-    out = out_dir or config.out_dir
+    out = out_dir or config.effective["outputs"]["directory"]
     artifacts: dict[str, str] = {}
     exit_status = 0
     picard: list[str] = []
@@ -522,41 +542,33 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
         elif command == "simulate":
             spec = build_generic_spec(config)
             result = run(spec, config.grid, config.stepper)
-            picard.append(_picard_count(result))
+            picard.append(result.picard_count)
             artifacts["snapshots.csv"] = snapshots_csv(result, config.grid)
             artifacts["series.csv"] = series_csv(result)
             artifacts.update(_degiorgi_artifacts(config, spec, config.grid, result))
             artifacts.update(_levels_artifacts(config, config.grid, result))
-            bounds = config.diagnostics.get("bounds")
+            bounds = config.effective["diagnostics"].get("bounds")
             if bounds is not None:
-                rep = diagnostics.bound_check(result,
-                                              float(bounds.get("lo", 0.0)),
-                                              float(bounds.get("hi", math.inf)))
-                artifacts["bounds.csv"] = rep.to_csv()
+                artifacts["bounds.csv"] = diagnostics.bound_check(
+                    result, bounds["lo"], bounds["hi"]).to_csv()
 
         elif command == "probe":
             spec = build_generic_spec(config)
             vr = validate_spec(spec, config.grid)
             if not vr.ok:
                 raise ConfigError(f"spec validation failed: {vr.codes()}")
-            block = config.diagnostics.get("probe") or {}
-            amplitude = float(block.get("amplitude", 1e-3))
-            radius = float(block.get("radius", 0.2))
-            center = block.get("center", [e / 2.0 for e in config.grid.extents])
-            pert, disc = diagnostics.disc_perturbation(config.grid, spec.m,
-                                                       center, radius, amplitude)
-            report = diagnostics.uniqueness_probe(spec, config.grid, config.stepper,
-                                                  pert, disc)
-            artifacts["probe.csv"] = report.to_csv()
+            block = config.effective["diagnostics"]["probe"]
+            pert, disc = diagnostics.disc_perturbation(config.grid, spec.m, block["center"],
+                                                       block["radius"], block["amplitude"])
+            artifacts["probe.csv"] = diagnostics.uniqueness_probe(
+                spec, config.grid, config.stepper, pert, disc).to_csv()
 
         elif command in ("aquifer", "keulegan"):
             aspec = build_aquifer_spec(config)
-            variant = config.model_block.get("variant", "penalized")
-            if variant not in ("penalized", "confined", "both"):
-                raise ConfigError(f"unknown aquifer variant {variant!r}")
+            variant = config.effective["model"]["variant"]
             if variant in ("penalized", "both"):
                 result, conf = aq.run_penalized(aspec, config.grid, config.stepper)
-                picard.append(_picard_count(result))
+                picard.append(result.picard_count)
                 artifacts["series.csv"] = series_csv(result)
                 for idx in range(len(result.snapshots)):
                     artifacts[f"interface_{idx:04d}.csv"] = interface_csv(
@@ -566,13 +578,13 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             if variant in ("confined", "both"):
                 partial_series = "confined_series.csv"
                 result_c = aq.run_confined_aquifer(aspec, config.grid, config.stepper)
-                picard.append(_picard_count(result_c))
+                picard.append(result_c.picard_count)
                 artifacts["confined_series.csv"] = series_csv(result_c)
                 artifacts["confined_snapshots.csv"] = snapshots_csv(result_c, config.grid)
 
         elif command == "sweep":
             aspec = build_aquifer_spec(config)
-            eps = epsilon_list or config.sweep.get("epsilon_list")
+            eps = epsilon_list or config.effective["sweep"]["epsilon_list"]
             if not eps:
                 raise ConfigError("sweep needs an epsilon list (config or --epsilon-list)")
             report = aq.epsilon_sweep(aspec, config.grid, config.stepper, eps)
@@ -581,13 +593,15 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 exit_status = 1
 
         elif command == "convergence":
-            artifacts["convergence.csv"] = convergence_csv(_run_convergence(config))
+            rows = _run_convergence(config)
+            picard += [row["picard_converged"] for row in rows]
+            artifacts["convergence.csv"] = convergence_csv(rows)
 
     except SolverFailure as exc:
         if exc.partial is not None:
             artifacts[partial_series] = series_csv(exc.partial)
             if command in ("simulate", "aquifer", "keulegan"):
-                picard.append(_picard_count(exc.partial))
+                picard.append(exc.partial.picard_count)
         artifacts["error.txt"] = f"solver failure at t={exc.time}: {exc}\n"
         exit_status = 1
 
@@ -598,45 +612,29 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
 
 
 def _run_convergence(config: ScenarioConfig) -> list[dict]:
-    block = config.convergence or {}
-    case = block.get("case", "heat")
-    levels = int(block.get("levels", 3))
-    nx0 = int(block.get("nx0", 8))
-    dt0 = float(block.get("dt0", 2e-3))
-    if case == "heat":
-        t_end = float(block.get("t_end", 0.01))
-
-        def factory(g):
-            return ModelSpec(m=1, delta=[1.0], K=[[CrossTensor.isotropic(1.0, 1)]],
-                             ell=0.0, domain=(1.0,),
-                             initial=[lambda p: np.sin(np.pi * p[:, 0])], dirichlet=[0.0])
+    block = config.effective["convergence"]
+    nx0, iso = block["nx0"], CrossTensor.isotropic
+    if block["case"] == "heat":
+        spec = ModelSpec(m=1, delta=[1.0], K=[[iso(1.0, 1)]], ell=0.0, domain=(1.0,),
+                         initial=[lambda p: np.sin(np.pi * p[:, 0])], dirichlet=[0.0])
 
         def exact(t, pts):
             return (np.exp(-np.pi ** 2 * t) * np.sin(np.pi * pts[:, 0]))[None, :]
-        grids = [Grid((nx0 * 2 ** k,), (1.0,)) for k in range(levels + 1)]
-        dts = [dt0 / 4 ** k for k in range(levels + 1)]
-        return convergence_study(factory, exact, grids, dts, t_end,
-                                 manufacture=False, lin_tol=config.stepper.lin_tol)
-    if case == "coupled":
-        t_end = float(block.get("t_end", 0.04))
-        iso = CrossTensor.isotropic
-
-        def factory(g):
-            return ModelSpec(m=2, delta=[1.0, 0.8],
-                             K=[[iso(1.0, 2), iso(0.5, 2)], [iso(0.5, 2), iso(1.0, 2)]],
-                             ell=10.0, domain=(1.0, 1.0),
-                             initial=[1.0, 1.2], dirichlet=[1.0, 1.2])
-
+        grids = [Grid((nx0 * 2 ** k,), (1.0,)) for k in range(block["levels"] + 1)]
+        options = {"manufacture": False, "lin_tol": config.stepper.lin_tol}
+    else:
+        spec = ModelSpec(m=2, delta=[1.0, 0.8],
+                         K=[[iso(1.0, 2), iso(0.5, 2)], [iso(0.5, 2), iso(1.0, 2)]],
+                         ell=10.0, domain=(1.0, 1.0), initial=[1.0, 1.2], dirichlet=[1.0, 1.2])
         amp = ((1.0, 0.7), (1.2, -0.5))
 
         def exact(t, pts):
             s = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
             return np.stack([amp[0][0] + amp[0][1] * t * s, amp[1][0] + amp[1][1] * t * s])
-        grids = [Grid((nx0 * 2 ** k, nx0 * 2 ** k), (1.0, 1.0)) for k in range(levels)]
-        dts = [float(block.get("dt0", 4e-3)) / 4 ** k for k in range(levels)]
-        return convergence_study(factory, exact, grids, dts, t_end,
-                                 cross_weighting="centered")
-    raise ConfigError(f"unknown convergence case {case!r}")
+        grids = [Grid((nx0 * 2 ** k,) * 2, (1.0, 1.0)) for k in range(block["levels"])]
+        options = {}
+    dts = [block["dt0"] / 4 ** k for k in range(len(grids))]
+    return convergence_study(lambda g: spec, exact, grids, dts, block["t_end"], **options)
 
 
 # ---------------------------------------------------------------------------

@@ -217,11 +217,16 @@ def point_density(grid: Grid, position: Sequence[float] | None, rate: float) -> 
     """Per-cell density of a point source: ``rate`` over the volume of its nearest cell.
 
     The source sits at ``position``, at the center of the box if that is None.
+    A position needs one coordinate per axis, inside the closed box.
     """
     if position is None:
         position = [e / 2.0 for e in grid.extents]
+    point = np.asarray(position, dtype=float)
+    if point.shape != (grid.ndim,) or not np.all((point >= 0.0) & (point <= grid.extents)):
+        raise InvalidParameterError(f"point position {position!r} must have {grid.ndim} "
+                                    f"coordinates inside the box {grid.extents}")
     pts = grid.cell_centers()
-    cell = int(np.argmin(np.linalg.norm(pts - np.asarray(position, dtype=float)[None, :], axis=1)))
+    cell = int(np.argmin(np.linalg.norm(pts - point[None, :], axis=1)))
     density = np.zeros(grid.n_cells)
     density[cell] = rate / grid.cell_volume
     return density

@@ -137,6 +137,12 @@ class SimulationResult:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
+    @property
+    def picard_count(self) -> str:
+        """``converged/steps``: the steps whose Picard sweeps met their stopping rule."""
+        stats = self.solver_stats
+        return f"{sum(st['picard_converged'] for st in stats)}/{len(stats)}"
+
     def validate(self) -> None:
         t = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -444,7 +450,8 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
     ``manufacture`` is set, forcing comes from :func:`manufactured_forcing`.
     Each step sweeps until its change is 1e-12 of the step (``picard_tol``,
     relative to the step) or below what ``lin_tol`` resolves, within
-    ``picard_max`` sweeps.
+    ``picard_max`` sweeps; each row's ``picard_converged`` is the level's
+    ``converged/steps`` count of steps that met that rule.
     Observed orders are computed between consecutive rows against the mesh
     width when it changes, against dt when only dt changes, and report 0 for
     degenerate refinements.
@@ -478,7 +485,8 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
         err_l2 = float(np.sqrt(np.sum(err ** 2) * grid.cell_volume))
         rows.append({"h": max(grid.spacing), "dt": dt,
                      "err_inf": err_inf, "err_l2": err_l2,
-                     "order_inf": 0.0, "order_l2": 0.0})
+                     "order_inf": 0.0, "order_l2": 0.0,
+                     "picard_converged": result.picard_count})
 
     for prev, cur in zip(rows, rows[1:]):
         ratio_h = prev["h"] / cur["h"]

@@ -240,6 +240,8 @@ def test_keulegan_well_is_the_point_density():
     centered = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4)
     assert centered.pumping.tobytes() == point_density(grid, [0.5, 0.2], 0.05).tobytes()
     assert aq.keulegan_scenario(grid, pump_rate=0.0).pumping is None
+    with pytest.raises(InvalidParameterError, match="position"):
+        aq.keulegan_scenario(grid, pump_rate=0.0, well_position=[0.3, 0.5])
 
 
 MIXED_GRID = Grid((16,), (1.0,))

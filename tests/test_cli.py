@@ -40,6 +40,11 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.stepper.lin_tol == 1e-10
     assert config.effective["stepper"]["picard_max"] == 10
     assert config.grid.dims == (32,)
+    assert config.effective["model"]["delta"] == [1.0, 1.0]
+    assert config.effective["model"]["sources"] == [None, None]
+    assert config.effective["diagnostics"] == {
+        "conditions": {}, "probe": {"amplitude": 1e-3, "radius": 0.2, "center": [0.5]}}
+    assert config.effective["convergence"]["dt0"] == 2e-3
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -97,6 +102,14 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"dt": True}}, "dt"),
     ({"stepper": {"picard_tol": 1.0}}, "picard_tol"),
     ({"stepper": {"picard_tol": 0.0}}, "picard_tol"),
+    ({"grid": {"dims": ["a"]}}, "grid.dims"),
+    ({"grid": {"extents": "x"}}, "grid.extents"),
+    ({"model": {"m": "2"}}, "model.m"),
+    ({"model": {"ell": "x"}}, "model.ell"),
+    ({"model": {"delta": 1.0}}, "model.delta"),
+    ({"model": {"K": 3}}, "model.K"),
+    ({"model": {"initial": [{"profile": "bump", "amplitude": "x"}, 0.0]}},
+     "model.initial.amplitude"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -192,6 +205,39 @@ def test_missing_file_rejected(tmp_path):
 def test_command_kind_compatibility(tmp_path):
     path = write_config(tmp_path, GENERIC)
     assert main(["aquifer", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("kind, model, named", [
+    ("keulegan", {"tilt": "abc"}, "model.tilt"),
+    ("keulegan", {"tilt": True}, "model.tilt"),
+    ("keulegan", {"h2": None}, "model.h2"),
+    ("aquifer", {"h2": None}, "model.h2"),
+    ("keulegan", {"epsilon": [1]}, "model.epsilon"),
+    ("aquifer", {"epsilon": [1]}, "model.epsilon"),
+    ("aquifer", {"variant": "mixed"}, "model.variant"),
+])
+def test_bad_aquifer_values_rejected(tmp_path, capsys, kind, model, named):
+    path = write_config(tmp_path, {"kind": kind, "grid": {"dims": [16]}, "model": model})
+    assert main(["aquifer", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {named} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("keulegan", {"kind": "keulegan", "grid": {"dims": [16]},
+                  "model": {"pump_rate": 0.05, "well_position": [0.5, 0.5, 9]}}),
+    ("keulegan", {"kind": "keulegan", "grid": {"dims": [16]},
+                  "model": {"well_position": [1.5]}}),
+    ("simulate", {**GENERIC, "model": {**GENERIC["model"], "sources": [
+        {"profile": "point", "position": [5.0, 5.0]}, None]}}),
+    ("aquifer", {"kind": "aquifer", "grid": {"dims": [8, 6]},
+                 "model": {"pumping": {"profile": "point", "position": [0.5]}}}),
+])
+def test_misplaced_point_positions_rejected(tmp_path, capsys, command, payload):
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "position" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_keulegan_defaults_alpha(tmp_path):
@@ -376,6 +422,17 @@ def test_convergence_command(tmp_path):
     assert last_order >= 1.8
 
 
+def test_convergence_manifest_counts_converged_steps_per_level(tmp_path):
+    payload = {"convergence": {"case": "coupled", "levels": 2}}
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+    assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 2
+    manifest = (out / "manifest.txt").read_text()
+    assert "\nexit_status=0\npicard_converged=1/10;40/40\n" in manifest
+    assert '"dt0":0.004' in manifest and '"t_end":0.04' in manifest
+
+
 def test_unwritable_output_dir(tmp_path):
     path = write_config(tmp_path, GENERIC)
     blocker = tmp_path / "blocker"
@@ -399,3 +456,44 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert files_a == files_b
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+FULL_GENERIC = {**GENERIC, "diagnostics": {
+    "conditions": {"g_s": 1.0}, "degiorgi": {"species": 2}, "bounds": {},
+    "levels": {"count": 6}, "probe": {"radius": 0.3}}}
+
+
+@pytest.mark.parametrize("command, payload, block, default", [
+    ("simulate", FULL_GENERIC, "diagnostics", {"levels": {"count": 6, "lo": 0.0, "hi": None}}),
+    ("aquifer", {"kind": "aquifer", "grid": {"dims": [16]},
+                 "stepper": {"dt": 2e-3, "t_end": 6e-3},
+                 "model": {"pumping": {"profile": "point", "rate": -0.3}, "variant": "both"}},
+     "model", {"h2": 1.0, "pumping": {"profile": "point", "rate": -0.3, "position": None}}),
+    ("keulegan", {"kind": "keulegan", "grid": {"dims": [16]},
+                  "stepper": {"dt": 3e-3, "t_end": 9e-3}, "model": {"pump_rate": 0.05}},
+     "model", {"tilt": 0.5, "well_position": None}),
+    ("convergence", {"convergence": {"levels": 1}}, "convergence", {"dt0": 2e-3, "t_end": 0.01}),
+])
+def test_echoed_config_reruns_identically(tmp_path, command, payload, block, default):
+    first = write_config(tmp_path, payload)
+    assert main([command, "--config", str(first), "--out", str(tmp_path / "a")]) == 0
+    manifest = (tmp_path / "a" / "manifest.txt").read_text()
+    echoed = next(line for line in manifest.splitlines() if line.startswith("config="))
+    second = tmp_path / "echoed.json"
+    second.write_text(echoed[len("config="):])
+    assert default.items() <= json.loads(second.read_text())[block].items()
+    assert parse_scenario(second).effective == parse_scenario(first).effective
+    assert main([command, "--config", str(second), "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:  # the manifest too, config_hash included
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_readme_minimal_scenario_checks(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scenario = readme.split("A minimal scenario:", 1)[1].split("```json", 1)[1].split("```")[0]
+    path = tmp_path / "minimal.json"
+    path.write_text(scenario)
+    parse_scenario(path)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

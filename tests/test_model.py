@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,19 @@ def test_point_density_is_rate_over_nearest_cell_volume(grid, position):
     assert density.tobytes() == expected.tobytes()
     assert nearest == (3 if grid.ndim == 1 else 2 * 5 + 3)
     assert np.sum(density) * grid.cell_volume == pytest.approx(0.3, rel=1e-15)
+
+
+@pytest.mark.parametrize("grid, position", [
+    (Grid((8,), (1.0,)), [0.5, 0.5, 9]),
+    (Grid((8,), (1.0,)), [0.5, 0.5]),
+    (Grid((4, 4), (1.0, 1.0)), [0.5]),
+    (Grid((4, 4), (1.0, 1.0)), [5.0, 5.0]),
+    (Grid((4, 4), (1.0, 1.0)), [0.5, -0.1]),
+    (Grid((4, 4), (1.0, 2.0)), [0.5, math.nan]),
+])
+def test_point_density_rejects_misplaced_position(grid, position):
+    with pytest.raises(InvalidParameterError, match="position"):
+        point_density(grid, position, 0.3)
 
 
 # ---------------------------------------------------------------------------
