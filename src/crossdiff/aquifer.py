@@ -27,16 +27,21 @@ replaces the water-table equation by an elliptic solve for the hydraulic
 head and always takes Dirichlet data for the head.
 
 Every variant runs through the solver's Picard and time loops by handing
-them one sweep callback, and every matrix comes from
-:class:`fv.SystemBuilder`.  The plain and penalized sweeps assemble the
-thickness system with the generic assembly on an internal spec (ell = inf,
-closed species for a closed box); the penalized sweep then has the builder
-rewrite its recorded terms in the unknowns (u1, s), which the builder maps
-back to (u1, u2), and records the drain terms on the s block.  The confined
-sweep is its own (w, phi) assembly.  The budget series are those of the
-solved state's species: (u1, u2), without the drain, and (w, phi).
-:func:`run_penalized` and :func:`run_confined_aquifer` are the entry points;
-a single step is a run with ``t_end = dt``.
+them one sweep callback, and every matrix comes from :class:`fv.SystemBuilder`.
+The plain and penalized sweeps assemble the thickness system with the
+generic assembly on an internal spec (ell = inf, closed species for a closed
+box); the penalized sweep has the builder rewrite its terms in the unknowns
+(u1, s) and adds the drain on the s block.  The confined sweep is its own
+(w, phi) assembly.  The budget series are those of the solved state's
+species: (u1, u2), without the drain, and (w, phi).
+
+Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
+the ghosts, the generic spec and ``validate``, and :func:`map_heads` gives s;
+``_drain_faces`` upwinds the drain coefficient by its driver for ``_add_drain``
+and :func:`penalty_face_flux`; ``_salt_faces`` (salt trace, U0(w), grad w) and
+``_add_head_terms`` (head term, pumping) serve the confined sweep and
+``_initial_head`` alike.  :func:`run_penalized` and :func:`run_confined_aquifer`
+are the entry points; a single step is a run with ``t_end = dt``.
 """
 
 from __future__ import annotations
@@ -149,17 +154,12 @@ class AquiferSpec:
             raise InvalidParameterError(
                 f"admissibility fails: lhs={admissibility.lhs}, rhs={admissibility.rhs}")
         h0, h10 = self.initial_values(grid)
-        h2c = self.h2_cells(grid)
-        if np.any(h10 < -HIERARCHY_TOL) or np.any(h0 - h10 < -HIERARCHY_TOL) \
-                or np.any(h2c - h0 < -HIERARCHY_TOL):
+        if any(np.any(v < -HIERARCHY_TOL) for v in (h10, *map_heads(h0, h10, self.h2_cells(grid)))):
             raise InvalidParameterError("initial data violate 0 <= h1 <= h <= h2")
         if self.boundary == "dirichlet":
             ft = face_table(grid)
-            tr = self.trace_values(0.0, ft.bnd_points)
-            h_d, h1_d = tr
-            h2_b = h2c[ft.bnd_cell]
-            if np.any(h1_d < -HIERARCHY_TOL) or np.any(h_d - h1_d < -HIERARCHY_TOL) \
-                    or np.any(h2_b - h_d < -HIERARCHY_TOL):
+            h_d, h1_d = self.trace_values(0.0, ft.bnd_points)
+            if any(np.any(v < -HIERARCHY_TOL) for v in (h1_d, *_u_traces(self, grid, 0.0))):
                 raise InvalidParameterError("boundary traces violate 0 <= h1 <= h <= h2")
             h0_tr, h10_tr = self.initial_values(grid, ft.bnd_points)
             if np.max(np.abs(h0_tr - h_d)) > 1e-8 or np.max(np.abs(h10_tr - h1_d)) > 1e-8:
@@ -182,12 +182,20 @@ def map_species(u1, u2, h2):
     return h, h - np.asarray(u1, dtype=float)
 
 
+def _u_traces(aspec: AquiferSpec, grid: Grid, t: float, points: np.ndarray | None = None):
+    """Head traces at ``points`` (default: boundary face centers) as (u1, u2), or (None, None)
+    for a closed box; a point maps with the depth of the cell holding it."""
+    points = face_table(grid).bnd_points if points is None else points
+    tr = aspec.trace_values(t, points)
+    if tr is None:
+        return None, None
+    return map_heads(*tr, aspec.h2_cells(grid)[grid.cell_of(points)])
+
+
 def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
     """Generic two-species spec of the thickness system (u1, u2).
 
-    Head data at any points of the grid map with the reservoir depth of the
-    cell holding each point (on a boundary face, its boundary cell); a
-    closed box gives closed species.
+    Head data map as in :func:`_u_traces`; a closed box gives closed species.
     """
     one_a = 1.0 - aspec.alpha
     ndim = len(aspec.domain)
@@ -200,8 +208,7 @@ def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
                                         h2c[grid.cell_of(points)])[which]
 
     def dirichlet_u(which):
-        return lambda t, points: map_heads(*aspec.trace_values(t, points),
-                                           h2c[grid.cell_of(points)])[which]
+        return lambda t, points: _u_traces(aspec, grid, t, points)[which]
 
     closed = aspec.boundary == "closed"
     return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=ell,
@@ -223,17 +230,6 @@ def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _u_traces(aspec: AquiferSpec, grid: Grid, t: float):
-    ft = face_table(grid)
-    tr = aspec.trace_values(t, ft.bnd_points)
-    if tr is None:
-        return None, None
-    h_d, h1_d = tr
-    h2_b = aspec.h2_cells(grid)[ft.bnd_cell]
-    u1_d, u2_d = map_heads(h_d, h1_d, h2_b)
-    return u1_d, u2_d
-
-
 # Change of unknowns (u1, u2) -> (u1, s) of the penalized sweeps, as 2 x 2
 # block maps: the s row is the u1 row plus the u2 row (Q), and the u2 column
 # becomes s - u1 (P).  The drain could sit on the u2 row in the unknowns
@@ -251,24 +247,19 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
                s_lag: np.ndarray, t_new: float) -> None:
     """Active-set linearized drain term on the total-thickness (s) block.
 
-    Coefficient eps^-1 U0(s - u1) is lagged and face-upwinded by the face
-    gradient of the excess U0(s - h2); the excess itself is linearized as
-    active * (s - h2) at the lagged active set.  The ghost slots hold the
-    coefficient and the excess of the traces.
+    The coefficient eps^-1 U0(s - u1) is lagged and upwinded as in :func:`_drain_faces`;
+    the excess U0(s - h2) is linearized as active * (s - h2) at the lagged active set.
     """
     grid, ft = builder.grid, builder.ft
     ni = ft.n_interior
     h2c = aspec.h2_cells(grid)
     active = (s_lag > h2c).astype(float)
     u1_d, u2_d = _u_traces(aspec, grid, t_new)
-    w_d = excess_d = None
-    if u1_d is not None:
-        s_d = u1_d + u2_d
-        w_d, excess_d = _u0(s_d - u1_d), _u0(s_d - h2c[ft.bnd_cell])
+    s_d = None if u1_d is None else u1_d + u2_d
     n_faces = ni if u1_d is None else ft.n_faces
-    w = fv.slot_values(ft, _u0(s_lag - u1_lag), w_d)
-    driver = fv.face_gradient(ft, _u0(s_lag - h2c), excess_d)
-    w_face = fv.upwind_face_value(w[ft.left], w[ft.right], driver)
+    # u2 as the unknowns (u1, s) give it, s - u1, in the cells and the ghosts alike
+    w_face, _, excess_d = _drain_faces(ft, s_lag - u1_lag, s_lag, h2c,
+                                       None if s_d is None else s_d - u1_d, s_d)
     kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
     k_left, k_right = kappa * active[ft.left[:n_faces]], kappa[:ni] * active[ft.right[:ni]]
@@ -280,16 +271,23 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
     builder.add_rhs(1, fv.face_divergence(ft, fa))
 
 
+def _drain_faces(ft: fv.FaceTable, u2, s, h2c, u2_d=None, s_d=None):
+    """On every face, U0(u2) = U0(s - u1) upwinded by the driver grad U0(s - h2), the driver,
+    and the trace excess U0(s_d - h2) that the ghosts hold (None for a closed box)."""
+    excess_d = None if s_d is None else _u0(s_d - h2c[ft.bnd_cell])
+    w = fv.slot_values(ft, _u0(u2), None if u2_d is None else _u0(u2_d))
+    driver = fv.face_gradient(ft, _u0(s - h2c), excess_d)
+    return fv.upwind_face_value(w[ft.left], w[ft.right], driver), driver, excess_d
+
+
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
                       h1: np.ndarray) -> np.ndarray:
     """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) on the interior faces."""
     ft = face_table(grid)
     h2c = aspec.h2_cells(grid)
     u1, u2 = map_heads(h, h1, h2c)
-    w = _u0(u2)
-    L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
-    grad = fv.face_gradient(ft, _u0(u1 + u2 - h2c), None)[:ft.n_interior]
-    return fv.upwind_face_value(w[L], w[R], grad) * grad / aspec.epsilon
+    w_face, grad, _ = _drain_faces(ft, u2, u1 + u2, h2c)
+    return (w_face * grad / aspec.epsilon)[:ft.n_interior]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
     q_field = np.zeros(0)
     for k, snap in enumerate(result.snapshots):
         h, h1 = snap.values[0], snap.values[1]
-        s = (h - h1) + (h2c - h)
+        s = np.add(*map_heads(h, h1, h2c))
         violation[k] = float(np.sum(_u0(s - h2c)) * vol)
         q_field = penalty_face_flux(aspec, grid, h, h1)
         q_mag = np.sqrt(np.sum(fv.cell_average(ft, np.abs(q_field)) ** 2, axis=0))
@@ -399,57 +397,58 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag
     (w_prev, _), (w_lag, phi_lag) = u_prev, u_lag
     builder = SystemBuilder(grid, 2)
     ft = builder.ft
-    vol = grid.cell_volume
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
-    pump = aspec.pumping_values(t_prev, ft.centers)
-
-    w_trace = _u_traces(aspec, grid, t_new)[1]
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_new, ft.bnd_points)
-    # a closed box carries no salt flux through the boundary faces
-    n_faces = ft.n_interior if w_trace is None else ft.n_faces
-    w = fv.slot_values(ft, _u0(w_lag), None if w_trace is None else _u0(w_trace))
-    w_left, w_right = w[ft.left][:n_faces], w[ft.right][:n_faces]
-    w_face_w = fv.upwind_face_value(w_left, w_right,
-                                    fv.face_gradient(ft, w_lag, w_trace)[:n_faces])
+    w_trace, w_left, w_right, grad_w = _salt_faces(aspec, ft, w_lag, t_new)
+    n_faces = len(grad_w)
+    w_face_w = fv.upwind_face_value(w_left, w_right, grad_w)
     w_face_phi = fv.upwind_face_value(w_left, w_right,
                                       -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
 
     # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
     builder.add_mass(0, 1.0 / cfg.dt)
-    builder.add_rhs(0, vol * w_prev / cfg.dt)
+    builder.add_rhs(0, grid.cell_volume * w_prev / cfg.dt)
     builder.add_tpfa(0, 0, np.full(n_faces, aspec.delta), w_trace)
     builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
     builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
     # head row couplings
     builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
-    builder.add_tpfa(1, 1, one_a * _face_h2(aspec, ft), phi_trace)
-    builder.add_rhs(1, -vol * pump)
-    builder.source[1] = -vol * pump.sum()
+    _add_head_terms(builder, aspec, 1, phi_trace, t_prev)
     return builder
 
 
-def _face_h2(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
-    """Reservoir depth on every face: the mean of its two cells, the cell's at the boundary."""
+def _salt_faces(aspec: AquiferSpec, ft: fv.FaceTable, w: np.ndarray, t: float):
+    """Salt trace, U0(w) on both sides of the faces that carry salt and grad w on them
+    (a closed box has a None trace and carries no salt through its boundary faces)."""
+    w_trace = _u_traces(aspec, ft.grid, t)[1]
+    n_faces = ft.n_interior if w_trace is None else ft.n_faces
+    slots = fv.slot_values(ft, _u0(w), None if w_trace is None else _u0(w_trace))
+    return (w_trace, slots[ft.left][:n_faces], slots[ft.right][:n_faces],
+            fv.face_gradient(ft, w, w_trace)[:n_faces])
+
+
+def _add_head_terms(builder: SystemBuilder, aspec: AquiferSpec, row: int,
+                    phi_trace: np.ndarray, t: float) -> None:
+    """Head term -div((1 - alpha) h2 grad phi) on block ``row``, pumping at ``t`` its source; a
+    face's h2 is the mean of its two cells', the cell's at the boundary."""
+    ft = builder.ft
     h2 = fv.slot_values(ft, aspec.h2_cells(ft.grid), None)
-    return 0.5 * (h2[ft.left] + h2[ft.right])
+    builder.add_tpfa(row, row, (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right])),
+                     phi_trace)
+    pump = aspec.pumping_values(t, ft.centers)
+    builder.add_rhs(row, -ft.grid.cell_volume * pump)
+    builder.source[row] = -ft.grid.cell_volume * pump.sum()
 
 
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
     """Elliptic solve for the head consistent with the initial interface."""
     builder = SystemBuilder(grid, 1)
     ft = builder.ft
-    one_a = 1.0 - aspec.alpha
-    alpha = aspec.alpha
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, 0.0, ft.bnd_points)
-    w_trace = _u_traces(aspec, grid, 0.0)[1]
-    n_faces = ft.n_interior if w_trace is None else ft.n_faces
-    w = fv.slot_values(ft, _u0(w0), None if w_trace is None else _u0(w_trace))
-    grad_w = fv.face_gradient(ft, w0, w_trace)
-    w_face = fv.upwind_face_value(w[ft.left], w[ft.right], grad_w)
-    builder.add_explicit_flux(0, (alpha * w_face * grad_w)[:n_faces])
-    builder.add_tpfa(0, 0, one_a * _face_h2(aspec, ft), phi_trace)
-    pump = aspec.pumping_values(0.0, ft.centers)
-    builder.add_rhs(0, -grid.cell_volume * pump)
+    _, w_left, w_right, grad_w = _salt_faces(aspec, ft, w0, 0.0)
+    w_face = fv.upwind_face_value(w_left, w_right, grad_w)
+    builder.add_explicit_flux(0, aspec.alpha * w_face * grad_w)
+    _add_head_terms(builder, aspec, 0, phi_trace, 0.0)
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
     except SolverFailure as exc:
@@ -465,6 +464,9 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     The state (w, phi) = (h2 - h, phi) runs through the solver's Picard and
     time loops; the budget series are those of (w, phi).
     """
+    if aspec.alpha == 1.0:
+        raise InvalidParameterError("alpha must be below 1 for the confined variant: the head "
+                                    "coefficient (1 - alpha) h2 vanishes at alpha = 1")
     aspec.validate(grid)
     h2c = aspec.h2_cells(grid)
     h0, _ = aspec.initial_values(grid)

@@ -108,7 +108,7 @@ _SCHEMA = {
     "conditions": {"g_s": MISSING, "g_r": MISSING},
     "degiorgi": {"species": 1, "s": 6.0, "m": 2.0, "m_prime": 0.5, "n_max": 20,
                  "ell0": "max_initial", "M_s": None, "sobolev_beta": None},
-    "bounds": {"lo": 0.0, "hi": math.inf},
+    "bounds": {"lo": 0.0, "hi": MISSING},  # no hi is no upper bound
     "levels": {"count": 20, "lo": 0.0, "hi": None},
     "probe": {"amplitude": 1e-3, "radius": 0.2, "center": _centre},
     "convergence": {"case": "heat", "levels": 3, "nx0": 8,
@@ -138,7 +138,7 @@ _TYPED = {
     "generic.K": (lambda v: _rows(v, lambda e: _is_number(e) or _rows(e, _is_number)),
                   "a list of rows of numbers or 2x2 tensors"),
     "keulegan.well_position": _POSITION, "profile.position": _POSITION,
-    **dict.fromkeys(("conditions.g_s", "conditions.g_r"), _TYPES[float][:2]),
+    **dict.fromkeys(("conditions.g_s", "conditions.g_r", "bounds.hi"), _TYPES[float][:2]),
     **dict.fromkeys(("diagnostics.degiorgi", "diagnostics.bounds", "diagnostics.levels"),
                     _TYPES[dict][:2]),
     **dict.fromkeys(("generic.initial", "aquifer.initial_h", "aquifer.initial_h1"), "initial"),
@@ -381,7 +381,7 @@ def series_csv(result: SimulationResult) -> str:
 def interface_csv(result: SimulationResult, grid: Grid, aspec: aq.AquiferSpec,
                   snapshot_index: int) -> str:
     h, h1 = result.snapshots[snapshot_index].values[:2]
-    s = (h - h1) + (aspec.h2_cells(grid) - h)
+    s = np.add(*aq.map_heads(h, h1, aspec.h2_cells(grid)))
     return csv_table(["x", "y"][:grid.ndim] + ["h", "h1", "s"],
                      [*map(cells, grid.cell_centers().T), h, h1, s])
 
@@ -549,8 +549,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             artifacts.update(_levels_artifacts(config, config.grid, result))
             bounds = config.effective["diagnostics"].get("bounds")
             if bounds is not None:
-                artifacts["bounds.csv"] = diagnostics.bound_check(
-                    result, bounds["lo"], bounds["hi"]).to_csv()
+                artifacts["bounds.csv"] = diagnostics.bound_check(result, **bounds).to_csv()
 
         elif command == "probe":
             spec = build_generic_spec(config)

@@ -411,6 +411,53 @@ def test_initial_head_above_cutoff_makes_no_gmres_call(monkeypatch):
     assert np.all(np.isfinite(phi)) and np.any(phi != 0.0)
 
 
+def _well_1d_case():
+    grid = Grid((48,), (1.0,))
+    return aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4), grid
+
+
+def _per_cell_depth_2d_case():
+    grid = Grid((40, 40), (1.0, 1.0))
+    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    h2 = 1.0 + 0.2 * grid.cell_centers()[:, 0] * grid.cell_centers()[:, 1]
+    spec = aq.AquiferSpec(h2=h2, delta=0.3, alpha=0.025, epsilon=1e-2,
+                          initial_h=lambda p: 0.5 + 0.1 * p[:, 0], initial_h1=0.1,
+                          domain=grid.extents, dirichlet_h=lambda t, p: 0.5 + 0.1 * p[:, 0],
+                          dirichlet_h1=0.1, pumping=point_density(grid, [0.3, 0.6], 0.05))
+    return spec, grid
+
+
+@pytest.mark.parametrize("case", [_well_1d_case, _per_cell_depth_2d_case])
+def test_initial_head_solves_the_head_rows_of_the_first_sweep(case):
+    # with w = w0 known, the head rows of the t = 0 confined system give phi
+    import scipy.sparse.linalg as spla
+    spec, grid = case()
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    w0 = spec.h2_cells(grid) - spec.initial_values(grid)[0]
+    phi = aq._initial_head(spec, grid, w0, cfg)
+    u0 = np.stack([w0, np.zeros(grid.n_cells)])
+    builder = aq._assemble_confined(spec, grid, u0, u0, 0.0, 0.0, cfg)
+    a, b, n = builder.matrix(), builder.rhs, grid.n_cells
+    expected = spla.spsolve(a[n:, n:].tocsc(), b[n:] - a[n:, :n] @ w0)
+    assert np.any(expected != 0.0)
+    assert np.max(np.abs(phi - expected)) <= 10 * cfg.lin_tol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pumping", [None, 0.05])
+def test_confined_variant_rejects_unit_contrast(pumping):
+    # at alpha = 1 the head coefficient (1 - alpha) h2 vanishes; the penalized variant runs
+    grid = Grid((32,), (1.0,))
+    well = None if pumping is None else point_density(grid, [0.5], pumping)
+    spec = aq.AquiferSpec(h2=2.0, delta=1.0, alpha=1.0, epsilon=1.0, initial_h=1.0,
+                          initial_h1=0.0, domain=grid.extents, dirichlet_h=1.0,
+                          dirichlet_h1=0.0, pumping=well)
+    cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        aq.run_confined_aquifer(spec, grid, cfg)
+    result, _ = aq.run_penalized(spec, grid, cfg)
+    assert np.all(np.isfinite(result.snapshots[-1].values))
+
+
 # ---------------------------------------------------------------------------
 # penalization sweep
 # ---------------------------------------------------------------------------

@@ -215,6 +215,8 @@ def test_command_kind_compatibility(tmp_path):
     ("keulegan", {"epsilon": [1]}, "model.epsilon"),
     ("aquifer", {"epsilon": [1]}, "model.epsilon"),
     ("aquifer", {"variant": "mixed"}, "model.variant"),
+    ("aquifer", {"alpha": 1.0, "variant": "confined"}, "alpha"),
+    ("aquifer", {"alpha": 1.0, "variant": "both"}, "alpha"),
 ])
 def test_bad_aquifer_values_rejected(tmp_path, capsys, kind, model, named):
     path = write_config(tmp_path, {"kind": kind, "grid": {"dims": [16]}, "model": model})
@@ -463,6 +465,10 @@ FULL_GENERIC = {**GENERIC, "diagnostics": {
     "levels": {"count": 6}, "probe": {"radius": 0.3}}}
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("command, payload, block, default", [
     ("simulate", FULL_GENERIC, "diagnostics", {"levels": {"count": 6, "lo": 0.0, "hi": None}}),
     ("aquifer", {"kind": "aquifer", "grid": {"dims": [16]},
@@ -479,6 +485,7 @@ def test_echoed_config_reruns_identically(tmp_path, command, payload, block, def
     assert main([command, "--config", str(first), "--out", str(tmp_path / "a")]) == 0
     manifest = (tmp_path / "a" / "manifest.txt").read_text()
     echoed = next(line for line in manifest.splitlines() if line.startswith("config="))
+    json.loads(echoed[len("config="):], parse_constant=_reject_constant)  # strict JSON
     second = tmp_path / "echoed.json"
     second.write_text(echoed[len("config="):])
     assert default.items() <= json.loads(second.read_text())[block].items()

@@ -818,6 +818,25 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     assert np.allclose(builder.to_state(x0), u_lag, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
+def test_penalty_face_flux_is_the_upwinded_drain(kind):
+    # upwind(U0(u2)) * grad U0(u1 + u2 - h2) / eps on the interior faces, bit for bit
+    aq, aspec, _, grid, _, u_lag = penalized_case(kind)
+    h2c = aspec.h2_cells(grid)
+    h, h1 = aq.map_species(u_lag[0], u_lag[1], h2c)
+    ft = fv.face_table(grid)
+    left, right = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
+    u1, u2 = h - h1, h2c - h
+    w, excess = np.maximum(u2, 0.0), np.maximum(u1 + u2 - h2c, 0.0)
+    grad = (excess[right] - excess[left]) / ft.dist[:ft.n_interior]
+    w_face = np.where(grad > 0.0, w[right],
+                      np.where(grad < 0.0, w[left], 0.5 * (w[left] + w[right])))
+    expected = w_face * grad / aspec.epsilon
+    q = aq.penalty_face_flux(aspec, grid, h, h1)
+    assert np.any(expected != 0.0)
+    assert np.array_equal(q, expected)
+
+
 def budget_sweeps():
     """(builder, u_prev, dt, mass rows) of a generic and two confined sweeps."""
     from crossdiff import aquifer as aq
