@@ -26,21 +26,22 @@ closed box to conserve freshwater mass).  The confined-reservoir variant
 replaces the water-table equation by an elliptic solve for the hydraulic
 head and always takes Dirichlet data for the head.
 
-Every variant runs through the solver's Picard and time loops by handing
-them one sweep callback, and every matrix comes from :class:`fv.SystemBuilder`.
-The plain and penalized sweeps assemble the thickness system with the
-generic assembly on an internal spec (ell = inf, closed species for a closed
-box); the penalized sweep has the builder rewrite its terms in the unknowns
-(u1, s) and adds the drain on the s block.  The confined sweep is its own
-(w, phi) assembly.  The budget series are those of the solved state's
-species: (u1, u2), without the drain, and (w, phi).
+Every variant runs through the solver's time and Picard loops by handing
+them one callback ``step(u_prev, t_prev, t_new)``, which evaluates the step's
+traces and pumping once and returns ``sweep(u_lag)``; every matrix comes from
+:class:`fv.SystemBuilder`.  The plain and penalized sweeps assemble the
+thickness system with the generic assembly on an internal spec (ell = inf,
+closed species for a closed box); the penalized sweep has the builder rewrite
+its terms in the unknowns (u1, s) and adds the drain on the s block.  The
+confined sweep is its own (w, phi) assembly.  The budget series are those of
+the solved state's species: (u1, u2), without the drain, and (w, phi).
 
 Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
 the ghosts, the generic spec and ``validate``, and :func:`map_heads` gives s;
 ``_drain_faces`` upwinds the drain coefficient by its driver for ``_add_drain``
-and :func:`penalty_face_flux`; ``_salt_faces`` (salt trace, U0(w), grad w) and
-``_add_head_terms`` (head term, pumping) serve the confined sweep and
-``_initial_head`` alike.  :func:`run_penalized` and :func:`run_confined_aquifer`
+and :func:`penalty_face_flux`; ``_salt_faces`` (U0(w) and grad w at a salt
+trace) and ``_add_head_terms`` (head term, pumping) serve the confined sweep
+and ``_initial_head`` alike.  :func:`run_penalized` and :func:`run_confined_aquifer`
 are the entry points; a single step is a run with ``t_end = dt``.
 """
 
@@ -244,17 +245,17 @@ _FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
 
 
 def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
-               s_lag: np.ndarray, t_new: float) -> None:
+               s_lag: np.ndarray, u1_d: np.ndarray | None, u2_d: np.ndarray | None) -> None:
     """Active-set linearized drain term on the total-thickness (s) block.
 
     The coefficient eps^-1 U0(s - u1) is lagged and upwinded as in :func:`_drain_faces`;
     the excess U0(s - h2) is linearized as active * (s - h2) at the lagged active set.
+    ``u1_d`` and ``u2_d`` are the step's head traces as (u1, u2), None for a closed box.
     """
     grid, ft = builder.grid, builder.ft
     ni = ft.n_interior
     h2c = aspec.h2_cells(grid)
     active = (s_lag > h2c).astype(float)
-    u1_d, u2_d = _u_traces(aspec, grid, t_new)
     s_d = None if u1_d is None else u1_d + u2_d
     n_faces = ni if u1_d is None else ft.n_faces
     # u2 as the unknowns (u1, s) give it, s - u1, in the cells and the ghosts alike
@@ -295,12 +296,13 @@ def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penalized: bool):
-    """Validated generic spec, stepper config and sweep of the (u1, u2) system.
+    """Validated generic spec, stepper config and step callback of the (u1, u2) system.
 
     The spec clips at zero only (ell = inf), and the thickness coefficients
     clip whatever the configured coefficient mode.  A penalized sweep is in
     (u1, s), s = u1 + u2, with the drain terms on the s block, and solves
-    to a tolerance scaled by a small epsilon.
+    to a tolerance scaled by a small epsilon; its step maps the head traces
+    for the drain once.
     """
     aspec.validate(grid)
     spec = _thickness_spec(aspec, grid, math.inf)
@@ -311,12 +313,17 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
     if not penalized:
         return spec, cfg_u, generic
 
-    def sweep(u_prev, u_lag, t_prev, t_new):
-        builder = generic(u_prev, u_lag, t_prev, t_new)
-        builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
-        _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], t_new)
-        return builder
-    return spec, cfg_u, sweep
+    def step(u_prev, t_prev, t_new):
+        generic_sweep = generic(u_prev, t_prev, t_new)
+        u_d = _u_traces(aspec, grid, t_new)
+
+        def sweep(u_lag):
+            builder = generic_sweep(u_lag)
+            builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
+            _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], *u_d)
+            return builder
+        return sweep
+    return spec, cfg_u, step
 
 
 @dataclass
@@ -349,11 +356,11 @@ def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
 
     ``penalized=False`` is the plain run, without the drain term.
     """
-    spec, cfg_u, sweep = _thickness_system(aspec, grid, cfg, penalized)
+    spec, cfg_u, step = _thickness_system(aspec, grid, cfg, penalized)
     h2c = aspec.h2_cells(grid)
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(2)])
-    return solver._integrate(grid, cfg_u, u0, sweep,
+    return solver._integrate(grid, cfg_u, u0, step,
                              lambda u: np.stack(map_species(u[0], u[1], h2c)))
 
 
@@ -387,68 +394,73 @@ def run_penalized(aspec: AquiferSpec, grid: Grid,
 # confined-reservoir variant
 # ---------------------------------------------------------------------------
 
-def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.ndarray,
+def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray,
                        t_prev: float, t_new: float, cfg: StepperConfig):
-    """One sweep of the (w, phi) system: parabolic salt thickness, elliptic head.
+    """One step of the (w, phi) system: parabolic salt thickness, elliptic head.
 
-    The builder's budget is that of (w, phi): the head row has no mass term
-    and the pumping as its source.
+    Evaluates the step's head trace, salt trace and pumping once and returns
+    its ``sweep(u_lag)``.  The builder's budget is that of (w, phi): the head
+    row has no mass term and the pumping as its source.
     """
-    (w_prev, _), (w_lag, phi_lag) = u_prev, u_lag
-    builder = SystemBuilder(grid, 2)
-    ft = builder.ft
+    ft = face_table(grid)
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_new, ft.bnd_points)
-    w_trace, w_left, w_right, grad_w = _salt_faces(aspec, ft, w_lag, t_new)
-    n_faces = len(grad_w)
-    w_face_w = fv.upwind_face_value(w_left, w_right, grad_w)
-    w_face_phi = fv.upwind_face_value(w_left, w_right,
-                                      -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
+    w_trace = _u_traces(aspec, grid, t_new)[1]
+    pump = aspec.pumping_values(t_prev, ft.centers)
+    mass_rhs = grid.cell_volume * u_prev[0] / cfg.dt
 
-    # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
-    builder.add_mass(0, 1.0 / cfg.dt)
-    builder.add_rhs(0, grid.cell_volume * w_prev / cfg.dt)
-    builder.add_tpfa(0, 0, np.full(n_faces, aspec.delta), w_trace)
-    builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
-    builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
-    # head row couplings
-    builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
-    _add_head_terms(builder, aspec, 1, phi_trace, t_prev)
-    return builder
+    def sweep(u_lag: np.ndarray) -> SystemBuilder:
+        w_lag, phi_lag = u_lag
+        builder = SystemBuilder(grid, 2)
+        w_left, w_right, grad_w = _salt_faces(ft, w_lag, w_trace)
+        n_faces = len(grad_w)
+        w_face_w = fv.upwind_face_value(w_left, w_right, grad_w)
+        w_face_phi = fv.upwind_face_value(w_left, w_right,
+                                          -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
+
+        # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
+        builder.add_mass(0, 1.0 / cfg.dt)
+        builder.add_rhs(0, mass_rhs)
+        builder.add_tpfa(0, 0, np.full(n_faces, aspec.delta), w_trace)
+        builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
+        builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
+        # head row couplings
+        builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
+        _add_head_terms(builder, aspec, 1, phi_trace, pump)
+        return builder
+    return sweep
 
 
-def _salt_faces(aspec: AquiferSpec, ft: fv.FaceTable, w: np.ndarray, t: float):
-    """Salt trace, U0(w) on both sides of the faces that carry salt and grad w on them
-    (a closed box has a None trace and carries no salt through its boundary faces)."""
-    w_trace = _u_traces(aspec, ft.grid, t)[1]
+def _salt_faces(ft: fv.FaceTable, w: np.ndarray, w_trace: np.ndarray | None):
+    """U0(w) on both sides of the faces that carry salt and grad w on them, for the salt
+    trace ``w_trace`` (None for a closed box, which carries no salt through its boundary)."""
     n_faces = ft.n_interior if w_trace is None else ft.n_faces
     slots = fv.slot_values(ft, _u0(w), None if w_trace is None else _u0(w_trace))
-    return (w_trace, slots[ft.left][:n_faces], slots[ft.right][:n_faces],
+    return (slots[ft.left][:n_faces], slots[ft.right][:n_faces],
             fv.face_gradient(ft, w, w_trace)[:n_faces])
 
 
 def _add_head_terms(builder: SystemBuilder, aspec: AquiferSpec, row: int,
-                    phi_trace: np.ndarray, t: float) -> None:
-    """Head term -div((1 - alpha) h2 grad phi) on block ``row``, pumping at ``t`` its source; a
-    face's h2 is the mean of its two cells', the cell's at the boundary."""
+                    phi_trace: np.ndarray, pump: np.ndarray) -> None:
+    """Head term -div((1 - alpha) h2 grad phi) on block ``row``, the pumping ``pump`` its
+    source; a face's h2 is the mean of its two cells', the cell's at the boundary."""
     ft = builder.ft
     h2 = fv.slot_values(ft, aspec.h2_cells(ft.grid), None)
     builder.add_tpfa(row, row, (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right])),
                      phi_trace)
-    pump = aspec.pumping_values(t, ft.centers)
     builder.add_rhs(row, -ft.grid.cell_volume * pump)
     builder.source[row] = -ft.grid.cell_volume * pump.sum()
 
 
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
-    """Elliptic solve for the head consistent with the initial interface."""
+    """Elliptic solve for the head consistent with the initial interface, with the data at t = 0."""
     builder = SystemBuilder(grid, 1)
     ft = builder.ft
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, 0.0, ft.bnd_points)
-    _, w_left, w_right, grad_w = _salt_faces(aspec, ft, w0, 0.0)
+    w_left, w_right, grad_w = _salt_faces(ft, w0, _u_traces(aspec, grid, 0.0)[1])
     w_face = fv.upwind_face_value(w_left, w_right, grad_w)
     builder.add_explicit_flux(0, aspec.alpha * w_face * grad_w)
-    _add_head_terms(builder, aspec, 0, phi_trace, 0.0)
+    _add_head_terms(builder, aspec, 0, phi_trace, aspec.pumping_values(0.0, ft.centers))
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
     except SolverFailure as exc:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import aquifer as aq
 from . import conditions, diagnostics
-from .conditions import DEFAULT_G_CAVEAT, ConditionReport, reports_to_csv
+from .conditions import ConditionReport, reports_to_csv
 from .fv import SolverFailure
 from .model import (CrossTensor, Grid, InvalidParameterError, ModelSpec, ellipticity_bounds,
                     point_density, validate_spec)
@@ -105,7 +105,7 @@ _SCHEMA = {
     # a diagnostic without a default is off unless its block is present
     "diagnostics": {"conditions": {}, "degiorgi": MISSING, "bounds": MISSING,
                     "levels": MISSING, "probe": {}},
-    "conditions": {"g_s": MISSING, "g_r": MISSING},
+    "conditions": {"g_s": MISSING},
     "degiorgi": {"species": 1, "s": 6.0, "m": 2.0, "m_prime": 0.5, "n_max": 20,
                  "ell0": "max_initial", "M_s": None, "sobolev_beta": None},
     "bounds": {"lo": 0.0, "hi": MISSING},  # no hi is no upper bound
@@ -138,7 +138,7 @@ _TYPED = {
     "generic.K": (lambda v: _rows(v, lambda e: _is_number(e) or _rows(e, _is_number)),
                   "a list of rows of numbers or 2x2 tensors"),
     "keulegan.well_position": _POSITION, "profile.position": _POSITION,
-    **dict.fromkeys(("conditions.g_s", "conditions.g_r", "bounds.hi"), _TYPES[float][:2]),
+    **dict.fromkeys(("conditions.g_s", "bounds.hi"), _TYPES[float][:2]),
     **dict.fromkeys(("diagnostics.degiorgi", "diagnostics.bounds", "diagnostics.levels"),
                     _TYPES[dict][:2]),
     **dict.fromkeys(("generic.initial", "aquifer.initial_h", "aquifer.initial_h1"), "initial"),
@@ -262,10 +262,19 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
     model = _checked(top["model"], kind, "model", grid)
+    if kind != "generic" and model["variant"] != "penalized" and model["alpha"] == 1:
+        # the confined head coefficient (1 - alpha) h2 vanishes
+        raise ConfigError(f"model.alpha must be below 1 for variant {model['variant']!r}, "
+                          f"got {model['alpha']!r}")
     diag = _checked(top["diagnostics"], "diagnostics", "diagnostics")
     for name, block in diag.items():
         if block is not None or _SCHEMA["diagnostics"][name] is not MISSING:
             diag[name] = _checked(block, name, f"diagnostics.{name}", grid)
+    levels = diag.get("levels")
+    if levels is not None and levels["hi"] is not None and levels["count"] >= 2 \
+            and not levels["hi"] > levels["lo"]:
+        raise ConfigError(f"diagnostics.levels.hi must exceed lo = {levels['lo']!r} for "
+                          f"{levels['count']} levels, got {levels['hi']!r}")
     degiorgi = diag.get("degiorgi")
     if degiorgi is not None:
         # the level iteration pairs species i with 1 - i
@@ -454,8 +463,6 @@ def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
         reports = conditions.check_existence(spec)
         if "g_s" in diag and spec.ell > 0.0:
             reports += conditions.check_regularity(spec, diag["g_s"])
-        if "g_r" not in diag:
-            print(DEFAULT_G_CAVEAT, file=sys.stderr)
         return reports
     aspec = build_aquifer_spec(config)
     return [conditions.check_aquifer_admissibility(float(np.min(aspec.h2)),

@@ -22,14 +22,6 @@ from dataclasses import dataclass
 from .model import InvalidParameterError, ModelSpec, ellipticity_bounds
 from .table import csv_table
 
-#: Norm of the inverse heat operator at the target exponent.  No computable
-#: closed form is available; callers supply it (default 1.0, exact at
-#: exponent 2, optimistic above).
-DEFAULT_G_CAVEAT = (
-    "g(r) defaulted to 1.0: exact at r = 2 and optimistic for r > 2; "
-    "supply a measured or literature value for quantitative use."
-)
-
 
 @dataclass(frozen=True)
 class ConditionReport:

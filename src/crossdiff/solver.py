@@ -30,11 +30,12 @@ Each step's first lag is the linear predictor 2 u^n - u^(n-1) (u^0 at the
 first step), and the sweeps stop once their change is a small fraction,
 ``picard_tol``, of the step itself, or below what a linear solve resolves.
 
-This module owns the package's only Picard sweep loop (:func:`_picard`) and
-only time loop (:func:`_integrate`); every variant reaches both through one
-callback ``sweep(u_prev, u_lag, t_prev, t_new)`` that returns the sweep's
-:class:`fv.SystemBuilder`, whose budget is in the solved state's species.
-:func:`run` is the generic variant's one entry point.
+This module owns the package's only time loop and, inside it, only Picard
+sweep loop (:func:`_integrate`); every variant reaches both through one
+callback ``step(u_prev, t_prev, t_new)`` that evaluates the step's data
+(traces, sources, pumping) once and returns ``sweep(u_lag)``, which gives
+the sweep's :class:`fv.SystemBuilder`, whose budget is in the solved state's
+species.  :func:`run` is the generic variant's one entry point.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# assembly of one Picard sweep
+# assembly of one step's sweeps
 # ---------------------------------------------------------------------------
 
 def _coefficient(values: np.ndarray, spec: ModelSpec, cfg: StepperConfig) -> np.ndarray:
@@ -161,117 +162,81 @@ def _coefficient(values: np.ndarray, spec: ModelSpec, cfg: StepperConfig) -> np.
     return clamp(values, spec.ell)
 
 
-def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, u_lag: np.ndarray,
-                   t_prev: float, t_new: float, cfg: StepperConfig):
-    """Assemble one sweep's block system and budget into a :class:`fv.SystemBuilder`."""
+def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
+                   t_new: float, cfg: StepperConfig):
+    """Evaluate one step's traces and sources once and return the step's ``sweep(u_lag)``,
+    which assembles the block system and budget at the lag into a :class:`fv.SystemBuilder`."""
     m = spec.m
-    builder = SystemBuilder(grid, m)
-    ft = builder.ft
+    ft = fv.face_table(grid)
     vol = grid.cell_volume
-    dt = cfg.dt
-
     traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
-    # the lagged coefficient of each species at both sides of every face
-    w_sides = []
-    for i, tr in enumerate(traces):
-        w = fv.slot_values(ft, _coefficient(u_lag[i], spec, cfg),
-                           None if tr is None else _coefficient(tr, spec, cfg))
-        w_sides.append((w[ft.left], w[ft.right]))
+    w_traces = [None if tr is None else _coefficient(tr, spec, cfg) for tr in traces]
     weight = fv.upwind_face_value if cfg.cross_weighting == "upwind" else fv.centered_face_value
-    grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
-
-    # lagged tangential face gradients: the mean of the cell gradients at the
-    # two ends of a face (2D, full tensors only)
     need_tangential = grid.ndim == 2 and any(
         spec.K[i][j].matrix[0, 1] != 0.0 or spec.K[i][j].matrix[1, 0] != 0.0
         for i in range(m) for j in range(m))
-    if need_tangential:
-        tang_axis = 1 - ft.axis
-        tgrad = []
-        for j in range(m):
-            cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
-            tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
-
     q = np.stack([spec.source_values(i, t_prev, ft.centers, u_prev) for i in range(m)])
-    builder.source = q.sum(axis=1) * vol
+    source = q.sum(axis=1) * vol
+    rhs = [vol * (u_prev[i] / cfg.dt + q[i]) for i in range(m)]
 
-    for i in range(m):
-        # a closed species carries no flux through the boundary faces
-        n_faces = ft.n_faces if traces[i] is not None else ft.n_interior
-        builder.add_mass(i, 1.0 / dt)
-        builder.add_rhs(i, vol * (u_prev[i] / dt + q[i]))
-        builder.add_tpfa(i, i, np.full(n_faces, spec.delta[i]), traces[i])
+    def sweep(u_lag: np.ndarray) -> SystemBuilder:
+        builder = SystemBuilder(grid, m)
+        # the lagged coefficient of each species at both sides of every face
+        w_sides = []
+        for i in range(m):
+            w = fv.slot_values(ft, _coefficient(u_lag[i], spec, cfg), w_traces[i])
+            w_sides.append((w[ft.left], w[ft.right]))
+        grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
+        # lagged tangential face gradients: the mean of the cell gradients at the
+        # two ends of a face (2D, full tensors only)
+        if need_tangential:
+            tang_axis = 1 - ft.axis
+            tgrad = []
+            for j in range(m):
+                cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
+                tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
+        builder.source = source
 
-        for j in range(m):
-            kmat = spec.K[i][j].matrix
-            if not kmat.any():
-                continue
-            kdd = kmat.diagonal()[ft.axis]
-            driver = kdd * grad[j]
-            if need_tangential:
-                tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
-                driver = driver + ft.sign * tang
-            w_face = weight(*w_sides[i], driver)[:n_faces]
-            builder.add_tpfa(i, j, w_face * kdd[:n_faces], traces[j])
-            if need_tangential:
-                builder.add_explicit_flux(i, ft.sign[:n_faces] * w_face * tang[:n_faces])
-    return builder
+        for i in range(m):
+            # a closed species carries no flux through the boundary faces
+            n_faces = ft.n_faces if traces[i] is not None else ft.n_interior
+            builder.add_mass(i, 1.0 / cfg.dt)
+            builder.add_rhs(i, rhs[i])
+            builder.add_tpfa(i, i, np.full(n_faces, spec.delta[i]), traces[i])
 
-
-def _picard(sweep, u_prev: np.ndarray, u_pred: np.ndarray, t_prev: float, t_new: float,
-            cfg: StepperConfig, factors: fv.BlockFactors,
-            static: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Picard sweeps of one backward-Euler step; the package's only sweep loop.
-
-    ``sweep(u_prev, u_lag, t_prev, t_new)`` returns the sweep's
-    :class:`fv.SystemBuilder`, which maps the lagged state to the initial
-    guess and the solution back to the state, and whose ``budget(u_new)``
-    gives (source integral, boundary inflow).  The first lag, and so the
-    first GMRES start, is the predictor ``u_pred``.  The sweeps stop once
-    the change |u^(k) - u^(k-1)|_inf is at most ``picard_tol`` times the
-    step |u^(k) - u_prev|_inf, or at most ``lin_tol`` |u^(k)|_inf, the most
-    a linear solve resolves (so a steady state stops after one sweep); a
-    step that has not stopped after ``picard_max`` sweeps is recorded as not
-    converged.  ``static`` systems have no lagged coefficient and take a
-    single sweep.  ``factors`` is the run's preconditioner holder; the
-    step's GMRES iterations (``lin_iters``, 0 on the direct path) and
-    whether a sweep refactored go into the stats.
-    """
-    sweeps = 1 if static else cfg.picard_max
-    u_lag = u_pred
-    stats = {"picard_sweeps": 0, "picard_converged": True,
-             "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
-    for k in range(sweeps):
-        builder = sweep(u_prev, u_lag, t_prev, t_new)
-        x, stats["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
-                                                   cfg.lin_max, time=t_new,
-                                                   x0=builder.to_unknowns(u_lag),
-                                                   factors=factors)
-        stats["lin_iters"] += factors.iters
-        stats["refactored"] = stats["refactored"] or factors.refactored
-        stats["b_norm"] = factors.b_norm
-        u_new = builder.to_state(x)
-        stats["picard_sweeps"] = k + 1
-        change = float(np.max(np.abs(u_new - u_lag)))
-        u_lag = u_new
-        if change <= max(cfg.picard_tol * float(np.max(np.abs(u_new - u_prev))),
-                         cfg.lin_tol * float(np.max(np.abs(u_new)))):
-            break
-    else:
-        stats["picard_converged"] = static
-    return (u_new, *builder.budget(u_new), stats)
+            for j in range(m):
+                kmat = spec.K[i][j].matrix
+                if not kmat.any():
+                    continue
+                kdd = kmat.diagonal()[ft.axis]
+                driver = kdd * grad[j]
+                if need_tangential:
+                    tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
+                    driver = driver + ft.sign * tang
+                w_face = weight(*w_sides[i], driver)[:n_faces]
+                builder.add_tpfa(i, j, w_face * kdd[:n_faces], traces[j])
+                if need_tangential:
+                    builder.add_explicit_flux(i, ft.sign[:n_faces] * w_face * tang[:n_faces])
+        return builder
+    return sweep
 
 
-def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
+def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                to_record=np.copy, static: bool = False) -> SimulationResult:
-    """The package's only time loop.
+    """The package's only time loop and, inside it, its only Picard loop.
 
-    Each step runs :func:`_picard` on ``sweep`` from t_prev to t_prev + dt,
-    with the run's one :class:`fv.BlockFactors`, starting the lag from the
-    linear predictor 2 u^n - u^(n-1) (u^0 at the first step), which a fast
-    decay may make negative; ``to_record`` maps a state to the recorded
-    per-species values.  A :class:`SolverFailure` leaves with the trajectory
-    completed so far attached as ``partial``.
+    ``step(u_prev, t_prev, t_new)`` evaluates a step's data once and returns its
+    ``sweep(u_lag)``, a :class:`fv.SystemBuilder` that maps the lag to the initial guess
+    and the solution back to the state, and whose ``budget(u_new)`` gives (source
+    integral, boundary inflow).  The first lag is the linear predictor 2 u^n - u^(n-1)
+    (u^0 at the first step), which a fast decay may make negative.  The sweeps stop once
+    |u^(k) - u^(k-1)|_inf <= ``picard_tol`` |u^(k) - u^n|_inf, or <= ``lin_tol``
+    |u^(k)|_inf, the most a solve resolves (a steady state stops after one sweep); a step
+    still moving after ``picard_max`` sweeps is not converged, and a ``static`` system (no
+    lagged coefficient) takes one sweep.  The solves share the run's one
+    :class:`fv.BlockFactors`; a step's GMRES iterations (``lin_iters``, 0 when direct)
+    and whether it refactored go into its stats.  ``to_record`` maps a state to the
+    recorded values; a :class:`SolverFailure` leaves with the trajectory so far as ``partial``.
     """
     vol = grid.cell_volume
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
@@ -296,15 +261,37 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, sweep,
     u = u_old = u0
     factors = fv.BlockFactors(m)
     for k in range(n_steps):
+        t_new = times[k] + cfg.dt
+        st = {"picard_sweeps": 0, "picard_converged": True,
+              "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
         try:
-            u_new, src[:, k], bflux[:, k], st = _picard(sweep, u, 2.0 * u - u_old, times[k],
-                                                        times[k] + cfg.dt, cfg, factors, static)
+            sweep = step(u, times[k], t_new)
+            u_lag = 2.0 * u - u_old
+            for _ in range(1 if static else cfg.picard_max):
+                builder = sweep(u_lag)
+                x, st["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs,
+                                                        cfg.lin_tol, cfg.lin_max, time=t_new,
+                                                        x0=builder.to_unknowns(u_lag),
+                                                        factors=factors)
+                st["lin_iters"] += factors.iters
+                st["refactored"] = st["refactored"] or factors.refactored
+                st["b_norm"] = factors.b_norm
+                u_new = builder.to_state(x)
+                st["picard_sweeps"] += 1
+                change = float(np.max(np.abs(u_new - u_lag)))
+                u_lag = u_new
+                if change <= max(cfg.picard_tol * float(np.max(np.abs(u_new - u))),
+                                 cfg.lin_tol * float(np.max(np.abs(u_new)))):
+                    break
+            else:
+                st["picard_converged"] = static
         except SolverFailure as exc:
             exc.time = times[k + 1]
             exc.partial = SimulationResult(
                 snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
                 src[:, :k], bflux[:, :k], stats, cfg.dt)
             raise
+        src[:, k], bflux[:, k] = builder.budget(u_new)
         u_old, u = u, u_new
         stats.append(st)
         vals = to_record(u)

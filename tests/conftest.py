@@ -39,7 +39,11 @@ def singular_confined_step(monkeypatch):
     assemble = aquifer._assemble_confined
 
     def singular(*args, **kwargs):
-        builder = assemble(*args, **kwargs)
-        builder.vals = [0.0 * v for v in builder.vals]
-        return builder
+        sweep = assemble(*args, **kwargs)
+
+        def singular_sweep(u_lag):
+            builder = sweep(u_lag)
+            builder.vals = [0.0 * v for v in builder.vals]
+            return builder
+        return singular_sweep
     monkeypatch.setattr(aquifer, "_assemble_confined", singular)

@@ -116,7 +116,7 @@ def test_penalty_inactive_entries_vanish(grid_48):
     u1 = np.full(grid_48.n_cells, 0.4)
     s = np.full(grid_48.n_cells, 0.9)  # below h2 everywhere
     builder = SystemBuilder(grid_48, 2)
-    aq._add_drain(builder, spec, u1, s, 1e-3)
+    aq._add_drain(builder, spec, u1, s, *aq._u_traces(spec, grid_48, 1e-3))
     assert builder.terms == [("face", 1, 1, builder.ft.n_faces)]  # interior and boundary faces
     assert all(np.max(np.abs(v)) == 0.0 for v in builder.vals)
     assert np.max(np.abs(builder.rhs)) == 0.0
@@ -392,6 +392,43 @@ def test_confined_failure_keeps_partial(grid_48, singular_confined_step):
     assert list(info.value.partial.times) == [0.0]
 
 
+def counting_dirichlet_spec(grid, calls):
+    """Dirichlet spec whose traces and pumping record the time of every call by name."""
+    def counting(name, value):
+        def datum(t, points):
+            calls[name].append(t)
+            return value + 0.0 * points[:, 0]
+        return datum
+    return dataclasses.replace(dirichlet_spec(grid), dirichlet_h=counting("h", 0.5),
+                               dirichlet_h1=counting("h1", 0.1),
+                               dirichlet_phi=counting("phi", 0.0),
+                               pumping=counting("pump", 0.05))
+
+
+@pytest.mark.parametrize("variant", ["penalized", "confined"])
+def test_step_data_evaluated_once_per_step(grid_48, variant):
+    # 5 steps of 3 sweeps; the data at t > 0 come from the steps only
+    calls = {"h": [], "h1": [], "phi": [], "pump": []}
+    spec = counting_dirichlet_spec(grid_48, calls)
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=3, picard_tol=1e-300)
+    run = aq.run_penalized if variant == "penalized" else aq.run_confined_aquifer
+    result = run(spec, grid_48, cfg)
+    result = result[0] if variant == "penalized" else result
+    assert [st["picard_sweeps"] for st in result.solver_stats] == [3] * 5
+    steps = [t + cfg.dt for t in result.times[:-1]]
+    later = {name: [t for t in ts if t > 0.0] for name, ts in calls.items()}
+    # the pumping is a source, taken at the start of each step (t = 0 included)
+    assert calls["pump"].count(0.0) == (1 if variant == "penalized" else 2)
+    assert later["pump"] == list(result.times[1:-1])
+    if variant == "confined":
+        # the head trace and the salt trace, which maps both head traces
+        assert later == {"h": steps, "h1": steps, "phi": steps, "pump": later["pump"]}
+    else:
+        # mapped once per species by the thickness spec and once for the drain
+        assert sorted(later["h"]) == sorted(later["h1"]) == sorted(steps * 3)
+        assert later["phi"] == []
+
+
 def test_initial_head_above_cutoff_makes_no_gmres_call(monkeypatch):
     # the one elliptic solve keeps no factors, so it factors and solves directly
     grid = Grid((40, 40), (1.0, 1.0))
@@ -436,7 +473,7 @@ def test_initial_head_solves_the_head_rows_of_the_first_sweep(case):
     w0 = spec.h2_cells(grid) - spec.initial_values(grid)[0]
     phi = aq._initial_head(spec, grid, w0, cfg)
     u0 = np.stack([w0, np.zeros(grid.n_cells)])
-    builder = aq._assemble_confined(spec, grid, u0, u0, 0.0, 0.0, cfg)
+    builder = aq._assemble_confined(spec, grid, u0, 0.0, 0.0, cfg)(u0)
     a, b, n = builder.matrix(), builder.rhs, grid.n_cells
     expected = spla.spsolve(a[n:, n:].tocsc(), b[n:] - a[n:, :n] @ w0)
     assert np.any(expected != 0.0)

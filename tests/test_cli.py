@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from crossdiff import aquifer as aq
 from crossdiff import diagnostics as diag
 from crossdiff.cli import (ConfigError, build_aquifer_spec, build_generic_spec, main,
                            parse_scenario)
@@ -110,6 +111,9 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"model": {"K": 3}}, "model.K"),
     ({"model": {"initial": [{"profile": "bump", "amplitude": "x"}, 0.0]}},
      "model.initial.amplitude"),
+    ({"diagnostics": {"levels": {"lo": 1.0, "hi": 0.5}}}, "diagnostics.levels.hi"),
+    ({"diagnostics": {"levels": {"lo": 0.5, "hi": 0.5, "count": 2}}}, "diagnostics.levels.hi"),
+    ({"diagnostics": {"conditions": {"g_r": 1.0}}}, "'g_r'"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -215,14 +219,27 @@ def test_command_kind_compatibility(tmp_path):
     ("keulegan", {"epsilon": [1]}, "model.epsilon"),
     ("aquifer", {"epsilon": [1]}, "model.epsilon"),
     ("aquifer", {"variant": "mixed"}, "model.variant"),
-    ("aquifer", {"alpha": 1.0, "variant": "confined"}, "alpha"),
-    ("aquifer", {"alpha": 1.0, "variant": "both"}, "alpha"),
+    ("aquifer", {"alpha": 1.0, "variant": "confined"}, "model.alpha"),
+    ("aquifer", {"alpha": 1.0, "variant": "both"}, "model.alpha"),
+    ("keulegan", {"alpha": 1, "variant": "both"}, "model.alpha"),
 ])
-def test_bad_aquifer_values_rejected(tmp_path, capsys, kind, model, named):
+def test_bad_aquifer_values_rejected(tmp_path, capsys, monkeypatch, kind, model, named):
+    # rejected before any run: the penalized variant of "both" does not run first
+    runs = []
+    monkeypatch.setattr(aq, "run_penalized", lambda *args: runs.append(args))
     path = write_config(tmp_path, {"kind": kind, "grid": {"dims": [16]}, "model": model})
     assert main(["aquifer", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {named} must be " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert runs == []
+
+
+def test_levels_hi_at_or_below_lo_allowed_for_one_level(tmp_path):
+    cfg = {**json.loads(json.dumps(GENERIC)), "diagnostics": {"levels": {"lo": 1.0, "hi": 0.5,
+                                                                          "count": 1}}}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "levels.csv").exists()
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -254,10 +271,12 @@ def test_keulegan_defaults_alpha(tmp_path):
 # commands
 # ---------------------------------------------------------------------------
 
-def test_check_writes_reports(tmp_path):
+def test_check_writes_reports(tmp_path, capsys):
     path = write_config(tmp_path, GENERIC)
     out = tmp_path / "out"
     assert main(["check", "--config", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err  # no g(r) caveat: check reports no k(r)
+    assert err.startswith("check: exit 0 (") and err.count("\n") == 1
     text = (out / "conditions.csv").read_text()
     assert text.startswith("name,lhs,rhs,margin,pass")
     assert "existence_12" in text

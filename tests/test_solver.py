@@ -213,7 +213,7 @@ def test_species_diffusion_blocks_spd(grid_12):
     pts = grid_12.cell_centers()
     u = np.stack([spec.initial_values(i, pts) for i in range(2)])
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder = _assemble_step(spec, grid_12, u, u, 0.0, 1e-3, cfg)
+    builder = _assemble_step(spec, grid_12, u, 0.0, 1e-3, cfg)(u)
     a = builder.matrix()
     n = grid_12.n_cells
     vol = grid_12.cell_volume
@@ -303,19 +303,31 @@ def test_advance_step_moves_time(grid_12):
     assert new.values.shape == state.values.shape
 
 
-def test_source_evaluated_once_per_sweep(grid_12):
-    # the budget's source integral reuses the values of the sweep's assembly
+def test_source_evaluated_once_per_step(grid_12):
+    # a step's sources and traces are evaluated once, before its sweeps, and
+    # the budget's source integral reuses the values of that evaluation
     calls = []
 
     def source(t, points, u):
         calls.append(t)
         return 0.5 + 0.0 * points[:, 0]
+
+    def counting_trace(which):
+        def trace(t, points):
+            traces[which].append(t)
+            return 0.0 * points[:, 0]
+        return trace
+    traces = ([], [])
     spec = coupled_spec_2d()
     spec.sources = [source, None]
+    spec.dirichlet = [counting_trace(0), counting_trace(1)]
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=3, picard_tol=1e-300)
     result = run(spec, grid_12, cfg)
     assert [st["picard_sweeps"] for st in result.solver_stats] == [3] * 5
-    assert len(calls) == 15
+    assert len(calls) == 5
+    assert calls == list(result.times[:-1])
+    # validate_spec reads the traces at t = 0
+    assert traces[0] == traces[1] == [0.0] + [t + cfg.dt for t in result.times[:-1]]
     assert np.array_equal(result.source_integral[0], np.full(5, 0.5 * grid_12.n_cells
                                                              * grid_12.cell_volume))
 
@@ -383,7 +395,7 @@ def _sweep_system(n: int, dt: float = 1e-3):
     grid = Grid((n, n), (1.0, 1.0))
     spec = coupled_spec_2d()
     u0 = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    builder = _assemble_step(spec, grid, u0, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))
+    builder = _assemble_step(spec, grid, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))(u0)
     return builder.matrix(), builder.rhs
 
 
@@ -668,8 +680,8 @@ GRID_75 = Grid((7, 5), (1.0, 0.6))
 
 def assemble_generic(spec, grid=GRID_75, cfg=None):
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(spec.m)])
-    builder = _assemble_step(spec, grid, u, 0.9 * u, 0.0, 1e-3,
-                             cfg or StepperConfig(dt=1e-3, t_end=1e-3))
+    builder = _assemble_step(spec, grid, u, 0.0, 1e-3,
+                             cfg or StepperConfig(dt=1e-3, t_end=1e-3))(0.9 * u)
     return builder.matrix()
 
 
@@ -705,8 +717,8 @@ def test_pattern_matches_coo_confined_step(built):
     aq, aspec, grid, w = confined_case()
     phi = 0.1 * product_sine(1.0)(grid.cell_centers())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder = aq._assemble_confined(aspec, grid, np.stack([w, phi]),
-                                    np.stack([0.95 * w, phi]), 0.0, 1e-3, cfg)
+    builder = aq._assemble_confined(aspec, grid, np.stack([w, phi]), 0.0, 1e-3,
+                                    cfg)(np.stack([0.95 * w, phi]))
     builder.matrix()
     (build,) = built
     assert build[1] == 2
@@ -784,14 +796,14 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     aq, aspec, spec, grid, u_prev, u_lag = penalized_case(kind)
     n = grid.n_cells
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    plain = _assemble_step(spec, grid, u_prev, u_lag, 0.0, cfg.dt, cfg)
+    plain = _assemble_step(spec, grid, u_prev, 0.0, cfg.dt, cfg)(u_lag)
     a_plain = coo_reference(grid, 2, plain.calls)
     b_plain = plain.rhs
 
     s_lag = u_lag[0] + u_lag[1]
     assert np.any(s_lag > aspec.h2_cells(grid))
     drain = fv.SystemBuilder(grid, 2)
-    aq._add_drain(drain, aspec, u_lag[0], s_lag, cfg.dt)
+    aq._add_drain(drain, aspec, u_lag[0], s_lag, *aq._u_traces(aspec, grid, cfg.dt))
     assert all(np.any(v != 0.0) for v in drain.vals)
     # nonzero on the faces of every axis and, where covered, on the boundary faces
     ft = fv.face_table(grid)
@@ -806,8 +818,8 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     ref = (q_op @ a_plain @ p_op + drain_reference(grid, 2, drain.terms, drain.vals)).tocsr()
     ref.sort_indices()
 
-    _, _, sweep = aq._thickness_system(aspec, grid, cfg, penalized=True)
-    builder = sweep(u_prev, u_lag, 0.0, cfg.dt)
+    _, _, step = aq._thickness_system(aspec, grid, cfg, penalized=True)
+    builder = step(u_prev, 0.0, cfg.dt)(u_lag)
     x0 = builder.to_unknowns(u_lag)
     a = builder.matrix()
     assert np.array_equal(a.indptr, ref.indptr)
@@ -845,13 +857,13 @@ def budget_sweeps():
     spec = full_tensor_spec()
     spec.sources = [lambda t, p, u: 0.3 + p[:, 0] * u[0], lambda t, p, u: 0.2 * u[1]]
     u = np.stack([spec.initial_values(i, GRID_75.cell_centers()) for i in range(2)])
-    yield _assemble_step(spec, GRID_75, u, 0.9 * u, 0.0, dt, cfg), u, dt, [True, True]
+    yield _assemble_step(spec, GRID_75, u, 0.0, dt, cfg)(0.9 * u), u, dt, [True, True]
     _, aspec, grid, w = confined_case()
     closed = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.2)
     for a in (aspec, closed):
         phi = 0.1 * product_sine(1.0)(grid.cell_centers())
         u = np.stack([w, phi])
-        builder = aq._assemble_confined(a, grid, u, np.stack([0.95 * w, phi]), 0.0, dt, cfg)
+        builder = aq._assemble_confined(a, grid, u, 0.0, dt, cfg)(np.stack([0.95 * w, phi]))
         yield builder, u, dt, [True, False]  # the head row has no mass term
 
 
