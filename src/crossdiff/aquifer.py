@@ -40,9 +40,12 @@ Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
 the ghosts, the generic spec and ``validate``, and :func:`map_heads` gives s;
 ``_drain_faces`` upwinds the drain coefficient by its driver for ``_add_drain``
 and :func:`penalty_face_flux`; ``_salt_faces`` (U0(w) and grad w at a salt
-trace) and ``_add_head_terms`` (head term, pumping) serve the confined sweep
-and ``_initial_head`` alike.  :func:`run_penalized` and :func:`run_confined_aquifer`
-are the entry points; a single step is a run with ``t_end = dt``.
+trace), ``_head_faces`` (the head coefficient (1 - alpha) h2) and
+``_add_head_terms`` (head term, pumping) serve the confined step and
+``_initial_head`` alike.  The depth h2 is run-constant data: a step reads it,
+and the head face coefficient built from it, once, never a sweep.
+:func:`run_penalized` and :func:`run_confined_aquifer` are the entry points; a
+single step is a run with ``t_end = dt``.
 """
 
 from __future__ import annotations
@@ -244,17 +247,17 @@ _TO_TOTAL = ((1.0, 0.0), (1.0, 1.0))
 _FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
 
 
-def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, u1_lag: np.ndarray,
+def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_lag: np.ndarray,
                s_lag: np.ndarray, u1_d: np.ndarray | None, u2_d: np.ndarray | None) -> None:
     """Active-set linearized drain term on the total-thickness (s) block.
 
     The coefficient eps^-1 U0(s - u1) is lagged and upwinded as in :func:`_drain_faces`;
     the excess U0(s - h2) is linearized as active * (s - h2) at the lagged active set.
-    ``u1_d`` and ``u2_d`` are the step's head traces as (u1, u2), None for a closed box.
+    ``h2c`` is the cell depth, and ``u1_d`` and ``u2_d`` are the step's head traces as
+    (u1, u2), None for a closed box.
     """
-    grid, ft = builder.grid, builder.ft
+    ft = builder.ft
     ni = ft.n_interior
-    h2c = aspec.h2_cells(grid)
     active = (s_lag > h2c).astype(float)
     s_d = None if u1_d is None else u1_d + u2_d
     n_faces = ni if u1_d is None else ft.n_faces
@@ -301,8 +304,8 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
     The spec clips at zero only (ell = inf), and the thickness coefficients
     clip whatever the configured coefficient mode.  A penalized sweep is in
     (u1, s), s = u1 + u2, with the drain terms on the s block, and solves
-    to a tolerance scaled by a small epsilon; its step maps the head traces
-    for the drain once.
+    to a tolerance scaled by a small epsilon; its step reads the depth and
+    maps the head traces for the drain once.
     """
     aspec.validate(grid)
     spec = _thickness_spec(aspec, grid, math.inf)
@@ -315,12 +318,13 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
 
     def step(u_prev, t_prev, t_new):
         generic_sweep = generic(u_prev, t_prev, t_new)
+        h2c = aspec.h2_cells(grid)
         u_d = _u_traces(aspec, grid, t_new)
 
         def sweep(u_lag):
             builder = generic_sweep(u_lag)
             builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
-            _add_drain(builder, aspec, u_lag[0], u_lag[0] + u_lag[1], *u_d)
+            _add_drain(builder, aspec, h2c, u_lag[0], u_lag[0] + u_lag[1], *u_d)
             return builder
         return sweep
     return spec, cfg_u, step
@@ -398,15 +402,16 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray,
                        t_prev: float, t_new: float, cfg: StepperConfig):
     """One step of the (w, phi) system: parabolic salt thickness, elliptic head.
 
-    Evaluates the step's head trace, salt trace and pumping once and returns
-    its ``sweep(u_lag)``.  The builder's budget is that of (w, phi): the head
-    row has no mass term and the pumping as its source.
+    Evaluates the step's head trace, salt trace, pumping and head face
+    coefficient once and returns its ``sweep(u_lag)``.  The builder's budget is
+    that of (w, phi): the head row has no mass term and the pumping as its source.
     """
     ft = face_table(grid)
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_new, ft.bnd_points)
     w_trace = _u_traces(aspec, grid, t_new)[1]
     pump = aspec.pumping_values(t_prev, ft.centers)
+    head_face = _head_faces(aspec, ft)
     mass_rhs = grid.cell_volume * u_prev[0] / cfg.dt
 
     def sweep(u_lag: np.ndarray) -> SystemBuilder:
@@ -426,7 +431,7 @@ def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray,
         builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
         # head row couplings
         builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
-        _add_head_terms(builder, aspec, 1, phi_trace, pump)
+        _add_head_terms(builder, 1, head_face, phi_trace, pump)
         return builder
     return sweep
 
@@ -440,14 +445,19 @@ def _salt_faces(ft: fv.FaceTable, w: np.ndarray, w_trace: np.ndarray | None):
             fv.face_gradient(ft, w, w_trace)[:n_faces])
 
 
-def _add_head_terms(builder: SystemBuilder, aspec: AquiferSpec, row: int,
-                    phi_trace: np.ndarray, pump: np.ndarray) -> None:
-    """Head term -div((1 - alpha) h2 grad phi) on block ``row``, the pumping ``pump`` its
-    source; a face's h2 is the mean of its two cells', the cell's at the boundary."""
-    ft = builder.ft
+def _head_faces(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
+    """Head coefficient (1 - alpha) h2 on every face; a face's h2 is the mean of its two
+    cells', the cell's at the boundary."""
     h2 = fv.slot_values(ft, aspec.h2_cells(ft.grid), None)
-    builder.add_tpfa(row, row, (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right])),
-                     phi_trace)
+    return (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right]))
+
+
+def _add_head_terms(builder: SystemBuilder, row: int, head_face: np.ndarray,
+                    phi_trace: np.ndarray, pump: np.ndarray) -> None:
+    """Head term -div(``head_face`` grad phi) on block ``row``, the pumping ``pump`` its
+    source."""
+    ft = builder.ft
+    builder.add_tpfa(row, row, head_face, phi_trace)
     builder.add_rhs(row, -ft.grid.cell_volume * pump)
     builder.source[row] = -ft.grid.cell_volume * pump.sum()
 
@@ -460,7 +470,8 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     w_left, w_right, grad_w = _salt_faces(ft, w0, _u_traces(aspec, grid, 0.0)[1])
     w_face = fv.upwind_face_value(w_left, w_right, grad_w)
     builder.add_explicit_flux(0, aspec.alpha * w_face * grad_w)
-    _add_head_terms(builder, aspec, 0, phi_trace, aspec.pumping_values(0.0, ft.centers))
+    _add_head_terms(builder, 0, _head_faces(aspec, ft), phi_trace,
+                    aspec.pumping_values(0.0, ft.centers))
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
     except SolverFailure as exc:

@@ -506,6 +506,9 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
     hi = block["hi"]
     if hi is None:
         hi = max(float(s.values.max()) for s in result.snapshots) + 1e-9
+        if block["count"] >= 2 and not hi > block["lo"]:
+            raise ConfigError(f"diagnostics.levels.lo must lie below the automatic hi = {hi!r} "
+                              f"(the largest snapshot value plus 1e-9), got {block['lo']!r}")
     levels = np.linspace(block["lo"], hi, block["count"])
     return {"levels.csv": diagnostics.level_set_profile(result, grid, levels).to_csv()}
 

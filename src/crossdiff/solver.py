@@ -26,9 +26,12 @@ preconditioned by SuperLU factors of the species diagonal blocks that each
 run keeps in one :class:`fv.BlockFactors` and refactors only when GMRES
 starts to need many iterations.
 
-Each step's first lag is the linear predictor 2 u^n - u^(n-1) (u^0 at the
-first step), and the sweeps stop once their change is a small fraction,
-``picard_tol``, of the step itself, or below what a linear solve resolves.
+Each step's first lag is the quadratic predictor 3 u^n - 3 u^(n-1) + u^(n-2)
+(u^0 at the first step, the linear 2 u^n - u^(n-1) at the second), and the
+sweeps stop once their change is a small fraction, ``picard_tol``, of the step
+itself, or below what a linear solve resolves.  The predictor is O(dt^3) off
+the step, so once a smooth run is past its start-up steps one sweep meets that
+test.
 
 This module owns the package's only time loop and, inside it, only Picard
 sweep loop (:func:`_integrate`); every variant reaches both through one
@@ -69,7 +72,9 @@ class StepperConfig:
     a sweep changes the state by at most ``picard_tol`` times the change over
     the whole step (or by at most ``lin_tol`` times the state), so it lies in
     (0, 1); a step still moving after ``picard_max`` sweeps is recorded as
-    not converged.  ``lin_tol`` bounds the relative true residual of every
+    not converged.  The first sweep starts from the quadratic predictor of
+    the last three states (see :func:`_integrate`), so on a smooth run most
+    steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
     linear solve, the same on every sweep;
     ``lin_max`` caps the inner GMRES iterations per call and so applies to
     systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
@@ -228,11 +233,12 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     ``step(u_prev, t_prev, t_new)`` evaluates a step's data once and returns its
     ``sweep(u_lag)``, a :class:`fv.SystemBuilder` that maps the lag to the initial guess
     and the solution back to the state, and whose ``budget(u_new)`` gives (source
-    integral, boundary inflow).  The first lag is the linear predictor 2 u^n - u^(n-1)
-    (u^0 at the first step), which a fast decay may make negative.  The sweeps stop once
-    |u^(k) - u^(k-1)|_inf <= ``picard_tol`` |u^(k) - u^n|_inf, or <= ``lin_tol``
-    |u^(k)|_inf, the most a solve resolves (a steady state stops after one sweep); a step
-    still moving after ``picard_max`` sweeps is not converged, and a ``static`` system (no
+    integral, boundary inflow).  The first lag is the quadratic predictor
+    3 u^n - 3 u^(n-1) + u^(n-2) (u^0 at the first step, 2 u^n - u^(n-1) at the second),
+    which a sudden drop, such as a boundary trace switched off, may make negative.  The
+    sweeps stop once |u^(k) - u^(k-1)|_inf <= ``picard_tol`` |u^(k) - u^n|_inf, or <=
+    ``lin_tol`` |u^(k)|_inf, the most a solve resolves (a steady state stops after one
+    sweep); a step still moving after ``picard_max`` sweeps is not converged, and a ``static`` system (no
     lagged coefficient) takes one sweep.  The solves share the run's one
     :class:`fv.BlockFactors`; a step's GMRES iterations (``lin_iters``, 0 when direct)
     and whether it refactored go into its stats.  ``to_record`` maps a state to the
@@ -258,7 +264,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
         mass[:, k] = vals_k.sum(axis=1) * vol
 
     record(0, vals)
-    u = u_old = u0
+    u = u_old = u_older = u0
     factors = fv.BlockFactors(m)
     for k in range(n_steps):
         t_new = times[k] + cfg.dt
@@ -266,7 +272,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
               "lin_residual": 0.0, "b_norm": 0.0, "lin_iters": 0, "refactored": False}
         try:
             sweep = step(u, times[k], t_new)
-            u_lag = 2.0 * u - u_old
+            u_lag = u if k == 0 else 2.0 * u - u_old if k == 1 else 3.0 * (u - u_old) + u_older
             for _ in range(1 if static else cfg.picard_max):
                 builder = sweep(u_lag)
                 x, st["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs,
@@ -292,7 +298,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                 src[:, :k], bflux[:, :k], stats, cfg.dt)
             raise
         src[:, k], bflux[:, k] = builder.budget(u_new)
-        u_old, u = u, u_new
+        u_older, u_old, u = u_old, u, u_new
         stats.append(st)
         vals = to_record(u)
         record(k + 1, vals)

@@ -116,7 +116,8 @@ def test_penalty_inactive_entries_vanish(grid_48):
     u1 = np.full(grid_48.n_cells, 0.4)
     s = np.full(grid_48.n_cells, 0.9)  # below h2 everywhere
     builder = SystemBuilder(grid_48, 2)
-    aq._add_drain(builder, spec, u1, s, *aq._u_traces(spec, grid_48, 1e-3))
+    aq._add_drain(builder, spec, spec.h2_cells(grid_48), u1, s,
+                  *aq._u_traces(spec, grid_48, 1e-3))
     assert builder.terms == [("face", 1, 1, builder.ft.n_faces)]  # interior and boundary faces
     assert all(np.max(np.abs(v)) == 0.0 for v in builder.vals)
     assert np.max(np.abs(builder.rhs)) == 0.0
@@ -410,7 +411,7 @@ def test_step_data_evaluated_once_per_step(grid_48, variant):
     # 5 steps of 3 sweeps; the data at t > 0 come from the steps only
     calls = {"h": [], "h1": [], "phi": [], "pump": []}
     spec = counting_dirichlet_spec(grid_48, calls)
-    cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=3, picard_tol=1e-300)
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=3, picard_tol=1e-300, lin_tol=1e-13)
     run = aq.run_penalized if variant == "penalized" else aq.run_confined_aquifer
     result = run(spec, grid_48, cfg)
     result = result[0] if variant == "penalized" else result
@@ -427,6 +428,32 @@ def test_step_data_evaluated_once_per_step(grid_48, variant):
         # mapped once per species by the thickness spec and once for the drain
         assert sorted(later["h"]) == sorted(later["h1"]) == sorted(steps * 3)
         assert later["phi"] == []
+
+
+@pytest.mark.parametrize("variant", ["penalized", "confined"])
+def test_depth_read_once_per_step(grid_48, monkeypatch, variant):
+    # h2 is run-constant data: no sweep reads it, so a run of 3 sweeps a step
+    # reads it as often as a run of 1 sweep a step
+    calls = []
+    h2_cells = aq.AquiferSpec.h2_cells
+
+    def counting(self, grid):
+        calls.append(grid)
+        return h2_cells(self, grid)
+
+    monkeypatch.setattr(aq.AquiferSpec, "h2_cells", counting)
+    spec = dirichlet_spec(grid_48, pumping=0.05)
+    run = aq.run_penalized if variant == "penalized" else aq.run_confined_aquifer
+    counts = []
+    for picard_max in (1, 3):
+        calls.clear()
+        cfg = StepperConfig(dt=1e-3, t_end=5e-3, picard_max=picard_max, picard_tol=1e-300,
+                            lin_tol=1e-13)
+        result = run(spec, grid_48, cfg)
+        result = result[0] if variant == "penalized" else result
+        assert [st["picard_sweeps"] for st in result.solver_stats] == [picard_max] * 5
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_initial_head_above_cutoff_makes_no_gmres_call(monkeypatch):

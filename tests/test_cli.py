@@ -234,6 +234,16 @@ def test_bad_aquifer_values_rejected(tmp_path, capsys, monkeypatch, kind, model,
     assert runs == []
 
 
+def test_levels_lo_above_automatic_hi_names_the_key(tmp_path, capsys):
+    # the automatic hi (largest snapshot value plus 1e-9) is known only after the run
+    cfg = {**json.loads(json.dumps(GENERIC)), "grid": {"dims": [6, 6], "extents": [1.0, 1.0]},
+           "diagnostics": {"levels": {"lo": 5.0}}}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: diagnostics.levels.lo must lie below" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_levels_hi_at_or_below_lo_allowed_for_one_level(tmp_path):
     cfg = {**json.loads(json.dumps(GENERIC)), "diagnostics": {"levels": {"lo": 1.0, "hi": 0.5,
                                                                           "count": 1}}}
@@ -450,7 +460,7 @@ def test_convergence_manifest_counts_converged_steps_per_level(tmp_path):
     assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
     assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 2
     manifest = (out / "manifest.txt").read_text()
-    assert "\nexit_status=0\npicard_converged=1/10;40/40\n" in manifest
+    assert "\nexit_status=0\npicard_converged=9/10;40/40\n" in manifest
     assert '"dt0":0.004' in manifest and '"t_end":0.04' in manifest
 
 

@@ -48,26 +48,26 @@ GOLDEN = {
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
         "levels.csv": "1f60ceaac120b8a1303fbd58c5e57901a868abf0665fc0a9294befedd26ea4ad",
         "manifest.txt": "33893f995a7c6fb9c95decc07f039800815e7b97ff126f92b1e85b2f86530d90",
-        "series.csv": "92a69f4df226a5ff97b3ddb99cafba0438f89e1acc0d1c7e55e6d9d4bca18342",
-        "snapshots.csv": "83ac5d3760f79d04b29fac3aebc8f13f18022c750de200c17b94ac6f233ea69d",
+        "series.csv": "00f270862027df25b5a194055d584a8b9fc030bc98180cbd998630578c2c5c0d",
+        "snapshots.csv": "7cca876b8f4fc2533ed3c0dbaab0f0724926c2dadcd2080e716082950ffca585",
     },
     "keulegan": {
-        "confined_series.csv": "1265eee2dcf71bcc2a614e32250bc37079b82780d117080e4afe3ee70d70bf53",
-        "confined_snapshots.csv": "98883bd4d66f73e8f9b7c5161639dd649cc4f649e24aed3ab8cd43c317255db0",
+        "confined_series.csv": "c9a2328bff160bbb9f1107f1c90d8ff282afc78a8f99c799631cccfc999046ca",
+        "confined_snapshots.csv": "9e563bbafe9831330c0de1729975f5399b7959b7d821da201c7300165ac9a15e",
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
-        "interface_0001.csv": "354a68519c6032ffabff70a35237931902e6f588de136713f3fd52c9b054ab0b",
+        "interface_0001.csv": "7c9ae9c12d7ec02bac9f0dfa363046e66ea8bef8cd2d091ee723046f86ed6350",
         "manifest.txt": "86e9385aca01993e646264f629eecfe62bda3f46266bc801b3c6f807c8953b68",
-        "series.csv": "8370add6633c9b1a771844393e9b328b97c9044459000a3d171cc09d967bc990",
+        "series.csv": "8601b103b087d9fe1c2e608afc026d8c3806cb8c99003d5d30c098974df35de5",
     },
     "aquifer": {
-        "confined_series.csv": "caf759c58bab0ea9868feb31aec46a09a76d599855a63f6cf8cecc81d67347e0",
-        "confined_snapshots.csv": "1cf968f9149ac0fa8897e238f858b3c319c6dc7919a4fc060b878ce1aa36f53c",
+        "confined_series.csv": "a25d14e11e823521d99b0cbfc82ffae4487ad42ec427e1e5236c5ce0d501d2cc",
+        "confined_snapshots.csv": "f8ca4d3e7355904d39f36ae3170bb956f80cc78dcaefd3996501cbc583206e32",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "c750d12625a997d623969efbc3388db72fd5262e236f47864450e1e164097a48",
+        "interface_0001.csv": "1c99c230ae53a53bfb925bb47332f5bd8a8d0dd69cc7ff65b8b30053e5cc79ca",
         "manifest.txt": "883cbdeefb365cd8a87bab18b9070d2c418c271a249c8f34b705db1bf29045ed",
-        "series.csv": "3623b211102640c803dda016018302f27c8918e8bd2a814421a205de0112e248",
+        "series.csv": "5ccee841310b9b8bc46b9a7e92eee319efe89cfa5897345fee417136f957b884",
     },
     "convergence": {
         "convergence.csv": "ed60678eecd6457cc865b6c3c100b6c8b71adfc2ce36863d20dcfaeb8243b8d5",

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sparse
 
 from crossdiff import aquifer as aq
-from crossdiff import fv
+from crossdiff import fv, solver
 from crossdiff.fv import SolverFailure
 from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
 from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
@@ -521,8 +521,9 @@ def test_steady_state_stops_after_one_sweep(grid):
 
 def test_default_run_is_near_converged_trajectory(grid_12):
     # largest relative distance over all snapshots from a run converged to
-    # picard_tol 1e-12: 6.6e-5 with the step-relative rule and the predictor,
-    # 1.2e-3 with two sweeps from u^n and picard_tol 1e-8 relative to |u|
+    # picard_tol 1e-12: 5.8e-5 with the step-relative rule and the quadratic
+    # predictor, 6.6e-5 with the linear one, 1.2e-3 with two sweeps from u^n
+    # and picard_tol 1e-8 relative to |u|
     spec = coupled_spec_2d()
     cfg = StepperConfig(dt=5e-3, t_end=5e-2)
     default = run(spec, grid_12, cfg)
@@ -535,15 +536,47 @@ def test_default_run_is_near_converged_trajectory(grid_12):
 
 @pytest.mark.parametrize("grid", [Grid((12, 12), (1.0, 1.0)), GRID_32])
 def test_negative_predictor_keeps_positivity_floor(grid):
-    # species 1 decays tenfold per step, so its predictor 2 u^n - u^(n-1) is
-    # negative; it enters only through clipped coefficients and the GMRES start
+    # species 1's boundary trace switches off after two steps, so the boundary
+    # cells drop and the predictor 3 u^n - 3 u^(n-1) + u^(n-2) of the step after
+    # is negative; it enters only through clipped coefficients and the GMRES start
     spec = coupled_spec_2d()
-    spec.delta = [50.0, 1.0]
+    spec.initial = (1.0, product_sine(0.8))
+    spec.dirichlet = (lambda t, points: np.full(len(points), 1.0 if t < 0.025 else 0.0), 0.0)
     result = run(spec, grid, StepperConfig(dt=1e-2, t_end=5e-2))
     u = np.stack([s.values for s in result.snapshots])
-    assert (2.0 * u[1:-1, 0] - u[:-2, 0] < 0.0).any()
+    assert (3.0 * u[2:-1, 0] - 3.0 * u[1:-2, 0] + u[:-3, 0] < 0.0).any()
     assert all(st["picard_converged"] for st in result.solver_stats)
     assert result.minmax[:, :, 1].min() >= -1e-10
+
+
+def test_first_lag_is_the_quadratic_predictor(monkeypatch, grid_12):
+    # u^0, then 2 u^n - u^(n-1), then 3 u^n - 3 u^(n-1) + u^(n-2) from the third step on
+    first_lags = []
+
+    def recording(*args, **kwargs):
+        sweep = _assemble_step(*args, **kwargs)
+
+        def first_sweep(u_lag):
+            first_lags.append(u_lag.copy())
+            return sweep(u_lag)
+        return first_sweep
+
+    monkeypatch.setattr(solver, "_assemble_step", recording)
+    result = run(coupled_spec_2d(), grid_12, StepperConfig(dt=1e-3, t_end=6e-3,
+                                                           picard_max=1))
+    u = [s.values for s in result.snapshots]
+    expected = [u[0], 2.0 * u[1] - u[0]] + [3.0 * u[k] - 3.0 * u[k - 1] + u[k - 2]
+                                            for k in range(2, 6)]
+    assert len(first_lags) == len(expected)
+    for lag, want in zip(first_lags, expected):
+        np.testing.assert_allclose(lag, want, rtol=0.0, atol=1e-14)
+
+
+def test_smooth_run_takes_one_sweep_after_start_up(grid_12):
+    # the quadratic predictor is O(dt^3) off, well inside picard_tol of the step
+    result = run(coupled_spec_2d(), grid_12, StepperConfig(dt=1e-3, t_end=30e-3))
+    assert [st["picard_sweeps"] for st in result.solver_stats] == [3] + [2] * 7 + [1] * 22
+    assert all(st["picard_converged"] for st in result.solver_stats)
 
 
 def test_species_blocks_factored_once_per_run(monkeypatch):
@@ -803,7 +836,8 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     s_lag = u_lag[0] + u_lag[1]
     assert np.any(s_lag > aspec.h2_cells(grid))
     drain = fv.SystemBuilder(grid, 2)
-    aq._add_drain(drain, aspec, u_lag[0], s_lag, *aq._u_traces(aspec, grid, cfg.dt))
+    aq._add_drain(drain, aspec, aspec.h2_cells(grid), u_lag[0], s_lag,
+                  *aq._u_traces(aspec, grid, cfg.dt))
     assert all(np.any(v != 0.0) for v in drain.vals)
     # nonzero on the faces of every axis and, where covered, on the boundary faces
     ft = fv.face_table(grid)
