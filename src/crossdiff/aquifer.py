@@ -301,8 +301,8 @@ def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
 def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penalized: bool):
     """Validated generic spec, stepper config and step callback of the (u1, u2) system.
 
-    The spec clips at zero only (ell = inf), and the thickness coefficients
-    clip whatever the configured coefficient mode.  A penalized sweep is in
+    The spec clips at zero only (ell = inf), so the thickness coefficients
+    are U0(u1) and U0(u2).  A penalized sweep is in
     (u1, s), s = u1 + u2, with the drain terms on the s block, and solves
     to a tolerance scaled by a small epsilon; its step reads the depth and
     maps the head traces for the drain once.
@@ -311,7 +311,7 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
     spec = _thickness_spec(aspec, grid, math.inf)
     lin_tol = (max(cfg.lin_tol * aspec.epsilon, 1e-14) if penalized and aspec.epsilon < 1e-3
                else cfg.lin_tol)
-    cfg_u = replace(cfg, coefficient_mode="truncated", lin_tol=lin_tol)
+    cfg_u = replace(cfg, lin_tol=lin_tol)
     generic = partial(solver._assemble_step, spec, grid, cfg=cfg_u)
     if not penalized:
         return spec, cfg_u, generic

@@ -57,7 +57,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _is_number(v) -> bool:
-    return type(v) in (int, float)  # a bool is no number
+    # a bool is no number, and JSON's NaN and Infinity are none either
+    return type(v) is int or type(v) is float and math.isfinite(v)
 
 
 def _rows(v, item) -> bool:
@@ -66,7 +67,7 @@ def _rows(v, item) -> bool:
 
 # the type that a default's Python type gives its key: (test, description, plural)
 _TYPES = {int: (lambda v: type(v) is int and v >= 0, "an integer >= 0", "integers >= 0"),
-          float: (_is_number, "a number", "numbers"),
+          float: (_is_number, "a finite number", "finite numbers"),
           str: (lambda v: type(v) is str, "a string", "strings"),
           dict: (lambda v: v is None or type(v) is dict, "an object or null", None),
           type(None): (lambda v: v is None or _is_number(v), "a number or null", None)}

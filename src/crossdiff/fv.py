@@ -11,11 +11,13 @@ truncated coupling coefficient and tensor entry.  A Dirichlet boundary face
 is a face whose slot R is a ghost holding the trace at half-cell distance;
 ``closed`` boundaries (traces None) carry no flux.  Off-diagonal tensor
 entries contribute tangential face gradients that are treated explicitly by
-the callers.  :func:`face_table` lists every face of a grid once, interior
-faces first; a face flux adds to its left cell and subtracts from its right
-cell, so every per-cell sum over faces is one bincount over the left cells
-and one over the right cells (:func:`face_divergence`), and every assembly
-in the package is one vectorized pass over that table.
+the callers; a lagged coefficient's face value is its donor cell's
+(:func:`upwind_face_value`) or a donor-limited mean (:func:`limited_face_value`).
+:func:`face_table` lists every face of a grid once, interior faces first; a
+face flux adds to its left cell and subtracts from its right cell, so every
+per-cell sum over faces is one bincount over the left cells and one over
+the right cells (:func:`face_divergence`), and every assembly in the
+package is one vectorized pass over that table.
 :class:`SystemBuilder` assembles every block system of the package: it
 records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
@@ -176,8 +178,14 @@ def upwind_face_value(w_left, w_right, driver) -> np.ndarray:
                     np.where(driver < 0.0, w_left, 0.5 * (w_left + w_right)))
 
 
-def centered_face_value(w_left, w_right, driver=None) -> np.ndarray:
-    return 0.5 * (np.asarray(w_left, dtype=float) + np.asarray(w_right, dtype=float))
+def limited_face_value(w_left, w_right, driver) -> np.ndarray:
+    """min((w_L + w_R)/2, 2 w_donor), the donor selected as by :func:`upwind_face_value`.
+
+    The mean (second order) wherever the other side is at most 3 times the
+    donor; 0 next to an empty donor, so an empty cell loses nothing.
+    """
+    donor = upwind_face_value(w_left, w_right, driver)
+    return np.minimum(0.5 * np.add(w_left, w_right), 2.0 * donor)
 
 
 def face_divergence(ft: FaceTable, fa: np.ndarray) -> np.ndarray:
@@ -395,8 +403,9 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # Systems up to this size are factored whole on every solve; larger ones take
 # GMRES, preconditioned by the run's kept factors of their species diagonal
 # blocks.  Time of a 20-step run on the block path over the same run on the
-# direct path (m = 2, one BLAS thread; upwind and centered weighting,
-# isotropic and full K tensors; generic, penalized and confined systems):
+# direct path (m = 2, one BLAS thread; donor and mean cross faces, the two
+# values limited_face_value picks from; isotropic and full K tensors;
+# generic, penalized and confined systems):
 #
 #   grid            unknowns     block / direct
 #   1D 8-384        16-768       0.99-2.31

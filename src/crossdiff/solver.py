@@ -8,13 +8,13 @@ Picard sweeps: each sweep solves the coupled linear block system
                              + Q_i(t^n, x, u^n)
 
 with two-point fluxes on a uniform cell-centered grid.  The coupling
-coefficient at a face is donor-cell upwinded by the sign of the face flux of
-the driving species (the device that keeps discrete solutions nonnegative
-under the usual sign hypotheses on the data); ``cross_weighting="centered"``
-switches to arithmetic face averages, which restores second-order spatial
-accuracy for smooth convergence studies at the price of the positivity
-mechanism.  Off-diagonal tensor entries contribute tangential face gradients
-treated explicitly at the lagged iterate.
+coefficient at a face is the mean of its two sides capped at twice the
+donor's, the donor picked by the sign of the driving species' face flux
+(:func:`fv.limited_face_value`): second order on smooth data, and 0 next to
+an empty donor, the device that keeps discrete solutions nonnegative under
+the usual sign hypotheses on the data.  Off-diagonal tensor entries
+contribute tangential face gradients treated explicitly at the lagged
+iterate.
 
 Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
@@ -66,8 +66,8 @@ __all__ = [
 class StepperConfig:
     """Time-stepping, nonlinear-lag and linear-solver settings.
 
-    ``dt``, ``t_end`` and the tolerances are numbers, not bools or strings;
-    ``dt`` must be finite and positive, ``t_end`` finite and nonnegative.
+    ``dt``, ``t_end`` and the tolerances are finite numbers, not bools or
+    strings; ``dt`` must be positive and ``t_end`` nonnegative.
     ``picard_tol`` is relative to the step: a step's Picard sweeps stop once
     a sweep changes the state by at most ``picard_tol`` times the change over
     the whole step (or by at most ``lin_tol`` times the state), so it lies in
@@ -89,15 +89,13 @@ class StepperConfig:
     lin_tol: float = 1e-10
     lin_max: int = 6000
     snapshot_every: int = 1
-    cross_weighting: str = "upwind"       # "upwind" | "centered"
-    coefficient_mode: str = "truncated"   # "truncated" | "raw"
 
     def __post_init__(self):
         for name in ("dt", "t_end", "picard_tol", "lin_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-            if name in ("dt", "t_end") and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if not self.dt > 0.0 or self.t_end < 0.0:
             raise InvalidParameterError("dt must be positive and t_end nonnegative")
@@ -106,10 +104,6 @@ class StepperConfig:
                 f"picard_tol must lie in (0, 1), a fraction of the step, got {self.picard_tol!r}")
         if not self.lin_tol > 0.0:
             raise InvalidParameterError(f"lin_tol must be positive, got {self.lin_tol!r}")
-        if self.cross_weighting not in ("upwind", "centered"):
-            raise InvalidParameterError(f"unknown cross weighting {self.cross_weighting!r}")
-        if self.coefficient_mode not in ("truncated", "raw"):
-            raise InvalidParameterError(f"unknown coefficient mode {self.coefficient_mode!r}")
         for name in ("picard_max", "lin_max", "snapshot_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
@@ -161,12 +155,6 @@ class SimulationResult:
 # assembly of one step's sweeps
 # ---------------------------------------------------------------------------
 
-def _coefficient(values: np.ndarray, spec: ModelSpec, cfg: StepperConfig) -> np.ndarray:
-    if cfg.coefficient_mode == "raw":
-        return np.asarray(values, dtype=float)
-    return clamp(values, spec.ell)
-
-
 def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
                    t_new: float, cfg: StepperConfig):
     """Evaluate one step's traces and sources once and return the step's ``sweep(u_lag)``,
@@ -175,8 +163,7 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: floa
     ft = fv.face_table(grid)
     vol = grid.cell_volume
     traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
-    w_traces = [None if tr is None else _coefficient(tr, spec, cfg) for tr in traces]
-    weight = fv.upwind_face_value if cfg.cross_weighting == "upwind" else fv.centered_face_value
+    w_traces = [None if tr is None else clamp(tr, spec.ell) for tr in traces]
     need_tangential = grid.ndim == 2 and any(
         spec.K[i][j].matrix[0, 1] != 0.0 or spec.K[i][j].matrix[1, 0] != 0.0
         for i in range(m) for j in range(m))
@@ -189,7 +176,7 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: floa
         # the lagged coefficient of each species at both sides of every face
         w_sides = []
         for i in range(m):
-            w = fv.slot_values(ft, _coefficient(u_lag[i], spec, cfg), w_traces[i])
+            w = fv.slot_values(ft, clamp(u_lag[i], spec.ell), w_traces[i])
             w_sides.append((w[ft.left], w[ft.right]))
         grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
         # lagged tangential face gradients: the mean of the cell gradients at the
@@ -218,7 +205,7 @@ def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: floa
                 if need_tangential:
                     tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
                     driver = driver + ft.sign * tang
-                w_face = weight(*w_sides[i], driver)[:n_faces]
+                w_face = fv.limited_face_value(*w_sides[i], driver)[:n_faces]
                 builder.add_tpfa(i, j, w_face * kdd[:n_faces], traces[j])
                 if need_tangential:
                     builder.add_explicit_flux(i, ft.sign[:n_faces] * w_face * tang[:n_faces])
@@ -326,7 +313,7 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
     return _integrate(grid, cfg, u0, partial(_assemble_step, spec, grid, cfg=cfg),
-                      static=cfg.coefficient_mode == "truncated" and spec.ell == 0.0)
+                      static=spec.ell == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +421,13 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
                       grids: Sequence[Grid], dts: Sequence[float],
                       t_end: float, *,
                       manufacture: bool = True,
-                      cross_weighting: str = "centered",
                       lin_tol: float = 1e-12,
                       picard_max: int = 3) -> list[dict]:
     """Refinement table of final-time errors against an exact solution.
 
-    Initial and Dirichlet data are taken from ``exact_solution``; when
-    ``manufacture`` is set, forcing comes from :func:`manufactured_forcing`.
+    Each level is a :func:`run` (second order in space on smooth data), with
+    initial and Dirichlet data from ``exact_solution`` and, when
+    ``manufacture`` is set, forcing from :func:`manufactured_forcing`.
     Each step sweeps until its change is 1e-12 of the step (``picard_tol``,
     relative to the step) or below what ``lin_tol`` resolves, within
     ``picard_max`` sweeps; each row's ``picard_converged`` is the level's
@@ -468,8 +455,7 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
                        dirichlet=[dirichlet(i) for i in range(m)], sources=sources)
         cfg = StepperConfig(dt=dt, t_end=t_end, lin_tol=lin_tol,
                             picard_max=picard_max, picard_tol=1e-12,
-                            snapshot_every=10 ** 9,
-                            cross_weighting=cross_weighting)
+                            snapshot_every=10 ** 9)
         result = run(spec, grid, cfg)
         u_h = result.snapshots[-1].values
         u_ex = exact_solution(result.times[-1], grid.cell_centers())

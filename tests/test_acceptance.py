@@ -71,9 +71,7 @@ def test_criterion_2_truncation_bridge():
     cfg = StepperConfig(dt=1e-3, t_end=0.05, snapshot_every=10, lin_tol=1e-11)
     t0 = time.perf_counter()
     res_trunc = run(spec, grid, cfg)
-    cfg_raw = StepperConfig(dt=1e-3, t_end=0.05, snapshot_every=10, lin_tol=1e-11,
-                            coefficient_mode="raw")
-    res_raw = run(spec, grid, cfg_raw)
+    res_raw = run(positivity_spec(ell=math.inf), grid, cfg)
     elapsed = time.perf_counter() - t0
 
     interior = res_trunc.minmax[:, :, 2].max() < spec.ell

@@ -114,6 +114,12 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"diagnostics": {"levels": {"lo": 1.0, "hi": 0.5}}}, "diagnostics.levels.hi"),
     ({"diagnostics": {"levels": {"lo": 0.5, "hi": 0.5, "count": 2}}}, "diagnostics.levels.hi"),
     ({"diagnostics": {"conditions": {"g_r": 1.0}}}, "'g_r'"),
+    ({"stepper": {"lin_tol": math.inf}}, "stepper.lin_tol"),
+    ({"stepper": {"picard_tol": math.nan}}, "stepper.picard_tol"),
+    ({"model": {"ell": math.nan}}, "model.ell"),
+    ({"model": {"delta": [math.inf, 1.0]}}, "model.delta"),
+    ({"stepper": {"cross_weighting": "centered"}}, "'cross_weighting'"),
+    ({"stepper": {"coefficient_mode": "raw"}}, "'coefficient_mode'"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

@@ -96,3 +96,20 @@ def test_cell_of_centers_and_boundary_faces(grid_data):
     ft = fv.face_table(grid)
     assert np.array_equal(grid.cell_of(ft.centers), np.arange(grid.n_cells))
     assert np.array_equal(grid.cell_of(ft.bnd_points), ft.bnd_cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_limited_face_value_is_the_mean_capped_at_twice_the_donor(seed):
+    rng = np.random.default_rng(seed)
+    w_left, w_right = rng.uniform(0.0, 1.0, (2, 50)) * rng.integers(0, 2, (2, 50))
+    driver = rng.choice([-1.0, 0.0, 1.0], 50) * rng.uniform(0.1, 2.0, 50)
+    w = fv.limited_face_value(w_left, w_right, driver)
+    donor = fv.upwind_face_value(w_left, w_right, driver)
+    receiver = np.where(driver > 0.0, w_left, np.where(driver < 0.0, w_right, donor))
+    mean = 0.5 * (w_left + w_right)
+    # an empty donor passes nothing; a receiver at most 3 donors keeps the mean
+    assert np.all((w >= 0.0) & (w <= 2.0 * donor))
+    assert np.all(w[donor == 0.0] == 0.0)
+    assert np.array_equal(w[receiver <= 3.0 * donor], mean[receiver <= 3.0 * donor])
+    assert np.array_equal(w, fv.limited_face_value(w_right, w_left, -driver))

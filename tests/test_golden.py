@@ -44,34 +44,34 @@ CONFIGS = {
 
 GOLDEN = {
     "simulate": {
-        "bounds.csv": "f8a43000c40081db1de8660cb6d0da59e02e6511e7dd48fda80b6922ddb1b4ef",
+        "bounds.csv": "2ce9e67cc6efc6a9fb817a8f9bd4261311acaa745f8551b844acbe7e08ad5798",
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
-        "levels.csv": "1f60ceaac120b8a1303fbd58c5e57901a868abf0665fc0a9294befedd26ea4ad",
-        "manifest.txt": "33893f995a7c6fb9c95decc07f039800815e7b97ff126f92b1e85b2f86530d90",
-        "series.csv": "00f270862027df25b5a194055d584a8b9fc030bc98180cbd998630578c2c5c0d",
-        "snapshots.csv": "7cca876b8f4fc2533ed3c0dbaab0f0724926c2dadcd2080e716082950ffca585",
+        "levels.csv": "e7b6ce79b127181e11fe5cdbb9630a09516ef937a671ec3925bce948f0f84313",
+        "manifest.txt": "9ff6c841cc3018d2bc388d8326268645a3e8e4b28d583bee7bf092d2623ebafc",
+        "series.csv": "c10cf477992e8cbec7c10748e87f2d59268fccd5fe9dd9d863d0fd24a1c46917",
+        "snapshots.csv": "ed94530d63ba1685d91ebe0fb58a1e42f1ab4550037b1ad7c35705ff304bbcc2",
     },
     "keulegan": {
         "confined_series.csv": "c9a2328bff160bbb9f1107f1c90d8ff282afc78a8f99c799631cccfc999046ca",
         "confined_snapshots.csv": "9e563bbafe9831330c0de1729975f5399b7959b7d821da201c7300165ac9a15e",
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
-        "interface_0001.csv": "7c9ae9c12d7ec02bac9f0dfa363046e66ea8bef8cd2d091ee723046f86ed6350",
-        "manifest.txt": "86e9385aca01993e646264f629eecfe62bda3f46266bc801b3c6f807c8953b68",
-        "series.csv": "8601b103b087d9fe1c2e608afc026d8c3806cb8c99003d5d30c098974df35de5",
+        "interface_0001.csv": "a98882cd08020b8a79f2cffed91d24a764502bc7470095a17578bf69362b5156",
+        "manifest.txt": "5a17eb46e0bddcf22388e1d0846a80ae501926b2a791c6a6a3a64771812d86bb",
+        "series.csv": "34fcdeb7545f7d49c7d9e325b40fc73569ec91281f8885f73f070f23a9afbff1",
     },
     "aquifer": {
         "confined_series.csv": "a25d14e11e823521d99b0cbfc82ffae4487ad42ec427e1e5236c5ce0d501d2cc",
         "confined_snapshots.csv": "f8ca4d3e7355904d39f36ae3170bb956f80cc78dcaefd3996501cbc583206e32",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "1c99c230ae53a53bfb925bb47332f5bd8a8d0dd69cc7ff65b8b30053e5cc79ca",
-        "manifest.txt": "883cbdeefb365cd8a87bab18b9070d2c418c271a249c8f34b705db1bf29045ed",
-        "series.csv": "5ccee841310b9b8bc46b9a7e92eee319efe89cfa5897345fee417136f957b884",
+        "interface_0001.csv": "81164b78b1d18bdc9433c5e4dfe932f91d8e7b3a50d0584029fec4d9ca487907",
+        "manifest.txt": "4445c7dcb5c7661585274a145f7a6bec51faa31c8fe508c1a3e1e7b000d57c8c",
+        "series.csv": "e328c7281c858cac3e5cf8b2111c0ee81130a5163dd8e5898be6ae22ea30d1bf",
     },
     "convergence": {
         "convergence.csv": "ed60678eecd6457cc865b6c3c100b6c8b71adfc2ce36863d20dcfaeb8243b8d5",
-        "manifest.txt": "b76c50ff1cc71113569244aa2bec878adda6af0a2764f51fd114ae6fae72dcdc",
+        "manifest.txt": "966d4e49ec51760eebd11c64f1de9ea0c2b1f2e91da4a73028784dd6d5244f43",
     },
 }
 

@@ -7,6 +7,7 @@ import scipy.sparse as sparse
 
 from crossdiff import aquifer as aq
 from crossdiff import fv, solver
+from crossdiff.conditions import check_existence
 from crossdiff.fv import SolverFailure
 from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
 from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
@@ -86,12 +87,22 @@ def test_truncated_matches_raw_when_interior(grid_12):
     cfg = StepperConfig(dt=1e-3, t_end=2e-2, lin_tol=1e-11, snapshot_every=5)
     res_t = run(spec, grid_12, cfg)
     assert res_t.minmax[:, :, 2].max() < spec.ell
-    cfg_raw = StepperConfig(dt=1e-3, t_end=2e-2, lin_tol=1e-11, snapshot_every=5,
-                            coefficient_mode="raw")
-    res_r = run(spec, grid_12, cfg_raw)
+    res_r = run(dataclasses.replace(spec, ell=math.inf), grid_12, cfg)
     diff = max(np.max(np.abs(a.values - b.values))
                for a, b in zip(res_t.snapshots, res_r.snapshots))
     assert diff <= 10 * cfg.lin_tol
+
+
+def test_truncation_below_the_maximum_changes_the_run(grid_12):
+    # the control of the bridge above: a level below max u must show
+    spec = coupled_spec_2d(ell=0.5)
+    cfg = StepperConfig(dt=1e-3, t_end=2e-2, lin_tol=1e-11, snapshot_every=5)
+    res_t = run(spec, grid_12, cfg)
+    assert res_t.minmax[:, :, 2].max() > 1.5 * spec.ell
+    res_r = run(dataclasses.replace(spec, ell=math.inf), grid_12, cfg)
+    diff = max(np.max(np.abs(a.values - b.values))
+               for a, b in zip(res_t.snapshots, res_r.snapshots))
+    assert diff >= 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +158,7 @@ def _mms_exact(t, pts):
 def test_manufactured_coupled_spatial_orders():
     grids = [Grid((n, n), (1.0, 1.0)) for n in (8, 16, 32)]
     dts = [5e-3 / 4 ** k for k in range(3)]
-    rows = convergence_study(_mms_factory, _mms_exact, grids, dts, t_end=0.02,
-                             cross_weighting="centered")
+    rows = convergence_study(_mms_factory, _mms_exact, grids, dts, t_end=0.02)
     for row in rows[1:]:
         assert 1.8 <= row["order_inf"] <= 2.2
         assert 1.8 <= row["order_l2"] <= 2.2
@@ -157,8 +167,7 @@ def test_manufactured_coupled_spatial_orders():
 def test_manufactured_coupled_temporal_orders():
     grids = [Grid((32, 32), (1.0, 1.0))] * 3
     dts = [4e-3, 2e-3, 1e-3]
-    rows = convergence_study(_mms_factory, _mms_exact, grids, dts, t_end=0.02,
-                             cross_weighting="centered")
+    rows = convergence_study(_mms_factory, _mms_exact, grids, dts, t_end=0.02)
     for row in rows[1:]:
         assert 0.9 <= row["order_inf"] <= 1.1
 
@@ -175,9 +184,48 @@ def test_manufactured_full_tensor_orders():
 
     grids = [Grid((n, n), (1.0, 1.0)) for n in (8, 16)]
     dts = [5e-3, 5e-3 / 4.0]
-    rows = convergence_study(factory, _mms_exact, grids, dts, t_end=0.02,
-                             cross_weighting="centered")
+    rows = convergence_study(factory, _mms_exact, grids, dts, t_end=0.02)
     assert 1.8 <= rows[1]["order_inf"] <= 2.2
+
+
+def _sharp_factory(_grid):
+    return ModelSpec(m=2, delta=[0.5, 0.4],
+                     K=[[ISO(1.0, 2), ISO(0.5, 2)], [ISO(0.5, 2), ISO(1.0, 2)]],
+                     ell=10.0, domain=(1.0, 1.0), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
+
+
+def _sharp_exact(t, pts):
+    # the coupling coefficient of u1 varies more than tenfold over the box, so a
+    # first-order face weighting of the cross terms shows in the orders
+    s = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+    return np.stack([0.1 + (1.0 + t) * s * (1.0 + 0.5 * np.cos(np.pi * pts[:, 0]) ** 2),
+                     0.1 + (0.8 - t) * s])
+
+
+def test_cross_faces_are_second_order_on_a_varying_coefficient():
+    grids = [Grid((n, n), (1.0, 1.0)) for n in (8, 16, 32)]
+    dts = [5e-3 / 4 ** k for k in range(3)]
+    rows = convergence_study(_sharp_factory, _sharp_exact, grids, dts, t_end=0.02)
+    assert rows[-1]["order_l2"] >= 1.8
+    assert rows[-1]["order_inf"] >= 1.6
+
+
+def test_degenerate_front_stays_nonnegative_and_in_place():
+    # species 1 is empty on x > 0.3 and is driven into that region by a linear u2;
+    # the spec lies inside the existence window
+    grid = Grid((200,), (1.0,))
+    spec = ModelSpec(m=2, delta=[0.05, 0.05], K=[[ISO(0.1, 1)] * 2] * 2, ell=1.0,
+                     domain=(1.0,),
+                     initial=[lambda p: np.where(p[:, 0] < 0.3, 0.5 * (0.3 - p[:, 0]) / 0.3, 0.0),
+                              lambda p: 1.0 - p[:, 0]],
+                     dirichlet=[None, None])
+    assert all(r.passed for r in check_existence(spec))
+    result = run(spec, grid, StepperConfig(dt=1e-3, t_end=0.1))
+    assert result.minmax[:, :, 1].min() >= -1e-10
+    x = grid.cell_centers()[:, 0]
+    front = x[result.snapshots[-1].values[0] > 1e-6].max()
+    # the front of donor-cell faces on this grid lies at 0.7275
+    assert abs(front - 0.7275) <= 2 * grid.spacing[0]
 
 
 def test_degenerate_refinement_guard():
@@ -375,7 +423,7 @@ def test_integer_controls_accept_numpy_integers():
 
 
 @pytest.mark.parametrize("field", ["dt", "t_end", "picard_tol", "lin_tol"])
-@pytest.mark.parametrize("value", [True, "0.001", None, [1e-3]])
+@pytest.mark.parametrize("value", [True, "0.001", None, [1e-3], math.inf, math.nan])
 def test_float_controls_must_be_real_numbers(field, value):
     with pytest.raises(InvalidParameterError, match=field):
         StepperConfig(**{"dt": 1e-3, "t_end": 1e-3, field: value})
