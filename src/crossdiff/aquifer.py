@@ -152,7 +152,9 @@ class AquiferSpec:
         return evaluate(pumping, points.shape[0], t, points)
 
     def validate(self, grid: Grid) -> None:
-        """Hierarchy of the data, admissibility window, trace compatibility."""
+        """Finite delta, hierarchy of the data, admissibility window, trace compatibility."""
+        if not math.isfinite(self.delta):
+            raise InvalidParameterError(f"delta must be finite, got {self.delta}")
         admissibility = check_aquifer_admissibility(float(np.min(self.h2)), self.delta, self.alpha)
         if not admissibility.passed:
             raise InvalidParameterError(

@@ -28,14 +28,18 @@ budget, kept in the state's species (:meth:`SystemBuilder.budget`).
 factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
 (1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2) and for a
 system solved without a holder of kept factors, restarted GMRES for larger
-ones, block-Jacobi preconditioned by the SuperLU factors of
-the species diagonal blocks that a run keeps in its :class:`BlockFactors`;
-the cutoff is the measured crossover of the two paths, and the same
-true-residual contract holds on both.
+ones, block-Jacobi preconditioned by inverses of the species diagonal blocks
+that a run keeps in its :class:`BlockFactors`.  On 2D grids of at least
+``TRANSFORM_MIN_CELLS[2]`` cells (72x72) each inverse is exact for the
+block's constant-coefficient two-point fit, applied by fast sine (Dirichlet
+block) or cosine (closed block) transforms; on every other grid it is the
+block's SuperLU factorization.  Both cutoffs are measured crossovers, and
+the same true-residual contract holds on every path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from itertools import product
@@ -372,11 +376,17 @@ class SystemBuilder:
             self.bnd_expl[row_sp] = self.bnd_expl.get(row_sp, 0.0) + f[ft.n_interior:]
 
     def matrix(self) -> sparse.csr_matrix:
-        indptr, indices, slot = _pattern(self.grid, self.m, tuple(self.terms))
+        """The summed block matrix in CSR form, carrying its term sequence as ``terms``.
+
+        :class:`BlockFactors` reads the boundary kind of a species block from them.
+        """
+        terms = tuple(self.terms)
+        indptr, indices, slot = _pattern(self.grid, self.m, terms)
         data = np.bincount(slot, weights=np.concatenate(self.vals), minlength=len(indices))
         n = self.m * self.n
         a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         a.has_canonical_format = True
+        a.terms = terms
         return a
 
     def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,6 +445,30 @@ GMRES_RESTART = 60
 # the default COLAMD.
 ORDERING = "MMD_AT_PLUS_A"
 
+# Per grid dimension, the fewest cells at which the GMRES path inverts its
+# species blocks by fast transforms rather than SuperLU factors.  Time of a
+# 20-step run with transforms over the same run with factors (m = 2, one BLAS
+# thread, fresh processes, the one-off scipy.fft import and the kept fit
+# included, medians of 1-4 runs; "other": penalized and confined Dirichlet
+# aquifer runs and closed-box keulegan runs with a well):
+#
+#   grid                       cells        generic    other
+#   1D 600-1024                600-1024     3.28-3.37  1.92-3.69
+#   1D 2048-8192               2048-8192    1.54-2.50  1.20-1.84
+#   1D 16384                   16384        -          0.89-1.09
+#   2D 32x32                   1024         1.78       1.17-2.18
+#   2D 48x48                   2304         1.04       0.98-1.14
+#   2D 56x56-64x64             3136-4096    1.11-1.21  0.79-1.09
+#   2D 72x72-80x80, 40x160     5184-6400    0.85-1.03  0.59-0.97
+#   2D 88x88-96x96, 64x128     7744-9216    0.79-1.00  0.69-0.84
+#   2D 112x112-128x128         12544-16384  0.69-0.72  0.65-0.79
+#   2D 16x1024-64x256          16384        0.72-0.83  0.66-0.99
+#
+# Generic blocks need about 30 % more applications with the transform, the
+# aquifer blocks the same number.  A 1D block is tridiagonal and SuperLU
+# solves it without fill, so 1D grids keep their factors at every size.
+TRANSFORM_MIN_CELLS = {1: math.inf, 2: 72 * 72}
+
 
 def _factor(a: sparse.spmatrix, time: float | None):
     try:
@@ -443,22 +477,103 @@ def _factor(a: sparse.spmatrix, time: float | None):
         raise SolverFailure(f"sparse factorization failed: {exc}", time=time) from exc
 
 
+@lru_cache(maxsize=None)
+def _spectrum(grid: Grid, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and diagonal of the unit two-point operator L of a grid.
+
+    L x sums area/dist * (x_L - x_R) over the faces of each cell: over the
+    boundary faces too, with the ghost half a cell out held at 0, when
+    ``dirichlet``, and over the interior faces only otherwise.  DST-II
+    (Dirichlet) or DCT-II (closed) over the grid axes diagonalizes L; the
+    eigenvalues have shape ``grid.dims`` in the transform's index order, the
+    diagonal is per cell.  Both arrays are read-only.
+    """
+    lam, diag = np.zeros(grid.dims), np.zeros(grid.dims)
+    volume = grid.cell_volume
+    for d, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+        weight = volume / h ** 2  # area/dist of an interior face
+        shape = [1] * grid.ndim
+        shape[d] = n
+        lam += (4.0 * weight * np.sin(np.pi * (np.arange(n) + dirichlet) / (2 * n)) ** 2
+                ).reshape(shape)
+        diag_d = np.full(n, 2.0 * weight)
+        # a boundary face at half-cell distance weighs 2, where the missing neighbor weighed 1
+        diag_d[[0, -1]] += weight if dirichlet else -weight
+        diag += diag_d.reshape(shape)
+    diag = diag.ravel()
+    for a in (lam, diag):
+        a.flags.writeable = False
+    return lam, diag
+
+
+class _TransformInverse:
+    """Inverse of the constant-coefficient fit of one species block, by fast transforms.
+
+    The block A_kk is fitted by P = c0 I + g L on its grid (:func:`_spectrum`).
+    c0 is the mean row sum of A_kk over the cells without a boundary face
+    (over all cells if there is none), its mass term when the block is
+    conservative; g is minus the sum of its off-diagonal entries over twice
+    the sum of area/dist over the interior faces.  ``dirichlet`` (a face term
+    of the block covers the boundary faces) selects DST-II, otherwise DCT-II.
+    P is scaled symmetrically to the diagonal of A_kk, M = S P S with
+    S = sqrt(diag A_kk / diag P), and :meth:`solve` applies
+    M^-1 = S^-1 P^-1 S^-1.  A fit with a zero or non-finite eigenvalue or
+    scale raises :class:`SolverFailure`.
+    """
+
+    def __init__(self, block: sparse.csr_matrix, grid: Grid, k: int, dirichlet: bool,
+                 time: float | None):
+        # imported here: scipy.fft imports scipy.special, a cost only these runs pay
+        from scipy import fft
+        ft = face_table(grid)
+        lam, diag_l = _spectrum(grid, dirichlet)
+        row_sum = np.asarray(block.sum(axis=1)).ravel()
+        diag = block.diagonal()
+        inner = np.ones(grid.n_cells, dtype=bool)
+        inner[ft.bnd_cell] = False
+        ni = ft.n_interior
+        c0 = float(np.mean(row_sum[inner] if inner.any() else row_sum))
+        g = -float(row_sum.sum() - diag.sum()) / (2.0 * float(np.sum(ft.area[:ni] / ft.dist[:ni])))
+        eig = c0 + g * lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.sqrt(diag / (c0 + g * diag_l))
+        if not (np.all(np.isfinite(eig)) and np.all(eig != 0.0)
+                and np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
+            raise SolverFailure(f"fast-transform fit of species block {k} is singular "
+                                f"or not finite", time=time)
+        self.shape = grid.dims
+        self.inv_eig = 1.0 / eig
+        self.inv_scale = 1.0 / scale
+        self.forward, self.backward = (fft.dstn, fft.idstn) if dirichlet else (fft.dctn, fft.idctn)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        y = self.forward((r * self.inv_scale).reshape(self.shape), type=2, norm="ortho",
+                         overwrite_x=True)
+        y *= self.inv_eig
+        return self.backward(y, type=2, norm="ortho", overwrite_x=True).ravel() * self.inv_scale
+
+
 class BlockFactors:
-    """Block-Jacobi preconditioner of one run: SuperLU factors of the m species blocks.
+    """Block-Jacobi preconditioner of one run: inverses of the m species blocks on ``grid``.
 
     A run makes one holder and passes it to every :func:`solve_sparse` call,
-    so no factor outlives its run.  The factors of the diagonal blocks
-    ``A_ii`` are kept across Picard sweeps and steps; a solve refactors them
+    so no inverse outlives its run.  A grid with at least
+    ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D grid of 72x72 or more)
+    inverts each diagonal block ``A_ii`` by the fast transforms of its
+    constant-coefficient fit (:class:`_TransformInverse`), any other grid by
+    the block's SuperLU factors; the grid decides, never the data.  The
+    inverses are kept across Picard sweeps and steps; a solve rebuilds them
     from its own matrix only when the previous solve needed more than
     :data:`REFACTOR_AFTER` preconditioner applications.  ``iters`` counts the
     applications of the latest solve (its GMRES inner iterations plus one per
     restart cycle and one for the start; 0 after a direct solve),
-    ``refactored`` says whether that solve factored afresh and ``b_norm``
-    holds the 2-norm of its right-hand side.
+    ``refactored`` says whether that solve built its inverses afresh and
+    ``b_norm`` holds the 2-norm of its right-hand side.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, grid: Grid):
         self.m = m
+        self.grid = grid
         self.blocks: list | None = None
         self.iters = 0
         self.refactored = False
@@ -467,10 +582,19 @@ class BlockFactors:
     def preconditioner(self, a: sparse.csr_matrix, time: float | None) -> spla.LinearOperator:
         self.refactored = self.blocks is None or self.iters > REFACTOR_AFTER
         if self.refactored:
-            n = a.shape[0] // self.m
-            self.blocks = None  # free the old factors before building new ones
-            self.blocks = [_factor(a[k * n:(k + 1) * n, k * n:(k + 1) * n], time)
-                           for k in range(self.m)]
+            n = self.grid.n_cells
+            blocks = [a[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(self.m)]
+            self.blocks = None  # free the old inverses before building new ones
+            if n < TRANSFORM_MIN_CELLS[self.grid.ndim]:
+                self.blocks = [_factor(block, time) for block in blocks]
+            else:
+                # a Dirichlet block is one whose assembly recorded a face term on the
+                # boundary faces (SystemBuilder.matrix); a matrix built elsewhere records none
+                ni = face_table(self.grid).n_interior
+                dirichlet = {t[1] for t in getattr(a, "terms", ())
+                             if t[0] == "face" and t[1] == t[2] and t[3] > ni}
+                self.blocks = [_TransformInverse(block, self.grid, k, k in dirichlet, time)
+                               for k, block in enumerate(blocks)]
         self.iters = 0
         return spla.LinearOperator(a.shape, matvec=self._apply, dtype=float)
 

@@ -337,17 +337,22 @@ class ValidationReport:
 def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -> ValidationReport:
     """Collect every spec violation; never raises.
 
-    Checks positive diffusivities, ellipticity of all coupling tensors,
-    nonnegative boundary and initial data, domain/grid agreement, and the
-    initial/boundary compatibility at t = 0 on boundary faces (for callable
-    initial data the trace is evaluated at the face center, for array data
-    the adjacent boundary-cell value stands in).  Closed species carry no
-    boundary data to check.
+    Checks finite positive diffusivities, a truncation level that is not
+    nan, ellipticity of all coupling tensors, nonnegative boundary and
+    initial data, domain/grid agreement, and the initial/boundary
+    compatibility at t = 0 on boundary faces (for callable initial data the
+    trace is evaluated at the face center, for array data the adjacent
+    boundary-cell value stands in).  Closed species carry no boundary data
+    to check.
     """
     report = ValidationReport()
     for i, d in enumerate(spec.delta):
-        if not d > 0.0:
+        if not math.isfinite(d):
+            report.add("non-finite-delta", f"delta_{i + 1} = {d} is not finite")
+        elif not d > 0.0:
             report.add("degenerate-diffusivity", f"delta_{i + 1} = {d} is not positive")
+    if math.isnan(spec.ell):
+        report.add("nan-ell", "ell is nan; a truncation level is a number >= 0 or inf")
     for i in range(spec.m):
         for j in range(spec.m):
             try:

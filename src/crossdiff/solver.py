@@ -22,9 +22,11 @@ previous time level.  The linear block system is solved by
 :func:`fv.solve_sparse`: a SuperLU factorization of the whole system up to
 :data:`fv.DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells),
 restarted GMRES above it (every 2D grid of 23x23 or more at m = 2),
-preconditioned by SuperLU factors of the species diagonal blocks that each
-run keeps in one :class:`fv.BlockFactors` and refactors only when GMRES
-starts to need many iterations.
+preconditioned by inverses of the species diagonal blocks that each run
+keeps in one :class:`fv.BlockFactors` and rebuilds only when GMRES starts to
+need many iterations: SuperLU factors, or on 2D grids of 72x72 or more
+(``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
+block's constant-coefficient fit.
 
 Each step's first lag is the quadratic predictor 3 u^n - 3 u^(n-1) + u^(n-2)
 (u^0 at the first step, the linear 2 u^n - u^(n-1) at the second), and the
@@ -79,7 +81,9 @@ class StepperConfig:
     ``lin_max`` caps the inner GMRES iterations per call and so applies to
     systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
     more at m = 2), which are solved by GMRES preconditioned with the run's
-    species-block factors.
+    species-block inverses: SuperLU factors, or on 2D grids of 72x72 or more
+    fast transforms of a constant-coefficient fit, which takes up to about
+    30 % more iterations than the factors.
     """
 
     dt: float
@@ -252,7 +256,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
 
     record(0, vals)
     u = u_old = u_older = u0
-    factors = fv.BlockFactors(m)
+    factors = fv.BlockFactors(m, grid)
     for k in range(n_steps):
         t_new = times[k] + cfg.dt
         st = {"picard_sweeps": 0, "picard_converged": True,

@@ -47,3 +47,11 @@ def singular_confined_step(monkeypatch):
             return builder
         return singular_sweep
     monkeypatch.setattr(aquifer, "_assemble_confined", singular)
+
+
+@pytest.fixture
+def transform_everywhere(monkeypatch):
+    """Invert the species blocks of the GMRES path by fast transforms on every grid; the
+    grids of the block-path tests are below ``fv.TRANSFORM_MIN_CELLS`` and take SuperLU."""
+    from crossdiff import fv
+    monkeypatch.setattr(fv, "TRANSFORM_MIN_CELLS", {1: 0, 2: 0})

@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,27 @@ def test_benchmark_tracer_targets_exist():
     assert all(isinstance(Grid.__dict__.get(a), property) for a in tracing._COUNTED_PROPERTIES)
     # the benchmark's generic workloads call the three-argument form
     inspect.signature(solver.mass_balance_residual).bind("result", "spec", "grid")
+
+
+def test_import_and_small_run_leave_scipy_fft_unimported():
+    # scipy.fft imports scipy.special; only runs whose grids take the transform pay for it
+    code = """
+import sys
+import crossdiff
+assert "scipy.fft" not in sys.modules, "import"
+from crossdiff import fv
+from crossdiff.model import CrossTensor, Grid, ModelSpec
+from crossdiff.solver import StepperConfig, run
+grid = Grid((32, 32), (1.0, 1.0))
+assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS and grid.n_cells < fv.TRANSFORM_MIN_CELLS[2]
+iso = CrossTensor.isotropic(1.0, 2)
+spec = ModelSpec(m=2, delta=[1.0, 1.0], K=[[iso, iso], [iso, iso]], ell=1.0,
+                 domain=grid.extents, initial=[0.5, 0.5], dirichlet=[0.5, 0.5],
+                 sources=[1.0, None])
+result = run(spec, grid, StepperConfig(dt=1e-3, t_end=2e-3))
+assert all(st["lin_iters"] > 0 for st in result.solver_stats)
+assert "scipy.fft" not in sys.modules, "run"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ def test_keulegan_rejects_bad_tilt():
         aq.keulegan_scenario(grid, tilt=1.2)  # h range leaves [h1, h2]
 
 
+@pytest.mark.parametrize("run", [aq.run_penalized, aq.run_confined_aquifer])
+def test_non_finite_delta_rejected_before_any_solve(run):
+    # a run with delta = inf once stopped at the first solve as a singular factorization
+    grid = Grid((16,), (1.0,))
+    spec = aq.keulegan_scenario(grid, delta=math.inf)
+    with pytest.raises(InvalidParameterError, match="delta"):
+        run(spec, grid, StepperConfig(dt=1e-3, t_end=2e-3))
+
+
 def test_keulegan_two_dimensional_box():
     grid = Grid((16, 6), (1.0, 0.4))
     spec = aq.keulegan_scenario(grid, pump_rate=0.01, tilt=0.4)
@@ -549,6 +559,12 @@ def test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch):
     for sg, sd in zip(gmres.snapshots, direct.snapshots):
         rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
         assert rel <= 10 * lin_tol
+
+
+def test_penalized_block_gmres_run_agrees_with_direct_run_on_transform(grid_48, monkeypatch,
+                                                                        transform_everywhere):
+    # the Dirichlet (u1, s) blocks in 1D, the drain on the s block
+    test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch)
 
 
 @pytest.mark.parametrize("variant", ["penalized", "confined"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from crossdiff.model import (COMPATIBILITY_TOL, CrossTensor, EllipticityError, F
                              Grid, InvalidParameterError, ModelSpec, clamp,
                              ellipticity_bounds, evaluate, point_density, species_flux,
                              truncate, validate_spec)
+from crossdiff.solver import StepperConfig, run
 
 from conftest import coupled_spec_2d, product_sine
 
@@ -155,6 +157,20 @@ def test_validate_degenerate_diffusivity(grid_12):
     spec = coupled_spec_2d()
     spec.delta = (0.0, 1.0)
     assert "degenerate-diffusivity" in validate_spec(spec, grid_12).codes()
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("ell", math.nan, "nan-ell"),
+    ("delta", (math.inf, 1.0), "non-finite-delta"),
+    ("delta", (1.0, math.nan), "non-finite-delta"),
+])
+def test_non_finite_model_data_rejected_before_any_solve(field, value, code):
+    # a run with such data once stopped at the first solve as a singular factorization
+    grid = Grid((6, 6), (1.0, 1.0))
+    spec = dataclasses.replace(coupled_spec_2d(), **{field: value})
+    assert code in validate_spec(spec, grid).codes()
+    with pytest.raises(InvalidParameterError, match=code):
+        run(spec, grid, StepperConfig(dt=1e-3, t_end=2e-3))
 
 
 def test_validate_non_elliptic_tensor(grid_12):

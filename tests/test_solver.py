@@ -467,12 +467,16 @@ def test_direct_and_gmres_paths_agree(monkeypatch):
     lin_tol = 1e-10
     x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, 6000)
     monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
-    factors = fv.BlockFactors(2)
+    factors = fv.BlockFactors(2, Grid((20, 20), (1.0, 1.0)))
     x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, 6000, factors=factors)
     assert factors.iters > 0
     assert max(r_direct, r_gmres) <= lin_tol
     rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
     assert rel <= 10 * lin_tol
+
+
+def test_direct_and_gmres_paths_agree_on_transform(monkeypatch, transform_everywhere):
+    test_direct_and_gmres_paths_agree(monkeypatch)
 
 
 def test_lin_max_caps_gmres_iterations():
@@ -515,6 +519,10 @@ def test_block_gmres_run_agrees_with_direct_run(monkeypatch):
         assert rel <= 10 * lin_tol
 
 
+def test_block_gmres_run_agrees_with_direct_run_on_transform(monkeypatch, transform_everywhere):
+    test_block_gmres_run_agrees_with_direct_run(monkeypatch)
+
+
 GRID_32 = Grid((32, 32), (1.0, 1.0))   # m = 2: 2048 unknowns, a 2D desk grid
 
 
@@ -540,6 +548,12 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
     for sb, sd in zip(block.snapshots, direct.snapshots):
         rel = np.max(np.abs(sb.values - sd.values)) / np.max(np.abs(sd.values))
         assert rel <= 10 * lin_tol
+
+
+@pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
+def test_desk_grid_agrees_with_direct_on_transform(monkeypatch, transform_everywhere, system):
+    # the confined keulegan box mixes a closed (DCT) salt block and a Dirichlet (DST) head block
+    test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +656,36 @@ def test_refactor_after_every_solve_at_zero_threshold(monkeypatch):
     assert len(calls) == 2 * solves
 
 
+def _count_fits(monkeypatch) -> list:
+    calls = []
+    fit = fv._TransformInverse
+
+    def counting(block, *args, **kwargs):
+        calls.append(block.shape)
+        return fit(block, *args, **kwargs)
+    monkeypatch.setattr(fv, "_TransformInverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("refactor_after", [fv.REFACTOR_AFTER, 0])
+def test_transform_grid_fits_under_the_refactor_rule_and_never_factors(monkeypatch,
+                                                                       refactor_after):
+    # a grid of exactly TRANSFORM_MIN_CELLS cells takes the transform
+    monkeypatch.setattr(fv, "TRANSFORM_MIN_CELLS", {**fv.TRANSFORM_MIN_CELLS, 2: GRID_48.n_cells})
+    monkeypatch.setattr(fv, "REFACTOR_AFTER", refactor_after)
+    factored, fits = _count_splu(monkeypatch), _count_fits(monkeypatch)
+    result = run(coupled_spec_2d(), GRID_48, StepperConfig(dt=1e-3, t_end=20e-3))
+    stats = result.solver_stats
+    assert factored == []
+    assert all(st["picard_converged"] and st["lin_iters"] > 0 for st in stats)
+    solves = sum(st["picard_sweeps"] for st in stats)
+    if refactor_after:
+        assert fits == [(GRID_48.n_cells, GRID_48.n_cells)] * 2
+        assert [st["refactored"] for st in stats] == [True] + [False] * 19
+    else:
+        assert len(fits) == 2 * solves
+
+
 def test_run_does_not_depend_on_earlier_runs():
     cfg = StepperConfig(dt=1e-3, t_end=4e-3)
     spec_b = coupled_spec_2d()
@@ -655,15 +699,25 @@ def test_run_does_not_depend_on_earlier_runs():
     assert snapshots(spec_b) == alone
 
 
-@pytest.mark.parametrize("bad", [0.0, math.nan])
-def test_singular_species_block_raises_solver_failure(monkeypatch, bad):
+def _singular_block_failure(monkeypatch, bad: float) -> SolverFailure:
     monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
     eye = sparse.identity(4)
     a = sparse.bmat([[eye, eye], [eye, bad * eye]]).tocsr()
+    factors = fv.BlockFactors(2, Grid((4,), (1.0,)))
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, np.ones(8), 1e-10, 100, time=0.5, factors=fv.BlockFactors(2))
+        fv.solve_sparse(a, np.ones(8), 1e-10, 100, time=0.5, factors=factors)
     assert exc_info.value.time == 0.5
-    assert "factorization" in str(exc_info.value)
+    return exc_info.value
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_singular_species_block_raises_solver_failure(monkeypatch, bad):
+    assert "factorization" in str(_singular_block_failure(monkeypatch, bad))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_singular_transform_fit_raises_solver_failure(monkeypatch, transform_everywhere, bad):
+    assert "fast-transform fit" in str(_singular_block_failure(monkeypatch, bad))
 
 
 # ---------------------------------------------------------------------------
