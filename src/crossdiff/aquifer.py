@@ -269,8 +269,7 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_l
     kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
     k_left, k_right = kappa * active[ft.left[:n_faces]], kappa[:ni] * active[ft.right[:ni]]
-    builder.add_term(("face", 1, 1, n_faces),
-                     np.concatenate((k_left, k_right, -k_right, -k_left[:ni])))
+    builder.add_term(("face", 1, 1, n_faces), np.concatenate((k_left, k_right)))
     # the known part -active * h2 of the excess, with the trace excess in the ghosts
     y = fv.slot_values(ft, -active * h2c, excess_d)
     fa = kappa * (y[ft.right[:n_faces]] - y[ft.left[:n_faces]])

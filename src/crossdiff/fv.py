@@ -21,9 +21,12 @@ package is one vectorized pass over that table.
 :class:`SystemBuilder` assembles every block system of the package: it
 records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
-the values into a CSR pattern that :func:`_pattern` derives once per grid,
-species count and term sequence.  It is also the one record of a step's
-budget, kept in the state's species (:meth:`SystemBuilder.budget`).
+the values into a CSR pattern by one product with a summation map (a sparse
+matrix of +-1 entries from the values to the CSR positions); :func:`_pattern`
+derives both once per grid, species count and term sequence.  A face term
+keeps two coefficients per face, its left and its right cell's.  It is also
+the one record of a step's budget, kept in the state's species
+(:meth:`SystemBuilder.budget`).
 :func:`solve_sparse` is the package's one linear solve: a sparse direct
 factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
 (1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2) and for a
@@ -235,40 +238,76 @@ def cell_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np
 PATTERN_CACHE_SIZE = 4
 
 
-def _term_index(ft: FaceTable, n: int, term: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of one structural term, in its value order."""
-    r0, c0 = term[1] * n, term[2] * n
+def _term_index(ft: FaceTable, n: int, size: int,
+                term: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Entries of one term's structure, placed on the block (0, 0).
+
+    Returns (keys, value, sign, n_values): each entry's flat position
+    ``row * size + col``, the index of the term value it takes and the sign
+    it takes it with, in the order in which :meth:`SystemBuilder.matrix`
+    sums them; and the number of the term's values.  A face term takes its
+    left-cell coefficients on its diagonal and, negated, on the (right, left)
+    entries, its right-cell coefficients on their diagonal and, negated, on
+    the (left, right) entries.
+    """
     if term[0] == "mass":
         idx = np.arange(n)
-        return r0 + idx, c0 + idx
-    L, R = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
-    diag = np.concatenate((ft.left[:term[3]], R))
-    return r0 + np.concatenate((diag, L, R)), c0 + np.concatenate((diag, R, L))
+        return idx * (size + 1), idx, np.ones(n, dtype=np.int8), n
+    nf, ni = term[3], ft.n_interior
+    L, R = ft.left[:ni], ft.right[:ni]
+    diag = np.concatenate((ft.left[:nf], R))
+    keys = np.concatenate((diag * (size + 1), L * size + R, R * size + L))
+    on_left, on_right = np.arange(nf), nf + np.arange(ni)
+    value = np.concatenate((on_left, on_right, on_right, on_left[:ni]))
+    sign = np.repeat(np.array([1, -1], dtype=np.int8), (nf + ni, 2 * ni))
+    return keys, value, sign, nf + ni
 
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR structure of the block matrix assembled from ``terms``.
+def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix]:
+    """CSR structure of the block matrix assembled from ``terms``, and its summation map.
 
-    Returns (indptr, indices, slot), where ``slot[k]`` is the CSR position of
-    the k-th entry of the concatenated term values.  The structure is that
-    of summing the terms' triplets: every (row, col) pair a term touches is
-    stored, explicit zeros included, with sorted column indices.  The arrays
-    are read-only because every matrix built on the pattern shares them.
+    Returns (indptr, indices, summation).  The structure is that of summing
+    the terms' entries: every (row, col) pair a term touches is stored,
+    explicit zeros included, with sorted column indices.  ``summation`` is a
+    CSR matrix of shape (nnz, number of values) with +-1 entries: its row k
+    lists the values, of all terms concatenated, that sum into the k-th CSR
+    position, in the terms' value order.  Each term structure's entries are
+    computed once and shifted to the blocks that carry it; one stable sort
+    of the entries' positions, whose runs are already sorted, groups them.
+    Every array is read-only because every matrix built on the pattern
+    shares them.
     """
     ft = face_table(grid)
     n = grid.n_cells
     size = m * n
-    pairs = [_term_index(ft, n, term) for term in terms]
-    keys = np.concatenate([r.astype(np.int64) * size + c for r, c in pairs])
-    unique, slot = np.unique(keys, return_inverse=True)
-    index_dtype = np.int32 if max(size, len(unique)) <= np.iinfo(np.int32).max else np.int64
+    structures, parts = {}, []
+    for term in terms:
+        structure = (term[0], *term[3:])
+        if structure not in structures:
+            structures[structure] = _term_index(ft, n, size, term)
+        parts.append(structures[structure])
+    offsets = np.cumsum([0] + [part[3] for part in parts])
+    keys = np.concatenate([part[0] + (term[1] * size + term[2]) * n
+                           for part, term in zip(parts, terms)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))  # the first entry of each position
+    unique = keys[start]
+    del keys
+    index_dtype = (np.int32 if max(size, len(order), offsets[-1]) <= np.iinfo(np.int32).max
+                   else np.int64)
     indptr = np.zeros(size + 1, dtype=index_dtype)
     np.cumsum(np.bincount(unique // size, minlength=size), out=indptr[1:])
     indices = (unique % size).astype(index_dtype)
-    for a in (indptr, indices, slot):
+    value = np.concatenate([(part[1] + offset).astype(index_dtype)
+                            for part, offset in zip(parts, offsets)])[order]
+    sign = np.concatenate([part[2] for part in parts])[order].astype(float)
+    summation = sparse.csr_matrix((sign, value, np.append(start, len(order)).astype(index_dtype)),
+                                  shape=(len(unique), offsets[-1]))
+    for a in (indptr, indices, summation.data, summation.indices, summation.indptr):
         a.flags.writeable = False
-    return indptr, indices, slot
+    return indptr, indices, summation
 
 
 def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -284,15 +323,16 @@ class SystemBuilder:
     (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
     on the block diagonal, and ``("face", row_sp, col_sp, n_faces)`` on the
     first ``n_faces`` faces of the face table, the interior faces or all
-    faces.  A face term's values are the diagonal entries of the left cells
-    of the covered faces, then those of the right cells of the interior
-    faces, then the (left, right) and the (right, left) entries of the
-    interior faces.  The right-hand side is accumulated directly.
+    faces.  A face term's values are two coefficient arrays: those of the
+    left cells on the covered faces, then those of the right cells on the
+    interior faces.  A coefficient enters its cell's diagonal entry and,
+    negated, the entry of the face's other cell in its cell's column.  The
+    right-hand side is accumulated directly.
     :meth:`change_unknowns` rewrites the recorded system in other unknowns,
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
-    :meth:`matrix` looks up the CSR pattern of the term sequence, computed
-    once per (grid, m, terms) by :func:`_pattern`, and sums the values into
-    it.
+    :meth:`matrix` looks up the CSR pattern of the term sequence and its
+    summation map, computed once per (grid, m, terms) by :func:`_pattern`,
+    and sums the values into it by one sparse product.
     The budget record (boundary terms, explicit boundary flux and the
     ``source`` the assembly sets) stays in the state's species.
     """
@@ -362,8 +402,7 @@ class SystemBuilder:
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
         t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
-        ti = t[:ft.n_interior]
-        self.add_term(("face", row_sp, col_sp, n_faces), np.concatenate((t, ti, -ti, -ti)))
+        self.add_term(("face", row_sp, col_sp, n_faces), np.concatenate((t, t[:ft.n_interior])))
         if n_faces > ft.n_interior:
             np.add.at(self.rhs, row_sp * self.n + ft.bnd_cell, t[ft.n_interior:] * traces)
             self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
@@ -378,11 +417,14 @@ class SystemBuilder:
     def matrix(self) -> sparse.csr_matrix:
         """The summed block matrix in CSR form, carrying its term sequence as ``terms``.
 
-        :class:`BlockFactors` reads the boundary kind of a species block from them.
+        Its data is the pattern's summation map times the concatenated values,
+        so each entry adds its values in the terms' order.
+        :class:`BlockFactors` reads the boundary kind of a species block from
+        the terms.
         """
         terms = tuple(self.terms)
-        indptr, indices, slot = _pattern(self.grid, self.m, terms)
-        data = np.bincount(slot, weights=np.concatenate(self.vals), minlength=len(indices))
+        indptr, indices, summation = _pattern(self.grid, self.m, terms)
+        data = summation @ np.concatenate(self.vals)
         n = self.m * self.n
         a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         a.has_canonical_format = True

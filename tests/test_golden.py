@@ -38,6 +38,12 @@ CONFIGS = {
         "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 3},
         "model": {"epsilon": 1e-4, "variant": "both",
                   "pumping": {"profile": "point", "rate": 0.5}}}),
+    # one species on 72^2, at fv.TRANSFORM_MIN_CELLS: GMRES preconditioned by fast transforms
+    "simulate-transform": ("simulate", {
+        "schema": 1, "kind": "generic", "grid": {"dims": [72, 72]},
+        "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 3},
+        "model": {"m": 1, "delta": [1.0], "ell": 1.0, "K": [[1.0]],
+                  "initial": [{"profile": "sine"}], "dirichlet": [0.0]}}),
     "convergence": ("convergence", {
         "schema": 1, "kind": "generic", "convergence": {"case": "heat", "levels": 2}}),
 }
@@ -68,6 +74,11 @@ GOLDEN = {
         "interface_0001.csv": "81164b78b1d18bdc9433c5e4dfe932f91d8e7b3a50d0584029fec4d9ca487907",
         "manifest.txt": "4445c7dcb5c7661585274a145f7a6bec51faa31c8fe508c1a3e1e7b000d57c8c",
         "series.csv": "e328c7281c858cac3e5cf8b2111c0ee81130a5163dd8e5898be6ae22ea30d1bf",
+    },
+    "simulate-transform": {
+        "manifest.txt": "0d8f1b0e0473622b41898f502c1b769ca84d1f7b63c4fa063b757f80eddb7000",
+        "series.csv": "ab9e52e893b751a9bc80d3ae5fa0fe5b34f963dcb769848450777f91c8e20539",
+        "snapshots.csv": "4c886a740f378b7e851d126f807a2f64566a2cba239696f58e30c5c3a53b487e",
     },
     "convergence": {
         "convergence.csv": "ed60678eecd6457cc865b6c3c100b6c8b71adfc2ce36863d20dcfaeb8243b8d5",

@@ -750,7 +750,8 @@ def built(monkeypatch):
 
     def spy_matrix(self):
         a = matrix(self)
-        builds.append((self.grid, self.m, self.__dict__.get("calls", []), list(self.terms), a))
+        builds.append((self.grid, self.m, self.__dict__.get("calls", []), list(self.terms), a,
+                       list(self.vals)))
         return a
     monkeypatch.setattr(cls, "add_mass", spy_mass)
     monkeypatch.setattr(cls, "add_tpfa", spy_tpfa)
@@ -789,7 +790,7 @@ def coo_reference(grid, m, calls) -> sparse.csr_matrix:
 
 
 def assert_matches_coo(build) -> None:
-    grid, m, calls, _terms, a = build
+    grid, m, calls, _terms, a, _vals = build
     ref = coo_reference(grid, m, calls)
     assert np.array_equal(a.indptr, ref.indptr)
     assert np.array_equal(a.indices, ref.indices)
@@ -876,34 +877,70 @@ def test_term_sequences_on_one_grid_keep_their_own_patterns(built):
         assemble_generic(spec)
     for build in built:
         assert_matches_coo(build)
-    (_, _, _, t_dir, a_dir), (_, _, _, t_closed, _), (_, _, _, t_diag, a_diag), _ = built
+    (_, _, _, t_dir, a_dir, _), (_, _, _, t_closed, _, _), (_, _, _, t_diag, a_diag, _), _ = built
     assert t_dir != t_closed and t_dir != t_diag
     # boundary entries sit on diagonals the faces already store, so a closed
-    # species keeps the CSR structure and changes only the slot map
-    assert fv._pattern(GRID_75, 2, tuple(t_dir))[2].size != \
-        fv._pattern(GRID_75, 2, tuple(t_closed))[2].size
+    # species keeps the CSR structure and changes only the summation map
+    s_dir, s_closed = (fv._pattern(GRID_75, 2, tuple(t))[2] for t in (t_dir, t_closed))
+    assert s_dir.shape[0] == s_closed.shape[0]
+    assert s_dir.shape[1] != s_closed.shape[1] and s_dir.nnz != s_closed.nnz
     # without the species couplings the off-diagonal blocks are empty
     assert a_diag.nnz < a_dir.nnz
 
 
-def drain_reference(grid, m, terms, vals) -> sparse.csr_matrix:
-    """coo -> csr of recorded face terms, indexed from face_table.
+def test_first_matrix_of_a_large_sweep_stays_in_its_memory_bound():
+    # tracemalloc peaks of matrix() on a 128^2 generic sweep (8 terms, 425984
+    # values, 325632 CSR entries): 55.7 MB with the pattern build and 15.7 MB
+    # after it when np.unique and np.bincount summed four entries per face;
+    # 29.4 MB and 6.0 MB with two coefficients per face and a summation map
+    import tracemalloc
+    grid = Grid((128, 128), (1.0, 1.0))
+    spec = coupled_spec_2d()
+    u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
+    builder = _assemble_step(spec, grid, u, 0.0, 1e-3, StepperConfig(dt=1e-3, t_end=1e-3))(0.9 * u)
+    fv._pattern.cache_clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            builder.matrix()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 40.0 and peaks[1] <= 10.0, peaks
 
-    A face term's values are the diagonal entries of the left cells of the
-    covered faces, then of the right cells of the interior faces, then the
-    (left, right) and the (right, left) entries of the interior faces.
+
+def face_term_entries(ft, n_faces, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the entries of one face term on the block (0, 0).
+
+    A face term's values are the left-cell coefficients of the covered faces,
+    then the right-cell coefficients of the interior faces.  A coefficient
+    enters its cell's diagonal entry and, negated, the entry of the other
+    cell's row in its cell's column: (right, left) for a left-cell one,
+    (left, right) for a right-cell one.  The entries come as four runs: the
+    left and the right diagonals, then (left, right) and (right, left).
     """
+    ni = ft.n_interior
+    left, right = ft.left[:ni], ft.right[:ni]
+    diag = np.concatenate((ft.left[:n_faces], right))
+    on_left, on_right = v[:n_faces], v[n_faces:]
+    return (np.concatenate((diag, left, right)), np.concatenate((diag, right, left)),
+            np.concatenate((on_left, on_right, -on_right, -on_left[:ni])))
+
+
+def drain_reference(grid, m, terms, vals) -> sparse.csr_matrix:
+    """coo -> csr of recorded face terms, indexed from face_table (:func:`face_term_entries`)."""
     ft = fv.face_table(grid)
     n = grid.n_cells
-    rows, cols = [], []
-    for kind, row_sp, col_sp, n_faces in terms:
+    rows, cols, entries = [], [], []
+    for (kind, row_sp, col_sp, n_faces), v in zip(terms, vals):
         assert kind == "face"
-        left, right = ft.left[:ft.n_interior], ft.right[:ft.n_interior]
-        r = (ft.left[:n_faces], right, left, right)
-        c = (ft.left[:n_faces], right, right, left)
-        rows.append(row_sp * n + np.concatenate(r))
-        cols.append(col_sp * n + np.concatenate(c))
-    return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        r, c, e = face_term_entries(ft, n_faces, v)
+        rows.append(row_sp * n + r)
+        cols.append(col_sp * n + c)
+        entries.append(e)
+    return sparse.coo_matrix((np.concatenate(entries),
+                              (np.concatenate(rows), np.concatenate(cols))),
                              shape=(m * n, m * n)).tocsr()
 
 
@@ -964,6 +1001,83 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     assert np.array_equal(builder.rhs, q_op @ b_plain + drain.rhs)
     assert np.array_equal(x0, np.concatenate([u_lag[0], s_lag]))
     assert np.allclose(builder.to_state(x0), u_lag, rtol=0.0, atol=1e-15)
+
+
+def unique_bincount_matrix(grid, m, terms, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the recorded terms summed by np.bincount over np.unique.
+
+    Each face term is spread to its four entry runs (:func:`face_term_entries`);
+    np.unique(keys, return_inverse=True) maps each entry to its CSR position
+    and a weighted np.bincount sums the entries there in this order.
+    """
+    ft = fv.face_table(grid)
+    n = grid.n_cells
+    size = m * n
+    keys, entries = [], []
+    for term, v in zip(terms, vals):
+        if term[0] == "mass":
+            rows, cols, e = np.arange(n), np.arange(n), v
+        else:
+            rows, cols, e = face_term_entries(ft, term[3], v)
+        keys.append((term[1] * n + rows).astype(np.int64) * size + term[2] * n + cols)
+        entries.append(e)
+    unique, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.bincount(slot, weights=np.concatenate(entries), minlength=len(unique))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(unique // size, minlength=size))))
+    return indptr, unique % size, data
+
+
+def generic_spec_1d():
+    k = [[ISO(1.0, 1), ISO(0.4, 1)], [ISO(0.3, 1), ISO(0.8, 1)]]
+    return ModelSpec(m=2, delta=[1.0, 0.6], K=k, ell=1.0, domain=(1.0,),
+                     initial=[product_sine(1.0), product_sine(0.7)], dirichlet=[0.0, 0.1])
+
+
+def _penalized_sweep(kind):
+    _, aspec, _, grid, u_prev, u_lag = penalized_case(kind)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    aq._thickness_system(aspec, grid, cfg, penalized=True)[2](u_prev, 0.0, cfg.dt)(u_lag).matrix()
+
+
+def _confined_step():
+    _, aspec, grid, w = confined_case()
+    phi = 0.1 * product_sine(1.0)(grid.cell_centers())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    aq._assemble_confined(aspec, grid, np.stack([w, phi]), 0.0, 1e-3,
+                          cfg)(np.stack([0.95 * w, phi])).matrix()
+
+
+def _closed_keulegan_box():
+    grid = Grid((16,), (1.0,))
+    spec = aq._thickness_spec(aq.keulegan_scenario(grid, pump_rate=0.05), grid, math.inf)
+    assemble_generic(spec, grid, StepperConfig(dt=3e-3, t_end=3e-3))
+
+
+ORACLE_BUILDS = {
+    "generic-1d": lambda: assemble_generic(generic_spec_1d(), Grid((24,), (1.0,))),
+    "generic-2d": lambda: assemble_generic(coupled_spec_2d(k_offdiag=0.5),
+                                           Grid((9, 7), (1.0, 1.0))),
+    "full-tensor-closed-species": lambda: assemble_generic(full_tensor_spec()),
+    "full-tensor-dirichlet": lambda: assemble_generic(full_tensor_spec(dirichlet=(0.0, 0.0))),
+    "closed-keulegan-box": _closed_keulegan_box,
+    "penalized-drain-closed-1d": lambda: _penalized_sweep("closed-1d"),
+    "penalized-drain-dirichlet-2d": lambda: _penalized_sweep("dirichlet-2d"),
+    "confined-step": _confined_step,
+    "initial-head": lambda: aq._initial_head(*confined_case()[1:],
+                                             StepperConfig(dt=1e-3, t_end=1e-3)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_BUILDS)
+def test_matrix_is_bit_identical_to_unique_bincount_oracle(built, case):
+    ORACLE_BUILDS[case]()
+    assert built
+    for grid, m, _calls, terms, a, vals in built:
+        indptr, indices, data = unique_bincount_matrix(grid, m, terms, vals)
+        assert np.array_equal(a.indptr, indptr)
+        assert np.array_equal(a.indices, indices)
+        assert np.array_equal(a.data, data)
+        assert a.data.dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
