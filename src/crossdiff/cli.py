@@ -33,6 +33,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .fv import SolverFailure
 from .model import (CrossTensor, Grid, InvalidParameterError, ModelSpec, ellipticity_bounds,
                     point_density, validate_spec)
 from .solver import (SimulationResult, StepperConfig, convergence_study, run)
-from .table import cells, csv_table
+from .table import cells, csv_chunks, csv_table
 
 SCHEMA_VERSION = 1
 
@@ -363,21 +364,20 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
 # CSV writers
 # ---------------------------------------------------------------------------
 
-def snapshots_csv(result: SimulationResult, grid: Grid) -> str:
-    """One row per (snapshot, species, cell).
+def snapshots_csv(result: SimulationResult, grid: Grid) -> Iterator[str]:
+    """One row per (snapshot, species, cell), as the text chunks of :func:`csv_chunks`.
 
-    Coordinates, species labels and times are rendered once and repeated as
-    lists of the same strings, so the value column is the only one formatted
-    row by row.
+    Coordinates and species labels are rendered once per run and each
+    snapshot's time once, so a snapshot's values are the only cells formatted
+    row by row.  The rows are rendered one snapshot at a time as the chunks
+    are read.
     """
     snaps, m, n = result.snapshots, result.m, grid.n_cells
-    species = [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]
-    return csv_table(["x", "y"][:grid.ndim] + ["species", "value", "t"], [
-        *(cells(xs) * (len(snaps) * m) for xs in grid.cell_centers().T),
-        species * len(snaps),
-        np.concatenate([snap.values.ravel() for snap in snaps]),
-        [t for t in cells([snap.time for snap in snaps]) for _ in range(m * n)],
-    ])
+    fixed = [*(cells(xs) * m for xs in grid.cell_centers().T),
+             [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]]
+    return csv_chunks(["x", "y"][:grid.ndim] + ["species", "value", "t"], (
+        [*fixed, snap.values.ravel(), [t] * (m * n)]
+        for snap, t in zip(snaps, cells([snap.time for snap in snaps]))))
 
 
 def series_csv(result: SimulationResult) -> str:
@@ -389,11 +389,11 @@ def series_csv(result: SimulationResult) -> str:
 
 
 def interface_csv(result: SimulationResult, grid: Grid, aspec: aq.AquiferSpec,
-                  snapshot_index: int) -> str:
+                  snapshot_index: int, coords: list[list[str]]) -> Iterator[str]:
+    """The chunks of one ``interface_NNNN.csv``; ``coords`` holds the run's rendered axes."""
     h, h1 = result.snapshots[snapshot_index].values[:2]
     s = np.add(*aq.map_heads(h, h1, aspec.h2_cells(grid)))
-    return csv_table(["x", "y"][:grid.ndim] + ["h", "h1", "s"],
-                     [*map(cells, grid.cell_centers().T), h, h1, s])
+    return csv_chunks(["x", "y"][:grid.ndim] + ["h", "h1", "s"], [[*coords, h, h1, s]])
 
 
 def sweep_csv(report: aq.SweepReport) -> str:
@@ -425,14 +425,16 @@ def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
 
 
 def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
-                  artifacts: dict[str, str], exit_status: int,
+                  artifacts: dict[str, str | Iterable[str]], exit_status: int,
                   picard_converged: list[str]) -> RunManifest:
-    """Write the artifact texts plus a deterministic manifest.
+    """Write the artifacts, then a deterministic manifest.
 
-    ``artifacts`` maps file names to fully rendered text; the manifest
-    excludes wall time so identical configs give byte-identical trees.
-    ``picard_converged`` holds the ``converged/steps`` count of each time
-    run, which the manifest lists ``;``-separated.
+    ``artifacts`` maps file names to a text or to an iterable of text chunks,
+    which is rendered as it is written, so only one chunk of a large table is
+    alive at a time.  The manifest excludes wall time so identical configs
+    give byte-identical trees.  ``picard_converged`` holds the
+    ``converged/steps`` count of each time run, which the manifest lists
+    ``;``-separated.
     """
     out = Path(out_dir)
     try:
@@ -444,7 +446,9 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
     names = sorted(artifacts)
     for name in names:
-        (out / name).write_text(artifacts[name])
+        chunks = artifacts[name]
+        with (out / name).open("w") as f:
+            f.writelines([chunks] if isinstance(chunks, str) else chunks)
     cfg_hash = hashlib.sha256(
         json.dumps(config.effective, sort_keys=True).encode()).hexdigest()[:16]
     manifest = RunManifest(cfg_hash, command, names, exit_status, picard_converged)
@@ -525,11 +529,14 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     writes the manifest, the partial series and its count, and
     ``error.txt`` (exit 1).  A rejected config or spec raises
     :class:`ConfigError` or :class:`InvalidParameterError` before anything
-    is written, so ``main`` exits 2 and leaves no output directory.
+    is written, so ``main`` exits 2 and leaves no output directory.  Hence
+    only rendering that cannot fail is left to :func:`write_outputs`, as
+    the chunks of the snapshot and interface tables; a diagnostic that can
+    reject its block is rendered here.  The time on stderr covers the writing.
     """
     t0 = time.perf_counter()
     out = out_dir or config.effective["outputs"]["directory"]
-    artifacts: dict[str, str] = {}
+    artifacts: dict[str, str | Iterable[str]] = {}
     exit_status = 0
     picard: list[str] = []
     partial_series = "series.csv"  # where a failed run's partial series goes
@@ -580,9 +587,10 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 result, conf = aq.run_penalized(aspec, config.grid, config.stepper)
                 picard.append(result.picard_count)
                 artifacts["series.csv"] = series_csv(result)
+                coords = list(map(cells, config.grid.cell_centers().T))
                 for idx in range(len(result.snapshots)):
                     artifacts[f"interface_{idx:04d}.csv"] = interface_csv(
-                        result, config.grid, aspec, idx)
+                        result, config.grid, aspec, idx, coords)
                 artifacts["confinement.csv"] = csv_table(
                     ["t", "violation", "residual"], [conf.times, conf.violation, conf.residual])
             if variant in ("confined", "both"):
@@ -615,9 +623,8 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
         artifacts["error.txt"] = f"solver failure at t={exc.time}: {exc}\n"
         exit_status = 1
 
-    wall = time.perf_counter() - t0
     manifest = write_outputs(out, config, command, artifacts, exit_status, picard)
-    print(f"{command}: exit {exit_status} ({wall:.2f} s)", file=sys.stderr)
+    print(f"{command}: exit {exit_status} ({time.perf_counter() - t0:.2f} s)", file=sys.stderr)
     return manifest
 
 

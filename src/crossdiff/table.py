@@ -1,5 +1,11 @@
 """The package's one CSV renderer: every artifact table is written here.
 
+:func:`csv_chunks` yields a table as text chunks, the header line and then
+blocks of at most ``_BLOCK_ROWS`` rows, so a large table such as
+``snapshots.csv`` is rendered as it is written and never held whole;
+:func:`csv_table` joins the chunks for the small tables whose callers want a
+``str``.
+
 Floats are written as Python's shortest round-trip ``repr`` (``nan``, ``inf``,
 ``-inf`` and ``-0.0`` spelled that way); integers, booleans and strings by ``str``.
 A column given as a list of ``str`` is taken as rendered cells and passes through.
@@ -8,11 +14,11 @@ A column given as a list of ``str`` is taken as rendered cells and passes throug
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["cells", "csv_table"]
+__all__ = ["cells", "csv_chunks", "csv_table"]
 
 # rows rendered at a time, so only one block's cell strings are alive next to the text
 _BLOCK_ROWS = 4096
@@ -26,15 +32,23 @@ def cells(column) -> list[str]:
     return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
 
 
-def csv_table(header: Sequence[str], columns: Sequence) -> str:
-    """Header line, then one line per row of the 1-D ``columns``, each ending in a newline.
+def csv_chunks(header: Sequence[str], groups: Iterable[Sequence]) -> Iterator[str]:
+    """Header line, then the rows of each group of 1-D columns in turn, as text chunks.
 
+    Each chunk after the header holds at most ``_BLOCK_ROWS`` rows of one group
+    and ends in a newline.  A group is taken from ``groups`` only when the
+    chunks reach it, so a generator of groups keeps one group alive at a time.
     Each block of a column goes through :func:`cells`, so a list of ``str`` is
-    joined as it is.  A column shorter than the longest one ends in empty cells.
+    joined as it is.  A column shorter than the longest one of its group ends
+    in empty cells.
     """
-    parts = [",".join(header)]
-    for lo in range(0, max(map(len, columns), default=0), _BLOCK_ROWS):
-        block = [cells(column[lo:lo + _BLOCK_ROWS]) for column in columns]
-        parts.append("\n".join(map(",".join, zip_longest(*block, fillvalue=""))))
-    parts.append("")  # the final newline, without a second copy of the text
-    return "\n".join(parts)
+    yield ",".join(header) + "\n"
+    for columns in groups:
+        for lo in range(0, max(map(len, columns), default=0), _BLOCK_ROWS):
+            block = [cells(column[lo:lo + _BLOCK_ROWS]) for column in columns]
+            yield "\n".join(map(",".join, zip_longest(*block, fillvalue=""))) + "\n"
+
+
+def csv_table(header: Sequence[str], columns: Sequence) -> str:
+    """The table of one group of ``columns`` (see :func:`csv_chunks`) as one ``str``."""
+    return "".join(csv_chunks(header, [columns]))

@@ -5,11 +5,14 @@ rebuild each table line by line, the slow obvious way, and require the
 package's output to match it byte for byte.
 """
 
+import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -181,7 +184,7 @@ def _series_rows(result):
 
 def test_generic_run_writers_match_reference():
     grid, result = _generic_run()
-    assert cli.snapshots_csv(result, grid) == reference(
+    assert "".join(cli.snapshots_csv(result, grid)) == reference(
         "x,y,species,value,t", _snapshot_rows(result, grid))
     assert cli.series_csv(result) == reference(
         "t,min_1,max_1,mass_1,min_2,max_2,mass_2", _series_rows(result))
@@ -225,7 +228,73 @@ def test_snapshots_csv_matches_per_row_reference_across_blocks():
         assert len(result.snapshots) == 5
         assert len(rows) > _BLOCK_ROWS or grid.ndim == 1
         head = "x,y" if grid.ndim == 2 else "x"
-        assert cli.snapshots_csv(result, grid) == reference(f"{head},species,value,t", rows)
+        assert "".join(cli.snapshots_csv(result, grid)) == reference(
+            f"{head},species,value,t", rows)
+
+
+# ---------------------------------------------------------------------------
+# chunks written to disk
+# ---------------------------------------------------------------------------
+
+def _generic_config(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "generic"}))
+    return cli.parse_scenario(path)
+
+
+TABLE_CASES = {
+    "header-only": (["a", "b"], [np.array([]), []]),
+    "one-block": (["i", "v"], [np.arange(_BLOCK_ROWS), np.linspace(0.0, 1.0, _BLOCK_ROWS) / 3.0]),
+    "two-blocks": (["v", "s"], [np.linspace(0.0, 1.0, 2 * _BLOCK_ROWS) / 7.0, TEXTS]),
+}
+
+
+def _chunk_source(case):
+    """A callable giving fresh chunks of the case, and the case's row count."""
+    if case in TABLE_CASES:
+        header, columns = TABLE_CASES[case]
+        return lambda: table.csv_chunks(header, [columns]), max(map(len, columns))
+    grid = Grid((6, 5), (1.0, 1.0)) if case == "snapshots-2d" else Grid((7,), (1.0,))
+    dt = 1e-3 / 3.0
+    result = run(_iso_spec(grid.ndim), grid, StepperConfig(dt=dt, t_end=3 * dt))
+    assert len(result.snapshots) == 4
+    return lambda: cli.snapshots_csv(result, grid), 4 * 2 * grid.n_cells
+
+
+@pytest.mark.parametrize("case", [*TABLE_CASES, "snapshots-1d", "snapshots-2d"])
+def test_written_file_is_the_joined_chunks(tmp_path, case):
+    make, n_rows = _chunk_source(case)
+    chunks = list(make())
+    text = "".join(chunks)
+    assert chunks[0].count("\n") == 1 and text.count("\n") == 1 + n_rows
+    assert all(c.endswith("\n") and c.count("\n") <= _BLOCK_ROWS for c in chunks)
+    # the header, then one block per snapshot or per _BLOCK_ROWS rows
+    assert len(chunks) == 1 + (4 if case.startswith("snapshots") else -(-n_rows // _BLOCK_ROWS))
+    config, out = _generic_config(tmp_path), tmp_path / "out"
+    for artifact in (make(), text):  # streamed chunks, then the joined text
+        cli.write_outputs(out, config, "simulate", {"t.csv": artifact}, 0, [])
+        assert (out / "t.csv").read_bytes() == text.encode()
+
+
+def test_snapshot_rendering_memory_does_not_grow_with_snapshots(tmp_path):
+    # a 32x32 two-species run: 2048 rows per snapshot, 9.9 MB of text at 101 snapshots;
+    # rendering the whole table at once peaks at 7.4 MiB (26 snapshots) and 27.3 MiB (101)
+    grid = Grid((32, 32), (1.0, 1.0))
+    result = run(coupled_spec_2d(), grid, StepperConfig(dt=1e-3, t_end=0.1))
+    assert len(result.snapshots) == 101
+    config, out, peaks = _generic_config(tmp_path), tmp_path / "out", {}
+    for count in (26, 101):
+        part = dataclasses.replace(result, snapshots=result.snapshots[:count])
+        tracemalloc.start()
+        try:
+            cli.write_outputs(out, config, "simulate",
+                              {"snapshots.csv": cli.snapshots_csv(part, grid)}, 0, [])
+            peaks[count] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert (out / "snapshots.csv").stat().st_size > count * 2048 * 40
+    assert max(peaks.values()) < 2.0, peaks
+    assert peaks[101] < peaks[26] + 0.25, peaks
 
 
 def test_probe_writer_matches_reference():
