@@ -5,18 +5,22 @@ Verbs: ``check``, ``simulate``, ``aquifer``, ``keulegan``, ``probe``,
 config key and its default; a key's type follows from its default unless
 :data:`_TYPED` lists it.  :func:`_checked` rejects an unknown or ill-typed
 key by name and fills in the defaults, so every helper indexes plain
-values.  Runs are deterministic: two invocations on the same config give
-byte-identical artifact sets.  The manifest records the config hash, the
-effective config (every block with its defaults, each present diagnostics
-sub-block too), the count of Picard-converged steps of each time run or
-refinement level and the artifact list; wall time goes to stderr only.
+values.  The config is the one source of a run's settings: the command
+line adds only where the files go (``--out``, ``out`` by default) and, for
+``check``, ``--require-feasible``.  Runs are deterministic: two invocations
+on the same config give byte-identical artifact sets.  The manifest records
+the config hash, the effective config (every block with its defaults, each
+present diagnostics sub-block too), the count of Picard-converged steps of
+each time run or refinement level and the artifact list; wall time goes to
+stderr only.
 
 Each model datum is a number (a constant), null or a profile block, which
 :func:`_profile` turns into a scalar, a callable of the points or, for a
 ``point`` source or well, a per-cell density; each kind of datum accepts
-its own profiles.  The ``degiorgi``, ``bounds`` and ``levels`` diagnostics
-are on when their block is present, even empty.  :data:`_COMMANDS` is the
-one table of the commands and the config kinds each accepts.
+its own profiles.  The ``conditions`` (the regularity rows of ``check``),
+``degiorgi``, ``bounds`` and ``levels`` diagnostics are on when their block
+is present, even empty.  :data:`_COMMANDS` is the one table of the commands
+and the config kinds each accepts.
 
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
@@ -92,11 +96,10 @@ def _per_species(value):
 # and the grid; a key without a default (MISSING) is left out when absent.
 _SCHEMA = {
     "top": {"schema": SCHEMA_VERSION, "kind": "generic", "grid": {}, "stepper": {},
-            "outputs": {}, "model": {}, "diagnostics": {}, "convergence": {}, "sweep": {}},
+            "model": {}, "diagnostics": {}, "convergence": {}, "sweep": {}},
     "grid": {"dims": [32], "extents": lambda b, g: [1.0] * len(b["dims"])},
     "stepper": {"dt": 1e-3, "t_end": 0.1, **{f.name: f.default for f in fields(StepperConfig)
                                                if f.default is not MISSING}},
-    "outputs": {"directory": "out", "formats": ["csv"]},
     "generic": {"m": 2, "delta": _per_species(1.0), "K": lambda b, g: [[1.0] * b["m"]] * b["m"],
                 "ell": 1.0, "initial": _per_species(0.0), "dirichlet": _per_species(0.0),
                 "sources": _per_species(None)},
@@ -105,9 +108,9 @@ _SCHEMA = {
                 "dirichlet_phi": 0.0, "boundary": "dirichlet", "pumping": None},
     "keulegan": _KEULEGAN,
     # a diagnostic without a default is off unless its block is present
-    "diagnostics": {"conditions": {}, "degiorgi": MISSING, "bounds": MISSING,
+    "diagnostics": {"conditions": MISSING, "degiorgi": MISSING, "bounds": MISSING,
                     "levels": MISSING, "probe": {}},
-    "conditions": {"g_s": MISSING},
+    "conditions": {},
     "degiorgi": {"species": 1, "s": 6.0, "m": 2.0, "m_prime": 0.5, "n_max": 20,
                  "ell0": "max_initial", "M_s": None, "sobolev_beta": None},
     "bounds": {"lo": 0.0, "hi": MISSING},  # no hi is no upper bound
@@ -127,7 +130,6 @@ _TYPED = {
     "top.schema": (lambda v: v == SCHEMA_VERSION and type(v) is int, str(SCHEMA_VERSION)),
     "top.kind": (lambda v: v in ("generic", "aquifer", "keulegan"),
                  '"generic", "aquifer" or "keulegan"'),
-    "outputs.formats": (lambda v: v == ["csv"], '["csv"]'),
     **dict.fromkeys(("aquifer.variant", "keulegan.variant"), (
         lambda v: v in ("penalized", "confined", "both"), '"penalized", "confined" or "both"')),
     "convergence.case": (lambda v: v in _CASES, '"heat" or "coupled"'),
@@ -140,9 +142,9 @@ _TYPED = {
     "generic.K": (lambda v: _rows(v, lambda e: _is_number(e) or _rows(e, _is_number)),
                   "a list of rows of numbers or 2x2 tensors"),
     "keulegan.well_position": _POSITION, "profile.position": _POSITION,
-    **dict.fromkeys(("conditions.g_s", "bounds.hi"), _TYPES[float][:2]),
-    **dict.fromkeys(("diagnostics.degiorgi", "diagnostics.bounds", "diagnostics.levels"),
-                    _TYPES[dict][:2]),
+    "bounds.hi": _TYPES[float][:2],
+    **dict.fromkeys(("diagnostics.conditions", "diagnostics.degiorgi", "diagnostics.bounds",
+                     "diagnostics.levels"), _TYPES[dict][:2]),
     **dict.fromkeys(("generic.initial", "aquifer.initial_h", "aquifer.initial_h1"), "initial"),
     **dict.fromkeys(("generic.dirichlet", "aquifer.dirichlet_h", "aquifer.dirichlet_h1",
                      "aquifer.dirichlet_phi"), "dirichlet"),
@@ -291,7 +293,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     return ScenarioConfig(kind, grid, stepper, {
         **top, "grid": {"dims": list(grid.dims), "extents": list(grid.extents)},
         "stepper": stepper_block, "model": model, "diagnostics": diag,
-        **{name: _checked(top[name], name, name) for name in ("outputs", "convergence", "sweep")}})
+        **{name: _checked(top[name], name, name) for name in ("convergence", "sweep")}})
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +390,13 @@ def series_csv(result: SimulationResult) -> str:
     return csv_table(head, columns)
 
 
-def interface_csv(result: SimulationResult, grid: Grid, aspec: aq.AquiferSpec,
-                  snapshot_index: int, coords: list[list[str]]) -> Iterator[str]:
-    """The chunks of one ``interface_NNNN.csv``; ``coords`` holds the run's rendered axes."""
+def interface_csv(result: SimulationResult, h2: np.ndarray, snapshot_index: int,
+                  coords: list[list[str]]) -> Iterator[str]:
+    """The chunks of one ``interface_NNNN.csv``; the per-cell depth ``h2`` and the
+    rendered axes ``coords`` are made once per run."""
     h, h1 = result.snapshots[snapshot_index].values[:2]
-    s = np.add(*aq.map_heads(h, h1, aspec.h2_cells(grid)))
-    return csv_chunks(["x", "y"][:grid.ndim] + ["h", "h1", "s"], [[*coords, h, h1, s]])
+    s = np.add(*aq.map_heads(h, h1, h2))
+    return csv_chunks(["x", "y"][:len(coords)] + ["h", "h1", "s"], [[*coords, h, h1, s]])
 
 
 def sweep_csv(report: aq.SweepReport) -> str:
@@ -462,16 +465,21 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
 # ---------------------------------------------------------------------------
 
 def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
-    diag = config.effective["diagnostics"]["conditions"]
-    if config.kind == "generic":
-        spec = build_generic_spec(config)
-        reports = conditions.check_existence(spec)
-        if "g_s" in diag and spec.ell > 0.0:
-            reports += conditions.check_regularity(spec, diag["g_s"])
-        return reports
-    aspec = build_aquifer_spec(config)
-    return [conditions.check_aquifer_admissibility(float(np.min(aspec.h2)),
-                                                   aspec.delta, aspec.alpha)]
+    """The rows of ``conditions.csv``; a non-elliptic tensor, which leaves no bound to
+    evaluate, raises :class:`ConfigError` naming the tensor."""
+    if config.kind != "generic":
+        aspec = build_aquifer_spec(config)
+        return [conditions.check_aquifer_admissibility(float(np.min(aspec.h2)),
+                                                       aspec.delta, aspec.alpha)]
+    spec = build_generic_spec(config)
+    violations = validate_spec(spec, config.grid).violations
+    tensors = [f"{v.code} {v.message}" for v in violations if v.code == "non-elliptic-tensor"]
+    if tensors:
+        raise ConfigError("spec validation failed: " + "; ".join(tensors))
+    reports = conditions.check_existence(spec)
+    if config.effective["diagnostics"].get("conditions") is not None and spec.ell > 0.0:
+        reports += conditions.check_regularity(spec)
+    return reports + [ConditionReport(f"validation:{v.code}", 1.0, 0.0) for v in violations]
 
 
 def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
@@ -497,7 +505,8 @@ def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
         K_diag_minus=ellipticity_bounds(spec.K[species][species])[0],
         delta_i=spec.delta[species], ell=max(spec.ell, 1e-12), sobolev_beta=beta)
     if not budget.feasible:
-        return {"degiorgi.csv": "n,k_n,v_n,rhs_n,holds\n# infeasible budget (zeta <= 0)\n"}
+        return {"degiorgi.csv": csv_table(diagnostics.DeGiorgiTrace.COLUMNS, [])
+                + "# infeasible budget (zeta <= 0)\n"}
     trace = diagnostics.degiorgi_trace(result, grid, species, ell0, block["m"],
                                        block["m_prime"], budget, block["n_max"])
     return {"degiorgi.csv": trace.to_csv()}
@@ -519,8 +528,7 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
 
 
 def execute(config: ScenarioConfig, command: str = "simulate", *,
-            out_dir: str | None = None, require_feasible: bool = False,
-            epsilon_list: list[float] | None = None) -> RunManifest:
+            out_dir: str | Path = "out", require_feasible: bool = False) -> RunManifest:
     """Dispatch one command and write its artifacts plus a manifest.
 
     The manifest of a time run counts its Picard-converged steps (both
@@ -535,7 +543,6 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     reject its block is rendered here.  The time on stderr covers the writing.
     """
     t0 = time.perf_counter()
-    out = out_dir or config.effective["outputs"]["directory"]
     artifacts: dict[str, str | Iterable[str]] = {}
     exit_status = 0
     picard: list[str] = []
@@ -549,10 +556,6 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
     try:
         if command == "check":
             reports = _condition_reports(config)
-            if config.kind == "generic":
-                vr = validate_spec(build_generic_spec(config), config.grid)
-                for v in vr.violations:
-                    reports.append(ConditionReport(f"validation:{v.code}", 1.0, 0.0))
             artifacts["conditions.csv"] = reports_to_csv(reports)
             if require_feasible and any(not r.passed for r in reports):
                 exit_status = 3
@@ -587,10 +590,10 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
                 result, conf = aq.run_penalized(aspec, config.grid, config.stepper)
                 picard.append(result.picard_count)
                 artifacts["series.csv"] = series_csv(result)
+                h2 = aspec.h2_cells(config.grid)
                 coords = list(map(cells, config.grid.cell_centers().T))
                 for idx in range(len(result.snapshots)):
-                    artifacts[f"interface_{idx:04d}.csv"] = interface_csv(
-                        result, config.grid, aspec, idx, coords)
+                    artifacts[f"interface_{idx:04d}.csv"] = interface_csv(result, h2, idx, coords)
                 artifacts["confinement.csv"] = csv_table(
                     ["t", "violation", "residual"], [conf.times, conf.violation, conf.residual])
             if variant in ("confined", "both"):
@@ -602,9 +605,9 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
 
         elif command == "sweep":
             aspec = build_aquifer_spec(config)
-            eps = epsilon_list or config.effective["sweep"]["epsilon_list"]
+            eps = config.effective["sweep"]["epsilon_list"]
             if not eps:
-                raise ConfigError("sweep needs an epsilon list (config or --epsilon-list)")
+                raise ConfigError("sweep needs a nonempty sweep.epsilon_list")
             report = aq.epsilon_sweep(aspec, config.grid, config.stepper, eps)
             artifacts["sweep.csv"] = sweep_csv(report)
             if any(e["error"] is not None for e in report.entries):
@@ -623,7 +626,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
         artifacts["error.txt"] = f"solver failure at t={exc.time}: {exc}\n"
         exit_status = 1
 
-    manifest = write_outputs(out, config, command, artifacts, exit_status, picard)
+    manifest = write_outputs(out_dir, config, command, artifacts, exit_status, picard)
     print(f"{command}: exit {exit_status} ({time.perf_counter() - t0:.2f} s)", file=sys.stderr)
     return manifest
 
@@ -666,18 +669,16 @@ def main(argv: list[str] | None = None) -> int:
     for verb in _COMMANDS:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--require-feasible", action="store_true",
-                       help="exit 3 when a condition check fails")
-        p.add_argument("--epsilon-list", nargs="+", type=float, default=None,
-                       help="penalization parameters for 'sweep'")
+        p.add_argument("--out", default="out", help="output directory")
+        if verb == "check":
+            p.add_argument("--require-feasible", action="store_true",
+                           help="exit 3 when a condition check fails")
     args = parser.parse_args(argv)
 
     try:
         config = parse_scenario(args.config)
         manifest = execute(config, args.command, out_dir=args.out,
-                           require_feasible=args.require_feasible,
-                           epsilon_list=args.epsilon_list)
+                           require_feasible=getattr(args, "require_feasible", False))
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

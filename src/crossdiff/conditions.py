@@ -125,27 +125,20 @@ def meyers_constants(alpha: float, beta: float, symmetric: bool,
         consts = MeyersConstants(alpha, beta, 0.0, alpha / beta, 0.0, True)
     else:
         c = (beta ** 2 - alpha ** 2) / (2.0 * alpha) + 0.1 * alpha
-        mu, nu = _raw_mu_nu(alpha, beta, c)
+        mu, nu = (alpha + c) / (beta + c), math.sqrt(beta ** 2 + c ** 2) / (beta + c)
         consts = MeyersConstants(alpha, beta, c, mu, nu, False)
     k_r = g_r * (1.0 - consts.mu + consts.nu)
     return consts, k_r
 
 
-def _raw_mu_nu(alpha: float, beta: float, c: float) -> tuple[float, float]:
-    mu = (alpha + c) / (beta + c)
-    nu = math.sqrt(beta ** 2 + c ** 2) / (beta + c)
-    return mu, nu
-
-
-def check_regularity(spec: ModelSpec, g_s: float = 1.0,
-                     c_override: tuple[float, float] | None = None) -> list[ConditionReport]:
+def check_regularity(spec: ModelSpec) -> list[ConditionReport]:
     """Gradient-integrability upgrade condition for each species.
 
     With alpha_i = delta_i and beta_i = delta_i + ell * K_ii+, the condition
-    reads K_ij+ < (beta_i + c_i)(mu_i - nu_i) / (2 ell) for j != i.  The shift
-    c_i follows :func:`meyers_constants` unless ``c_override`` pins explicit
-    values (exploratory use; with a shift at or below its threshold the factor
-    mu_i - nu_i is nonpositive and the report is an infeasible sentinel).
+    reads K_ij+ < (beta_i + c_i)(mu_i - nu_i) / (2 ell) for j != i, with the
+    shift c_i of :func:`meyers_constants`.  When mu_i - nu_i is not positive
+    (a symmetric K_ii with delta_i = 0 gives mu_i = nu_i = 0) no bound holds,
+    and the report is the infeasible sentinel lhs = inf.
     """
     if spec.m != 2:
         raise InvalidParameterError("regularity check is formulated for two species")
@@ -158,14 +151,10 @@ def check_regularity(spec: ModelSpec, g_s: float = 1.0,
         kij_plus = ellipticity_bounds(spec.K[i][j])[1]
         alpha_i = spec.delta[i]
         beta_i = spec.delta[i] + spec.ell * kii_plus
-        symmetric = spec.K[i][i].is_symmetric()
-        if c_override is not None:
-            c_i = float(c_override[i])
-            mu_i, nu_i = _raw_mu_nu(alpha_i, beta_i, c_i)
-        elif symmetric:
+        if spec.K[i][i].is_symmetric():
             c_i, mu_i, nu_i = 0.0, alpha_i / beta_i, 0.0
         else:
-            consts, _ = meyers_constants(alpha_i, beta_i, False, g_s)
+            consts, _ = meyers_constants(alpha_i, beta_i, False)
             c_i, mu_i, nu_i = consts.c, consts.mu, consts.nu
         name = f"regularity_{i + 1}{j + 1}"
         if mu_i - nu_i <= 0.0:

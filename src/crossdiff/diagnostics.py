@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,6 +92,8 @@ class DeGiorgiTrace:
     dominate ``v_{n+1}`` for the iteration to contract.
     """
 
+    COLUMNS: ClassVar[tuple[str, ...]] = ("n", "k_n", "v_n", "rhs_n", "holds")
+
     k_n: np.ndarray
     v_n: np.ndarray
     recursion_rhs: np.ndarray  # length len(k_n) - 1
@@ -99,7 +102,7 @@ class DeGiorgiTrace:
 
     def to_csv(self) -> str:
         """One row per level; the last row's ``rhs_n`` and ``holds`` cells are empty."""
-        return csv_table(["n", "k_n", "v_n", "rhs_n", "holds"],
+        return csv_table(self.COLUMNS,
                          [range(len(self.k_n)), self.k_n, self.v_n,
                           self.recursion_rhs, self.holds])
 

@@ -90,9 +90,9 @@ class CrossTensor:
         return CrossTensor(tuple(tuple(float(value) if i == j else 0.0 for j in range(ndim))
                                  for i in range(ndim)))
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
+    def is_symmetric(self) -> bool:
         a = self.matrix
-        return bool(np.all(np.abs(a - a.T) <= tol))
+        return bool(np.array_equal(a, a.T))
 
 
 def ellipticity_bounds(tensor: CrossTensor | np.ndarray) -> tuple[float, float]:
@@ -334,7 +334,7 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
-def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -> ValidationReport:
+def validate_spec(spec: ModelSpec, grid: Grid) -> ValidationReport:
     """Collect every spec violation; never raises.
 
     Checks finite positive diffusivities, a truncation level that is not
@@ -342,8 +342,8 @@ def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -
     initial data, domain/grid agreement, and the initial/boundary
     compatibility at t = 0 on boundary faces (for callable initial data the
     trace is evaluated at the face center, for array data the adjacent
-    boundary-cell value stands in).  Closed species carry no boundary data
-    to check.
+    boundary-cell value stands in), each sign and gap up to
+    ``COMPATIBILITY_TOL``.  Closed species carry no boundary data to check.
     """
     report = ValidationReport()
     for i, d in enumerate(spec.delta):
@@ -371,13 +371,13 @@ def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -
     ft = face_table(grid)
     for i in range(spec.m):
         u0 = spec.initial_values(i, points)
-        if np.any(u0 < -tol):
+        if np.any(u0 < -COMPATIBILITY_TOL):
             report.add("negative-initial",
                        f"initial data of species {i + 1} dips to {float(u0.min())}")
         gb = spec.dirichlet_values(i, 0.0, ft.bnd_points)
         if gb is None:
             continue
-        if np.any(gb < -tol):
+        if np.any(gb < -COMPATIBILITY_TOL):
             report.add("negative-dirichlet",
                        f"boundary data of species {i + 1} dips to {float(gb.min())}")
         if callable(spec.initial[i]):
@@ -385,7 +385,7 @@ def validate_spec(spec: ModelSpec, grid: Grid, tol: float = COMPATIBILITY_TOL) -
         else:
             u0_trace = u0[ft.bnd_cell]
         gap = np.abs(u0_trace - gb)
-        if np.any(gap > tol):
+        if np.any(gap > COMPATIBILITY_TOL):
             k = int(np.argmax(gap))
             report.add("compatibility",
                        f"species {i + 1}: initial/boundary mismatch {float(gap[k])} at {ft.bnd_points[k]}")

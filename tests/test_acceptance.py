@@ -138,10 +138,10 @@ def test_criterion_4_condition_arithmetic():
                          K=[[iso(1.0, 1), iso(0.25, 1)], [iso(0.25, 1), iso(1.0, 1)]],
                          ell=1.0, domain=(1.0,), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
     checks.append(all(r.rhs == 0.5 and r.lhs == 0.25 and r.passed
-                      for r in check_regularity(reg_spec, 1.0)))
+                      for r in check_regularity(reg_spec)))
     reg_spec.K[0][1] = iso(0.75, 1)
     reg_spec.K[1][0] = iso(0.75, 1)
-    checks.append(all(not r.passed for r in check_regularity(reg_spec, 1.0)))
+    checks.append(all(not r.passed for r in check_regularity(reg_spec)))
 
     infeasible = degiorgi_budget(N=2, s=4.0, ell0=1.0, m_factor=2.0, M_s=1.0,
                                  K_offdiag_plus=1.0, K_diag_minus=1.0, delta_i=1.0,

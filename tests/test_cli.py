@@ -44,7 +44,8 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.effective["model"]["delta"] == [1.0, 1.0]
     assert config.effective["model"]["sources"] == [None, None]
     assert config.effective["diagnostics"] == {
-        "conditions": {}, "probe": {"amplitude": 1e-3, "radius": 0.2, "center": [0.5]}}
+        "probe": {"amplitude": 1e-3, "radius": 0.2, "center": [0.5]}}
+    assert "outputs" not in config.effective
     assert config.effective["convergence"]["dt0"] == 2e-3
 
 
@@ -120,6 +121,8 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"model": {"delta": [math.inf, 1.0]}}, "model.delta"),
     ({"stepper": {"cross_weighting": "centered"}}, "'cross_weighting'"),
     ({"stepper": {"coefficient_mode": "raw"}}, "'coefficient_mode'"),
+    ({"outputs": {"directory": "elsewhere"}}, "'outputs'"),
+    ({"diagnostics": {"conditions": {"g_s": 1.0}}}, "'g_s'"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -295,8 +298,38 @@ def test_check_writes_reports(tmp_path, capsys):
     assert err.startswith("check: exit 0 (") and err.count("\n") == 1
     text = (out / "conditions.csv").read_text()
     assert text.startswith("name,lhs,rhs,margin,pass")
-    assert "existence_12" in text
+    assert "existence_12" in text and "regularity" not in text
     assert (out / "manifest.txt").exists()
+    # an empty conditions block adds the regularity rows
+    path = write_config(tmp_path, {**GENERIC, "diagnostics": {"conditions": {}}}, "reg.json")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "reg")]) == 0
+    lines = (tmp_path / "reg" / "conditions.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "existence_12", "existence_21", "regularity_12", "regularity_21"]
+
+
+def test_check_rejects_non_elliptic_tensor(tmp_path, capsys):
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"]["K"] = [[-1.0, 0.1], [0.1, 1.0]]
+    path = write_config(tmp_path, cfg)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "non-elliptic-tensor K[1][1]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--require-feasible"],
+    ["sweep", "--epsilon-list", "0.1", "0.01"],
+])
+def test_flags_outside_the_config_rejected(tmp_path, capsys, argv):
+    # a run's settings come from its config; --require-feasible belongs to check alone
+    path = write_config(tmp_path, GENERIC)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(path), "--out", str(tmp_path / "out"), *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_require_feasible_exit_code(tmp_path):
@@ -496,7 +529,7 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 
 FULL_GENERIC = {**GENERIC, "diagnostics": {
-    "conditions": {"g_s": 1.0}, "degiorgi": {"species": 2}, "bounds": {},
+    "conditions": {}, "degiorgi": {"species": 2}, "bounds": {},
     "levels": {"count": 6}, "probe": {"radius": 0.3}}}
 
 
@@ -514,6 +547,11 @@ def _reject_constant(name):
                   "stepper": {"dt": 3e-3, "t_end": 9e-3}, "model": {"pump_rate": 0.05}},
      "model", {"tilt": 0.5, "well_position": None}),
     ("convergence", {"convergence": {"levels": 1}}, "convergence", {"dt0": 2e-3, "t_end": 0.01}),
+    ("check", {**GENERIC, "diagnostics": {"conditions": {}}}, "diagnostics", {"conditions": {}}),
+    ("sweep", {"kind": "aquifer", "grid": {"dims": [16]}, "stepper": {"dt": 2e-3, "t_end": 6e-3},
+               "model": {"pumping": {"profile": "point", "rate": -0.3}},
+               "sweep": {"epsilon_list": [1e-1, 1e-2]}},
+     "sweep", {"epsilon_list": [1e-1, 1e-2]}),
 ])
 def test_echoed_config_reruns_identically(tmp_path, command, payload, block, default):
     first = write_config(tmp_path, payload)

@@ -111,7 +111,7 @@ def test_meyers_constants_invariants_enforced():
 
 def test_regularity_worked_example_pass():
     spec = _spec(1.0, 0.25, 0.25, 1.0, (1.0, 1.0), 1.0)
-    reports = check_regularity(spec, g_s=1.0)
+    reports = check_regularity(spec)
     for r in reports:
         assert r.rhs == 0.5
         assert r.lhs == 0.25
@@ -120,28 +120,22 @@ def test_regularity_worked_example_pass():
 
 def test_regularity_worked_example_fail():
     spec = _spec(1.0, 0.75, 0.75, 1.0, (1.0, 1.0), 1.0)
-    for r in check_regularity(spec, g_s=1.0):
+    for r in check_regularity(spec):
         assert r.lhs == 0.75 and r.rhs == 0.5 and not r.passed
 
 
-def test_regularity_infeasible_with_threshold_shift():
-    # at (or below) the strict shift threshold mu = nu, so the bound collapses
-    kii = CrossTensor(((1.0, 0.3), (0.0, 1.0)))
+def test_regularity_infeasible_without_diffusivity():
+    # a symmetric K_ii with delta_i = 0 gives mu_i = nu_i = 0, so no bound holds
+    kii = CrossTensor(((1.0, 0.3), (0.3, 1.0)))
     iso = CrossTensor.isotropic
-    spec = ModelSpec(m=2, delta=(1.0, 1.0),
+    spec = ModelSpec(m=2, delta=(0.0, 1.0),
                      K=[[kii, iso(0.2, 2)], [iso(0.2, 2), kii]],
                      ell=1.0, domain=(1.0, 1.0), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
-    beta1 = 1.0 + ellipticity_plus(kii)
-    threshold = (beta1 ** 2 - 1.0) / 2.0
-    reports = check_regularity(spec, g_s=1.0, c_override=(0.99 * threshold, 0.99 * threshold))
-    for r in reports:
-        assert not r.passed
-        assert math.isinf(r.lhs) and r.margin == -math.inf
-
-
-def ellipticity_plus(tensor):
-    from crossdiff.model import ellipticity_bounds
-    return ellipticity_bounds(tensor)[1]
+    infeasible, feasible = check_regularity(spec)
+    assert infeasible.name == "regularity_12" and not infeasible.passed
+    assert math.isinf(infeasible.lhs) and infeasible.rhs == 0.2
+    assert infeasible.margin == -math.inf
+    assert feasible.name == "regularity_21" and math.isfinite(feasible.lhs)
 
 
 # ---------------------------------------------------------------------------
