@@ -288,10 +288,13 @@ def _drain_faces(ft: fv.FaceTable, u2, s, h2c, u2_d=None, s_d=None):
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
                       h1: np.ndarray) -> np.ndarray:
     """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) on the interior faces."""
-    ft = face_table(grid)
     h2c = aspec.h2_cells(grid)
-    u1, u2 = map_heads(h, h1, h2c)
-    w_face, grad, _ = _drain_faces(ft, u2, u1 + u2, h2c)
+    return _drain_flux(aspec, face_table(grid), map_heads(h, h1, h2c), h2c)
+
+
+def _drain_flux(aspec: AquiferSpec, ft: fv.FaceTable, u, h2c: np.ndarray) -> np.ndarray:
+    """:func:`penalty_face_flux` from the thicknesses ``u = (u1, u2)`` and the depth cells."""
+    w_face, grad, _ = _drain_faces(ft, u[1], u[0] + u[1], h2c)
     return (w_face * grad / aspec.epsilon)[:ft.n_interior]
 
 
@@ -380,9 +383,9 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
     q_field = np.zeros(0)
     for k, snap in enumerate(result.snapshots):
         h, h1 = snap.values[0], snap.values[1]
-        s = np.add(*map_heads(h, h1, h2c))
-        violation[k] = float(np.sum(_u0(s - h2c)) * vol)
-        q_field = penalty_face_flux(aspec, grid, h, h1)
+        u = map_heads(h, h1, h2c)
+        violation[k] = float(np.sum(_u0(np.add(*u) - h2c)) * vol)
+        q_field = _drain_flux(aspec, ft, u, h2c)
         q_mag = np.sqrt(np.sum(fv.cell_average(ft, np.abs(q_field)) ** 2, axis=0))
         residual[k] = float(np.sum(np.abs(h1) * q_mag) * vol)
     return ConfinementReport(times, violation, residual, q_field)

@@ -9,18 +9,18 @@ values.  The config is the one source of a run's settings: the command
 line adds only where the files go (``--out``, ``out`` by default) and, for
 ``check``, ``--require-feasible``.  Runs are deterministic: two invocations
 on the same config give byte-identical artifact sets.  The manifest records
-the config hash, the effective config (every block with its defaults, each
-present diagnostics sub-block too), the count of Picard-converged steps of
-each time run or refinement level and the artifact list; wall time goes to
-stderr only.
+the blocks that its command read, with their defaults filled in, the hash of
+that echo, the count of Picard-converged steps of each time run or
+refinement level and the artifact list; wall time goes to stderr only.
 
 Each model datum is a number (a constant), null or a profile block, which
 :func:`_profile` turns into a scalar, a callable of the points or, for a
 ``point`` source or well, a per-cell density; each kind of datum accepts
 its own profiles.  The ``conditions`` (the regularity rows of ``check``),
 ``degiorgi``, ``bounds`` and ``levels`` diagnostics are on when their block
-is present, even empty.  :data:`_COMMANDS` is the one table of the commands
-and the config kinds each accepts.
+is present, even empty.  :data:`_COMMANDS` is the one table of the commands,
+the config kinds each accepts and the blocks it reads of each: a config may
+set only the blocks that some command of its kind reads.
 
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
@@ -156,11 +156,20 @@ _DATUM_PROFILES = {"initial": ("zero", "constant", "sine", "bump"),
 _PROFILES = {"zero": (), "constant": ("value",), "sine": ("amplitude",),
              "bump": ("amplitude", "width", "center"), "point": ("rate", "position")}
 
-# the commands and the config kinds each accepts
-_COMMANDS = {"check": ("generic", "aquifer", "keulegan"), "simulate": ("generic",),
-             "aquifer": ("aquifer", "keulegan"), "keulegan": ("keulegan",),
-             "probe": ("generic",), "sweep": ("aquifer", "keulegan"),
-             "convergence": ("generic",)}
+# command -> config kind it accepts -> the blocks it reads, each a top-level block or a
+# diagnostics sub-block
+_RUN = ("grid", "stepper", "model")
+_COMMANDS = {
+    "check": {"generic": ("grid", "model", "diagnostics.conditions"),
+              **dict.fromkeys(("aquifer", "keulegan"), ("grid", "model"))},
+    "simulate": {"generic": (*_RUN, "diagnostics.degiorgi", "diagnostics.bounds",
+                             "diagnostics.levels")},
+    "aquifer": dict.fromkeys(("aquifer", "keulegan"), _RUN),
+    "keulegan": {"keulegan": _RUN},
+    "probe": {"generic": (*_RUN, "diagnostics.probe")},
+    "sweep": dict.fromkeys(("aquifer", "keulegan"), (*_RUN, "sweep")),
+    "convergence": {"generic": ("stepper", "convergence")},
+}
 
 
 def _type_of(default) -> tuple:
@@ -223,8 +232,8 @@ def _datum(value, kind: str, where: str, grid: Grid):
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario: its grid and stepper, and ``effective``, every block with its
-    defaults filled in, which the manifest echoes."""
+    """Parsed scenario: its grid and stepper, and ``effective``, ``schema``, ``kind`` and
+    every block that a command of its kind reads, with its defaults filled in."""
 
     kind: str
     grid: Grid
@@ -258,6 +267,11 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     top = _checked(raw, "top", "")
     kind = top["kind"]
+    diag = _checked(top["diagnostics"], "diagnostics", "diagnostics")
+    readable = {unit for kinds in _COMMANDS.values() for unit in kinds.get(kind, ())}
+    for name in [*raw, *(f"diagnostics.{sub}" for sub in top["diagnostics"] or {})]:
+        if name not in readable and name not in ("schema", "kind", "diagnostics"):
+            raise ConfigError(f"{name} is read by no command of kind {kind!r}")
     grid_block = _checked(top["grid"], "grid", "grid")
     stepper_block = _checked(top["stepper"], "stepper", "stepper")
     try:
@@ -270,7 +284,6 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         # the confined head coefficient (1 - alpha) h2 vanishes
         raise ConfigError(f"model.alpha must be below 1 for variant {model['variant']!r}, "
                           f"got {model['alpha']!r}")
-    diag = _checked(top["diagnostics"], "diagnostics", "diagnostics")
     for name, block in diag.items():
         if block is not None or _SCHEMA["diagnostics"][name] is not MISSING:
             diag[name] = _checked(block, name, f"diagnostics.{name}", grid)
@@ -282,7 +295,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     degiorgi = diag.get("degiorgi")
     if degiorgi is not None:
         # the level iteration pairs species i with 1 - i
-        if kind == "generic" and model["m"] != 2:
+        if model["m"] != 2:
             raise ConfigError(f"diagnostics.degiorgi needs m = 2, got m = {model['m']!r}")
         # its levels k_n reach m * ell0 from n = ceil(-log2(m_prime)) on
         m_prime = degiorgi["m_prime"]
@@ -290,10 +303,12 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         if degiorgi["n_max"] < n0:
             raise ConfigError(f"diagnostics.degiorgi.n_max must be >= ceil(-log2(m_prime)) = "
                               f"{n0}, got {degiorgi['n_max']!r}")
-    return ScenarioConfig(kind, grid, stepper, {
-        **top, "grid": {"dims": list(grid.dims), "extents": list(grid.extents)},
-        "stepper": stepper_block, "model": model, "diagnostics": diag,
-        **{name: _checked(top[name], name, name) for name in ("convergence", "sweep")}})
+    blocks = {"grid": {"dims": list(grid.dims), "extents": list(grid.extents)},
+              "stepper": stepper_block, "model": model, "diagnostics": diag,
+              **{name: _checked(top[name], name, name) for name in ("convergence", "sweep")}}
+    read = {unit.split(".")[0] for unit in readable}
+    return ScenarioConfig(kind, grid, stepper, {"schema": top["schema"], "kind": kind, **{
+        name: block for name, block in blocks.items() if name in read}})
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +428,6 @@ def convergence_csv(rows: list[dict]) -> str:
     return csv_table(keys, [[r[k] for r in rows] for k in keys])
 
 
-def _manifest_text(manifest: RunManifest, config: ScenarioConfig) -> str:
-    cfg_json = json.dumps(config.effective, sort_keys=True, separators=(",", ":"))
-    lines = [
-        f"command={manifest.command}",
-        f"schema={SCHEMA_VERSION}",
-        f"config_hash={manifest.config_hash}",
-        f"exit_status={manifest.exit_status}",
-    ]
-    if manifest.picard_converged:
-        lines.append("picard_converged=" + ";".join(manifest.picard_converged))
-    lines += [f"config={cfg_json}", "artifacts=" + ";".join(sorted(manifest.artifacts))]
-    return "\n".join(lines) + "\n"
-
-
 def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
                   artifacts: dict[str, str | Iterable[str]], exit_status: int,
                   picard_converged: list[str]) -> RunManifest:
@@ -435,7 +436,9 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
     ``artifacts`` maps file names to a text or to an iterable of text chunks,
     which is rendered as it is written, so only one chunk of a large table is
     alive at a time.  The manifest excludes wall time so identical configs
-    give byte-identical trees.  ``picard_converged`` holds the
+    give byte-identical trees.  Its ``config=`` line, which ``config_hash``
+    hashes, echoes ``schema``, ``kind`` and the blocks of ``config.effective``
+    that ``command`` reads.  ``picard_converged`` holds the
     ``converged/steps`` count of each time run, which the manifest lists
     ``;``-separated.
     """
@@ -452,11 +455,22 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
         chunks = artifacts[name]
         with (out / name).open("w") as f:
             f.writelines([chunks] if isinstance(chunks, str) else chunks)
-    cfg_hash = hashlib.sha256(
-        json.dumps(config.effective, sort_keys=True).encode()).hexdigest()[:16]
-    manifest = RunManifest(cfg_hash, command, names, exit_status, picard_converged)
-    (out / "manifest.txt").write_text(_manifest_text(manifest, config))
-    manifest.artifacts = names + ["manifest.txt"]
+    echo = {"schema": SCHEMA_VERSION, "kind": config.kind}
+    for unit in _COMMANDS[command][config.kind]:
+        name, _, sub = unit.partition(".")
+        if not sub:
+            echo[name] = config.effective[name]
+        elif sub in config.effective[name]:
+            echo.setdefault(name, {})[sub] = config.effective[name][sub]
+    cfg_json = json.dumps(echo, sort_keys=True, separators=(",", ":"))
+    manifest = RunManifest(hashlib.sha256(cfg_json.encode()).hexdigest()[:16], command,
+                           names + ["manifest.txt"], exit_status, picard_converged)
+    lines = [f"command={command}", f"schema={SCHEMA_VERSION}",
+             f"config_hash={manifest.config_hash}", f"exit_status={exit_status}"]
+    if picard_converged:
+        lines.append("picard_converged=" + ";".join(picard_converged))
+    lines += [f"config={cfg_json}", "artifacts=" + ";".join(names)]
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
     return manifest
 
 
@@ -580,6 +594,9 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             block = config.effective["diagnostics"]["probe"]
             pert, disc = diagnostics.disc_perturbation(config.grid, spec.m, block["center"],
                                                        block["radius"], block["amplitude"])
+            if not pert.values.any():
+                raise ConfigError(f"diagnostics.probe perturbs no cell: its amplitude is 0 or "
+                                  f"its disc has no cell inside its boundary ring ({block!r})")
             artifacts["probe.csv"] = diagnostics.uniqueness_probe(
                 spec, config.grid, config.stepper, pert, disc).to_csv()
 
@@ -653,6 +670,8 @@ def _run_convergence(config: ScenarioConfig) -> list[dict]:
             return np.stack([amp[0][0] + amp[0][1] * t * s, amp[1][0] + amp[1][1] * t * s])
         grids = [Grid((nx0 * 2 ** k,) * 2, (1.0, 1.0)) for k in range(block["levels"])]
         options = {}
+        if not grids:
+            raise ConfigError("convergence.levels must be >= 1 for case 'coupled', got 0")
     dts = [block["dt0"] / 4 ** k for k in range(len(grids))]
     return convergence_study(lambda g: spec, exact, grids, dts, block["t_end"], **options)
 

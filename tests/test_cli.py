@@ -47,6 +47,12 @@ def test_minimal_config_gets_defaults(tmp_path):
         "probe": {"amplitude": 1e-3, "radius": 0.2, "center": [0.5]}}
     assert "outputs" not in config.effective
     assert config.effective["convergence"]["dt0"] == 2e-3
+    # effective holds only the blocks that some command of the kind reads
+    assert "sweep" not in config.effective
+    for kind in ("aquifer", "keulegan"):
+        path = write_config(tmp_path, {"schema": 1, "kind": kind})
+        assert set(parse_scenario(path).effective) == {
+            "schema", "kind", "grid", "stepper", "model", "sweep"}
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -90,7 +96,9 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"diagnostics": {"bounds": {"hi": None}}}, "hi"),
     ({"convergence": {"levels": 2.5}}, "levels"),
     ({"convergence": {"dt0": "small"}}, "dt0"),
-    ({"sweep": {"epsilon_list": [0.1, "tiny"]}}, "epsilon_list"),
+    # on an aquifer config run by sweep: a generic config may not set sweep at all
+    ({"kind": "aquifer", "model": None, "sweep": {"epsilon_list": [0.1, "tiny"]}},
+     "epsilon_list"),
     ({"diagnostics": {"degiorgi": {"n_max": 0}}}, "diagnostics.degiorgi.n_max"),
     ({"diagnostics": {"degiorgi": {"m_prime": 1e-9}}}, "diagnostics.degiorgi.n_max"),
     ({"diagnostics": {"degiorgi": {"m": 1.0}}}, "diagnostics.degiorgi.m"),
@@ -129,10 +137,43 @@ def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, n
     for block, entries in update.items():
         cfg[block] = {**cfg.get(block, {}), **entries} if isinstance(entries, dict) else entries
     path = write_config(tmp_path, cfg)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    command = "simulate" if cfg["kind"] == "generic" else "sweep"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
     assert not (tmp_path / "out").exists()
+
+
+AQUIFER = {"schema": 1, "kind": "aquifer", "grid": {"dims": [16]},
+           "stepper": {"dt": 2e-3, "t_end": 6e-3},
+           "model": {"pumping": {"profile": "point", "rate": -0.3}},
+           "sweep": {"epsilon_list": [1e-1, 1e-2]}}
+KEULEGAN = {"schema": 1, "kind": "keulegan", "grid": {"dims": [16]},
+            "stepper": {"dt": 3e-3, "t_end": 9e-3}, "model": {"pump_rate": 0.05},
+            "sweep": {"epsilon_list": [1e-2]}}
+UNREAD = {"convergence": {"case": "coupled"}, "diagnostics.conditions": {},
+          "diagnostics.degiorgi": {"species": 2}, "diagnostics.bounds": None,
+          "diagnostics.levels": {"count": 6}, "diagnostics.probe": {}}
+
+
+@pytest.mark.parametrize("payload, commands, block, value", [
+    *((payload, commands, block, value) for payload, commands in (
+        (AQUIFER, ["check", "aquifer", "sweep"]),
+        (KEULEGAN, ["check", "aquifer", "keulegan", "sweep"])) for block, value in UNREAD.items()),
+    (GENERIC, ["check", "simulate", "probe", "convergence"], "sweep", {"epsilon_list": [1e-2]}),
+])
+def test_blocks_no_command_of_the_kind_reads_rejected(tmp_path, capsys, payload, commands,
+                                                      block, value):
+    # set, even empty or null, is rejected by name before anything is written
+    cfg = json.loads(json.dumps(payload))
+    top, _, sub = block.partition(".")
+    cfg[top] = {sub: value} if sub else value
+    path = write_config(tmp_path, cfg)
+    for command in commands:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {block} is read by no command of kind {cfg['kind']!r}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_empty_diagnostics_blocks_run_with_defaults(tmp_path):
@@ -445,6 +486,23 @@ def test_probe_command_matches_library(tmp_path):
     assert "amplification," in text
 
 
+@pytest.mark.parametrize("grid, probe", [
+    ({"dims": [6, 6]}, {}),  # its 4 disc cells all lie on the disc's boundary ring
+    ({"dims": [10]}, {"radius": -1.0}),
+    ({"dims": [10, 10]}, {"amplitude": 0.0}),
+])
+def test_probe_without_perturbation_rejected(tmp_path, capsys, grid, probe):
+    m = 2 if len(grid["dims"]) == 2 else 1
+    cfg = {"schema": 1, "kind": "generic", "grid": grid,
+           "model": {"m": m, "delta": [1.0] * m, "K": [[1.0] * m] * m},
+           "diagnostics": {"probe": probe}}
+    path = write_config(tmp_path, cfg)
+    assert main(["probe", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: diagnostics.probe perturbs no cell")
+    assert not (tmp_path / "out").exists()
+
+
 def test_keulegan_command_writes_profiles(tmp_path):
     payload = {"schema": 1, "kind": "keulegan",
                "grid": {"dims": [24]},
@@ -503,6 +561,14 @@ def test_convergence_manifest_counts_converged_steps_per_level(tmp_path):
     assert '"dt0":0.004' in manifest and '"t_end":0.04' in manifest
 
 
+def test_convergence_without_grids_rejected(tmp_path, capsys):
+    # the coupled case runs levels grids (heat runs levels + 1), so 0 levels is no study
+    path = write_config(tmp_path, {"convergence": {"case": "coupled", "levels": 0}})
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "convergence.levels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_dir(tmp_path):
     path = write_config(tmp_path, GENERIC)
     blocker = tmp_path / "blocker"
@@ -530,43 +596,69 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 FULL_GENERIC = {**GENERIC, "diagnostics": {
     "conditions": {}, "degiorgi": {"species": 2}, "bounds": {},
-    "levels": {"count": 6}, "probe": {"radius": 0.3}}}
+    "levels": {"count": 6}, "probe": {"radius": 0.3}},
+    "convergence": {"case": "coupled", "levels": 1}}
+BOTH = {"variant": "both"}
 
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _echoed(effective: dict, echo: dict) -> dict:
+    """``effective`` restricted to the blocks of ``echo`` (its diagnostics sub-blocks too)."""
+    return {name: {sub: effective[name][sub] for sub in block} if name == "diagnostics"
+            else effective[name] for name, block in echo.items()}
+
+
+# one case per (command, kind) row of cli._COMMANDS; each payload also sets non-default
+# values in blocks that its kind accepts but its command does not read, except under sweep,
+# which reads every block of its kinds
 @pytest.mark.parametrize("command, payload, block, default", [
     ("simulate", FULL_GENERIC, "diagnostics", {"levels": {"count": 6, "lo": 0.0, "hi": None}}),
-    ("aquifer", {"kind": "aquifer", "grid": {"dims": [16]},
-                 "stepper": {"dt": 2e-3, "t_end": 6e-3},
-                 "model": {"pumping": {"profile": "point", "rate": -0.3}, "variant": "both"}},
+    ("aquifer", {**AQUIFER, "model": {**AQUIFER["model"], **BOTH}},
      "model", {"h2": 1.0, "pumping": {"profile": "point", "rate": -0.3, "position": None}}),
-    ("keulegan", {"kind": "keulegan", "grid": {"dims": [16]},
-                  "stepper": {"dt": 3e-3, "t_end": 9e-3}, "model": {"pump_rate": 0.05}},
-     "model", {"tilt": 0.5, "well_position": None}),
-    ("convergence", {"convergence": {"levels": 1}}, "convergence", {"dt0": 2e-3, "t_end": 0.01}),
-    ("check", {**GENERIC, "diagnostics": {"conditions": {}}}, "diagnostics", {"conditions": {}}),
-    ("sweep", {"kind": "aquifer", "grid": {"dims": [16]}, "stepper": {"dt": 2e-3, "t_end": 6e-3},
-               "model": {"pumping": {"profile": "point", "rate": -0.3}},
-               "sweep": {"epsilon_list": [1e-1, 1e-2]}},
-     "sweep", {"epsilon_list": [1e-1, 1e-2]}),
+    ("keulegan", KEULEGAN, "model", {"tilt": 0.5, "well_position": None}),
+    ("convergence", {**FULL_GENERIC, "convergence": {"levels": 1}}, "convergence",
+     {"dt0": 2e-3, "t_end": 0.01}),
+    ("check", FULL_GENERIC, "diagnostics", {"conditions": {}}),
+    ("sweep", AQUIFER, "sweep", {"epsilon_list": [1e-1, 1e-2]}),
+    ("check", AQUIFER, "model", {"pumping": {"profile": "point", "rate": -0.3, "position": None}}),
+    ("check", KEULEGAN, "model", {"pump_rate": 0.05}),
+    ("probe", FULL_GENERIC, "diagnostics",
+     {"probe": {"amplitude": 1e-3, "radius": 0.3, "center": [0.5, 0.5]}}),
+    ("aquifer", {**KEULEGAN, "model": {**KEULEGAN["model"], **BOTH}}, "model", BOTH),
+    ("sweep", KEULEGAN, "sweep", {"epsilon_list": [1e-2]}),
 ])
 def test_echoed_config_reruns_identically(tmp_path, command, payload, block, default):
     first = write_config(tmp_path, payload)
     assert main([command, "--config", str(first), "--out", str(tmp_path / "a")]) == 0
     manifest = (tmp_path / "a" / "manifest.txt").read_text()
     echoed = next(line for line in manifest.splitlines() if line.startswith("config="))
-    json.loads(echoed[len("config="):], parse_constant=_reject_constant)  # strict JSON
+    echo = json.loads(echoed[len("config="):], parse_constant=_reject_constant)  # strict JSON
     second = tmp_path / "echoed.json"
     second.write_text(echoed[len("config="):])
-    assert default.items() <= json.loads(second.read_text())[block].items()
-    assert parse_scenario(second).effective == parse_scenario(first).effective
+    assert default.items() <= echo[block].items()
+    assert _echoed(parse_scenario(second).effective, echo) == echo
+    assert _echoed(parse_scenario(first).effective, echo) == echo
     assert main([command, "--config", str(second), "--out", str(tmp_path / "b")]) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:  # the manifest too, config_hash included
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_blocks_the_command_does_not_read_leave_the_tree_unchanged(tmp_path):
+    # convergence and the probe settings are read by other commands of the generic kind
+    cfg = {**GENERIC, "diagnostics": {"levels": {"count": 6}}}
+    other = {**cfg, "convergence": {"case": "coupled"},
+             "diagnostics": {**cfg["diagnostics"], "probe": {"amplitude": 1e-2}}}
+    for name, payload in (("a", cfg), ("b", other)):
+        path = write_config(tmp_path, payload, f"{name}.json")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -53,7 +53,7 @@ GOLDEN = {
         "bounds.csv": "2ce9e67cc6efc6a9fb817a8f9bd4261311acaa745f8551b844acbe7e08ad5798",
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
         "levels.csv": "e7b6ce79b127181e11fe5cdbb9630a09516ef937a671ec3925bce948f0f84313",
-        "manifest.txt": "62bfbfe43906be4d65851ce363648efae28d3f3ccdc8946988cb99f44534a174",
+        "manifest.txt": "4cc07fedf04c52e9696d9ce480a527b7f67fe85ada5f239b2555fca9da312705",
         "series.csv": "c10cf477992e8cbec7c10748e87f2d59268fccd5fe9dd9d863d0fd24a1c46917",
         "snapshots.csv": "ed94530d63ba1685d91ebe0fb58a1e42f1ab4550037b1ad7c35705ff304bbcc2",
     },
@@ -63,7 +63,7 @@ GOLDEN = {
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
         "interface_0001.csv": "a98882cd08020b8a79f2cffed91d24a764502bc7470095a17578bf69362b5156",
-        "manifest.txt": "b3ba29707e1493c1a9ffde379089dbf0b8f4616efc40e762437ec77c94d35e43",
+        "manifest.txt": "5718039505cfddc08cad47d959b984a76def629a78c1bbabe991dd203f96cdf7",
         "series.csv": "34fcdeb7545f7d49c7d9e325b40fc73569ec91281f8885f73f070f23a9afbff1",
     },
     "aquifer": {
@@ -72,17 +72,17 @@ GOLDEN = {
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
         "interface_0001.csv": "81164b78b1d18bdc9433c5e4dfe932f91d8e7b3a50d0584029fec4d9ca487907",
-        "manifest.txt": "a1b80ff2acffa61fad958c5cb44f02c2c0288e04312cf4b7e1de2e874905dce1",
+        "manifest.txt": "75006fecf902a8730a02607d78eb4d3ea153ff2c4e9e1b2e199e2f749c8f03d0",
         "series.csv": "e328c7281c858cac3e5cf8b2111c0ee81130a5163dd8e5898be6ae22ea30d1bf",
     },
     "simulate-transform": {
-        "manifest.txt": "5a8fc38f9cbc797f13c21849458ccc3af152cfdb7451c6edf818e48ed92045c9",
+        "manifest.txt": "928cfff2aa444c847de144aeebd2ba03a1c463e79fcfa54107dc0603304bb169",
         "series.csv": "ab9e52e893b751a9bc80d3ae5fa0fe5b34f963dcb769848450777f91c8e20539",
         "snapshots.csv": "4c886a740f378b7e851d126f807a2f64566a2cba239696f58e30c5c3a53b487e",
     },
     "convergence": {
         "convergence.csv": "ed60678eecd6457cc865b6c3c100b6c8b71adfc2ce36863d20dcfaeb8243b8d5",
-        "manifest.txt": "d4f8d0246b3aa2c639b4a1408401761ec9491cb3f13c4fdad40dc915e065ba90",
+        "manifest.txt": "51d2cee339fd90d851eda0aaef0aaf307873f97786b4c18eef0a82fd7d9239bc",
     },
 }
 
