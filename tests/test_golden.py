@@ -50,38 +50,38 @@ CONFIGS = {
 
 GOLDEN = {
     "simulate": {
-        "bounds.csv": "2ce9e67cc6efc6a9fb817a8f9bd4261311acaa745f8551b844acbe7e08ad5798",
+        "bounds.csv": "5a11e2fe919201370dbe1743ed2fe107f469b7a5ec5eae1b861790f2fa064e87",
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
         "levels.csv": "e7b6ce79b127181e11fe5cdbb9630a09516ef937a671ec3925bce948f0f84313",
         "manifest.txt": "4cc07fedf04c52e9696d9ce480a527b7f67fe85ada5f239b2555fca9da312705",
-        "series.csv": "c10cf477992e8cbec7c10748e87f2d59268fccd5fe9dd9d863d0fd24a1c46917",
-        "snapshots.csv": "ed94530d63ba1685d91ebe0fb58a1e42f1ab4550037b1ad7c35705ff304bbcc2",
+        "series.csv": "ceadcb39b3f9c7a034bb353da2d9deb3a3f6bc1e8d857318a9e2414498a0ee5a",
+        "snapshots.csv": "571ba952cdc7795ffc3a9f4e13da33d0406f99dc48327325c0c31911a7d88510",
     },
     "keulegan": {
-        "confined_series.csv": "c9a2328bff160bbb9f1107f1c90d8ff282afc78a8f99c799631cccfc999046ca",
-        "confined_snapshots.csv": "9e563bbafe9831330c0de1729975f5399b7959b7d821da201c7300165ac9a15e",
+        "confined_series.csv": "b429b2c06a9b8b0032668bb1dc3d2d0df64861016b8c3d6fff5dad03e669ce53",
+        "confined_snapshots.csv": "ed733779fe6ce6bc1c13fed98ed094b07b61b47af94fd09ba42f0a6435548394",
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
-        "interface_0001.csv": "a98882cd08020b8a79f2cffed91d24a764502bc7470095a17578bf69362b5156",
+        "interface_0001.csv": "4e8a144eadd21d34d623f177b475e4ac7ffd953821d4556b4b424f83ec3bb98d",
         "manifest.txt": "5718039505cfddc08cad47d959b984a76def629a78c1bbabe991dd203f96cdf7",
-        "series.csv": "34fcdeb7545f7d49c7d9e325b40fc73569ec91281f8885f73f070f23a9afbff1",
+        "series.csv": "f83be6769a2bdd06b039957fe1b53077fdb77d87486ad0393c7a834fa15f4016",
     },
     "aquifer": {
-        "confined_series.csv": "a25d14e11e823521d99b0cbfc82ffae4487ad42ec427e1e5236c5ce0d501d2cc",
-        "confined_snapshots.csv": "f8ca4d3e7355904d39f36ae3170bb956f80cc78dcaefd3996501cbc583206e32",
+        "confined_series.csv": "333dcb57536a68e8328909d50cf1fa26ad52999c2a6b1b4c83dd39611cfeb927",
+        "confined_snapshots.csv": "f57b70a21b72c67193ba46c50ace1a95175bbdd7e666813c2e99d766ca5f2e05",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "81164b78b1d18bdc9433c5e4dfe932f91d8e7b3a50d0584029fec4d9ca487907",
+        "interface_0001.csv": "f26355546eb274f271484a369c21255c4128f79adad73e774c718650d7f7064b",
         "manifest.txt": "75006fecf902a8730a02607d78eb4d3ea153ff2c4e9e1b2e199e2f749c8f03d0",
-        "series.csv": "e328c7281c858cac3e5cf8b2111c0ee81130a5163dd8e5898be6ae22ea30d1bf",
+        "series.csv": "4898493abe484f3d0f6eea003ed1cec31c26e2f4706b699d4d93e72a0e93f509",
     },
     "simulate-transform": {
         "manifest.txt": "928cfff2aa444c847de144aeebd2ba03a1c463e79fcfa54107dc0603304bb169",
-        "series.csv": "ab9e52e893b751a9bc80d3ae5fa0fe5b34f963dcb769848450777f91c8e20539",
-        "snapshots.csv": "4c886a740f378b7e851d126f807a2f64566a2cba239696f58e30c5c3a53b487e",
+        "series.csv": "cf46ecc90da1c88a09b5939ae600106f54dd3843eef65069ab39b5aa346c601a",
+        "snapshots.csv": "9e5481c1f837680167976911004eac58610167d09b8e92b57338b8c29da982e2",
     },
     "convergence": {
-        "convergence.csv": "ed60678eecd6457cc865b6c3c100b6c8b71adfc2ce36863d20dcfaeb8243b8d5",
+        "convergence.csv": "e087aad401ddb80f46dbedfd1ed5db7e4bcb032438ccf01b07f4007c7f17f19f",
         "manifest.txt": "51d2cee339fd90d851eda0aaef0aaf307873f97786b4c18eef0a82fd7d9239bc",
     },
 }
