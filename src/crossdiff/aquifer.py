@@ -74,7 +74,7 @@ HIERARCHY_TOL = 1e-9
 
 
 class EllipticSolveError(SolverFailure):
-    """Failure of the hydraulic-head elliptic solve (confined variant)."""
+    """Failure of the initial hydraulic-head elliptic solve (confined variant), at time 0."""
 
 
 def _u0(x):
@@ -477,7 +477,7 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     _add_head_terms(builder, 0, _head_faces(aspec, ft), phi_trace,
                     aspec.pumping_values(0.0, ft.centers))
     try:
-        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol, cfg.lin_max)[0]
+        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol)[0]
     except SolverFailure as exc:
         raise EllipticSolveError(str(exc), residual=exc.residual, time=0.0) from exc
 

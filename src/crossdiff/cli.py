@@ -168,7 +168,7 @@ _COMMANDS = {
     "keulegan": {"keulegan": _RUN},
     "probe": {"generic": (*_RUN, "diagnostics.probe")},
     "sweep": dict.fromkeys(("aquifer", "keulegan"), (*_RUN, "sweep")),
-    "convergence": {"generic": ("stepper", "convergence")},
+    "convergence": {"generic": ("convergence",)},
 }
 
 
@@ -658,7 +658,7 @@ def _run_convergence(config: ScenarioConfig) -> list[dict]:
         def exact(t, pts):
             return (np.exp(-np.pi ** 2 * t) * np.sin(np.pi * pts[:, 0]))[None, :]
         grids = [Grid((nx0 * 2 ** k,), (1.0,)) for k in range(block["levels"] + 1)]
-        options = {"manufacture": False, "lin_tol": config.stepper.lin_tol}
+        options = {"manufacture": False}
     else:
         spec = ModelSpec(m=2, delta=[1.0, 0.8],
                          K=[[iso(1.0, 2), iso(0.5, 2)], [iso(0.5, 2), iso(1.0, 2)]],

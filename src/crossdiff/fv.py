@@ -57,8 +57,8 @@ from .model import Grid
 class SolverFailure(RuntimeError):
     """Linear solver did not reach its tolerance.
 
-    ``time`` is the failing step's target time; run loops attach the
-    trajectory completed so far as ``partial``.
+    The run loop that catches it sets ``time``, the failing step's target time
+    (None outside a run), and attaches the trajectory so far as ``partial``.
     """
 
     def __init__(self, message: str, residual: float = float("nan"), time: float | None = None):
@@ -479,8 +479,9 @@ DIRECT_MAX_UNKNOWNS = 1024
 # next solve refactor the species blocks from its own matrix.
 REFACTOR_AFTER = 30
 
-# Inner GMRES iterations per restart cycle (capped by the call's ``maxiter``).
+# GMRES inner iterations per restart cycle, and restart cycles per call (6000 in all).
 GMRES_RESTART = 60
+GMRES_CYCLES = 100
 
 # Column ordering of every SuperLU factor: the two-point blocks are
 # structurally symmetric, and minimum degree on A^T + A fills them less than
@@ -512,11 +513,11 @@ ORDERING = "MMD_AT_PLUS_A"
 TRANSFORM_MIN_CELLS = {1: math.inf, 2: 72 * 72}
 
 
-def _factor(a: sparse.spmatrix, time: float | None):
+def _factor(a: sparse.spmatrix):
     try:
         return spla.splu(a.tocsc(), permc_spec=ORDERING)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverFailure(f"sparse factorization failed: {exc}", time=time) from exc
+        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -563,8 +564,7 @@ class _TransformInverse:
     scale raises :class:`SolverFailure`.
     """
 
-    def __init__(self, block: sparse.csr_matrix, grid: Grid, k: int, dirichlet: bool,
-                 time: float | None):
+    def __init__(self, block: sparse.csr_matrix, grid: Grid, k: int, dirichlet: bool):
         # imported here: scipy.fft imports scipy.special, a cost only these runs pay
         from scipy import fft
         ft = face_table(grid)
@@ -582,7 +582,7 @@ class _TransformInverse:
         if not (np.all(np.isfinite(eig)) and np.all(eig != 0.0)
                 and np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
             raise SolverFailure(f"fast-transform fit of species block {k} is singular "
-                                f"or not finite", time=time)
+                                f"or not finite")
         self.shape = grid.dims
         self.inv_eig = 1.0 / eig
         self.inv_scale = 1.0 / scale
@@ -621,21 +621,21 @@ class BlockFactors:
         self.refactored = False
         self.b_norm = 0.0
 
-    def preconditioner(self, a: sparse.csr_matrix, time: float | None) -> spla.LinearOperator:
+    def preconditioner(self, a: sparse.csr_matrix) -> spla.LinearOperator:
         self.refactored = self.blocks is None or self.iters > REFACTOR_AFTER
         if self.refactored:
             n = self.grid.n_cells
             blocks = [a[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(self.m)]
             self.blocks = None  # free the old inverses before building new ones
             if n < TRANSFORM_MIN_CELLS[self.grid.ndim]:
-                self.blocks = [_factor(block, time) for block in blocks]
+                self.blocks = [_factor(block) for block in blocks]
             else:
                 # a Dirichlet block is one whose assembly recorded a face term on the
                 # boundary faces (SystemBuilder.matrix); a matrix built elsewhere records none
                 ni = face_table(self.grid).n_interior
                 dirichlet = {t[1] for t in getattr(a, "terms", ())
                              if t[0] == "face" and t[1] == t[2] and t[3] > ni}
-                self.blocks = [_TransformInverse(block, self.grid, k, k in dirichlet, time)
+                self.blocks = [_TransformInverse(block, self.grid, k, k in dirichlet)
                                for k, block in enumerate(blocks)]
         self.iters = 0
         return spla.LinearOperator(a.shape, matvec=self._apply, dtype=float)
@@ -647,20 +647,20 @@ class BlockFactors:
                                for k, lu in enumerate(self.blocks)])
 
 
-def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
-                 time: float | None = None,
+def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
                  x0: np.ndarray | None = None,
                  factors: BlockFactors | None = None) -> tuple[np.ndarray, float]:
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
 
     Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns, and every
     system solved without a ``factors`` holder, take a SuperLU solve.  Larger
-    ones take restarted GMRES, at most ``maxiter`` inner iterations per call,
-    preconditioned by the species-block factors held in ``factors``.  The
-    preconditioned stopping test can be optimistic, so the true residual is
-    verified and the iteration continued once at a tighter tolerance.
-    Either way a residual above ``tol``, a singular or a non-finite system
-    raises :class:`SolverFailure`, which carries the final relative residual.
+    ones take restarted GMRES, :data:`GMRES_RESTART` inner iterations per
+    cycle and at most :data:`GMRES_CYCLES` cycles per call, preconditioned by
+    the species-block factors held in ``factors``.  The preconditioned
+    stopping test can be optimistic, so the true residual is verified and the
+    iteration continued once at a tighter tolerance.  Either way a residual
+    above ``tol``, a singular or a non-finite system raises
+    :class:`SolverFailure`, which carries the final relative residual.
     """
     bnorm = float(np.linalg.norm(b))
     direct = factors is None or a.shape[0] <= DIRECT_MAX_UNKNOWNS
@@ -671,23 +671,21 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, maxiter: int,
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
     if direct:
-        x = _factor(a, time).solve(b)
+        x = _factor(a).solve(b)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol:
             return x, residual
     else:
-        precond = factors.preconditioner(a, time)
-        restart = max(1, min(GMRES_RESTART, maxiter))
-        outer = max(1, int(np.ceil(maxiter / restart)))
+        precond = factors.preconditioner(a)
         x = x0
         rtol = tol
         for _ in range(2):
             x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=0.0,
-                                  restart=restart, maxiter=outer, M=precond)
+                                  restart=GMRES_RESTART, maxiter=GMRES_CYCLES, M=precond)
             residual = float(np.linalg.norm(b - a @ x)) / bnorm
             if residual <= tol:
                 return x, residual
             rtol = tol * 2e-2
     raise SolverFailure(
         f"linear solver stalled at relative residual {residual:.3e} (tol {tol:.3e})",
-        residual=residual, time=time)
+        residual=residual)

@@ -82,13 +82,13 @@ class StepperConfig:
     last four states and every sweep after a step's second from the Anderson
     mix of its latest sweeps (see :func:`_integrate`), so on a smooth run most
     steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
-    linear solve, the same on every sweep;
-    ``lin_max`` caps the inner GMRES iterations per call and so applies to
-    systems above ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or
-    more at m = 2), which are solved by GMRES preconditioned with the run's
-    species-block inverses: SuperLU factors, or on 2D grids of 72x72 or more
-    fast transforms of a constant-coefficient fit, which takes up to about
-    30 % more iterations than the factors.
+    linear solve, the same on every sweep.  Systems above
+    ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or more at m = 2)
+    are solved by GMRES, at most ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner
+    iterations per call, preconditioned with the run's species-block
+    inverses: SuperLU factors, or on 2D grids of 72x72 or more fast
+    transforms of a constant-coefficient fit, which takes up to about 30 %
+    more iterations than the factors.
     """
 
     dt: float
@@ -96,7 +96,6 @@ class StepperConfig:
     picard_tol: float = 1e-2
     picard_max: int = 10
     lin_tol: float = 1e-10
-    lin_max: int = 6000
     snapshot_every: int = 1
 
     def __post_init__(self):
@@ -113,7 +112,7 @@ class StepperConfig:
                 f"picard_tol must lie in (0, 1), a fraction of the step, got {self.picard_tol!r}")
         if not self.lin_tol > 0.0:
             raise InvalidParameterError(f"lin_tol must be positive, got {self.lin_tol!r}")
-        for name in ("picard_max", "lin_max", "snapshot_every"):
+        for name in ("picard_max", "snapshot_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
@@ -264,7 +263,8 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     and whether it refactored go into its stats, with ``first_change``, the first
     sweep's change over the step's (how far the predictor missed), and
     ``mixed_sweeps``, the sweeps that started from a mix.  ``to_record`` maps a state to the
-    recorded values; a :class:`SolverFailure` leaves with the trajectory so far as ``partial``.
+    recorded values; a :class:`SolverFailure` leaves with the failing step's target time as
+    ``time`` and the trajectory so far as ``partial``.
     """
     vol = grid.cell_volume
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
@@ -305,9 +305,8 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                     st["mixed_sweeps"] += 1
                 builder = sweep(u_lag)
                 x, st["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs,
-                                                        cfg.lin_tol, cfg.lin_max, time=t_new,
-                                                        x0=builder.to_unknowns(u_lag),
-                                                        factors=factors)
+                                                        cfg.lin_tol, builder.to_unknowns(u_lag),
+                                                        factors)
                 st["lin_iters"] += factors.iters
                 st["refactored"] = st["refactored"] or factors.refactored
                 st["b_norm"] = factors.b_norm
@@ -469,18 +468,17 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
                       exact_solution: Callable[[float, np.ndarray], np.ndarray],
                       grids: Sequence[Grid], dts: Sequence[float],
                       t_end: float, *,
-                      manufacture: bool = True,
-                      lin_tol: float = 1e-12,
-                      picard_max: int = 3) -> list[dict]:
+                      manufacture: bool = True) -> list[dict]:
     """Refinement table of final-time errors against an exact solution.
 
     Each level is a :func:`run` (second order in space on smooth data), with
     initial and Dirichlet data from ``exact_solution`` and, when
     ``manufacture`` is set, forcing from :func:`manufactured_forcing`.
-    Each step sweeps until its change is 1e-12 of the step (``picard_tol``,
-    relative to the step) or below what ``lin_tol`` resolves, within
-    ``picard_max`` sweeps; each row's ``picard_converged`` is the level's
-    ``converged/steps`` count of steps that met that rule.
+    The study's solver settings are fixed: each step sweeps until its change
+    is 1e-12 of the step (``picard_tol``, relative to the step) or below what
+    a linear solve to ``lin_tol`` 1e-12 resolves, within ``picard_max`` 3
+    sweeps; each row's ``picard_converged`` is the level's ``converged/steps``
+    count of steps that met that rule.
     Observed orders are computed between consecutive rows against the mesh
     width when it changes, against dt when only dt changes; a row with no
     measured order (the coarsest level, a degenerate refinement or a zero
@@ -503,9 +501,8 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
                    if manufacture else spec.sources)
         spec = replace(spec, initial=[initial(i) for i in range(m)],
                        dirichlet=[dirichlet(i) for i in range(m)], sources=sources)
-        cfg = StepperConfig(dt=dt, t_end=t_end, lin_tol=lin_tol,
-                            picard_max=picard_max, picard_tol=1e-12,
-                            snapshot_every=10 ** 9)
+        cfg = StepperConfig(dt=dt, t_end=t_end, lin_tol=1e-12, picard_max=3,
+                            picard_tol=1e-12, snapshot_every=10 ** 9)
         result = run(spec, grid, cfg)
         u_h = result.snapshots[-1].values
         u_ex = exact_solution(result.times[-1], grid.cell_centers())

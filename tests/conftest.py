@@ -33,6 +33,19 @@ def grid_1d() -> Grid:
 
 
 @pytest.fixture
+def failing_initial_head(monkeypatch):
+    """Fail every solve without kept factors: of a run, only the confined head solve at t = 0."""
+    from crossdiff import fv
+    solve = fv.solve_sparse
+
+    def failing(a, b, tol, x0=None, factors=None):
+        if factors is None:
+            raise fv.SolverFailure("stalled", residual=0.5)
+        return solve(a, b, tol, x0, factors)
+    monkeypatch.setattr(fv, "solve_sparse", failing)
+
+
+@pytest.fixture
 def singular_confined_step(monkeypatch):
     """Zero the matrix of every coupled step of the confined aquifer variant."""
     from crossdiff import aquifer

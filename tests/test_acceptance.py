@@ -95,7 +95,7 @@ def test_criterion_3_decoupled_oracle():
     dts = [2e-3 / 4 ** k for k in range(4)]
     t0 = time.perf_counter()
     rows = convergence_study(factory, exact, grids, dts, t_end=0.01,
-                             manufacture=False, lin_tol=1e-12)
+                             manufacture=False)
     elapsed = time.perf_counter() - t0
 
     orders = [row["order_inf"] for row in rows[1:]]

@@ -414,6 +414,17 @@ def test_confined_failure_keeps_partial(grid_48, singular_confined_step):
     assert list(info.value.partial.times) == [0.0]
 
 
+def test_initial_head_failure_is_an_elliptic_solve_error_at_time_zero(grid_48,
+                                                                     failing_initial_head):
+    spec = aq.keulegan_scenario(grid_48, pump_rate=0.05, tilt=0.4)
+    with pytest.raises(aq.EllipticSolveError) as info:
+        aq.run_confined_aquifer(spec, grid_48, StepperConfig(dt=3e-3, t_end=9e-3))
+    assert info.value.time == 0.0
+    assert info.value.residual == 0.5
+    assert info.value.partial is None
+    assert isinstance(info.value.__cause__, SolverFailure)
+
+
 def counting_dirichlet_spec(grid, calls):
     """Dirichlet spec whose traces and pumping record the time of every call by name."""
     def counting(name, value):
@@ -611,6 +622,42 @@ def test_sweep_violation_decays(grid_48):
     assert v[0] > 0.0
     assert v[1] <= v[0]
     assert report.fit_exponent > 0.0
+
+
+def _penalized_failing_at(monkeypatch, failing):
+    """Stand in for run_penalized: a violation eps**1.5, and a SolverFailure at each eps in
+    ``failing``, which is returned so that a test can check what is raised."""
+    errors = {e: SolverFailure(f"stalled at epsilon {e}") for e in failing}
+
+    def run_penalized(spec, grid, cfg):
+        if spec.epsilon in errors:
+            raise errors[spec.epsilon]
+        return None, aq.ConfinementReport(np.zeros(1), np.full(1, spec.epsilon ** 1.5),
+                                          np.zeros(1), np.zeros(1))
+
+    monkeypatch.setattr(aq, "run_penalized", run_penalized)
+    return errors
+
+
+def test_sweep_keeps_the_rows_of_failed_epsilons(grid_48, monkeypatch):
+    _penalized_failing_at(monkeypatch, [1e-2])
+    spec = dirichlet_spec(grid_48)
+    report = aq.epsilon_sweep(spec, grid_48, StepperConfig(dt=2e-3, t_end=1e-2),
+                              [1e-1, 1e-2, 1e-3])
+    assert [e["epsilon"] for e in report.entries] == [1e-1, 1e-2, 1e-3]
+    assert [e["error"] for e in report.entries] == [None, "stalled at epsilon 0.01", None]
+    assert math.isnan(report.entries[1]["violation"]) and math.isnan(report.entries[1]["residual"])
+    assert report.violations() == pytest.approx([1e-1 ** 1.5, 1e-3 ** 1.5])
+    # the fit runs over the two successful entries only
+    assert report.fit_exponent == pytest.approx(1.5)
+
+
+def test_sweep_reraises_the_first_failure_when_every_epsilon_fails(grid_48, monkeypatch):
+    errors = _penalized_failing_at(monkeypatch, [1e-1, 1e-2])
+    spec = dirichlet_spec(grid_48)
+    with pytest.raises(SolverFailure) as info:
+        aq.epsilon_sweep(spec, grid_48, StepperConfig(dt=2e-3, t_end=1e-2), [1e-1, 1e-2])
+    assert info.value is errors[1e-1]
 
 
 def test_drain_supported_where_table_vanishes(grid_48):

@@ -2,10 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossdiff import aquifer as aq
 from crossdiff import diagnostics as diag
+from crossdiff import fv
 from crossdiff.cli import (ConfigError, build_aquifer_spec, build_generic_spec, main,
                            parse_scenario)
 from crossdiff.model import Grid, point_density
@@ -60,6 +62,14 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="foo"):
         parse_scenario(path)
     assert main(["check", "--config", str(path)]) == 2
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1]")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: top level must be an object\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_nested_key_rejected(tmp_path):
@@ -131,6 +141,13 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"coefficient_mode": "raw"}}, "'coefficient_mode'"),
     ({"outputs": {"directory": "elsewhere"}}, "'outputs'"),
     ({"diagnostics": {"conditions": {"g_s": 1.0}}}, "'g_s'"),
+    ({"model": {"initial": 0.5}}, "model.initial must be a list of one datum per species"),
+    ({"model": {"initial": ["high", 0.0]}},
+     "model.initial must be a number, null or a profile object"),
+    ({"model": {"dirichlet": [{"value": 0.0}, 0.0]}}, "dirichlet profile needs a 'profile' name"),
+    ({"stepper": {"lin_max": 6000}}, "unknown key 'lin_max' in stepper"),
+    ({"kind": "aquifer", "model": None, "sweep": {"epsilon_list": []}},
+     "sweep needs a nonempty sweep.epsilon_list"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))
@@ -218,6 +235,29 @@ def test_point_profiles_are_point_densities(tmp_path):
     aspec = build_aquifer_spec(parse_scenario(write_config(tmp_path, aquifer, "aq.json")))
     assert aspec.pumping.tobytes() == point_density(Grid((8, 6), (1.0, 1.0)), [0.5, 0.5],
                                                     -0.3).tobytes()
+
+
+def test_zero_constant_and_bump_profiles_take_their_closed_forms(tmp_path):
+    cfg = json.loads(json.dumps(GENERIC))
+    # width 0.05 about the centre leaves exp(-50) of the amplitude at the boundary,
+    # so the bump meets the zero trace
+    cfg["model"].update(
+        initial=[{"profile": "bump", "amplitude": 0.7, "width": 0.05},
+                 {"profile": "constant", "value": 0.4}],
+        dirichlet=[{"profile": "zero"}, {"profile": "constant", "value": 0.4}],
+        sources=[{"profile": "zero"}, {"profile": "constant", "value": -0.2}])
+    path = write_config(tmp_path, cfg)
+    spec = build_generic_spec(parse_scenario(path))
+    pts = Grid((10, 10), (1.0, 1.0)).cell_centers()
+    r2 = np.sum((pts - 0.5) ** 2, axis=1)
+    assert np.array_equal(spec.initial_values(0, pts), 0.7 * np.exp(-r2 / (2.0 * 0.05 ** 2)))
+    assert np.array_equal(spec.initial_values(1, pts), np.full(100, 0.4))
+    assert np.array_equal(spec.dirichlet_values(0, 0.0, pts), np.zeros(100))
+    assert np.array_equal(spec.dirichlet_values(1, 0.0, pts), np.full(100, 0.4))
+    u = np.ones(100)
+    assert np.array_equal(spec.source_values(0, 0.0, pts, u), np.zeros(100))
+    assert np.array_equal(spec.source_values(1, 0.0, pts, u), np.full(100, -0.2))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("block, datum, name", [
@@ -410,10 +450,13 @@ def test_zero_horizon_single_snapshot(tmp_path):
     assert len(lines) == 1 + 2 * 100  # header + m * n_cells rows, one snapshot
 
 
-def test_solver_failure_exit_one_with_partial(tmp_path):
+def test_solver_failure_exit_one_with_partial(tmp_path, monkeypatch):
+    # one GMRES iteration per call, so the stiff step stalls at once
+    monkeypatch.setattr(fv, "GMRES_RESTART", 1)
+    monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     cfg = json.loads(json.dumps(GENERIC))
     cfg["grid"] = {"dims": [24, 24], "extents": [1.0, 1.0]}
-    cfg["stepper"] = {"dt": 1e6, "t_end": 2e6, "lin_tol": 1e-14, "lin_max": 1}
+    cfg["stepper"] = {"dt": 1e6, "t_end": 2e6, "lin_tol": 1e-14}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
@@ -538,6 +581,62 @@ def test_sweep_command(tmp_path):
     assert "fit_exponent" in text
 
 
+def _penalized_failing_at(monkeypatch, failing):
+    run_penalized = aq.run_penalized
+
+    def run(spec, grid, cfg):
+        if spec.epsilon in failing:
+            raise fv.SolverFailure(f"stalled at epsilon {spec.epsilon}")
+        return run_penalized(spec, grid, cfg)
+    monkeypatch.setattr(aq, "run_penalized", run)
+
+
+def test_sweep_with_a_failed_epsilon_exits_one_and_keeps_its_row(tmp_path, monkeypatch):
+    _penalized_failing_at(monkeypatch, [1e-2])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, AQUIFER)),
+                 "--out", str(out)]) == 1
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "epsilon,violation,residual,error"
+    assert rows[1].startswith("0.1,") and rows[1].endswith(",")
+    assert rows[2] == "0.01,nan,nan,stalled at epsilon 0.01"
+    assert rows[-1] == "fit_exponent,nan"  # one successful epsilon fits no exponent
+    assert "exit_status=1" in (out / "manifest.txt").read_text()
+    assert not (out / "error.txt").exists()
+
+
+def test_sweep_with_every_epsilon_failed_writes_the_first_error(tmp_path, monkeypatch):
+    _penalized_failing_at(monkeypatch, [1e-1, 1e-2])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, AQUIFER)),
+                 "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt", "manifest.txt"]
+    assert (out / "error.txt").read_text() == "solver failure at t=None: stalled at epsilon 0.1\n"
+
+
+def test_initial_head_failure_keeps_the_penalized_run(tmp_path, failing_initial_head):
+    payload = {**KEULEGAN, "model": {"pump_rate": 0.05, "variant": "both"}}
+    out = tmp_path / "out"
+    assert main(["keulegan", "--config", str(write_config(tmp_path, payload)),
+                 "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text() == "solver failure at t=0.0: stalled\n"
+    names = {p.name for p in out.iterdir()}
+    assert {"series.csv", "confinement.csv", "interface_0000.csv"} <= names
+    assert not any(name.startswith("confined_") for name in names)
+    manifest = (out / "manifest.txt").read_text()
+    assert "exit_status=1" in manifest and "picard_converged=3/3\n" in manifest
+
+
+def test_infeasible_degiorgi_budget_writes_only_the_header(tmp_path):
+    # s = 3 on a 2D grid leaves the level iteration no exponent budget (zeta <= 0)
+    cfg = {**json.loads(json.dumps(GENERIC)), "diagnostics": {"degiorgi": {"s": 3.0}}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
+    assert (out / "degiorgi.csv").read_text().splitlines() == [
+        ",".join(diag.DeGiorgiTrace.COLUMNS), "# infeasible budget (zeta <= 0)"]
+
+
 def test_convergence_command(tmp_path):
     payload = {"schema": 1, "kind": "generic",
                "convergence": {"case": "heat", "levels": 2, "nx0": 8, "dt0": 2e-3}}
@@ -649,17 +748,24 @@ def test_echoed_config_reruns_identically(tmp_path, command, payload, block, def
 
 
 def test_blocks_the_command_does_not_read_leave_the_tree_unchanged(tmp_path):
-    # convergence and the probe settings are read by other commands of the generic kind
+    # each pair differs only in blocks that other commands of the generic kind read:
+    # convergence and the probe settings for simulate, the stepper for convergence
     cfg = {**GENERIC, "diagnostics": {"levels": {"count": 6}}}
-    other = {**cfg, "convergence": {"case": "coupled"},
-             "diagnostics": {**cfg["diagnostics"], "probe": {"amplitude": 1e-2}}}
-    for name, payload in (("a", cfg), ("b", other)):
-        path = write_config(tmp_path, payload, f"{name}.json")
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 0
-    names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    for name in names:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    study = {"schema": 1, "kind": "generic", "convergence": {"case": "heat", "levels": 1}}
+    pairs = [("simulate", cfg, {**cfg, "convergence": {"case": "coupled"},
+                                "diagnostics": {**cfg["diagnostics"],
+                                                "probe": {"amplitude": 1e-2}}}),
+             ("convergence", study, {**study, "stepper": {"dt": 0.5, "picard_max": 1,
+                                                          "lin_tol": 1e-6}})]
+    for command, payload, other in pairs:
+        runs = [tmp_path / command / name for name in ("a", "b")]
+        for out, data in zip(runs, (payload, other)):
+            path = write_config(tmp_path, data, f"{command}-{out.name}.json")
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:  # the manifest too, config_hash included
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_readme_minimal_scenario_checks(tmp_path):

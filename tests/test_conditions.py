@@ -124,6 +124,22 @@ def test_regularity_worked_example_fail():
         assert r.lhs == 0.75 and r.rhs == 0.5 and not r.passed
 
 
+def test_regularity_nonsymmetric_diagonal_tensor_takes_the_meyers_shift():
+    # K_11 has the symmetric part I, so K_11+ = 1: alpha = 1, beta = 2, and the shift
+    # c = (beta^2 - alpha^2) / (2 alpha) + 0.1 alpha = 1.6 gives
+    # (beta + c)(mu - nu) / (2 ell) = (alpha + c - sqrt(beta^2 + c^2)) / 2
+    k11 = CrossTensor(((1.0, 0.4), (-0.4, 1.0)))
+    iso = CrossTensor.isotropic
+    spec = ModelSpec(m=2, delta=(1.0, 1.0), K=[[k11, iso(0.01, 2)], [iso(0.25, 2), iso(1.0, 2)]],
+                     ell=1.0, domain=(1.0, 1.0), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
+    shifted, symmetric = check_regularity(spec)
+    assert shifted.lhs == 0.01
+    assert shifted.rhs == pytest.approx((2.6 - math.sqrt(6.56)) / 2.0, rel=1e-14)
+    assert shifted.passed
+    # the symmetric K_22 takes no shift, as in the worked example
+    assert (symmetric.lhs, symmetric.rhs) == (0.25, 0.5)
+
+
 def test_regularity_infeasible_without_diffusivity():
     # a symmetric K_ii with delta_i = 0 gives mu_i = nu_i = 0, so no bound holds
     kii = CrossTensor(((1.0, 0.3), (0.3, 1.0)))

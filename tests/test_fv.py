@@ -132,5 +132,5 @@ def test_transform_inverts_a_constant_coefficient_block_exactly(monkeypatch, gri
         builder.add_tpfa(0, 0, np.full(ft.n_interior, 0.7), None)
     a = builder.matrix()
     x = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_cells)
-    precond = fv.BlockFactors(1, grid).preconditioner(a, None)
+    precond = fv.BlockFactors(1, grid).preconditioner(a)
     assert np.max(np.abs(precond.matvec(a @ x) - x)) <= 1e-12

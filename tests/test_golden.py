@@ -53,7 +53,7 @@ GOLDEN = {
         "bounds.csv": "5a11e2fe919201370dbe1743ed2fe107f469b7a5ec5eae1b861790f2fa064e87",
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
         "levels.csv": "e7b6ce79b127181e11fe5cdbb9630a09516ef937a671ec3925bce948f0f84313",
-        "manifest.txt": "4cc07fedf04c52e9696d9ce480a527b7f67fe85ada5f239b2555fca9da312705",
+        "manifest.txt": "d93c29c0168233cdfb1fe9c5c6188cb4818add95c5196ad1d0e68b3919241e87",
         "series.csv": "ceadcb39b3f9c7a034bb353da2d9deb3a3f6bc1e8d857318a9e2414498a0ee5a",
         "snapshots.csv": "571ba952cdc7795ffc3a9f4e13da33d0406f99dc48327325c0c31911a7d88510",
     },
@@ -63,7 +63,7 @@ GOLDEN = {
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
         "interface_0001.csv": "4e8a144eadd21d34d623f177b475e4ac7ffd953821d4556b4b424f83ec3bb98d",
-        "manifest.txt": "5718039505cfddc08cad47d959b984a76def629a78c1bbabe991dd203f96cdf7",
+        "manifest.txt": "320cc77371f710bb60bc01d216fe7fd49b106efb94a9b7ec5712f5d364cbe2d6",
         "series.csv": "f83be6769a2bdd06b039957fe1b53077fdb77d87486ad0393c7a834fa15f4016",
     },
     "aquifer": {
@@ -72,17 +72,17 @@ GOLDEN = {
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
         "interface_0001.csv": "f26355546eb274f271484a369c21255c4128f79adad73e774c718650d7f7064b",
-        "manifest.txt": "75006fecf902a8730a02607d78eb4d3ea153ff2c4e9e1b2e199e2f749c8f03d0",
+        "manifest.txt": "dc7c75b2196b437b47b5dc7a20890bf12df6bc4ebdd492faf3fe8f85b84022b9",
         "series.csv": "4898493abe484f3d0f6eea003ed1cec31c26e2f4706b699d4d93e72a0e93f509",
     },
     "simulate-transform": {
-        "manifest.txt": "928cfff2aa444c847de144aeebd2ba03a1c463e79fcfa54107dc0603304bb169",
+        "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",
         "series.csv": "cf46ecc90da1c88a09b5939ae600106f54dd3843eef65069ab39b5aa346c601a",
         "snapshots.csv": "9e5481c1f837680167976911004eac58610167d09b8e92b57338b8c29da982e2",
     },
     "convergence": {
         "convergence.csv": "e087aad401ddb80f46dbedfd1ed5db7e4bcb032438ccf01b07f4007c7f17f19f",
-        "manifest.txt": "51d2cee339fd90d851eda0aaef0aaf307873f97786b4c18eef0a82fd7d9239bc",
+        "manifest.txt": "0c440961574f74da54c627113ef430943f6be83e1f5997eed19d00d5acb9326d",
     },
 }
 

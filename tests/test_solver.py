@@ -128,7 +128,7 @@ def test_heat_limit_convergence_orders():
     grids = [Grid((n,), (1.0,)) for n in (8, 16, 32, 64)]
     dts = [2e-3 / 4 ** k for k in range(4)]
     rows = convergence_study(lambda g: heat_spec_1d(), heat_exact, grids, dts,
-                             t_end=0.01, manufacture=False, lin_tol=1e-12)
+                             t_end=0.01, manufacture=False)
     for row in rows[1:]:
         assert row["order_inf"] >= 1.8
         assert row["order_l2"] >= 1.8
@@ -138,7 +138,7 @@ def test_heat_temporal_order():
     grids = [Grid((256,), (1.0,))] * 3
     dts = [1e-3, 5e-4, 2.5e-4]
     rows = convergence_study(lambda g: heat_spec_1d(), heat_exact, grids, dts,
-                             t_end=0.01, manufacture=False, lin_tol=1e-12)
+                             t_end=0.01, manufacture=False)
     for row in rows[1:]:
         assert row["order_inf"] >= 0.9
 
@@ -381,11 +381,14 @@ def test_source_evaluated_once_per_step(grid_12):
                                                              * grid_12.cell_volume))
 
 
-def test_solver_failure_carries_partialresult():
+def test_solver_failure_carries_partialresult(monkeypatch):
+    # one GMRES iteration per call, so the stiff step stalls at once
+    monkeypatch.setattr(fv, "GMRES_RESTART", 1)
+    monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     grid = Grid((32, 32), (1.0, 1.0))
     spec = coupled_spec_2d()
     spec.initial = (product_sine(1.0), product_sine(0.8))
-    cfg = StepperConfig(dt=1e6, t_end=2e6, lin_tol=1e-14, lin_max=1)
+    cfg = StepperConfig(dt=1e6, t_end=2e6, lin_tol=1e-14)
     with pytest.raises(SolverFailure) as exc_info:
         run(spec, grid, cfg)
     exc = exc_info.value
@@ -411,7 +414,7 @@ def test_snapshot_times_strictly_increasing(grid_12):
     assert times[-1] == pytest.approx(1e-2)
 
 
-@pytest.mark.parametrize("field", ["picard_max", "lin_max", "snapshot_every"])
+@pytest.mark.parametrize("field", ["picard_max", "snapshot_every"])
 @pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, True, "2"])
 def test_integer_controls_must_be_positive_integers(field, value):
     with pytest.raises(InvalidParameterError, match=field):
@@ -452,24 +455,25 @@ def _sweep_system(n: int, dt: float = 1e-3):
 def test_singular_or_nonfinite_system_raises_solver_failure(bad):
     a = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, bad]]))
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, np.ones(3), 1e-10, 100, time=0.5)
-    assert exc_info.value.time == 0.5
+        fv.solve_sparse(a, np.ones(3), 1e-10)
+    # a solve knows no time; the run loop that catches the failure sets it
+    assert exc_info.value.time is None
 
 
 def test_unreachable_tolerance_raises_with_finite_residual():
     a, b = _sweep_system(6)
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, b, 1e-20, 100)
+        fv.solve_sparse(a, b, 1e-20)
     assert math.isfinite(exc_info.value.residual)
 
 
 def test_direct_and_gmres_paths_agree(monkeypatch):
     a, b = _sweep_system(20)
     lin_tol = 1e-10
-    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, 6000)
+    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol)
     monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
     factors = fv.BlockFactors(2, Grid((20, 20), (1.0, 1.0)))
-    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, 6000, factors=factors)
+    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, factors=factors)
     assert factors.iters > 0
     assert max(r_direct, r_gmres) <= lin_tol
     rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
@@ -480,10 +484,14 @@ def test_direct_and_gmres_paths_agree_on_transform(monkeypatch, transform_everyw
     test_direct_and_gmres_paths_agree(monkeypatch)
 
 
-def test_lin_max_caps_gmres_iterations():
+def test_lin_max_caps_gmres_iterations(monkeypatch):
+    # the GMRES budget per call is the fixed GMRES_RESTART * GMRES_CYCLES inner iterations
+    assert fv.GMRES_RESTART * fv.GMRES_CYCLES == 6000
+    monkeypatch.setattr(fv, "GMRES_RESTART", 1)
+    monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     grid = Grid((48, 48), (1.0, 1.0))
     assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3, lin_max=1)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     with pytest.raises(SolverFailure):
         run(coupled_spec_2d(), grid, cfg)
 
@@ -759,8 +767,8 @@ def _singular_block_failure(monkeypatch, bad: float) -> SolverFailure:
     a = sparse.bmat([[eye, eye], [eye, bad * eye]]).tocsr()
     factors = fv.BlockFactors(2, Grid((4,), (1.0,)))
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, np.ones(8), 1e-10, 100, time=0.5, factors=factors)
-    assert exc_info.value.time == 0.5
+        fv.solve_sparse(a, np.ones(8), 1e-10, factors=factors)
+    assert exc_info.value.time is None
     return exc_info.value
 
 
