@@ -37,9 +37,10 @@ confined sweep is its own (w, phi) assembly.  The budget series are those of
 the solved state's species: (u1, u2), without the drain, and (w, phi).
 
 Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
-the ghosts, the generic spec and ``validate``, and :func:`map_heads` gives s;
-``_drain_faces`` upwinds the drain coefficient by its driver for ``_add_drain``
-and :func:`penalty_face_flux`; ``_salt_faces`` (U0(w) and grad w at a salt
+the ghosts, the generic spec and ``validate_data``, and :func:`map_heads`
+gives s; ``_drain_faces`` upwinds the drain coefficient by its driver for
+``_add_drain`` and :func:`penalty_face_flux`, the drain flux that
+:func:`confinement_report` reads; ``_salt_faces`` (U0(w) and grad w at a salt
 trace), ``_head_faces`` (the head coefficient (1 - alpha) h2) and
 ``_add_head_terms`` (head term, pumping) serve the confined step and
 ``_initial_head`` alike.  The depth h2 is run-constant data: a step reads it,
@@ -152,13 +153,21 @@ class AquiferSpec:
         return evaluate(pumping, points.shape[0], t, points)
 
     def validate(self, grid: Grid) -> None:
-        """Finite delta, hierarchy of the data, admissibility window, trace compatibility."""
-        if not math.isfinite(self.delta):
-            raise InvalidParameterError(f"delta must be finite, got {self.delta}")
+        """The admissibility window, then the data checks of :meth:`validate_data`."""
         admissibility = check_aquifer_admissibility(float(np.min(self.h2)), self.delta, self.alpha)
         if not admissibility.passed:
             raise InvalidParameterError(
                 f"admissibility fails: lhs={admissibility.lhs}, rhs={admissibility.rhs}")
+        self.validate_data(grid)
+
+    def validate_data(self, grid: Grid) -> None:
+        """Finite delta, hierarchy of the initial data and traces, trace compatibility.
+
+        These are the checks of :meth:`validate` but the admissibility window,
+        which ``crossdiff check`` reports as a row instead.
+        """
+        if not math.isfinite(self.delta):
+            raise InvalidParameterError(f"delta must be finite, got {self.delta}")
         h0, h10 = self.initial_values(grid)
         if any(np.any(v < -HIERARCHY_TOL) for v in (h10, *map_heads(h0, h10, self.h2_cells(grid)))):
             raise InvalidParameterError("initial data violate 0 <= h1 <= h <= h2")
@@ -288,13 +297,9 @@ def _drain_faces(ft: fv.FaceTable, u2, s, h2c, u2_d=None, s_d=None):
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
                       h1: np.ndarray) -> np.ndarray:
     """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) on the interior faces."""
-    h2c = aspec.h2_cells(grid)
-    return _drain_flux(aspec, face_table(grid), map_heads(h, h1, h2c), h2c)
-
-
-def _drain_flux(aspec: AquiferSpec, ft: fv.FaceTable, u, h2c: np.ndarray) -> np.ndarray:
-    """:func:`penalty_face_flux` from the thicknesses ``u = (u1, u2)`` and the depth cells."""
-    w_face, grad, _ = _drain_faces(ft, u[1], u[0] + u[1], h2c)
+    ft, h2c = face_table(grid), aspec.h2_cells(grid)
+    u1, u2 = map_heads(h, h1, h2c)
+    w_face, grad, _ = _drain_faces(ft, u2, u1 + u2, h2c)
     return (w_face * grad / aspec.epsilon)[:ft.n_interior]
 
 
@@ -383,9 +388,8 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
     q_field = np.zeros(0)
     for k, snap in enumerate(result.snapshots):
         h, h1 = snap.values[0], snap.values[1]
-        u = map_heads(h, h1, h2c)
-        violation[k] = float(np.sum(_u0(np.add(*u) - h2c)) * vol)
-        q_field = _drain_flux(aspec, ft, u, h2c)
+        violation[k] = float(np.sum(_u0(np.add(*map_heads(h, h1, h2c)) - h2c)) * vol)
+        q_field = penalty_face_flux(aspec, grid, h, h1)
         q_mag = np.sqrt(np.sum(fv.cell_average(ft, np.abs(q_field)) ** 2, axis=0))
         residual[k] = float(np.sum(np.abs(h1) * q_mag) * vol)
     return ConfinementReport(times, violation, residual, q_field)

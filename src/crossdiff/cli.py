@@ -420,7 +420,7 @@ def sweep_csv(report: aq.SweepReport) -> str:
         ["" if e["error"] is None else str(e["error"]).replace(",", ";")
          for e in report.entries],
     ])
-    return f"{table}\nfit_exponent,{cells([report.fit_exponent])[0]}\n"
+    return f"{table}fit_exponent,{cells([report.fit_exponent])[0]}\n"
 
 
 def convergence_csv(rows: list[dict]) -> str:
@@ -480,9 +480,11 @@ def write_outputs(out_dir: str | Path, config: ScenarioConfig, command: str,
 
 def _condition_reports(config: ScenarioConfig) -> list[ConditionReport]:
     """The rows of ``conditions.csv``; a non-elliptic tensor, which leaves no bound to
-    evaluate, raises :class:`ConfigError` naming the tensor."""
+    evaluate, raises :class:`ConfigError` naming the tensor, and aquifer data that break
+    the hierarchy or trace compatibility raise as under ``aquifer`` (``validate_data``)."""
     if config.kind != "generic":
         aspec = build_aquifer_spec(config)
+        aspec.validate_data(config.grid)
         return [conditions.check_aquifer_admissibility(float(np.min(aspec.h2)),
                                                        aspec.delta, aspec.alpha)]
     spec = build_generic_spec(config)

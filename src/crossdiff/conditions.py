@@ -135,10 +135,11 @@ def check_regularity(spec: ModelSpec) -> list[ConditionReport]:
     """Gradient-integrability upgrade condition for each species.
 
     With alpha_i = delta_i and beta_i = delta_i + ell * K_ii+, the condition
-    reads K_ij+ < (beta_i + c_i)(mu_i - nu_i) / (2 ell) for j != i, with the
-    shift c_i of :func:`meyers_constants`.  When mu_i - nu_i is not positive
-    (a symmetric K_ii with delta_i = 0 gives mu_i = nu_i = 0) no bound holds,
-    and the report is the infeasible sentinel lhs = inf.
+    reads K_ij+ < (beta_i + c_i)(mu_i - nu_i) / (2 ell) for j != i, with
+    (c_i, mu_i, nu_i) from :func:`meyers_constants` for a symmetric or a
+    non-symmetric K_ii.  When delta_i <= 0 (no constants exist) or mu_i - nu_i
+    is not positive no bound holds, and the report is the infeasible sentinel
+    lhs = inf.
     """
     if spec.m != 2:
         raise InvalidParameterError("regularity check is formulated for two species")
@@ -147,21 +148,19 @@ def check_regularity(spec: ModelSpec) -> list[ConditionReport]:
     reports = []
     for i in range(2):
         j = 1 - i
-        kii_plus = ellipticity_bounds(spec.K[i][i])[1]
         kij_plus = ellipticity_bounds(spec.K[i][j])[1]
         alpha_i = spec.delta[i]
-        beta_i = spec.delta[i] + spec.ell * kii_plus
-        if spec.K[i][i].is_symmetric():
-            c_i, mu_i, nu_i = 0.0, alpha_i / beta_i, 0.0
-        else:
-            consts, _ = meyers_constants(alpha_i, beta_i, False)
-            c_i, mu_i, nu_i = consts.c, consts.mu, consts.nu
+        beta_i = alpha_i + spec.ell * ellipticity_bounds(spec.K[i][i])[1]
         name = f"regularity_{i + 1}{j + 1}"
-        if mu_i - nu_i <= 0.0:
+        gap = 0.0
+        if alpha_i > 0.0:
+            consts, _ = meyers_constants(alpha_i, beta_i, spec.K[i][i].is_symmetric())
+            gap = consts.mu - consts.nu
+        if gap <= 0.0:
             reports.append(ConditionReport(name, math.inf, kij_plus))
         else:
-            rhs = (beta_i + c_i) * (mu_i - nu_i) / (2.0 * spec.ell)
-            reports.append(ConditionReport(name, kij_plus, rhs))
+            reports.append(ConditionReport(name, kij_plus,
+                                           (beta_i + consts.c) * gap / (2.0 * spec.ell)))
     return reports
 
 

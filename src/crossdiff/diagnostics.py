@@ -37,23 +37,33 @@ __all__ = [
 # level-set measures
 # ---------------------------------------------------------------------------
 
-def level_set_measure(result: SimulationResult, grid: Grid, species: int, k: float) -> float:
+def _slabs(snapshots) -> list[float]:
+    """Slab weights t_{s+1} - t_s; zipped with the snapshots, they leave out the last one."""
+    return [b.time - a.time for a, b in zip(snapshots, snapshots[1:])]
+
+
+def level_set_measure(result: SimulationResult, grid: Grid, species: int,
+                      k: float | np.ndarray) -> float | np.ndarray:
     """Space-time measure of { u_species > k } over the stored snapshots.
 
-    Strict inequality; snapshot-slab quadrature in time, cell volumes in
-    space.  Accumulates slab * vol * count snapshot by snapshot so the value
-    matches a plain double loop over (snapshot, cell) bit for bit.
+    ``k`` is one level (the measure is a ``float``) or an array of levels (an
+    array of their measures), all counted in one pass over the snapshots from
+    each snapshot's sorted values.  Strict inequality; snapshot-slab
+    quadrature in time, cell volumes in space.  Accumulates slab * vol * count
+    snapshot by snapshot so each value matches a plain double loop over
+    (snapshot, cell) bit for bit.
     """
     if not result.snapshots:
         raise InvalidParameterError("result holds no snapshots")
+    levels = np.asarray(k, dtype=float)
     vol = grid.cell_volume
-    total = 0.0
-    snaps = result.snapshots
-    for s in range(len(snaps) - 1):
-        slab = snaps[s + 1].time - snaps[s].time
-        count = int(np.count_nonzero(snaps[s].values[species] > k))
+    total = np.zeros(levels.shape)
+    for slab, snap in zip(_slabs(result.snapshots), result.snapshots):
+        u = np.sort(snap.values[species])
+        # cells past a level's right insertion point; NaN sorts last and exceeds no level
+        count = np.maximum(np.searchsorted(u, np.nan) - np.searchsorted(u, levels, "right"), 0)
         total += slab * vol * count
-    return total
+    return float(total) if levels.ndim == 0 else total
 
 
 @dataclass
@@ -72,9 +82,8 @@ def level_set_profile(result: SimulationResult, grid: Grid, levels) -> LevelSetP
     levels = np.asarray(levels, dtype=float)
     if np.any(np.diff(levels) <= 0.0):
         raise InvalidParameterError("levels must be strictly increasing")
-    m = result.snapshots[0].m
-    meas = np.array([[level_set_measure(result, grid, i, float(k)) for k in levels]
-                     for i in range(m)])
+    meas = np.array([level_set_measure(result, grid, i, levels)
+                     for i in range(result.snapshots[0].m)])
     return LevelSetProfile(levels, meas)
 
 
@@ -120,7 +129,7 @@ def degiorgi_trace(result: SimulationResult, grid: Grid, species: int,
     n0 = next((i for i in range(n_max + 1) if k_n[i] >= m_factor * ell0), None)
     if n0 is None:
         raise InvalidParameterError(f"n_max = {n_max}: no level k_n reaches m_factor * ell0")
-    v_n = np.array([level_set_measure(result, grid, species, float(k)) for k in k_n])
+    v_n = level_set_measure(result, grid, species, k_n)
     s = budget.s
     r = budget.r
     cb = budget.c_i * budget.sobolev_beta
@@ -195,8 +204,9 @@ def bound_check(result: SimulationResult, lo: float = 0.0,
 # discrete gradient norms
 # ---------------------------------------------------------------------------
 
-def _cell_grad_mag(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return np.sqrt(sum(c ** 2 for c in fv.cell_gradient(fv.face_table(grid), u, None)))
+def _grad_magnitude(ft: fv.FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
+    """|grad u| per cell from :func:`fv.cell_gradient` (``traces`` None: interior faces only)."""
+    return np.sqrt(sum(c ** 2 for c in fv.cell_gradient(ft, u, traces)))
 
 
 def discrete_grad_norm(result: SimulationResult, grid: Grid, s: float) -> np.ndarray:
@@ -207,13 +217,12 @@ def discrete_grad_norm(result: SimulationResult, grid: Grid, s: float) -> np.nda
     """
     if s < 1.0:
         raise InvalidParameterError(f"exponent must be >= 1, got {s}")
+    ft = fv.face_table(grid)
     vol = grid.cell_volume
     total = np.zeros(result.m)
-    snaps = result.snapshots
-    for idx in range(len(snaps) - 1):
-        slab = snaps[idx + 1].time - snaps[idx].time
+    for slab, snap in zip(_slabs(result.snapshots), result.snapshots):
         for i in range(result.m):
-            mag = _cell_grad_mag(grid, snaps[idx].values[i])
+            mag = _grad_magnitude(ft, snap.values[i], None)
             total[i] += slab * vol * float(np.sum(mag ** s))
     return total ** (1.0 / s)
 
@@ -225,20 +234,17 @@ def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
     Stands in for the interpolation constant when no analytic value is
     supplied; measured on the run itself with snapshot-slab quadrature.
     """
+    ft = fv.face_table(grid)
     vol = grid.cell_volume
     snaps = result.snapshots
+    sup_l2 = max(math.sqrt(float(np.sum(snap.values[species] ** 2)) * vol) for snap in snaps)
     num = 0.0
-    sup_l2 = 0.0
     grad_sq = 0.0
-    for idx, snap in enumerate(snaps):
+    for slab, snap in zip(_slabs(snaps), snaps):
         u = snap.values[species]
-        sup_l2 = max(sup_l2, math.sqrt(float(np.sum(u ** 2)) * vol))
-        if idx < len(snaps) - 1:
-            slab = snaps[idx + 1].time - snap.time
-            lq = (float(np.sum(np.abs(u) ** q)) * vol) ** (1.0 / q)
-            num += slab * lq ** r
-            mag = _cell_grad_mag(grid, u)
-            grad_sq += slab * vol * float(np.sum(mag ** 2))
+        lq = (float(np.sum(np.abs(u) ** q)) * vol) ** (1.0 / q)
+        num += slab * lq ** r
+        grad_sq += slab * vol * float(np.sum(_grad_magnitude(ft, u, None) ** 2))
     den = sup_l2 + math.sqrt(grad_sq)
     if den == 0.0:
         return 0.0
@@ -376,23 +382,19 @@ def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
     vol = grid.cell_volume
     snaps_a, snaps_b = res_a.snapshots, res_b.snapshots
     times = np.array([f.time for f in snaps_a])
-    n_snap = len(snaps_a)
-    v_norms = np.zeros((spec.m, n_snap))
+    v_norms = np.array([np.sqrt(np.sum((fb.values - fa.values) ** 2, axis=1) * vol)
+                        for fa, fb in zip(snaps_a, snaps_b)]).T
     grad_e = np.zeros(spec.m)
     cross_e = np.zeros(spec.m)
     ft = fv.face_table(grid)
     zero_trace = np.zeros(ft.n_boundary)
-    for idx in range(n_snap):
-        ua, ub = snaps_a[idx].values, snaps_b[idx].values
-        v = ub - ua
-        v_norms[:, idx] = np.sqrt(np.sum(v ** 2, axis=1) * vol)
-        if idx < n_snap - 1:
-            slab = snaps_a[idx + 1].time - snaps_a[idx].time
-            for i in range(spec.m):
-                mag2 = sum(c ** 2 for c in fv.cell_gradient(ft, v[i], zero_trace))
-                w = 0.5 * (clamp(ua[i], spec.ell) + clamp(ub[i], spec.ell))
-                grad_e[i] += slab * vol * float(np.sum(mag2))
-                cross_e[i] += slab * vol * float(np.sum(w * mag2))
+    for slab, fa, fb in zip(_slabs(snaps_a), snaps_a, snaps_b):
+        v = fb.values - fa.values
+        for i in range(spec.m):
+            mag2 = _grad_magnitude(ft, v[i], zero_trace) ** 2
+            w = 0.5 * (clamp(fa.values[i], spec.ell) + clamp(fb.values[i], spec.ell))
+            grad_e[i] += slab * vol * float(np.sum(mag2))
+            cross_e[i] += slab * vol * float(np.sum(w * mag2))
 
     totals = np.sqrt(np.sum(v_norms ** 2, axis=0))
     amplification = 0.0 if totals[0] == 0.0 else float(totals.max() / totals[0])

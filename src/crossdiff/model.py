@@ -294,15 +294,22 @@ class ModelSpec:
         return evaluate(0.0 if q is None else q, points.shape[0], t, points, u)
 
 
-def species_flux(i: int, grads: np.ndarray, u_i: float, spec: ModelSpec) -> np.ndarray:
-    """Pointwise flux of species i: delta_i grad u_i + clamp(u_i) sum_j K_ij grad u_j."""
+def species_flux(i: int, grads: np.ndarray, u_i: float | np.ndarray,
+                 spec: ModelSpec) -> np.ndarray:
+    """Flux of species i: delta_i grad u_i + clamp(u_i) sum_j K_ij grad u_j.
+
+    At one point ``grads`` is (m, ndim) and ``u_i`` a number, and the flux is
+    (ndim,); at n points ``grads`` is (m, n, ndim) and ``u_i`` is (n,), and the
+    flux is (n, ndim).  K_ij grad u_j is a product summed over its last axis, so
+    each row of an n-point flux is the one-point flux bit for bit.
+    """
     g = np.atleast_2d(np.asarray(grads, dtype=float))
     if g.shape[0] != spec.m:
         raise InvalidParameterError(f"grads must have {spec.m} rows, got {g.shape[0]}")
-    out = spec.delta[i] * g[i].astype(float)
-    coeff = float(clamp(u_i, spec.ell))
+    out = spec.delta[i] * g[i]
+    coeff = np.asarray(clamp(u_i, spec.ell), dtype=float)[..., None]
     for j in range(spec.m):
-        out = out + coeff * (spec.K[i][j].matrix @ g[j])
+        out = out + coeff * np.sum(spec.K[i][j].matrix * g[j][..., None, :], axis=-1)
     return out
 
 

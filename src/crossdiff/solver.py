@@ -59,7 +59,7 @@ import numpy as np
 
 from . import fv
 from .fv import SolverFailure, SystemBuilder
-from .model import (Field, Grid, InvalidParameterError, ModelSpec, clamp,
+from .model import (Field, Grid, InvalidParameterError, ModelSpec, clamp, species_flux,
                     validate_spec)
 
 __all__ = [
@@ -421,44 +421,29 @@ def manufactured_forcing(exact: Callable[[float, np.ndarray], np.ndarray],
                          tau: float = 1e-3):
     """Forcing Q_i = d/dt u_i - div F_i computed from ``exact`` by differences.
 
-    Fourth-order central stencils, independent of the finite-volume
-    discretization.  ``exact(t, points) -> (m, n)`` must be smooth in a
-    neighborhood of the queried times and points.
+    The flux F_i is :func:`model.species_flux` at the points, on gradients
+    of ``exact``; every derivative is a fourth-order central stencil,
+    independent of the finite-volume discretization.  ``exact(t, points) ->
+    (m, n)`` must be smooth in a neighborhood of the queried times and points.
     """
     if sigma is None:
         sigma = 1e-3 * min(spec.domain)
 
-    def gradient(t: float, pts: np.ndarray, j: int) -> np.ndarray:
-        out = np.zeros((pts.shape[0], spec.ndim))
-        for d in range(spec.ndim):
-            def shift(s, _d=d):
-                q = pts.copy()
-                q[:, _d] += s
-                return exact(t, q)[j]
-            out[:, d] = _fd4(shift, 0.0, sigma)
-        return out
+    def shifted(pts: np.ndarray, d: int, s: float) -> np.ndarray:
+        q = pts.copy()
+        q[:, d] += s
+        return q
 
-    def flux_component(t: float, pts: np.ndarray, d: int) -> np.ndarray:
-        u_all = exact(t, pts)
-        coeff = clamp(u_all[species], spec.ell)
-        comp = spec.delta[species] * gradient(t, pts, species)[:, d]
-        for j in range(spec.m):
-            kmat = spec.K[species][j].matrix
-            if not kmat.any():
-                continue
-            gj = gradient(t, pts, j)
-            comp = comp + coeff * (gj @ kmat[d])
-        return comp
+    def flux(t: float, pts: np.ndarray) -> np.ndarray:
+        grads = np.stack([_fd4(lambda s: exact(t, shifted(pts, d, s)), 0.0, sigma)
+                          for d in range(spec.ndim)], axis=-1)
+        return species_flux(species, grads, exact(t, pts)[species], spec)
 
     def forcing(t: float, pts: np.ndarray, u_unused=None) -> np.ndarray:
         du_dt = _fd4(lambda s: exact(s, pts)[species], t, tau)
         div = np.zeros(pts.shape[0])
         for d in range(spec.ndim):
-            def shifted(s, _d=d):
-                q = pts.copy()
-                q[:, _d] += s
-                return flux_component(t, q, _d)
-            div += _fd4(shifted, 0.0, sigma)
+            div += _fd4(lambda s: flux(t, shifted(pts, d, s))[:, d], 0.0, sigma)
         return du_dt - div
 
     return forcing

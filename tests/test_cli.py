@@ -399,6 +399,44 @@ def test_check_rejects_non_elliptic_tensor(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_check_reports_the_nonsymmetric_regularity_row_without_diffusivity(tmp_path):
+    # delta_1 = 0 and a non-symmetric K_11 leave no Meyers constants: an infeasible row
+    cfg = {**GENERIC, "grid": {"dims": [4, 4]}, "diagnostics": {"conditions": {}},
+           "model": {**GENERIC["model"], "delta": [0.0, 1.0],
+                     "K": [[[[1.0, 0.4], [-0.4, 1.0]], 0.2], [0.2, 1.0]]}}
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    rows = {line.split(",")[0]: line for line in (out / "conditions.csv").read_text().splitlines()}
+    assert rows["regularity_12"] == "regularity_12,inf,0.2,-inf,False"
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"initial_h1": 0.7}, "initial data violate 0 <= h1 <= h <= h2"),
+    ({"dirichlet_h1": 0.7}, "boundary traces violate 0 <= h1 <= h <= h2"),
+    ({"initial_h1": 0.2}, "initial data incompatible with boundary traces"),
+], ids=["initial-hierarchy", "trace-hierarchy", "trace-compatibility"])
+def test_check_rejects_the_aquifer_data_that_aquifer_rejects(tmp_path, capsys, model, message):
+    path = write_config(tmp_path, {**AQUIFER, "model": {**AQUIFER["model"], **model}})
+    for command in ("aquifer", "check"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+def test_check_reports_aquifer_admissibility_as_a_row(tmp_path):
+    # alpha 0.5 lies below the window 1 - 4 delta / h2 = 0.96: aquifer rejects the
+    # config, check reports the failed row and exits 3 only under --require-feasible
+    path = write_config(tmp_path, {**AQUIFER, "model": {**AQUIFER["model"],
+                                                        "delta": 0.01, "alpha": 0.5}})
+    assert main(["aquifer", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a" / "conditions.csv").read_text().splitlines()[1:] == [
+        "aquifer_admissibility,0.96,0.5,-0.45999999999999996,False"]
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "b"),
+                 "--require-feasible"]) == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--require-feasible"],
     ["sweep", "--epsilon-list", "0.1", "0.01"],
@@ -578,7 +616,8 @@ def test_sweep_command(tmp_path):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     text = (out / "sweep.csv").read_text()
     assert text.startswith("epsilon,violation,residual,error")
-    assert "fit_exponent" in text
+    assert text.splitlines()[-1].startswith("fit_exponent,")
+    assert "" not in text.splitlines()
 
 
 def _penalized_failing_at(monkeypatch, failing):
@@ -600,7 +639,7 @@ def test_sweep_with_a_failed_epsilon_exits_one_and_keeps_its_row(tmp_path, monke
     assert rows[0] == "epsilon,violation,residual,error"
     assert rows[1].startswith("0.1,") and rows[1].endswith(",")
     assert rows[2] == "0.01,nan,nan,stalled at epsilon 0.01"
-    assert rows[-1] == "fit_exponent,nan"  # one successful epsilon fits no exponent
+    assert rows[3:] == ["fit_exponent,nan"]  # one successful epsilon fits no exponent
     assert "exit_status=1" in (out / "manifest.txt").read_text()
     assert not (out / "error.txt").exists()
 

@@ -141,17 +141,18 @@ def test_regularity_nonsymmetric_diagonal_tensor_takes_the_meyers_shift():
 
 
 def test_regularity_infeasible_without_diffusivity():
-    # a symmetric K_ii with delta_i = 0 gives mu_i = nu_i = 0, so no bound holds
-    kii = CrossTensor(((1.0, 0.3), (0.3, 1.0)))
+    # delta_i = 0 leaves no Meyers constants (alpha_i = 0), so no bound holds, for a
+    # symmetric and for a non-symmetric K_ii alike
     iso = CrossTensor.isotropic
-    spec = ModelSpec(m=2, delta=(0.0, 1.0),
-                     K=[[kii, iso(0.2, 2)], [iso(0.2, 2), kii]],
-                     ell=1.0, domain=(1.0, 1.0), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
-    infeasible, feasible = check_regularity(spec)
-    assert infeasible.name == "regularity_12" and not infeasible.passed
-    assert math.isinf(infeasible.lhs) and infeasible.rhs == 0.2
-    assert infeasible.margin == -math.inf
-    assert feasible.name == "regularity_21" and math.isfinite(feasible.lhs)
+    for kii in (CrossTensor(((1.0, 0.3), (0.3, 1.0))), CrossTensor(((1.0, 0.4), (-0.4, 1.0)))):
+        spec = ModelSpec(m=2, delta=(0.0, 1.0),
+                         K=[[kii, iso(0.2, 2)], [iso(0.2, 2), kii]],
+                         ell=1.0, domain=(1.0, 1.0), initial=[0.0, 0.0], dirichlet=[0.0, 0.0])
+        infeasible, feasible = check_regularity(spec)
+        assert infeasible.name == "regularity_12" and not infeasible.passed
+        assert math.isinf(infeasible.lhs) and infeasible.rhs == 0.2
+        assert infeasible.margin == -math.inf
+        assert feasible.name == "regularity_21" and math.isfinite(feasible.lhs)
 
 
 # ---------------------------------------------------------------------------

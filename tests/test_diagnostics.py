@@ -65,7 +65,8 @@ def test_level_set_equals_brute_force(grid_12, stored_run):
     vol = grid_12.cell_volume
     rng = np.random.default_rng(5)
     for species in (0, 1):
-        for k in rng.uniform(0.0, 1.0, size=8):
+        levels = rng.uniform(0.0, 1.0, size=8)
+        for k in levels:
             total = 0.0
             snaps = result.snapshots
             for s in range(len(snaps) - 1):
@@ -76,6 +77,10 @@ def test_level_set_equals_brute_force(grid_12, stored_run):
                         count += 1
                 total += slab * vol * count
             assert diag.level_set_measure(result, grid_12, species, float(k)) == total
+        # one call counts every level, each as its scalar call does
+        assert np.array_equal(diag.level_set_measure(result, grid_12, species, levels),
+                              [diag.level_set_measure(result, grid_12, species, float(k))
+                               for k in levels])
 
 
 def test_level_profile_monotone(grid_12, stored_run):

@@ -131,6 +131,19 @@ def test_species_flux_linear_in_gradients():
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
+def test_species_flux_at_n_points_equals_single_point_calls():
+    rng = np.random.default_rng(11)
+    for spec in (coupled_spec_2d(ell=1.0), _flux_spec_1d(ell=2.0)):
+        n = 40
+        grads = rng.normal(size=(spec.m, n, spec.ndim))
+        u = rng.uniform(-0.5, 2.5, size=n)  # below 0, inside (0, ell) and above ell
+        for i in range(spec.m):
+            flux = species_flux(i, grads, u, spec)
+            assert flux.shape == (n, spec.ndim)
+            assert np.array_equal(flux, [species_flux(i, grads[:, p], u[p], spec)
+                                         for p in range(n)])
+
+
 def test_species_flux_piecewise_linear_in_u():
     spec = coupled_spec_2d(ell=1.0)
     grads = np.array([[1.0, -0.5], [0.25, 2.0]])

@@ -354,7 +354,7 @@ def test_sweep_and_convergence_writers_match_reference():
     report = aq.SweepReport(entries, fit_exponent=-1.5)
     rows = [f"{fmt(e['epsilon'])},{fmt(e['violation'])},{fmt(e['residual'])},"
             + ("" if e["error"] is None else e["error"].replace(",", ";")) for e in entries]
-    rows += ["", f"fit_exponent,{fmt(report.fit_exponent)}"]
+    rows += [f"fit_exponent,{fmt(report.fit_exponent)}"]
     assert cli.sweep_csv(report) == reference("epsilon,violation,residual,error", rows)
 
     keys = ("h", "dt", "err_inf", "err_l2", "order_inf", "order_l2")
