@@ -12,14 +12,14 @@ from .conditions import (ConditionReport, DeGiorgiBudget, MeyersConstants,
                          check_aquifer_admissibility, check_existence,
                          check_regularity, degiorgi_budget, meyers_constants)
 from .fv import SolverFailure
-from .model import (CrossTensor, EllipticityError, Field, Grid,
+from .model import (CrossTensor, EllipticityError, Grid,
                     InvalidParameterError, ModelSpec, ellipticity_bounds,
                     species_flux, truncate, validate_spec)
 from .solver import (SimulationResult, StepperConfig, convergence_study,
                      mass_balance_residual, run)
 
 __all__ = [
-    "CrossTensor", "Field", "Grid", "ModelSpec", "truncate", "ellipticity_bounds",
+    "CrossTensor", "Grid", "ModelSpec", "truncate", "ellipticity_bounds",
     "species_flux", "validate_spec", "EllipticityError", "InvalidParameterError",
     "ConditionReport", "MeyersConstants", "DeGiorgiBudget", "check_existence",
     "meyers_constants", "check_regularity", "degiorgi_budget",

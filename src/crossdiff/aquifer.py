@@ -382,17 +382,15 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
     ft = face_table(grid)
     h2c = aspec.h2_cells(grid)
     vol = grid.cell_volume
-    times = np.array([f.time for f in result.snapshots])
-    violation = np.zeros(len(times))
-    residual = np.zeros(len(times))
+    violation = np.zeros(len(result.snapshots))
+    residual = np.zeros(len(result.snapshots))
     q_field = np.zeros(0)
-    for k, snap in enumerate(result.snapshots):
-        h, h1 = snap.values[0], snap.values[1]
+    for k, (h, h1) in enumerate(result.snapshots):
         violation[k] = float(np.sum(_u0(np.add(*map_heads(h, h1, h2c)) - h2c)) * vol)
         q_field = penalty_face_flux(aspec, grid, h, h1)
         q_mag = np.sqrt(np.sum(fv.cell_average(ft, np.abs(q_field)) ** 2, axis=0))
         residual[k] = float(np.sum(np.abs(h1) * q_mag) * vol)
-    return ConfinementReport(times, violation, residual, q_field)
+    return ConfinementReport(result.snapshot_times, violation, residual, q_field)
 
 
 def run_penalized(aspec: AquiferSpec, grid: Grid,

@@ -16,11 +16,12 @@ refinement level and the artifact list; wall time goes to stderr only.
 Each model datum is a number (a constant), null or a profile block, which
 :func:`_profile` turns into a scalar, a callable of the points or, for a
 ``point`` source or well, a per-cell density; each kind of datum accepts
-its own profiles.  The ``conditions`` (the regularity rows of ``check``),
-``degiorgi``, ``bounds`` and ``levels`` diagnostics are on when their block
-is present, even empty.  :data:`_COMMANDS` is the one table of the commands,
-the config kinds each accepts and the blocks it reads of each: a config may
-set only the blocks that some command of its kind reads.
+its own profiles, and each profile only the keys it reads.  The
+``conditions`` (the regularity rows of ``check``), ``degiorgi``, ``bounds``
+and ``levels`` diagnostics are on when their block is present, even empty.
+:data:`_COMMANDS` is the one table of the commands, the config kinds each
+accepts and the blocks it reads of each: a config may set only the blocks
+that some command of its kind reads.
 
 Exit codes: 0 success, 1 solver failure (partial artifacts retained),
 2 configuration error, 3 failed condition check under ``--require-feasible``.
@@ -120,8 +121,10 @@ _SCHEMA = {
                     "dt0": lambda b, g: _CASES[b["case"]]["dt0"],
                     "t_end": lambda b, g: _CASES[b["case"]]["t_end"]},
     "sweep": {"epsilon_list": []},
-    "profile": {"value": 0.0, "amplitude": 1.0, "width": 0.1, "center": _centre, "rate": 1.0,
-                "position": None},
+    # the profiles of a model datum, each with the keys it reads
+    "zero": {}, "constant": {"value": 0.0}, "sine": {"amplitude": 1.0},
+    "bump": {"amplitude": 1.0, "width": 0.1, "center": _centre},
+    "point": {"rate": 1.0, "position": None},
 }
 # keys whose type does not follow from their default, or that take only some values of it;
 # a model datum names the kind of datum whose profiles it takes (a generic one is a list of
@@ -141,7 +144,7 @@ _TYPED = {
                       'a number > 0 or "max_initial"'),
     "generic.K": (lambda v: _rows(v, lambda e: _is_number(e) or _rows(e, _is_number)),
                   "a list of rows of numbers or 2x2 tensors"),
-    "keulegan.well_position": _POSITION, "profile.position": _POSITION,
+    "keulegan.well_position": _POSITION, "point.position": _POSITION,
     "bounds.hi": _TYPES[float][:2],
     **dict.fromkeys(("diagnostics.conditions", "diagnostics.degiorgi", "diagnostics.bounds",
                      "diagnostics.levels"), _TYPES[dict][:2]),
@@ -150,11 +153,9 @@ _TYPED = {
                      "aquifer.dirichlet_phi"), "dirichlet"),
     **dict.fromkeys(("generic.sources", "aquifer.pumping"), "source"),
 }
-# the profiles each kind of datum takes, and the keys each profile reads
+# the profiles each kind of datum takes
 _DATUM_PROFILES = {"initial": ("zero", "constant", "sine", "bump"),
                    "dirichlet": ("zero", "constant"), "source": ("zero", "constant", "point")}
-_PROFILES = {"zero": (), "constant": ("value",), "sine": ("amplitude",),
-             "bump": ("amplitude", "width", "center"), "point": ("rate", "position")}
 
 # command -> config kind it accepts -> the blocks it reads, each a top-level block or a
 # diagnostics sub-block
@@ -215,7 +216,8 @@ def _checked(block, table: str, where: str, grid: Grid | None = None) -> dict:
 
 
 def _datum(value, kind: str, where: str, grid: Grid):
-    """A model datum: a number, null or a profile block with its profile's defaults filled in."""
+    """A model datum: a number, null or a profile block with its profile's defaults filled in;
+    a key that its profile does not read raises :class:`ConfigError`."""
     if value is None or _is_number(value):
         return value
     if type(value) is not dict:
@@ -225,9 +227,8 @@ def _datum(value, kind: str, where: str, grid: Grid):
         raise ConfigError(f"{kind} profile needs a 'profile' name")
     if name not in _DATUM_PROFILES[kind]:
         raise ConfigError(f"unknown {kind} profile {name!r}")
-    block = _checked({k: v for k, v in value.items() if k != "profile"}, "profile", where, grid)
     return {"profile": name,
-            **{k: v for k, v in block.items() if k in value or k in _PROFILES[name]}}
+            **_checked({k: v for k, v in value.items() if k != "profile"}, name, where, grid)}
 
 
 @dataclass
@@ -389,12 +390,12 @@ def snapshots_csv(result: SimulationResult, grid: Grid) -> Iterator[str]:
     row by row.  The rows are rendered one snapshot at a time as the chunks
     are read.
     """
-    snaps, m, n = result.snapshots, result.m, grid.n_cells
+    m, n = result.m, grid.n_cells
     fixed = [*(cells(xs) * m for xs in grid.cell_centers().T),
              [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]]
     return csv_chunks(["x", "y"][:grid.ndim] + ["species", "value", "t"], (
-        [*fixed, snap.values.ravel(), [t] * (m * n)]
-        for snap, t in zip(snaps, cells([snap.time for snap in snaps]))))
+        [*fixed, snap.ravel(), [t] * (m * n)]
+        for snap, t in zip(result.snapshots, cells(result.snapshot_times))))
 
 
 def series_csv(result: SimulationResult) -> str:
@@ -409,7 +410,7 @@ def interface_csv(result: SimulationResult, h2: np.ndarray, snapshot_index: int,
                   coords: list[list[str]]) -> Iterator[str]:
     """The chunks of one ``interface_NNNN.csv``; the per-cell depth ``h2`` and the
     rendered axes ``coords`` are made once per run."""
-    h, h1 = result.snapshots[snapshot_index].values[:2]
+    h, h1 = result.snapshots[snapshot_index, :2]
     s = np.add(*aq.map_heads(h, h1, h2))
     return csv_chunks(["x", "y"][:len(coords)] + ["h", "h1", "s"], [[*coords, h, h1, s]])
 
@@ -507,9 +508,9 @@ def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
         block[key] for key in ("species", "s", "ell0", "M_s", "sobolev_beta"))
     species -= 1
     if ell0 == "max_initial":
-        ell0 = float(result.snapshots[0].values[species].max())
+        ell0 = float(result.snapshots[0, species].max())
     if ms is None:
-        ms = float(diagnostics.discrete_grad_norm(result, grid, s_exp)[species])
+        ms = diagnostics.discrete_grad_norm(result, grid, species, s_exp)
     if beta is None:
         r_exp = grid.ndim + 2.0
         beta = max(diagnostics.empirical_interpolation_constant(
@@ -535,7 +536,7 @@ def _levels_artifacts(config: ScenarioConfig, grid: Grid,
         return {}
     hi = block["hi"]
     if hi is None:
-        hi = max(float(s.values.max()) for s in result.snapshots) + 1e-9
+        hi = float(result.snapshots.max()) + 1e-9
         if block["count"] >= 2 and not hi > block["lo"]:
             raise ConfigError(f"diagnostics.levels.lo must lie below the automatic hi = {hi!r} "
                               f"(the largest snapshot value plus 1e-9), got {block['lo']!r}")
@@ -596,7 +597,7 @@ def execute(config: ScenarioConfig, command: str = "simulate", *,
             block = config.effective["diagnostics"]["probe"]
             pert, disc = diagnostics.disc_perturbation(config.grid, spec.m, block["center"],
                                                        block["radius"], block["amplitude"])
-            if not pert.values.any():
+            if not pert.any():
                 raise ConfigError(f"diagnostics.probe perturbs no cell: its amplitude is 0 or "
                                   f"its disc has no cell inside its boundary ring ({block!r})")
             artifacts["probe.csv"] = diagnostics.uniqueness_probe(

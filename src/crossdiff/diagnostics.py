@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fv, solver
 from .conditions import DeGiorgiBudget
-from .model import Field, Grid, InvalidParameterError, ModelSpec, clamp, ellipticity_bounds
+from .model import Grid, InvalidParameterError, ModelSpec, clamp, ellipticity_bounds
 from .solver import SimulationResult, StepperConfig
 from .table import csv_table
 
@@ -37,9 +37,9 @@ __all__ = [
 # level-set measures
 # ---------------------------------------------------------------------------
 
-def _slabs(snapshots) -> list[float]:
+def _slabs(result: SimulationResult) -> np.ndarray:
     """Slab weights t_{s+1} - t_s; zipped with the snapshots, they leave out the last one."""
-    return [b.time - a.time for a, b in zip(snapshots, snapshots[1:])]
+    return np.diff(result.snapshot_times)
 
 
 def level_set_measure(result: SimulationResult, grid: Grid, species: int,
@@ -53,13 +53,13 @@ def level_set_measure(result: SimulationResult, grid: Grid, species: int,
     snapshot by snapshot so each value matches a plain double loop over
     (snapshot, cell) bit for bit.
     """
-    if not result.snapshots:
+    if len(result.snapshots) == 0:
         raise InvalidParameterError("result holds no snapshots")
     levels = np.asarray(k, dtype=float)
     vol = grid.cell_volume
     total = np.zeros(levels.shape)
-    for slab, snap in zip(_slabs(result.snapshots), result.snapshots):
-        u = np.sort(snap.values[species])
+    for slab, snap in zip(_slabs(result), result.snapshots):
+        u = np.sort(snap[species])
         # cells past a level's right insertion point; NaN sorts last and exceeds no level
         count = np.maximum(np.searchsorted(u, np.nan) - np.searchsorted(u, levels, "right"), 0)
         total += slab * vol * count
@@ -82,8 +82,7 @@ def level_set_profile(result: SimulationResult, grid: Grid, levels) -> LevelSetP
     levels = np.asarray(levels, dtype=float)
     if np.any(np.diff(levels) <= 0.0):
         raise InvalidParameterError("levels must be strictly increasing")
-    meas = np.array([level_set_measure(result, grid, i, levels)
-                     for i in range(result.snapshots[0].m)])
+    meas = np.array([level_set_measure(result, grid, i, levels) for i in range(result.m)])
     return LevelSetProfile(levels, meas)
 
 
@@ -150,10 +149,8 @@ class SpeciesBound:
     hi_margin: float     # hi - max u
     min_value: float
     min_time: float
-    min_cell: int
     max_value: float
     max_time: float
-    max_cell: int
 
 
 @dataclass
@@ -175,10 +172,10 @@ class BoundCheckReport:
 
 def bound_check(result: SimulationResult, lo: float = 0.0,
                 hi: float = math.inf) -> BoundCheckReport:
-    """Worst violations of lo <= u_i <= hi with times and cell locations.
+    """Worst violations of lo <= u_i <= hi with their times.
 
-    Margins come from the per-step extrema series (full temporal
-    resolution); locations from the snapshot achieving the sharpest value.
+    Margins, values and times come from the per-step extrema series (full
+    temporal resolution).
     """
     out = []
     for i in range(result.m):
@@ -187,16 +184,12 @@ def bound_check(result: SimulationResult, lo: float = 0.0,
         kmax = int(np.argmax(series[:, 2]))
         min_val, min_t = float(series[kmin, 1]), float(series[kmin, 0])
         max_val, max_t = float(series[kmax, 2]), float(series[kmax, 0])
-        snap_min = min(result.snapshots, key=lambda f: f.values[i].min())
-        snap_max = max(result.snapshots, key=lambda f: f.values[i].max())
         out.append(SpeciesBound(
             species=i,
             lo_margin=min_val - lo,
             hi_margin=(hi - max_val) if math.isfinite(hi) else math.inf,
             min_value=min_val, min_time=min_t,
-            min_cell=int(np.argmin(snap_min.values[i])),
-            max_value=max_val, max_time=max_t,
-            max_cell=int(np.argmax(snap_max.values[i]))))
+            max_value=max_val, max_time=max_t))
     return BoundCheckReport(lo, hi, out)
 
 
@@ -209,8 +202,8 @@ def _grad_magnitude(ft: fv.FaceTable, u: np.ndarray, traces: np.ndarray | None) 
     return np.sqrt(sum(c ** 2 for c in fv.cell_gradient(ft, u, traces)))
 
 
-def discrete_grad_norm(result: SimulationResult, grid: Grid, s: float) -> np.ndarray:
-    """Per-species ( sum_t slab sum_c vol |grad u|^s )^(1/s).
+def discrete_grad_norm(result: SimulationResult, grid: Grid, species: int, s: float) -> float:
+    """( sum_t slab sum_c vol |grad u_species|^s )^(1/s) of one species.
 
     Cell gradients average the face differences available per axis (interior
     faces only; boundary traces are not stored with the run).
@@ -219,12 +212,12 @@ def discrete_grad_norm(result: SimulationResult, grid: Grid, s: float) -> np.nda
         raise InvalidParameterError(f"exponent must be >= 1, got {s}")
     ft = fv.face_table(grid)
     vol = grid.cell_volume
-    total = np.zeros(result.m)
-    for slab, snap in zip(_slabs(result.snapshots), result.snapshots):
-        for i in range(result.m):
-            mag = _grad_magnitude(ft, snap.values[i], None)
-            total[i] += slab * vol * float(np.sum(mag ** s))
-    return total ** (1.0 / s)
+    total = 0.0
+    for slab, snap in zip(_slabs(result), result.snapshots):
+        mag = _grad_magnitude(ft, snap[species], None)
+        total += slab * vol * float(np.sum(mag ** s))
+    # the ufunc, whose root can differ in the last bit from the scalar ``**``
+    return float(np.power(total, 1.0 / s))
 
 
 def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
@@ -232,20 +225,17 @@ def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
     """Measured ratio ||u||_{L^r L^q} / (||u||_{L^inf L^2} + ||grad u||_{L^2}).
 
     Stands in for the interpolation constant when no analytic value is
-    supplied; measured on the run itself with snapshot-slab quadrature.
+    supplied; measured on the run itself with snapshot-slab quadrature, its
+    gradient term from :func:`discrete_grad_norm` with s = 2.
     """
-    ft = fv.face_table(grid)
     vol = grid.cell_volume
-    snaps = result.snapshots
-    sup_l2 = max(math.sqrt(float(np.sum(snap.values[species] ** 2)) * vol) for snap in snaps)
+    snaps = result.snapshots[:, species]
+    sup_l2 = max(math.sqrt(float(np.sum(u ** 2)) * vol) for u in snaps)
     num = 0.0
-    grad_sq = 0.0
-    for slab, snap in zip(_slabs(snaps), snaps):
-        u = snap.values[species]
+    for slab, u in zip(_slabs(result), snaps):
         lq = (float(np.sum(np.abs(u) ** q)) * vol) ** (1.0 / q)
         num += slab * lq ** r
-        grad_sq += slab * vol * float(np.sum(_grad_magnitude(ft, u, None) ** 2))
-    den = sup_l2 + math.sqrt(grad_sq)
+    den = sup_l2 + discrete_grad_norm(result, grid, species, 2.0)
     if den == 0.0:
         return 0.0
     return num ** (1.0 / r) / den
@@ -274,12 +264,12 @@ def _set_boundary_cells(grid: Grid, cells: np.ndarray) -> np.ndarray:
 
 
 def disc_perturbation(grid: Grid, m: int, center, radius: float,
-                      amplitude: float) -> tuple[Field, np.ndarray]:
+                      amplitude: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth bump supported strictly inside the disc cell set.
 
-    Returns the perturbation field (same bump on every species) and the flat
-    indices of the disc cells; the set's boundary cells are zeroed so the
-    support stays inside the discrete ball.
+    Returns the (m, n_cells) perturbation values (same bump on every species)
+    and the flat indices of the disc cells; the set's boundary cells are
+    zeroed so the support stays inside the discrete ball.
     """
     cells = disc_cells(grid, center, radius)
     pts = grid.cell_centers()
@@ -287,8 +277,7 @@ def disc_perturbation(grid: Grid, m: int, center, radius: float,
     bump = np.zeros(grid.n_cells)
     bump[cells] = amplitude * np.cos(np.pi * r[cells] / (2.0 * radius)) ** 2
     bump[_set_boundary_cells(grid, cells)] = 0.0
-    values = np.tile(bump, (m, 1))
-    return Field(values, 0.0), cells
+    return np.tile(bump, (m, 1)), cells
 
 
 @dataclass
@@ -350,10 +339,11 @@ def _search_epsilons(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
-                     perturbation: Field, rho_cells: np.ndarray) -> UniquenessProbeReport:
+                     perturbation: np.ndarray, rho_cells: np.ndarray) -> UniquenessProbeReport:
     """Run twins from u0 and u0 + perturbation and report separation energies.
 
-    The perturbation must vanish outside ``rho_cells`` and on that set's
+    ``perturbation`` holds (m, n_cells) values, as :func:`disc_perturbation`
+    returns them; it must vanish outside ``rho_cells`` and on that set's
     boundary cells (discrete analog of matching data on the ball boundary).
     Both runs share Dirichlet data, so the difference v has zero trace.
     Spec validation is the caller's concern: the perturbed twin necessarily
@@ -362,7 +352,7 @@ def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
     """
     if spec.m != 2:
         raise InvalidParameterError("probe is formulated for two species")
-    pv = perturbation.values
+    pv = np.asarray(perturbation, dtype=float)
     if pv.shape != (spec.m, grid.n_cells):
         raise InvalidParameterError("perturbation shape must be (m, n_cells)")
     outside = np.ones(grid.n_cells, dtype=bool)
@@ -381,23 +371,21 @@ def uniqueness_probe(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
 
     vol = grid.cell_volume
     snaps_a, snaps_b = res_a.snapshots, res_b.snapshots
-    times = np.array([f.time for f in snaps_a])
-    v_norms = np.array([np.sqrt(np.sum((fb.values - fa.values) ** 2, axis=1) * vol)
-                        for fa, fb in zip(snaps_a, snaps_b)]).T
+    v_norms = np.sqrt(np.sum((snaps_b - snaps_a) ** 2, axis=2) * vol).T
     grad_e = np.zeros(spec.m)
     cross_e = np.zeros(spec.m)
     ft = fv.face_table(grid)
     zero_trace = np.zeros(ft.n_boundary)
-    for slab, fa, fb in zip(_slabs(snaps_a), snaps_a, snaps_b):
-        v = fb.values - fa.values
+    for slab, ua, ub in zip(_slabs(res_a), snaps_a, snaps_b):
+        v = ub - ua
         for i in range(spec.m):
             mag2 = _grad_magnitude(ft, v[i], zero_trace) ** 2
-            w = 0.5 * (clamp(fa.values[i], spec.ell) + clamp(fb.values[i], spec.ell))
+            w = 0.5 * (clamp(ua[i], spec.ell) + clamp(ub[i], spec.ell))
             grad_e[i] += slab * vol * float(np.sum(mag2))
             cross_e[i] += slab * vol * float(np.sum(w * mag2))
 
     totals = np.sqrt(np.sum(v_norms ** 2, axis=0))
     amplification = 0.0 if totals[0] == 0.0 else float(totals.max() / totals[0])
     epsilons, margins = _search_epsilons(spec)
-    return UniquenessProbeReport(times, v_norms, grad_e, cross_e,
+    return UniquenessProbeReport(res_a.snapshot_times, v_norms, grad_e, cross_e,
                                  epsilons, margins, amplification)

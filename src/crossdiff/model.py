@@ -6,7 +6,7 @@ Defines the coupled two-species (or m-species) parabolic system in flux form,
 
 where clamp is the pointwise truncation of the coupling coefficient to
 [0, ell].  The module owns the immutable problem-data containers (tensors,
-grid, fields, full spec), the truncation operator, ellipticity bounds of the
+grid, full spec), the truncation operator, ellipticity bounds of the
 coupling tensors and pointwise flux evaluation.  A species without Dirichlet
 data is closed (impermeable).  :func:`evaluate` is the package's one rule
 that turns a datum (a callable, a scalar or a per-point array) into values,
@@ -171,21 +171,6 @@ class Grid:
         return np.ravel_multi_index(
             [np.clip(np.floor(points[:, d] * n / e).astype(int), 0, n - 1)
              for d, (e, n) in enumerate(zip(self.extents, self.dims))], self.dims)
-
-
-@dataclass
-class Field:
-    """Per-species cell-averaged values at one time (values shape (m, n_cells))."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ import numpy as np
 
 from . import fv
 from .fv import SolverFailure, SystemBuilder
-from .model import (Field, Grid, InvalidParameterError, ModelSpec, clamp, species_flux,
-                    validate_spec)
+from .model import Grid, InvalidParameterError, ModelSpec, clamp, species_flux, validate_spec
 
 __all__ = [
     "StepperConfig", "SimulationResult", "MassBalanceReport", "SolverFailure",
@@ -122,13 +121,16 @@ class StepperConfig:
 class SimulationResult:
     """Trajectory record: snapshots plus per-step series.
 
+    ``snapshots[s]`` holds the recorded values of every species and cell at
+    ``snapshot_times[s]``, a strictly increasing subset of ``times``;
     ``minmax[i]`` rows are (t, min u_i, max u_i); ``mass[i]`` rows are
     (t, integral of u_i); ``source_integral`` and ``boundary_flux`` hold the
     discrete per-step budget terms of the solved state's species (the
     confined aquifer records h but solves w).
     """
 
-    snapshots: list[Field]
+    snapshots: np.ndarray         # (n_snapshots, m, n_cells)
+    snapshot_times: np.ndarray    # (n_snapshots,)
     times: np.ndarray
     minmax: np.ndarray            # (m, n_times, 3)
     mass: np.ndarray              # (m, n_times)
@@ -150,13 +152,6 @@ class SimulationResult:
         """``converged/steps``: the steps whose Picard sweeps met their stopping rule."""
         stats = self.solver_stats
         return f"{sum(st['picard_converged'] for st in stats)}/{len(stats)}"
-
-    def validate(self) -> None:
-        t = [s.time for s in self.snapshots]
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise InvalidParameterError("snapshot times must be strictly increasing")
-        if self.mass.shape[1] != len(self.times) or self.minmax.shape[1] != len(self.times):
-            raise InvalidParameterError("series lengths inconsistent")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,7 @@ def _anderson_mix(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
-               to_record=np.copy, static: bool = False) -> SimulationResult:
+               to_record=lambda u: u, static: bool = False) -> SimulationResult:
     """The package's only time loop and, inside it, its only Picard loop.
 
     ``step(u_prev, t_prev, t_new)`` evaluates a step's data once and returns its
@@ -263,8 +258,10 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     and whether it refactored go into its stats, with ``first_change``, the first
     sweep's change over the step's (how far the predictor missed), and
     ``mixed_sweeps``, the sweeps that started from a mix.  ``to_record`` maps a state to the
-    recorded values; a :class:`SolverFailure` leaves with the failing step's target time as
-    ``time`` and the trajectory so far as ``partial``.
+    recorded values (the state itself by default); step 0, every ``snapshot_every``-th step
+    and the last step copy them into their row of the preallocated snapshot array.  A
+    :class:`SolverFailure` leaves with the failing step's target time as ``time`` and the
+    trajectory so far, the snapshot rows written included, as ``partial``.
     """
     vol = grid.cell_volume
     n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
@@ -277,7 +274,10 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     src = np.zeros((m, n_steps))
     bflux = np.zeros((m, n_steps))
     stats: list[dict] = []
-    snapshots = [Field(vals, 0.0)]
+    steps = np.union1d(np.arange(0, n_steps + 1, cfg.snapshot_every), [n_steps])
+    snapshots = np.empty((len(steps), *vals.shape))
+    snapshots[0] = vals
+    row = 1   # the next snapshot row to write
 
     def record(k: int, vals_k: np.ndarray) -> None:
         minmax[:, k, 0] = times[k]
@@ -329,20 +329,20 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
         except SolverFailure as exc:
             exc.time = times[k + 1]
             exc.partial = SimulationResult(
-                snapshots, times[:k + 1], minmax[:, :k + 1], mass[:, :k + 1],
-                src[:, :k], bflux[:, :k], stats, cfg.dt)
+                snapshots[:row], times[steps[:row]], times[:k + 1], minmax[:, :k + 1],
+                mass[:, :k + 1], src[:, :k], bflux[:, :k], stats, cfg.dt)
             raise
         src[:, k], bflux[:, k] = builder.budget(u_new)
         u_oldest, u_older, u_old, u = u_older, u_old, u, u_new
         stats.append(st)
         vals = to_record(u)
         record(k + 1, vals)
-        if (k + 1) % cfg.snapshot_every == 0 or k + 1 == n_steps:
-            snapshots.append(Field(vals, float(times[k + 1])))
+        if k + 1 == steps[row]:
+            snapshots[row] = vals
+            row += 1
 
-    result = SimulationResult(snapshots, times, minmax, mass, src, bflux, stats, cfg.dt)
-    result.validate()
-    return result
+    return SimulationResult(snapshots, times[steps], times, minmax, mass, src, bflux, stats,
+                            cfg.dt)
 
 
 def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
@@ -489,7 +489,7 @@ def convergence_study(spec_factory: Callable[[Grid], ModelSpec],
         cfg = StepperConfig(dt=dt, t_end=t_end, lin_tol=1e-12, picard_max=3,
                             picard_tol=1e-12, snapshot_every=10 ** 9)
         result = run(spec, grid, cfg)
-        u_h = result.snapshots[-1].values
+        u_h = result.snapshots[-1]
         u_ex = exact_solution(result.times[-1], grid.cell_centers())
         err = u_h - u_ex
         err_inf = float(np.max(np.abs(err)))

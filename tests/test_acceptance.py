@@ -75,9 +75,8 @@ def test_criterion_2_truncation_bridge():
     elapsed = time.perf_counter() - t0
 
     interior = res_trunc.minmax[:, :, 2].max() < spec.ell
-    scale = max(float(np.max(np.abs(s.values))) for s in res_trunc.snapshots)
-    diff = max(float(np.max(np.abs(a.values - b.values)))
-               for a, b in zip(res_trunc.snapshots, res_raw.snapshots))
+    scale = float(np.max(np.abs(res_trunc.snapshots)))
+    diff = float(np.max(np.abs(res_trunc.snapshots - res_raw.snapshots)))
     rel = diff / scale
     ok = interior and rel <= 1e-7 and elapsed <= 10.0
     assert report(2, "truncation bridge", ok), (interior, rel, elapsed)
@@ -175,12 +174,12 @@ def test_criterion_5_level_set_oracle(criterion1_run):
     for species in (0, 1):
         for k in rng.uniform(0.0, 1.0, size=6):
             brute = 0.0
-            snaps = result.snapshots
+            snaps, t = result.snapshots, result.snapshot_times
             for s in range(len(snaps) - 1):
-                slab = snaps[s + 1].time - snaps[s].time
+                slab = t[s + 1] - t[s]
                 count = 0
                 for c in range(grid.n_cells):
-                    if snaps[s].values[species][c] > k:
+                    if snaps[s][species][c] > k:
                         count += 1
                 brute += slab * vol * count
             exact_matches.append(
@@ -196,7 +195,7 @@ def test_criterion_5_level_set_oracle(criterion1_run):
 
 def test_criterion_6_level_iteration_trace(criterion1_run):
     spec, grid, _, result, _ = criterion1_run
-    ell0 = float(result.snapshots[0].values.max())
+    ell0 = float(result.snapshots[0].max())
     budget = degiorgi_budget(N=2, s=6.0, ell0=ell0, m_factor=2.0, M_s=1.0,
                              K_offdiag_plus=1.0, K_diag_minus=1.0, delta_i=1.0,
                              ell=spec.ell, sobolev_beta=1.0)
@@ -220,8 +219,8 @@ def test_criterion_7_keulegan():
     relax = aq.keulegan_scenario(grid, pump_rate=0.0, tilt=0.5)
     cfg = StepperConfig(dt=3e-3, t_end=1.5, snapshot_every=50)
     res_relax, _ = aq.run_penalized(relax, grid, cfg)
-    slope0 = aq.interface_slope(res_relax.snapshots[0].values[0], grid)
-    slope_end = aq.interface_slope(res_relax.snapshots[-1].values[0], grid)
+    slope0 = aq.interface_slope(res_relax.snapshots[0, 0], grid)
+    slope_end = aq.interface_slope(res_relax.snapshots[-1, 0], grid)
     reduction = 1.0 - slope_end / slope0
 
     mass_u1 = res_relax.mass[0] - res_relax.mass[1]
@@ -231,7 +230,7 @@ def test_criterion_7_keulegan():
     res_pump, _ = aq.run_penalized(pumped, grid, cfg)
     elapsed = time.perf_counter() - t0
 
-    h_final = res_pump.snapshots[-1].values[0]
+    h_final = res_pump.snapshots[-1, 0]
     maxima = aq.interior_local_maxima(h_final, grid)
     pts = grid.cell_centers()
     well = int(np.argmin(np.abs(pts[:, 0] - 0.5)))

@@ -88,11 +88,9 @@ def test_thickness_run_matches_generic_solver():
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
     plain = aq._run_thickness(spec, grid, cfg, penalized=False)
     generic = solver.run(mspec, grid, cfg)
-    assert len(plain.snapshots) == len(generic.snapshots)
-    for a, g in zip(plain.snapshots, generic.snapshots):
-        assert a.time == g.time
-        h, h1 = aq.map_species(g.values[0], g.values[1], spec.h2)
-        assert np.max(np.abs(a.values - np.stack([h, h1]))) <= 1e-12
+    assert np.array_equal(plain.snapshot_times, generic.snapshot_times)
+    h, h1 = aq.map_species(generic.snapshots[:, 0], generic.snapshots[:, 1], spec.h2)
+    assert np.max(np.abs(plain.snapshots - np.stack([h, h1], axis=1))) <= 1e-12
     assert plain.solver_stats == generic.solver_stats
 
 
@@ -129,7 +127,7 @@ def test_penalized_and_plain_coincide_when_inactive(grid_48):
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
     plain = aq._run_thickness(spec, grid_48, cfg, penalized=False)
     pen, conf = aq.run_penalized(spec, grid_48, cfg)
-    diff = np.max(np.abs(plain.snapshots[-1].values - pen.snapshots[-1].values))
+    diff = np.max(np.abs(plain.snapshots[-1] - pen.snapshots[-1]))
     assert diff <= 10 * cfg.lin_tol * 100
     assert np.all(conf.violation == 0.0)
     assert np.all(conf.q_field == 0.0)
@@ -143,15 +141,15 @@ def test_flat_interfaces_steady(grid_48):
     spec = dirichlet_spec(grid_48)
     cfg = StepperConfig(dt=2e-3, t_end=2e-2, lin_tol=1e-12)
     result, _ = aq.run_penalized(spec, grid_48, cfg)
-    assert np.max(np.abs(result.snapshots[-1].values[0] - 0.5)) < 1e-9
-    assert np.max(np.abs(result.snapshots[-1].values[1] - 0.1)) < 1e-9
+    assert np.max(np.abs(result.snapshots[-1, 0] - 0.5)) < 1e-9
+    assert np.max(np.abs(result.snapshots[-1, 1] - 0.1)) < 1e-9
 
 
 def test_inclined_interface_slope_decreases(grid_48):
     spec = aq.keulegan_scenario(grid_48, pump_rate=0.0, tilt=0.4)
     cfg = StepperConfig(dt=2.5e-3, t_end=0.2, snapshot_every=10)
     result, _ = aq.run_penalized(spec, grid_48, cfg)
-    slopes = [aq.interface_slope(f.values[0], grid_48) for f in result.snapshots]
+    slopes = [aq.interface_slope(h, grid_48) for h in result.snapshots[:, 0]]
     assert all(b <= a + 1e-12 for a, b in zip(slopes, slopes[1:]))
     assert slopes[-1] < slopes[0]
 
@@ -187,9 +185,8 @@ def test_step_aquifer_moves_state(grid_48):
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     for result in (aq._run_thickness(spec, grid_48, cfg, penalized=False),
                    aq.run_penalized(spec, grid_48, cfg)[0]):
-        new = result.snapshots[-1]
-        assert len(result.snapshots) == 2 and new.time == pytest.approx(1e-3)
-        assert np.max(np.abs(new.values - state)) < 1e-9  # steady data stay put
+        assert len(result.snapshots) == 2 and result.snapshot_times[-1] == pytest.approx(1e-3)
+        assert np.max(np.abs(result.snapshots[-1] - state)) < 1e-9  # steady data stay put
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +258,7 @@ def test_mixed_form_initial_data_run_like_scalar_data(callable_datum):
     for runner in (lambda s: aq.run_penalized(s, MIXED_GRID, MIXED_CFG)[0],
                    lambda s: aq.run_confined_aquifer(s, MIXED_GRID, MIXED_CFG)):
         expected, got = runner(plain), runner(mixed)
-        assert [f.values.tobytes() for f in got.snapshots] == \
-            [f.values.tobytes() for f in expected.snapshots]
+        assert got.snapshots.tobytes() == expected.snapshots.tobytes()
 
 
 def test_mixed_form_traces_checked_in_their_own_form():
@@ -301,7 +297,7 @@ def test_keulegan_flat_no_pump_is_steady():
     grid = Grid((32,), (1.0,))
     spec = aq.keulegan_scenario(grid, pump_rate=0.0, tilt=0.0)
     result, conf = aq.run_penalized(spec, grid, StepperConfig(dt=2e-3, t_end=2e-2))
-    assert np.max(np.abs(result.snapshots[-1].values[0] - 0.5)) < 1e-9
+    assert np.max(np.abs(result.snapshots[-1, 0] - 0.5)) < 1e-9
     assert np.all(conf.violation == 0.0)
 
 
@@ -324,7 +320,7 @@ def test_keulegan_two_dimensional_box():
     grid = Grid((16, 6), (1.0, 0.4))
     spec = aq.keulegan_scenario(grid, pump_rate=0.01, tilt=0.4)
     result, conf = aq.run_penalized(spec, grid, StepperConfig(dt=5e-3, t_end=5e-2))
-    h, h1 = result.snapshots[-1].values
+    h, h1 = result.snapshots[-1]
     h2c = spec.h2_cells(grid)
     assert np.all(h1 >= -1e-9) and np.all(h - h1 >= -1e-9) and np.all(h2c - h >= -1e-9)
     assert np.all(conf.violation == 0.0)
@@ -338,7 +334,7 @@ def test_per_cell_reservoir_depth():
                           domain=(1.0,), dirichlet_h=0.5, dirichlet_h1=0.1)
     spec.validate(grid)
     result, conf = aq.run_penalized(spec, grid, StepperConfig(dt=2e-3, t_end=2e-2))
-    assert np.all(np.isfinite(result.snapshots[-1].values))
+    assert np.all(np.isfinite(result.snapshots[-1]))
     assert np.all(conf.violation == 0.0)
     with pytest.raises(InvalidParameterError):
         aq.to_cross_spec(spec, grid)  # generic mapping needs a constant depth
@@ -352,7 +348,7 @@ def test_confined_flat_no_pump_steady(grid_48):
     spec = dirichlet_spec(grid_48)
     cfg = StepperConfig(dt=2e-3, t_end=2e-2, lin_tol=1e-12)
     result = aq.run_confined_aquifer(spec, grid_48, cfg)
-    h, phi = result.snapshots[-1].values
+    h, phi = result.snapshots[-1]
     assert np.max(np.abs(h - 0.5)) < 1e-9
     assert np.max(np.abs(phi - 0.0)) < 1e-9
 
@@ -362,7 +358,7 @@ def test_confined_differs_from_penalized_under_pumping(grid_48):
     cfg = StepperConfig(dt=2.5e-3, t_end=0.2, snapshot_every=20)
     pen, _ = aq.run_penalized(spec, grid_48, cfg)
     conf = aq.run_confined_aquifer(spec, grid_48, cfg)
-    gap = np.max(np.abs(pen.snapshots[-1].values[0] - conf.snapshots[-1].values[0]))
+    gap = np.max(np.abs(pen.snapshots[-1, 0] - conf.snapshots[-1, 0]))
     assert gap > 1e-4  # structurally different models, far above solver noise
 
 
@@ -551,7 +547,7 @@ def test_confined_variant_rejects_unit_contrast(pumping):
     with pytest.raises(InvalidParameterError, match="alpha"):
         aq.run_confined_aquifer(spec, grid, cfg)
     result, _ = aq.run_penalized(spec, grid, cfg)
-    assert np.all(np.isfinite(result.snapshots[-1].values))
+    assert np.all(np.isfinite(result.snapshots[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +575,7 @@ def test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch):
     assert all(st["lin_iters"] > 0 for st in gmres.solver_stats)
     assert len(gmres.snapshots) == len(direct.snapshots)
     for sg, sd in zip(gmres.snapshots, direct.snapshots):
-        rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
+        rel = np.max(np.abs(sg - sd)) / np.max(np.abs(sd))
         assert rel <= 10 * lin_tol
 
 
@@ -667,7 +663,7 @@ def test_drain_supported_where_table_vanishes(grid_48):
     spec = replace(constraint_active_spec(grid_48), epsilon=1e-3)
     cfg = StepperConfig(dt=2e-3, t_end=0.3, snapshot_every=50)
     result, conf = aq.run_penalized(spec, grid_48, cfg)
-    h, h1 = result.snapshots[-1].values
+    h, h1 = result.snapshots[-1]
     q_cells = fv.cell_average(fv.face_table(grid_48),
                               np.abs(aq.penalty_face_flux(spec, grid_48, h, h1)))
     q_mag = np.sqrt(np.sum(q_cells ** 2, axis=0))

@@ -148,6 +148,19 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"stepper": {"lin_max": 6000}}, "unknown key 'lin_max' in stepper"),
     ({"kind": "aquifer", "model": None, "sweep": {"epsilon_list": []}},
      "sweep needs a nonempty sweep.epsilon_list"),
+    # a profile block takes only the keys its profile reads
+    ({"model": {"initial": [{"profile": "constant", "value": 0.5, "width": 0.3}, 0.0]}},
+     "unknown key 'width' in model.initial"),
+    ({"model": {"initial": [{"profile": "sine", "center": [0.5, 0.5]}, 0.0]}},
+     "unknown key 'center' in model.initial"),
+    ({"model": {"initial": [{"profile": "bump", "rate": 1.0}, 0.0]}},
+     "unknown key 'rate' in model.initial"),
+    ({"model": {"dirichlet": [{"profile": "zero", "value": 0.0}, 0.0]}},
+     "unknown key 'value' in model.dirichlet"),
+    ({"model": {"sources": [{"profile": "point", "amplitude": 1.0}, None]}},
+     "unknown key 'amplitude' in model.sources"),
+    ({"model": {"sources": [{"profile": "point", "position": "mid"}, None]}},
+     "model.sources.position must be a list of numbers or null"),
 ])
 def test_bad_diagnostics_and_stepper_values_rejected(tmp_path, capsys, update, named):
     cfg = json.loads(json.dumps(GENERIC))

@@ -6,24 +6,25 @@ from scipy.integrate import quad
 
 from crossdiff import diagnostics as diag
 from crossdiff.conditions import degiorgi_budget
-from crossdiff.model import Field, Grid, InvalidParameterError
+from crossdiff.model import Grid, InvalidParameterError
 from crossdiff.solver import SimulationResult, StepperConfig, run
 
 from conftest import coupled_spec_2d
 
 
-def fake_result(fields: list[Field]) -> SimulationResult:
-    """Wrap raw snapshots into a result (series filled consistently)."""
-    m = fields[0].m
-    times = np.array([f.time for f in fields])
+def fake_result(snapshots, times) -> SimulationResult:
+    """Wrap raw (m, n_cells) snapshots at ``times`` into a result (series filled consistently)."""
+    snapshots = np.array(snapshots, dtype=float)
+    times = np.array(times, dtype=float)
+    m = snapshots.shape[1]
     minmax = np.zeros((m, len(times), 3))
     mass = np.zeros((m, len(times)))
-    for k, f in enumerate(fields):
+    for k, u in enumerate(snapshots):
         minmax[:, k, 0] = times[k]
-        minmax[:, k, 1] = f.values.min(axis=1)
-        minmax[:, k, 2] = f.values.max(axis=1)
+        minmax[:, k, 1] = u.min(axis=1)
+        minmax[:, k, 2] = u.max(axis=1)
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    return SimulationResult(fields, times, minmax, mass,
+    return SimulationResult(snapshots, times, times, minmax, mass,
                             np.zeros((m, max(len(times) - 1, 0))),
                             np.zeros((m, max(len(times) - 1, 0))),
                             [], dt)
@@ -43,7 +44,7 @@ def stored_run(grid_12):
 def test_level_set_worked_example():
     grid = Grid((4,), (1.0,))
     vals = np.array([[0.1, 0.5, 0.9, 1.3]])
-    result = fake_result([Field(vals, 0.0), Field(vals, 1.0)])
+    result = fake_result([vals, vals], [0.0, 1.0])
     # strict inequality: the 0.5 entry is excluded
     assert diag.level_set_measure(result, grid, 0, 0.5) == 0.5
     assert diag.level_set_measure(result, grid, 0, 0.0) == 1.0   # full measure
@@ -52,9 +53,9 @@ def test_level_set_worked_example():
 
 def test_level_set_extremes(grid_12, stored_run):
     _, result = stored_run
-    u_min = min(float(s.values.min()) for s in result.snapshots)
-    u_max = max(float(s.values.max()) for s in result.snapshots)
-    total = result.snapshots[-1].time * grid_12.measure
+    u_min = float(result.snapshots.min())
+    u_max = float(result.snapshots.max())
+    total = result.snapshot_times[-1] * grid_12.measure
     full = diag.level_set_measure(result, grid_12, 0, u_min - 1.0)
     assert full == pytest.approx(total, rel=1e-12)
     assert diag.level_set_measure(result, grid_12, 0, u_max) == 0.0
@@ -68,12 +69,12 @@ def test_level_set_equals_brute_force(grid_12, stored_run):
         levels = rng.uniform(0.0, 1.0, size=8)
         for k in levels:
             total = 0.0
-            snaps = result.snapshots
+            snaps, t = result.snapshots, result.snapshot_times
             for s in range(len(snaps) - 1):
-                slab = snaps[s + 1].time - snaps[s].time
+                slab = t[s + 1] - t[s]
                 count = 0
                 for c in range(grid_12.n_cells):
-                    if snaps[s].values[species][c] > k:
+                    if snaps[s][species][c] > k:
                         count += 1
                 total += slab * vol * count
             assert diag.level_set_measure(result, grid_12, species, float(k)) == total
@@ -117,7 +118,7 @@ def test_trace_level_sequence(grid_12, stored_run):
 
 def test_trace_bounded_run_vanishes(grid_12):
     vals = np.full((2, grid_12.n_cells), 0.3)
-    result = fake_result([Field(vals, 0.0), Field(vals, 0.5), Field(vals, 1.0)])
+    result = fake_result([vals] * 3, [0.0, 0.5, 1.0])
     trace = diag.degiorgi_trace(result, grid_12, 0, ell0=0.5, m_factor=2.0,
                                 m_prime=0.5, budget=_budget(), n_max=8)
     assert np.all(trace.v_n[trace.n0:] == 0.0)
@@ -126,7 +127,7 @@ def test_trace_bounded_run_vanishes(grid_12):
 
 def test_trace_decreasing_until_zero(grid_12, stored_run):
     _, result = stored_run
-    ell0 = 0.4 * float(result.snapshots[0].values[0].max())
+    ell0 = 0.4 * float(result.snapshots[0, 0].max())
     trace = diag.degiorgi_trace(result, grid_12, 0, ell0=ell0, m_factor=2.0,
                                 m_prime=0.5, budget=_budget(), n_max=12)
     v = trace.v_n
@@ -163,7 +164,7 @@ def test_trace_rejects_levels_short_of_m_ell0(grid_12, stored_run, m_prime, n_ma
 
 def test_bound_check_constant(grid_12):
     vals = np.full((1, grid_12.n_cells), 0.5)
-    result = fake_result([Field(vals, 0.0), Field(vals, 1.0)])
+    result = fake_result([vals, vals], [0.0, 1.0])
     report = diag.bound_check(result, 0.0, 1.0)
     assert report.species[0].lo_margin == pytest.approx(0.5)
     assert report.species[0].hi_margin == pytest.approx(0.5)
@@ -197,16 +198,17 @@ def test_bound_check_positivity(grid_12, stored_run):
 
 def test_grad_norm_constant(grid_12):
     vals = np.full((1, grid_12.n_cells), 0.7)
-    result = fake_result([Field(vals, 0.0), Field(vals, 1.0)])
-    assert diag.discrete_grad_norm(result, grid_12, 2.0)[0] == 0.0
+    result = fake_result([vals, vals], [0.0, 1.0])
+    assert diag.discrete_grad_norm(result, grid_12, 0, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
 def test_grad_norm_linear_field(s):
     grid = Grid((32,), (1.0,))
     x = grid.cell_centers()[:, 0]
-    result = fake_result([Field(x[None, :], 0.0), Field(x[None, :], 1.0)])
-    assert diag.discrete_grad_norm(result, grid, s)[0] == pytest.approx(1.0, rel=1e-12)
+    result = fake_result([np.stack([x, 2.0 * x])] * 2, [0.0, 1.0])
+    assert diag.discrete_grad_norm(result, grid, 0, s) == pytest.approx(1.0, rel=1e-12)
+    assert diag.discrete_grad_norm(result, grid, 1, s) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_grad_norm_sine_oracle():
@@ -216,8 +218,8 @@ def test_grad_norm_sine_oracle():
         grid = Grid((n,), (1.0,))
         x = grid.cell_centers()[:, 0]
         u = np.sin(np.pi * x)
-        result = fake_result([Field(u[None, :], 0.0), Field(u[None, :], 1.0)])
-        got = diag.discrete_grad_norm(result, grid, s)[0]
+        result = fake_result([u[None, :], u[None, :]], [0.0, 1.0])
+        got = diag.discrete_grad_norm(result, grid, 0, s)
         exact = quad(lambda t: np.abs(np.pi * np.cos(np.pi * t)) ** s, 0.0, 1.0)[0] ** (1.0 / s)
         errs.append(abs(got - exact) / exact)
     assert errs[0] < 5e-3
@@ -228,8 +230,7 @@ def test_empirical_interpolation_constant(grid_12, stored_run):
     _, result = stored_run
     beta = diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0)
     assert beta > 0.0
-    zero = fake_result([Field(np.zeros((1, grid_12.n_cells)), 0.0),
-                        Field(np.zeros((1, grid_12.n_cells)), 1.0)])
+    zero = fake_result(np.zeros((2, 1, grid_12.n_cells)), [0.0, 1.0])
     assert diag.empirical_interpolation_constant(zero, grid_12, 0, 4.0, 4.0) == 0.0
 
 
@@ -247,15 +248,15 @@ def _probe_setup(grid, amplitude=1e-3, ell=1.0):
 def test_disc_perturbation_support(grid_12):
     pert, cells = diag.disc_perturbation(grid_12, 2, (0.5, 0.5), 0.2, 1e-3)
     outside = np.setdiff1d(np.arange(grid_12.n_cells), cells)
-    assert np.all(pert.values[:, outside] == 0.0)
+    assert np.all(pert[:, outside] == 0.0)
     ring = diag._set_boundary_cells(grid_12, cells)
-    assert np.all(pert.values[:, ring] == 0.0)
-    assert 0.5e-3 < pert.values.max() <= 1e-3
+    assert np.all(pert[:, ring] == 0.0)
+    assert 0.5e-3 < pert.max() <= 1e-3
 
 
 def test_probe_zero_perturbation(grid_12):
     spec, pert, cells, cfg = _probe_setup(grid_12)
-    zero = Field(np.zeros_like(pert.values), 0.0)
+    zero = np.zeros_like(pert)
     report = diag.uniqueness_probe(spec, grid_12, cfg, zero, cells)
     assert np.all(report.v_norms == 0.0)
     assert report.amplification == 0.0
@@ -263,8 +264,8 @@ def test_probe_zero_perturbation(grid_12):
 
 def test_probe_rejects_misplaced_support(grid_12):
     spec, pert, cells, cfg = _probe_setup(grid_12)
-    bad = Field(pert.values.copy(), pert.time)
-    bad.values[:, 0] = 1.0  # corner cell is far outside the disc
+    bad = pert.copy()
+    bad[:, 0] = 1.0  # corner cell is far outside the disc
     with pytest.raises(InvalidParameterError):
         diag.uniqueness_probe(spec, grid_12, cfg, bad, cells)
 
@@ -292,9 +293,8 @@ def test_probe_swap_symmetry(grid_12):
     pts = grid_12.cell_centers()
     base = np.stack([spec.initial_values(i, pts) for i in range(2)])
     spec_swapped = coupled_spec_2d(ell=1.0)
-    spec_swapped.initial = tuple(base[i] + pert.values[i] for i in range(2))
-    neg = Field(-pert.values, 0.0)
-    bwd = diag.uniqueness_probe(spec_swapped, grid_12, cfg, neg, cells)
+    spec_swapped.initial = tuple(base[i] + pert[i] for i in range(2))
+    bwd = diag.uniqueness_probe(spec_swapped, grid_12, cfg, -pert, cells)
 
     assert np.allclose(fwd.v_norms, bwd.v_norms, rtol=1e-9, atol=1e-15)
     assert np.allclose(fwd.grad_energies, bwd.grad_energies, rtol=1e-8)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from crossdiff.fv import face_table
-from crossdiff.model import (COMPATIBILITY_TOL, CrossTensor, EllipticityError, Field,
-                             Grid, InvalidParameterError, ModelSpec, clamp,
+from crossdiff.model import (COMPATIBILITY_TOL, CrossTensor, EllipticityError, Grid,
+                             InvalidParameterError, ModelSpec, clamp,
                              ellipticity_bounds, evaluate, point_density, species_flux,
                              truncate, validate_spec)
 from crossdiff.solver import StepperConfig, run
@@ -324,10 +324,3 @@ def test_grid_rejects_bad_input():
         Grid((0,), (1.0,))
     with pytest.raises(InvalidParameterError):
         Grid((4, 4, 4), (1.0, 1.0, 1.0))
-
-
-def test_field_shape():
-    f = Field(np.zeros((2, 16)), 0.5)
-    assert f.m == 2 and f.time == 0.5
-    g = Field(np.zeros(16))
-    assert g.m == 1

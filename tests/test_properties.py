@@ -55,9 +55,8 @@ def admissible_cases(draw):
 
 def run_twice(spec, grid, cfg):
     first, second = run(spec, grid, cfg), run(spec, grid, cfg)
-    for a, b in zip(first.snapshots, second.snapshots):
-        assert a.values.tobytes() == b.values.tobytes()
-    for name in ("minmax", "mass", "source_integral", "boundary_flux"):
+    for name in ("snapshots", "snapshot_times", "minmax", "mass", "source_integral",
+                 "boundary_flux"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
     return first
 

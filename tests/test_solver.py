@@ -34,7 +34,7 @@ def test_constant_state_preserved(grid_12):
     spec.dirichlet = (0.4, 0.4)
     cfg = StepperConfig(dt=1e-2, t_end=5e-2, lin_tol=1e-12)
     result = run(spec, grid_12, cfg)
-    assert np.max(np.abs(result.snapshots[-1].values - 0.4)) < 1e-10
+    assert np.max(np.abs(result.snapshots[-1] - 0.4)) < 1e-10
 
 
 def test_zero_level_matches_independent_heat_steps():
@@ -79,7 +79,7 @@ def test_zero_level_matches_independent_heat_steps():
         a = dense_heat_matrix(spec.delta[sp])
         for _ in range(steps):
             u = np.linalg.solve(a, vol * u / dt)
-        assert np.max(np.abs(result.snapshots[-1].values[sp] - u)) < 1e-12
+        assert np.max(np.abs(result.snapshots[-1, sp] - u)) < 1e-12
 
 
 def test_truncated_matches_raw_when_interior(grid_12):
@@ -88,8 +88,7 @@ def test_truncated_matches_raw_when_interior(grid_12):
     res_t = run(spec, grid_12, cfg)
     assert res_t.minmax[:, :, 2].max() < spec.ell
     res_r = run(dataclasses.replace(spec, ell=math.inf), grid_12, cfg)
-    diff = max(np.max(np.abs(a.values - b.values))
-               for a, b in zip(res_t.snapshots, res_r.snapshots))
+    diff = np.max(np.abs(res_t.snapshots - res_r.snapshots))
     assert diff <= 10 * cfg.lin_tol
 
 
@@ -100,8 +99,7 @@ def test_truncation_below_the_maximum_changes_the_run(grid_12):
     res_t = run(spec, grid_12, cfg)
     assert res_t.minmax[:, :, 2].max() > 1.5 * spec.ell
     res_r = run(dataclasses.replace(spec, ell=math.inf), grid_12, cfg)
-    diff = max(np.max(np.abs(a.values - b.values))
-               for a, b in zip(res_t.snapshots, res_r.snapshots))
+    diff = np.max(np.abs(res_t.snapshots - res_r.snapshots))
     assert diff >= 1e-2
 
 
@@ -115,7 +113,7 @@ def test_heat_oracle_error_bound():
     result = run(heat_spec_1d(), grid, cfg)
     x = grid.cell_centers()[:, 0]
     exact = math.exp(-math.pi ** 2 * 0.01) * np.sin(np.pi * x)
-    err = np.max(np.abs(result.snapshots[-1].values[0] - exact))
+    err = np.max(np.abs(result.snapshots[-1, 0] - exact))
     h = grid.spacing[0]
     assert err <= 5.0 * (h ** 2 + cfg.dt)
 
@@ -223,7 +221,7 @@ def test_degenerate_front_stays_nonnegative_and_in_place():
     result = run(spec, grid, StepperConfig(dt=1e-3, t_end=0.1))
     assert result.minmax[:, :, 1].min() >= -1e-10
     x = grid.cell_centers()[:, 0]
-    front = x[result.snapshots[-1].values[0] > 1e-6].max()
+    front = x[result.snapshots[-1, 0] > 1e-6].max()
     # the front of donor-cell faces on this grid lies at 0.7275
     assert abs(front - 0.7275) <= 2 * grid.spacing[0]
 
@@ -318,7 +316,7 @@ def test_point_source_budget():
 
     h = grid.spacing[0]
     for k in range(result.n_steps):
-        u_new = result.snapshots[k + 1].values[0]
+        u_new = result.snapshots[k + 1, 0]
         flux = (0.0 - u_new[0]) / (h / 2.0) + (0.0 - u_new[-1]) / (h / 2.0)
         assert flux == pytest.approx(result.boundary_flux[0, k], abs=1e-9)
         dm = result.mass[0, k + 1] - result.mass[0, k]
@@ -333,7 +331,7 @@ def test_zero_horizon_returns_initial_only(grid_12):
     spec = coupled_spec_2d()
     result = run(spec, grid_12, StepperConfig(dt=1e-3, t_end=0.0))
     assert len(result.snapshots) == 1
-    assert result.snapshots[0].time == 0.0
+    assert result.snapshot_times.tolist() == [0.0]
 
 
 # a single step is a run with t_end = dt
@@ -347,9 +345,9 @@ def test_advance_step_validates(grid_12):
 
 def test_advance_step_moves_time(grid_12):
     spec = coupled_spec_2d()
-    state, new = run(spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3)).snapshots
-    assert new.time == pytest.approx(1e-3)
-    assert new.values.shape == state.values.shape
+    result = run(spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-3))
+    assert result.snapshot_times[-1] == pytest.approx(1e-3)
+    assert result.snapshots.shape == (2, spec.m, grid_12.n_cells)
 
 
 def test_source_evaluated_once_per_step(grid_12):
@@ -396,6 +394,7 @@ def test_solver_failure_carries_partialresult(monkeypatch):
     assert math.isfinite(exc.residual)
     assert exc.partial is not None
     assert len(exc.partial.times) >= 1
+    assert len(exc.partial.snapshots) == len(exc.partial.snapshot_times) >= 1
 
 
 def test_picard_nonconvergence_recorded(grid_12):
@@ -409,9 +408,8 @@ def test_picard_nonconvergence_recorded(grid_12):
 def test_snapshot_times_strictly_increasing(grid_12):
     spec = coupled_spec_2d()
     result = run(spec, grid_12, StepperConfig(dt=1e-3, t_end=1e-2, snapshot_every=3))
-    times = [s.time for s in result.snapshots]
-    assert times == sorted(set(times))
-    assert times[-1] == pytest.approx(1e-2)
+    assert np.array_equal(result.snapshot_times, result.times[[0, 3, 6, 9, 10]])
+    assert np.all(np.diff(result.snapshot_times) > 0.0)
 
 
 @pytest.mark.parametrize("field", ["picard_max", "snapshot_every"])
@@ -524,7 +522,7 @@ def test_block_gmres_run_agrees_with_direct_run(monkeypatch):
     direct = run(coupled_spec_2d(), GRID_48, cfg)
     assert all(st["lin_iters"] == 0 and not st["refactored"] for st in direct.solver_stats)
     for sg, sd in zip(gmres.snapshots, direct.snapshots):
-        rel = np.max(np.abs(sg.values - sd.values)) / np.max(np.abs(sd.values))
+        rel = np.max(np.abs(sg - sd)) / np.max(np.abs(sd))
         assert rel <= 10 * lin_tol
 
 
@@ -555,7 +553,7 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
     assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
     assert len(block.snapshots) == len(direct.snapshots)
     for sb, sd in zip(block.snapshots, direct.snapshots):
-        rel = np.max(np.abs(sb.values - sd.values)) / np.max(np.abs(sd.values))
+        rel = np.max(np.abs(sb - sd)) / np.max(np.abs(sd))
         assert rel <= 10 * lin_tol
 
 
@@ -600,7 +598,7 @@ def test_default_run_is_near_converged_trajectory(grid_12):
     default = run(spec, grid_12, cfg)
     converged = run(spec, grid_12, dataclasses.replace(cfg, picard_tol=1e-12, picard_max=50))
     assert all(st["picard_converged"] for st in converged.solver_stats)
-    err = max(np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+    err = max(np.max(np.abs(a - b)) / np.max(np.abs(b))
               for a, b in zip(default.snapshots, converged.snapshots))
     assert err < 2e-4
 
@@ -614,7 +612,7 @@ def test_negative_predictor_keeps_positivity_floor(grid):
     spec.initial = (1.0, product_sine(0.8))
     spec.dirichlet = (lambda t, points: np.full(len(points), 1.0 if t < 0.025 else 0.0), 0.0)
     result = run(spec, grid, StepperConfig(dt=1e-2, t_end=5e-2))
-    u = np.stack([s.values for s in result.snapshots])
+    u = result.snapshots
     assert (3.0 * u[2:-1, 0] - 3.0 * u[1:-2, 0] + u[:-3, 0] < 0.0).any()
     assert all(st["picard_converged"] for st in result.solver_stats)
     assert result.minmax[:, :, 1].min() >= -1e-10
@@ -636,7 +634,7 @@ def test_first_lag_is_the_cubic_predictor(monkeypatch, grid_12):
     monkeypatch.setattr(solver, "_assemble_step", recording)
     result = run(coupled_spec_2d(), grid_12, StepperConfig(dt=1e-3, t_end=6e-3,
                                                            picard_max=1))
-    u = [s.values for s in result.snapshots]
+    u = result.snapshots
     expected = ([u[0], 2.0 * u[1] - u[0], 3.0 * (u[2] - u[1]) + u[0]]
                 + [4.0 * (u[k] + u[k - 2]) - 6.0 * u[k - 1] - u[k - 3] for k in range(3, 6)])
     assert len(first_lags) == len(expected)
@@ -753,7 +751,7 @@ def test_run_does_not_depend_on_earlier_runs():
     spec_b = coupled_spec_2d()
 
     def snapshots(spec):
-        return [s.values.tobytes() for s in run(spec, GRID_48, cfg).snapshots]
+        return run(spec, GRID_48, cfg).snapshots.tobytes()
     alone = snapshots(spec_b)
     spec_a = coupled_spec_2d()
     spec_a.initial = (product_sine(0.3), product_sine(1.0))
@@ -1202,9 +1200,9 @@ def test_advance_step_is_first_step_of_run(grid_12, ell):
     spec = coupled_spec_2d(ell=ell)
     cfg = StepperConfig(dt=2e-3, t_end=6e-3, picard_max=3)
     result = run(spec, grid_12, cfg)
-    first = run(spec, grid_12, dataclasses.replace(cfg, t_end=cfg.dt)).snapshots[-1]
-    assert first.time == result.snapshots[1].time
-    assert np.array_equal(first.values, result.snapshots[1].values)
+    first = run(spec, grid_12, dataclasses.replace(cfg, t_end=cfg.dt))
+    assert first.snapshot_times[-1] == result.snapshot_times[1]
+    assert np.array_equal(first.snapshots[-1], result.snapshots[1])
 
 
 @pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
@@ -1217,9 +1215,9 @@ def test_step_aquifer_is_first_step_of_run(kind, penalized):
         cfg = StepperConfig(dt=2e-3, t_end=t_end, lin_tol=1e-11)
         return (aq.run_penalized(aspec, grid, cfg)[0] if penalized
                 else aq._run_thickness(aspec, grid, cfg, penalized=False))
-    result, first = run_to(6e-3), run_to(2e-3).snapshots[-1]
-    assert first.time == result.snapshots[1].time
-    assert np.array_equal(first.values, result.snapshots[1].values)
+    result, first = run_to(6e-3), run_to(2e-3)
+    assert first.snapshot_times[-1] == result.snapshot_times[1]
+    assert np.array_equal(first.snapshots[-1], result.snapshots[1])
 
 
 def test_every_solve_gets_a_pattern_matrix(monkeypatch):

@@ -170,9 +170,9 @@ def _generic_run():
 
 def _snapshot_rows(result, grid):
     coords = grid.cell_centers()
-    return [",".join([*(fmt(v) for v in coords[c]), str(i + 1), fmt(snap.values[i, c]),
-                      fmt(snap.time)])
-            for snap in result.snapshots for i in range(snap.m) for c in range(grid.n_cells)]
+    return [",".join([*(fmt(v) for v in coords[c]), str(i + 1), fmt(snap[i, c]), fmt(t)])
+            for snap, t in zip(result.snapshots, result.snapshot_times)
+            for i in range(result.m) for c in range(grid.n_cells)]
 
 
 def _series_rows(result):
@@ -284,7 +284,8 @@ def test_snapshot_rendering_memory_does_not_grow_with_snapshots(tmp_path):
     assert len(result.snapshots) == 101
     config, out, peaks = _generic_config(tmp_path), tmp_path / "out", {}
     for count in (26, 101):
-        part = dataclasses.replace(result, snapshots=result.snapshots[:count])
+        part = dataclasses.replace(result, snapshots=result.snapshots[:count],
+                                   snapshot_times=result.snapshot_times[:count])
         tracemalloc.start()
         try:
             cli.write_outputs(out, config, "simulate",
@@ -335,8 +336,7 @@ def test_keulegan_artifacts_match_reference(tmp_path):
     assert (out / "confinement.csv").read_text() == reference("t,violation,residual", rows)
     h2c = aspec.h2_cells(grid)
     x = grid.cell_centers()[:, 0]
-    for idx, snap in enumerate(result.snapshots):
-        h, h1 = snap.values[0], snap.values[1]
+    for idx, (h, h1) in enumerate(result.snapshots):
         s = (h - h1) + (h2c - h)
         rows = [f"{fmt(x[c])},{fmt(h[c])},{fmt(h1[c])},{fmt(s[c])}" for c in range(grid.n_cells)]
         assert (out / f"interface_{idx:04d}.csv").read_text() == reference("x,h,h1,s", rows)
