@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .table import csv_table
 __all__ = [
     "LevelSetProfile", "DeGiorgiTrace", "BoundCheckReport", "UniquenessProbeReport",
     "level_set_measure", "level_set_profile", "degiorgi_trace", "bound_check",
-    "discrete_grad_norm", "empirical_interpolation_constant",
+    "discrete_grad_norms", "discrete_grad_norm", "empirical_interpolation_constant",
     "uniqueness_probe", "disc_cells", "disc_perturbation",
 ]
 
@@ -202,31 +202,44 @@ def _grad_magnitude(ft: fv.FaceTable, u: np.ndarray, traces: np.ndarray | None) 
     return np.sqrt(sum(c ** 2 for c in fv.cell_gradient(ft, u, traces)))
 
 
-def discrete_grad_norm(result: SimulationResult, grid: Grid, species: int, s: float) -> float:
-    """( sum_t slab sum_c vol |grad u_species|^s )^(1/s) of one species.
+def discrete_grad_norms(result: SimulationResult, grid: Grid, species: int,
+                        exponents: Sequence[float]) -> tuple[float, ...]:
+    """( sum_t slab sum_c vol |grad u_species|^s )^(1/s) of one species, per s in ``exponents``.
 
-    Cell gradients average the face differences available per axis (interior
+    One gradient pass over the snapshots serves every exponent.  Cell
+    gradients average the face differences available per axis (interior
     faces only; boundary traces are not stored with the run).
     """
-    if s < 1.0:
-        raise InvalidParameterError(f"exponent must be >= 1, got {s}")
+    for s in exponents:
+        if s < 1.0:
+            raise InvalidParameterError(f"exponent must be >= 1, got {s}")
+    if not exponents:
+        return ()
     ft = fv.face_table(grid)
     vol = grid.cell_volume
-    total = 0.0
+    totals = [0.0] * len(exponents)
     for slab, snap in zip(_slabs(result), result.snapshots):
         mag = _grad_magnitude(ft, snap[species], None)
-        total += slab * vol * float(np.sum(mag ** s))
+        for j, s in enumerate(exponents):
+            totals[j] += slab * vol * float(np.sum(mag ** s))
     # the ufunc, whose root can differ in the last bit from the scalar ``**``
-    return float(np.power(total, 1.0 / s))
+    return tuple(float(np.power(total, 1.0 / s)) for total, s in zip(totals, exponents))
+
+
+def discrete_grad_norm(result: SimulationResult, grid: Grid, species: int, s: float) -> float:
+    """The norm of :func:`discrete_grad_norms` for one exponent ``s``."""
+    return discrete_grad_norms(result, grid, species, (s,))[0]
 
 
 def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
-                                     species: int, r: float, q: float) -> float:
+                                     species: int, r: float, q: float,
+                                     grad_l2: float | None = None) -> float:
     """Measured ratio ||u||_{L^r L^q} / (||u||_{L^inf L^2} + ||grad u||_{L^2}).
 
     Stands in for the interpolation constant when no analytic value is
-    supplied; measured on the run itself with snapshot-slab quadrature, its
-    gradient term from :func:`discrete_grad_norm` with s = 2.
+    supplied; measured on the run itself with snapshot-slab quadrature.  Its
+    gradient term is ``grad_l2`` when given, else :func:`discrete_grad_norm`
+    with s = 2.
     """
     vol = grid.cell_volume
     snaps = result.snapshots[:, species]
@@ -235,7 +248,9 @@ def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
     for slab, u in zip(_slabs(result), snaps):
         lq = (float(np.sum(np.abs(u) ** q)) * vol) ** (1.0 / q)
         num += slab * lq ** r
-    den = sup_l2 + discrete_grad_norm(result, grid, species, 2.0)
+    if grad_l2 is None:
+        grad_l2 = discrete_grad_norm(result, grid, species, 2.0)
+    den = sup_l2 + grad_l2
     if den == 0.0:
         return 0.0
     return num ** (1.0 / r) / den

@@ -31,12 +31,14 @@ the one record of a step's budget, kept in the state's species
 factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
 (1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2) and for a
 system solved without a holder of kept factors, restarted GMRES for larger
-ones, block-Jacobi preconditioned by inverses of the species diagonal blocks
-that a run keeps in its :class:`BlockFactors`.  On 2D grids of at least
-``TRANSFORM_MIN_CELLS[2]`` cells (72x72) each inverse is exact for the
+ones, block-Jacobi preconditioned by the one inverse of the species block
+diagonal that a run keeps in its :class:`BlockFactors`, applied to the
+stacked residual in one call.  On 2D grids of at least
+``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is exact for each
 block's constant-coefficient two-point fit, applied by fast sine (Dirichlet
-block) or cosine (closed block) transforms; on every other grid it is the
-block's SuperLU factorization.  Both cutoffs are measured crossovers, and
+block) or cosine (closed block) transforms; on every other grid it is one
+SuperLU factorization of the block diagonal, whose solve equals the
+per-block solves bit for bit.  Both cutoffs are measured crossovers, and
 the same true-residual contract holds on every path.
 """
 
@@ -550,101 +552,113 @@ def _spectrum(grid: Grid, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _TransformInverse:
-    """Inverse of the constant-coefficient fit of one species block, by fast transforms.
+    """Inverse of the constant-coefficient fits of the m species blocks of ``a``, by fast transforms.
 
-    The block A_kk is fitted by P = c0 I + g L on its grid (:func:`_spectrum`).
-    c0 is the mean row sum of A_kk over the cells without a boundary face
-    (over all cells if there is none), its mass term when the block is
-    conservative; g is minus the sum of its off-diagonal entries over twice
-    the sum of area/dist over the interior faces.  ``dirichlet`` (a face term
-    of the block covers the boundary faces) selects DST-II, otherwise DCT-II.
-    P is scaled symmetrically to the diagonal of A_kk, M = S P S with
+    Each species block A_kk is fitted by P = c0 I + g L on its grid
+    (:func:`_spectrum`).  c0 is the mean row sum of A_kk over the cells
+    without a boundary face (over all cells if there is none), its mass term
+    when the block is conservative; g is minus the sum of its off-diagonal
+    entries over twice the sum of area/dist over the interior faces.  A block
+    is Dirichlet, and takes DST-II, when its assembly recorded a face term on
+    the boundary faces (:meth:`SystemBuilder.matrix`; a matrix built
+    elsewhere records none); otherwise it takes DCT-II.  P is scaled
+    symmetrically to the diagonal of A_kk, M = S P S with
     S = sqrt(diag A_kk / diag P), and :meth:`solve` applies
-    M^-1 = S^-1 P^-1 S^-1.  A fit with a zero or non-finite eigenvalue or
-    scale raises :class:`SolverFailure`.
+    M^-1 = S^-1 P^-1 S^-1 to each species' part of a stacked vector.  A fit
+    with a zero or non-finite eigenvalue or scale raises :class:`SolverFailure`.
     """
 
-    def __init__(self, block: sparse.csr_matrix, grid: Grid, k: int, dirichlet: bool):
+    def __init__(self, a: sparse.csr_matrix, grid: Grid, m: int):
         # imported here: scipy.fft imports scipy.special, a cost only these runs pay
         from scipy import fft
         ft = face_table(grid)
-        lam, diag_l = _spectrum(grid, dirichlet)
-        row_sum = np.asarray(block.sum(axis=1)).ravel()
-        diag = block.diagonal()
+        ni = ft.n_interior
+        dirichlet = {t[1] for t in getattr(a, "terms", ())
+                     if t[0] == "face" and t[1] == t[2] and t[3] > ni}
         inner = np.ones(grid.n_cells, dtype=bool)
         inner[ft.bnd_cell] = False
-        ni = ft.n_interior
-        c0 = float(np.mean(row_sum[inner] if inner.any() else row_sum))
-        g = -float(row_sum.sum() - diag.sum()) / (2.0 * float(np.sum(ft.area[:ni] / ft.dist[:ni])))
-        eig = c0 + g * lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.sqrt(diag / (c0 + g * diag_l))
-        if not (np.all(np.isfinite(eig)) and np.all(eig != 0.0)
-                and np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
-            raise SolverFailure(f"fast-transform fit of species block {k} is singular "
-                                f"or not finite")
+        weight = 2.0 * float(np.sum(ft.area[:ni] / ft.dist[:ni]))
+        n = grid.n_cells
         self.shape = grid.dims
-        self.inv_eig = 1.0 / eig
-        self.inv_scale = 1.0 / scale
-        self.forward, self.backward = (fft.dstn, fft.idstn) if dirichlet else (fft.dctn, fft.idctn)
+        self.fits = []
+        for k in range(m):
+            block = a[k * n:(k + 1) * n, k * n:(k + 1) * n]
+            lam, diag_l = _spectrum(grid, k in dirichlet)
+            row_sum = np.asarray(block.sum(axis=1)).ravel()
+            diag = block.diagonal()
+            c0 = float(np.mean(row_sum[inner] if inner.any() else row_sum))
+            g = -float(row_sum.sum() - diag.sum()) / weight
+            eig = c0 + g * lam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.sqrt(diag / (c0 + g * diag_l))
+            if not (np.all(np.isfinite(eig)) and np.all(eig != 0.0)
+                    and np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
+                raise SolverFailure(f"fast-transform fit of species block {k} is singular "
+                                    f"or not finite")
+            transforms = (fft.dstn, fft.idstn) if k in dirichlet else (fft.dctn, fft.idctn)
+            self.fits.append((1.0 / eig, 1.0 / scale, *transforms))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        y = self.forward((r * self.inv_scale).reshape(self.shape), type=2, norm="ortho",
-                         overwrite_x=True)
-        y *= self.inv_eig
-        return self.backward(y, type=2, norm="ortho", overwrite_x=True).ravel() * self.inv_scale
+        x = np.empty_like(r)
+        n = len(r) // len(self.fits)
+        for k, (inv_eig, inv_scale, forward, backward) in enumerate(self.fits):
+            y = forward((r[k * n:(k + 1) * n] * inv_scale).reshape(self.shape), type=2,
+                        norm="ortho", overwrite_x=True)
+            y *= inv_eig
+            x[k * n:(k + 1) * n] = backward(y, type=2, norm="ortho",
+                                            overwrite_x=True).ravel() * inv_scale
+        return x
 
 
-class BlockFactors:
-    """Block-Jacobi preconditioner of one run: inverses of the m species blocks on ``grid``.
+class BlockFactors(spla.LinearOperator):
+    """Block-Jacobi preconditioner of one run: one inverse of the species block diagonal on ``grid``.
 
     A run makes one holder and passes it to every :func:`solve_sparse` call,
-    so no inverse outlives its run.  A grid with at least
-    ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D grid of 72x72 or more)
-    inverts each diagonal block ``A_ii`` by the fast transforms of its
-    constant-coefficient fit (:class:`_TransformInverse`), any other grid by
-    the block's SuperLU factors; the grid decides, never the data.  The
-    inverses are kept across Picard sweeps and steps; a solve rebuilds them
-    from its own matrix only when the previous solve needed more than
-    :data:`REFACTOR_AFTER` preconditioner applications.  ``iters`` counts the
-    applications of the latest solve (its GMRES inner iterations plus one per
-    restart cycle and one for the start; 0 after a direct solve),
-    ``refactored`` says whether that solve built its inverses afresh and
-    ``b_norm`` holds the 2-norm of its right-hand side.
+    so no inverse outlives its run.  The inverse is that of the m diagonal
+    blocks ``A_ii`` of the run's matrix, the couplings between species left
+    out.  A grid with at least ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D
+    grid of 72x72 or more) applies each block's constant-coefficient fit by
+    fast transforms (:class:`_TransformInverse`); any other grid takes one
+    SuperLU factorization of the block diagonal, whose solve is that of the
+    per-block factors; the grid decides, never the data.  The inverse is kept
+    across Picard sweeps and steps; a solve rebuilds it from its own matrix
+    only when the previous solve needed more than :data:`REFACTOR_AFTER`
+    preconditioner applications.  The holder is itself the linear operator
+    that applies the inverse to a stacked residual, GMRES's preconditioner
+    for the whole run.  ``iters`` counts the applications of the latest solve
+    (its GMRES inner iterations plus one per restart cycle and one for the
+    start; 0 after a direct solve), ``refactored`` says whether that solve
+    built its inverse afresh and ``b_norm`` holds the 2-norm of its
+    right-hand side.
     """
 
     def __init__(self, m: int, grid: Grid):
+        super().__init__(float, (m * grid.n_cells, m * grid.n_cells))
         self.m = m
         self.grid = grid
-        self.blocks: list | None = None
+        self.inverse = None
         self.iters = 0
         self.refactored = False
         self.b_norm = 0.0
 
-    def preconditioner(self, a: sparse.csr_matrix) -> spla.LinearOperator:
-        self.refactored = self.blocks is None or self.iters > REFACTOR_AFTER
+    def preconditioner(self, a: sparse.csr_matrix) -> BlockFactors:
+        self.refactored = self.inverse is None or self.iters > REFACTOR_AFTER
         if self.refactored:
+            self.inverse = None  # free the old inverse before building a new one
             n = self.grid.n_cells
-            blocks = [a[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(self.m)]
-            self.blocks = None  # free the old inverses before building new ones
             if n < TRANSFORM_MIN_CELLS[self.grid.ndim]:
-                self.blocks = [_factor(block) for block in blocks]
+                coo = a.tocoo()
+                keep = coo.row // n == coo.col // n
+                self.inverse = _factor(sparse.csc_matrix(
+                    (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=a.shape))
             else:
-                # a Dirichlet block is one whose assembly recorded a face term on the
-                # boundary faces (SystemBuilder.matrix); a matrix built elsewhere records none
-                ni = face_table(self.grid).n_interior
-                dirichlet = {t[1] for t in getattr(a, "terms", ())
-                             if t[0] == "face" and t[1] == t[2] and t[3] > ni}
-                self.blocks = [_TransformInverse(block, self.grid, k, k in dirichlet)
-                               for k, block in enumerate(blocks)]
+                self.inverse = _TransformInverse(a, self.grid, self.m)
         self.iters = 0
-        return spla.LinearOperator(a.shape, matvec=self._apply, dtype=float)
+        return self
 
-    def _apply(self, r: np.ndarray) -> np.ndarray:
+    def _matvec(self, r: np.ndarray) -> np.ndarray:
         self.iters += 1
-        n = len(r) // self.m
-        return np.concatenate([lu.solve(r[k * n:(k + 1) * n])
-                               for k, lu in enumerate(self.blocks)])
+        return self.inverse.solve(r)
 
 
 def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
@@ -656,7 +670,8 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
     system solved without a ``factors`` holder, take a SuperLU solve.  Larger
     ones take restarted GMRES, :data:`GMRES_RESTART` inner iterations per
     cycle and at most :data:`GMRES_CYCLES` cycles per call, preconditioned by
-    the species-block factors held in ``factors``.  The preconditioned
+    ``factors``: the run's one inverse of the species block diagonal, which it
+    rebuilds from ``a`` only under its refactor rule.  The preconditioned
     stopping test can be optimistic, so the true residual is verified and the
     iteration continued once at a tighter tolerance.  Either way a residual
     above ``tol``, a singular or a non-finite system raises

@@ -22,10 +22,10 @@ previous time level.  The linear block system is solved by
 :func:`fv.solve_sparse`: a SuperLU factorization of the whole system up to
 :data:`fv.DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells),
 restarted GMRES above it (every 2D grid of 23x23 or more at m = 2),
-preconditioned by inverses of the species diagonal blocks that each run
+preconditioned by one inverse of the species block diagonal that each run
 keeps in one :class:`fv.BlockFactors` and rebuilds only when GMRES starts to
-need many iterations: SuperLU factors, or on 2D grids of 72x72 or more
-(``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
+need many iterations: one SuperLU factorization, or on 2D grids of 72x72 or
+more (``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
 block's constant-coefficient fit.
 
 Each step's first lag is the cubic predictor 4 u^n - 6 u^(n-1) + 4 u^(n-2) -
@@ -84,10 +84,10 @@ class StepperConfig:
     linear solve, the same on every sweep.  Systems above
     ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or more at m = 2)
     are solved by GMRES, at most ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner
-    iterations per call, preconditioned with the run's species-block
-    inverses: SuperLU factors, or on 2D grids of 72x72 or more fast
-    transforms of a constant-coefficient fit, which takes up to about 30 %
-    more iterations than the factors.
+    iterations per call, preconditioned with the run's inverse of the species
+    block diagonal: one SuperLU factorization, or on 2D grids of 72x72 or
+    more fast transforms of each block's constant-coefficient fit, which
+    takes up to about 30 % more iterations than the factorization.
     """
 
     dt: float

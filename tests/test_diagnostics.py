@@ -226,6 +226,18 @@ def test_grad_norm_sine_oracle():
     assert errs[1] < errs[0]
 
 
+def test_one_gradient_pass_gives_each_norm_bit_for_bit(grid_12, stored_run):
+    # the De Giorgi diagnostic takes M_s and beta's gradient term from one pass
+    _, result = stored_run
+    norms = diag.discrete_grad_norms(result, grid_12, 0, (6.0, 2.0))
+    assert norms == tuple(diag.discrete_grad_norm(result, grid_12, 0, s) for s in (6.0, 2.0))
+    assert (diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0, norms[1])
+            == diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0))
+    assert diag.discrete_grad_norms(result, grid_12, 0, ()) == ()
+    with pytest.raises(InvalidParameterError):
+        diag.discrete_grad_norms(result, grid_12, 0, (2.0, 0.5))
+
+
 def test_empirical_interpolation_constant(grid_12, stored_run):
     _, result = stored_run
     beta = diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0)

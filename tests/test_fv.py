@@ -134,3 +134,42 @@ def test_transform_inverts_a_constant_coefficient_block_exactly(monkeypatch, gri
     x = np.random.default_rng(3).uniform(-1.0, 1.0, grid.n_cells)
     precond = fv.BlockFactors(1, grid).preconditioner(a)
     assert np.max(np.abs(precond.matvec(a @ x) - x)) <= 1e-12
+
+
+def _coupled_system(grid: Grid, species: tuple[int, ...]):
+    """Species 0 Dirichlet, species 1 closed, with varying coefficients; both coupled
+    when ``species`` holds both, else the one-species system of that diagonal block."""
+    ft = fv.face_table(grid)
+    rng = np.random.default_rng(11)
+    g = [rng.uniform(0.5, 2.0, ft.n_faces), rng.uniform(0.5, 2.0, ft.n_interior)]
+    traces = [np.zeros(ft.n_boundary), None]
+    builder = fv.SystemBuilder(grid, len(species))
+    for row, k in enumerate(species):
+        builder.add_mass(row, 30.0 + 20.0 * k)
+        builder.add_tpfa(row, row, g[k], traces[k])
+    if len(species) == 2:
+        builder.add_tpfa(0, 1, 0.3 * g[1], None)
+        builder.add_tpfa(1, 0, 0.2 * g[0], traces[0])
+    return builder.matrix()
+
+
+def test_block_diagonal_inverse_is_the_per_species_inverses(transform: bool = False):
+    # the holder's one inverse of the species block diagonal applies exactly what
+    # inverses of the single blocks apply, each to its own species' part
+    grid = Grid((12, 10), (1.0, 0.8))
+    n = grid.n_cells
+    a = _coupled_system(grid, (0, 1))
+    if transform:
+        single = [fv.BlockFactors(1, grid).preconditioner(_coupled_system(grid, (k,))).matvec
+                  for k in range(2)]
+    else:
+        single = [fv.spla.splu(a[k * n:(k + 1) * n, k * n:(k + 1) * n].tocsc(),
+                               permc_spec=fv.ORDERING).solve for k in range(2)]
+    precond = fv.BlockFactors(2, grid).preconditioner(a)
+    for r in np.random.default_rng(5).standard_normal((3, 2 * n)):
+        expected = np.concatenate([solve(r[k * n:(k + 1) * n]) for k, solve in enumerate(single)])
+        assert np.array_equal(precond.matvec(r), expected)
+
+
+def test_block_diagonal_inverse_is_the_per_species_inverses_on_transform(transform_everywhere):
+    test_block_diagonal_inverse_is_the_per_species_inverses(transform=True)

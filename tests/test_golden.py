@@ -44,6 +44,17 @@ CONFIGS = {
         "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 3},
         "model": {"m": 1, "delta": [1.0], "ell": 1.0, "K": [[1.0]],
                   "initial": [{"profile": "sine"}], "dirichlet": [0.0]}}),
+    # the two-species model of the cli-generic benchmark workload on 24^2: above
+    # fv.DIRECT_MAX_UNKNOWNS and below fv.TRANSFORM_MIN_CELLS, so GMRES preconditioned by
+    # the SuperLU factors of the species block diagonal
+    "simulate-gmres": ("simulate", {
+        "schema": 1, "kind": "generic", "grid": {"dims": [24, 24]},
+        "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 1},
+        "model": {"m": 2, "delta": [1.0, 1.0], "ell": 1.0, "K": [[1.0, 1.0], [1.0, 1.0]],
+                  "initial": [{"profile": "sine"}, {"profile": "sine", "amplitude": 0.8}],
+                  "dirichlet": [0.0, 0.0]},
+        "diagnostics": {"levels": {"count": 20}, "degiorgi": {"species": 1, "ell0": 0.3},
+                        "bounds": {"lo": 0.0}}}),
     "convergence": ("convergence", {
         "schema": 1, "kind": "generic", "convergence": {"case": "heat", "levels": 2}}),
 }
@@ -79,6 +90,14 @@ GOLDEN = {
         "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",
         "series.csv": "cf46ecc90da1c88a09b5939ae600106f54dd3843eef65069ab39b5aa346c601a",
         "snapshots.csv": "9e5481c1f837680167976911004eac58610167d09b8e92b57338b8c29da982e2",
+    },
+    "simulate-gmres": {
+        "bounds.csv": "23fc494ab55625ad9ea69bf096534bf0cc8698fab2b0a3ce2ab76d80cb4dd969",
+        "degiorgi.csv": "390e3ba1317d9bfabe22da5810db312696a33c637a91f7638e01c8eb87275aef",
+        "levels.csv": "3bf1d643c9206aa041d66f98e59ae25bf977f5e5770232d768830c52c974f63b",
+        "manifest.txt": "e5c1b4d61e26fc0839653501d047aaf4cf98aca0070a02e79614cd870713cae7",
+        "series.csv": "d37f5dc90797e9e73f45f47cb0b33a945a547470c72ddb53483eb9ce1c91af3f",
+        "snapshots.csv": "119fb91c8a0725cd12f3a2ffbad7b507853ca474c9b7fe4510f52f7d64500f81",
     },
     "convergence": {
         "convergence.csv": "e087aad401ddb80f46dbedfd1ed5db7e4bcb032438ccf01b07f4007c7f17f19f",
