@@ -509,15 +509,15 @@ def _degiorgi_artifacts(config: ScenarioConfig, spec: ModelSpec, grid: Grid,
     species -= 1
     if ell0 == "max_initial":
         ell0 = float(result.snapshots[0, species].max())
-    # one gradient pass gives M_s (exponent s) and the L^2 norm in beta's denominator
-    wanted = [e for e, unset in ((s_exp, ms is None), (2.0, beta is None)) if unset]
-    norms = dict(zip(wanted, diagnostics.discrete_grad_norms(result, grid, species, wanted)))
-    if ms is None:
-        ms = norms[s_exp]
-    if beta is None:
-        r_exp = grid.ndim + 2.0
-        beta = max(diagnostics.empirical_interpolation_constant(
-            result, grid, species, r_exp, r_exp, norms[2.0]), 1e-12)
+    if ms is None or beta is None:
+        # one gradient pass gives M_s (exponent s) and the L^2 norm in beta's denominator
+        ms_run, grad_l2 = diagnostics.discrete_grad_norms(result, grid, species, (s_exp, 2.0))
+        if ms is None:
+            ms = ms_run
+        if beta is None:
+            r_exp = grid.ndim + 2.0
+            beta = max(diagnostics.empirical_interpolation_constant(
+                result, grid, species, r_exp, r_exp, grad_l2), 1e-12)
     j = 1 - species
     budget = conditions.degiorgi_budget(
         N=grid.ndim, s=s_exp, ell0=ell0, m_factor=block["m"], M_s=max(ms, 1e-12),

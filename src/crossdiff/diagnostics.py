@@ -213,8 +213,6 @@ def discrete_grad_norms(result: SimulationResult, grid: Grid, species: int,
     for s in exponents:
         if s < 1.0:
             raise InvalidParameterError(f"exponent must be >= 1, got {s}")
-    if not exponents:
-        return ()
     ft = fv.face_table(grid)
     vol = grid.cell_volume
     totals = [0.0] * len(exponents)
@@ -233,13 +231,13 @@ def discrete_grad_norm(result: SimulationResult, grid: Grid, species: int, s: fl
 
 def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
                                      species: int, r: float, q: float,
-                                     grad_l2: float | None = None) -> float:
+                                     grad_l2: float) -> float:
     """Measured ratio ||u||_{L^r L^q} / (||u||_{L^inf L^2} + ||grad u||_{L^2}).
 
     Stands in for the interpolation constant when no analytic value is
     supplied; measured on the run itself with snapshot-slab quadrature.  Its
-    gradient term is ``grad_l2`` when given, else :func:`discrete_grad_norm`
-    with s = 2.
+    gradient term ``grad_l2`` is the caller's :func:`discrete_grad_norms` at
+    s = 2.
     """
     vol = grid.cell_volume
     snaps = result.snapshots[:, species]
@@ -248,8 +246,6 @@ def empirical_interpolation_constant(result: SimulationResult, grid: Grid,
     for slab, u in zip(_slabs(result), snaps):
         lq = (float(np.sum(np.abs(u) ** q)) * vol) ** (1.0 / q)
         num += slab * lq ** r
-    if grad_l2 is None:
-        grad_l2 = discrete_grad_norm(result, grid, species, 2.0)
     den = sup_l2 + grad_l2
     if den == 0.0:
         return 0.0

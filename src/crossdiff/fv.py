@@ -37,8 +37,10 @@ stacked residual in one call.  On 2D grids of at least
 ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is exact for each
 block's constant-coefficient two-point fit, applied by fast sine (Dirichlet
 block) or cosine (closed block) transforms; on every other grid it is one
-SuperLU factorization of the block diagonal, whose solve equals the
-per-block solves bit for bit.  Both cutoffs are measured crossovers, and
+SuperLU factorization of the block diagonal.  Its solve equals the per-block
+solves bit for bit where the species blocks share one sparsity pattern, as
+on the two-point grids tested; the ordering of the joint matrix is not
+guaranteed to match the per-block orderings otherwise.  Both cutoffs are measured crossovers, and
 the same true-residual contract holds on every path.
 """
 
@@ -619,8 +621,9 @@ class BlockFactors(spla.LinearOperator):
     out.  A grid with at least ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D
     grid of 72x72 or more) applies each block's constant-coefficient fit by
     fast transforms (:class:`_TransformInverse`); any other grid takes one
-    SuperLU factorization of the block diagonal, whose solve is that of the
-    per-block factors; the grid decides, never the data.  The inverse is kept
+    SuperLU factorization of the block diagonal, whose solve matches the
+    per-block factors bit for bit when the blocks share one sparsity pattern
+    (``tests/test_fv.py`` checks it); the grid decides, never the data.  The inverse is kept
     across Picard sweeps and steps; a solve rebuilds it from its own matrix
     only when the previous solve needed more than :data:`REFACTOR_AFTER`
     preconditioner applications.  The holder is itself the linear operator

@@ -231,19 +231,17 @@ def test_one_gradient_pass_gives_each_norm_bit_for_bit(grid_12, stored_run):
     _, result = stored_run
     norms = diag.discrete_grad_norms(result, grid_12, 0, (6.0, 2.0))
     assert norms == tuple(diag.discrete_grad_norm(result, grid_12, 0, s) for s in (6.0, 2.0))
-    assert (diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0, norms[1])
-            == diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0))
-    assert diag.discrete_grad_norms(result, grid_12, 0, ()) == ()
     with pytest.raises(InvalidParameterError):
         diag.discrete_grad_norms(result, grid_12, 0, (2.0, 0.5))
 
 
 def test_empirical_interpolation_constant(grid_12, stored_run):
     _, result = stored_run
-    beta = diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0)
+    grad_l2 = diag.discrete_grad_norm(result, grid_12, 0, 2.0)
+    beta = diag.empirical_interpolation_constant(result, grid_12, 0, 4.0, 4.0, grad_l2)
     assert beta > 0.0
     zero = fake_result(np.zeros((2, 1, grid_12.n_cells)), [0.0, 1.0])
-    assert diag.empirical_interpolation_constant(zero, grid_12, 0, 4.0, 4.0) == 0.0
+    assert diag.empirical_interpolation_constant(zero, grid_12, 0, 4.0, 4.0, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
