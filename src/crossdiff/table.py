@@ -9,6 +9,14 @@ blocks of at most ``_BLOCK_ROWS`` rows, so a large table such as
 Floats are written as Python's shortest round-trip ``repr`` (``nan``, ``inf``,
 ``-inf`` and ``-0.0`` spelled that way); integers, booleans and strings by ``str``.
 A column given as a list of ``str`` is taken as rendered cells and passes through.
+
+The float text comes from orjson's Ryu printer, one call per block of a column.
+Ryu and the dtoa behind ``repr`` both print the shortest correctly rounded
+digits, and for magnitudes in ``[1e-4, 1e16)`` both write them positionally,
+so there the two texts are equal.  Outside that range they differ (orjson
+writes ``0.00001``, ``1e-7``, ``1e16`` and ``null`` where ``repr`` writes
+``1e-05``, ``1e-07``, ``1e+16`` and ``nan``), so those cells, zeros and
+non-finite values included, are rendered by ``repr`` itself.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 __all__ = ["cells", "csv_chunks", "csv_table"]
 
@@ -25,11 +34,26 @@ _BLOCK_ROWS = 4096
 
 
 def cells(column) -> list[str]:
-    """The rendered cells of one column; a list of ``str`` (told by its first cell) as it is."""
+    """The rendered cells of one column; a list of ``str`` (told by its first cell) as it is.
+
+    A float column is rendered as the ``repr`` of each value's float64: orjson
+    writes the whole column at once, and the cells whose magnitude lies outside
+    ``[1e-4, 1e16)``, where its text differs from ``repr``, are written by ``repr``.
+    """
     if isinstance(column, list) and column and isinstance(column[0], str):
         return column
     values = np.asarray(column)
-    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    if not values.size:
+        return []
+    values = np.ascontiguousarray(values, dtype=np.float64)  # orjson takes C-contiguous arrays
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    other = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
+    for k, x in zip(other.tolist(), values[other].tolist()):
+        text[k] = repr(x)
+    return text
 
 
 def csv_chunks(header: Sequence[str], groups: Iterable[Sequence]) -> Iterator[str]:

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,23 @@ assert "scipy.fft" not in sys.modules, "run"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_third_party_imports_are_declared_dependencies():
+    # every package crossdiff imports outside the standard library, lazily imported ones
+    # included, is a dependency of pyproject.toml; each imports under its distribution's name
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    imported = set()
+    for path in sorted((root / "src" / "crossdiff").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"crossdiff"}
+    assert {"numpy", "scipy", "orjson"} <= third_party
+    assert sorted(third_party - declared) == []

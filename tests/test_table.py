@@ -28,7 +28,10 @@ from crossdiff.table import _BLOCK_ROWS, cells, csv_table
 from conftest import coupled_spec_2d, product_sine
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308,
-           1e-300, 0.1 + 0.2, 1.0, -3.0, 2.0 ** 53, 1e16, 1e-5, 123456.0]
+           1e-300, 0.1 + 0.2, 1.0, -3.0, 2.0 ** 53, 1e16, 1e-5, 123456.0,
+           # the ends of [1e-4, 1e16), where repr writes digits without an exponent
+           1e-4, -1e-4, float(np.nextafter(1e-4, 0.0)), 9999999999999998.0, 1e15 + 1,
+           2.0 ** 53 + 2]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
 
 
@@ -83,6 +86,50 @@ def test_mixed_columns_and_short_columns_across_blocks():
 
 def test_empty_table_is_header_line():
     assert csv_table(["a", "b"], [np.array([]), []]) == "a,b\n"
+
+
+def _mismatches(column):
+    """The (expected, rendered) pairs of ``cells(column)`` that differ from ``repr``."""
+    rendered, expected = cells(column), [fmt(x) for x in np.asarray(column).tolist()]
+    if rendered == expected:
+        return []
+    assert len(rendered) == len(expected)
+    return [(e, r) for e, r in zip(expected, rendered) if e != r]
+
+
+def test_float_bit_patterns_and_every_decade_match_repr():
+    rng = np.random.default_rng(32)
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    inside = rng.integers(lo, hi, 500_000).view(np.float64)  # uniform in the bit patterns
+    exponents = np.concatenate([(np.arange(-320, 308)[:, None] + rng.random((628, 64))).ravel(),
+                                rng.uniform(308.0, 308.25, 64)])  # below the largest double
+    integers = rng.integers(0, 2 ** 53, 20_000).astype(float)
+    short = rng.integers(1, 10 ** 7, 20_000) / 10.0 ** rng.integers(0, 12, 20_000)  # short decimals
+    positive = np.concatenate([inside, 10.0 ** exponents, integers, short])
+    values = np.concatenate([positive, -positive])
+    assert ((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)).sum() >= 10 ** 6
+    assert _mismatches(values)[:5] == []
+
+
+def test_float32_strided_and_empty_columns():
+    rng = np.random.default_rng(7)
+    f32 = (rng.standard_normal(3000) * 10.0 ** rng.integers(-12, 20, 3000)).astype(np.float32)
+    f32[:5] = [1e-4, np.nextafter(np.float32(1e-4), np.float32(0.0)), -0.0, np.nan, 0.1]
+    assert _mismatches(f32) == []
+    assert cells(f32[:5]) == ["9.999999747378752e-05", "9.99999901978299e-05", "-0.0", "nan",
+                              "0.10000000149011612"]
+
+    stack = rng.standard_normal((3, 50, 3)) * 10.0 ** rng.integers(-6, 3, (3, 50, 3))
+    for column in (stack[1, :, 1], stack[2, ::-1, 0], f32[::7]):  # none C-contiguous
+        assert not column.flags.c_contiguous
+        assert _mismatches(column) == []
+    with mock.patch.object(table, "_BLOCK_ROWS", 16):
+        assert csv_table(["v"], [stack[0, :, 2]]) == reference(
+            "v", map(fmt, stack[0, :, 2]))
+
+    for empty in (np.array([]), np.array([], dtype=np.float32), np.empty((4, 0))[0], []):
+        assert cells(empty) == []
+    assert csv_table(["v", "i"], [np.array([]), np.arange(2)]) == "v,i\n,0\n,1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +258,30 @@ def test_generic_run_writers_match_reference():
                if n < len(trace.recursion_rhs) else ",")
             for n in range(len(trace.k_n))]
     assert trace.to_csv() == reference("n,k_n,v_n,rhs_n,holds", rows)
+
+
+def test_simulate_snapshots_hold_cells_on_both_sides_of_1e_4(tmp_path):
+    # species 1 of amplitude 1e-3 spans about 7e-5 to 1e-3 at every snapshot, and species 2
+    # starts at -0.0: one snapshots.csv mixes orjson's cells with repr's, row by row
+    payload = {"schema": 1, "kind": "generic", "grid": {"dims": [6, 5]},
+               "stepper": {"dt": 1e-3, "t_end": 2e-3},
+               "model": {"initial": [{"profile": "sine", "amplitude": 1e-3}, -0.0]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+
+    config = cli.parse_scenario(path)
+    result = run(cli.build_generic_spec(config), config.grid, config.stepper)
+    species_1 = np.abs(result.snapshots[:, 0])
+    assert ((species_1 < 1e-4).any(axis=1) & (species_1 >= 1e-4).any(axis=1)).all()
+    assert np.signbit(result.snapshots[0, 1]).all() and not result.snapshots[0, 1].any()
+    rows = _snapshot_rows(result, config.grid)
+    assert (out / "snapshots.csv").read_text() == reference("x,y,species,value,t", rows)
+    cells_written = {row.split(",")[3] for row in rows}
+    assert "-0.0" in cells_written and any("e-05" in c for c in cells_written)
+    assert (out / "series.csv").read_text() == reference(
+        "t,min_1,max_1,mass_1,min_2,max_2,mass_2", _series_rows(result))
 
 
 def _iso_spec(ndim):
