@@ -27,13 +27,16 @@ derives both once per grid, species count and term sequence.  A face term
 keeps two coefficients per face, its left and its right cell's.  It is also
 the one record of a step's budget, kept in the state's species
 (:meth:`SystemBuilder.budget`).
-:func:`solve_sparse` is the package's one linear solve: a sparse direct
-factorization for systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns
-(1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2) and for a
-system solved without a holder of kept factors, restarted GMRES for larger
-ones, block-Jacobi preconditioned by the one inverse of the species block
-diagonal that a run keeps in its :class:`BlockFactors`, applied to the
-stacked residual in one call.  On 2D grids of at least
+:func:`solve_sparse` is the package's one linear solve.  A system of at
+most :data:`DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells, 2D
+grids of up to 22x22 at m = 2) is solved directly: a builder matrix by one
+LAPACK banded LU (``dgbsv``) over its species interleaved cell by cell,
+through the :class:`Band` layout its pattern keeps, and any other matrix by
+a SuperLU factorization.  So is a system solved without a holder of kept
+factors, which above the cutoff has no band and takes SuperLU.  Larger
+systems take restarted GMRES, block-Jacobi preconditioned by the one inverse
+of the species block diagonal that a run keeps in its :class:`BlockFactors`,
+applied to the stacked residual in one call.  On 2D grids of at least
 ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is exact for each
 block's constant-coefficient two-point fit, applied by fast sine (Dirichlet
 block) or cosine (closed block) transforms; on every other grid it is one
@@ -54,6 +57,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .model import Grid
 
@@ -267,11 +271,33 @@ def _term_index(ft: FaceTable, n: int, size: int,
     return keys, value, sign, nf + ni
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix]:
-    """CSR structure of the block matrix assembled from ``terms``, and its summation map.
+@dataclass(frozen=True)
+class Band:
+    """LAPACK band layout of a pattern, its species interleaved cell by cell.
 
-    Returns (indptr, indices, summation).  The structure is that of summing
+    ``perm`` maps the species-blocked unknown ``s * n + c`` to the
+    interleaved ``c * m + s``.  ``width`` is the largest ``|perm[row] -
+    perm[col]|`` over the stored entries: 2m - 1 on a 1D grid and
+    m * n_fast + m - 1 on a 2D grid whose fast (last) axis has n_fast cells,
+    when every species couples to every other.  ``position`` holds each CSR
+    entry's flat index in a Fortran-ordered array of 3 * width + 1 rows and
+    one column per unknown, the storage of LAPACK's ``xGBSV`` with ``width``
+    sub- and superdiagonals: the entry (i, j) of the interleaved matrix sits
+    in row 2 * width + i - j of column j, and the first ``width`` rows are
+    the factorization's room for fill.
+    """
+
+    perm: np.ndarray
+    width: int
+    position: np.ndarray
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern(grid: Grid, m: int, terms: tuple
+             ) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix, Band | None]:
+    """CSR structure of the block matrix assembled from ``terms``, its summation map and band.
+
+    Returns (indptr, indices, summation, band).  The structure is that of summing
     the terms' entries: every (row, col) pair a term touches is stored,
     explicit zeros included, with sorted column indices.  ``summation`` is a
     CSR matrix of shape (nnz, number of values) with +-1 entries: its row k
@@ -279,8 +305,10 @@ def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, 
     position, in the terms' value order.  Each term structure's entries are
     computed once and shifted to the blocks that carry it; one stable sort
     of the entries' positions, whose runs are already sorted, groups them.
-    Every array is read-only because every matrix built on the pattern
-    shares them.
+    ``band`` is the :class:`Band` layout of a pattern of at most
+    :data:`DIRECT_MAX_UNKNOWNS` unknowns, whose solves are direct, and None
+    above it.  Every array is read-only because every matrix built on the
+    pattern shares them.
     """
     ft = face_table(grid)
     n = grid.n_cells
@@ -309,9 +337,17 @@ def _pattern(grid: Grid, m: int, terms: tuple) -> tuple[np.ndarray, np.ndarray, 
     sign = np.concatenate([part[2] for part in parts])[order].astype(float)
     summation = sparse.csr_matrix((sign, value, np.append(start, len(order)).astype(index_dtype)),
                                   shape=(len(unique), offsets[-1]))
-    for a in (indptr, indices, summation.data, summation.indices, summation.indptr):
+    band = None
+    if size <= DIRECT_MAX_UNKNOWNS:
+        k = np.arange(size)
+        perm = k % n * m + k // n
+        row, col = perm[unique // size], perm[unique % size]
+        width = int(np.max(np.abs(row - col), initial=0))
+        band = Band(perm, width, col * (3 * width + 1) + 2 * width + row - col)
+    for a in (indptr, indices, summation.data, summation.indices, summation.indptr,
+              *((band.perm, band.position) if band else ())):
         a.flags.writeable = False
-    return indptr, indices, summation
+    return indptr, indices, summation, band
 
 
 def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -424,15 +460,18 @@ class SystemBuilder:
         Its data is the pattern's summation map times the concatenated values,
         so each entry adds its values in the terms' order.
         :class:`BlockFactors` reads the boundary kind of a species block from
-        the terms.
+        the terms.  The matrix also carries the pattern's :class:`Band` as
+        ``band`` (None above :data:`DIRECT_MAX_UNKNOWNS` unknowns), through
+        which :func:`solve_sparse` solves it directly.
         """
         terms = tuple(self.terms)
-        indptr, indices, summation = _pattern(self.grid, self.m, terms)
+        indptr, indices, summation, band = _pattern(self.grid, self.m, terms)
         data = summation @ np.concatenate(self.vals)
         n = self.m * self.n
         a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         a.has_canonical_format = True
         a.terms = terms
+        a.band = band
         return a
 
     def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,27 +495,30 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # linear solve
 # ---------------------------------------------------------------------------
 
-# Systems up to this size are factored whole on every solve; larger ones take
-# GMRES, preconditioned by the run's kept factors of their species diagonal
-# blocks.  Time of a 20-step run on the block path over the same run on the
-# direct path (m = 2, one BLAS thread; donor and mean cross faces, the two
-# values limited_face_value picks from; isotropic and full K tensors;
-# generic, penalized and confined systems):
+# Systems up to this size are solved whole on every solve, by one banded LU of
+# the interleaved system (_band_solve); larger ones take GMRES, preconditioned
+# by the run's kept inverse of their species diagonal blocks.  Time of a
+# 20-step run on the block path over the same run on the direct path (m = 2,
+# one BLAS thread, medians of 3 runs after a warm-up; generic runs with
+# isotropic and with full K tensors, penalized and confined keulegan runs),
+# the direct path taking the banded LU or, as before the band, a SuperLU
+# factorization:
 #
-#   grid            unknowns     block / direct
-#   1D 8-384        16-768       0.99-2.31
-#   1D 512-2048     1024-4096    0.69-1.28
-#   2D 8x8          128          1.07-1.36
-#   2D 12x12        288          0.97-1.07
-#   2D 16x16-22x22  512-968      0.65-0.88
-#   2D 24x24-32x32  1152-2048    0.39-0.75
-#   2D 48x48-64x64  4608-8192    0.27-0.51
+#   grid            unknowns     block / banded   block / SuperLU
+#   1D 256-512      512-1024     1.55-3.84        0.76-1.36
+#   1D 768-1024     1536-2048    1.53-4.25        0.57-1.24
+#   2D 16x16-20x20  512-800      1.19-1.66        0.46-0.64
+#   2D 22x22-24x24  968-1152     0.90-1.36        0.40-0.65
+#   2D 28x28-32x32  1568-2048    0.58-0.88        0.34-0.51
 #
-# The crossover lies at about 300-500 unknowns in 2D and 1000-2000 in 1D.
-# With this cutoff every 2D grid of 23x23 or more takes the block path and
-# every 1D grid of up to 512 cells stays direct.  The cost of one cutoff for
-# both: 2D grids of about 13x13 to 22x22 stay direct, where the block path
-# would take 0.65-1.0 of the time.
+# Against SuperLU the crossover lay at about 300-500 unknowns in 2D and
+# 1000-2000 in 1D (an earlier table of the SuperLU path: 2D 8x8 1.07-1.36,
+# 12x12 0.97-1.07, 1D 8-384 cells 0.99-2.31).  The band moves it to about
+# 1000 unknowns in 2D (22x22-24x24) and past 2048 in 1D.  With this cutoff
+# every 2D grid of 23x23 or more at m = 2 takes the block path, next to the
+# 2D crossover, and every 1D grid of up to 512 cells stays direct.  The cost
+# of one cutoff for both: 1D grids of 513-1024 cells at m = 2 take the block
+# path, where the banded solve would take 0.24-0.65 of the time.
 DIRECT_MAX_UNKNOWNS = 1024
 
 # A solve that needed more preconditioner applications than this makes the
@@ -522,6 +564,54 @@ def _factor(a: sparse.spmatrix):
         return spla.splu(a.tocsc(), permc_spec=ORDERING)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+
+
+# A direct solve of a builder matrix scatters its entries into the band of the
+# interleaved system and takes one LAPACK dgbsv: no ordering and no symbolic
+# phase.  Time per solve, banded against a SuperLU factorization and solve, on
+# first-sweep generic systems (m = 2: both species coupled both ways; m = 1:
+# one species), one BLAS thread, the median of 200 solves (50 above 1024
+# unknowns) in each of two runs:
+#
+#   grid       m  unknowns  width  banded (us)  SuperLU (us)
+#   1D 16      1  16        1      3-6          74-75
+#   1D 64      1  64        1      8-10         109-126
+#   1D 256     1  256       1      31-33        170-195
+#   1D 1024    1  1024      1      95-119       533-688
+#   1D 8       2  16        3      4-6          73-108
+#   1D 32      2  64        3      13-14        129-145
+#   1D 128     2  256       3      40-41        235-269
+#   1D 512     2  1024      3      92-156       817-881
+#   2D 8x8     2  128       17     28-39        319-353
+#   2D 12x12   2  288       25     95-171       673-781
+#   2D 16x16   2  512       33     162-284      1399-1661
+#   2D 22x22   2  968       45     825-1092     2401-2481
+#   2D 32x32   1  1024      32     359-515      2111-2228
+#   2D 40x40   1  1600      40     776-817      2946-3588
+#   2D 64x64   1  4096      64     4555-5114    8548-8685
+#
+# The last two rows lie above DIRECT_MAX_UNKNOWNS, so their patterns carry no
+# band (their band was built for this table only): the one solve there without
+# a holder, an aquifer run's initial head, keeps SuperLU.
+def _band_solve(a: sparse.csr_matrix, b: np.ndarray, band: Band) -> np.ndarray:
+    """``x`` with ``a x = b`` by one banded LU of ``a``'s interleaved system.
+
+    ``overwrite_ab`` and ``overwrite_b`` let the Fortran-ordered band and the
+    permuted right-hand side be factored and solved in place.  An exactly
+    zero pivot raises :class:`SolverFailure`; non-finite entries come back as
+    a non-finite ``x``, which the caller's residual check rejects.
+    """
+    size, rows = len(band.perm), 3 * band.width + 1
+    ab = np.zeros(rows * size)
+    ab[band.position] = a.data
+    rhs = np.empty(size)
+    rhs[band.perm] = b
+    _lu, _piv, x, info = lapack.dgbsv(band.width, band.width, ab.reshape(size, rows).T, rhs,
+                                      overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SolverFailure(f"banded factorization failed: exactly zero pivot "
+                            f"U({info}, {info}) of the interleaved system")
+    return x[band.perm]
 
 
 @lru_cache(maxsize=None)
@@ -670,14 +760,18 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
 
     Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns, and every
-    system solved without a ``factors`` holder, take a SuperLU solve.  Larger
-    ones take restarted GMRES, :data:`GMRES_RESTART` inner iterations per
-    cycle and at most :data:`GMRES_CYCLES` cycles per call, preconditioned by
-    ``factors``: the run's one inverse of the species block diagonal, which it
-    rebuilds from ``a`` only under its refactor rule.  The preconditioned
-    stopping test can be optimistic, so the true residual is verified and the
-    iteration continued once at a tighter tolerance.  Either way a residual
-    above ``tol``, a singular or a non-finite system raises
+    system solved without a ``factors`` holder, are solved directly: a matrix
+    that carries a :class:`Band` (:meth:`SystemBuilder.matrix` up to the
+    cutoff) by one banded LU of its interleaved system (:func:`_band_solve`),
+    any other by a SuperLU factorization.  Larger ones take restarted GMRES,
+    :data:`GMRES_RESTART` inner iterations per cycle and at most
+    :data:`GMRES_CYCLES` cycles per call, preconditioned by ``factors``: the
+    run's one inverse of the species block diagonal, which it rebuilds from
+    ``a`` only under its refactor rule.  The preconditioned stopping test can
+    be optimistic, so the true residual is verified and the iteration
+    continued once at a tighter tolerance.  Every path checks the true
+    residual: a residual above ``tol``, a singular (an exactly zero pivot,
+    named in the message) or a non-finite system raises
     :class:`SolverFailure`, which carries the final relative residual.
     """
     bnorm = float(np.linalg.norm(b))
@@ -689,7 +783,8 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
     if direct:
-        x = _factor(a).solve(b)
+        band = getattr(a, "band", None)
+        x = _factor(a).solve(b) if band is None else _band_solve(a, b, band)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol:
             return x, residual

@@ -19,8 +19,9 @@ iterate.
 Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
 previous time level.  The linear block system is solved by
-:func:`fv.solve_sparse`: a SuperLU factorization of the whole system up to
-:data:`fv.DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells),
+:func:`fv.solve_sparse`: one LAPACK banded LU of the whole system, its
+species interleaved cell by cell, up to :data:`fv.DIRECT_MAX_UNKNOWNS`
+unknowns (1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2),
 restarted GMRES above it (every 2D grid of 23x23 or more at m = 2),
 preconditioned by one inverse of the species block diagonal that each run
 keeps in one :class:`fv.BlockFactors` and rebuilds only when GMRES starts to
@@ -81,9 +82,11 @@ class StepperConfig:
     last four states and every sweep after a step's second from the Anderson
     mix of its latest sweeps (see :func:`_integrate`), so on a smooth run most
     steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
-    linear solve, the same on every sweep.  Systems above
-    ``fv.DIRECT_MAX_UNKNOWNS`` (every 2D desk grid of 23x23 or more at m = 2)
-    are solved by GMRES, at most ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner
+    linear solve, the same on every sweep.  Systems of at most
+    ``fv.DIRECT_MAX_UNKNOWNS`` unknowns are solved directly, by one banded LU
+    with the species interleaved cell by cell; the true residual is checked
+    all the same.  Systems above it (every 2D desk grid of 23x23 or more at
+    m = 2) are solved by GMRES, at most ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner
     iterations per call, preconditioned with the run's inverse of the species
     block diagonal: one SuperLU factorization, or on 2D grids of 72x72 or
     more fast transforms of each block's constant-coefficient fit, which

@@ -11,6 +11,8 @@ from crossdiff.model import (CrossTensor, Grid, InvalidParameterError, ModelSpec
                              point_density, validate_spec)
 from crossdiff.solver import SolverFailure, StepperConfig
 
+from conftest import coupled_spec_2d
+
 
 def dirichlet_spec(grid, pumping=None, h=0.5, h1=0.1, epsilon=1e-2):
     return aq.AquiferSpec(h2=1.0, delta=0.3, alpha=0.025, epsilon=epsilon,
@@ -585,13 +587,42 @@ def test_penalized_block_gmres_run_agrees_with_direct_run_on_transform(grid_48, 
     test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch)
 
 
+def _count_superlu(monkeypatch) -> list:
+    """Shapes of the SuperLU factorizations (``fv._factor``) made from now on."""
+    calls = []
+    factor = fv._factor
+
+    def counting(a):
+        calls.append(a.shape)
+        return factor(a)
+    monkeypatch.setattr(fv, "_factor", counting)
+    return calls
+
+
 @pytest.mark.parametrize("variant", ["penalized", "confined"])
-def test_1d_runs_take_direct_path(grid_1d, variant):
+def test_1d_runs_take_direct_path(grid_1d, variant, monkeypatch):
+    # every direct solve, the confined run's initial head included, is one banded LU of
+    # a builder matrix: a matrix() that lost its band would fall back to SuperLU
+    factorizations = _count_superlu(monkeypatch)
     spec = aq.keulegan_scenario(grid_1d, pump_rate=0.05, tilt=0.45)
     cfg = StepperConfig(dt=3e-3, t_end=15e-3)
     result = (aq.run_penalized(spec, grid_1d, cfg)[0] if variant == "penalized"
               else aq.run_confined_aquifer(spec, grid_1d, cfg))
     assert all(st["lin_iters"] == 0 for st in result.solver_stats)
+    assert factorizations == []
+
+
+def test_2d_8x8_simulate_takes_banded_path_and_24x24_its_block_factor(monkeypatch):
+    factorizations = _count_superlu(monkeypatch)
+    spec = coupled_spec_2d()
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3)
+    result = solver.run(spec, Grid((8, 8), (1.0, 1.0)), cfg)
+    assert all(st["lin_iters"] == 0 for st in result.solver_stats)
+    assert factorizations == []
+    # 2 * 24^2 unknowns take GMRES, preconditioned by one SuperLU factor of the block diagonal
+    result = solver.run(spec, Grid((24, 24), (1.0, 1.0)), cfg)
+    assert all(st["lin_iters"] > 0 for st in result.solver_stats)
+    assert factorizations and set(factorizations) == {(2 * 24 * 24,) * 2}
 
 
 def test_sweep_requires_decreasing_epsilons(grid_48):

@@ -173,3 +173,87 @@ def test_block_diagonal_inverse_is_the_per_species_inverses(transform: bool = Fa
 
 def test_block_diagonal_inverse_is_the_per_species_inverses_on_transform(transform_everywhere):
     test_block_diagonal_inverse_is_the_per_species_inverses(transform=True)
+
+
+
+def _fully_coupled_system(dims: tuple, spacing: tuple, dirichlet: tuple[bool, ...]):
+    """Mass and two-point terms of len(dirichlet) species, each coupled to every other;
+    species k is Dirichlet when ``dirichlet[k]``, else closed."""
+    grid = Grid(dims, spacing)
+    ft = fv.face_table(grid)
+    rng = np.random.default_rng(7)
+    m = len(dirichlet)
+    builder = fv.SystemBuilder(grid, m)
+    for i in range(m):
+        builder.add_mass(i, 30.0 + 10.0 * i)
+        for j in range(m):
+            scale = 1.0 if i == j else 0.2
+            builder.add_tpfa(i, j, scale * rng.uniform(0.5, 2.0, ft.n_faces),
+                             np.zeros(ft.n_boundary) if dirichlet[j] else None)
+    return builder
+
+
+def _penalized_system(dims: tuple, spacing: tuple):
+    """The (u1, s) system of a penalized keulegan sweep, assembled after change_unknowns."""
+    from crossdiff import aquifer as aq
+    from crossdiff.solver import StepperConfig
+    grid = Grid(dims, spacing)
+    aspec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    spec = aq._thickness_spec(aspec, grid, np.inf)
+    u_prev = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
+    builder = aq._thickness_system(aspec, grid, cfg, penalized=True)[2](u_prev, 0.0, cfg.dt)(
+        u_prev + 0.05)
+    assert builder.p is not None   # the recorded system was rewritten in (u1, s)
+    return builder
+
+
+BAND_CASES = {
+    "1d-m1-dirichlet": lambda: _fully_coupled_system((16,), (1.3,), (True,)),
+    "1d-m1-closed": lambda: _fully_coupled_system((16,), (1.3,), (False,)),
+    "1d-m2": lambda: _fully_coupled_system((20,), (1.0,), (True, False)),
+    "1d-m3": lambda: _fully_coupled_system((12,), (1.0,), (False, True, False)),
+    "2d-8x8-m2": lambda: _fully_coupled_system((8, 8), (1.0, 1.0), (True, False)),
+    "2d-12x10-m2": lambda: _fully_coupled_system((12, 10), (1.0, 0.8), (False, True)),
+    "penalized-1d": lambda: _penalized_system((16,), (1.0,)),
+    "penalized-2d": lambda: _penalized_system((6, 5), (1.0, 0.8)),
+}
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_band_map_rebuilds_the_interleaved_matrix(case):
+    builder = BAND_CASES[case]()
+    a, grid, m = builder.matrix(), builder.grid, builder.m
+    band, size = a.band, a.shape[0]
+    # species-blocked s * n + c is interleaved to c * m + s, by the definition
+    k = np.arange(size)
+    perm = k % grid.n_cells * m + k // grid.n_cells
+    interleaved = np.empty(a.shape)
+    interleaved[np.ix_(perm, perm)] = a.toarray()
+    assert band.width == (2 * m - 1 if grid.ndim == 1 else m * grid.dims[-1] + m - 1)
+    # scattering the data through the cached positions fills LAPACK's band storage
+    rows = 3 * band.width + 1
+    ab = np.zeros(rows * size)
+    ab[band.position] = a.data
+    ab = ab.reshape(size, rows).T
+    i, j = np.indices(a.shape)
+    inside = np.abs(i - j) <= band.width
+    rebuilt = np.zeros(a.shape)
+    rebuilt[inside] = ab[2 * band.width + i[inside] - j[inside], j[inside]]
+    assert np.array_equal(rebuilt, interleaved)
+    assert not np.any(ab[:band.width])   # the rows left for the factorization's fill
+    assert not (band.perm.flags.writeable or band.position.flags.writeable)
+    b = np.random.default_rng(3).standard_normal(size)
+    x = fv._band_solve(a, b, band)
+    expected = fv._factor(a).solve(b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_pattern_above_the_direct_cutoff_has_no_band():
+    # 2 * 512 unknowns sit at the cutoff; one cell more leaves the direct path
+    assert 2 * 512 == fv.DIRECT_MAX_UNKNOWNS
+    at = _fully_coupled_system((512,), (1.0,), (True, False)).matrix()
+    above = _fully_coupled_system((513,), (1.0,), (True, False)).matrix()
+    assert at.band is not None and at.band.width == 3
+    assert above.band is None
+    assert fv._pattern(Grid((513,), (1.0,)), 2, above.terms)[3] is None

@@ -65,21 +65,21 @@ GOLDEN = {
         "degiorgi.csv": "1336e2f5e930b4cf700caabc0fa73057f5c476d57ba09fea165e501fef341e06",
         "levels.csv": "e7b6ce79b127181e11fe5cdbb9630a09516ef937a671ec3925bce948f0f84313",
         "manifest.txt": "d93c29c0168233cdfb1fe9c5c6188cb4818add95c5196ad1d0e68b3919241e87",
-        "series.csv": "ceadcb39b3f9c7a034bb353da2d9deb3a3f6bc1e8d857318a9e2414498a0ee5a",
-        "snapshots.csv": "571ba952cdc7795ffc3a9f4e13da33d0406f99dc48327325c0c31911a7d88510",
+        "series.csv": "1f3d05232432ec972fd40512d253fa00d2cc0c6a2b7b3f24a1ff87ebe3743e0b",
+        "snapshots.csv": "2225cf3e099db1d3223e5f210f13da98078769ad7d4678dd5bf7dc75c2f1c169",
     },
     "keulegan": {
-        "confined_series.csv": "b429b2c06a9b8b0032668bb1dc3d2d0df64861016b8c3d6fff5dad03e669ce53",
-        "confined_snapshots.csv": "ed733779fe6ce6bc1c13fed98ed094b07b61b47af94fd09ba42f0a6435548394",
+        "confined_series.csv": "cd9f9af61bef133a8d3c0680d97d25ece0c723a824538b1fd3bc817d29c08f3e",
+        "confined_snapshots.csv": "af5139ed0af9e88f8ce6607a86e87f8ad8ba15f5f69bcfae902655e53ee8c8db",
         "confinement.csv": "7a090f6af75244b538f1a1e682b8c018d71176caab22f8ee55f4b5d02293a410",
         "interface_0000.csv": "14364c2aa34fca7571a251f94418344f3151154b360e1ea7db74c646a0e46819",
-        "interface_0001.csv": "4e8a144eadd21d34d623f177b475e4ac7ffd953821d4556b4b424f83ec3bb98d",
+        "interface_0001.csv": "70030f42c8ce070f1ad51d38b69cef1f45132de073592bdb47929fb2a830e997",
         "manifest.txt": "320cc77371f710bb60bc01d216fe7fd49b106efb94a9b7ec5712f5d364cbe2d6",
-        "series.csv": "f83be6769a2bdd06b039957fe1b53077fdb77d87486ad0393c7a834fa15f4016",
+        "series.csv": "db9bbd150568f6b57a6f87605d61eef495a1f87c832f96eba4e9aa8345784195",
     },
     "aquifer": {
-        "confined_series.csv": "333dcb57536a68e8328909d50cf1fa26ad52999c2a6b1b4c83dd39611cfeb927",
-        "confined_snapshots.csv": "f57b70a21b72c67193ba46c50ace1a95175bbdd7e666813c2e99d766ca5f2e05",
+        "confined_series.csv": "a9fdbf6159a3beabcff9e4341c9925e0129cf24d1af3754dec2e9dda0aa04001",
+        "confined_snapshots.csv": "fc65c01fcfa808cb65a3fb13252e17dd00ea194041d38c5c2ee920d566809cf4",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
         "interface_0001.csv": "f26355546eb274f271484a369c21255c4128f79adad73e774c718650d7f7064b",
@@ -100,7 +100,7 @@ GOLDEN = {
         "snapshots.csv": "119fb91c8a0725cd12f3a2ffbad7b507853ca474c9b7fe4510f52f7d64500f81",
     },
     "convergence": {
-        "convergence.csv": "e087aad401ddb80f46dbedfd1ed5db7e4bcb032438ccf01b07f4007c7f17f19f",
+        "convergence.csv": "71e83326a81fb7bd648be8ebbbc56ee26c644d20e912618ea011bde958704ea3",
         "manifest.txt": "0c440961574f74da54c627113ef430943f6be83e1f5997eed19d00d5acb9326d",
     },
 }

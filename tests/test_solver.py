@@ -452,10 +452,64 @@ def _sweep_system(n: int, dt: float = 1e-3):
 @pytest.mark.parametrize("bad", [0.0, math.nan])
 def test_singular_or_nonfinite_system_raises_solver_failure(bad):
     a = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, bad]]))
+    assert not hasattr(a, "band")   # built outside the builder: the SuperLU path
     with pytest.raises(SolverFailure) as exc_info:
         fv.solve_sparse(a, np.ones(3), 1e-10)
     # a solve knows no time; the run loop that catches the failure sets it
     assert exc_info.value.time is None
+
+
+def _closed_box_system(mass: float, g: np.ndarray):
+    """Assembled one-species system of an 8-cell closed 1D box with unit faces: on the
+    direct path, solved by its band."""
+    builder = fv.SystemBuilder(Grid((8,), (8.0,)), 1)
+    builder.add_mass(0, mass)
+    builder.add_tpfa(0, 0, g, None)
+    a = builder.matrix()
+    assert a.band is not None
+    return a
+
+
+def test_singular_banded_system_names_its_zero_pivot():
+    # without a mass term the closed two-point operator's LU pivots are 1, ..., 1 and an
+    # exact 0 in the last row
+    with pytest.raises(SolverFailure, match=r"exactly zero pivot U\(8, 8\)") as exc_info:
+        fv.solve_sparse(_closed_box_system(0.0, np.ones(7)), np.ones(8), 1e-10)
+    assert exc_info.value.time is None
+
+
+def test_nonfinite_banded_system_fails_its_residual_check():
+    g = np.ones(7)
+    g[3] = math.nan
+    with pytest.raises(SolverFailure, match="stalled") as exc_info:
+        fv.solve_sparse(_closed_box_system(1.0, g), np.ones(8), 1e-10)
+    assert not math.isfinite(exc_info.value.residual)
+
+
+def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
+    # the sweeps of the third step assemble a zero matrix on the banded direct path
+    assemble = solver._assemble_step
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3)
+
+    def singular_from_third_step(spec, grid, u_prev, t_prev, t_new, cfg):
+        sweep = assemble(spec, grid, u_prev, t_prev, t_new, cfg)
+
+        def singular_sweep(u_lag):
+            builder = sweep(u_lag)
+            if t_new > 2.5 * cfg.dt:
+                builder.vals = [0.0 * v for v in builder.vals]
+            return builder
+        return singular_sweep
+    monkeypatch.setattr(solver, "_assemble_step", singular_from_third_step)
+    spec = generic_spec_1d()
+    spec.dirichlet = [0.0, None]   # compatible with the sine data; species 2 closed
+    with pytest.raises(SolverFailure, match="zero pivot") as exc_info:
+        run(spec, Grid((16,), (1.0,)), cfg)
+    partial = exc_info.value.partial
+    assert exc_info.value.time == pytest.approx(3e-3)
+    assert list(partial.times) == pytest.approx([0.0, 1e-3, 2e-3])
+    assert len(partial.snapshots) == len(partial.snapshot_times) == 3
+    assert len(partial.solver_stats) == 2
 
 
 def test_unreachable_tolerance_raises_with_finite_residual():
