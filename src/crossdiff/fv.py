@@ -770,8 +770,8 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
     ``a`` only under its refactor rule.  The preconditioned stopping test can
     be optimistic, so the true residual is verified and the iteration
     continued once at a tighter tolerance.  Every path checks the true
-    residual: a residual above ``tol``, a singular (an exactly zero pivot,
-    named in the message) or a non-finite system raises
+    residual: a residual above ``tol``, a singular (the banded LU names its
+    exactly zero pivot) or a non-finite system raises
     :class:`SolverFailure`, which carries the final relative residual.
     """
     bnorm = float(np.linalg.norm(b))

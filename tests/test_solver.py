@@ -509,6 +509,7 @@ def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
     assert exc_info.value.time == pytest.approx(3e-3)
     assert list(partial.times) == pytest.approx([0.0, 1e-3, 2e-3])
     assert len(partial.snapshots) == len(partial.snapshot_times) == 3
+    assert np.all(np.isfinite(partial.snapshots))
     assert len(partial.solver_stats) == 2
 
 
