@@ -469,7 +469,12 @@ def _add_head_terms(builder: SystemBuilder, row: int, head_face: np.ndarray,
 
 
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
-    """Elliptic solve for the head consistent with the initial interface, with the data at t = 0."""
+    """Elliptic solve for the head consistent with the initial interface, with the data at t = 0.
+
+    The solve takes its own one-species :class:`fv.BlockFactors`, used only
+    where the head system takes the block path (2D grids above
+    ``fv.DIRECT_MAX_UNKNOWNS[2]`` cells).
+    """
     builder = SystemBuilder(grid, 1)
     ft = builder.ft
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, 0.0, ft.bnd_points)
@@ -479,7 +484,8 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     _add_head_terms(builder, 0, _head_faces(aspec, ft), phi_trace,
                     aspec.pumping_values(0.0, ft.centers))
     try:
-        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol)[0]
+        return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
+                               fv.BlockFactors(1, grid))[0]
     except SolverFailure as exc:
         raise EllipticSolveError(str(exc), residual=exc.residual, time=0.0) from exc
 

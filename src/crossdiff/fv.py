@@ -27,24 +27,24 @@ derives both once per grid, species count and term sequence.  A face term
 keeps two coefficients per face, its left and its right cell's.  It is also
 the one record of a step's budget, kept in the state's species
 (:meth:`SystemBuilder.budget`).
-:func:`solve_sparse` is the package's one linear solve.  A system of at
-most :data:`DIRECT_MAX_UNKNOWNS` unknowns (1D grids of up to 512 cells, 2D
-grids of up to 22x22 at m = 2) is solved directly: a builder matrix by one
-LAPACK banded LU (``dgbsv``) over its species interleaved cell by cell,
-through the :class:`Band` layout its pattern keeps, and any other matrix by
-a SuperLU factorization.  So is a system solved without a holder of kept
-factors, which above the cutoff has no band and takes SuperLU.  Larger
-systems take restarted GMRES, block-Jacobi preconditioned by the one inverse
-of the species block diagonal that a run keeps in its :class:`BlockFactors`,
-applied to the stacked residual in one call.  On 2D grids of at least
-``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is exact for each
-block's constant-coefficient two-point fit, applied by fast sine (Dirichlet
-block) or cosine (closed block) transforms; on every other grid it is one
-SuperLU factorization of the block diagonal.  Its solve equals the per-block
-solves bit for bit where the species blocks share one sparsity pattern, as
-on the two-point grids tested; the ordering of the joint matrix is not
-guaranteed to match the per-block orderings otherwise.  Both cutoffs are measured crossovers, and
-the same true-residual contract holds on every path.
+:func:`solve_sparse` is the package's one linear solve, and the matrix decides
+its path.  :meth:`SystemBuilder.matrix` attaches a :class:`Band` layout
+exactly to the systems solved directly: every system on a 1D grid, and a 2D
+system of at most ``DIRECT_MAX_UNKNOWNS[2]`` unknowns (22x22 at m = 2).  Such
+a system is solved by one LAPACK banded LU (``dgbsv``) over its species
+interleaved cell by cell.  Every other system, a matrix built outside the
+builder included, takes restarted GMRES, block-Jacobi preconditioned by the
+one inverse of the species block diagonal that a run keeps in its
+:class:`BlockFactors`, applied to the stacked residual in one call.  On 2D
+grids of at least ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is
+exact for each block's constant-coefficient two-point fit, applied by fast
+sine (Dirichlet block) or cosine (closed block) transforms; on every other
+grid it is one SuperLU factorization of the block diagonal.  Its solve equals
+the per-block solves bit for bit where the species blocks share one sparsity
+pattern, as on the two-point grids tested; the ordering of the joint matrix
+is not guaranteed to match the per-block orderings otherwise.  Both cutoffs
+are measured crossovers, and the same true-residual contract holds on both
+paths.
 """
 
 from __future__ import annotations
@@ -284,7 +284,9 @@ class Band:
     one column per unknown, the storage of LAPACK's ``xGBSV`` with ``width``
     sub- and superdiagonals: the entry (i, j) of the interleaved matrix sits
     in row 2 * width + i - j of column j, and the first ``width`` rows are
-    the factorization's room for fill.
+    the factorization's room for fill.  :func:`_band` derives it once per
+    pattern; a matrix carries it exactly when it is solved directly
+    (:meth:`SystemBuilder.matrix`).
     """
 
     perm: np.ndarray
@@ -294,10 +296,10 @@ class Band:
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def _pattern(grid: Grid, m: int, terms: tuple
-             ) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix, Band | None]:
-    """CSR structure of the block matrix assembled from ``terms``, its summation map and band.
+             ) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix]:
+    """CSR structure of the block matrix assembled from ``terms`` and its summation map.
 
-    Returns (indptr, indices, summation, band).  The structure is that of summing
+    Returns (indptr, indices, summation).  The structure is that of summing
     the terms' entries: every (row, col) pair a term touches is stored,
     explicit zeros included, with sorted column indices.  ``summation`` is a
     CSR matrix of shape (nnz, number of values) with +-1 entries: its row k
@@ -305,10 +307,8 @@ def _pattern(grid: Grid, m: int, terms: tuple
     position, in the terms' value order.  Each term structure's entries are
     computed once and shifted to the blocks that carry it; one stable sort
     of the entries' positions, whose runs are already sorted, groups them.
-    ``band`` is the :class:`Band` layout of a pattern of at most
-    :data:`DIRECT_MAX_UNKNOWNS` unknowns, whose solves are direct, and None
-    above it.  Every array is read-only because every matrix built on the
-    pattern shares them.
+    Every array is read-only because every matrix built on the pattern
+    shares them.
     """
     ft = face_table(grid)
     n = grid.n_cells
@@ -337,17 +337,25 @@ def _pattern(grid: Grid, m: int, terms: tuple
     sign = np.concatenate([part[2] for part in parts])[order].astype(float)
     summation = sparse.csr_matrix((sign, value, np.append(start, len(order)).astype(index_dtype)),
                                   shape=(len(unique), offsets[-1]))
-    band = None
-    if size <= DIRECT_MAX_UNKNOWNS:
-        k = np.arange(size)
-        perm = k % n * m + k // n
-        row, col = perm[unique // size], perm[unique % size]
-        width = int(np.max(np.abs(row - col), initial=0))
-        band = Band(perm, width, col * (3 * width + 1) + 2 * width + row - col)
-    for a in (indptr, indices, summation.data, summation.indices, summation.indptr,
-              *((band.perm, band.position) if band else ())):
+    for a in (indptr, indices, summation.data, summation.indices, summation.indptr):
         a.flags.writeable = False
-    return indptr, indices, summation, band
+    return indptr, indices, summation
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _band(grid: Grid, m: int, terms: tuple) -> Band:
+    """The :class:`Band` layout of the pattern of ``terms`` (:func:`_pattern`), read-only."""
+    indptr, indices, _summation = _pattern(grid, m, terms)
+    n = grid.n_cells
+    size = m * n
+    k = np.arange(size)
+    perm = k % n * m + k // n
+    row, col = perm[np.repeat(k, np.diff(indptr))], perm[indices]
+    width = int(np.max(np.abs(row - col), initial=0))
+    band = Band(perm, width, col * (3 * width + 1) + 2 * width + row - col)
+    for a in (band.perm, band.position):
+        a.flags.writeable = False
+    return band
 
 
 def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -372,7 +380,8 @@ class SystemBuilder:
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR pattern of the term sequence and its
     summation map, computed once per (grid, m, terms) by :func:`_pattern`,
-    and sums the values into it by one sparse product.
+    sums the values into it by one sparse product and, when the system is
+    solved directly, attaches its :class:`Band`.
     The budget record (boundary terms, explicit boundary flux and the
     ``source`` the assembly sets) stays in the state's species.
     """
@@ -460,18 +469,21 @@ class SystemBuilder:
         Its data is the pattern's summation map times the concatenated values,
         so each entry adds its values in the terms' order.
         :class:`BlockFactors` reads the boundary kind of a species block from
-        the terms.  The matrix also carries the pattern's :class:`Band` as
-        ``band`` (None above :data:`DIRECT_MAX_UNKNOWNS` unknowns), through
-        which :func:`solve_sparse` solves it directly.
+        the terms.  The matrix also carries as ``band`` the :class:`Band` of
+        its pattern when it has at most ``DIRECT_MAX_UNKNOWNS[grid.ndim]``
+        unknowns (every 1D system), and None otherwise: the one place where
+        the solve path is chosen.  :func:`solve_sparse` solves a matrix with
+        a band directly.
         """
         terms = tuple(self.terms)
-        indptr, indices, summation, band = _pattern(self.grid, self.m, terms)
+        indptr, indices, summation = _pattern(self.grid, self.m, terms)
         data = summation @ np.concatenate(self.vals)
         n = self.m * self.n
         a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         a.has_canonical_format = True
         a.terms = terms
-        a.band = band
+        a.band = (_band(self.grid, self.m, terms) if n <= DIRECT_MAX_UNKNOWNS[self.grid.ndim]
+                  else None)
         return a
 
     def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +507,8 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # linear solve
 # ---------------------------------------------------------------------------
 
-# Systems up to this size are solved whole on every solve, by one banded LU of
+# Per grid dimension, the most unknowns of a system that SystemBuilder.matrix
+# gives a band, so that it is solved whole on every solve, by one banded LU of
 # the interleaved system (_band_solve); larger ones take GMRES, preconditioned
 # by the run's kept inverse of their species diagonal blocks.  Time of a
 # 20-step run on the block path over the same run on the direct path (m = 2,
@@ -511,15 +524,24 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 #   2D 22x22-24x24  968-1152     0.90-1.36        0.40-0.65
 #   2D 28x28-32x32  1568-2048    0.58-0.88        0.34-0.51
 #
+# and of a 10-step 1D run on the block path over the same run on the banded
+# path (m = 2, one BLAS thread, minimum of 3 runs; a generic run, penalized
+# and confined keulegan runs; every run converged every step on both paths):
+#
+#   grid            unknowns     block / banded
+#   1D 768          1536         1.23-1.99
+#   1D 1024         2048         2.08-2.93
+#   1D 4096         8192         1.36-1.93
+#   1D 8192         16384        1.70-2.40
+#
 # Against SuperLU the crossover lay at about 300-500 unknowns in 2D and
 # 1000-2000 in 1D (an earlier table of the SuperLU path: 2D 8x8 1.07-1.36,
 # 12x12 0.97-1.07, 1D 8-384 cells 0.99-2.31).  The band moves it to about
-# 1000 unknowns in 2D (22x22-24x24) and past 2048 in 1D.  With this cutoff
-# every 2D grid of 23x23 or more at m = 2 takes the block path, next to the
-# 2D crossover, and every 1D grid of up to 512 cells stays direct.  The cost
-# of one cutoff for both: 1D grids of 513-1024 cells at m = 2 take the block
-# path, where the banded solve would take 0.24-0.65 of the time.
-DIRECT_MAX_UNKNOWNS = 1024
+# 1000 unknowns in 2D (22x22-24x24), so every 2D grid of 23x23 or more at
+# m = 2 takes the block path.  A 1D system has band width 2m - 1 at any
+# length, so its banded LU costs O(n m^2) and wins at every size measured:
+# 1D has no cutoff.
+DIRECT_MAX_UNKNOWNS = {1: math.inf, 2: 1024}
 
 # A solve that needed more preconditioner applications than this makes the
 # next solve refactor the species blocks from its own matrix.
@@ -555,7 +577,9 @@ ORDERING = "MMD_AT_PLUS_A"
 #
 # Generic blocks need about 30 % more applications with the transform, the
 # aquifer blocks the same number.  A 1D block is tridiagonal and SuperLU
-# solves it without fill, so 1D grids keep their factors at every size.
+# solves it without fill, so 1D grids keep their factors at every size.  Every
+# 1D system is solved directly, so a 1D grid reaches a holder only in tests
+# that lower DIRECT_MAX_UNKNOWNS.
 TRANSFORM_MIN_CELLS = {1: math.inf, 2: 72 * 72}
 
 
@@ -590,9 +614,8 @@ def _factor(a: sparse.spmatrix):
 #   2D 40x40   1  1600      40     776-817      2946-3588
 #   2D 64x64   1  4096      64     4555-5114    8548-8685
 #
-# The last two rows lie above DIRECT_MAX_UNKNOWNS, so their patterns carry no
-# band (their band was built for this table only): the one solve there without
-# a holder, an aquifer run's initial head, keeps SuperLU.
+# The last two rows lie above DIRECT_MAX_UNKNOWNS[2], where a 2D system takes
+# the block path (their band was built for this table only).
 def _band_solve(a: sparse.csr_matrix, b: np.ndarray, band: Band) -> np.ndarray:
     """``x`` with ``a x = b`` by one banded LU of ``a``'s interleaved system.
 
@@ -705,8 +728,9 @@ class _TransformInverse:
 class BlockFactors(spla.LinearOperator):
     """Block-Jacobi preconditioner of one run: one inverse of the species block diagonal on ``grid``.
 
-    A run makes one holder and passes it to every :func:`solve_sparse` call,
-    so no inverse outlives its run.  The inverse is that of the m diagonal
+    A run makes one holder and passes it to every :func:`solve_sparse` call
+    (an aquifer run's initial head solve makes its own), so no inverse
+    outlives its run.  The inverse is that of the m diagonal
     blocks ``A_ii`` of the run's matrix, the couplings between species left
     out.  A grid with at least ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D
     grid of 72x72 or more) applies each block's constant-coefficient fit by
@@ -754,37 +778,34 @@ class BlockFactors(spla.LinearOperator):
         return self.inverse.solve(r)
 
 
-def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float,
-                 x0: np.ndarray | None = None,
-                 factors: BlockFactors | None = None) -> tuple[np.ndarray, float]:
+def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: BlockFactors,
+                 x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
 
-    Systems of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns, and every
-    system solved without a ``factors`` holder, are solved directly: a matrix
-    that carries a :class:`Band` (:meth:`SystemBuilder.matrix` up to the
-    cutoff) by one banded LU of its interleaved system (:func:`_band_solve`),
-    any other by a SuperLU factorization.  Larger ones take restarted GMRES,
-    :data:`GMRES_RESTART` inner iterations per cycle and at most
-    :data:`GMRES_CYCLES` cycles per call, preconditioned by ``factors``: the
-    run's one inverse of the species block diagonal, which it rebuilds from
-    ``a`` only under its refactor rule.  The preconditioned stopping test can
-    be optimistic, so the true residual is verified and the iteration
-    continued once at a tighter tolerance.  Every path checks the true
-    residual: a residual above ``tol``, a singular (the banded LU names its
-    exactly zero pivot) or a non-finite system raises
-    :class:`SolverFailure`, which carries the final relative residual.
+    A matrix that carries a :class:`Band` (:meth:`SystemBuilder.matrix`
+    gives one to every 1D system and to 2D systems of at most
+    ``DIRECT_MAX_UNKNOWNS[2]`` unknowns) is solved directly, by one banded
+    LU of its interleaved system (:func:`_band_solve`).  Every other matrix
+    takes restarted GMRES from ``x0``, :data:`GMRES_RESTART` inner
+    iterations per cycle and at most :data:`GMRES_CYCLES` cycles per call,
+    preconditioned by ``factors``: the run's one inverse of the species
+    block diagonal, which it rebuilds from ``a`` only under its refactor
+    rule.  The preconditioned stopping test can be optimistic, so the true
+    residual is verified and the iteration continued once at a tighter
+    tolerance.  Both paths check the true residual: a residual above
+    ``tol``, a singular (the banded LU names its exactly zero pivot) or a
+    non-finite system raises :class:`SolverFailure`, which carries the final
+    relative residual.
     """
     bnorm = float(np.linalg.norm(b))
-    direct = factors is None or a.shape[0] <= DIRECT_MAX_UNKNOWNS
-    if factors is not None:
-        factors.b_norm = bnorm
-        if bnorm == 0.0 or direct:
-            factors.iters, factors.refactored = 0, False
+    band = getattr(a, "band", None)
+    factors.b_norm = bnorm
+    if bnorm == 0.0 or band is not None:
+        factors.iters, factors.refactored = 0, False
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
-    if direct:
-        band = getattr(a, "band", None)
-        x = _factor(a).solve(b) if band is None else _band_solve(a, b, band)
+    if band is not None:
+        x = _band_solve(a, b, band)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol:
             return x, residual

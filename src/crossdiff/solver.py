@@ -20,14 +20,14 @@ Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
 previous time level.  The linear block system is solved by
 :func:`fv.solve_sparse`: one LAPACK banded LU of the whole system, its
-species interleaved cell by cell, up to :data:`fv.DIRECT_MAX_UNKNOWNS`
-unknowns (1D grids of up to 512 cells, 2D grids of up to 22x22 at m = 2),
-restarted GMRES above it (every 2D grid of 23x23 or more at m = 2),
-preconditioned by one inverse of the species block diagonal that each run
-keeps in one :class:`fv.BlockFactors` and rebuilds only when GMRES starts to
-need many iterations: one SuperLU factorization, or on 2D grids of 72x72 or
-more (``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
-block's constant-coefficient fit.
+species interleaved cell by cell, on every 1D grid and on 2D grids of up to
+``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns (22x22 at m = 2), restarted GMRES
+above it (every 2D grid of 23x23 or more at m = 2), preconditioned by one
+inverse of the species block diagonal that each run keeps in one
+:class:`fv.BlockFactors` and rebuilds only when GMRES starts to need many
+iterations: one SuperLU factorization, or on 2D grids of 72x72 or more
+(``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each block's
+constant-coefficient fit.
 
 Each step's first lag is the cubic predictor 4 u^n - 6 u^(n-1) + 4 u^(n-2) -
 u^(n-3) (u^0 at the first step, the linear 2 u^n - u^(n-1) at the second, the
@@ -82,15 +82,16 @@ class StepperConfig:
     last four states and every sweep after a step's second from the Anderson
     mix of its latest sweeps (see :func:`_integrate`), so on a smooth run most
     steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
-    linear solve, the same on every sweep.  Systems of at most
-    ``fv.DIRECT_MAX_UNKNOWNS`` unknowns are solved directly, by one banded LU
-    with the species interleaved cell by cell; the true residual is checked
-    all the same.  Systems above it (every 2D desk grid of 23x23 or more at
-    m = 2) are solved by GMRES, at most ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner
-    iterations per call, preconditioned with the run's inverse of the species
-    block diagonal: one SuperLU factorization, or on 2D grids of 72x72 or
-    more fast transforms of each block's constant-coefficient fit, which
-    takes up to about 30 % more iterations than the factorization.
+    linear solve, the same on every sweep.  Systems on 1D grids and 2D
+    systems of at most ``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns are solved
+    directly, by one banded LU with the species interleaved cell by cell;
+    the true residual is checked all the same.  Larger 2D systems (every 2D
+    desk grid of 23x23 or more at m = 2) are solved by GMRES, at most
+    ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner iterations per call,
+    preconditioned with the run's inverse of the species block diagonal: one
+    SuperLU factorization, or on 2D grids of 72x72 or more fast transforms
+    of each block's constant-coefficient fit, which takes up to about 30 %
+    more iterations than the factorization.
     """
 
     dt: float
@@ -308,8 +309,8 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                     st["mixed_sweeps"] += 1
                 builder = sweep(u_lag)
                 x, st["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs,
-                                                        cfg.lin_tol, builder.to_unknowns(u_lag),
-                                                        factors)
+                                                        cfg.lin_tol, factors,
+                                                        builder.to_unknowns(u_lag))
                 st["lin_iters"] += factors.iters
                 st["refactored"] = st["refactored"] or factors.refactored
                 st["b_norm"] = factors.b_norm

@@ -32,16 +32,30 @@ def grid_1d() -> Grid:
     return Grid((64,), (1.0,))
 
 
+def count_superlu(monkeypatch) -> list:
+    """Shapes of the SuperLU factorizations (``fv._factor``) made from now on."""
+    from crossdiff import fv
+    calls = []
+    factor = fv._factor
+
+    def counting(a):
+        calls.append(a.shape)
+        return factor(a)
+    monkeypatch.setattr(fv, "_factor", counting)
+    return calls
+
+
 @pytest.fixture
 def failing_initial_head(monkeypatch):
-    """Fail every solve without kept factors: of a run, only the confined head solve at t = 0."""
+    """Fail every solve of a one-species holder: of an aquifer run, only the confined head
+    solve at t = 0."""
     from crossdiff import fv
     solve = fv.solve_sparse
 
-    def failing(a, b, tol, x0=None, factors=None):
-        if factors is None:
+    def failing(a, b, tol, factors, x0=None):
+        if factors.m == 1:
             raise fv.SolverFailure("stalled", residual=0.5)
-        return solve(a, b, tol, x0, factors)
+        return solve(a, b, tol, factors, x0)
     monkeypatch.setattr(fv, "solve_sparse", failing)
 
 

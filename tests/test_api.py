@@ -52,7 +52,7 @@ from crossdiff import fv
 from crossdiff.model import CrossTensor, Grid, ModelSpec
 from crossdiff.solver import StepperConfig, run
 grid = Grid((32, 32), (1.0, 1.0))
-assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS and grid.n_cells < fv.TRANSFORM_MIN_CELLS[2]
+assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS[2] and grid.n_cells < fv.TRANSFORM_MIN_CELLS[2]
 iso = CrossTensor.isotropic(1.0, 2)
 spec = ModelSpec(m=2, delta=[1.0, 1.0], K=[[iso, iso], [iso, iso]], ell=1.0,
                  domain=grid.extents, initial=[0.5, 0.5], dirichlet=[0.5, 0.5],

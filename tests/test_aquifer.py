@@ -11,7 +11,7 @@ from crossdiff.model import (CrossTensor, Grid, InvalidParameterError, ModelSpec
                              point_density, validate_spec)
 from crossdiff.solver import SolverFailure, StepperConfig
 
-from conftest import coupled_spec_2d
+from conftest import count_superlu, coupled_spec_2d
 
 
 def dirichlet_spec(grid, pumping=None, h=0.5, h1=0.1, epsilon=1e-2):
@@ -486,22 +486,29 @@ def test_depth_read_once_per_step(grid_48, monkeypatch, variant):
     assert counts[0] == counts[1]
 
 
-def test_initial_head_above_cutoff_makes_no_gmres_call(monkeypatch):
-    # the one elliptic solve keeps no factors, so it factors and solves directly
-    grid = Grid((40, 40), (1.0, 1.0))
-    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+@pytest.mark.parametrize("dims", [(40, 40), (2048,)], ids=["2d-40x40", "1d-2048"])
+def test_initial_head_takes_its_holder_above_the_2d_cutoff_and_the_band_in_1d(monkeypatch,
+                                                                              dims):
+    # the one elliptic solve of a run passes its own one-species holder, which only a 2D
+    # head above the cutoff uses; a 1D head of any length is one banded LU
+    grid = Grid(dims, (1.0,) * len(dims))
+    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS[2]
     spec = dirichlet_spec(grid, pumping=0.05)
-    calls = []
+    factorizations = count_superlu(monkeypatch)
+    holders = []
     gmres = fv.spla.gmres
 
     def counting_gmres(*args, **kwargs):
-        calls.append(1)
+        holders.append(kwargs["M"])
         return gmres(*args, **kwargs)
 
     monkeypatch.setattr(fv.spla, "gmres", counting_gmres)
     w0 = spec.h2_cells(grid) - spec.initial_values(grid)[0]
     phi = aq._initial_head(spec, grid, w0, StepperConfig(dt=1e-3, t_end=1e-3))
-    assert calls == []
+    if grid.ndim == 2:
+        assert holders and all(h.m == 1 and h.grid is grid for h in holders)
+    else:
+        assert holders == [] and factorizations == []
     assert np.all(np.isfinite(phi)) and np.any(phi != 0.0)
 
 
@@ -512,7 +519,7 @@ def _well_1d_case():
 
 def _per_cell_depth_2d_case():
     grid = Grid((40, 40), (1.0, 1.0))
-    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    assert grid.n_cells > fv.DIRECT_MAX_UNKNOWNS[2]
     h2 = 1.0 + 0.2 * grid.cell_centers()[:, 0] * grid.cell_centers()[:, 1]
     spec = aq.AquiferSpec(h2=h2, delta=0.3, alpha=0.025, epsilon=1e-2,
                           initial_h=lambda p: 0.5 + 0.1 * p[:, 0], initial_h1=0.1,
@@ -572,7 +579,7 @@ def test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch):
     direct, conf = aq.run_penalized(spec, grid_48, cfg)
     assert conf.final_violation > 0.0
     assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
-    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
     gmres, _ = aq.run_penalized(spec, grid_48, cfg)
     assert all(st["lin_iters"] > 0 for st in gmres.solver_stats)
     assert len(gmres.snapshots) == len(direct.snapshots)
@@ -587,23 +594,11 @@ def test_penalized_block_gmres_run_agrees_with_direct_run_on_transform(grid_48, 
     test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch)
 
 
-def _count_superlu(monkeypatch) -> list:
-    """Shapes of the SuperLU factorizations (``fv._factor``) made from now on."""
-    calls = []
-    factor = fv._factor
-
-    def counting(a):
-        calls.append(a.shape)
-        return factor(a)
-    monkeypatch.setattr(fv, "_factor", counting)
-    return calls
-
-
 @pytest.mark.parametrize("variant", ["penalized", "confined"])
 def test_1d_runs_take_direct_path(grid_1d, variant, monkeypatch):
     # every direct solve, the confined run's initial head included, is one banded LU of
     # a builder matrix: a matrix() that lost its band would fall back to SuperLU
-    factorizations = _count_superlu(monkeypatch)
+    factorizations = count_superlu(monkeypatch)
     spec = aq.keulegan_scenario(grid_1d, pump_rate=0.05, tilt=0.45)
     cfg = StepperConfig(dt=3e-3, t_end=15e-3)
     result = (aq.run_penalized(spec, grid_1d, cfg)[0] if variant == "penalized"
@@ -613,7 +608,7 @@ def test_1d_runs_take_direct_path(grid_1d, variant, monkeypatch):
 
 
 def test_2d_8x8_simulate_takes_banded_path_and_24x24_its_block_factor(monkeypatch):
-    factorizations = _count_superlu(monkeypatch)
+    factorizations = count_superlu(monkeypatch)
     spec = coupled_spec_2d()
     cfg = StepperConfig(dt=1e-3, t_end=6e-3)
     result = solver.run(spec, Grid((8, 8), (1.0, 1.0)), cfg)

@@ -6,6 +6,8 @@ ghost face with the wrong orientation on either end of an axis breaks one
 of them.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,10 +252,23 @@ def test_band_map_rebuilds_the_interleaved_matrix(case):
 
 
 def test_pattern_above_the_direct_cutoff_has_no_band():
-    # 2 * 512 unknowns sit at the cutoff; one cell more leaves the direct path
-    assert 2 * 512 == fv.DIRECT_MAX_UNKNOWNS
-    at = _fully_coupled_system((512,), (1.0,), (True, False)).matrix()
-    above = _fully_coupled_system((513,), (1.0,), (True, False)).matrix()
-    assert at.band is not None and at.band.width == 3
+    # at m = 2, 22^2 cells make 968 unknowns, below the 2D cutoff, and 23^2 make 1058; a 1D
+    # system has a band at any length
+    assert fv.DIRECT_MAX_UNKNOWNS == {1: math.inf, 2: 1024}
+    below = _fully_coupled_system((22, 22), (1.0, 1.0), (True, False)).matrix()
+    above = _fully_coupled_system((23, 23), (1.0, 1.0), (True, False)).matrix()
+    long_1d = _fully_coupled_system((513,), (1.0,), (True, False)).matrix()
+    assert below.band is not None and below.band.width == 2 * 22 + 1
     assert above.band is None
-    assert fv._pattern(Grid((513,), (1.0,)), 2, above.terms)[3] is None
+    assert long_1d.band is not None and long_1d.band.width == 3
+    # the cached pattern keeps no band and no copy of the decision
+    assert len(fv._pattern(Grid((23, 23), (1.0, 1.0)), 2, above.terms)) == 3
+
+
+def test_matrix_built_after_the_2d_cutoff_is_raised_carries_a_band(monkeypatch):
+    # the cutoff is read when a matrix is built, after its pattern is cached
+    builder = _fully_coupled_system((24, 24), (1.0, 1.0), (True, False))
+    assert builder.matrix().band is None
+    monkeypatch.setitem(fv.DIRECT_MAX_UNKNOWNS, 2, 2 * 24 * 24)
+    band = builder.matrix().band
+    assert band is not None and band.width == 2 * 24 + 1

@@ -32,7 +32,7 @@ CONFIGS = {
         "schema": 1, "kind": "keulegan", "grid": {"dims": [32]},
         "stepper": {"dt": 2e-3, "t_end": 1e-2, "snapshot_every": 5},
         "model": {"tilt": 0.4, "pump_rate": 0.05, "variant": "both"}}),
-    # both Dirichlet variants with a well on 24^2, above fv.DIRECT_MAX_UNKNOWNS (GMRES)
+    # both Dirichlet variants with a well on 24^2, above fv.DIRECT_MAX_UNKNOWNS[2] (GMRES)
     "aquifer": ("aquifer", {
         "schema": 1, "kind": "aquifer", "grid": {"dims": [24, 24]},
         "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 3},
@@ -45,7 +45,7 @@ CONFIGS = {
         "model": {"m": 1, "delta": [1.0], "ell": 1.0, "K": [[1.0]],
                   "initial": [{"profile": "sine"}], "dirichlet": [0.0]}}),
     # the two-species model of the cli-generic benchmark workload on 24^2: above
-    # fv.DIRECT_MAX_UNKNOWNS and below fv.TRANSFORM_MIN_CELLS, so GMRES preconditioned by
+    # fv.DIRECT_MAX_UNKNOWNS[2] and below fv.TRANSFORM_MIN_CELLS, so GMRES preconditioned by
     # the SuperLU factors of the species block diagonal
     "simulate-gmres": ("simulate", {
         "schema": 1, "kind": "generic", "grid": {"dims": [24, 24]},

@@ -3,9 +3,9 @@
 Each example is a two-species spec that passes ``check_existence``, with
 nonnegative initial data, traces and sources that are compatible at the
 boundary, on a small 1D or 2D grid.  It runs on the direct solve path and on
-the block-preconditioned GMRES path (``fv.DIRECT_MAX_UNKNOWNS`` lowered to 0),
-and every run must keep the positivity floor, pass the mass-balance check and
-repeat bit for bit.
+the block-preconditioned GMRES path (both entries of
+``fv.DIRECT_MAX_UNKNOWNS`` lowered to 0), and every run must keep the
+positivity floor, pass the mass-balance check and repeat bit for bit.
 """
 
 import math
@@ -70,7 +70,7 @@ def test_floor_mass_balance_and_rerun_on_admissible_data(path, case):
     gmres_calls = []
     with pytest.MonkeyPatch.context() as mp:
         if path == "gmres":
-            mp.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+            mp.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
         gmres = fv.spla.gmres
         mp.setattr(fv.spla, "gmres", lambda *a, **k: gmres_calls.append(1) or gmres(*a, **k))
         result = run_twice(spec, grid, cfg)

@@ -13,7 +13,7 @@ from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
 from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
                               manufactured_forcing, mass_balance_residual, run)
 
-from conftest import coupled_spec_2d, product_sine
+from conftest import count_superlu, coupled_spec_2d, product_sine
 
 ISO = CrossTensor.isotropic
 
@@ -449,20 +449,13 @@ def _sweep_system(n: int, dt: float = 1e-3):
     return builder.matrix(), builder.rhs
 
 
-@pytest.mark.parametrize("bad", [0.0, math.nan])
-def test_singular_or_nonfinite_system_raises_solver_failure(bad):
-    a = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, bad]]))
-    assert not hasattr(a, "band")   # built outside the builder: the SuperLU path
-    with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, np.ones(3), 1e-10)
-    # a solve knows no time; the run loop that catches the failure sets it
-    assert exc_info.value.time is None
+BOX_8 = Grid((8,), (8.0,))
 
 
 def _closed_box_system(mass: float, g: np.ndarray):
     """Assembled one-species system of an 8-cell closed 1D box with unit faces: on the
     direct path, solved by its band."""
-    builder = fv.SystemBuilder(Grid((8,), (8.0,)), 1)
+    builder = fv.SystemBuilder(BOX_8, 1)
     builder.add_mass(0, mass)
     builder.add_tpfa(0, 0, g, None)
     a = builder.matrix()
@@ -474,7 +467,9 @@ def test_singular_banded_system_names_its_zero_pivot():
     # without a mass term the closed two-point operator's LU pivots are 1, ..., 1 and an
     # exact 0 in the last row
     with pytest.raises(SolverFailure, match=r"exactly zero pivot U\(8, 8\)") as exc_info:
-        fv.solve_sparse(_closed_box_system(0.0, np.ones(7)), np.ones(8), 1e-10)
+        fv.solve_sparse(_closed_box_system(0.0, np.ones(7)), np.ones(8), 1e-10,
+                        fv.BlockFactors(1, BOX_8))
+    # a solve knows no time; the run loop that catches the failure sets it
     assert exc_info.value.time is None
 
 
@@ -482,7 +477,7 @@ def test_nonfinite_banded_system_fails_its_residual_check():
     g = np.ones(7)
     g[3] = math.nan
     with pytest.raises(SolverFailure, match="stalled") as exc_info:
-        fv.solve_sparse(_closed_box_system(1.0, g), np.ones(8), 1e-10)
+        fv.solve_sparse(_closed_box_system(1.0, g), np.ones(8), 1e-10, fv.BlockFactors(1, BOX_8))
     assert not math.isfinite(exc_info.value.residual)
 
 
@@ -516,17 +511,21 @@ def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
 def test_unreachable_tolerance_raises_with_finite_residual():
     a, b = _sweep_system(6)
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, b, 1e-20)
+        fv.solve_sparse(a, b, 1e-20, fv.BlockFactors(2, Grid((6, 6), (1.0, 1.0))))
     assert math.isfinite(exc_info.value.residual)
 
 
 def test_direct_and_gmres_paths_agree(monkeypatch):
-    a, b = _sweep_system(20)
     lin_tol = 1e-10
-    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol)
-    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
     factors = fv.BlockFactors(2, Grid((20, 20), (1.0, 1.0)))
-    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, factors=factors)
+    a, b = _sweep_system(20)
+    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, factors)
+    assert factors.iters == 0
+    # the cutoff is read when the matrix is built: a matrix built under 0 has no band
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
+    a, b = _sweep_system(20)
+    assert a.band is None
+    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, factors)
     assert factors.iters > 0
     assert max(r_direct, r_gmres) <= lin_tol
     rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
@@ -543,14 +542,14 @@ def test_lin_max_caps_gmres_iterations(monkeypatch):
     monkeypatch.setattr(fv, "GMRES_RESTART", 1)
     monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     grid = Grid((48, 48), (1.0, 1.0))
-    assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS[2]
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     with pytest.raises(SolverFailure):
         run(coupled_spec_2d(), grid, cfg)
 
 
 # ---------------------------------------------------------------------------
-# block-Jacobi preconditioned GMRES (systems above DIRECT_MAX_UNKNOWNS)
+# block-Jacobi preconditioned GMRES (2D systems above DIRECT_MAX_UNKNOWNS[2])
 # ---------------------------------------------------------------------------
 
 GRID_48 = Grid((48, 48), (1.0, 1.0))   # m = 2: 4608 unknowns, the GMRES path
@@ -568,14 +567,16 @@ def _count_splu(monkeypatch) -> list:
 
 
 def test_block_gmres_run_agrees_with_direct_run(monkeypatch):
-    assert 2 * GRID_48.n_cells > fv.DIRECT_MAX_UNKNOWNS
+    assert 2 * GRID_48.n_cells > fv.DIRECT_MAX_UNKNOWNS[2]
     lin_tol = 1e-10
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=lin_tol)
     gmres = run(coupled_spec_2d(), GRID_48, cfg)
     assert all(st["lin_iters"] > 0 for st in gmres.solver_stats)
-    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 2 * GRID_48.n_cells)
+    monkeypatch.setitem(fv.DIRECT_MAX_UNKNOWNS, 2, 2 * GRID_48.n_cells)
+    factorizations = count_superlu(monkeypatch)
     direct = run(coupled_spec_2d(), GRID_48, cfg)
     assert all(st["lin_iters"] == 0 and not st["refactored"] for st in direct.solver_stats)
+    assert factorizations == []   # every direct solve is one banded LU
     for sg, sd in zip(gmres.snapshots, direct.snapshots):
         rel = np.max(np.abs(sg - sd)) / np.max(np.abs(sd))
         assert rel <= 10 * lin_tol
@@ -588,13 +589,17 @@ def test_block_gmres_run_agrees_with_direct_run_on_transform(monkeypatch, transf
 GRID_32 = Grid((32, 32), (1.0, 1.0))   # m = 2: 2048 unknowns, a 2D desk grid
 
 
-def _desk_run(system: str, cfg: StepperConfig):
+def _desk_run(system: str, cfg: StepperConfig, grid: Grid = GRID_32):
     if system == "generic":
-        return run(coupled_spec_2d(), GRID_32, cfg)
-    spec = aq.keulegan_scenario(GRID_32, pump_rate=0.05, tilt=0.4)
+        if grid.ndim == 2:
+            return run(coupled_spec_2d(), grid, cfg)
+        spec = generic_spec_1d()
+        spec.dirichlet = [0.0, None]   # compatible with the sine data; species 2 closed
+        return run(spec, grid, cfg)
+    spec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4)
     if system == "penalized":
-        return aq.run_penalized(spec, GRID_32, cfg)[0]
-    return aq.run_confined_aquifer(spec, GRID_32, cfg)
+        return aq.run_penalized(spec, grid, cfg)[0]
+    return aq.run_confined_aquifer(spec, grid, cfg)
 
 
 @pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
@@ -603,9 +608,11 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=lin_tol)
     block = _desk_run(system, cfg)
     assert all(st["lin_iters"] > 0 for st in block.solver_stats)
-    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 2 * GRID_32.n_cells)
+    monkeypatch.setitem(fv.DIRECT_MAX_UNKNOWNS, 2, 2 * GRID_32.n_cells)
+    factorizations = count_superlu(monkeypatch)
     direct = _desk_run(system, cfg)
     assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
+    assert factorizations == []   # every direct solve, a confined run's head included, is banded
     assert len(block.snapshots) == len(direct.snapshots)
     for sb, sd in zip(block.snapshots, direct.snapshots):
         rel = np.max(np.abs(sb - sd)) / np.max(np.abs(sd))
@@ -616,6 +623,15 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
 def test_desk_grid_agrees_with_direct_on_transform(monkeypatch, transform_everywhere, system):
     # the confined keulegan box mixes a closed (DCT) salt block and a Dirichlet (DST) head block
     test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system)
+
+
+@pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
+def test_1d_runs_of_1024_cells_take_the_band(monkeypatch, system):
+    # 2048 unknowns, twice the 2D cutoff: a 1D system is banded at any length
+    factorizations = count_superlu(monkeypatch)
+    result = _desk_run(system, StepperConfig(dt=1e-3, t_end=3e-3), Grid((1024,), (1.0,)))
+    assert all(st["lin_iters"] == 0 for st in result.solver_stats)
+    assert factorizations == []
 
 
 # ---------------------------------------------------------------------------
@@ -816,25 +832,25 @@ def test_run_does_not_depend_on_earlier_runs():
     assert snapshots(spec_b) == alone
 
 
-def _singular_block_failure(monkeypatch, bad: float) -> SolverFailure:
-    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", 0)
+def _singular_block_failure(bad: float) -> SolverFailure:
+    # built outside the builder, the matrix has no band and takes the block path
     eye = sparse.identity(4)
     a = sparse.bmat([[eye, eye], [eye, bad * eye]]).tocsr()
     factors = fv.BlockFactors(2, Grid((4,), (1.0,)))
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, np.ones(8), 1e-10, factors=factors)
+        fv.solve_sparse(a, np.ones(8), 1e-10, factors)
     assert exc_info.value.time is None
     return exc_info.value
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan])
-def test_singular_species_block_raises_solver_failure(monkeypatch, bad):
-    assert "factorization" in str(_singular_block_failure(monkeypatch, bad))
+def test_singular_species_block_raises_solver_failure(bad):
+    assert "factorization" in str(_singular_block_failure(bad))
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan])
-def test_singular_transform_fit_raises_solver_failure(monkeypatch, transform_everywhere, bad):
-    assert "fast-transform fit" in str(_singular_block_failure(monkeypatch, bad))
+def test_singular_transform_fit_raises_solver_failure(transform_everywhere, bad):
+    assert "fast-transform fit" in str(_singular_block_failure(bad))
 
 
 # ---------------------------------------------------------------------------
