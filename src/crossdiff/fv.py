@@ -43,8 +43,10 @@ grid it is one SuperLU factorization of the block diagonal.  Its solve equals
 the per-block solves bit for bit where the species blocks share one sparsity
 pattern, as on the two-point grids tested; the ordering of the joint matrix
 is not guaranteed to match the per-block orderings otherwise.  Both cutoffs
-are measured crossovers, and the same true-residual contract holds on both
-paths.
+are measured crossovers.  Both paths accept a solve by one rule on its true
+residual: the requested relative tolerance, or the system's own rounding
+floor eps (||A||_inf ||x||_2 + ||b||_2) where that is larger
+(:func:`_rounding_floor`).
 """
 
 from __future__ import annotations
@@ -778,9 +780,23 @@ class BlockFactors(spla.LinearOperator):
         return self.inverse.solve(r)
 
 
+def _rounding_floor(a: sparse.csr_matrix, x: np.ndarray, bnorm: float) -> float:
+    """Relative residual eps (||a||_inf ||x||_2 + ||b||_2) / ||b||_2 of a solve of ``a x = b``.
+
+    It is the normwise backward-error bound of Rigal and Gaches (J. ACM 14,
+    1967; Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM
+    2002, Ch. 7): a backward-stable solve in float64 reaches about this
+    residual, and refinement in working precision cannot lower it.
+    ``||a||_inf`` is the largest row sum of ``|a|``.  A non-finite system
+    has no floor (0), so its residual check fails as before.
+    """
+    floor = np.finfo(float).eps * (spla.norm(a, np.inf) * float(np.linalg.norm(x)) / bnorm + 1.0)
+    return floor if math.isfinite(floor) else 0.0
+
+
 def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: BlockFactors,
                  x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Solve ``a x = b`` to relative true residual ``tol``; return (x, residual).
+    """Solve ``a x = b`` to relative true residual ``tol``, or its floor; return (x, residual).
 
     A matrix that carries a :class:`Band` (:meth:`SystemBuilder.matrix`
     gives one to every 1D system and to 2D systems of at most
@@ -790,12 +806,18 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: Block
     iterations per cycle and at most :data:`GMRES_CYCLES` cycles per call,
     preconditioned by ``factors``: the run's one inverse of the species
     block diagonal, which it rebuilds from ``a`` only under its refactor
-    rule.  The preconditioned stopping test can be optimistic, so the true
-    residual is verified and the iteration continued once at a tighter
-    tolerance.  Both paths check the true residual: a residual above
-    ``tol``, a singular (the banded LU names its exactly zero pivot) or a
-    non-finite system raises :class:`SolverFailure`, which carries the final
-    relative residual.
+    rule.  Both paths accept one rule on the true residual: the 2-norm
+    residual is at most max(``tol`` ||b||_2, eps (||a||_inf ||x||_2 +
+    ||b||_2)), the larger of the requested bound and the rounding floor
+    (:func:`_rounding_floor`), so a tolerance below what float64 resolves
+    stops at the floor instead of failing.  The floor is computed only
+    after the residual misses ``tol``.  The preconditioned GMRES stop can be
+    optimistic, so a miss on that path continues the iteration once, at a
+    tighter relative tolerance and with the floor as its absolute stop.
+    The returned residual is the true relative residual.  A residual above
+    both bounds, a singular (the banded LU names its exactly zero pivot) or
+    a non-finite system raises :class:`SolverFailure`, which carries the
+    final relative residual.
     """
     bnorm = float(np.linalg.norm(b))
     band = getattr(a, "band", None)
@@ -807,17 +829,20 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: Block
     if band is not None:
         x = _band_solve(a, b, band)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
-        if residual <= tol:
+        if residual <= tol or residual <= _rounding_floor(a, x, bnorm):
             return x, residual
     else:
         precond = factors.preconditioner(a)
         x = x0
-        rtol = tol
+        rtol, floor = tol, 0.0
         for _ in range(2):
-            x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=0.0,
+            x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=floor * bnorm,
                                   restart=GMRES_RESTART, maxiter=GMRES_CYCLES, M=precond)
             residual = float(np.linalg.norm(b - a @ x)) / bnorm
             if residual <= tol:
+                return x, residual
+            floor = floor or _rounding_floor(a, x, bnorm)  # one floor per solve: the retry's stop
+            if residual <= floor:
                 return x, residual
             rtol = tol * 2e-2
     raise SolverFailure(

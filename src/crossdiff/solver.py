@@ -82,7 +82,10 @@ class StepperConfig:
     last four states and every sweep after a step's second from the Anderson
     mix of its latest sweeps (see :func:`_integrate`), so on a smooth run most
     steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
-    linear solve, the same on every sweep.  Systems on 1D grids and 2D
+    linear solve, the same on every sweep and in every variant, unless the
+    system's rounding floor eps (||A||_inf ||x||_2 + ||b||_2) / ||b||_2 is
+    larger: a solve is accepted at the larger of the two
+    (:func:`fv.solve_sparse`).  Systems on 1D grids and 2D
     systems of at most ``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns are solved
     directly, by one banded LU with the species interleaved cell by cell;
     the true residual is checked all the same.  Larger 2D systems (every 2D

@@ -594,6 +594,32 @@ def test_penalized_block_gmres_run_agrees_with_direct_run_on_transform(grid_48, 
     test_penalized_block_gmres_run_agrees_with_direct_run(grid_48, monkeypatch)
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_small_epsilon_penalized_run_converges_on_long_1d_grids(n):
+    # a tolerance rescaled by epsilon fell below the banded LU's rounding floor from 256 cells
+    grid = Grid((n,), (1.0,))
+    spec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4, epsilon=1e-4)
+    result, _ = aq.run_penalized(spec, grid, StepperConfig(dt=1e-3, t_end=1e-2))
+    assert [st["picard_converged"] for st in result.solver_stats] == [True] * 10
+
+
+@pytest.mark.parametrize("dims", [(32,), (24, 24)], ids=["1d-32", "2d-24x24"])
+def test_penalized_solves_take_the_run_lin_tol(monkeypatch, dims):
+    # the banded path in 1D and the block-GMRES path on 24^2, at a small epsilon
+    tols = []
+    solve = fv.solve_sparse
+
+    def spy(a, b, tol, *args, **kwargs):
+        tols.append(tol)
+        return solve(a, b, tol, *args, **kwargs)
+    monkeypatch.setattr(fv, "solve_sparse", spy)
+    grid = Grid(dims, (1.0,) * len(dims))
+    spec = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.4, epsilon=1e-4)
+    cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+    aq.run_penalized(spec, grid, cfg)
+    assert tols and set(tols) == {cfg.lin_tol}
+
+
 @pytest.mark.parametrize("variant", ["penalized", "confined"])
 def test_1d_runs_take_direct_path(grid_1d, variant, monkeypatch):
     # every direct solve, the confined run's initial head included, is one banded LU of

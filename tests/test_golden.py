@@ -82,9 +82,9 @@ GOLDEN = {
         "confined_snapshots.csv": "fc65c01fcfa808cb65a3fb13252e17dd00ea194041d38c5c2ee920d566809cf4",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "f26355546eb274f271484a369c21255c4128f79adad73e774c718650d7f7064b",
+        "interface_0001.csv": "5d6b8b546fad592e62a98eaba3967d684ffcb4e3f6ee1dc4f9521a52150818c8",
         "manifest.txt": "dc7c75b2196b437b47b5dc7a20890bf12df6bc4ebdd492faf3fe8f85b84022b9",
-        "series.csv": "4898493abe484f3d0f6eea003ed1cec31c26e2f4706b699d4d93e72a0e93f509",
+        "series.csv": "7d32afed548433703ce386135782343edf641d8dab7eda7fc25d20e5958aed5c",
     },
     "simulate-transform": {
         "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",

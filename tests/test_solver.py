@@ -508,11 +508,51 @@ def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
     assert len(partial.solver_stats) == 2
 
 
-def test_unreachable_tolerance_raises_with_finite_residual():
-    a, b = _sweep_system(6)
+def test_gmres_budget_miss_raises_with_finite_residual(monkeypatch):
+    # one GMRES iteration per call leaves the residual above tol and above the rounding floor
+    monkeypatch.setattr(fv, "GMRES_RESTART", 1)
+    monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
+    a, b = _sweep_system(48)
+    assert a.band is None
     with pytest.raises(SolverFailure) as exc_info:
-        fv.solve_sparse(a, b, 1e-20, fv.BlockFactors(2, Grid((6, 6), (1.0, 1.0))))
-    assert math.isfinite(exc_info.value.residual)
+        fv.solve_sparse(a, b, 1e-10, fv.BlockFactors(2, Grid((48, 48), (1.0, 1.0))))
+    assert 1e-10 < exc_info.value.residual < math.inf
+
+
+def _relative_floor(a, x, b) -> float:
+    """eps (||a||_inf ||x||_2 + ||b||_2) / ||b||_2, from its definition."""
+    a_inf = np.max(np.abs(a.toarray()).sum(axis=1))
+    return float(np.finfo(float).eps * (a_inf * np.linalg.norm(x) + np.linalg.norm(b))
+                 / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("path", ["banded", "block"])
+def test_tolerance_below_the_rounding_floor_stops_at_the_floor(monkeypatch, path):
+    if path == "block":
+        monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
+        # the first call cannot meet tol 1e-20 and would spend its whole budget; one cycle of
+        # 60 iterations on 72 unknowns reaches the floor all the same
+        monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
+    a, b = _sweep_system(6)
+    assert (a.band is None) == (path == "block")
+    factors = fv.BlockFactors(2, Grid((6, 6), (1.0, 1.0)))
+    x, residual = fv.solve_sparse(a, b, 1e-20, factors)
+    assert (factors.iters > 0) == (path == "block")
+    # the recorded residual is the true relative residual, above tol and within the floor
+    assert residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+    assert 1e-20 < residual <= _relative_floor(a, x, b)
+
+
+@pytest.mark.parametrize("grid", [Grid((64,), (1.0,)), Grid((16, 16), (1.0, 1.0))],
+                         ids=["1d-64", "2d-16x16"])
+def test_runs_below_the_rounding_floor_converge_and_keep_the_mass_balance(grid):
+    k = [[ISO(1.0, grid.ndim)] * 2] * 2
+    spec = ModelSpec(m=2, delta=[1.0, 1.0], K=k, ell=1.0, domain=grid.extents,
+                     initial=[product_sine(1.0), product_sine(0.8)], dirichlet=[0.0, 0.0])
+    result = run(spec, grid, StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-17))
+    assert [st["picard_converged"] for st in result.solver_stats] == [True] * 5
+    assert max(st["lin_residual"] for st in result.solver_stats) > 1e-17
+    assert mass_balance_residual(result, spec, grid).ok
 
 
 def test_direct_and_gmres_paths_agree(monkeypatch):
@@ -1124,7 +1164,7 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     ref = (q_op @ a_plain @ p_op + drain_reference(grid, 2, drain.terms, drain.vals)).tocsr()
     ref.sort_indices()
 
-    _, _, step = aq._thickness_system(aspec, grid, cfg, penalized=True)
+    _, step = aq._thickness_system(aspec, grid, cfg, penalized=True)
     builder = step(u_prev, 0.0, cfg.dt)(u_lag)
     x0 = builder.to_unknowns(u_lag)
     a = builder.matrix()
@@ -1169,7 +1209,7 @@ def generic_spec_1d():
 def _penalized_sweep(kind):
     _, aspec, _, grid, u_prev, u_lag = penalized_case(kind)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    aq._thickness_system(aspec, grid, cfg, penalized=True)[2](u_prev, 0.0, cfg.dt)(u_lag).matrix()
+    aq._thickness_system(aspec, grid, cfg, penalized=True)[1](u_prev, 0.0, cfg.dt)(u_lag).matrix()
 
 
 def _confined_step():
