@@ -472,9 +472,10 @@ def _add_head_terms(builder: SystemBuilder, row: int, head_face: np.ndarray,
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
     """Elliptic solve for the head consistent with the initial interface, with the data at t = 0.
 
-    The solve takes its own one-species :class:`fv.BlockFactors`, used only
-    where the head system takes the block path (2D grids above
-    ``fv.DIRECT_MAX_UNKNOWNS[2]`` cells).
+    The solve takes its own one-species :class:`fv.BlockFactors`, which gets an
+    inverse only where the head system takes the block path (2D grids above
+    ``fv.DIRECT_MAX_UNKNOWNS[2]`` cells); of the solve's record only the head
+    is kept.
     """
     builder = SystemBuilder(grid, 1)
     ft = builder.ft

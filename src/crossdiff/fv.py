@@ -35,7 +35,11 @@ a system is solved by one LAPACK banded LU (``dgbsv``) over its species
 interleaved cell by cell.  Every other system, a matrix built outside the
 builder included, takes restarted GMRES, block-Jacobi preconditioned by the
 one inverse of the species block diagonal that a run keeps in its
-:class:`BlockFactors`, applied to the stacked residual in one call.  On 2D
+:class:`BlockFactors`, applied to the stacked residual in one call.  The
+solve alone decides when that inverse is rebuilt: when the holder has none,
+or inside the solve in which it has taken ``REFACTOR_AFTER`` applications
+without meeting its stop; it returns its applications and whether it
+rebuilt, and the holder keeps nothing but the inverse.  On 2D
 grids of at least ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is
 exact for each block's constant-coefficient two-point fit, applied by fast
 sine (Dirichlet block) or cosine (closed block) transforms; on every other
@@ -470,8 +474,8 @@ class SystemBuilder:
 
         Its data is the pattern's summation map times the concatenated values,
         so each entry adds its values in the terms' order.
-        :class:`BlockFactors` reads the boundary kind of a species block from
-        the terms.  The matrix also carries as ``band`` the :class:`Band` of
+        :class:`_TransformInverse` reads the boundary kind of a species block
+        from the terms.  The matrix also carries as ``band`` the :class:`Band` of
         its pattern when it has at most ``DIRECT_MAX_UNKNOWNS[grid.ndim]``
         unknowns (every 1D system), and None otherwise: the one place where
         the solve path is chosen.  :func:`solve_sparse` solves a matrix with
@@ -545,8 +549,10 @@ def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
 # 1D has no cutoff.
 DIRECT_MAX_UNKNOWNS = {1: math.inf, 2: 1024}
 
-# A solve that needed more preconditioner applications than this makes the
-# next solve refactor the species blocks from its own matrix.
+# The most preconditioner applications a kept inverse may take in one solve;
+# a solve that reaches them without its stop rebuilds the inverse from its own
+# matrix and starts again (solve_sparse).  No solve of the benchmark workloads
+# or golden configs needs more than 13.
 REFACTOR_AFTER = 30
 
 # GMRES inner iterations per restart cycle, and restart cycles per call (6000 in all).
@@ -727,57 +733,48 @@ class _TransformInverse:
         return x
 
 
-class BlockFactors(spla.LinearOperator):
-    """Block-Jacobi preconditioner of one run: one inverse of the species block diagonal on ``grid``.
+class BlockFactors:
+    """The kept inverse of one run's species block diagonal on ``grid``, and nothing else.
 
     A run makes one holder and passes it to every :func:`solve_sparse` call
     (an aquifer run's initial head solve makes its own), so no inverse
-    outlives its run.  The inverse is that of the m diagonal
-    blocks ``A_ii`` of the run's matrix, the couplings between species left
-    out.  A grid with at least ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D
-    grid of 72x72 or more) applies each block's constant-coefficient fit by
-    fast transforms (:class:`_TransformInverse`); any other grid takes one
-    SuperLU factorization of the block diagonal, whose solve matches the
-    per-block factors bit for bit when the blocks share one sparsity pattern
-    (``tests/test_fv.py`` checks it); the grid decides, never the data.  The inverse is kept
-    across Picard sweeps and steps; a solve rebuilds it from its own matrix
-    only when the previous solve needed more than :data:`REFACTOR_AFTER`
-    preconditioner applications.  The holder is itself the linear operator
-    that applies the inverse to a stacked residual, GMRES's preconditioner
-    for the whole run.  ``iters`` counts the applications of the latest solve
-    (its GMRES inner iterations plus one per restart cycle and one for the
-    start; 0 after a direct solve), ``refactored`` says whether that solve
-    built its inverse afresh and ``b_norm`` holds the 2-norm of its
-    right-hand side.
+    outlives its run.  ``inverse`` is None until the first solve on the
+    GMRES path, then the inverse of the m diagonal blocks ``A_ii`` of a
+    matrix of the run, the couplings between species left out, as
+    :meth:`rebuild` last built it.  A grid with at least
+    ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D grid of 72x72 or more)
+    applies each block's constant-coefficient fit by fast transforms
+    (:class:`_TransformInverse`); any other grid takes one SuperLU
+    factorization of the block diagonal, whose solve matches the per-block
+    factors bit for bit when the blocks share one sparsity pattern
+    (``tests/test_fv.py`` checks it); the grid decides, never the data.  The
+    inverse is kept across Picard sweeps and steps; :func:`solve_sparse`
+    alone decides when to rebuild it, and the holder carries nothing else
+    from one solve to the next.
     """
 
+    __slots__ = ("m", "grid", "inverse")
+
     def __init__(self, m: int, grid: Grid):
-        super().__init__(float, (m * grid.n_cells, m * grid.n_cells))
         self.m = m
         self.grid = grid
         self.inverse = None
-        self.iters = 0
-        self.refactored = False
-        self.b_norm = 0.0
 
-    def preconditioner(self, a: sparse.csr_matrix) -> BlockFactors:
-        self.refactored = self.inverse is None or self.iters > REFACTOR_AFTER
-        if self.refactored:
-            self.inverse = None  # free the old inverse before building a new one
-            n = self.grid.n_cells
-            if n < TRANSFORM_MIN_CELLS[self.grid.ndim]:
-                coo = a.tocoo()
-                keep = coo.row // n == coo.col // n
-                self.inverse = _factor(sparse.csc_matrix(
-                    (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=a.shape))
-            else:
-                self.inverse = _TransformInverse(a, self.grid, self.m)
-        self.iters = 0
-        return self
+    def rebuild(self, a: sparse.csr_matrix) -> None:
+        """Replace the inverse by that of the species block diagonal of ``a``."""
+        self.inverse = None  # free the old inverse before building a new one
+        n = self.grid.n_cells
+        if n < TRANSFORM_MIN_CELLS[self.grid.ndim]:
+            coo = a.tocoo()
+            keep = coo.row // n == coo.col // n
+            self.inverse = _factor(sparse.csc_matrix(
+                (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=a.shape))
+        else:
+            self.inverse = _TransformInverse(a, self.grid, self.m)
 
-    def _matvec(self, r: np.ndarray) -> np.ndarray:
-        self.iters += 1
-        return self.inverse.solve(r)
+
+class _StaleInverse(Exception):
+    """A kept inverse used up its :data:`REFACTOR_AFTER` applications in one solve."""
 
 
 def _rounding_floor(a: sparse.csr_matrix, x: np.ndarray, bnorm: float) -> float:
@@ -794,57 +791,93 @@ def _rounding_floor(a: sparse.csr_matrix, x: np.ndarray, bnorm: float) -> float:
     return floor if math.isfinite(floor) else 0.0
 
 
-def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: BlockFactors,
-                 x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Solve ``a x = b`` to relative true residual ``tol``, or its floor; return (x, residual).
+def _gmres_passes(a: sparse.csr_matrix, b: np.ndarray, tol: float, bnorm: float,
+                  x0: np.ndarray | None, precond: spla.LinearOperator
+                  ) -> tuple[np.ndarray, float, bool]:
+    """GMRES from ``x0`` to the true residual ``tol`` or its floor: (x, residual, accepted).
 
-    A matrix that carries a :class:`Band` (:meth:`SystemBuilder.matrix`
-    gives one to every 1D system and to 2D systems of at most
-    ``DIRECT_MAX_UNKNOWNS[2]`` unknowns) is solved directly, by one banded
-    LU of its interleaved system (:func:`_band_solve`).  Every other matrix
-    takes restarted GMRES from ``x0``, :data:`GMRES_RESTART` inner
-    iterations per cycle and at most :data:`GMRES_CYCLES` cycles per call,
-    preconditioned by ``factors``: the run's one inverse of the species
-    block diagonal, which it rebuilds from ``a`` only under its refactor
-    rule.  Both paths accept one rule on the true residual: the 2-norm
-    residual is at most max(``tol`` ||b||_2, eps (||a||_inf ||x||_2 +
-    ||b||_2)), the larger of the requested bound and the rounding floor
-    (:func:`_rounding_floor`), so a tolerance below what float64 resolves
-    stops at the floor instead of failing.  The floor is computed only
-    after the residual misses ``tol``.  The preconditioned GMRES stop can be
-    optimistic, so a miss on that path continues the iteration once, at a
-    tighter relative tolerance and with the floor as its absolute stop.
-    The returned residual is the true relative residual.  A residual above
-    both bounds, a singular (the banded LU names its exactly zero pivot) or
-    a non-finite system raises :class:`SolverFailure`, which carries the
-    final relative residual.
+    The first call stops at ``0.5 tol`` on scipy's preconditioned estimate,
+    which can be optimistic; a miss on the true residual continues once, at
+    ``2e-2 tol`` and with the rounding floor as its absolute stop.
+    """
+    x, rtol, floor = x0, tol, 0.0
+    for _ in range(2):
+        x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=floor * bnorm,
+                              restart=GMRES_RESTART, maxiter=GMRES_CYCLES, M=precond)
+        residual = float(np.linalg.norm(b - a @ x)) / bnorm
+        if residual <= tol:
+            return x, residual, True
+        floor = floor or _rounding_floor(a, x, bnorm)  # one floor per solve: the retry's stop
+        if residual <= floor:
+            return x, residual, True
+        rtol = tol * 2e-2
+    return x, residual, False
+
+
+def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: BlockFactors,
+                 x0: np.ndarray | None = None) -> tuple[np.ndarray, float, int, bool]:
+    """Solve ``a x = b`` to relative true residual ``tol``, or its floor.
+
+    Returns (x, residual, applications, refactored): the true relative
+    residual, the preconditioner applications of this solve and whether it
+    built the inverse of ``factors``.  A matrix that carries a :class:`Band`
+    (:meth:`SystemBuilder.matrix` gives one to every 1D system and to 2D
+    systems of at most ``DIRECT_MAX_UNKNOWNS[2]`` unknowns) is solved
+    directly, by one banded LU of its interleaved system
+    (:func:`_band_solve`), with no application.  Every other matrix takes
+    restarted GMRES from ``x0``, :data:`GMRES_RESTART` inner iterations per
+    cycle and at most :data:`GMRES_CYCLES` cycles per call, preconditioned
+    by the run's one inverse of the species block diagonal, kept in
+    ``factors`` and wrapped in a counting operator that lives only for this
+    call.  The solve builds that inverse from ``a`` when the holder has
+    none.  A kept inverse may take at most :data:`REFACTOR_AFTER`
+    applications: one more abandons the attempt, and the solve rebuilds the
+    inverse from ``a`` and starts again from ``x0`` (Knoll and Keyes, J.
+    Comput. Phys. 193, 2004, on refreshing a lagged preconditioner).  A
+    fresh inverse keeps the whole budget.  ``applications`` counts those of
+    an abandoned attempt too: GMRES inner iterations plus scipy's
+    applications to the start and at each restart.  Both paths accept one
+    rule on the true residual: the 2-norm residual is at most max(``tol``
+    ||b||_2, eps (||a||_inf ||x||_2 + ||b||_2)), the larger of the requested
+    bound and the rounding floor (:func:`_rounding_floor`), so a tolerance
+    below what float64 resolves stops at the floor instead of failing.  The
+    floor is computed only after the residual misses ``tol``; GMRES then
+    continues once (:func:`_gmres_passes`).  A residual above both bounds,
+    a singular (the banded LU names its exactly zero pivot) or a non-finite
+    system raises :class:`SolverFailure`, which carries the final relative
+    residual.  ``b = 0`` returns x = 0 at once.
     """
     bnorm = float(np.linalg.norm(b))
-    band = getattr(a, "band", None)
-    factors.b_norm = bnorm
-    if bnorm == 0.0 or band is not None:
-        factors.iters, factors.refactored = 0, False
     if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
+        return np.zeros_like(b), 0.0, 0, False
+    band = getattr(a, "band", None)
     if band is not None:
         x = _band_solve(a, b, band)
         residual = float(np.linalg.norm(b - a @ x)) / bnorm
         if residual <= tol or residual <= _rounding_floor(a, x, bnorm):
-            return x, residual
+            return x, residual, 0, False
     else:
-        precond = factors.preconditioner(a)
-        x = x0
-        rtol, floor = tol, 0.0
-        for _ in range(2):
-            x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=floor * bnorm,
-                                  restart=GMRES_RESTART, maxiter=GMRES_CYCLES, M=precond)
-            residual = float(np.linalg.norm(b - a @ x)) / bnorm
-            if residual <= tol:
-                return x, residual
-            floor = floor or _rounding_floor(a, x, bnorm)  # one floor per solve: the retry's stop
-            if residual <= floor:
-                return x, residual
-            rtol = tol * 2e-2
+        refactored = factors.inverse is None
+        if refactored:
+            factors.rebuild(a)
+        applications = 0
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            nonlocal applications
+            if not refactored and applications >= REFACTOR_AFTER:
+                raise _StaleInverse
+            applications += 1
+            return factors.inverse.solve(r)
+
+        precond = spla.LinearOperator(a.shape, matvec=apply, dtype=float)
+        try:
+            x, residual, accepted = _gmres_passes(a, b, tol, bnorm, x0, precond)
+        except _StaleInverse:
+            refactored = True
+            factors.rebuild(a)
+            x, residual, accepted = _gmres_passes(a, b, tol, bnorm, x0, precond)
+        if accepted:
+            return x, residual, applications, refactored
     raise SolverFailure(
         f"linear solver stalled at relative residual {residual:.3e} (tol {tol:.3e})",
         residual=residual)

@@ -24,10 +24,11 @@ species interleaved cell by cell, on every 1D grid and on 2D grids of up to
 ``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns (22x22 at m = 2), restarted GMRES
 above it (every 2D grid of 23x23 or more at m = 2), preconditioned by one
 inverse of the species block diagonal that each run keeps in one
-:class:`fv.BlockFactors` and rebuilds only when GMRES starts to need many
-iterations: one SuperLU factorization, or on 2D grids of 72x72 or more
-(``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each block's
-constant-coefficient fit.
+:class:`fv.BlockFactors`: one SuperLU factorization, or on 2D grids of 72x72
+or more (``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
+block's constant-coefficient fit.  The solve rebuilds that inverse inside any
+solve in which it takes more than ``fv.REFACTOR_AFTER`` applications, and
+returns its applications and whether it rebuilt.
 
 Each step's first lag is the cubic predictor 4 u^n - 6 u^(n-1) + 4 u^(n-2) -
 u^(n-3) (u^0 at the first step, the linear 2 u^n - u^(n-1) at the second, the
@@ -94,7 +95,9 @@ class StepperConfig:
     preconditioned with the run's inverse of the species block diagonal: one
     SuperLU factorization, or on 2D grids of 72x72 or more fast transforms
     of each block's constant-coefficient fit, which takes up to about 30 %
-    more iterations than the factorization.
+    more iterations than the factorization.  A solve in which the kept
+    inverse takes more than ``fv.REFACTOR_AFTER`` applications rebuilds it
+    from its own matrix and starts again; no setting governs it.
     """
 
     dt: float
@@ -261,10 +264,13 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     |u^(k)|_inf, the most a solve resolves (a steady state stops after one sweep); a
     step still moving after ``picard_max`` sweeps is not converged, and a ``static``
     system (no lagged coefficient) takes one sweep.  The solves share the run's one
-    :class:`fv.BlockFactors`; a step's GMRES iterations (``lin_iters``, 0 when direct)
-    and whether it refactored go into its stats, with ``first_change``, the first
-    sweep's change over the step's (how far the predictor missed), and
-    ``mixed_sweeps``, the sweeps that started from a mix.  ``to_record`` maps a state to the
+    :class:`fv.BlockFactors`, and each returns what it did: a step's preconditioner
+    applications (``lin_iters``: GMRES inner iterations plus scipy's applications to the
+    start and at each restart, those of an abandoned attempt on a stale inverse included;
+    0 when direct), whether one of its solves built the inverse (``refactored``) and
+    ``b_norm``, the 2-norm of its last solve's right-hand side, go into its stats, with
+    ``first_change``, the first sweep's change over the step's (how far the predictor
+    missed), and ``mixed_sweeps``, the sweeps that started from a mix.  ``to_record`` maps a state to the
     recorded values (the state itself by default); step 0, every ``snapshot_every``-th step
     and the last step copy them into their row of the preallocated snapshot array.  A
     :class:`SolverFailure` leaves with the failing step's target time as ``time`` and the
@@ -311,12 +317,11 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                     u_lag = _anderson_mix(pairs)
                     st["mixed_sweeps"] += 1
                 builder = sweep(u_lag)
-                x, st["lin_residual"] = fv.solve_sparse(builder.matrix(), builder.rhs,
-                                                        cfg.lin_tol, factors,
-                                                        builder.to_unknowns(u_lag))
-                st["lin_iters"] += factors.iters
-                st["refactored"] = st["refactored"] or factors.refactored
-                st["b_norm"] = factors.b_norm
+                x, st["lin_residual"], applications, refactored = fv.solve_sparse(
+                    builder.matrix(), builder.rhs, cfg.lin_tol, factors,
+                    builder.to_unknowns(u_lag))
+                st["lin_iters"] += applications
+                st["refactored"] = st["refactored"] or refactored
                 u_new = builder.to_state(x)
                 st["picard_sweeps"] += 1
                 change = float(np.max(np.abs(u_new - u_lag)))
@@ -340,6 +345,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                 mass[:, :k + 1], src[:, :k], bflux[:, :k], stats, cfg.dt)
             raise
         src[:, k], bflux[:, k] = builder.budget(u_new)
+        st["b_norm"] = float(np.linalg.norm(builder.rhs))
         u_oldest, u_older, u_old, u = u_older, u_old, u, u_new
         stats.append(st)
         vals = to_record(u)

@@ -615,6 +615,19 @@ def test_keulegan_command_writes_profiles(tmp_path):
     assert s == pytest.approx((h - h1) + (1.0 - h))
 
 
+def test_fully_saturated_penalized_2d_keulegan_run_converges(tmp_path):
+    # h1 = 0 at eps 1e-4 keeps the drain active everywhere; the solves that outgrow the
+    # kept inverse rebuild it inside the solve instead of stalling on it
+    payload = {"schema": 1, "kind": "keulegan", "grid": {"dims": [24, 24]},
+               "stepper": {"dt": 1e-3, "t_end": 1e-2},
+               "model": {"tilt": 0.8, "pump_rate": 0.5, "h1_level": 0.0, "epsilon": 1e-4,
+                         "variant": "penalized"}}
+    out = tmp_path / "out"
+    assert main(["keulegan", "--config", str(write_config(tmp_path, payload)),
+                 "--out", str(out)]) == 0
+    assert "\nexit_status=0\npicard_converged=10/10\n" in (out / "manifest.txt").read_text()
+
+
 def test_sweep_command(tmp_path):
     payload = {"schema": 1, "kind": "aquifer",
                "grid": {"dims": [32]},

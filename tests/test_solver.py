@@ -536,8 +536,8 @@ def test_tolerance_below_the_rounding_floor_stops_at_the_floor(monkeypatch, path
     a, b = _sweep_system(6)
     assert (a.band is None) == (path == "block")
     factors = fv.BlockFactors(2, Grid((6, 6), (1.0, 1.0)))
-    x, residual = fv.solve_sparse(a, b, 1e-20, factors)
-    assert (factors.iters > 0) == (path == "block")
+    x, residual, applications, refactored = fv.solve_sparse(a, b, 1e-20, factors)
+    assert (applications > 0) == refactored == (path == "block")
     # the recorded residual is the true relative residual, above tol and within the floor
     assert residual == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
     assert 1e-20 < residual <= _relative_floor(a, x, b)
@@ -559,14 +559,14 @@ def test_direct_and_gmres_paths_agree(monkeypatch):
     lin_tol = 1e-10
     factors = fv.BlockFactors(2, Grid((20, 20), (1.0, 1.0)))
     a, b = _sweep_system(20)
-    x_direct, r_direct = fv.solve_sparse(a, b, lin_tol, factors)
-    assert factors.iters == 0
+    x_direct, r_direct, applications, refactored = fv.solve_sparse(a, b, lin_tol, factors)
+    assert applications == 0 and not refactored and factors.inverse is None
     # the cutoff is read when the matrix is built: a matrix built under 0 has no band
     monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
     a, b = _sweep_system(20)
     assert a.band is None
-    x_gmres, r_gmres = fv.solve_sparse(a, b, lin_tol, factors)
-    assert factors.iters > 0
+    x_gmres, r_gmres, applications, refactored = fv.solve_sparse(a, b, lin_tol, factors)
+    assert applications > 0 and refactored
     assert max(r_direct, r_gmres) <= lin_tol
     rel = np.linalg.norm(x_direct - x_gmres) / np.linalg.norm(x_direct)
     assert rel <= 10 * lin_tol
@@ -574,6 +574,32 @@ def test_direct_and_gmres_paths_agree(monkeypatch):
 
 def test_direct_and_gmres_paths_agree_on_transform(monkeypatch, transform_everywhere):
     test_direct_and_gmres_paths_agree(monkeypatch)
+
+
+@pytest.mark.parametrize("stale", ["other-matrix", "refactor-after-1"])
+def test_a_kept_inverse_is_rebuilt_inside_the_solve_that_outgrows_it(monkeypatch, stale):
+    a, b = _sweep_system(48)
+    grid = Grid((48, 48), (1.0, 1.0))
+    x_fresh, r_fresh, fresh, built = fv.solve_sparse(a, b, 1e-10, fv.BlockFactors(2, grid))
+    assert built and 1 < fresh <= fv.REFACTOR_AFTER
+    factors = fv.BlockFactors(2, grid)
+    if stale == "other-matrix":
+        # kept from a step 100 times shorter, it needs 47 applications on this system
+        factors.rebuild(_sweep_system(48, dt=1e-5)[0])
+    else:
+        monkeypatch.setattr(fv, "REFACTOR_AFTER", 1)
+        factors.rebuild(a)
+    builds = count_superlu(monkeypatch)
+    x, residual, applications, refactored = fv.solve_sparse(a, b, 1e-10, factors)
+    # the kept attempt stops at REFACTOR_AFTER applications; the same solve rebuilds from
+    # its own matrix and starts again from x0, so it ends as a solve on a fresh holder
+    assert builds == [a.shape]
+    assert refactored and applications == fv.REFACTOR_AFTER + fresh
+    assert residual == r_fresh and np.array_equal(x, x_fresh)
+    if stale == "other-matrix":
+        # the rebuilt inverse is kept, and the next solve takes it as it is
+        assert fv.solve_sparse(a, b, 1e-10, factors)[2:] == (fresh, False)
+        assert builds == [a.shape]
 
 
 def test_lin_max_caps_gmres_iterations(monkeypatch):
