@@ -29,12 +29,14 @@ head and always takes Dirichlet data for the head.
 Every variant runs through the solver's time and Picard loops by handing
 them one callback ``step(u_prev, t_prev, t_new)``, which evaluates the step's
 traces and pumping once and returns ``sweep(u_lag)``; every matrix comes from
-:class:`fv.SystemBuilder`.  The plain and penalized sweeps assemble the
-thickness system with the generic assembly on an internal spec (ell = inf,
-closed species for a closed box); the penalized sweep has the builder rewrite
-its terms in the unknowns (u1, s) and adds the drain on the s block.  The
-confined sweep is its own (w, phi) assembly.  The budget series are those of
-the solved state's species: (u1, u2), without the drain, and (w, phi).
+:class:`fv.SystemBuilder`.  The penalized sweep assembles the thickness
+system with the generic assembly on an internal spec (ell = inf, closed
+species for a closed box), has the builder rewrite its terms in the unknowns
+(u1, s) and adds the drain on the s block.  The confined sweep is its own
+(w, phi) assembly.  The budget series are those of the solved state's
+species: (u1, u2), without the drain, and (w, phi).  The plain thickness
+run, without the drain, is the generic one, ``solver.run(to_cross_spec(aspec,
+grid), grid, cfg)``, its snapshots mapped back by :func:`map_species`.
 
 Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
 the ghosts, the generic spec and ``validate_data``, and :func:`map_heads`
@@ -233,9 +235,8 @@ def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
 
 
 def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
-    """Equivalent generic two-species spec (Dirichlet scenarios, ell = h2)."""
-    if aspec.boundary != "dirichlet":
-        raise InvalidParameterError("the generic formalism carries Dirichlet data only")
+    """Equivalent generic two-species spec at ell = h2; its run is the plain thickness run,
+    without the drain."""
     if np.ndim(aspec.h2) != 0:
         raise InvalidParameterError("the generic mapping needs a constant reservoir depth")
     return _thickness_spec(aspec, grid, float(aspec.h2))
@@ -277,8 +278,8 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_l
                                        None if s_d is None else s_d - u1_d, s_d)
     kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
-    k_left, k_right = kappa * active[ft.left[:n_faces]], kappa[:ni] * active[ft.right[:ni]]
-    builder.add_term(("face", 1, 1, n_faces), np.concatenate((k_left, k_right)))
+    builder.add_face_term(1, 1, kappa * active[ft.left[:n_faces]],
+                          kappa[:ni] * active[ft.right[:ni]])
     # the known part -active * h2 of the excess, with the trace excess in the ghosts
     y = fv.slot_values(ft, -active * h2c, excess_d)
     fa = kappa * (y[ft.right[:n_faces]] - y[ft.left[:n_faces]])
@@ -307,22 +308,19 @@ def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
 # stepping
 # ---------------------------------------------------------------------------
 
-def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penalized: bool):
-    """Validated generic spec and step callback of the (u1, u2) system.
+def _penalized_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
+    """Step callback of the penalized system: the thickness system in (u1, s), s = u1 + u2.
 
-    The spec clips at zero only (ell = inf), so the thickness coefficients
-    are U0(u1) and U0(u2).  A penalized sweep is in
-    (u1, s), s = u1 + u2, with the drain terms on the s block; its step
+    Each sweep assembles the thickness spec at ell = inf, which clips at zero
+    only, so the thickness coefficients are U0(u1) and U0(u2); it rewrites the
+    system in (u1, s) and adds the drain terms on the s block.  The step
     reads the depth and maps the head traces for the drain once.  Every
     sweep solves to the run's own ``cfg.lin_tol`` at any epsilon: a stiff
     drain raises the system's rounding floor, which the linear solve
     accepts by itself (:func:`fv.solve_sparse`).
     """
-    aspec.validate(grid)
-    spec = _thickness_spec(aspec, grid, math.inf)
-    generic = partial(solver._assemble_step, spec, grid, cfg=cfg)
-    if not penalized:
-        return spec, generic
+    generic = partial(solver._assemble_step, _thickness_spec(aspec, grid, math.inf), grid,
+                      cfg=cfg)
 
     def step(u_prev, t_prev, t_new):
         generic_sweep = generic(u_prev, t_prev, t_new)
@@ -335,7 +333,7 @@ def _thickness_system(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig, penali
             _add_drain(builder, aspec, h2c, u_lag[0], u_lag[0] + u_lag[1], *u_d)
             return builder
         return sweep
-    return spec, step
+    return step
 
 
 @dataclass
@@ -362,22 +360,6 @@ class ConfinementReport:
         return float(self.residual[-1])
 
 
-def _run_thickness(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig,
-                   penalized: bool) -> SimulationResult:
-    """Time loop of the (u1, u2) system through the solver, recording (h, h1).
-
-    ``penalized=False`` is the plain run, without the drain term.  ``cfg``
-    reaches the loop as given, so its ``lin_tol`` is that of every solve
-    and of the Picard stop.
-    """
-    spec, step = _thickness_system(aspec, grid, cfg, penalized)
-    h2c = aspec.h2_cells(grid)
-    points = grid.cell_centers()
-    u0 = np.stack([spec.initial_values(i, points) for i in range(2)])
-    return solver._integrate(grid, cfg, u0, step,
-                             lambda u: np.stack(map_species(u[0], u[1], h2c)))
-
-
 def confinement_report(aspec: AquiferSpec, grid: Grid,
                        result: SimulationResult) -> ConfinementReport:
     ft = face_table(grid)
@@ -396,8 +378,17 @@ def confinement_report(aspec: AquiferSpec, grid: Grid,
 
 def run_penalized(aspec: AquiferSpec, grid: Grid,
                   cfg: StepperConfig) -> tuple[SimulationResult, ConfinementReport]:
-    """Penalized time loop over (h, h1) plus the confinement accounting."""
-    result = _run_thickness(aspec, grid, cfg, penalized=True)
+    """Penalized time loop over (h, h1) plus the confinement accounting.
+
+    The state (u1, u2) runs through the solver's Picard and time loops with
+    the step of :func:`_penalized_step`; ``cfg`` reaches the loop as given,
+    so its ``lin_tol`` is that of every solve and of the Picard stop.
+    """
+    aspec.validate(grid)
+    h2c = aspec.h2_cells(grid)
+    u0 = np.stack(map_heads(*aspec.initial_values(grid), h2c))
+    result = solver._integrate(grid, cfg, u0, _penalized_step(aspec, grid, cfg),
+                               lambda u: np.stack(map_species(u[0], u[1], h2c)))
     return result, confinement_report(aspec, grid, result)
 
 

@@ -375,13 +375,13 @@ class SystemBuilder:
 
     Each matrix contribution is recorded as a structural term on the block
     (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
-    on the block diagonal, and ``("face", row_sp, col_sp, n_faces)`` on the
-    first ``n_faces`` faces of the face table, the interior faces or all
-    faces.  A face term's values are two coefficient arrays: those of the
-    left cells on the covered faces, then those of the right cells on the
-    interior faces.  A coefficient enters its cell's diagonal entry and,
-    negated, the entry of the face's other cell in its cell's column.  The
-    right-hand side is accumulated directly.
+    on the block diagonal, and ``("face", row_sp, col_sp, n_faces)``
+    (:meth:`add_face_term`) on the first ``n_faces`` faces of the face
+    table, the interior faces or all faces.  A face term's values are two
+    coefficient arrays: those of the left cells on the covered faces, then
+    those of the right cells on the interior faces.  A coefficient enters
+    its cell's diagonal entry and, negated, the entry of the face's other
+    cell in its cell's column.  The right-hand side is accumulated directly.
     :meth:`change_unknowns` rewrites the recorded system in other unknowns,
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR pattern of the term sequence and its
@@ -405,14 +405,21 @@ class SystemBuilder:
         self.bnd_expl: dict[int, np.ndarray] = {}
         self.source = np.zeros(m)
 
-    def add_term(self, term: tuple, v: np.ndarray) -> None:
+    def _add_term(self, term: tuple, v: np.ndarray) -> None:
         """Record one structural term with its per-entry values."""
         self.terms.append(term)
         self.vals.append(np.asarray(v, dtype=float))
 
     def add_mass(self, species: int, coeff: float) -> None:
         """coeff * u on the diagonal of one species block (volume-scaled)."""
-        self.add_term(("mass", species, species), np.full(self.n, coeff * self.grid.cell_volume))
+        self._add_term(("mass", species, species), np.full(self.n, coeff * self.grid.cell_volume))
+
+    def add_face_term(self, row_sp: int, col_sp: int, left: np.ndarray,
+                      right: np.ndarray) -> None:
+        """Face term on the block (row_sp, col_sp): ``left`` holds the left cells'
+        coefficients on the first ``len(left)`` faces (the interior faces or all faces),
+        ``right`` the right cells' on the interior faces."""
+        self._add_term(("face", row_sp, col_sp, len(left)), np.concatenate((left, right)))
 
     def change_unknowns(self, q, p) -> None:
         """Rewrite the recorded system A x = b in place as (Q A P) y = Q b, x = P y.
@@ -457,7 +464,7 @@ class SystemBuilder:
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
         t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
-        self.add_term(("face", row_sp, col_sp, n_faces), np.concatenate((t, t[:ft.n_interior])))
+        self.add_face_term(row_sp, col_sp, t, t[:ft.n_interior])
         if n_faces > ft.n_interior:
             np.add.at(self.rhs, row_sp * self.n + ft.bnd_cell, t[ft.n_interior:] * traces)
             self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))

@@ -19,16 +19,10 @@ iterate.
 Dirichlet data enter through ghost values at half-cell distance, closed
 species carry no boundary flux; sources are evaluated explicitly at the
 previous time level.  The linear block system is solved by
-:func:`fv.solve_sparse`: one LAPACK banded LU of the whole system, its
-species interleaved cell by cell, on every 1D grid and on 2D grids of up to
-``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns (22x22 at m = 2), restarted GMRES
-above it (every 2D grid of 23x23 or more at m = 2), preconditioned by one
-inverse of the species block diagonal that each run keeps in one
-:class:`fv.BlockFactors`: one SuperLU factorization, or on 2D grids of 72x72
-or more (``fv.TRANSFORM_MIN_CELLS``) the fast sine/cosine transforms of each
-block's constant-coefficient fit.  The solve rebuilds that inverse inside any
-solve in which it takes more than ``fv.REFACTOR_AFTER`` applications, and
-returns its applications and whether it rebuilt.
+:func:`fv.solve_sparse`, to the run's ``lin_tol``, with the one
+:class:`fv.BlockFactors` that each run keeps; that function states the solve
+rule whole: its direct and GMRES paths, the cutoffs between them, the GMRES
+budget, when the kept inverse is rebuilt and the rounding floor.
 
 Each step's first lag is the cubic predictor 4 u^n - 6 u^(n-1) + 4 u^(n-2) -
 u^(n-3) (u^0 at the first step, the linear 2 u^n - u^(n-1) at the second, the
@@ -82,22 +76,12 @@ class StepperConfig:
     not converged.  The first sweep starts from the cubic predictor of the
     last four states and every sweep after a step's second from the Anderson
     mix of its latest sweeps (see :func:`_integrate`), so on a smooth run most
-    steps take one sweep.  ``lin_tol`` bounds the relative true residual of every
-    linear solve, the same on every sweep and in every variant, unless the
-    system's rounding floor eps (||A||_inf ||x||_2 + ||b||_2) / ||b||_2 is
-    larger: a solve is accepted at the larger of the two
-    (:func:`fv.solve_sparse`).  Systems on 1D grids and 2D
-    systems of at most ``fv.DIRECT_MAX_UNKNOWNS[2]`` unknowns are solved
-    directly, by one banded LU with the species interleaved cell by cell;
-    the true residual is checked all the same.  Larger 2D systems (every 2D
-    desk grid of 23x23 or more at m = 2) are solved by GMRES, at most
-    ``fv.GMRES_RESTART * fv.GMRES_CYCLES`` inner iterations per call,
-    preconditioned with the run's inverse of the species block diagonal: one
-    SuperLU factorization, or on 2D grids of 72x72 or more fast transforms
-    of each block's constant-coefficient fit, which takes up to about 30 %
-    more iterations than the factorization.  A solve in which the kept
-    inverse takes more than ``fv.REFACTOR_AFTER`` applications rebuilds it
-    from its own matrix and starts again; no setting governs it.
+    steps take one sweep.  ``lin_tol`` bounds the relative true residual of
+    every linear solve, the same on every sweep and in every variant, unless
+    the system's rounding floor is larger.  :func:`fv.solve_sparse` states
+    the rest of the solve rule: the floor, the direct and GMRES paths and the
+    cutoffs between them, the GMRES budget and when the kept inverse is
+    rebuilt; no setting governs any of them.
     """
 
     dt: float
@@ -298,6 +282,12 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
         minmax[:, k, 2] = vals_k.max(axis=1)
         mass[:, k] = vals_k.sum(axis=1) * vol
 
+    def result(k: int) -> SimulationResult:
+        """The record of the first ``k`` steps and the snapshot rows written so far."""
+        return SimulationResult(snapshots[:row], times[steps[:row]], times[:k + 1],
+                                minmax[:, :k + 1], mass[:, :k + 1], src[:, :k], bflux[:, :k],
+                                stats, cfg.dt)
+
     record(0, vals)
     u = u_old = u_older = u_oldest = u0
     factors = fv.BlockFactors(m, grid)
@@ -340,9 +330,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
                                       else math.inf)
         except SolverFailure as exc:
             exc.time = times[k + 1]
-            exc.partial = SimulationResult(
-                snapshots[:row], times[steps[:row]], times[:k + 1], minmax[:, :k + 1],
-                mass[:, :k + 1], src[:, :k], bflux[:, :k], stats, cfg.dt)
+            exc.partial = result(k)
             raise
         src[:, k], bflux[:, k] = builder.budget(u_new)
         st["b_norm"] = float(np.linalg.norm(builder.rhs))
@@ -354,8 +342,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
             snapshots[row] = vals
             row += 1
 
-    return SimulationResult(snapshots, times[steps], times, minmax, mass, src, bflux, stats,
-                            cfg.dt)
+    return result(n_steps)
 
 
 def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,

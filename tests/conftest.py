@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from crossdiff import aquifer, solver
 from crossdiff.model import CrossTensor, Grid, ModelSpec
 
 
@@ -20,6 +24,15 @@ def coupled_spec_2d(ell=1.0, k_offdiag=1.0, amp=(1.0, 0.8)):
     return ModelSpec(m=2, delta=[1.0, 1.0], K=k, ell=ell, domain=(1.0, 1.0),
                      initial=[product_sine(amp[0]), product_sine(amp[1])],
                      dirichlet=[0.0, 0.0])
+
+
+def plain_run(aspec, grid, cfg):
+    """The plain aquifer thickness run, without the drain: the generic run of the thickness
+    spec at ell = inf, its snapshots mapped to (h, h1)."""
+    result = solver.run(aquifer._thickness_spec(aspec, grid, math.inf), grid, cfg)
+    u = result.snapshots
+    return dataclasses.replace(result, snapshots=np.stack(
+        aquifer.map_species(u[:, 0], u[:, 1], aspec.h2_cells(grid)), axis=1))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from crossdiff.model import (CrossTensor, Grid, InvalidParameterError, ModelSpec
                              point_density, validate_spec)
 from crossdiff.solver import SolverFailure, StepperConfig
 
-from conftest import count_superlu, coupled_spec_2d
+from conftest import count_superlu, coupled_spec_2d, plain_run
 
 
 def dirichlet_spec(grid, pumping=None, h=0.5, h1=0.1, epsilon=1e-2):
@@ -79,8 +79,8 @@ def test_spec_rejects_hierarchy_violation(grid_48):
 # ---------------------------------------------------------------------------
 
 def test_thickness_run_matches_generic_solver():
-    # the plain aquifer run must be the generic coupled system with tensors
-    # built from the density contrast, run through solver.run (ell = h2)
+    # the plain aquifer run (ell = inf) must be the generic coupled system with
+    # tensors built from the density contrast, run through solver.run (ell = h2)
     grid = Grid((6, 6), (1.0, 1.0))
     spec = dirichlet_spec(grid, pumping=0.05)
     spec.validate(grid)
@@ -88,12 +88,31 @@ def test_thickness_run_matches_generic_solver():
     assert validate_spec(mspec, grid).ok
 
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
-    plain = aq._run_thickness(spec, grid, cfg, penalized=False)
+    plain = plain_run(spec, grid, cfg)
     generic = solver.run(mspec, grid, cfg)
     assert np.array_equal(plain.snapshot_times, generic.snapshot_times)
     h, h1 = aq.map_species(generic.snapshots[:, 0], generic.snapshots[:, 1], spec.h2)
     assert np.max(np.abs(plain.snapshots - np.stack([h, h1], axis=1))) <= 1e-12
     assert plain.solver_stats == generic.solver_stats
+
+
+def test_closed_box_cross_spec_is_the_plain_run(grid_48):
+    # a closed box maps to closed species: the generic run at ell = h2 is the
+    # plain run bit for bit, and the penalized run with its drain inactive
+    spec = aq.keulegan_scenario(grid_48)
+    mspec = aq.to_cross_spec(spec, grid_48)
+    assert mspec.dirichlet == [None, None]
+    assert validate_spec(mspec, grid_48).ok
+
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
+    generic = solver.run(mspec, grid_48, cfg)
+    plain = solver.run(aq._thickness_spec(spec, grid_48, math.inf), grid_48, cfg)
+    assert np.array_equal(generic.snapshots, plain.snapshots)
+    assert generic.solver_stats == plain.solver_stats
+    pen, conf = aq.run_penalized(spec, grid_48, cfg)
+    h, h1 = aq.map_species(generic.snapshots[:, 0], generic.snapshots[:, 1], spec.h2)
+    assert np.max(np.abs(pen.snapshots - np.stack([h, h1], axis=1))) <= 10 * cfg.lin_tol
+    assert np.all(conf.violation == 0.0) and np.all(conf.q_field == 0.0)
 
 
 def test_generic_closed_box_conserves_mass():
@@ -127,7 +146,7 @@ def test_penalty_inactive_entries_vanish(grid_48):
 def test_penalized_and_plain_coincide_when_inactive(grid_48):
     spec = dirichlet_spec(grid_48)
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=1e-12)
-    plain = aq._run_thickness(spec, grid_48, cfg, penalized=False)
+    plain = plain_run(spec, grid_48, cfg)
     pen, conf = aq.run_penalized(spec, grid_48, cfg)
     diff = np.max(np.abs(plain.snapshots[-1] - pen.snapshots[-1]))
     assert diff <= 10 * cfg.lin_tol * 100
@@ -185,7 +204,7 @@ def test_step_aquifer_moves_state(grid_48):
     spec = dirichlet_spec(grid_48)
     state = np.stack(spec.initial_values(grid_48))
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    for result in (aq._run_thickness(spec, grid_48, cfg, penalized=False),
+    for result in (plain_run(spec, grid_48, cfg),
                    aq.run_penalized(spec, grid_48, cfg)[0]):
         assert len(result.snapshots) == 2 and result.snapshot_times[-1] == pytest.approx(1e-3)
         assert np.max(np.abs(result.snapshots[-1] - state)) < 1e-9  # steady data stay put

@@ -209,8 +209,7 @@ def _penalized_system(dims: tuple, spacing: tuple):
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     spec = aq._thickness_spec(aspec, grid, np.inf)
     u_prev = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    builder = aq._thickness_system(aspec, grid, cfg, penalized=True)[1](u_prev, 0.0, cfg.dt)(
-        u_prev + 0.05)
+    builder = aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_prev + 0.05)
     assert builder.p is not None   # the recorded system was rewritten in (u1, s)
     return builder
 

@@ -13,7 +13,7 @@ from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
 from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
                               manufactured_forcing, mass_balance_residual, run)
 
-from conftest import count_superlu, coupled_spec_2d, product_sine
+from conftest import count_superlu, coupled_spec_2d, plain_run, product_sine
 
 ISO = CrossTensor.isotropic
 
@@ -506,6 +506,38 @@ def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
     assert len(partial.snapshots) == len(partial.snapshot_times) == 3
     assert np.all(np.isfinite(partial.snapshots))
     assert len(partial.solver_stats) == 2
+
+
+def test_partial_record_is_the_first_steps_of_the_run(monkeypatch):
+    # a run that fails at its third step carries, bit for bit, the first two
+    # steps of the same run without the fault
+    spec = generic_spec_1d()
+    spec.dirichlet = [0.0, None]   # compatible with the sine data; species 2 closed
+    spec.sources = [0.5, None]
+    grid = Grid((16,), (1.0,))
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, snapshot_every=2)
+    clean = run(spec, grid, cfg)
+    assemble = solver._assemble_step
+
+    def fail_at_third_step(spec, grid, u_prev, t_prev, t_new, cfg):
+        if t_new > 2.5 * cfg.dt:
+            raise SolverFailure("injected fault")
+        return assemble(spec, grid, u_prev, t_prev, t_new, cfg)
+    monkeypatch.setattr(solver, "_assemble_step", fail_at_third_step)
+    with pytest.raises(SolverFailure, match="injected fault") as exc_info:
+        run(spec, grid, cfg)
+    partial = exc_info.value.partial
+    assert exc_info.value.time == clean.times[3]
+    assert np.array_equal(partial.times, clean.times[:3])
+    assert np.array_equal(partial.minmax, clean.minmax[:, :3])
+    assert np.array_equal(partial.mass, clean.mass[:, :3])
+    assert np.array_equal(partial.source_integral, clean.source_integral[:, :2])
+    assert np.array_equal(partial.boundary_flux, clean.boundary_flux[:, :2])
+    assert np.array_equal(partial.snapshot_times, clean.snapshot_times[:2])
+    assert np.array_equal(partial.snapshots, clean.snapshots[:2])
+    assert partial.solver_stats == clean.solver_stats[:2]
+    assert partial.dt == clean.dt
+    assert np.any(partial.source_integral != 0.0) and np.any(partial.boundary_flux != 0.0)
 
 
 def test_gmres_budget_miss_raises_with_finite_residual(monkeypatch):
@@ -1190,8 +1222,7 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     ref = (q_op @ a_plain @ p_op + drain_reference(grid, 2, drain.terms, drain.vals)).tocsr()
     ref.sort_indices()
 
-    _, step = aq._thickness_system(aspec, grid, cfg, penalized=True)
-    builder = step(u_prev, 0.0, cfg.dt)(u_lag)
+    builder = aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag)
     x0 = builder.to_unknowns(u_lag)
     a = builder.matrix()
     assert np.array_equal(a.indptr, ref.indptr)
@@ -1235,7 +1266,7 @@ def generic_spec_1d():
 def _penalized_sweep(kind):
     _, aspec, _, grid, u_prev, u_lag = penalized_case(kind)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    aq._thickness_system(aspec, grid, cfg, penalized=True)[1](u_prev, 0.0, cfg.dt)(u_lag).matrix()
+    aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag).matrix()
 
 
 def _confined_step():
@@ -1353,7 +1384,7 @@ def test_step_aquifer_is_first_step_of_run(kind, penalized):
     def run_to(t_end):
         cfg = StepperConfig(dt=2e-3, t_end=t_end, lin_tol=1e-11)
         return (aq.run_penalized(aspec, grid, cfg)[0] if penalized
-                else aq._run_thickness(aspec, grid, cfg, penalized=False))
+                else plain_run(aspec, grid, cfg))
     result, first = run_to(6e-3), run_to(2e-3)
     assert first.snapshot_times[-1] == result.snapshot_times[1]
     assert np.array_equal(first.snapshots[-1], result.snapshots[1])
