@@ -23,7 +23,10 @@ records each matrix contribution as a structural term plus its values, can
 rewrite the recorded system in other unknowns by fixed block maps, and sums
 the values into a CSR pattern by one product with a summation map (a sparse
 matrix of +-1 entries from the values to the CSR positions); :func:`_pattern`
-derives both once per grid, species count and term sequence.  A face term
+derives both once per grid, species count and term sequence, and
+:func:`_template` keeps them with one CSR template of the pattern, which owns
+no values and whose shallow copy, given the summed values, is each sweep's
+matrix: no sparse constructor runs per sweep.  A face term
 keeps two coefficients per face, its left and its right cell's.  It is also
 the one record of a step's budget, kept in the state's species
 (:meth:`SystemBuilder.budget`).
@@ -55,6 +58,7 @@ floor eps (||A||_inf ||x||_2 + ||b||_2) where that is larger
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
@@ -247,8 +251,8 @@ def cell_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np
 # sparse system assembly
 # ---------------------------------------------------------------------------
 
-# Patterns kept at once; one run assembles with a single term sequence, so a
-# few entries cover a run plus the short runs of a study around it.
+# Templates kept at once (_template); one run assembles with a single term
+# sequence, so a few entries cover a run plus the short runs of a study around it.
 PATTERN_CACHE_SIZE = 4
 
 
@@ -291,7 +295,7 @@ class Band:
     sub- and superdiagonals: the entry (i, j) of the interleaved matrix sits
     in row 2 * width + i - j of column j, and the first ``width`` rows are
     the factorization's room for fill.  :func:`_band` derives it once per
-    pattern; a matrix carries it exactly when it is solved directly
+    template; a matrix carries it exactly when it is solved directly
     (:meth:`SystemBuilder.matrix`).
     """
 
@@ -300,7 +304,6 @@ class Band:
     position: np.ndarray
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def _pattern(grid: Grid, m: int, terms: tuple
              ) -> tuple[np.ndarray, np.ndarray, sparse.csr_matrix]:
     """CSR structure of the block matrix assembled from ``terms`` and its summation map.
@@ -314,7 +317,7 @@ def _pattern(grid: Grid, m: int, terms: tuple
     computed once and shifted to the blocks that carry it; one stable sort
     of the entries' positions, whose runs are already sorted, groups them.
     Every array is read-only because every matrix built on the pattern
-    shares them.
+    shares them; :func:`_template` keeps them.
     """
     ft = face_table(grid)
     n = grid.n_cells
@@ -348,20 +351,41 @@ def _pattern(grid: Grid, m: int, terms: tuple
     return indptr, indices, summation
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _band(grid: Grid, m: int, terms: tuple) -> Band:
-    """The :class:`Band` layout of the pattern of ``terms`` (:func:`_pattern`), read-only."""
-    indptr, indices, _summation = _pattern(grid, m, terms)
+def _band(template: sparse.csr_matrix, grid: Grid, m: int) -> Band:
+    """The :class:`Band` layout of the pattern of ``template`` (:func:`_template`), read-only."""
     n = grid.n_cells
-    size = m * n
-    k = np.arange(size)
+    k = np.arange(m * n)
     perm = k % n * m + k // n
-    row, col = perm[np.repeat(k, np.diff(indptr))], perm[indices]
+    row, col = perm[np.repeat(k, np.diff(template.indptr))], perm[template.indices]
     width = int(np.max(np.abs(row - col), initial=0))
     band = Band(perm, width, col * (3 * width + 1) + 2 * width + row - col)
     for a in (band.perm, band.position):
         a.flags.writeable = False
     return band
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _template(grid: Grid, m: int, terms: tuple, direct: bool
+              ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """(template, summation): the CSR template of the pattern of ``terms`` and its summation map.
+
+    The template is the block matrix of :func:`_pattern`'s structure, with
+    canonical format, carrying ``terms`` and, as ``band``, its :class:`Band`
+    when ``direct`` and None otherwise.  ``direct`` is the path that
+    :meth:`SystemBuilder.matrix` reads from ``DIRECT_MAX_UNKNOWNS`` on every
+    call, so a changed cutoff finds its own template.  The template owns no
+    value array: its ``data`` is a read-only zero-stride view of one 0.0, and
+    :meth:`SystemBuilder.matrix` hands out shallow copies that each get their
+    own ``data``.
+    """
+    indptr, indices, summation = _pattern(grid, m, terms)
+    size = m * grid.n_cells
+    template = sparse.csr_matrix((np.broadcast_to(0.0, len(indices)), indices, indptr),
+                                 shape=(size, size))
+    template.has_canonical_format = True
+    template.terms = terms
+    template.band = _band(template, grid, m) if direct else None
+    return template, summation
 
 
 def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -384,10 +408,11 @@ class SystemBuilder:
     cell in its cell's column.  The right-hand side is accumulated directly.
     :meth:`change_unknowns` rewrites the recorded system in other unknowns,
     to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
-    :meth:`matrix` looks up the CSR pattern of the term sequence and its
-    summation map, computed once per (grid, m, terms) by :func:`_pattern`,
-    sums the values into it by one sparse product and, when the system is
-    solved directly, attaches its :class:`Band`.
+    :meth:`matrix` looks up the CSR template of the term sequence and its
+    summation map, built once per (grid, m, terms) by :func:`_template`,
+    and hands out a shallow copy of the template whose data are the values
+    summed by one sparse product; the template of a system solved directly
+    carries its :class:`Band`.
     The budget record (boundary terms, explicit boundary flux and the
     ``source`` the assembly sets) stays in the state's species.
     """
@@ -426,17 +451,22 @@ class SystemBuilder:
 
         ``q`` and ``p`` are m x m block maps whose entry (i, j) scales the
         identity block (i, j), so each term of the block (r, c) becomes one
-        copy on every block (i, j) with q[i][r] and p[c][j] nonzero.
+        copy on every block (i, j) with q[i][r] and p[c][j] nonzero, its
+        values scaled by their product.  The nonzero entries of the maps are
+        read once per call.  A copy whose scale is exactly 1.0 shares the
+        recorded value array, so recorded values are never written in place.
         """
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         self.p = p if self.p is None else self.p @ p
+        rows = [[(i, s) for i, s in enumerate(column) if s] for column in q.T.tolist()]
+        cols = [[(j, s) for j, s in enumerate(row) if s] for row in p.tolist()]
         terms, vals = [], []
         for term, v in zip(self.terms, self.vals):
-            r, c = term[1], term[2]
-            for i in np.flatnonzero(q[:, r]):
-                for j in np.flatnonzero(p[c]):
-                    terms.append((term[0], int(i), int(j), *term[3:]))
-                    vals.append(q[i, r] * p[c, j] * v)
+            for i, q_ir in rows[term[1]]:
+                for j, p_cj in cols[term[2]]:
+                    scale = q_ir * p_cj
+                    terms.append((term[0], i, j, *term[3:]))
+                    vals.append(v if scale == 1.0 else scale * v)
         self.terms, self.vals = terms, vals
         self.rhs = _map_blocks(q, self.rhs.reshape(self.m, self.n))
 
@@ -459,14 +489,16 @@ class SystemBuilder:
         ``g`` holds per-face coefficients of the interior faces or of all
         faces.  Boundary faces take part only when ``g`` covers them and the
         column species has Dirichlet ``traces``, which enter the right-hand
-        side through the ghost slots and their coefficients into the budget.
+        side through the ghost slots, summed per cell by one bincount over the
+        boundary faces, and their coefficients into the budget.
         """
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
         t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
         self.add_face_term(row_sp, col_sp, t, t[:ft.n_interior])
         if n_faces > ft.n_interior:
-            np.add.at(self.rhs, row_sp * self.n + ft.bnd_cell, t[ft.n_interior:] * traces)
+            self.add_rhs(row_sp, np.bincount(ft.bnd_cell, weights=t[ft.n_interior:] * traces,
+                                             minlength=self.n))
             self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
 
     def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:
@@ -479,24 +511,23 @@ class SystemBuilder:
     def matrix(self) -> sparse.csr_matrix:
         """The summed block matrix in CSR form, carrying its term sequence as ``terms``.
 
-        Its data is the pattern's summation map times the concatenated values,
-        so each entry adds its values in the terms' order.
+        It is a shallow copy of its pattern's template (:func:`_template`),
+        which shares the template's index arrays and gets its own ``data``:
+        the pattern's summation map times the concatenated values, so each
+        entry adds its values in the terms' order.  No CSR constructor runs
+        per call, and writing into one matrix's data leaves every other one.
         :class:`_TransformInverse` reads the boundary kind of a species block
         from the terms.  The matrix also carries as ``band`` the :class:`Band` of
         its pattern when it has at most ``DIRECT_MAX_UNKNOWNS[grid.ndim]``
         unknowns (every 1D system), and None otherwise: the one place where
-        the solve path is chosen.  :func:`solve_sparse` solves a matrix with
-        a band directly.
+        the solve path is chosen, read on every call.  :func:`solve_sparse`
+        solves a matrix with a band directly.
         """
-        terms = tuple(self.terms)
-        indptr, indices, summation = _pattern(self.grid, self.m, terms)
-        data = summation @ np.concatenate(self.vals)
-        n = self.m * self.n
-        a = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        a.has_canonical_format = True
-        a.terms = terms
-        a.band = (_band(self.grid, self.m, terms) if n <= DIRECT_MAX_UNKNOWNS[self.grid.ndim]
-                  else None)
+        size = self.m * self.n
+        template, summation = _template(self.grid, self.m, tuple(self.terms),
+                                        size <= DIRECT_MAX_UNKNOWNS[self.grid.ndim])
+        a = copy.copy(template)
+        a.data = summation @ np.concatenate(self.vals)
         return a
 
     def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -141,17 +141,19 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / n for e, n in zip(self.extents, self.dims))
 
+    # plain-Python products: these are read hundreds of times per run, and for
+    # one or two factors math.prod equals np.prod bit for bit
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def measure(self) -> float:
-        return float(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]

@@ -265,7 +265,7 @@ def test_pattern_above_the_direct_cutoff_has_no_band():
     assert below.band is not None and below.band.width == 2 * 22 + 1
     assert above.band is None
     assert long_1d.band is not None and long_1d.band.width == 3
-    # the cached pattern keeps no band and no copy of the decision
+    # the pattern keeps no band and no copy of the decision; only a template does
     assert len(fv._pattern(Grid((23, 23), (1.0, 1.0)), 2, above.terms)) == 3
 
 

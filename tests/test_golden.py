@@ -79,12 +79,12 @@ GOLDEN = {
     },
     "aquifer": {
         "confined_series.csv": "a9fdbf6159a3beabcff9e4341c9925e0129cf24d1af3754dec2e9dda0aa04001",
-        "confined_snapshots.csv": "fc65c01fcfa808cb65a3fb13252e17dd00ea194041d38c5c2ee920d566809cf4",
+        "confined_snapshots.csv": "8ff2537dffb681c6e5ba58710c40354065b28a10b0f71cbc978e5042bad10195",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "5d6b8b546fad592e62a98eaba3967d684ffcb4e3f6ee1dc4f9521a52150818c8",
+        "interface_0001.csv": "fa31990f941aaaa18444250214e2ccabeaeb853c4867a27207d468f002a4aced",
         "manifest.txt": "dc7c75b2196b437b47b5dc7a20890bf12df6bc4ebdd492faf3fe8f85b84022b9",
-        "series.csv": "7d32afed548433703ce386135782343edf641d8dab7eda7fc25d20e5958aed5c",
+        "series.csv": "7bd8bcc7dd4a7a60af0e4e344bfae8a8b3ebd74758b1c3d33946223637358365",
     },
     "simulate-transform": {
         "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",

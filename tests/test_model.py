@@ -319,6 +319,15 @@ def test_grid_geometry():
     assert pts[0] == pytest.approx([0.25, 0.0625])
 
 
+@pytest.mark.parametrize("dims, extents", [((7,), (0.3,)), ((3, 7), (0.3, 0.7)),
+                                            ((11, 3), (0.7, 0.3))])
+def test_grid_scalars_are_plain_products_equal_to_np_prod(dims, extents):
+    g = Grid(dims, extents)
+    assert type(g.cell_volume) is float and g.cell_volume == float(np.prod(g.spacing))
+    assert type(g.n_cells) is int and g.n_cells == int(np.prod(g.dims))
+    assert type(g.measure) is float and g.measure == float(np.prod(g.extents))
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         Grid((0,), (1.0,))

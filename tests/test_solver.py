@@ -1129,7 +1129,7 @@ def test_first_matrix_of_a_large_sweep_stays_in_its_memory_bound():
     spec = coupled_spec_2d()
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
     builder = _assemble_step(spec, grid, u, 0.0, 1e-3, StepperConfig(dt=1e-3, t_end=1e-3))(0.9 * u)
-    fv._pattern.cache_clear()
+    fv._template.cache_clear()
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -1308,6 +1308,44 @@ def test_matrix_is_bit_identical_to_unique_bincount_oracle(built, case):
         assert np.array_equal(a.indices, indices)
         assert np.array_equal(a.data, data)
         assert a.data.dtype == np.float64
+
+
+@pytest.mark.parametrize("dims", [(24,), (9, 7)])
+def test_matrices_of_one_pattern_are_independent(built, dims):
+    # two sweeps on one pattern get their own data: writing into the first
+    # matrix leaves the second, and the next one, equal to the oracle
+    grid = Grid(dims, (1.0,) * len(dims))
+    spec = generic_spec_1d() if len(dims) == 1 else coupled_spec_2d(k_offdiag=0.5)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
+    step = _assemble_step(spec, grid, u, 0.0, cfg.dt, cfg)
+    first, second = step(u).matrix(), step(0.9 * u).matrix()
+    first.data[:] = np.nan
+    step(0.8 * u).matrix()
+    assert len(built) == 3 and len({tuple(b[3]) for b in built}) == 1
+    assert first.indices is second.indices and first.data is not second.data
+    for (_, m, _, terms, a, vals) in built[1:]:
+        indptr, indices, data = unique_bincount_matrix(grid, m, terms, vals)
+        assert np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)
+        assert np.array_equal(a.data, data) and a.data.flags.writeable
+        assert a.terms == tuple(terms)
+        assert a.band is not None and a.band is first.band
+
+
+@pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
+def test_penalized_sweep_leaves_its_recorded_values_unwritten(kind):
+    # change_unknowns shares a value array between rewritten terms whose
+    # scale is 1.0, so neither matrix() nor the solve may write into one
+    _, aspec, _, grid, u_prev, u_lag = penalized_case(kind)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    builder = aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag)
+    assert len({id(v) for v in builder.vals}) < len(builder.vals)   # shared arrays
+    before = [v.copy() for v in builder.vals]
+    rhs = builder.rhs.copy()
+    a = builder.matrix()
+    fv.solve_sparse(a, builder.rhs, 1e-10, fv.BlockFactors(2, grid), builder.to_unknowns(u_lag))
+    assert all(np.array_equal(v, w) for v, w in zip(builder.vals, before))
+    assert np.array_equal(builder.rhs, rhs)
 
 
 @pytest.mark.parametrize("kind", ["closed-1d", "dirichlet-2d"])
