@@ -44,9 +44,10 @@ or inside the solve in which it has taken ``REFACTOR_AFTER`` applications
 without meeting its stop; it returns its applications and whether it
 rebuilt, and the holder keeps nothing but the inverse.  On 2D
 grids of at least ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is
-exact for each block's constant-coefficient two-point fit, applied by fast
-sine (Dirichlet block) or cosine (closed block) transforms; on every other
-grid it is one SuperLU factorization of the block diagonal.  Its solve equals
+exact for each block's constant-coefficient two-point fit, applied to every
+species at once by one DCT-II over the grid axes and its inverse, a
+Dirichlet block's data signed (-1)^(sum of the cell's indices); on every
+other grid it is one SuperLU factorization of the block diagonal.  Its solve equals
 the per-block solves bit for bit where the species blocks share one sparsity
 pattern, as on the two-point grids tested; the ordering of the joint matrix
 is not guaranteed to match the per-block orderings otherwise.  Both cutoffs
@@ -684,49 +685,67 @@ def _band_solve(a: sparse.csr_matrix, b: np.ndarray, band: Band) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _spectrum(grid: Grid, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and diagonal of the unit two-point operator L of a grid.
+def _spectrum(grid: Grid, dirichlet: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, diagonal and sign of the unit two-point operator L of a grid.
 
     L x sums area/dist * (x_L - x_R) over the faces of each cell: over the
     boundary faces too, with the ghost half a cell out held at 0, when
-    ``dirichlet``, and over the interior faces only otherwise.  DST-II
-    (Dirichlet) or DCT-II (closed) over the grid axes diagonalizes L; the
-    eigenvalues have shape ``grid.dims`` in the transform's index order, the
-    diagonal is per cell.  Both arrays are read-only.
+    ``dirichlet``, and over the interior faces only otherwise.  With C the
+    orthonormal DCT-II over the grid axes and sign the diagonal of +-1 per
+    cell, L = sign C^T diag(eigenvalues) C sign.  A closed L is diagonalized
+    by C itself (sign 1; 4w sin^2(pi k/2n) per axis of n cells, w the
+    area/dist of its interior faces).  A Dirichlet L is diagonalized by
+    DST-II, which is the reversed DCT-II of data signed (-1)^j along each
+    axis (Strang, "The Discrete Cosine Transform", SIAM Rev. 41, 1999): its
+    sign is (-1)^(sum of the cell's indices) and its eigenvalues, in DCT
+    order, are 4w cos^2(pi k/2n) per axis.  The eigenvalues have shape
+    ``grid.dims``; the diagonal and the sign are per cell.  All three arrays
+    are read-only.
     """
-    lam, diag = np.zeros(grid.dims), np.zeros(grid.dims)
+    lam, diag, sign = np.zeros(grid.dims), np.zeros(grid.dims), np.ones(grid.dims)
     volume = grid.cell_volume
     for d, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
         weight = volume / h ** 2  # area/dist of an interior face
         shape = [1] * grid.ndim
         shape[d] = n
-        lam += (4.0 * weight * np.sin(np.pi * (np.arange(n) + dirichlet) / (2 * n)) ** 2
+        k = np.arange(n)
+        lam += (4.0 * weight * (np.cos if dirichlet else np.sin)(np.pi * k / (2 * n)) ** 2
                 ).reshape(shape)
         diag_d = np.full(n, 2.0 * weight)
-        # a boundary face at half-cell distance weighs 2, where the missing neighbor weighed 1
-        diag_d[[0, -1]] += weight if dirichlet else -weight
+        # a boundary face at half-cell distance weighs 2, where the missing neighbor weighed 1;
+        # each end separately, as a one-cell axis has both in its one cell
+        end = weight if dirichlet else -weight
+        diag_d[0] += end
+        diag_d[-1] += end
         diag += diag_d.reshape(shape)
-    diag = diag.ravel()
-    for a in (lam, diag):
+        if dirichlet:
+            sign *= np.where(k % 2, -1.0, 1.0).reshape(shape)
+    diag, sign = diag.ravel(), sign.ravel()
+    for a in (lam, diag, sign):
         a.flags.writeable = False
-    return lam, diag
+    return lam, diag, sign
 
 
 class _TransformInverse:
-    """Inverse of the constant-coefficient fits of the m species blocks of ``a``, by fast transforms.
+    """Inverse of the constant-coefficient fits of the m species blocks of ``a``, by one DCT pair.
 
     Each species block A_kk is fitted by P = c0 I + g L on its grid
-    (:func:`_spectrum`).  c0 is the mean row sum of A_kk over the cells
-    without a boundary face (over all cells if there is none), its mass term
-    when the block is conservative; g is minus the sum of its off-diagonal
-    entries over twice the sum of area/dist over the interior faces.  A block
-    is Dirichlet, and takes DST-II, when its assembly recorded a face term on
-    the boundary faces (:meth:`SystemBuilder.matrix`; a matrix built
-    elsewhere records none); otherwise it takes DCT-II.  P is scaled
+    (:func:`_spectrum`).  g is minus the sum of its off-diagonal entries over
+    twice the sum of area/dist over the interior faces.  c0 is the mean row
+    sum of A_kk, less g times each cell's area/dist over its boundary faces
+    when the block is Dirichlet, over the cells without a boundary face (over
+    all cells if there is none): its mass term when the block is
+    conservative.  A block is Dirichlet when its assembly recorded a face
+    term on the boundary faces (:meth:`SystemBuilder.matrix`; a matrix built
+    elsewhere records none), and closed otherwise.  P is scaled
     symmetrically to the diagonal of A_kk, M = S P S with
-    S = sqrt(diag A_kk / diag P), and :meth:`solve` applies
-    M^-1 = S^-1 P^-1 S^-1 to each species' part of a stacked vector.  A fit
-    with a zero or non-finite eigenvalue or scale raises :class:`SolverFailure`.
+    S = sqrt(diag A_kk / diag P).  The fit keeps two stacked arrays: the
+    inverse eigenvalues, shape ``(m, *grid.dims)``, and the inverse scales
+    times the block's sign, one per unknown.  So :meth:`solve` applies
+    M^-1 = S^-1 sign C^T diag(eigenvalues)^-1 C sign S^-1 to every species
+    at once, by one ``dctn`` and one ``idctn`` over the grid axes of the
+    stacked residual, whatever the blocks' boundary kinds.  A fit with a
+    zero or non-finite eigenvalue or scale raises :class:`SolverFailure`.
     """
 
     def __init__(self, a: sparse.csr_matrix, grid: Grid, m: int):
@@ -740,15 +759,21 @@ class _TransformInverse:
         inner[ft.bnd_cell] = False
         weight = 2.0 * float(np.sum(ft.area[:ni] / ft.dist[:ni]))
         n = grid.n_cells
-        self.shape = grid.dims
-        self.fits = []
+        # a Dirichlet block's row sum beyond c0, over g: 0 on the inner cells
+        bnd_weight = np.bincount(ft.bnd_cell, weights=ft.area[ni:] / ft.dist[ni:], minlength=n)
+        self.fft = fft
+        self.axes = tuple(range(1, grid.ndim + 1))
+        self.inv_eig = np.empty((m, *grid.dims))
+        self.inv_scale = np.empty(m * n)
         for k in range(m):
             block = a[k * n:(k + 1) * n, k * n:(k + 1) * n]
-            lam, diag_l = _spectrum(grid, k in dirichlet)
+            lam, diag_l, sign = _spectrum(grid, k in dirichlet)
             row_sum = np.asarray(block.sum(axis=1)).ravel()
             diag = block.diagonal()
-            c0 = float(np.mean(row_sum[inner] if inner.any() else row_sum))
             g = -float(row_sum.sum() - diag.sum()) / weight
+            if k in dirichlet:
+                row_sum -= g * bnd_weight
+            c0 = float(np.mean(row_sum[inner] if inner.any() else row_sum))
             eig = c0 + g * lam
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = np.sqrt(diag / (c0 + g * diag_l))
@@ -756,18 +781,15 @@ class _TransformInverse:
                     and np.all(np.isfinite(scale)) and np.all(scale > 0.0)):
                 raise SolverFailure(f"fast-transform fit of species block {k} is singular "
                                     f"or not finite")
-            transforms = (fft.dstn, fft.idstn) if k in dirichlet else (fft.dctn, fft.idctn)
-            self.fits.append((1.0 / eig, 1.0 / scale, *transforms))
+            np.divide(1.0, eig, out=self.inv_eig[k])
+            np.divide(sign, scale, out=self.inv_scale[k * n:(k + 1) * n])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        x = np.empty_like(r)
-        n = len(r) // len(self.fits)
-        for k, (inv_eig, inv_scale, forward, backward) in enumerate(self.fits):
-            y = forward((r[k * n:(k + 1) * n] * inv_scale).reshape(self.shape), type=2,
-                        norm="ortho", overwrite_x=True)
-            y *= inv_eig
-            x[k * n:(k + 1) * n] = backward(y, type=2, norm="ortho",
-                                            overwrite_x=True).ravel() * inv_scale
+        y = self.fft.dctn((r * self.inv_scale).reshape(self.inv_eig.shape), type=2,
+                          norm="ortho", axes=self.axes, overwrite_x=True)
+        y *= self.inv_eig
+        x = self.fft.idctn(y, type=2, norm="ortho", axes=self.axes, overwrite_x=True).ravel()
+        x *= self.inv_scale
         return x
 
 
@@ -781,8 +803,8 @@ class BlockFactors:
     matrix of the run, the couplings between species left out, as
     :meth:`rebuild` last built it.  A grid with at least
     ``TRANSFORM_MIN_CELLS[grid.ndim]`` cells (a 2D grid of 72x72 or more)
-    applies each block's constant-coefficient fit by fast transforms
-    (:class:`_TransformInverse`); any other grid takes one SuperLU
+    applies every block's constant-coefficient fit by one DCT-II pair over the
+    stacked species (:class:`_TransformInverse`); any other grid takes one SuperLU
     factorization of the block diagonal, whose solve matches the per-block
     factors bit for bit when the blocks share one sparsity pattern
     (``tests/test_fv.py`` checks it); the grid decides, never the data.  The

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from crossdiff import fv
 from crossdiff.model import Grid
@@ -119,11 +120,14 @@ def test_limited_face_value_is_the_mean_capped_at_twice_the_donor(seed):
 
 
 @pytest.mark.parametrize("grid", [Grid((16,), (1.3,)), Grid((10, 10), (1.0, 1.0)),
-                                  Grid((8, 12), (1.0, 2.0))])
+                                  Grid((8, 12), (1.0, 2.0)), Grid((1, 12), (1.0, 1.0)),
+                                  Grid((12, 1), (1.0, 1.0)), Grid((2, 12), (1.0, 1.0)),
+                                  Grid((2,), (1.0,))])
 @pytest.mark.parametrize("dirichlet", [True, False])
 def test_transform_inverts_a_constant_coefficient_block_exactly(monkeypatch, grid, dirichlet):
-    # DST-II diagonalizes the Dirichlet block, DCT-II the closed one; the boundary kind
-    # comes from the assembled terms
+    # DCT-II diagonalizes the closed block and, on checkerboard-signed data, the Dirichlet
+    # one; the boundary kind comes from the assembled terms.  On the thin grids every cell
+    # has a boundary face, and a one-cell axis has both ends in one cell
     monkeypatch.setattr(fv, "TRANSFORM_MIN_CELLS", {1: 0, 2: 0})
     ft = fv.face_table(grid)
     builder = fv.SystemBuilder(grid, 1)
@@ -180,6 +184,64 @@ def test_block_diagonal_inverse_is_the_per_species_inverses(transform: bool = Fa
 
 def test_block_diagonal_inverse_is_the_per_species_inverses_on_transform(transform_everywhere):
     test_block_diagonal_inverse_is_the_per_species_inverses(transform=True)
+
+
+@pytest.mark.parametrize("dims, extents", [((9,), (1.1,)), ((10,), (1.0,)),
+                                           ((7, 10), (1.0, 0.8)), ((12, 9), (0.9, 1.0))])
+def test_one_dct_inverse_is_the_per_species_sine_and_cosine_inverses(monkeypatch,
+                                                                      transform_everywhere,
+                                                                      dims, extents):
+    # reference: each block's fit c0 I + g L applied by its own transform pair, DST-II for
+    # the Dirichlet species 0 and DCT-II for the closed species 1, with the eigenvalues
+    # 4w sin^2(pi (k + 1)/2n) and 4w sin^2(pi k/2n) per axis in each transform's order
+    grid = Grid(dims, extents)
+    n = grid.n_cells
+    ft = fv.face_table(grid)
+    inner = np.ones(n, dtype=bool)
+    inner[ft.bnd_cell] = False
+    a = _coupled_system(grid, (0, 1))
+    fits = []
+    for k, (dirichlet, forward, backward) in enumerate([(True, fft.dstn, fft.idstn),
+                                                        (False, fft.dctn, fft.idctn)]):
+        unit = fv.SystemBuilder(grid, 1)
+        if dirichlet:
+            unit.add_tpfa(0, 0, np.ones(ft.n_faces), np.zeros(ft.n_boundary))
+        else:
+            unit.add_tpfa(0, 0, np.ones(ft.n_interior), None)
+        lap = unit.matrix()
+        block = a[k * n:(k + 1) * n, k * n:(k + 1) * n]
+        g = (block.sum() - block.diagonal().sum()) / (lap.sum() - lap.diagonal().sum())
+        row_sum = np.asarray(block.sum(axis=1)).ravel() - g * np.asarray(lap.sum(axis=1)).ravel()
+        c0 = np.mean(row_sum[inner])
+        lam = np.zeros(dims)
+        for d, (size, h) in enumerate(zip(dims, grid.spacing)):
+            shape = [1] * len(dims)
+            shape[d] = size
+            lam = lam + (4.0 * grid.cell_volume / h ** 2 * np.sin(
+                np.pi * (np.arange(size) + dirichlet) / (2 * size)) ** 2).reshape(shape)
+        scale = np.sqrt(block.diagonal() / (c0 + g * lap.diagonal()))
+        fits.append((c0 + g * lam, scale, forward, backward))
+    inverse = _inverse(2, grid, a)
+    calls = []
+
+    def counting(name):
+        transform = getattr(fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+        return call
+    for name in ("dctn", "idctn", "dstn", "idstn"):
+        monkeypatch.setattr(fft, name, counting(name))
+    for r in np.random.default_rng(13).standard_normal((3, 2 * n)):
+        expected = np.concatenate([
+            backward(forward((r[k * n:(k + 1) * n] / scale).reshape(dims), type=2, norm="ortho")
+                     / eig, type=2, norm="ortho").ravel() / scale
+            for k, (eig, scale, forward, backward) in enumerate(fits)])
+        calls.clear()
+        x = inverse.solve(r)
+        assert calls == ["dctn", "idctn"]   # one transform pair for both boundary kinds
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 

@@ -88,8 +88,8 @@ GOLDEN = {
     },
     "simulate-transform": {
         "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",
-        "series.csv": "cf46ecc90da1c88a09b5939ae600106f54dd3843eef65069ab39b5aa346c601a",
-        "snapshots.csv": "9e5481c1f837680167976911004eac58610167d09b8e92b57338b8c29da982e2",
+        "series.csv": "971c9a0cb47ff72f6e3bdcdf870295de0dfd915024a92d42325501f63655ba18",
+        "snapshots.csv": "63bce45a26629fb0c5f4c54ffdce94a9177fce506fc26d4509a4ba2d0d6dff05",
     },
     "simulate-gmres": {
         "bounds.csv": "23fc494ab55625ad9ea69bf096534bf0cc8698fab2b0a3ce2ab76d80cb4dd969",

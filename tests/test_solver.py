@@ -719,7 +719,7 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
 
 @pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
 def test_desk_grid_agrees_with_direct_on_transform(monkeypatch, transform_everywhere, system):
-    # the confined keulegan box mixes a closed (DCT) salt block and a Dirichlet (DST) head block
+    # the confined keulegan box mixes a closed salt block and a Dirichlet head block
     test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system)
 
 
