@@ -36,13 +36,17 @@ exactly to the systems solved directly: every system on a 1D grid, and a 2D
 system of at most ``DIRECT_MAX_UNKNOWNS[2]`` unknowns (22x22 at m = 2).  Such
 a system is solved by one LAPACK banded LU (``dgbsv``) over its species
 interleaved cell by cell.  Every other system, a matrix built outside the
-builder included, takes restarted GMRES, block-Jacobi preconditioned by the
-one inverse of the species block diagonal that a run keeps in its
-:class:`BlockFactors`, applied to the stacked residual in one call.  The
-solve alone decides when that inverse is rebuilt: when the holder has none,
-or inside the solve in which it has taken ``REFACTOR_AFTER`` applications
-without meeting its stop; it returns its applications and whether it
-rebuilt, and the holder keeps nothing but the inverse.  On 2D
+builder included, takes the package's own restarted flexible GMRES
+(:func:`_fgmres`), right-preconditioned by the one inverse of the species
+block diagonal that a run keeps in its :class:`BlockFactors`, applied to the
+stacked residual in one call: each inner iteration is exactly one
+application.  The solve alone decides when that inverse is rebuilt: when
+the holder has none, or inside the solve in which it has taken
+``REFACTOR_AFTER`` applications without meeting its stop; it returns its
+applications and whether it rebuilt, and the holder keeps nothing but the
+inverse.  Every inner product and 2-norm of a long vector on the run path
+is an ``einsum`` sum (:func:`_dot`, :func:`_norm`), never a BLAS call, so a
+run gives the same bits at any BLAS thread count.  On 2D
 grids of at least ``TRANSFORM_MIN_CELLS[2]`` cells (72x72) that inverse is
 exact for each block's constant-coefficient two-point fit, applied to every
 species at once by one DCT-II over the grid axes and its inverse, a
@@ -68,7 +72,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .model import Grid
 
@@ -591,10 +595,11 @@ DIRECT_MAX_UNKNOWNS = {1: math.inf, 2: 1024}
 # The most preconditioner applications a kept inverse may take in one solve;
 # a solve that reaches them without its stop rebuilds the inverse from its own
 # matrix and starts again (solve_sparse).  No solve of the benchmark workloads
-# or golden configs needs more than 13.
+# or golden configs needs more than 12.
 REFACTOR_AFTER = 30
 
-# GMRES inner iterations per restart cycle, and restart cycles per call (6000 in all).
+# GMRES inner iterations per restart cycle, and restart cycles in the budget of a
+# fresh inverse: GMRES_RESTART * GMRES_CYCLES (6000) inner iterations.
 GMRES_RESTART = 60
 GMRES_CYCLES = 100
 
@@ -810,7 +815,9 @@ class BlockFactors:
     (``tests/test_fv.py`` checks it); the grid decides, never the data.  The
     inverse is kept across Picard sweeps and steps; :func:`solve_sparse`
     alone decides when to rebuild it, and the holder carries nothing else
-    from one solve to the next.
+    from one solve to the next.  Its GMRES (:func:`_fgmres`) calls the
+    inverse's ``solve`` on one basis vector per inner iteration, with no
+    wrapper in between.
     """
 
     __slots__ = ("m", "grid", "inverse")
@@ -833,8 +840,21 @@ class BlockFactors:
             self.inverse = _TransformInverse(a, self.grid, self.m)
 
 
-class _StaleInverse(Exception):
-    """A kept inverse used up its :data:`REFACTOR_AFTER` applications in one solve."""
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The inner product of two vectors, summed by numpy itself.
+
+    ``np.dot`` and ``np.linalg.norm`` call BLAS, which splits a reduction of
+    more than about 10^4 entries across its threads and so changes its
+    rounding with the thread count (Demmel and Nguyen, IEEE Trans. Comput.
+    64, 2015).  ``einsum`` never calls BLAS, so every long reduction of a run
+    goes through this pair and gives the same bits at any thread count.
+    """
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a vector by :func:`_dot`."""
+    return math.sqrt(_dot(x, x))
 
 
 def _rounding_floor(a: sparse.csr_matrix, x: np.ndarray, bnorm: float) -> float:
@@ -847,31 +867,90 @@ def _rounding_floor(a: sparse.csr_matrix, x: np.ndarray, bnorm: float) -> float:
     ``||a||_inf`` is the largest row sum of ``|a|``.  A non-finite system
     has no floor (0), so its residual check fails as before.
     """
-    floor = np.finfo(float).eps * (spla.norm(a, np.inf) * float(np.linalg.norm(x)) / bnorm + 1.0)
+    floor = np.finfo(float).eps * (spla.norm(a, np.inf) * _norm(x) / bnorm + 1.0)
     return floor if math.isfinite(floor) else 0.0
 
 
-def _gmres_passes(a: sparse.csr_matrix, b: np.ndarray, tol: float, bnorm: float,
-                  x0: np.ndarray | None, precond: spla.LinearOperator
-                  ) -> tuple[np.ndarray, float, bool]:
-    """GMRES from ``x0`` to the true residual ``tol`` or its floor: (x, residual, accepted).
+def _fgmres(a: sparse.csr_matrix, b: np.ndarray, x: np.ndarray, inverse, tol: float,
+            bnorm: float, budget: int) -> tuple[np.ndarray, float, int, bool]:
+    """Restarted flexible GMRES from ``x``, right-preconditioned by ``inverse.solve``.
 
-    The first call stops at ``0.5 tol`` on scipy's preconditioned estimate,
-    which can be optimistic; a miss on the true residual continues once, at
-    ``2e-2 tol`` and with the rounding floor as its absolute stop.
+    Returns (x, residual, iterations, accepted).  A cycle of at most
+    :data:`GMRES_RESTART` inner iterations keeps the orthonormal basis V and
+    the preconditioned vectors Z = M^-1 V, so each inner iteration is one
+    application of the inverse and the cycle's update is Z y (Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
+    Sec. 9.3-9.4).  A new vector is projected by classical Gram-Schmidt, a
+    second time when the projection left less than 0.7 of its norm (Giraud,
+    Langou and Rozloznik, Comput. Math. Appl. 50, 2005); Givens rotations
+    keep the least-squares residual, and a cycle stops once it is at most
+    0.1 ``tol`` ||b||, or the rounding floor once that is known.  Every
+    cycle starts from the true residual and accepts there by the rule of
+    :func:`solve_sparse`: ``tol``, or the floor, computed once, after the
+    first cycle's true residual misses ``tol``.  The attempt gives up after
+    ``budget`` inner iterations or at a non-finite residual.  The basis is
+    allocated per cycle by ``np.empty``, so rows a cycle never writes never
+    become resident, and Z keeps the arrays the inverse returns, with no
+    copy.  Every reduction over the vectors is an ``einsum`` (:func:`_dot`).
     """
-    x, rtol, floor = x0, tol, 0.0
-    for _ in range(2):
-        x, _info = spla.gmres(a, b, x0=x, rtol=0.5 * rtol, atol=floor * bnorm,
-                              restart=GMRES_RESTART, maxiter=GMRES_CYCLES, M=precond)
-        residual = float(np.linalg.norm(b - a @ x)) / bnorm
+    n, restart = len(b), GMRES_RESTART
+    iterations, floor = 0, None
+    while True:
+        r = b - a @ x
+        beta = _norm(r)
+        residual = beta / bnorm
         if residual <= tol:
-            return x, residual, True
-        floor = floor or _rounding_floor(a, x, bnorm)  # one floor per solve: the retry's stop
-        if residual <= floor:
-            return x, residual, True
-        rtol = tol * 2e-2
-    return x, residual, False
+            return x, residual, iterations, True
+        if iterations and floor is None:
+            floor = _rounding_floor(a, x, bnorm)
+        if floor is not None and residual <= floor:
+            return x, residual, iterations, True
+        if iterations >= budget or not math.isfinite(residual):
+            return x, residual, iterations, False
+        stop = max(0.1 * tol, floor or 0.0) * bnorm
+        basis, z = np.empty((restart + 1, n)), []
+        upper = np.zeros((restart, restart))  # the Hessenberg matrix after its rotations
+        rotations, g = [], [beta]
+        np.divide(r, beta, out=basis[0])
+        j = 0
+        while j < restart and iterations < budget:
+            z.append(inverse.solve(basis[j]))
+            iterations += 1
+            w = a @ z[j]
+            v = basis[:j + 1]
+            before = _norm(w)
+            h = np.einsum("ki,i->k", v, w)
+            w -= np.einsum("k,ki->i", h, v)
+            after = _norm(w)
+            if after < 0.7 * before:
+                again = np.einsum("ki,i->k", v, w)
+                w -= np.einsum("k,ki->i", again, v)
+                h += again
+                after = _norm(w)
+            if after > 0.0:
+                np.divide(w, after, out=basis[j + 1])
+            column = [*h.tolist(), after]
+            for i, (c, s) in enumerate(rotations):
+                top, bottom = column[i], column[i + 1]
+                column[i], column[i + 1] = c * top + s * bottom, c * bottom - s * top
+            rho = math.hypot(column[j], column[j + 1])
+            if rho == 0.0:
+                raise SolverFailure("GMRES broke down: the preconditioned matrix is singular",
+                                    residual=residual)
+            c, s = column[j] / rho, column[j + 1] / rho
+            rotations.append((c, s))
+            column[j] = rho
+            g.append(-s * g[j])
+            g[j] *= c
+            upper[:j + 1, j] = column[:j + 1]
+            j += 1
+            # not above: reached, a lucky breakdown (0) or a non-finite system (nan)
+            if not abs(g[j]) > stop:
+                break
+        y = solve_triangular(upper[:j, :j], g[:j], check_finite=False)
+        x = x.copy()
+        for y_k, z_k in zip(y.tolist(), z):
+            x += y_k * z_k
 
 
 def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: BlockFactors,
@@ -885,59 +964,58 @@ def solve_sparse(a: sparse.csr_matrix, b: np.ndarray, tol: float, factors: Block
     systems of at most ``DIRECT_MAX_UNKNOWNS[2]`` unknowns) is solved
     directly, by one banded LU of its interleaved system
     (:func:`_band_solve`), with no application.  Every other matrix takes
-    restarted GMRES from ``x0``, :data:`GMRES_RESTART` inner iterations per
-    cycle and at most :data:`GMRES_CYCLES` cycles per call, preconditioned
-    by the run's one inverse of the species block diagonal, kept in
-    ``factors`` and wrapped in a counting operator that lives only for this
-    call.  The solve builds that inverse from ``a`` when the holder has
-    none.  A kept inverse may take at most :data:`REFACTOR_AFTER`
-    applications: one more abandons the attempt, and the solve rebuilds the
-    inverse from ``a`` and starts again from ``x0`` (Knoll and Keyes, J.
-    Comput. Phys. 193, 2004, on refreshing a lagged preconditioner).  A
-    fresh inverse keeps the whole budget.  ``applications`` counts those of
-    an abandoned attempt too: GMRES inner iterations plus scipy's
-    applications to the start and at each restart.  Both paths accept one
-    rule on the true residual: the 2-norm residual is at most max(``tol``
-    ||b||_2, eps (||a||_inf ||x||_2 + ||b||_2)), the larger of the requested
-    bound and the rounding floor (:func:`_rounding_floor`), so a tolerance
-    below what float64 resolves stops at the floor instead of failing.  The
-    floor is computed only after the residual misses ``tol``; GMRES then
-    continues once (:func:`_gmres_passes`).  A residual above both bounds,
-    a singular (the banded LU names its exactly zero pivot) or a non-finite
-    system raises :class:`SolverFailure`, which carries the final relative
-    residual.  ``b = 0`` returns x = 0 at once.
+    the restarted flexible GMRES of :func:`_fgmres` from ``x0`` (0 when
+    None), :data:`GMRES_RESTART` inner iterations per cycle, right-
+    preconditioned by the run's one inverse of the species block diagonal,
+    kept in ``factors`` and called directly, one application per inner
+    iteration.  The solve builds that inverse from ``a`` when the holder
+    has none.  A kept inverse may take at most :data:`REFACTOR_AFTER`
+    applications: an attempt that spends them without meeting its stop
+    ends, and the solve rebuilds the inverse from ``a`` and starts again
+    from ``x0`` (Knoll and Keyes, J. Comput. Phys. 193, 2004, on
+    refreshing a lagged preconditioner).  A fresh inverse gets one budget
+    of :data:`GMRES_RESTART` * :data:`GMRES_CYCLES` inner iterations.
+    ``applications`` is exactly the inner iterations, those of an abandoned
+    attempt included.  Both paths accept one rule on the true residual: the
+    2-norm residual is at most max(``tol`` ||b||_2, eps (||a||_inf ||x||_2 +
+    ||b||_2)), the larger of the requested bound and the rounding floor
+    (:func:`_rounding_floor`), so a tolerance below what float64 resolves
+    stops at the floor instead of failing.  The floor is computed only after
+    the residual misses ``tol``: on the GMRES path after the first cycle,
+    and from then on it is each cycle's absolute stop.  A residual above
+    both bounds, a singular (the banded LU names its exactly zero pivot) or
+    a non-finite system raises :class:`SolverFailure`, which carries the
+    final relative residual; a GMRES stall names the inverse (SuperLU or
+    transform) and the applications spent.  ``b = 0`` returns x = 0 at once.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0, False
     band = getattr(a, "band", None)
     if band is not None:
         x = _band_solve(a, b, band)
-        residual = float(np.linalg.norm(b - a @ x)) / bnorm
+        residual = _norm(b - a @ x) / bnorm
         if residual <= tol or residual <= _rounding_floor(a, x, bnorm):
             return x, residual, 0, False
+        route = "the banded LU"
     else:
-        refactored = factors.inverse is None
-        if refactored:
-            factors.rebuild(a)
-        applications = 0
-
-        def apply(r: np.ndarray) -> np.ndarray:
-            nonlocal applications
-            if not refactored and applications >= REFACTOR_AFTER:
-                raise _StaleInverse
-            applications += 1
-            return factors.inverse.solve(r)
-
-        precond = spla.LinearOperator(a.shape, matvec=apply, dtype=float)
-        try:
-            x, residual, accepted = _gmres_passes(a, b, tol, bnorm, x0, precond)
-        except _StaleInverse:
-            refactored = True
-            factors.rebuild(a)
-            x, residual, accepted = _gmres_passes(a, b, tol, bnorm, x0, precond)
-        if accepted:
-            return x, residual, applications, refactored
+        x0 = np.zeros_like(b) if x0 is None else x0
+        budget = GMRES_RESTART * GMRES_CYCLES
+        refactored, applications = factors.inverse is None, 0
+        while True:
+            if refactored:
+                factors.rebuild(a)
+            x, residual, spent, accepted = _fgmres(
+                a, b, x0, factors.inverse, tol, bnorm,
+                budget if refactored else min(budget, REFACTOR_AFTER))
+            applications += spent
+            if accepted:
+                return x, residual, applications, refactored
+            if refactored or spent < REFACTOR_AFTER:
+                break
+            refactored = True  # the kept inverse is stale: rebuild it and start again
+        kind = "transform" if isinstance(factors.inverse, _TransformInverse) else "SuperLU"
+        route = f"GMRES on the {kind} inverse after {applications} applications"
     raise SolverFailure(
-        f"linear solver stalled at relative residual {residual:.3e} (tol {tol:.3e})",
+        f"linear solver stalled at relative residual {residual:.3e} (tol {tol:.3e}): {route}",
         residual=residual)

@@ -79,9 +79,10 @@ class StepperConfig:
     steps take one sweep.  ``lin_tol`` bounds the relative true residual of
     every linear solve, the same on every sweep and in every variant, unless
     the system's rounding floor is larger.  :func:`fv.solve_sparse` states
-    the rest of the solve rule: the floor, the direct and GMRES paths and the
-    cutoffs between them, the GMRES budget and when the kept inverse is
-    rebuilt; no setting governs any of them.
+    the rest of the solve rule: the floor, the direct path and the package's
+    own right-preconditioned GMRES and the cutoffs between them, the GMRES
+    budget and when the kept inverse is rebuilt; no setting governs any of
+    them.
     """
 
     dt: float
@@ -227,7 +228,8 @@ def _anderson_mix(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     g = np.stack([out.ravel() for _, out in pairs])
     f = g - np.stack([lag.ravel() for lag, _ in pairs])
     gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
-    return (g[-1] - gamma @ np.diff(g, axis=0)).reshape(pairs[-1][1].shape)
+    # einsum, not BLAS: the same bits at any thread count (fv._dot)
+    return (g[-1] - np.einsum("k,ki->i", gamma, np.diff(g, axis=0))).reshape(pairs[-1][1].shape)
 
 
 def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
@@ -249,9 +251,8 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
     step still moving after ``picard_max`` sweeps is not converged, and a ``static``
     system (no lagged coefficient) takes one sweep.  The solves share the run's one
     :class:`fv.BlockFactors`, and each returns what it did: a step's preconditioner
-    applications (``lin_iters``: GMRES inner iterations plus scipy's applications to the
-    start and at each restart, those of an abandoned attempt on a stale inverse included;
-    0 when direct), whether one of its solves built the inverse (``refactored``) and
+    applications (``lin_iters``: exactly its GMRES inner iterations, those of an abandoned
+    attempt on a stale inverse included; 0 when direct), whether one of its solves built the inverse (``refactored``) and
     ``b_norm``, the 2-norm of its last solve's right-hand side, go into its stats, with
     ``first_change``, the first sweep's change over the step's (how far the predictor
     missed), and ``mixed_sweeps``, the sweeps that started from a mix.  ``to_record`` maps a state to the
@@ -333,7 +334,7 @@ def _integrate(grid: Grid, cfg: StepperConfig, u0: np.ndarray, step,
             exc.partial = result(k)
             raise
         src[:, k], bflux[:, k] = builder.budget(u_new)
-        st["b_norm"] = float(np.linalg.norm(builder.rhs))
+        st["b_norm"] = fv._norm(builder.rhs)
         u_oldest, u_older, u_old, u = u_older, u_old, u, u_new
         stats.append(st)
         vals = to_record(u)

@@ -78,26 +78,26 @@ GOLDEN = {
         "series.csv": "db9bbd150568f6b57a6f87605d61eef495a1f87c832f96eba4e9aa8345784195",
     },
     "aquifer": {
-        "confined_series.csv": "a9fdbf6159a3beabcff9e4341c9925e0129cf24d1af3754dec2e9dda0aa04001",
-        "confined_snapshots.csv": "8ff2537dffb681c6e5ba58710c40354065b28a10b0f71cbc978e5042bad10195",
+        "confined_series.csv": "1002bf0f6f3e96155ac32e7d4c21eb53151b4c0bc90d76e75d67879139eac355",
+        "confined_snapshots.csv": "94d058215825b8957d9a0d8ecd6e40e09aa563676cd576586ec5c5c9ceffef03",
         "confinement.csv": "7f425363b3d29a2f554ae918bd2e1a000a620eeb38ec6bca7d231b1f848d9746",
         "interface_0000.csv": "15a9dc0926b04ff23c5023f39f5c44bdad14a00a38c85b92644a634fcc1e7e64",
-        "interface_0001.csv": "fa31990f941aaaa18444250214e2ccabeaeb853c4867a27207d468f002a4aced",
+        "interface_0001.csv": "d2d262f4306a8c3a2682196e17922eb2094f3caa2febbcb9dec287089e50628a",
         "manifest.txt": "dc7c75b2196b437b47b5dc7a20890bf12df6bc4ebdd492faf3fe8f85b84022b9",
-        "series.csv": "7bd8bcc7dd4a7a60af0e4e344bfae8a8b3ebd74758b1c3d33946223637358365",
+        "series.csv": "43025bb6c86867c4a8e492ef8905b3dc9c09bd83b0c015d11dc9ced0f78a9c87",
     },
     "simulate-transform": {
         "manifest.txt": "1890fa47491e7d81c1db641856691b7bf2e253aa9dac04217d6f3228546a718d",
-        "series.csv": "971c9a0cb47ff72f6e3bdcdf870295de0dfd915024a92d42325501f63655ba18",
-        "snapshots.csv": "63bce45a26629fb0c5f4c54ffdce94a9177fce506fc26d4509a4ba2d0d6dff05",
+        "series.csv": "1d140289182d88ffe6d485609d0da080f42e8d760893bfdc5129c611b0b942b4",
+        "snapshots.csv": "7dec4bf4e638316e8203bfa65ede93920c9c810aad6168c4e2bd4ea8a28c0d05",
     },
     "simulate-gmres": {
         "bounds.csv": "23fc494ab55625ad9ea69bf096534bf0cc8698fab2b0a3ce2ab76d80cb4dd969",
-        "degiorgi.csv": "390e3ba1317d9bfabe22da5810db312696a33c637a91f7638e01c8eb87275aef",
+        "degiorgi.csv": "5de79ccf31f53131dd75f0d2b84d00f1b1ad859caad2268a0f9a5ab9e1965aac",
         "levels.csv": "3bf1d643c9206aa041d66f98e59ae25bf977f5e5770232d768830c52c974f63b",
         "manifest.txt": "e5c1b4d61e26fc0839653501d047aaf4cf98aca0070a02e79614cd870713cae7",
-        "series.csv": "d37f5dc90797e9e73f45f47cb0b33a945a547470c72ddb53483eb9ce1c91af3f",
-        "snapshots.csv": "119fb91c8a0725cd12f3a2ffbad7b507853ca474c9b7fe4510f52f7d64500f81",
+        "series.csv": "64fe8b0df280a7d90a400dc6feb13859fe3162a9ed318ce58a72163e7b93bf64",
+        "snapshots.csv": "4fa2153b4b80f146b38b4dc03893bb68c5e96bbf76ae94ac477a411cf480588d",
     },
     "convergence": {
         "convergence.csv": "71e83326a81fb7bd648be8ebbbc56ee26c644d20e912618ea011bde958704ea3",

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,8 +544,9 @@ def test_partial_record_is_the_first_steps_of_the_run(monkeypatch):
     assert np.any(partial.source_integral != 0.0) and np.any(partial.boundary_flux != 0.0)
 
 
-def test_gmres_budget_miss_raises_with_finite_residual(monkeypatch):
-    # one GMRES iteration per call leaves the residual above tol and above the rounding floor
+def test_gmres_budget_miss_raises_with_finite_residual(monkeypatch, route="SuperLU"):
+    # a budget of one inner iteration leaves the residual above tol and above the rounding
+    # floor; the failure names the inverse and the applications it spent
     monkeypatch.setattr(fv, "GMRES_RESTART", 1)
     monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     a, b = _sweep_system(48)
@@ -549,6 +554,12 @@ def test_gmres_budget_miss_raises_with_finite_residual(monkeypatch):
     with pytest.raises(SolverFailure) as exc_info:
         fv.solve_sparse(a, b, 1e-10, fv.BlockFactors(2, Grid((48, 48), (1.0, 1.0))))
     assert 1e-10 < exc_info.value.residual < math.inf
+    assert f"GMRES on the {route} inverse after 1 applications" in str(exc_info.value)
+
+
+def test_gmres_budget_miss_raises_with_finite_residual_on_transform(monkeypatch,
+                                                                   transform_everywhere):
+    test_gmres_budget_miss_raises_with_finite_residual(monkeypatch, route="transform")
 
 
 def _relative_floor(a, x, b) -> float:
@@ -562,9 +573,6 @@ def _relative_floor(a, x, b) -> float:
 def test_tolerance_below_the_rounding_floor_stops_at_the_floor(monkeypatch, path):
     if path == "block":
         monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
-        # the first call cannot meet tol 1e-20 and would spend its whole budget; one cycle of
-        # 60 iterations on 72 unknowns reaches the floor all the same
-        monkeypatch.setattr(fv, "GMRES_CYCLES", 1)
     a, b = _sweep_system(6)
     assert (a.band is None) == (path == "block")
     factors = fv.BlockFactors(2, Grid((6, 6), (1.0, 1.0)))
@@ -585,6 +593,17 @@ def test_runs_below_the_rounding_floor_converge_and_keep_the_mass_balance(grid):
     assert [st["picard_converged"] for st in result.solver_stats] == [True] * 5
     assert max(st["lin_residual"] for st in result.solver_stats) > 1e-17
     assert mass_balance_residual(result, spec, grid).ok
+
+
+def test_gmres_run_below_the_rounding_floor_tests_the_floor_after_one_cycle():
+    # 1152 unknowns, the GMRES path: a solve tests the rounding floor after its first cycle
+    # and stops there; one that first spent a whole GMRES budget took 40926 applications
+    grid = Grid((24, 24), (1.0, 1.0))
+    assert 2 * grid.n_cells > fv.DIRECT_MAX_UNKNOWNS[2]
+    result = run(coupled_spec_2d(), grid, StepperConfig(dt=1e-3, t_end=3e-3, lin_tol=1e-17))
+    assert [st["picard_converged"] for st in result.solver_stats] == [True] * 3
+    assert all(1e-17 < st["lin_residual"] < 1e-14 for st in result.solver_stats)
+    assert sum(st["lin_iters"] for st in result.solver_stats) == 114
 
 
 def test_direct_and_gmres_paths_agree(monkeypatch):
@@ -721,6 +740,46 @@ def test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system):
 def test_desk_grid_agrees_with_direct_on_transform(monkeypatch, transform_everywhere, system):
     # the confined keulegan box mixes a closed salt block and a Dirichlet head block
     test_desk_grid_takes_block_path_and_agrees_with_direct(monkeypatch, system)
+
+
+def _general_spec(m: int, full: bool) -> ModelSpec:
+    """An m-species spec on the unit square: every species couples to every other, the even
+    species Dirichlet and the odd ones closed, a constant source on the last species; with
+    ``full``, every tensor has off-diagonal entries."""
+    def tensor(value: float) -> CrossTensor:
+        return (CrossTensor(((value, 0.3 * value), (0.1 * value, 0.8 * value))) if full
+                else ISO(value, 2))
+    return ModelSpec(m=m, delta=[1.0 + 0.2 * i for i in range(m)],
+                     K=[[tensor(1.0 if i == j else 0.3) for j in range(m)] for i in range(m)],
+                     ell=1.0, domain=(1.0, 1.0),
+                     initial=[product_sine(1.0 - 0.2 * i) for i in range(m)],
+                     dirichlet=[None if i % 2 else 0.0 for i in range(m)],
+                     sources=[None] * (m - 1) + [0.5])
+
+
+@pytest.mark.parametrize("route", ["superlu", "transform"])
+@pytest.mark.parametrize("full", [False, True], ids=["isotropic", "full"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_every_route_agrees_with_direct_for_any_species_count(monkeypatch, request, m, full,
+                                                             route):
+    # direct, GMRES on SuperLU and GMRES on the transform inverse, on a 12x12 grid whose
+    # cutoffs are lowered for the GMRES routes
+    lin_tol = 1e-10
+    grid = Grid((12, 12), (1.0, 1.0))
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, lin_tol=lin_tol)
+    direct = run(_general_spec(m, full), grid, cfg)
+    assert all(st["lin_iters"] == 0 for st in direct.solver_stats)
+    monkeypatch.setattr(fv, "DIRECT_MAX_UNKNOWNS", {1: 0, 2: 0})
+    if route == "transform":
+        request.getfixturevalue("transform_everywhere")
+    factorizations, fits = count_superlu(monkeypatch), _count_fits(monkeypatch)
+    block = run(_general_spec(m, full), grid, cfg)
+    assert all(st["picard_converged"] and st["lin_iters"] > 0 for st in block.solver_stats)
+    assert (factorizations, fits)[route == "transform"] == [(m * grid.n_cells,) * 2]
+    assert (factorizations, fits)[route == "superlu"] == []
+    for sb, sd in zip(block.snapshots, direct.snapshots, strict=True):
+        rel = np.max(np.abs(sb - sd)) / np.max(np.abs(sd))
+        assert rel <= 10 * lin_tol
 
 
 @pytest.mark.parametrize("system", ["generic", "penalized", "confined"])
@@ -930,6 +989,31 @@ def test_run_does_not_depend_on_earlier_runs():
     assert snapshots(spec_b) == alone
 
 
+_SNAPSHOT_DIGEST = """
+import hashlib
+from conftest import coupled_spec_2d
+from crossdiff.model import Grid
+from crossdiff.solver import StepperConfig, run
+result = run(coupled_spec_2d(), Grid((72, 72), (1.0, 1.0)), StepperConfig(dt=1e-3, t_end=3e-3))
+assert all(st["lin_iters"] > 0 for st in result.solver_stats)
+print(hashlib.sha256(result.snapshots.tobytes()).hexdigest())
+"""
+
+
+def test_snapshots_do_not_depend_on_the_blas_thread_count():
+    # 10368 unknowns: OpenBLAS splits a dot product or norm of more than 10^4 entries across
+    # its threads, so only reductions that never reach it give the same bits at 1 and 2
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(Path(fv.__file__).parents[1]), str(tests)])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        digests.append(subprocess.run([sys.executable, "-c", _SNAPSHOT_DIGEST], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert digests[0] == digests[1]
+
+
 def _singular_block_failure(bad: float) -> SolverFailure:
     # built outside the builder, the matrix has no band and takes the block path
     eye = sparse.identity(4)
@@ -949,6 +1033,17 @@ def test_singular_species_block_raises_solver_failure(bad):
 @pytest.mark.parametrize("bad", [0.0, math.nan])
 def test_singular_transform_fit_raises_solver_failure(transform_everywhere, bad):
     assert "fast-transform fit" in str(_singular_block_failure(bad))
+
+
+def test_singular_system_with_regular_blocks_raises_gmres_breakdown():
+    # the species blocks I and -I factor, but the system is singular and b is not in its
+    # range: the second inner iteration adds nothing to the Krylov space
+    eye = sparse.identity(4)
+    a = sparse.bmat([[eye, eye], [-eye, -eye]]).tocsr()
+    factors = fv.BlockFactors(2, Grid((4,), (1.0,)))
+    with pytest.raises(SolverFailure, match="GMRES broke down") as exc_info:
+        fv.solve_sparse(a, np.repeat([1.0, 0.0], 4), 1e-10, factors)
+    assert exc_info.value.residual == 1.0
 
 
 # ---------------------------------------------------------------------------
