@@ -491,6 +491,24 @@ def test_simulate_end_to_end(tmp_path):
     assert header == "x,y,species,value,t"
 
 
+def test_simulate_three_species_and_degiorgi_needs_two(tmp_path, capsys):
+    cfg = json.loads(json.dumps(GENERIC))
+    cfg["model"].update(m=3, delta=[1.0, 0.8, 0.6],
+                        K=[[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [0.2, 0.2, 1.0]],
+                        initial=[{"profile": "sine", "amplitude": a} for a in (1.0, 0.8, 0.5)],
+                        dirichlet=[0.0, 0.0, 0.0], sources=[None, None, 0.5])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
+    rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[2] for row in rows} == {"1", "2", "3"}
+    cfg["diagnostics"] = {"degiorgi": {}}
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg, "m3.json")),
+                 "--out", str(tmp_path / "rejected")]) == 2
+    assert "diagnostics.degiorgi needs m = 2" in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
+
+
 def test_zero_horizon_single_snapshot(tmp_path):
     cfg = json.loads(json.dumps(GENERIC))
     cfg["stepper"]["t_end"] = 0.0

@@ -55,6 +55,18 @@ CONFIGS = {
                   "dirichlet": [0.0, 0.0]},
         "diagnostics": {"levels": {"count": 20}, "degiorgi": {"species": 1, "ell0": 0.3},
                         "bounds": {"lo": 0.0}}}),
+    # three species on 24^2 (1728 unknowns, GMRES on the SuperLU factors), one full tensor:
+    # species 3 carries a constant source (the CLI has no closed-species datum: null is the
+    # zero trace)
+    "simulate-m3": ("simulate", {
+        "schema": 1, "kind": "generic", "grid": {"dims": [24, 24]},
+        "stepper": {"dt": 1e-3, "t_end": 3e-3, "snapshot_every": 3},
+        "model": {"m": 3, "delta": [1.0, 0.8, 0.6], "ell": 1.0,
+                  "K": [[1.0, 0.5, 0.2], [0.5, 1.0, 0.2], [0.2, 0.2, [[1.0, 0.2], [0.1, 0.9]]]],
+                  "initial": [{"profile": "sine"}, {"profile": "sine", "amplitude": 0.8},
+                              {"profile": "sine", "amplitude": 0.5}],
+                  "dirichlet": [0.0, 0.0, 0.0], "sources": [None, None, 0.5]},
+        "diagnostics": {"levels": {"count": 5}, "bounds": {}}}),
     "convergence": ("convergence", {
         "schema": 1, "kind": "generic", "convergence": {"case": "heat", "levels": 2}}),
 }
@@ -98,6 +110,13 @@ GOLDEN = {
         "manifest.txt": "e5c1b4d61e26fc0839653501d047aaf4cf98aca0070a02e79614cd870713cae7",
         "series.csv": "64fe8b0df280a7d90a400dc6feb13859fe3162a9ed318ce58a72163e7b93bf64",
         "snapshots.csv": "4fa2153b4b80f146b38b4dc03893bb68c5e96bbf76ae94ac477a411cf480588d",
+    },
+    "simulate-m3": {
+        "bounds.csv": "e849184190d65f09b0a12a7236bbc7f212e855e2813eeb3951d66bee1d0ea17c",
+        "levels.csv": "9a201386e777f142bdafa77574686e7b22bebfdc1727377b34bb157ff33c300b",
+        "manifest.txt": "d5f3244d6c706af563fa5266ef68878298c307b6613d41c9b30131ec9a6a7586",
+        "series.csv": "1bb2ff1abece8ebc32476a4c3e38414535e9b7580ce0400d0b3b37b8f8b1dacf",
+        "snapshots.csv": "bb7d9c8f36066073b5ecb7be58ad1175dbc752ab76684aada2faaf7d9703d9c9",
     },
     "convergence": {
         "convergence.csv": "71e83326a81fb7bd648be8ebbbc56ee26c644d20e912618ea011bde958704ea3",
