@@ -29,10 +29,16 @@ head and always takes Dirichlet data for the head.
 Every variant runs through the solver's time and Picard loops by handing
 them one callback ``step(u_prev, t_prev, t_new)``, which evaluates the step's
 traces and pumping once and returns ``sweep(u_lag)``; every matrix comes from
-:class:`fv.SystemBuilder`.  The penalized sweep assembles the thickness
-system with the generic assembly on an internal spec (ell = inf, closed
-species for a closed box), has the builder rewrite its terms in the unknowns
-(u1, s) and adds the drain on the s block.  The confined sweep is its own
+:class:`fv.SystemBuilder`.  As in the solver, each variant assembles on three
+levels: its run (:func:`_penalized_step`, :func:`_confined_step`) evaluates
+once what neither step nor lag changes (the depth h2 in the cells, the salt
+mass, delta and head terms as :class:`fv.FixedTerm`, the generic run-fixed
+terms, the prepared block maps ``_TO_TOTAL``), a step its traces, pumping
+and their right-hand sides, and a sweep only what its lag changes.  The
+penalized sweep assembles the thickness system with the generic assembly on
+an internal spec (ell = inf, closed species for a closed box), has the
+builder rewrite its terms in the unknowns (u1, s) and adds the drain on the
+s block.  The confined sweep is its own
 (w, phi) assembly.  The budget series are those of the solved state's
 species: (u1, u2), without the drain, and (w, phi).  The plain thickness
 run, without the drain, is the generic one, ``solver.run(to_cross_spec(aspec,
@@ -40,13 +46,15 @@ grid), grid, cfg)``, its snapshots mapped back by :func:`map_species`.
 
 Each term is written once.  ``_u_traces`` maps head traces to (u1, u2) for
 the ghosts, the generic spec and ``validate_data``, and :func:`map_heads`
-gives s; ``_drain_faces`` upwinds the drain coefficient by its driver for
+gives s; ``_drain_traces`` gives a step's drain ghost values, and
+``_drain_faces`` upwinds the drain coefficient by its driver for
 ``_add_drain`` and :func:`penalty_face_flux`, the drain flux that
-:func:`confinement_report` reads; ``_salt_faces`` (U0(w) and grad w at a salt
-trace), ``_head_faces`` (the head coefficient (1 - alpha) h2) and
+:func:`confinement_report` reads; ``_salt_faces`` (U0(w) on both sides of a
+face and grad w at a salt trace), ``_head_faces`` (the head coefficient
+(1 - alpha) h2), ``_head_data`` (a step's head trace and pumping) and
 ``_add_head_terms`` (head term, pumping) serve the confined step and
-``_initial_head`` alike.  The depth h2 is run-constant data: a step reads it,
-and the head face coefficient built from it, once, never a sweep.
+``_initial_head`` alike.  The depth h2 is run-constant data: a run reads it,
+and the head face coefficient built from it, once, never a step or a sweep.
 :func:`run_penalized` and :func:`run_confined_aquifer` are the entry points; a
 single step is a run with ``t_end = dt``.
 """
@@ -55,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,7 +183,8 @@ class AquiferSpec:
         if self.boundary == "dirichlet":
             ft = face_table(grid)
             h_d, h1_d = self.trace_values(0.0, ft.bnd_points)
-            if any(np.any(v < -HIERARCHY_TOL) for v in (h1_d, *_u_traces(self, grid, 0.0))):
+            if any(np.any(v < -HIERARCHY_TOL)
+                   for v in (h1_d, *_u_traces(self, self.h2_cells(grid), grid, 0.0))):
                 raise InvalidParameterError("boundary traces violate 0 <= h1 <= h <= h2")
             h0_tr, h10_tr = self.initial_values(grid, ft.bnd_points)
             if np.max(np.abs(h0_tr - h_d)) > 1e-8 or np.max(np.abs(h10_tr - h1_d)) > 1e-8:
@@ -199,14 +207,15 @@ def map_species(u1, u2, h2):
     return h, h - np.asarray(u1, dtype=float)
 
 
-def _u_traces(aspec: AquiferSpec, grid: Grid, t: float, points: np.ndarray | None = None):
+def _u_traces(aspec: AquiferSpec, h2c: np.ndarray, grid: Grid, t: float,
+              points: np.ndarray | None = None):
     """Head traces at ``points`` (default: boundary face centers) as (u1, u2), or (None, None)
-    for a closed box; a point maps with the depth of the cell holding it."""
+    for a closed box; a point maps with the depth ``h2c`` of the cell holding it."""
     points = face_table(grid).bnd_points if points is None else points
     tr = aspec.trace_values(t, points)
     if tr is None:
         return None, None
-    return map_heads(*tr, aspec.h2_cells(grid)[grid.cell_of(points)])
+    return map_heads(*tr, h2c[grid.cell_of(points)])
 
 
 def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
@@ -225,7 +234,7 @@ def _thickness_spec(aspec: AquiferSpec, grid: Grid, ell: float) -> ModelSpec:
                                         h2c[grid.cell_of(points)])[which]
 
     def dirichlet_u(which):
-        return lambda t, points: _u_traces(aspec, grid, t, points)[which]
+        return lambda t, points: _u_traces(aspec, h2c, grid, t, points)[which]
 
     closed = aspec.boundary == "closed"
     return ModelSpec(m=2, delta=(aspec.delta, aspec.delta), K=k, ell=ell,
@@ -255,27 +264,24 @@ def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
 # leaves out: GMRES then needed about twice the preconditioner applications
 # per step (15.0 -> 29.0 on a 48-cell drain-active case at epsilon = 0.1,
 # 22.9 -> 42.5 at 1e-4, 13.1 -> 27.2 on a 64^2 Dirichlet case).
-_TO_TOTAL = ((1.0, 0.0), (1.0, 1.0))
-_FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
+_TO_TOTAL = fv.BlockMaps(((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (-1.0, 1.0)))
 
 
 def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_lag: np.ndarray,
-               s_lag: np.ndarray, u1_d: np.ndarray | None, u2_d: np.ndarray | None) -> None:
+               s_lag: np.ndarray, w_d: np.ndarray | None, excess_d: np.ndarray | None) -> None:
     """Active-set linearized drain term on the total-thickness (s) block.
 
     The coefficient eps^-1 U0(s - u1) is lagged and upwinded as in :func:`_drain_faces`;
     the excess U0(s - h2) is linearized as active * (s - h2) at the lagged active set.
-    ``h2c`` is the cell depth, and ``u1_d`` and ``u2_d`` are the step's head traces as
-    (u1, u2), None for a closed box.
+    ``h2c`` is the cell depth, and ``w_d`` and ``excess_d`` are the step's ghost values
+    (:func:`_drain_traces`), None for a closed box.
     """
     ft = builder.ft
     ni = ft.n_interior
     active = (s_lag > h2c).astype(float)
-    s_d = None if u1_d is None else u1_d + u2_d
-    n_faces = ni if u1_d is None else ft.n_faces
+    n_faces = ni if w_d is None else ft.n_faces
     # u2 as the unknowns (u1, s) give it, s - u1, in the cells and the ghosts alike
-    w_face, _, excess_d = _drain_faces(ft, s_lag - u1_lag, s_lag, h2c,
-                                       None if s_d is None else s_d - u1_d, s_d)
+    w_face, _ = _drain_faces(ft, s_lag - u1_lag, s_lag, h2c, w_d, excess_d)
     kappa = (1.0 / aspec.epsilon * w_face * ft.area / ft.dist)[:n_faces]
 
     builder.add_face_term(1, 1, kappa * active[ft.left[:n_faces]],
@@ -286,13 +292,23 @@ def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_l
     builder.add_rhs(1, fv.face_divergence(ft, fa))
 
 
-def _drain_faces(ft: fv.FaceTable, u2, s, h2c, u2_d=None, s_d=None):
-    """On every face, U0(u2) = U0(s - u1) upwinded by the driver grad U0(s - h2), the driver,
-    and the trace excess U0(s_d - h2) that the ghosts hold (None for a closed box)."""
-    excess_d = None if s_d is None else _u0(s_d - h2c[ft.bnd_cell])
-    w = fv.slot_values(ft, _u0(u2), None if u2_d is None else _u0(u2_d))
+def _drain_traces(h2_bnd: np.ndarray, u1_d: np.ndarray | None, u2_d: np.ndarray | None):
+    """A step's drain values in the ghosts, from its head traces as (u1, u2): U0(u2) as the
+    unknowns (u1, s) give it, U0(s_d - u1_d), and the trace excess U0(s_d - h2) at the
+    boundary cells' depth ``h2_bnd``; (None, None) for a closed box."""
+    if u1_d is None:
+        return None, None
+    s_d = u1_d + u2_d
+    return _u0(s_d - u1_d), _u0(s_d - h2_bnd)
+
+
+def _drain_faces(ft: fv.FaceTable, u2, s, h2c, w_d=None, excess_d=None):
+    """On every face, U0(u2) = U0(s - u1) upwinded by the driver grad U0(s - h2), and the
+    driver; the ghosts hold ``w_d`` and ``excess_d`` (:func:`_drain_traces`), or repeat
+    their cells for a closed box (None)."""
+    w = fv.slot_values(ft, _u0(u2), w_d)
     driver = fv.face_gradient(ft, _u0(s - h2c), excess_d)
-    return fv.upwind_face_value(w[ft.left], w[ft.right], driver), driver, excess_d
+    return fv.upwind_face_value(fv.face_sides(w[ft.left], w[ft.right]), driver), driver
 
 
 def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
@@ -300,7 +316,7 @@ def penalty_face_flux(aspec: AquiferSpec, grid: Grid, h: np.ndarray,
     """Drain flux eps^-1 U0(s - u1) grad U0(s - h2) on the interior faces."""
     ft, h2c = face_table(grid), aspec.h2_cells(grid)
     u1, u2 = map_heads(h, h1, h2c)
-    w_face, grad, _ = _drain_faces(ft, u2, u1 + u2, h2c)
+    w_face, grad = _drain_faces(ft, u2, u1 + u2, h2c)
     return (w_face * grad / aspec.epsilon)[:ft.n_interior]
 
 
@@ -313,24 +329,25 @@ def _penalized_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
 
     Each sweep assembles the thickness spec at ell = inf, which clips at zero
     only, so the thickness coefficients are U0(u1) and U0(u2); it rewrites the
-    system in (u1, s) and adds the drain terms on the s block.  The step
-    reads the depth and maps the head traces for the drain once.  Every
-    sweep solves to the run's own ``cfg.lin_tol`` at any epsilon: a stiff
-    drain raises the system's rounding floor, which the linear solve
+    system in (u1, s) by the prepared maps ``_TO_TOTAL`` and adds the drain
+    terms on the s block.  The run evaluates the generic run-fixed terms and
+    reads the depth once; a step maps the head traces for the drain once.
+    Every sweep solves to the run's own ``cfg.lin_tol`` at any epsilon: a
+    stiff drain raises the system's rounding floor, which the linear solve
     accepts by itself (:func:`fv.solve_sparse`).
     """
-    generic = partial(solver._assemble_step, _thickness_spec(aspec, grid, math.inf), grid,
-                      cfg=cfg)
+    generic = solver._generic_step(_thickness_spec(aspec, grid, math.inf), grid, cfg)
+    h2c = aspec.h2_cells(grid)
+    h2_bnd = h2c[face_table(grid).bnd_cell]
 
     def step(u_prev, t_prev, t_new):
         generic_sweep = generic(u_prev, t_prev, t_new)
-        h2c = aspec.h2_cells(grid)
-        u_d = _u_traces(aspec, grid, t_new)
+        drain_d = _drain_traces(h2_bnd, *_u_traces(aspec, h2c, grid, t_new))
 
         def sweep(u_lag):
             builder = generic_sweep(u_lag)
-            builder.change_unknowns(_TO_TOTAL, _FROM_TOTAL)
-            _add_drain(builder, aspec, h2c, u_lag[0], u_lag[0] + u_lag[1], *u_d)
+            builder.change_unknowns(_TO_TOTAL)
+            _add_drain(builder, aspec, h2c, u_lag[0], u_lag[0] + u_lag[1], *drain_d)
             return builder
         return sweep
     return step
@@ -396,50 +413,64 @@ def run_penalized(aspec: AquiferSpec, grid: Grid,
 # confined-reservoir variant
 # ---------------------------------------------------------------------------
 
-def _assemble_confined(aspec: AquiferSpec, grid: Grid, u_prev: np.ndarray,
-                       t_prev: float, t_new: float, cfg: StepperConfig):
-    """One step of the (w, phi) system: parabolic salt thickness, elliptic head.
+def _confined_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
+    """Step callback of the (w, phi) system: parabolic salt thickness, elliptic head.
 
-    Evaluates the step's head trace, salt trace, pumping and head face
-    coefficient once and returns its ``sweep(u_lag)``.  The builder's budget is
-    that of (w, phi): the head row has no mass term and the pumping as its source.
+    The run (this call) evaluates the salt mass and delta terms and the head
+    term, whose face coefficient reads the depth, once as
+    :class:`fv.FixedTerm`.  A step evaluates its head trace, salt trace,
+    pumping and their right-hand sides once and returns its
+    ``sweep(u_lag)``, which computes only the lagged salt coefficients.  The
+    builder's budget is that of (w, phi): the head row has no mass term and
+    the pumping as its source.
     """
     ft = face_table(grid)
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
-    phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_new, ft.bnd_points)
-    w_trace = _u_traces(aspec, grid, t_new)[1]
-    pump = aspec.pumping_values(t_prev, ft.centers)
-    head_face = _head_faces(aspec, ft)
-    mass_rhs = grid.cell_volume * u_prev[0] / cfg.dt
+    n_faces = ft.n_interior if aspec.boundary == "closed" else ft.n_faces
+    h2c = aspec.h2_cells(grid)
+    mass = fv.fixed_mass(grid, 0, 1.0 / cfg.dt)
+    delta = fv.fixed_tpfa(grid, 0, 0, np.full(n_faces, aspec.delta))
+    head = fv.fixed_tpfa(grid, 1, 1, _head_faces(aspec, ft))
 
-    def sweep(u_lag: np.ndarray) -> SystemBuilder:
-        w_lag, phi_lag = u_lag
-        builder = SystemBuilder(grid, 2)
-        w_left, w_right, grad_w = _salt_faces(ft, w_lag, w_trace)
-        n_faces = len(grad_w)
-        w_face_w = fv.upwind_face_value(w_left, w_right, grad_w)
-        w_face_phi = fv.upwind_face_value(w_left, w_right,
-                                          -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
+    def step(u_prev, t_prev, t_new):
+        w_trace = _u_traces(aspec, h2c, grid, t_new)[1]
+        salt_d = None if w_trace is None else _u0(w_trace)
+        head_d = _head_data(aspec, head, t_new, t_prev)
+        phi_trace = head_d[0]
+        mass_rhs = grid.cell_volume * u_prev[0] / cfg.dt
+        if w_trace is not None:
+            mass_rhs = mass_rhs + delta.trace_rhs(w_trace)
 
-        # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
-        builder.add_mass(0, 1.0 / cfg.dt)
-        builder.add_rhs(0, mass_rhs)
-        builder.add_tpfa(0, 0, np.full(n_faces, aspec.delta), w_trace)
-        builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
-        builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
-        # head row couplings
-        builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
-        _add_head_terms(builder, 1, head_face, phi_trace, pump)
-        return builder
-    return sweep
+        def sweep(u_lag: np.ndarray) -> SystemBuilder:
+            w_lag, phi_lag = u_lag
+            builder = SystemBuilder(grid, 2)
+            sides, grad_w = _salt_faces(ft, w_lag, w_trace, salt_d)
+            w_face_w = fv.upwind_face_value(sides, grad_w)
+            w_face_phi = fv.upwind_face_value(
+                sides, -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
+
+            # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
+            builder.add_fixed(mass)
+            builder.add_rhs(0, mass_rhs)
+            builder.add_fixed(delta, w_trace)
+            builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
+            builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
+            # head row couplings
+            builder.add_tpfa(1, 0, alpha * w_face_w, w_trace)
+            _add_head_terms(builder, head, head_d)
+            return builder
+        return sweep
+    return step
 
 
-def _salt_faces(ft: fv.FaceTable, w: np.ndarray, w_trace: np.ndarray | None):
-    """U0(w) on both sides of the faces that carry salt and grad w on them, for the salt
-    trace ``w_trace`` (None for a closed box, which carries no salt through its boundary)."""
+def _salt_faces(ft: fv.FaceTable, w: np.ndarray, w_trace: np.ndarray | None,
+                salt_d: np.ndarray | None):
+    """U0(w) on both sides of the faces that carry salt (:func:`fv.face_sides`) and grad w
+    on them, for the salt trace ``w_trace`` and its U0, ``salt_d`` (None for a closed box,
+    which carries no salt through its boundary)."""
     n_faces = ft.n_interior if w_trace is None else ft.n_faces
-    slots = fv.slot_values(ft, _u0(w), None if w_trace is None else _u0(w_trace))
-    return (slots[ft.left][:n_faces], slots[ft.right][:n_faces],
+    slots = fv.slot_values(ft, _u0(w), salt_d)
+    return (fv.face_sides(slots[ft.left][:n_faces], slots[ft.right][:n_faces]),
             fv.face_gradient(ft, w, w_trace)[:n_faces])
 
 
@@ -450,14 +481,26 @@ def _head_faces(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
     return (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right]))
 
 
-def _add_head_terms(builder: SystemBuilder, row: int, head_face: np.ndarray,
-                    phi_trace: np.ndarray, pump: np.ndarray) -> None:
-    """Head term -div(``head_face`` grad phi) on block ``row``, the pumping ``pump`` its
-    source."""
-    ft = builder.ft
-    builder.add_tpfa(row, row, head_face, phi_trace)
-    builder.add_rhs(row, -ft.grid.cell_volume * pump)
-    builder.source[row] = -ft.grid.cell_volume * pump.sum()
+def _head_data(aspec: AquiferSpec, head: fv.FixedTerm, t_trace: float, t_pump: float):
+    """A step's data of the head term ``head``: the head trace at ``t_trace``, its
+    right-hand side, and the pumping at ``t_pump`` as right-hand side and source
+    integral."""
+    ft = head.ft
+    vol = ft.grid.cell_volume
+    phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_trace, ft.bnd_points)
+    pump = aspec.pumping_values(t_pump, ft.centers)
+    return phi_trace, head.trace_rhs(phi_trace), -vol * pump, -vol * pump.sum()
+
+
+def _add_head_terms(builder: SystemBuilder, head: fv.FixedTerm, head_d: tuple) -> None:
+    """Head term -div((1 - alpha) h2 grad phi) on the row of ``head``, the pumping its
+    source, from the step's :func:`_head_data`."""
+    phi_trace, trace_rhs, pump_rhs, pump_source = head_d
+    row = head.term[1]
+    builder.add_fixed(head, phi_trace)
+    builder.add_rhs(row, trace_rhs)
+    builder.add_rhs(row, pump_rhs)
+    builder.source[row] = pump_source
 
 
 def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperConfig) -> np.ndarray:
@@ -470,12 +513,11 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     """
     builder = SystemBuilder(grid, 1)
     ft = builder.ft
-    phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, 0.0, ft.bnd_points)
-    w_left, w_right, grad_w = _salt_faces(ft, w0, _u_traces(aspec, grid, 0.0)[1])
-    w_face = fv.upwind_face_value(w_left, w_right, grad_w)
-    builder.add_explicit_flux(0, aspec.alpha * w_face * grad_w)
-    _add_head_terms(builder, 0, _head_faces(aspec, ft), phi_trace,
-                    aspec.pumping_values(0.0, ft.centers))
+    w_trace = _u_traces(aspec, aspec.h2_cells(grid), grid, 0.0)[1]
+    sides, grad_w = _salt_faces(ft, w0, w_trace, None if w_trace is None else _u0(w_trace))
+    builder.add_explicit_flux(0, aspec.alpha * fv.upwind_face_value(sides, grad_w) * grad_w)
+    head = fv.fixed_tpfa(grid, 0, 0, _head_faces(aspec, ft))
+    _add_head_terms(builder, head, _head_data(aspec, head, 0.0, 0.0))
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
                                fv.BlockFactors(1, grid))[0]
@@ -500,8 +542,7 @@ def run_confined_aquifer(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig) -> 
     h0, _ = aspec.initial_values(grid)
     w = h2c - h0
     phi = _initial_head(aspec, grid, w, cfg)
-    return solver._integrate(grid, cfg, np.stack([w, phi]),
-                             partial(_assemble_confined, aspec, grid, cfg=cfg),
+    return solver._integrate(grid, cfg, np.stack([w, phi]), _confined_step(aspec, grid, cfg),
                              lambda u: np.stack([h2c - u[0], u[1]]))
 
 

@@ -385,16 +385,17 @@ def build_aquifer_spec(config: ScenarioConfig) -> aq.AquiferSpec:
 def snapshots_csv(result: SimulationResult, grid: Grid) -> Iterator[str]:
     """One row per (snapshot, species, cell), as the text chunks of :func:`csv_chunks`.
 
-    Coordinates and species labels are rendered once per run and each
+    The run-constant cells, coordinates and species label, are rendered and
+    joined once per run into one column of "x,y,species" text, and each
     snapshot's time once, so a snapshot's values are the only cells formatted
     row by row.  The rows are rendered one snapshot at a time as the chunks
     are read.
     """
     m, n = result.m, grid.n_cells
-    fixed = [*(cells(xs) * m for xs in grid.cell_centers().T),
-             [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]]
+    labels = [label for label in cells(np.arange(1, m + 1)) for _ in range(n)]
+    fixed = list(map(",".join, zip(*(cells(xs) * m for xs in grid.cell_centers().T), labels)))
     return csv_chunks(["x", "y"][:grid.ndim] + ["species", "value", "t"], (
-        [*fixed, snap.ravel(), [t] * (m * n)]
+        [fixed, snap.ravel(), [t] * (m * n)]
         for snap, t in zip(result.snapshots, cells(result.snapshot_times))))
 
 

@@ -12,16 +12,18 @@ is a face whose slot R is a ghost holding the trace at half-cell distance;
 ``closed`` boundaries (traces None) carry no flux.  Off-diagonal tensor
 entries contribute tangential face gradients that are treated explicitly by
 the callers; a lagged coefficient's face value is its donor cell's
-(:func:`upwind_face_value`) or a donor-limited mean (:func:`limited_face_value`).
+(:func:`upwind_face_value`) or a donor-limited mean (:func:`limited_face_value`),
+both picked from its :func:`face_sides`, formed once per coefficient and sweep.
 :func:`face_table` lists every face of a grid once, interior faces first; a
 face flux adds to its left cell and subtracts from its right cell, so every
 per-cell sum over faces is one bincount over the left cells and one over
 the right cells (:func:`face_divergence`), and every assembly in the
 package is one vectorized pass over that table.
 :class:`SystemBuilder` assembles every block system of the package: it
-records each matrix contribution as a structural term plus its values, can
-rewrite the recorded system in other unknowns by fixed block maps, and sums
-the values into a CSR pattern by one product with a summation map (a sparse
+records each matrix contribution as a structural term plus its values, a
+run-fixed one (:class:`FixedTerm`) by reference, can rewrite the recorded
+system in other unknowns by block maps prepared once (:class:`BlockMaps`),
+and sums the values into a CSR pattern by one product with a summation map (a sparse
 matrix of +-1 entries from the values to the CSR positions); :func:`_pattern`
 derives both once per grid, species count and term sequence, and
 :func:`_template` keeps them with one CSR template of the pattern, which owns
@@ -195,27 +197,34 @@ def face_gradient(ft: FaceTable, u: np.ndarray, traces: np.ndarray | None) -> np
     return (s[ft.right] - s[ft.left]) / ft.dist
 
 
-def upwind_face_value(w_left, w_right, driver) -> np.ndarray:
-    """Donor value selected by the sign of the driving face gradient.
+def face_sides(w_left: np.ndarray, w_right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(w_left, w_right, their mean (w_L + w_R)/2): a lagged coefficient on both sides of
+    the faces, as :func:`upwind_face_value` and :func:`limited_face_value` take it.
+
+    A sweep forms each coefficient's sides once, so the mean is formed once
+    however many drivers pick a face value from them.
+    """
+    return w_left, w_right, 0.5 * (w_left + w_right)
+
+
+def upwind_face_value(sides: tuple, driver: np.ndarray) -> np.ndarray:
+    """Donor value of the :func:`face_sides` ``sides``, selected by the sign of the driving
+    face gradient.
 
     ``driver > 0`` feeds the left cell from the right one, so the donor is
-    the right side; ties average.
+    the right side; ties take the mean.
     """
-    w_left = np.asarray(w_left, dtype=float)
-    w_right = np.asarray(w_right, dtype=float)
-    driver = np.asarray(driver, dtype=float)
-    return np.where(driver > 0.0, w_right,
-                    np.where(driver < 0.0, w_left, 0.5 * (w_left + w_right)))
+    w_left, w_right, mean = sides
+    return np.where(driver > 0.0, w_right, np.where(driver < 0.0, w_left, mean))
 
 
-def limited_face_value(w_left, w_right, driver) -> np.ndarray:
+def limited_face_value(sides: tuple, driver: np.ndarray) -> np.ndarray:
     """min((w_L + w_R)/2, 2 w_donor), the donor selected as by :func:`upwind_face_value`.
 
     The mean (second order) wherever the other side is at most 3 times the
     donor; 0 next to an empty donor, so an empty cell loses nothing.
     """
-    donor = upwind_face_value(w_left, w_right, driver)
-    return np.minimum(0.5 * np.add(w_left, w_right), 2.0 * donor)
+    return np.minimum(sides[2], 2.0 * upwind_face_value(sides, driver))
 
 
 def face_divergence(ft: FaceTable, fa: np.ndarray) -> np.ndarray:
@@ -393,10 +402,98 @@ def _template(grid: Grid, m: int, terms: tuple, direct: bool
     return template, summation
 
 
-def _map_blocks(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Stacked rows sum_j mat[i, j] * blocks[j], over nonzero entries only (exact for +-1)."""
-    return np.concatenate([reduce(np.add, [c * b for c, b in zip(row, blocks) if c])
-                           for row in mat])
+def _nonzero_rows(mat: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Per row of ``mat``, its nonzero entries as (column, value) pairs."""
+    return [[(j, s) for j, s in enumerate(row) if s] for row in mat.tolist()]
+
+
+def _map_blocks(rows: list, blocks: np.ndarray) -> np.ndarray:
+    """Stacked rows sum_j s * blocks[j] over the nonzero entries (j, s) of each row of a
+    block map (:func:`_nonzero_rows`; exact for +-1)."""
+    return np.concatenate([reduce(np.add, [s * blocks[j] for j, s in row]) for row in rows])
+
+
+class BlockMaps:
+    """The fixed m x m block maps (Q, P) of one change of unknowns, prepared once.
+
+    Entry (i, j) of a map scales the identity block (i, j);
+    :meth:`SystemBuilder.change_unknowns` rewrites A x = b as (Q A P) y = Q b,
+    x = P y.  Kept are the nonzero entries (:func:`_nonzero_rows`) of Q by
+    column and of P by row, which place each rewritten term, and of Q, P and
+    P^-1 by row, which map the right-hand side, the solution and the state
+    (:func:`_map_blocks`); P^-1 is inverted here, once.
+    """
+
+    __slots__ = ("q_cols", "q_rows", "p_rows", "p_inv_rows")
+
+    def __init__(self, q, p):
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        self.q_cols, self.q_rows = _nonzero_rows(q.T), _nonzero_rows(q)
+        self.p_rows, self.p_inv_rows = _nonzero_rows(p), _nonzero_rows(np.linalg.inv(p))
+
+
+class FixedTerm:
+    """One term whose values neither a step nor a lag changes, evaluated once per run.
+
+    ``term`` and ``vals`` are the structural term and the values that
+    :meth:`SystemBuilder.add_mass` (:func:`fixed_mass`) or
+    :meth:`SystemBuilder.add_tpfa` (:func:`fixed_tpfa`) record for the same
+    data, by the same expressions; :meth:`SystemBuilder.add_fixed` records
+    this one read-only ``vals`` array, by reference, in every sweep of the
+    run.  ``coeff`` is what the term is made of: the mass coefficient, or
+    the per-face g of a two-point term.  A two-point term whose g covers the
+    boundary faces keeps two more read-only arrays there: ``bnd``, its
+    coefficients g area/dist, which weigh a step's traces
+    (:meth:`trace_rhs`), and ``g_bnd``, the g of its budget; both are None
+    otherwise.
+    """
+
+    __slots__ = ("ft", "term", "vals", "coeff", "bnd", "g_bnd")
+
+    def __init__(self, ft: FaceTable, term: tuple, vals: np.ndarray, coeff,
+                 bnd: np.ndarray | None = None, g_bnd: np.ndarray | None = None):
+        for a in (vals, bnd, g_bnd):
+            if a is not None:
+                a.flags.writeable = False
+        self.ft, self.term, self.vals, self.coeff, self.bnd, self.g_bnd = (
+            ft, term, vals, coeff, bnd, g_bnd)
+
+    def trace_rhs(self, traces: np.ndarray) -> np.ndarray:
+        """The right-hand side that a step's Dirichlet ``traces`` give the term's row: one
+        bincount over the boundary faces, as :meth:`SystemBuilder.add_tpfa` adds it."""
+        return _trace_rhs(self.ft, self.bnd, traces)
+
+
+def _two_point(ft: FaceTable, g: np.ndarray, n_faces: int) -> np.ndarray:
+    """The coefficients g area/dist of a two-point term on the first ``n_faces`` faces."""
+    return g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
+
+
+def _trace_rhs(ft: FaceTable, t_bnd: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Per cell, the boundary coefficients ``t_bnd`` times the ghosts' ``traces``: one
+    bincount over the boundary faces."""
+    return np.bincount(ft.bnd_cell, weights=t_bnd * traces, minlength=ft.grid.n_cells)
+
+
+def fixed_mass(grid: Grid, species: int, coeff: float) -> FixedTerm:
+    """The run-fixed term of :meth:`SystemBuilder.add_mass`."""
+    return FixedTerm(face_table(grid), ("mass", species, species),
+                     np.full(grid.n_cells, coeff * grid.cell_volume), coeff)
+
+
+def fixed_tpfa(grid: Grid, row_sp: int, col_sp: int, g: np.ndarray) -> FixedTerm:
+    """The run-fixed term of :meth:`SystemBuilder.add_tpfa` for the per-face ``g``.
+
+    ``g`` covers the interior faces or all faces; one that covers the
+    boundary faces is the term of a Dirichlet column species, whose sweeps
+    record it with the step's traces.
+    """
+    ft = face_table(grid)
+    ni = ft.n_interior
+    t = _two_point(ft, g, len(g))
+    bnd, g_bnd = (t[ni:], g[ni:].copy()) if len(g) > ni else (None, None)
+    return FixedTerm(ft, ("face", row_sp, col_sp, len(g)), np.concatenate((t, t[:ni])), g,
+                     bnd, g_bnd)
 
 
 class SystemBuilder:
@@ -411,8 +508,15 @@ class SystemBuilder:
     those of the right cells on the interior faces.  A coefficient enters
     its cell's diagonal entry and, negated, the entry of the face's other
     cell in its cell's column.  The right-hand side is accumulated directly.
-    :meth:`change_unknowns` rewrites the recorded system in other unknowns,
-    to which :meth:`to_unknowns` and :meth:`to_state` map the state and back.
+    :meth:`add_fixed` records a run-fixed term (:class:`FixedTerm`) by
+    reference.  So a variant splits its assembly in three levels: its run
+    evaluates every term and array that depends on neither the step nor the
+    lag once (mass diagonals, the face values of fixed two-point terms, block
+    maps), its step callback evaluates the step's traces, their right-hand
+    sides and the sources once, and each sweep computes only what its lag
+    changes.  :meth:`change_unknowns` rewrites the recorded system in other
+    unknowns by prepared :class:`BlockMaps`, to which :meth:`to_unknowns`
+    and :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR template of the term sequence and its
     summation map, built once per (grid, m, terms) by :func:`_template`,
     and hands out a shallow copy of the template whose data are the values
@@ -430,7 +534,7 @@ class SystemBuilder:
         self.terms: list[tuple] = []
         self.vals: list[np.ndarray] = []
         self.rhs = np.zeros(m * self.n)
-        self.p = None  # block map from the solved unknowns to the state; None: the state
+        self.maps = None  # BlockMaps from the solved unknowns to the state; None: the state
         self.bnd_terms: list[tuple] = []
         self.bnd_expl: dict[int, np.ndarray] = {}
         self.source = np.zeros(m)
@@ -442,7 +546,19 @@ class SystemBuilder:
 
     def add_mass(self, species: int, coeff: float) -> None:
         """coeff * u on the diagonal of one species block (volume-scaled)."""
-        self._add_term(("mass", species, species), np.full(self.n, coeff * self.grid.cell_volume))
+        self.add_fixed(fixed_mass(self.grid, species, coeff))
+
+    def add_fixed(self, fixed: FixedTerm, traces: np.ndarray | None = None) -> None:
+        """Record the run-fixed term ``fixed`` with its own value array, by reference.
+
+        A two-point term over the boundary faces takes the step's Dirichlet
+        ``traces`` of its column species into the budget; their right-hand
+        side, :meth:`FixedTerm.trace_rhs`, is the step's to add.
+        """
+        self.terms.append(fixed.term)
+        self.vals.append(fixed.vals)
+        if fixed.g_bnd is not None:
+            self.bnd_terms.append((fixed.term[1], fixed.term[2], fixed.g_bnd, traces))
 
     def add_face_term(self, row_sp: int, col_sp: int, left: np.ndarray,
                       right: np.ndarray) -> None:
@@ -451,38 +567,37 @@ class SystemBuilder:
         ``right`` the right cells' on the interior faces."""
         self._add_term(("face", row_sp, col_sp, len(left)), np.concatenate((left, right)))
 
-    def change_unknowns(self, q, p) -> None:
-        """Rewrite the recorded system A x = b in place as (Q A P) y = Q b, x = P y.
+    def change_unknowns(self, maps: BlockMaps) -> None:
+        """Rewrite the recorded system in place as (Q A P) y = Q b, x = P y, by ``maps``.
 
-        ``q`` and ``p`` are m x m block maps whose entry (i, j) scales the
-        identity block (i, j), so each term of the block (r, c) becomes one
-        copy on every block (i, j) with q[i][r] and p[c][j] nonzero, its
-        values scaled by their product.  The nonzero entries of the maps are
-        read once per call.  A copy whose scale is exactly 1.0 shares the
-        recorded value array, so recorded values are never written in place.
+        Each term of the block (r, c) becomes one copy on every block (i, j)
+        with Q[i][r] and P[c][j] nonzero, its values scaled by their product.
+        A copy whose scale is exactly 1.0 shares the recorded value array, so
+        recorded values are never written in place.  The unknowns of a
+        system change at most once.
         """
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        self.p = p if self.p is None else self.p @ p
-        rows = [[(i, s) for i, s in enumerate(column) if s] for column in q.T.tolist()]
-        cols = [[(j, s) for j, s in enumerate(row) if s] for row in p.tolist()]
+        if self.maps is not None:
+            raise ValueError("the unknowns of a system change at most once")
+        self.maps = maps
         terms, vals = [], []
         for term, v in zip(self.terms, self.vals):
-            for i, q_ir in rows[term[1]]:
-                for j, p_cj in cols[term[2]]:
+            for i, q_ir in maps.q_cols[term[1]]:
+                for j, p_cj in maps.p_rows[term[2]]:
                     scale = q_ir * p_cj
                     terms.append((term[0], i, j, *term[3:]))
                     vals.append(v if scale == 1.0 else scale * v)
         self.terms, self.vals = terms, vals
-        self.rhs = _map_blocks(q, self.rhs.reshape(self.m, self.n))
+        self.rhs = _map_blocks(maps.q_rows, self.rhs.reshape(self.m, self.n))
 
     def to_unknowns(self, u: np.ndarray) -> np.ndarray:
         """The stacked state ``u`` (m, n) in the solved unknowns, y = P^-1 u."""
-        return u.flatten() if self.p is None else _map_blocks(np.linalg.inv(self.p), u)
+        return u.flatten() if self.maps is None else _map_blocks(self.maps.p_inv_rows, u)
 
     def to_state(self, x: np.ndarray) -> np.ndarray:
         """The stacked state (m, n) of a solution ``x``, u = P x."""
         x = x.reshape(self.m, self.n)
-        return x if self.p is None else _map_blocks(self.p, x).reshape(self.m, self.n)
+        return (x if self.maps is None
+                else _map_blocks(self.maps.p_rows, x).reshape(self.m, self.n))
 
     def add_rhs(self, species: int, values: np.ndarray) -> None:
         self.rhs[species * self.n:(species + 1) * self.n] += values
@@ -499,11 +614,10 @@ class SystemBuilder:
         """
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
-        t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
+        t = _two_point(ft, g, n_faces)
         self.add_face_term(row_sp, col_sp, t, t[:ft.n_interior])
         if n_faces > ft.n_interior:
-            self.add_rhs(row_sp, np.bincount(ft.bnd_cell, weights=t[ft.n_interior:] * traces,
-                                             minlength=self.n))
+            self.add_rhs(row_sp, _trace_rhs(ft, t[ft.n_interior:], traces))
             self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
 
     def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:

@@ -40,14 +40,20 @@ sweep loop (:func:`_integrate`); every variant reaches both through one
 callback ``step(u_prev, t_prev, t_new)`` that evaluates the step's data
 (traces, sources, pumping) once and returns ``sweep(u_lag)``, which gives
 the sweep's :class:`fv.SystemBuilder`, whose budget is in the solved state's
-species.  :func:`run` is the generic variant's one entry point.
+species.  Each variant's assembly has three levels: its run makes the step
+callback once and evaluates there every array that depends on neither the
+step nor the lag (mass diagonals, fixed two-point terms as
+:class:`fv.FixedTerm`, tensor entries on the faces, block maps); the step
+evaluates its own data once; a sweep computes only what its lag changes and
+records the run-fixed terms by reference.  :func:`run` is the generic
+variant's one entry point, and :func:`_generic_step` its run level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import product
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -153,62 +159,84 @@ class SimulationResult:
 # assembly of one step's sweeps
 # ---------------------------------------------------------------------------
 
-def _assemble_step(spec: ModelSpec, grid: Grid, u_prev: np.ndarray, t_prev: float,
-                   t_new: float, cfg: StepperConfig):
-    """Evaluate one step's traces and sources once and return the step's ``sweep(u_lag)``,
-    which assembles the block system and budget at the lag into a :class:`fv.SystemBuilder`."""
+def _generic_step(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
+    """The generic variant's step callback, assembled on three levels.
+
+    The run (this call) evaluates once what neither the step nor the lag
+    changes: the mass terms and the delta_i two-point terms as
+    :class:`fv.FixedTerm` (face values and boundary budget coefficients),
+    each nonzero K_ij's diagonal on the faces and, when some tensor has
+    off-diagonal entries on a 2D grid, its tangential entries.  The step,
+    ``step(u_prev, t_prev, t_new)``, evaluates the traces, their right-hand
+    side and the sources once and returns ``sweep(u_lag)``, which computes
+    only the lagged coefficients and gradients and the terms built from them,
+    into a :class:`fv.SystemBuilder`.
+    """
     m = spec.m
     ft = fv.face_table(grid)
     vol = grid.cell_volume
-    traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
-    w_traces = [None if tr is None else clamp(tr, spec.ell) for tr in traces]
+    # a closed species carries no flux through the boundary faces
+    n_faces = [ft.n_interior if spec.dirichlet[i] is None else ft.n_faces for i in range(m)]
     need_tangential = grid.ndim == 2 and any(
         spec.K[i][j].matrix[0, 1] != 0.0 or spec.K[i][j].matrix[1, 0] != 0.0
         for i in range(m) for j in range(m))
-    q = np.stack([spec.source_values(i, t_prev, ft.centers, u_prev) for i in range(m)])
-    source = q.sum(axis=1) * vol
-    rhs = [vol * (u_prev[i] / cfg.dt + q[i]) for i in range(m)]
+    mass = [fv.fixed_mass(grid, i, 1.0 / cfg.dt) for i in range(m)]
+    delta = [fv.fixed_tpfa(grid, i, i, np.full(n_faces[i], spec.delta[i])) for i in range(m)]
+    # per species i, the couplings (j, K_ij's diagonal entry on every face and on the faces
+    # of species i, its tangential entries or None)
+    couplings = [[] for _ in range(m)]
+    for i, j in product(range(m), range(m)):
+        kmat = spec.K[i][j].matrix
+        if kmat.any():
+            kdd = kmat.diagonal()[ft.axis]
+            couplings[i].append((j, kdd, kdd[:n_faces[i]],
+                                 kmat[(0, 1), (1, 0)][ft.axis] if need_tangential else None))
+    tang_axis = 1 - ft.axis
 
-    def sweep(u_lag: np.ndarray) -> SystemBuilder:
-        builder = SystemBuilder(grid, m)
-        # the lagged coefficient of each species at both sides of every face
-        w_sides = []
+    def step(u_prev: np.ndarray, t_prev: float, t_new: float):
+        traces = [spec.dirichlet_values(j, t_new, ft.bnd_points) for j in range(m)]
+        w_traces = [None if tr is None else clamp(tr, spec.ell) for tr in traces]
+        q = np.stack([spec.source_values(i, t_prev, ft.centers, u_prev) for i in range(m)])
+        source = q.sum(axis=1) * vol
+        rhs = [vol * (u_prev[i] / cfg.dt + q[i]) for i in range(m)]
         for i in range(m):
-            w = fv.slot_values(ft, clamp(u_lag[i], spec.ell), w_traces[i])
-            w_sides.append((w[ft.left], w[ft.right]))
-        grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
-        # lagged tangential face gradients: the mean of the cell gradients at the
-        # two ends of a face (2D, full tensors only)
-        if need_tangential:
-            tang_axis = 1 - ft.axis
-            tgrad = []
-            for j in range(m):
-                cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
-                tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
-        builder.source = source
+            if traces[i] is not None:
+                rhs[i] = rhs[i] + delta[i].trace_rhs(traces[i])
 
-        for i in range(m):
-            # a closed species carries no flux through the boundary faces
-            n_faces = ft.n_faces if traces[i] is not None else ft.n_interior
-            builder.add_mass(i, 1.0 / cfg.dt)
-            builder.add_rhs(i, rhs[i])
-            builder.add_tpfa(i, i, np.full(n_faces, spec.delta[i]), traces[i])
+        def sweep(u_lag: np.ndarray) -> SystemBuilder:
+            builder = SystemBuilder(grid, m)
+            # the lagged coefficient of each species at both sides of every face
+            w_sides = []
+            for i in range(m):
+                w = fv.slot_values(ft, clamp(u_lag[i], spec.ell), w_traces[i])
+                w_sides.append(fv.face_sides(w[ft.left], w[ft.right]))
+            grad = [fv.face_gradient(ft, u_lag[j], traces[j]) for j in range(m)]
+            # lagged tangential face gradients: the mean of the cell gradients at the
+            # two ends of a face (2D, full tensors only)
+            if need_tangential:
+                tgrad = []
+                for j in range(m):
+                    cg = fv.slot_values(ft, fv.cell_gradient(ft, u_lag[j], traces[j]), None)
+                    tgrad.append(0.5 * (cg[tang_axis, ft.left] + cg[tang_axis, ft.right]))
+            builder.source = source
 
-            for j in range(m):
-                kmat = spec.K[i][j].matrix
-                if not kmat.any():
-                    continue
-                kdd = kmat.diagonal()[ft.axis]
-                driver = kdd * grad[j]
-                if need_tangential:
-                    tang = kmat[(0, 1), (1, 0)][ft.axis] * tgrad[j]
-                    driver = driver + ft.sign * tang
-                w_face = fv.limited_face_value(*w_sides[i], driver)[:n_faces]
-                builder.add_tpfa(i, j, w_face * kdd[:n_faces], traces[j])
-                if need_tangential:
-                    builder.add_explicit_flux(i, ft.sign[:n_faces] * w_face * tang[:n_faces])
-        return builder
-    return sweep
+            for i in range(m):
+                nf = n_faces[i]
+                builder.add_fixed(mass[i])
+                builder.add_rhs(i, rhs[i])
+                builder.add_fixed(delta[i], traces[i])
+                for j, kdd, kdd_own, k_tang in couplings[i]:
+                    driver = kdd * grad[j]
+                    if need_tangential:
+                        tang = k_tang * tgrad[j]
+                        driver = driver + ft.sign * tang
+                    w_face = fv.limited_face_value(w_sides[i], driver)[:nf]
+                    builder.add_tpfa(i, j, w_face * kdd_own, traces[j])
+                    if need_tangential:
+                        builder.add_explicit_flux(i, ft.sign[:nf] * w_face * tang[:nf])
+            return builder
+        return sweep
+    return step
 
 
 # How many earlier (lag, sweep output) pairs of a step the Anderson mix reuses.
@@ -361,8 +389,7 @@ def run(spec: ModelSpec, grid: Grid, cfg: StepperConfig,
             raise InvalidParameterError(f"spec validation failed: {report.codes()}")
     points = grid.cell_centers()
     u0 = np.stack([spec.initial_values(i, points) for i in range(spec.m)])
-    return _integrate(grid, cfg, u0, partial(_assemble_step, spec, grid, cfg=cfg),
-                      static=spec.ell == 0.0)
+    return _integrate(grid, cfg, u0, _generic_step(spec, grid, cfg), static=spec.ell == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,21 @@ def failing_initial_head(monkeypatch):
 def singular_confined_step(monkeypatch):
     """Zero the matrix of every coupled step of the confined aquifer variant."""
     from crossdiff import aquifer
-    assemble = aquifer._assemble_confined
+    confined_step = aquifer._confined_step
 
-    def singular(*args, **kwargs):
-        sweep = assemble(*args, **kwargs)
+    def singular(*args):
+        step = confined_step(*args)
 
-        def singular_sweep(u_lag):
-            builder = sweep(u_lag)
-            builder.vals = [0.0 * v for v in builder.vals]
-            return builder
-        return singular_sweep
-    monkeypatch.setattr(aquifer, "_assemble_confined", singular)
+        def singular_step(*step_args):
+            sweep = step(*step_args)
+
+            def singular_sweep(u_lag):
+                builder = sweep(u_lag)
+                builder.vals = [0.0 * v for v in builder.vals]
+                return builder
+            return singular_sweep
+        return singular_step
+    monkeypatch.setattr(aquifer, "_confined_step", singular)
 
 
 @pytest.fixture

@@ -136,8 +136,9 @@ def test_penalty_inactive_entries_vanish(grid_48):
     u1 = np.full(grid_48.n_cells, 0.4)
     s = np.full(grid_48.n_cells, 0.9)  # below h2 everywhere
     builder = SystemBuilder(grid_48, 2)
-    aq._add_drain(builder, spec, spec.h2_cells(grid_48), u1, s,
-                  *aq._u_traces(spec, grid_48, 1e-3))
+    h2c = spec.h2_cells(grid_48)
+    ghosts = aq._drain_traces(h2c[builder.ft.bnd_cell], *aq._u_traces(spec, h2c, grid_48, 1e-3))
+    aq._add_drain(builder, spec, h2c, u1, s, *ghosts)
     assert builder.terms == [("face", 1, 1, builder.ft.n_faces)]  # interior and boundary faces
     assert all(np.max(np.abs(v)) == 0.0 for v in builder.vals)
     assert np.max(np.abs(builder.rhs)) == 0.0
@@ -565,7 +566,7 @@ def test_initial_head_solves_the_head_rows_of_the_first_sweep(case):
     w0 = spec.h2_cells(grid) - spec.initial_values(grid)[0]
     phi = aq._initial_head(spec, grid, w0, cfg)
     u0 = np.stack([w0, np.zeros(grid.n_cells)])
-    builder = aq._assemble_confined(spec, grid, u0, 0.0, 0.0, cfg)(u0)
+    builder = aq._confined_step(spec, grid, cfg)(u0, 0.0, 0.0)(u0)
     a, b, n = builder.matrix(), builder.rhs, grid.n_cells
     expected = spla.spsolve(a[n:, n:].tocsc(), b[n:] - a[n:, :n] @ w0)
     assert np.any(expected != 0.0)

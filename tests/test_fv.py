@@ -108,15 +108,16 @@ def test_limited_face_value_is_the_mean_capped_at_twice_the_donor(seed):
     rng = np.random.default_rng(seed)
     w_left, w_right = rng.uniform(0.0, 1.0, (2, 50)) * rng.integers(0, 2, (2, 50))
     driver = rng.choice([-1.0, 0.0, 1.0], 50) * rng.uniform(0.1, 2.0, 50)
-    w = fv.limited_face_value(w_left, w_right, driver)
-    donor = fv.upwind_face_value(w_left, w_right, driver)
+    sides = fv.face_sides(w_left, w_right)
+    w = fv.limited_face_value(sides, driver)
+    donor = fv.upwind_face_value(sides, driver)
     receiver = np.where(driver > 0.0, w_left, np.where(driver < 0.0, w_right, donor))
     mean = 0.5 * (w_left + w_right)
     # an empty donor passes nothing; a receiver at most 3 donors keeps the mean
     assert np.all((w >= 0.0) & (w <= 2.0 * donor))
     assert np.all(w[donor == 0.0] == 0.0)
     assert np.array_equal(w[receiver <= 3.0 * donor], mean[receiver <= 3.0 * donor])
-    assert np.array_equal(w, fv.limited_face_value(w_right, w_left, -driver))
+    assert np.array_equal(w, fv.limited_face_value(fv.face_sides(w_right, w_left), -driver))
 
 
 @pytest.mark.parametrize("grid", [Grid((16,), (1.3,)), Grid((10, 10), (1.0, 1.0)),
@@ -272,7 +273,7 @@ def _penalized_system(dims: tuple, spacing: tuple):
     spec = aq._thickness_spec(aspec, grid, np.inf)
     u_prev = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
     builder = aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_prev + 0.05)
-    assert builder.p is not None   # the recorded system was rewritten in (u1, s)
+    assert builder.maps is not None   # the recorded system was rewritten in (u1, s)
     return builder
 
 

@@ -14,7 +14,7 @@ from crossdiff import fv, solver
 from crossdiff.conditions import check_existence
 from crossdiff.fv import SolverFailure
 from crossdiff.model import CrossTensor, Grid, InvalidParameterError, ModelSpec
-from crossdiff.solver import (StepperConfig, _assemble_step, convergence_study,
+from crossdiff.solver import (StepperConfig, _generic_step, convergence_study,
                               manufactured_forcing, mass_balance_residual, run)
 
 from conftest import count_superlu, coupled_spec_2d, plain_run, product_sine
@@ -264,7 +264,7 @@ def test_species_diffusion_blocks_spd(grid_12):
     pts = grid_12.cell_centers()
     u = np.stack([spec.initial_values(i, pts) for i in range(2)])
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder = _assemble_step(spec, grid_12, u, 0.0, 1e-3, cfg)(u)
+    builder = _generic_step(spec, grid_12, cfg)(u, 0.0, 1e-3)(u)
     a = builder.matrix()
     n = grid_12.n_cells
     vol = grid_12.cell_volume
@@ -449,7 +449,7 @@ def _sweep_system(n: int, dt: float = 1e-3):
     grid = Grid((n, n), (1.0, 1.0))
     spec = coupled_spec_2d()
     u0 = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    builder = _assemble_step(spec, grid, u0, 0.0, dt, StepperConfig(dt=dt, t_end=dt))(u0)
+    builder = _generic_step(spec, grid, StepperConfig(dt=dt, t_end=dt))(u0, 0.0, dt)(u0)
     return builder.matrix(), builder.rhs
 
 
@@ -487,19 +487,23 @@ def test_nonfinite_banded_system_fails_its_residual_check():
 
 def test_singular_step_of_a_1d_run_keeps_the_partial_trajectory(monkeypatch):
     # the sweeps of the third step assemble a zero matrix on the banded direct path
-    assemble = solver._assemble_step
+    assemble = solver._generic_step
     cfg = StepperConfig(dt=1e-3, t_end=5e-3)
 
-    def singular_from_third_step(spec, grid, u_prev, t_prev, t_new, cfg):
-        sweep = assemble(spec, grid, u_prev, t_prev, t_new, cfg)
+    def singular_from_third_step(spec, grid, cfg):
+        step = assemble(spec, grid, cfg)
 
-        def singular_sweep(u_lag):
-            builder = sweep(u_lag)
-            if t_new > 2.5 * cfg.dt:
-                builder.vals = [0.0 * v for v in builder.vals]
-            return builder
-        return singular_sweep
-    monkeypatch.setattr(solver, "_assemble_step", singular_from_third_step)
+        def singular_step(u_prev, t_prev, t_new):
+            sweep = step(u_prev, t_prev, t_new)
+
+            def singular_sweep(u_lag):
+                builder = sweep(u_lag)
+                if t_new > 2.5 * cfg.dt:
+                    builder.vals = [0.0 * v for v in builder.vals]
+                return builder
+            return singular_sweep
+        return singular_step
+    monkeypatch.setattr(solver, "_generic_step", singular_from_third_step)
     spec = generic_spec_1d()
     spec.dirichlet = [0.0, None]   # compatible with the sine data; species 2 closed
     with pytest.raises(SolverFailure, match="zero pivot") as exc_info:
@@ -521,13 +525,17 @@ def test_partial_record_is_the_first_steps_of_the_run(monkeypatch):
     grid = Grid((16,), (1.0,))
     cfg = StepperConfig(dt=1e-3, t_end=6e-3, snapshot_every=2)
     clean = run(spec, grid, cfg)
-    assemble = solver._assemble_step
+    assemble = solver._generic_step
 
-    def fail_at_third_step(spec, grid, u_prev, t_prev, t_new, cfg):
-        if t_new > 2.5 * cfg.dt:
-            raise SolverFailure("injected fault")
-        return assemble(spec, grid, u_prev, t_prev, t_new, cfg)
-    monkeypatch.setattr(solver, "_assemble_step", fail_at_third_step)
+    def fail_at_third_step(spec, grid, cfg):
+        step = assemble(spec, grid, cfg)
+
+        def failing_step(u_prev, t_prev, t_new):
+            if t_new > 2.5 * cfg.dt:
+                raise SolverFailure("injected fault")
+            return step(u_prev, t_prev, t_new)
+        return failing_step
+    monkeypatch.setattr(solver, "_generic_step", fail_at_third_step)
     with pytest.raises(SolverFailure, match="injected fault") as exc_info:
         run(spec, grid, cfg)
     partial = exc_info.value.partial
@@ -851,15 +859,19 @@ def test_first_lag_is_the_cubic_predictor(monkeypatch, grid_12):
     # 4 u^n - 6 u^(n-1) + 4 u^(n-2) - u^(n-3) from the fourth step on
     first_lags = []
 
-    def recording(*args, **kwargs):
-        sweep = _assemble_step(*args, **kwargs)
+    def recording(*args):
+        step = _generic_step(*args)
 
-        def first_sweep(u_lag):
-            first_lags.append(u_lag.copy())
-            return sweep(u_lag)
-        return first_sweep
+        def recording_step(*step_args):
+            sweep = step(*step_args)
 
-    monkeypatch.setattr(solver, "_assemble_step", recording)
+            def first_sweep(u_lag):
+                first_lags.append(u_lag.copy())
+                return sweep(u_lag)
+            return first_sweep
+        return recording_step
+
+    monkeypatch.setattr(solver, "_generic_step", recording)
     result = run(coupled_spec_2d(), grid_12, StepperConfig(dt=1e-3, t_end=6e-3,
                                                            picard_max=1))
     u = result.snapshots
@@ -893,19 +905,23 @@ def test_mixed_sweeps_start_from_the_anderson_mix(monkeypatch, grid_12):
         mixes.append(real_mix(pairs))
         return mixes[-1]
 
-    def recording(*args, **kwargs):
-        sweep = _assemble_step(*args, **kwargs)
-        lags.clear()
+    def recording(*args):
+        step = _generic_step(*args)
 
-        def logged_sweep(u_lag):
-            if len(lags) >= 2:
-                assert u_lag is mixes[-1]
-            lags.append(u_lag)
-            return sweep(u_lag)
-        return logged_sweep
+        def recording_step(*step_args):
+            sweep = step(*step_args)
+            lags.clear()
+
+            def logged_sweep(u_lag):
+                if len(lags) >= 2:
+                    assert u_lag is mixes[-1]
+                lags.append(u_lag)
+                return sweep(u_lag)
+            return logged_sweep
+        return recording_step
 
     monkeypatch.setattr(solver, "_anderson_mix", recording_mix)
-    monkeypatch.setattr(solver, "_assemble_step", recording)
+    monkeypatch.setattr(solver, "_generic_step", recording)
     cfg = StepperConfig(dt=1e-3, t_end=2e-3, picard_tol=1e-9, picard_max=6)
     stats = run(coupled_spec_2d(), grid_12, cfg).solver_stats
     assert min(st["picard_sweeps"] for st in stats) >= 4
@@ -1058,17 +1074,21 @@ def test_builder_keeps_traced_methods():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every matrix a builder makes, with the add_mass/add_tpfa calls behind it."""
+    """Every matrix a builder makes, with the mass and two-point terms behind it: the
+    add_tpfa calls and the run-fixed terms that add_fixed records (add_mass among them),
+    each logged with the data it was made of."""
     builds = []
     cls = fv.SystemBuilder
-    add_mass, add_tpfa, matrix = cls.add_mass, cls.add_tpfa, cls.matrix
+    add_fixed, add_tpfa, matrix = cls.add_fixed, cls.add_tpfa, cls.matrix
 
     def log(self, call):
         self.__dict__.setdefault("calls", []).append(call)
 
-    def spy_mass(self, species, coeff):
-        log(self, ("mass", (species, coeff)))
-        return add_mass(self, species, coeff)
+    def spy_fixed(self, fixed, traces=None):
+        kind, row_sp, col_sp = fixed.term[:3]
+        log(self, ("mass", (row_sp, fixed.coeff)) if kind == "mass"
+            else ("tpfa", (row_sp, col_sp, fixed.coeff, traces)))
+        return add_fixed(self, fixed, traces)
 
     def spy_tpfa(self, row_sp, col_sp, g, traces):
         log(self, ("tpfa", (row_sp, col_sp, g, traces)))
@@ -1079,7 +1099,7 @@ def built(monkeypatch):
         builds.append((self.grid, self.m, self.__dict__.get("calls", []), list(self.terms), a,
                        list(self.vals)))
         return a
-    monkeypatch.setattr(cls, "add_mass", spy_mass)
+    monkeypatch.setattr(cls, "add_fixed", spy_fixed)
     monkeypatch.setattr(cls, "add_tpfa", spy_tpfa)
     monkeypatch.setattr(cls, "matrix", spy_matrix)
     return builds
@@ -1142,8 +1162,8 @@ GRID_75 = Grid((7, 5), (1.0, 0.6))
 
 def assemble_generic(spec, grid=GRID_75, cfg=None):
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(spec.m)])
-    builder = _assemble_step(spec, grid, u, 0.0, 1e-3,
-                             cfg or StepperConfig(dt=1e-3, t_end=1e-3))(0.9 * u)
+    builder = _generic_step(spec, grid, cfg or StepperConfig(dt=1e-3, t_end=1e-3))(
+        u, 0.0, 1e-3)(0.9 * u)
     return builder.matrix()
 
 
@@ -1179,8 +1199,8 @@ def test_pattern_matches_coo_confined_step(built):
     aq, aspec, grid, w = confined_case()
     phi = 0.1 * product_sine(1.0)(grid.cell_centers())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    builder = aq._assemble_confined(aspec, grid, np.stack([w, phi]), 0.0, 1e-3,
-                                    cfg)(np.stack([0.95 * w, phi]))
+    builder = aq._confined_step(aspec, grid, cfg)(np.stack([w, phi]), 0.0, 1e-3)(
+        np.stack([0.95 * w, phi]))
     builder.matrix()
     (build,) = built
     assert build[1] == 2
@@ -1223,7 +1243,7 @@ def test_first_matrix_of_a_large_sweep_stays_in_its_memory_bound():
     grid = Grid((128, 128), (1.0, 1.0))
     spec = coupled_spec_2d()
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    builder = _assemble_step(spec, grid, u, 0.0, 1e-3, StepperConfig(dt=1e-3, t_end=1e-3))(0.9 * u)
+    builder = _generic_step(spec, grid, StepperConfig(dt=1e-3, t_end=1e-3))(u, 0.0, 1e-3)(0.9 * u)
     fv._template.cache_clear()
     peaks = []
     for _ in range(2):
@@ -1294,15 +1314,17 @@ def test_pattern_matches_products_penalized_sweep(built, kind):
     aq, aspec, spec, grid, u_prev, u_lag = penalized_case(kind)
     n = grid.n_cells
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    plain = _assemble_step(spec, grid, u_prev, 0.0, cfg.dt, cfg)(u_lag)
+    plain = _generic_step(spec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag)
     a_plain = coo_reference(grid, 2, plain.calls)
     b_plain = plain.rhs
 
     s_lag = u_lag[0] + u_lag[1]
     assert np.any(s_lag > aspec.h2_cells(grid))
     drain = fv.SystemBuilder(grid, 2)
-    aq._add_drain(drain, aspec, aspec.h2_cells(grid), u_lag[0], s_lag,
-                  *aq._u_traces(aspec, grid, cfg.dt))
+    h2c = aspec.h2_cells(grid)
+    aq._add_drain(drain, aspec, h2c, u_lag[0], s_lag,
+                  *aq._drain_traces(h2c[fv.face_table(grid).bnd_cell],
+                                    *aq._u_traces(aspec, h2c, grid, cfg.dt)))
     assert all(np.any(v != 0.0) for v in drain.vals)
     # nonzero on the faces of every axis and, where covered, on the boundary faces
     ft = fv.face_table(grid)
@@ -1364,12 +1386,12 @@ def _penalized_sweep(kind):
     aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag).matrix()
 
 
-def _confined_step():
+def _confined_sweep():
     _, aspec, grid, w = confined_case()
     phi = 0.1 * product_sine(1.0)(grid.cell_centers())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    aq._assemble_confined(aspec, grid, np.stack([w, phi]), 0.0, 1e-3,
-                          cfg)(np.stack([0.95 * w, phi])).matrix()
+    aq._confined_step(aspec, grid, cfg)(np.stack([w, phi]), 0.0, 1e-3)(
+        np.stack([0.95 * w, phi])).matrix()
 
 
 def _closed_keulegan_box():
@@ -1387,7 +1409,7 @@ ORACLE_BUILDS = {
     "closed-keulegan-box": _closed_keulegan_box,
     "penalized-drain-closed-1d": lambda: _penalized_sweep("closed-1d"),
     "penalized-drain-dirichlet-2d": lambda: _penalized_sweep("dirichlet-2d"),
-    "confined-step": _confined_step,
+    "confined-step": _confined_sweep,
     "initial-head": lambda: aq._initial_head(*confined_case()[1:],
                                              StepperConfig(dt=1e-3, t_end=1e-3)),
 }
@@ -1413,7 +1435,7 @@ def test_matrices_of_one_pattern_are_independent(built, dims):
     spec = generic_spec_1d() if len(dims) == 1 else coupled_spec_2d(k_offdiag=0.5)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     u = np.stack([spec.initial_values(i, grid.cell_centers()) for i in range(2)])
-    step = _assemble_step(spec, grid, u, 0.0, cfg.dt, cfg)
+    step = _generic_step(spec, grid, cfg)(u, 0.0, cfg.dt)
     first, second = step(u).matrix(), step(0.9 * u).matrix()
     first.data[:] = np.nan
     step(0.8 * u).matrix()
@@ -1470,13 +1492,13 @@ def budget_sweeps():
     spec = full_tensor_spec()
     spec.sources = [lambda t, p, u: 0.3 + p[:, 0] * u[0], lambda t, p, u: 0.2 * u[1]]
     u = np.stack([spec.initial_values(i, GRID_75.cell_centers()) for i in range(2)])
-    yield _assemble_step(spec, GRID_75, u, 0.0, dt, cfg)(0.9 * u), u, dt, [True, True]
+    yield _generic_step(spec, GRID_75, cfg)(u, 0.0, dt)(0.9 * u), u, dt, [True, True]
     _, aspec, grid, w = confined_case()
     closed = aq.keulegan_scenario(grid, pump_rate=0.05, tilt=0.2)
     for a in (aspec, closed):
         phi = 0.1 * product_sine(1.0)(grid.cell_centers())
         u = np.stack([w, phi])
-        builder = aq._assemble_confined(a, grid, u, 0.0, dt, cfg)(np.stack([0.95 * w, phi]))
+        builder = aq._confined_step(a, grid, cfg)(u, 0.0, dt)(np.stack([0.95 * w, phi]))
         yield builder, u, dt, [True, False]  # the head row has no mass term
 
 
