@@ -33,7 +33,7 @@ traces and pumping once and returns ``sweep(u_lag)``; every matrix comes from
 levels: its run (:func:`_penalized_step`, :func:`_confined_step`) evaluates
 once what neither step nor lag changes (the depth h2 in the cells, the salt
 mass, delta and head terms as :class:`fv.FixedTerm`, the generic run-fixed
-terms, the prepared block maps ``_TO_TOTAL``), a step its traces, pumping
+terms, the block maps of the change of unknowns), a step its traces, pumping
 and their right-hand sides, and a sweep only what its lag changes.  The
 penalized sweep assembles the thickness system with the generic assembly on
 an internal spec (ell = inf, closed species for a closed box), has the
@@ -264,7 +264,8 @@ def to_cross_spec(aspec: AquiferSpec, grid: Grid) -> ModelSpec:
 # leaves out: GMRES then needed about twice the preconditioner applications
 # per step (15.0 -> 29.0 on a 48-cell drain-active case at epsilon = 0.1,
 # 22.9 -> 42.5 at 1e-4, 13.1 -> 27.2 on a 64^2 Dirichlet case).
-_TO_TOTAL = fv.BlockMaps(((1.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (-1.0, 1.0)))
+_TO_TOTAL = ((1.0, 0.0), (1.0, 1.0))
+_FROM_TOTAL = ((1.0, 0.0), (-1.0, 1.0))
 
 
 def _add_drain(builder: SystemBuilder, aspec: AquiferSpec, h2c: np.ndarray, u1_lag: np.ndarray,
@@ -329,14 +330,16 @@ def _penalized_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
 
     Each sweep assembles the thickness spec at ell = inf, which clips at zero
     only, so the thickness coefficients are U0(u1) and U0(u2); it rewrites the
-    system in (u1, s) by the prepared maps ``_TO_TOTAL`` and adds the drain
-    terms on the s block.  The run evaluates the generic run-fixed terms and
-    reads the depth once; a step maps the head traces for the drain once.
+    system in (u1, s) and adds the drain terms on the s block.  The run
+    evaluates the generic run-fixed terms, prepares the block maps of the
+    change of unknowns and their inverse and reads the depth once; a step
+    maps the head traces for the drain once.
     Every sweep solves to the run's own ``cfg.lin_tol`` at any epsilon: a
     stiff drain raises the system's rounding floor, which the linear solve
     accepts by itself (:func:`fv.solve_sparse`).
     """
     generic = solver._generic_step(_thickness_spec(aspec, grid, math.inf), grid, cfg)
+    to_total = fv.BlockMaps(_TO_TOTAL, _FROM_TOTAL)
     h2c = aspec.h2_cells(grid)
     h2_bnd = h2c[face_table(grid).bnd_cell]
 
@@ -346,7 +349,7 @@ def _penalized_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
 
         def sweep(u_lag):
             builder = generic_sweep(u_lag)
-            builder.change_unknowns(_TO_TOTAL)
+            builder.change_unknowns(to_total)
             _add_drain(builder, aspec, h2c, u_lag[0], u_lag[0] + u_lag[1], *drain_d)
             return builder
         return sweep

@@ -440,23 +440,21 @@ class FixedTerm:
     :meth:`SystemBuilder.add_tpfa` (:func:`fixed_tpfa`) record for the same
     data, by the same expressions; :meth:`SystemBuilder.add_fixed` records
     this one read-only ``vals`` array, by reference, in every sweep of the
-    run.  ``coeff`` is what the term is made of: the mass coefficient, or
-    the per-face g of a two-point term.  A two-point term whose g covers the
-    boundary faces keeps two more read-only arrays there: ``bnd``, its
-    coefficients g area/dist, which weigh a step's traces
-    (:meth:`trace_rhs`), and ``g_bnd``, the g of its budget; both are None
-    otherwise.
+    run.  A two-point term whose g covers the boundary faces keeps two more
+    read-only arrays there: ``bnd``, its coefficients g area/dist, which
+    weigh a step's traces (:meth:`trace_rhs`), and ``g_bnd``, the g of its
+    budget; both are None otherwise.  It keeps nothing else, so a run holds
+    no more than these arrays.
     """
 
-    __slots__ = ("ft", "term", "vals", "coeff", "bnd", "g_bnd")
+    __slots__ = ("ft", "term", "vals", "bnd", "g_bnd")
 
-    def __init__(self, ft: FaceTable, term: tuple, vals: np.ndarray, coeff,
+    def __init__(self, ft: FaceTable, term: tuple, vals: np.ndarray,
                  bnd: np.ndarray | None = None, g_bnd: np.ndarray | None = None):
         for a in (vals, bnd, g_bnd):
             if a is not None:
                 a.flags.writeable = False
-        self.ft, self.term, self.vals, self.coeff, self.bnd, self.g_bnd = (
-            ft, term, vals, coeff, bnd, g_bnd)
+        self.ft, self.term, self.vals, self.bnd, self.g_bnd = ft, term, vals, bnd, g_bnd
 
     def trace_rhs(self, traces: np.ndarray) -> np.ndarray:
         """The right-hand side that a step's Dirichlet ``traces`` give the term's row: one
@@ -478,7 +476,7 @@ def _trace_rhs(ft: FaceTable, t_bnd: np.ndarray, traces: np.ndarray) -> np.ndarr
 def fixed_mass(grid: Grid, species: int, coeff: float) -> FixedTerm:
     """The run-fixed term of :meth:`SystemBuilder.add_mass`."""
     return FixedTerm(face_table(grid), ("mass", species, species),
-                     np.full(grid.n_cells, coeff * grid.cell_volume), coeff)
+                     np.full(grid.n_cells, coeff * grid.cell_volume))
 
 
 def fixed_tpfa(grid: Grid, row_sp: int, col_sp: int, g: np.ndarray) -> FixedTerm:
@@ -491,8 +489,8 @@ def fixed_tpfa(grid: Grid, row_sp: int, col_sp: int, g: np.ndarray) -> FixedTerm
     ft = face_table(grid)
     ni = ft.n_interior
     t = _two_point(ft, g, len(g))
-    bnd, g_bnd = (t[ni:], g[ni:].copy()) if len(g) > ni else (None, None)
-    return FixedTerm(ft, ("face", row_sp, col_sp, len(g)), np.concatenate((t, t[:ni])), g,
+    bnd, g_bnd = (t[ni:].copy(), g[ni:].copy()) if len(g) > ni else (None, None)
+    return FixedTerm(ft, ("face", row_sp, col_sp, len(g)), np.concatenate((t, t[:ni])),
                      bnd, g_bnd)
 
 

@@ -183,14 +183,19 @@ def _generic_step(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
     mass = [fv.fixed_mass(grid, i, 1.0 / cfg.dt) for i in range(m)]
     delta = [fv.fixed_tpfa(grid, i, i, np.full(n_faces[i], spec.delta[i])) for i in range(m)]
     # per species i, the couplings (j, K_ij's diagonal entry on every face and on the faces
-    # of species i, its tangential entries or None)
+    # of species i, its tangential entries or None); tensors with the same entries share
+    # their face arrays, so the run keeps one per distinct tensor
     couplings = [[] for _ in range(m)]
+    on_faces = {}
     for i, j in product(range(m), range(m)):
         kmat = spec.K[i][j].matrix
         if kmat.any():
-            kdd = kmat.diagonal()[ft.axis]
-            couplings[i].append((j, kdd, kdd[:n_faces[i]],
-                                 kmat[(0, 1), (1, 0)][ft.axis] if need_tangential else None))
+            key = tuple(kmat.ravel().tolist())
+            if key not in on_faces:
+                on_faces[key] = (kmat.diagonal()[ft.axis],
+                                 kmat[(0, 1), (1, 0)][ft.axis] if need_tangential else None)
+            kdd, k_tang = on_faces[key]
+            couplings[i].append((j, kdd, kdd[:n_faces[i]], k_tang))
     tang_axis = 1 - ft.axis
 
     def step(u_prev: np.ndarray, t_prev: float, t_new: float):

@@ -1076,18 +1076,30 @@ def test_builder_keeps_traced_methods():
 def built(monkeypatch):
     """Every matrix a builder makes, with the mass and two-point terms behind it: the
     add_tpfa calls and the run-fixed terms that add_fixed records (add_mass among them),
-    each logged with the data it was made of."""
+    each logged with the data its fv.fixed_mass or fv.fixed_tpfa call was given."""
     builds = []
     cls = fv.SystemBuilder
     add_fixed, add_tpfa, matrix = cls.add_fixed, cls.add_tpfa, cls.matrix
+    made = {}   # id of each run-fixed term -> (the term, its kind and data)
+
+    def maker(name, kind):
+        make = getattr(fv, name)
+
+        def spy(grid, *args):
+            fixed = make(grid, *args)
+            made[id(fixed)] = (fixed, kind, args[1:] if kind == "mass" else args)
+            return fixed
+        monkeypatch.setattr(fv, name, spy)
+
+    maker("fixed_mass", "mass")
+    maker("fixed_tpfa", "tpfa")
 
     def log(self, call):
         self.__dict__.setdefault("calls", []).append(call)
 
     def spy_fixed(self, fixed, traces=None):
-        kind, row_sp, col_sp = fixed.term[:3]
-        log(self, ("mass", (row_sp, fixed.coeff)) if kind == "mass"
-            else ("tpfa", (row_sp, col_sp, fixed.coeff, traces)))
+        _, kind, args = made[id(fixed)]
+        log(self, (kind, (fixed.term[1], *args) if kind == "mass" else (*args, traces)))
         return add_fixed(self, fixed, traces)
 
     def spy_tpfa(self, row_sp, col_sp, g, traces):
