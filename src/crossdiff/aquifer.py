@@ -32,10 +32,11 @@ traces and pumping once and returns ``sweep(u_lag)``; every matrix comes from
 :class:`fv.SystemBuilder`.  As in the solver, each variant assembles on three
 levels: its run (:func:`_penalized_step`, :func:`_confined_step`) evaluates
 once what neither step nor lag changes (the depth h2 in the cells, the salt
-mass, delta and head terms as :class:`fv.FixedTerm`, the generic run-fixed
-terms, the block maps of the change of unknowns), a step its traces, pumping
-and their right-hand sides, and a sweep only what its lag changes.  The
-penalized sweep assembles the thickness system with the generic assembly on
+mass, delta and head terms as read-only (key, values) pairs, the generic
+run-fixed terms, the block maps of the change of unknowns), a step its
+traces, pumping and their right-hand sides, and a sweep only what its lag
+changes; the budget reads the boundary coefficients the builder recorded.
+The penalized sweep assembles the thickness system with the generic assembly on
 an internal spec (ell = inf, closed species for a closed box), has the
 builder rewrite its terms in the unknowns (u1, s) and adds the drain on the
 s block.  The confined sweep is its own
@@ -420,12 +421,13 @@ def _confined_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
     """Step callback of the (w, phi) system: parabolic salt thickness, elliptic head.
 
     The run (this call) evaluates the salt mass and delta terms and the head
-    term, whose face coefficient reads the depth, once as
-    :class:`fv.FixedTerm`.  A step evaluates its head trace, salt trace,
-    pumping and their right-hand sides once and returns its
-    ``sweep(u_lag)``, which computes only the lagged salt coefficients.  The
-    builder's budget is that of (w, phi): the head row has no mass term and
-    the pumping as its source.
+    term, whose face coefficient reads the depth, once, as read-only
+    (key, values) pairs that every sweep records.  A step evaluates its head
+    trace, salt trace, pumping and their right-hand sides once and returns
+    its ``sweep(u_lag)``, which computes only the lagged salt coefficients.
+    The builder's budget is that of (w, phi), read from the recorded
+    boundary coefficients: the head row has no mass term and the pumping as
+    its source.
     """
     ft = face_table(grid)
     alpha, one_a = aspec.alpha, 1.0 - aspec.alpha
@@ -438,11 +440,11 @@ def _confined_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
     def step(u_prev, t_prev, t_new):
         w_trace = _u_traces(aspec, h2c, grid, t_new)[1]
         salt_d = None if w_trace is None else _u0(w_trace)
-        head_d = _head_data(aspec, head, t_new, t_prev)
+        head_d = _head_data(aspec, ft, head, t_new, t_prev)
         phi_trace = head_d[0]
         mass_rhs = grid.cell_volume * u_prev[0] / cfg.dt
         if w_trace is not None:
-            mass_rhs = mass_rhs + delta.trace_rhs(w_trace)
+            mass_rhs = mass_rhs + fv.trace_rhs(ft, delta, w_trace)
 
         def sweep(u_lag: np.ndarray) -> SystemBuilder:
             w_lag, phi_lag = u_lag
@@ -453,9 +455,9 @@ def _confined_step(aspec: AquiferSpec, grid: Grid, cfg: StepperConfig):
                 sides, -fv.face_gradient(ft, phi_lag, phi_trace)[:n_faces])
 
             # salt-thickness row: flux = delta grad w + alpha w grad w - (1-alpha) w grad phi
-            builder.add_fixed(mass)
+            builder.add_term(mass)
             builder.add_rhs(0, mass_rhs)
-            builder.add_fixed(delta, w_trace)
+            builder.add_term(delta, w_trace)
             builder.add_tpfa(0, 0, alpha * w_face_w, w_trace)
             builder.add_tpfa(0, 1, -one_a * w_face_phi, phi_trace)
             # head row couplings
@@ -484,23 +486,23 @@ def _head_faces(aspec: AquiferSpec, ft: fv.FaceTable) -> np.ndarray:
     return (1.0 - aspec.alpha) * (0.5 * (h2[ft.left] + h2[ft.right]))
 
 
-def _head_data(aspec: AquiferSpec, head: fv.FixedTerm, t_trace: float, t_pump: float):
-    """A step's data of the head term ``head``: the head trace at ``t_trace``, its
-    right-hand side, and the pumping at ``t_pump`` as right-hand side and source
-    integral."""
-    ft = head.ft
+def _head_data(aspec: AquiferSpec, ft: fv.FaceTable, head: tuple, t_trace: float,
+               t_pump: float):
+    """A step's data of the head term ``head`` (:func:`fv.fixed_tpfa`): the head trace at
+    ``t_trace``, its right-hand side, and the pumping at ``t_pump`` as right-hand side and
+    source integral."""
     vol = ft.grid.cell_volume
     phi_trace = evaluate(aspec.dirichlet_phi, ft.n_boundary, t_trace, ft.bnd_points)
     pump = aspec.pumping_values(t_pump, ft.centers)
-    return phi_trace, head.trace_rhs(phi_trace), -vol * pump, -vol * pump.sum()
+    return phi_trace, fv.trace_rhs(ft, head, phi_trace), -vol * pump, -vol * pump.sum()
 
 
-def _add_head_terms(builder: SystemBuilder, head: fv.FixedTerm, head_d: tuple) -> None:
+def _add_head_terms(builder: SystemBuilder, head: tuple, head_d: tuple) -> None:
     """Head term -div((1 - alpha) h2 grad phi) on the row of ``head``, the pumping its
     source, from the step's :func:`_head_data`."""
     phi_trace, trace_rhs, pump_rhs, pump_source = head_d
-    row = head.term[1]
-    builder.add_fixed(head, phi_trace)
+    row = head[0][1]
+    builder.add_term(head, phi_trace)
     builder.add_rhs(row, trace_rhs)
     builder.add_rhs(row, pump_rhs)
     builder.source[row] = pump_source
@@ -520,7 +522,7 @@ def _initial_head(aspec: AquiferSpec, grid: Grid, w0: np.ndarray, cfg: StepperCo
     sides, grad_w = _salt_faces(ft, w0, w_trace, None if w_trace is None else _u0(w_trace))
     builder.add_explicit_flux(0, aspec.alpha * fv.upwind_face_value(sides, grad_w) * grad_w)
     head = fv.fixed_tpfa(grid, 0, 0, _head_faces(aspec, ft))
-    _add_head_terms(builder, head, _head_data(aspec, head, 0.0, 0.0))
+    _add_head_terms(builder, head, _head_data(aspec, ft, head, 0.0, 0.0))
     try:
         return fv.solve_sparse(builder.matrix(), builder.rhs, cfg.lin_tol,
                                fv.BlockFactors(1, grid))[0]

@@ -19,19 +19,22 @@ face flux adds to its left cell and subtracts from its right cell, so every
 per-cell sum over faces is one bincount over the left cells and one over
 the right cells (:func:`face_divergence`), and every assembly in the
 package is one vectorized pass over that table.
-:class:`SystemBuilder` assembles every block system of the package: it
-records each matrix contribution as a structural term plus its values, a
-run-fixed one (:class:`FixedTerm`) by reference, can rewrite the recorded
-system in other unknowns by block maps prepared once (:class:`BlockMaps`),
-and sums the values into a CSR pattern by one product with a summation map (a sparse
-matrix of +-1 entries from the values to the CSR positions); :func:`_pattern`
-derives both once per grid, species count and term sequence, and
+:class:`SystemBuilder` assembles every block system of the package: a term
+is its structural key and its value array, one method records every term,
+its values by reference (:meth:`SystemBuilder.add_term`), and one function
+computes every two-point term's values (:func:`_two_point`).  The builder
+can rewrite the recorded system in other unknowns by block maps prepared
+once (:class:`BlockMaps`), and sums the values into a CSR pattern by one
+product with a summation map (a sparse matrix of +-1 entries from the
+values to the CSR positions); :func:`_pattern` derives both once per grid,
+species count and term sequence, and
 :func:`_template` keeps them with one CSR template of the pattern, which owns
 no values and whose shallow copy, given the summed values, is each sweep's
 matrix: no sparse constructor runs per sweep.  A face term
 keeps two coefficients per face, its left and its right cell's.  It is also
 the one record of a step's budget, kept in the state's species
-(:meth:`SystemBuilder.budget`).
+(:meth:`SystemBuilder.budget`), which, like the traces' right-hand side
+(:func:`trace_rhs`), reads the boundary coefficients that the matrix sums.
 :func:`solve_sparse` is the package's one linear solve, and the matrix decides
 its path.  :meth:`SystemBuilder.matrix` attaches a :class:`Band` layout
 exactly to the systems solved directly: every system on a 1D grid, and a 2D
@@ -432,96 +435,68 @@ class BlockMaps:
         self.p_rows, self.p_inv_rows = _nonzero_rows(p), _nonzero_rows(np.linalg.inv(p))
 
 
-class FixedTerm:
-    """One term whose values neither a step nor a lag changes, evaluated once per run.
-
-    ``term`` and ``vals`` are the structural term and the values that
-    :meth:`SystemBuilder.add_mass` (:func:`fixed_mass`) or
-    :meth:`SystemBuilder.add_tpfa` (:func:`fixed_tpfa`) record for the same
-    data, by the same expressions; :meth:`SystemBuilder.add_fixed` records
-    this one read-only ``vals`` array, by reference, in every sweep of the
-    run.  A two-point term whose g covers the boundary faces keeps two more
-    read-only arrays there: ``bnd``, its coefficients g area/dist, which
-    weigh a step's traces (:meth:`trace_rhs`), and ``g_bnd``, the g of its
-    budget; both are None otherwise.  It keeps nothing else, so a run holds
-    no more than these arrays.
-    """
-
-    __slots__ = ("ft", "term", "vals", "bnd", "g_bnd")
-
-    def __init__(self, ft: FaceTable, term: tuple, vals: np.ndarray,
-                 bnd: np.ndarray | None = None, g_bnd: np.ndarray | None = None):
-        for a in (vals, bnd, g_bnd):
-            if a is not None:
-                a.flags.writeable = False
-        self.ft, self.term, self.vals, self.bnd, self.g_bnd = ft, term, vals, bnd, g_bnd
-
-    def trace_rhs(self, traces: np.ndarray) -> np.ndarray:
-        """The right-hand side that a step's Dirichlet ``traces`` give the term's row: one
-        bincount over the boundary faces, as :meth:`SystemBuilder.add_tpfa` adds it."""
-        return _trace_rhs(self.ft, self.bnd, traces)
-
-
 def _two_point(ft: FaceTable, g: np.ndarray, n_faces: int) -> np.ndarray:
-    """The coefficients g area/dist of a two-point term on the first ``n_faces`` faces."""
-    return g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
+    """The values of the two-point term of the per-face ``g`` on the first ``n_faces`` faces:
+    t = g area/dist there, the left cells', then t on the interior faces, the right cells'."""
+    t = g[:n_faces] * ft.area[:n_faces] / ft.dist[:n_faces]
+    return np.concatenate((t, t[:ft.n_interior]))
 
 
-def _trace_rhs(ft: FaceTable, t_bnd: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Per cell, the boundary coefficients ``t_bnd`` times the ghosts' ``traces``: one
-    bincount over the boundary faces."""
-    return np.bincount(ft.bnd_cell, weights=t_bnd * traces, minlength=ft.grid.n_cells)
+def fixed_mass(grid: Grid, species: int, coeff: float) -> tuple[tuple, np.ndarray]:
+    """The term of :meth:`SystemBuilder.add_mass` as a (key, values) pair, its values read-only."""
+    vals = np.full(grid.n_cells, coeff * grid.cell_volume)
+    vals.flags.writeable = False
+    return ("mass", species, species), vals
 
 
-def fixed_mass(grid: Grid, species: int, coeff: float) -> FixedTerm:
-    """The run-fixed term of :meth:`SystemBuilder.add_mass`."""
-    return FixedTerm(face_table(grid), ("mass", species, species),
-                     np.full(grid.n_cells, coeff * grid.cell_volume))
-
-
-def fixed_tpfa(grid: Grid, row_sp: int, col_sp: int, g: np.ndarray) -> FixedTerm:
-    """The run-fixed term of :meth:`SystemBuilder.add_tpfa` for the per-face ``g``.
+def fixed_tpfa(grid: Grid, row_sp: int, col_sp: int, g: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The term of :meth:`SystemBuilder.add_tpfa` for the per-face ``g`` as a (key, values)
+    pair, its values read-only.
 
     ``g`` covers the interior faces or all faces; one that covers the
-    boundary faces is the term of a Dirichlet column species, whose sweeps
-    record it with the step's traces.
+    boundary faces is the term of a Dirichlet column species, which a sweep
+    records with the step's traces.
     """
-    ft = face_table(grid)
-    ni = ft.n_interior
-    t = _two_point(ft, g, len(g))
-    bnd, g_bnd = (t[ni:].copy(), g[ni:].copy()) if len(g) > ni else (None, None)
-    return FixedTerm(ft, ("face", row_sp, col_sp, len(g)), np.concatenate((t, t[:ni])),
-                     bnd, g_bnd)
+    vals = _two_point(face_table(grid), g, len(g))
+    vals.flags.writeable = False
+    return ("face", row_sp, col_sp, len(g)), vals
+
+
+def trace_rhs(ft: FaceTable, term: tuple, traces: np.ndarray) -> np.ndarray:
+    """Per cell, what Dirichlet ``traces`` give the right-hand side of the two-point
+    ``term`` over the boundary faces: one bincount of its boundary coefficients times them."""
+    (_, _, _, n_faces), vals = term
+    return np.bincount(ft.bnd_cell, weights=vals[ft.n_interior:n_faces] * traces,
+                       minlength=ft.grid.n_cells)
 
 
 class SystemBuilder:
     """Block system over m species on one grid, assembled term by term.
 
-    Each matrix contribution is recorded as a structural term on the block
-    (row_sp, col_sp), plus its value array: ``("mass", row_sp, col_sp)``
-    on the block diagonal, and ``("face", row_sp, col_sp, n_faces)``
-    (:meth:`add_face_term`) on the first ``n_faces`` faces of the face
-    table, the interior faces or all faces.  A face term's values are two
-    coefficient arrays: those of the left cells on the covered faces, then
-    those of the right cells on the interior faces.  A coefficient enters
-    its cell's diagonal entry and, negated, the entry of the face's other
-    cell in its cell's column.  The right-hand side is accumulated directly.
-    :meth:`add_fixed` records a run-fixed term (:class:`FixedTerm`) by
-    reference.  So a variant splits its assembly in three levels: its run
-    evaluates every term and array that depends on neither the step nor the
-    lag once (mass diagonals, the face values of fixed two-point terms, block
-    maps), its step callback evaluates the step's traces, their right-hand
-    sides and the sources once, and each sweep computes only what its lag
-    changes.  :meth:`change_unknowns` rewrites the recorded system in other
-    unknowns by prepared :class:`BlockMaps`, to which :meth:`to_unknowns`
-    and :meth:`to_state` map the state and back.
+    A term is a (key, values) pair, and :meth:`add_term` records every
+    term, its value array by reference.  The key is ``("mass", row_sp,
+    col_sp)`` on the block diagonal or ``("face", row_sp, col_sp, n_faces)``
+    on the first ``n_faces`` faces of the face table, the interior faces or
+    all faces.  A face term's values are two coefficient arrays: those of
+    the left cells on the covered faces, then those of the right cells on
+    the interior faces.  A coefficient enters its cell's diagonal entry and,
+    negated, the entry of the face's other cell in its cell's column.
+    :meth:`add_mass`, :meth:`add_tpfa` and :meth:`add_face_term` make a term
+    and record it; a variant makes each term that neither its step nor its
+    lag changes once per run (:func:`fixed_mass`, :func:`fixed_tpfa`) and
+    records it in every sweep.  The right-hand side is accumulated directly.
+    :meth:`change_unknowns` rewrites the recorded system in other unknowns
+    by prepared :class:`BlockMaps`, to which :meth:`to_unknowns` and
+    :meth:`to_state` map the state and back.
     :meth:`matrix` looks up the CSR template of the term sequence and its
     summation map, built once per (grid, m, terms) by :func:`_template`,
     and hands out a shallow copy of the template whose data are the values
     summed by one sparse product; the template of a system solved directly
     carries its :class:`Band`.
-    The budget record (boundary terms, explicit boundary flux and the
-    ``source`` the assembly sets) stays in the state's species.
+    The budget record stays in the state's species: the two-point terms
+    recorded with Dirichlet traces, as recorded (``bnd_terms``), so the
+    budget reads the boundary coefficients the matrix sums; the explicit
+    boundary flux; and the ``source`` the assembly sets.
     """
 
     def __init__(self, grid: Grid, m: int):
@@ -537,33 +512,28 @@ class SystemBuilder:
         self.bnd_expl: dict[int, np.ndarray] = {}
         self.source = np.zeros(m)
 
-    def _add_term(self, term: tuple, v: np.ndarray) -> None:
-        """Record one structural term with its per-entry values."""
-        self.terms.append(term)
-        self.vals.append(np.asarray(v, dtype=float))
+    def add_term(self, term: tuple, traces: np.ndarray | None = None) -> None:
+        """Record the (key, values) ``term``, its value array by reference.
+
+        A two-point term over the boundary faces takes the Dirichlet
+        ``traces`` of its column species, and with them enters the budget as
+        it is; the traces' :func:`trace_rhs` is the caller's to add.
+        """
+        self.terms.append(term[0])
+        self.vals.append(term[1])
+        if traces is not None:
+            self.bnd_terms.append((term, traces))
 
     def add_mass(self, species: int, coeff: float) -> None:
         """coeff * u on the diagonal of one species block (volume-scaled)."""
-        self.add_fixed(fixed_mass(self.grid, species, coeff))
-
-    def add_fixed(self, fixed: FixedTerm, traces: np.ndarray | None = None) -> None:
-        """Record the run-fixed term ``fixed`` with its own value array, by reference.
-
-        A two-point term over the boundary faces takes the step's Dirichlet
-        ``traces`` of its column species into the budget; their right-hand
-        side, :meth:`FixedTerm.trace_rhs`, is the step's to add.
-        """
-        self.terms.append(fixed.term)
-        self.vals.append(fixed.vals)
-        if fixed.g_bnd is not None:
-            self.bnd_terms.append((fixed.term[1], fixed.term[2], fixed.g_bnd, traces))
+        self.add_term(fixed_mass(self.grid, species, coeff))
 
     def add_face_term(self, row_sp: int, col_sp: int, left: np.ndarray,
                       right: np.ndarray) -> None:
         """Face term on the block (row_sp, col_sp): ``left`` holds the left cells'
         coefficients on the first ``len(left)`` faces (the interior faces or all faces),
-        ``right`` the right cells' on the interior faces."""
-        self._add_term(("face", row_sp, col_sp, len(left)), np.concatenate((left, right)))
+        ``right`` the right cells' on the interior faces.  It enters no budget."""
+        self.add_term((("face", row_sp, col_sp, len(left)), np.concatenate((left, right))))
 
     def change_unknowns(self, maps: BlockMaps) -> None:
         """Rewrite the recorded system in place as (Q A P) y = Q b, x = P y, by ``maps``.
@@ -607,16 +577,17 @@ class SystemBuilder:
         ``g`` holds per-face coefficients of the interior faces or of all
         faces.  Boundary faces take part only when ``g`` covers them and the
         column species has Dirichlet ``traces``, which enter the right-hand
-        side through the ghost slots, summed per cell by one bincount over the
-        boundary faces, and their coefficients into the budget.
+        side through the ghost slots (:func:`trace_rhs`) and, with the term,
+        the budget.
         """
         ft = self.ft
         n_faces = len(g) if traces is not None else ft.n_interior
-        t = _two_point(ft, g, n_faces)
-        self.add_face_term(row_sp, col_sp, t, t[:ft.n_interior])
-        if n_faces > ft.n_interior:
-            self.add_rhs(row_sp, _trace_rhs(ft, t[ft.n_interior:], traces))
-            self.bnd_terms.append((row_sp, col_sp, g[ft.n_interior:].copy(), traces))
+        term = (("face", row_sp, col_sp, n_faces), _two_point(ft, g, n_faces))
+        if n_faces == ft.n_interior:
+            self.add_term(term)
+        else:
+            self.add_term(term, traces)
+            self.add_rhs(row_sp, trace_rhs(ft, term, traces))
 
     def add_explicit_flux(self, row_sp: int, f: np.ndarray) -> None:
         """Add a fully evaluated face flux (per unit area, on the faces ``f`` covers) to the RHS."""
@@ -650,18 +621,20 @@ class SystemBuilder:
     def budget(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(source integral, boundary inflow) of each state species at the state ``u``."""
         flux = np.zeros(self.m)
-        for row_sp, col_sp, g, traces in self.bnd_terms:
-            flux[row_sp] += boundary_flux_integral(self.ft, g, u[col_sp], traces)
+        for term, traces in self.bnd_terms:
+            _, row_sp, col_sp, _ = term[0]
+            flux[row_sp] += boundary_flux_integral(self.ft, term, u[col_sp], traces)
         for row_sp, f in self.bnd_expl.items():
             flux[row_sp] += float(np.sum(f * self.ft.area[self.ft.n_interior:]))
         return self.source, flux
 
 
-def boundary_flux_integral(ft: FaceTable, g_bnd: np.ndarray,
-                           u: np.ndarray, traces: np.ndarray) -> float:
-    """Total boundary inflow sum_f g * (trace - u_cell)/(h/2) * area."""
-    b = slice(ft.n_interior, None)
-    return float(np.sum(g_bnd * (traces - u[ft.bnd_cell]) / ft.dist[b] * ft.area[b]))
+def boundary_flux_integral(ft: FaceTable, term: tuple, u: np.ndarray,
+                           traces: np.ndarray) -> float:
+    """Boundary inflow of the two-point ``term`` over the boundary faces at its column
+    species' state ``u``: sum_f t_f (trace - u_cell) over its values t = g area/dist there."""
+    (_, _, _, n_faces), vals = term
+    return float(np.sum(vals[ft.n_interior:n_faces] * (traces - u[ft.bnd_cell])))
 
 
 # ---------------------------------------------------------------------------
@@ -992,11 +965,13 @@ def _fgmres(a: sparse.csr_matrix, b: np.ndarray, x: np.ndarray, inverse, tol: fl
     the preconditioned vectors Z = M^-1 V, so each inner iteration is one
     application of the inverse and the cycle's update is Z y (Saad,
     *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
-    Sec. 9.3-9.4).  A new vector is projected by classical Gram-Schmidt, a
-    second time when the projection left less than 0.7 of its norm (Giraud,
-    Langou and Rozloznik, Comput. Math. Appl. 50, 2005); Givens rotations
-    keep the least-squares residual, and a cycle stops once it is at most
-    0.1 ``tol`` ||b||, or the rounding floor once that is known.  Every
+    Sec. 9.3-9.4).  A new vector is projected by classical Gram-Schmidt
+    twice, unconditionally (CGS2; Giraud, Langou and Rozloznik, Comput. Math.
+    Appl. 50, 2005): the usual test for the second pass, less than 0.7 of
+    the norm left after the first, holds at nearly every inner iteration of
+    these systems.  Givens rotations keep the least-squares residual, and a
+    cycle stops once it is at most 0.1 ``tol`` ||b||, or the rounding floor
+    once that is known.  Every
     cycle starts from the true residual and accepts there by the rule of
     :func:`solve_sparse`: ``tol``, or the floor, computed once, after the
     first cycle's true residual misses ``tol``.  The attempt gives up after
@@ -1030,15 +1005,12 @@ def _fgmres(a: sparse.csr_matrix, b: np.ndarray, x: np.ndarray, inverse, tol: fl
             iterations += 1
             w = a @ z[j]
             v = basis[:j + 1]
-            before = _norm(w)
             h = np.einsum("ki,i->k", v, w)
             w -= np.einsum("k,ki->i", h, v)
+            again = np.einsum("ki,i->k", v, w)
+            w -= np.einsum("k,ki->i", again, v)
+            h += again
             after = _norm(w)
-            if after < 0.7 * before:
-                again = np.einsum("ki,i->k", v, w)
-                w -= np.einsum("k,ki->i", again, v)
-                h += again
-                after = _norm(w)
             if after > 0.0:
                 np.divide(w, after, out=basis[j + 1])
             column = [*h.tolist(), after]

@@ -42,10 +42,11 @@ callback ``step(u_prev, t_prev, t_new)`` that evaluates the step's data
 the sweep's :class:`fv.SystemBuilder`, whose budget is in the solved state's
 species.  Each variant's assembly has three levels: its run makes the step
 callback once and evaluates there every array that depends on neither the
-step nor the lag (mass diagonals, fixed two-point terms as
-:class:`fv.FixedTerm`, tensor entries on the faces, block maps); the step
-evaluates its own data once; a sweep computes only what its lag changes and
-records the run-fixed terms by reference.  :func:`run` is the generic
+step nor the lag (mass diagonals, the values of fixed two-point terms,
+tensor entries on the faces, block maps); the step evaluates its own data
+once; a sweep computes only what its lag changes.  The builder records
+every term, its key and values, by one method, and its budget reads the
+boundary coefficients the matrix sums.  :func:`run` is the generic
 variant's one entry point, and :func:`_generic_step` its run level.
 """
 
@@ -163,14 +164,15 @@ def _generic_step(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
     """The generic variant's step callback, assembled on three levels.
 
     The run (this call) evaluates once what neither the step nor the lag
-    changes: the mass terms and the delta_i two-point terms as
-    :class:`fv.FixedTerm` (face values and boundary budget coefficients),
-    each nonzero K_ij's diagonal on the faces and, when some tensor has
-    off-diagonal entries on a 2D grid, its tangential entries.  The step,
-    ``step(u_prev, t_prev, t_new)``, evaluates the traces, their right-hand
-    side and the sources once and returns ``sweep(u_lag)``, which computes
-    only the lagged coefficients and gradients and the terms built from them,
-    into a :class:`fv.SystemBuilder`.
+    changes: the mass terms and the delta_i two-point terms as read-only
+    (key, values) pairs, each nonzero K_ij's diagonal on the faces and, when
+    some tensor has off-diagonal entries on a 2D grid, its tangential
+    entries.  The step, ``step(u_prev, t_prev, t_new)``, evaluates the
+    traces, their right-hand side and the sources once and returns
+    ``sweep(u_lag)``, which computes only the lagged coefficients and
+    gradients and the terms built from them and records every term into a
+    :class:`fv.SystemBuilder`, whose budget reads the recorded boundary
+    coefficients.
     """
     m = spec.m
     ft = fv.face_table(grid)
@@ -206,7 +208,7 @@ def _generic_step(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
         rhs = [vol * (u_prev[i] / cfg.dt + q[i]) for i in range(m)]
         for i in range(m):
             if traces[i] is not None:
-                rhs[i] = rhs[i] + delta[i].trace_rhs(traces[i])
+                rhs[i] = rhs[i] + fv.trace_rhs(ft, delta[i], traces[i])
 
         def sweep(u_lag: np.ndarray) -> SystemBuilder:
             builder = SystemBuilder(grid, m)
@@ -227,9 +229,9 @@ def _generic_step(spec: ModelSpec, grid: Grid, cfg: StepperConfig):
 
             for i in range(m):
                 nf = n_faces[i]
-                builder.add_fixed(mass[i])
+                builder.add_term(mass[i])
                 builder.add_rhs(i, rhs[i])
-                builder.add_fixed(delta[i], traces[i])
+                builder.add_term(delta[i], traces[i])
                 for j, kdd, kdd_own, k_tang in couplings[i]:
                     driver = kdd * grad[j]
                     if need_tangential:

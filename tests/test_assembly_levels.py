@@ -114,25 +114,31 @@ def assert_same_system(got: fv.SystemBuilder, want: fv.SystemBuilder) -> None:
     assert np.array_equal(got.rhs, want.rhs)
     assert np.array_equal(got.source, want.source)
     assert len(got.bnd_terms) == len(want.bnd_terms)
-    for (r, c, g, tr), (r0, c0, g0, tr0) in zip(got.bnd_terms, want.bnd_terms, strict=True):
-        assert (r, c) == (r0, c0) and np.array_equal(g, g0) and np.array_equal(tr, tr0)
+    for ((key, v), tr), ((key0, v0), tr0) in zip(got.bnd_terms, want.bnd_terms, strict=True):
+        assert key == key0 and np.array_equal(v, v0) and np.array_equal(tr, tr0)
     assert got.bnd_expl.keys() == want.bnd_expl.keys()
     assert all(np.array_equal(got.bnd_expl[k], want.bnd_expl[k]) for k in got.bnd_expl)
 
 
 def check_levels(monkeypatch, factory, reference, data, grid, u0, n_steps=3):
     """Three steps of two sweeps each, at lags away from the previous state; every sweep
-    equals the reference, and every run-fixed value array is one object throughout."""
-    fixed_ids = []
-    add_fixed = fv.SystemBuilder.add_fixed
+    equals the reference, and every run-fixed value array, made by the run-level factory,
+    is read-only and recorded by reference as one object throughout."""
+    made, fixed_ids = [], []
+    for name in ("fixed_mass", "fixed_tpfa"):
+        real = getattr(fv, name)
+        monkeypatch.setattr(fv, name, lambda *a, _real=real: made.append(_real(*a)) or made[-1])
+    add_term = fv.SystemBuilder.add_term
 
-    def spy_fixed(self, fixed, traces=None):
-        fixed_ids.append(id(fixed.vals))
-        assert not fixed.vals.flags.writeable
-        return add_fixed(self, fixed, traces)
-    monkeypatch.setattr(fv.SystemBuilder, "add_fixed", spy_fixed)
+    def spy_term(self, term, traces=None):
+        if any(term[1] is vals for _, vals in run_fixed):
+            fixed_ids.append(id(term[1]))
+        return add_term(self, term, traces)
+    monkeypatch.setattr(fv.SystemBuilder, "add_term", spy_term)
     cfg = StepperConfig(dt=1e-3, t_end=n_steps * 1e-3)
     step = factory(data, grid, cfg)
+    run_fixed = list(made)
+    assert run_fixed and all(not vals.flags.writeable for _, vals in run_fixed)
     x = grid.cell_centers()[:, 0]
     u, per_sweep = u0, []
     for k in range(n_steps):
@@ -142,7 +148,7 @@ def check_levels(monkeypatch, factory, reference, data, grid, u0, n_steps=3):
             fixed_ids.clear()
             builder = sweep(lag)
             recorded = list(fixed_ids)
-            assert recorded
+            assert set(recorded) == {id(vals) for _, vals in run_fixed}
             # recorded by reference, never copied
             assert set(recorded) <= {id(v) for v in builder.vals}
             assert_same_system(builder, reference(data, grid, cfg, u, t_prev, t_new, lag))

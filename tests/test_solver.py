@@ -1075,19 +1075,19 @@ def test_builder_keeps_traced_methods():
 @pytest.fixture
 def built(monkeypatch):
     """Every matrix a builder makes, with the mass and two-point terms behind it: the
-    add_tpfa calls and the run-fixed terms that add_fixed records (add_mass among them),
+    add_tpfa calls and the run-fixed terms that add_term records (add_mass among them),
     each logged with the data its fv.fixed_mass or fv.fixed_tpfa call was given."""
     builds = []
     cls = fv.SystemBuilder
-    add_fixed, add_tpfa, matrix = cls.add_fixed, cls.add_tpfa, cls.matrix
-    made = {}   # id of each run-fixed term -> (the term, its kind and data)
+    add_term, add_tpfa, matrix = cls.add_term, cls.add_tpfa, cls.matrix
+    made = {}   # id of each run-fixed value array -> (the array, its kind and data)
 
     def maker(name, kind):
         make = getattr(fv, name)
 
         def spy(grid, *args):
             fixed = make(grid, *args)
-            made[id(fixed)] = (fixed, kind, args[1:] if kind == "mass" else args)
+            made[id(fixed[1])] = (fixed[1], kind, args[1:] if kind == "mass" else args)
             return fixed
         monkeypatch.setattr(fv, name, spy)
 
@@ -1097,10 +1097,12 @@ def built(monkeypatch):
     def log(self, call):
         self.__dict__.setdefault("calls", []).append(call)
 
-    def spy_fixed(self, fixed, traces=None):
-        _, kind, args = made[id(fixed)]
-        log(self, (kind, (fixed.term[1], *args) if kind == "mass" else (*args, traces)))
-        return add_fixed(self, fixed, traces)
+    def spy_term(self, term, traces=None):
+        # a run-fixed term is logged here, every other two-point term by add_tpfa
+        vals, kind, args = made.get(id(term[1]), (None, None, None))
+        if vals is term[1]:
+            log(self, (kind, (term[0][1], *args) if kind == "mass" else (*args, traces)))
+        return add_term(self, term, traces)
 
     def spy_tpfa(self, row_sp, col_sp, g, traces):
         log(self, ("tpfa", (row_sp, col_sp, g, traces)))
@@ -1111,7 +1113,7 @@ def built(monkeypatch):
         builds.append((self.grid, self.m, self.__dict__.get("calls", []), list(self.terms), a,
                        list(self.vals)))
         return a
-    monkeypatch.setattr(cls, "add_fixed", spy_fixed)
+    monkeypatch.setattr(cls, "add_term", spy_term)
     monkeypatch.setattr(cls, "add_tpfa", spy_tpfa)
     monkeypatch.setattr(cls, "matrix", spy_matrix)
     return builds
@@ -1530,6 +1532,55 @@ def test_builder_budget_is_the_row_sum_of_the_system():
             mass = np.where(has_mass, -vol * (x - u_prev).sum(axis=1) / dt, 0.0)
             scale = np.abs(b.reshape(x.shape)).sum(axis=1) + np.abs(ax).sum(axis=1)
             assert np.all(np.abs(rows - (mass + source + inflow)) <= 1e-12 * scale)
+
+
+def test_budget_entries_hold_the_value_arrays_the_matrix_sums():
+    # a budget entry is the recorded term itself with its traces: no copy of its coefficients
+    builders = [builder for builder, *_ in budget_sweeps()]
+    _, aspec, _, grid, u_prev, u_lag = penalized_case("dirichlet-2d")
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    builders.append(aq._penalized_step(aspec, grid, cfg)(u_prev, 0.0, cfg.dt)(u_lag))
+    for builder in builders:
+        ft = builder.ft
+        assert builder.bnd_terms
+        for (key, vals), traces in builder.bnd_terms:
+            assert key[0] == "face" and key[3] == ft.n_faces and len(traces) == ft.n_boundary
+            assert any(vals is v for v in builder.vals)
+
+
+def test_boundary_flux_equals_the_two_point_flux_of_the_coefficients_given(monkeypatch):
+    # the budget reads t = g area/dist from the recorded values; each step's inflow equals
+    # sum_f g (trace - u_cell) / dist * area over the g that each two-point term was given
+    g_of = {}   # id of a two-point term's values -> (the values, the g they were made of)
+    expected = []
+    two_point, budget = fv._two_point, fv.SystemBuilder.budget
+
+    def spy_two_point(ft, g, n_faces):
+        vals = two_point(ft, g, n_faces)
+        g_of[id(vals)] = (vals, g[:n_faces].copy())
+        return vals
+
+    def spy_budget(self, u):
+        ft, ni = self.ft, self.ft.n_interior
+        inflow = np.zeros(self.m)
+        for ((_, row_sp, col_sp, _), vals), traces in self.bnd_terms:
+            made, g = g_of[id(vals)]
+            assert made is vals
+            inflow[row_sp] += np.sum(g[ni:] * (traces - u[col_sp][ft.bnd_cell])
+                                     / ft.dist[ni:] * ft.area[ni:])
+        for row_sp, f in self.bnd_expl.items():
+            inflow[row_sp] += np.sum(f * ft.area[ni:])
+        expected.append(inflow)
+        return budget(self, u)
+    monkeypatch.setattr(fv, "_two_point", spy_two_point)
+    monkeypatch.setattr(fv.SystemBuilder, "budget", spy_budget)
+    # the product sine of the spec is not 0 on the top face, so the run skips the compatibility
+    # check of its data
+    result = run(full_tensor_spec(dirichlet=(0.0, 0.0)), GRID_75,
+                 StepperConfig(dt=1e-3, t_end=5e-3), validate=False)
+    expected = np.array(expected).T
+    assert expected.shape == result.boundary_flux.shape and np.all(expected < 0.0)
+    assert np.all(np.abs(result.boundary_flux - expected) <= 1e-14 * np.abs(expected))
 
 
 @pytest.mark.parametrize("ell", [1.0, 0.0])
